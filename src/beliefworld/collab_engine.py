@@ -17,13 +17,18 @@ room becoming fully explored.  Heavy miscoordination triggers a message
 that steers away from the collaborator's projected activity; anything
 lighter is tolerated and the agent just acts.
 
-All reasoning steps go through a pluggable backend via prompt templates;
-the deterministic backend reproduces the mechanical heuristics in this
-module, so scripted runs are exactly replayable.
+Every reasoning step is a call to a pluggable backend through its
+prompt template, whichever backend is plugged in.  This module alone
+decides: a remote model's answer is taken when one arrives and parses,
+and otherwise the step falls back to the heuristics here (planning,
+miscoordination detection, the message grammar), read straight off the
+structured beliefs.  The scripted backend answers only the rule
+dialogue, so scripted runs are exactly replayable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import re
@@ -42,7 +47,7 @@ from .actions import (
     parse_plan,
 )
 from .belief_store import BeliefWorld, MisalignmentReport
-from .scenario import EntityRegistry, GoalSpec
+from .scenario import CONTAINER_CAPACITY, EntityRegistry, GoalSpec
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, MAX_HANDS, NONE, PART, VisualObservation
 
@@ -57,6 +62,9 @@ MODE_NEVER = "never"
 SAME_ROOM_EXPLORE = "same-room-explore"
 SAME_GRASP_TARGET = "same-grasp-target"
 SAME_CONTAINER_GRAB = "same-container-grab"
+
+# Replies that mean "nothing": no plan, no belief lines.
+_NO_ANSWER = ("", "none", "none.")
 
 ACTION_LIST_TEXT = (
     "go to <room>(id); explore current room <room>(id); go grasp <object>(id); "
@@ -206,7 +214,7 @@ def plan_options(view: PlannerView) -> list[Plan]:
     held = view.holdings()
     container = view.held_container()
     load = view.container_load(container) if container else []
-    space = reg.scenario.container_capacity - len(load) if container else 0
+    space = CONTAINER_CAPACITY - len(load) if container else 0
     free_hand = MAX_HANDS - len(held)
     held_targets = [r for r in held if reg.is_target(r.id)]
     known = view.located_targets()
@@ -648,7 +656,7 @@ def _facts_from_lines(lines: str, order: int) -> list[AtomicBelief]:
     facts = []
     for line in lines.splitlines():
         line = line.strip().lstrip("-*").strip()
-        if not line or line.lower() in ("none", "none."):
+        if line.lower() in _NO_ANSWER:
             continue
         try:
             expr = parse(line)
@@ -658,16 +666,6 @@ def _facts_from_lines(lines: str, order: int) -> list[AtomicBelief]:
         if expr.order == order and expr.is_ground:
             facts.append(expr.body)
     return facts
-
-
-def ingest_zero_lines(world: BeliefWorld, lines: str) -> None:
-    """Assert parsed zero-order belief lines (``Owner BELIEVE fact``)."""
-    ingest_facts(world, _facts_from_lines(lines, 0), None)
-
-
-def ingest_first_lines(world: BeliefWorld, sender: str, lines: str) -> None:
-    """Assert parsed first-order lines (``Owner BELIEVE Sender BELIEVE fact``)."""
-    ingest_facts(world, _facts_from_lines(lines, 1), sender)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +700,11 @@ def _safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
         plan = parse_plan(text)
     except (ParseError, ValueError):
         return None
+    return _known_plan(plan, registry)
+
+
+def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
+    """The plan itself when every entity it names is known, else None."""
     if plan is None:
         return None
     for step in plan.steps:
@@ -721,6 +724,49 @@ def _step_refs(step: PlanStep) -> list[ObjectRef]:
     return []
 
 
+def _remote(resp: prompts.ReasonerResponse) -> bool:
+    """True when a remote model answered; otherwise the engine decides."""
+    return resp.backend == "llm"
+
+
+def _reply_facts(
+    resp: prompts.ReasonerResponse, label: str, order: int
+) -> list[AtomicBelief] | None:
+    """The facts a remote model's belief section lists (``Owner BELIEVE
+    fact`` lines of one order); None when no remote model answered or the
+    section is missing or holds no readable line."""
+    if not _remote(resp) or label not in resp.sections:
+        return None
+    lines = resp.sections[label]
+    facts = _facts_from_lines(lines, order)
+    if facts or lines.strip().lower() in _NO_ANSWER:
+        return facts
+    return None
+
+
+def _plan_reply(resp: prompts.ReasonerResponse, registry: EntityRegistry, heuristic) -> Plan | None:
+    """A remote model's single-plan answer ("None" means done); the
+    heuristic decides when no remote model answered or the plan is bad."""
+    if not _remote(resp):
+        return heuristic()
+    section = resp.section("plan")
+    if section.strip().lower() in _NO_ANSWER:
+        return None
+    plan = _safe_plan(section, registry)
+    return plan if plan is not None else heuristic()
+
+
+def _heard(text: str, registry: EntityRegistry) -> tuple[list[AtomicBelief], Plan | None]:
+    """The ground facts and the known-entity plan a structured message
+    carries; nothing when it does not parse."""
+    try:
+        facts, plan = parse_message(text)
+    except ParseError:
+        log.warning("ignoring unparseable message: %r", text)
+        return [], None
+    return [f for f in facts if f.is_ground], _known_plan(plan, registry)
+
+
 def update_from_messages(
     world: BeliefWorld,
     inbox: list[tuple[str, str]],
@@ -731,9 +777,11 @@ def update_from_messages(
 
     Each message updates the zero partition (the owner now knows what it
     was told) and the sender's first-order partition (the sender plainly
-    knows what it said).  Returns any plans the senders declared.
-    Unparseable messages are ignored with a warning; facts that violate
-    the consensus rules are dropped individually.
+    knows what it said).  Returns any plans the senders declared.  Where
+    no usable remote reply arrives, the message grammar is read directly:
+    unparseable messages are ignored with a warning, facts with variables
+    are dropped, and plans naming unknown entities are not declared.
+    Facts that violate the consensus rules are dropped individually.
     """
     declared: dict[str, Plan] = {}
     for sender, text in inbox:
@@ -748,9 +796,13 @@ def update_from_messages(
         }
         zero_resp = reasoner.complete(prompts.ReasonerRequest("update_zero", vars))
         first_resp = reasoner.complete(prompts.ReasonerRequest("update_first", vars))
-        ingest_zero_lines(world, zero_resp.section("Zero order beliefs"))
-        ingest_first_lines(world, sender, first_resp.section("First order beliefs"))
-        plan = _safe_plan(first_resp.section("plan"), registry)
+        # The message itself is parsed only when some reply is not usable.
+        heard = functools.cache(lambda text=text: _heard(text, registry))
+        zero = _reply_facts(zero_resp, "Zero order beliefs", 0)
+        first = _reply_facts(first_resp, "First order beliefs", 1)
+        ingest_facts(world, heard()[0] if zero is None else zero, None)
+        ingest_facts(world, heard()[0] if first is None else first, sender)
+        plan = _plan_reply(first_resp, registry, lambda: heard()[1])
         if plan is not None:
             declared[sender] = plan
     return declared
@@ -771,13 +823,7 @@ def predict_self(
         "ZERO_ORDER_BELIEF": zero_lines(world),
     }
     resp = reasoner.complete(prompts.ReasonerRequest("predict_zero", vars))
-    section = resp.section("plan")
-    if section.strip().lower() in ("", "none", "none."):
-        return None
-    plan = _safe_plan(section, registry)
-    if plan is None and resp.backend == "llm":
-        return best_plan(zero_view(world, registry))
-    return plan
+    return _plan_reply(resp, registry, lambda: best_plan(zero_view(world, registry)))
 
 
 def predict_collaborator(
@@ -797,13 +843,12 @@ def predict_collaborator(
     }
     resp = reasoner.complete(prompts.ReasonerRequest("predict_first", vars))
     plans = []
-    for label in ("plan1", "plan2", "plan3"):
-        plan = _safe_plan(resp.section(label), registry)
-        if plan is not None:
-            plans.append(plan)
-    if not plans and resp.backend == "llm":
-        plans = candidate_plans(first_view(world, collab, registry))
-    return plans[:3]
+    if _remote(resp):
+        for label in ("plan1", "plan2", "plan3"):
+            plan = _safe_plan(resp.section(label), registry)
+            if plan is not None:
+                plans.append(plan)
+    return plans or candidate_plans(first_view(world, collab, registry))
 
 
 def replan(
@@ -823,13 +868,9 @@ def replan(
         "ZERO_ORDER_BELIEF": zero_lines(world),
     }
     resp = reasoner.complete(prompts.ReasonerRequest("replan", vars))
-    section = resp.section("plan")
-    if section.strip().lower() in ("", "none", "none."):
-        return None
-    plan = _safe_plan(section, registry)
-    if plan is None and resp.backend == "llm":
-        return avoiding_plan(zero_view(world, registry), collab_plan)
-    return plan
+    return _plan_reply(
+        resp, registry, lambda: avoiding_plan(zero_view(world, registry), collab_plan)
+    )
 
 
 def next_action(
@@ -844,8 +885,8 @@ def next_action(
     """The first incomplete plan step, or SUBPLAN_DONE.
 
     The mechanical completion/staleness check runs first (raising
-    :class:`StalePlan` deterministically); the reasoner then confirms or,
-    for the remote backend, may pick a different legal next step.
+    :class:`StalePlan` deterministically); a remote model may then pick
+    a different legal next step.
     """
     view = zero_view(world, registry)
     mechanical = next_step(view, plan, history)
@@ -859,8 +900,8 @@ def next_action(
         "ACTION_LIST": ACTION_LIST_TEXT,
     }
     resp = reasoner.complete(prompts.ReasonerRequest("plan_next", vars))
-    answer = resp.section("answer").strip()
-    if resp.backend == "llm":
+    if _remote(resp):
+        answer = resp.section("answer").strip()
         if answer.upper().startswith("SUBPLAN DONE"):
             return SUBPLAN_DONE
         plan_step = _safe_plan(answer, registry)
@@ -885,7 +926,7 @@ def compose_via(
         "MY_PLAN": str(plan) if plan is not None else "None",
     }
     resp = reasoner.complete(prompts.ReasonerRequest("communicate", vars))
-    text = resp.section("Message").strip()
+    text = resp.section("Message").strip() if _remote(resp) else ""
     if not text:
         text = compose_message(misaligned, plan, registry)
     return text[:MAX_MESSAGE_CHARS]
@@ -901,7 +942,6 @@ class CollabDecision:
     kind: str  # communicate | act
     message: str | None = None
     action: PlanStep | None = None
-    rationale: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -920,7 +960,6 @@ class AgentMind:
     plan_history: list[PlanStep] = field(default_factory=list)
     tick: int = 0
     last_comm_tick: int | None = None
-    fallbacks: int = 0
 
     @property
     def collaborators(self) -> tuple[str, ...]:
@@ -1026,17 +1065,12 @@ class AgentMind:
             payload["fallbacks"] = (
                 getattr(self.reasoner, "fallback_count", 0) - fallbacks_before
             )
-            self.fallbacks += payload["fallbacks"]
-            return (
-                CollabDecision(kind="communicate", message=text, rationale=payload),
-                payload,
-            )
+            return CollabDecision(kind="communicate", message=text), payload
 
         payload["fallbacks"] = getattr(self.reasoner, "fallback_count", 0) - fallbacks_before
-        self.fallbacks += payload["fallbacks"]
         if self.plan is None or step is None or step == SUBPLAN_DONE:
             return None, payload
-        return CollabDecision(kind="act", action=step, rationale=payload), payload
+        return CollabDecision(kind="act", action=step), payload
 
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | str | None:
         """Resolve the next step, replanning through staleness and
@@ -1073,7 +1107,8 @@ class AgentMind:
         return None
 
     def _judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
-        """Pairwise miscoordination: mechanical scan, reasoner verdict."""
+        """Pairwise miscoordination: mechanical scan; a remote model may
+        overturn the heaviness verdict."""
         report = detect_miscoordination(
             self.plan, candidates, self.world, collab, self.registry
         )
@@ -1087,7 +1122,7 @@ class AgentMind:
         }
         resp = self.reasoner.complete(prompts.ReasonerRequest("adaptive", vars))
         answer = resp.section("answer").strip().lower()
-        if resp.backend == "llm" and answer:
+        if _remote(resp) and answer:
             heavy = answer.startswith("yes")
             if heavy != report.heavy:
                 report = MiscoordReport(

@@ -3,8 +3,9 @@
 One episode is: consensus phase (the first two agents agree on the belief
 rules, broadcast to everyone), then the lockstep decision loop until every
 target is delivered or the frame budget runs out, then metrics computed
-from the persisted log.  Reasoner failures degrade to the scripted
-backend mid-episode; they never abort a run.
+from the persisted log.  A reasoning call the remote model fails to
+answer falls back to the collaboration engine's own heuristics for that
+step; reasoner failures never abort a run.
 
 Batches run the same scenario over a seed list and report per-seed
 metrics plus means, written as both a machine-readable JSON summary and
@@ -31,7 +32,7 @@ from .collab_engine import (
 )
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, make_reasoner
-from .scenario import EntityRegistry, Scenario, load_scenario
+from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +95,7 @@ def task_description(scenario: Scenario) -> str:
         f"Agents {names} collaborate to transport target objects to the bed "
         f"{goal.bed} in {goal.bed_room} within {scenario.frame_budget} frames. "
         f"Rooms: {rooms}. Target objects: {targets}. "
-        f"Containers (each holds up to {scenario.container_capacity} objects, "
+        f"Containers (each holds up to {CONTAINER_CAPACITY} objects, "
         f"lost once dropped at the bed): {containers or 'none'}. "
         "Agents hold at most two items, at most one of them a container, "
         "explore rooms to reveal objects (exploration state none, part, or "
@@ -102,7 +103,7 @@ def task_description(scenario: Scenario) -> str:
     )
 
 
-def _build_reasoner(cfg: RunConfig, registry: EntityRegistry):
+def _build_reasoner(cfg: RunConfig):
     kwargs = {}
     if cfg.backend == LLM:
         kwargs = {
@@ -111,7 +112,7 @@ def _build_reasoner(cfg: RunConfig, registry: EntityRegistry):
             "timeout": cfg.http_timeout,
             "backoff_base": cfg.backoff_base,
         }
-    return make_reasoner(cfg.backend, registry, **kwargs)
+    return make_reasoner(cfg.backend, **kwargs)
 
 
 def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
@@ -123,7 +124,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     cfg.validate()
     scenario = load_scenario(cfg.scenario).with_agents(cfg.agents)
     registry = EntityRegistry(scenario)
-    reasoner = _build_reasoner(cfg, registry)
+    reasoner = _build_reasoner(cfg)
 
     fallbacks_before = reasoner.fallback_count
     consensus = rule_consensus.consensus_loop(

@@ -72,7 +72,6 @@ class PromptTemplate:
 class ReasonerRequest:
     template_id: str
     vars: dict[str, str]
-    retry_budget: int = 1
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class ReasonerResponse:
     sections: dict[str, str]
     raw: str
     backend: str  # scripted | llm
-    fallback_used: bool = False
 
     def section(self, label: str, default: str = "") -> str:
         return self.sections.get(label, default)

@@ -1,34 +1,39 @@
-"""Reasoning backends: a deterministic scripted engine and an HTTP client.
+"""Reasoning backends: a deterministic scripted backend and an HTTP client.
 
-Both backends answer :class:`~beliefworld.prompts.ReasonerRequest` calls.
-The scripted backend computes each answer mechanically from the request
-variables alone (a pure function of template id and vars), rendering a
-formatted reply and parsing it back through the same section parser the
-HTTP path uses.  The HTTP backend speaks the OpenAI-compatible chat
-completions protocol: one user message per call, temperature 0.7, top_p 1,
-max_tokens 512, bearer auth from the ``COBEL_API_KEY`` environment
-variable.  Transport errors are retried once with exponential backoff and
-format violations once with a repair instruction; when both retries are
-exhausted the call degrades to the scripted backend and the response is
-marked ``fallback_used``.
+Both backends answer :class:`~beliefworld.prompts.ReasonerRequest` calls,
+and the collaboration engine makes the same calls whichever one is
+plugged in.  The scripted backend answers only the rule dialogue
+(``rules_propose``, ``rules_refine``, ``rules_review``): canonical rule
+proposals and a checklist review, rendered as text and parsed back
+through the same section parser the HTTP path uses.  Every other
+template gets an empty scripted response; :mod:`beliefworld.collab_engine`
+then decides that step with its own heuristics from the beliefs it holds.
+
+The HTTP backend speaks the OpenAI-compatible chat completions protocol:
+one user message per call, temperature 0.7, top_p 1, max_tokens 512,
+bearer auth from the ``COBEL_API_KEY`` environment variable.  Transport
+errors and malformed replies (including non-text content) are retried
+once after a ``backoff_base``-second pause, and format violations once
+with a repair instruction.  When both retries are exhausted the call falls back to the
+scripted backend: the response is marked ``backend="scripted"``, the
+engine's heuristics decide that step, and ``fallback_count`` goes up.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
 import requests
 
-from . import collab_engine, prompts, rule_consensus
-from .actions import Plan, parse_plan
-from .collab_engine import PlannerView
+from . import prompts, rule_consensus
 from .prompts import ParseFailure, ReasonerRequest, ReasonerResponse
-from .scenario import EntityRegistry
-from .sbl import AtomicBelief, ParseError, parse, parse_atomic
+
+# Unused here, but bench/smoke.py checks that ``reasoner.parse`` is the
+# original ``sbl.parse`` after a traced run, so the name must stay bound.
+from .sbl import parse  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -47,39 +52,17 @@ SCRIPTED = "scripted"
 LLM = "llm"
 
 
-def _belief_bodies(lines: str, order: int) -> list[AtomicBelief]:
-    """Extract fact bodies from full-form belief lines of one order."""
-    out = []
-    for line in lines.splitlines():
-        line = line.strip().lstrip("-*").strip()
-        if not line or line.lower() == "none":
-            continue
-        try:
-            expr = parse(line)
-        except ParseError:
-            continue
-        if expr.order == order and expr.is_ground:
-            out.append(expr.body)
-    return out
-
-
-def _parse_plan_var(text: str) -> Plan | None:
-    try:
-        return parse_plan(text)
-    except (ParseError, ValueError):
-        return None
-
-
 @dataclass
 class ScriptedReasoner:
-    """Deterministic reasoning over the request variables.
+    """Deterministic backend: it answers only the rule dialogue.
 
-    Needs the scenario registry for room-graph distances and object
-    kinds; everything else is read out of the rendered variables, the
-    same information a remote model would see.
+    The three ``rules_*`` templates get full replies, parsed back through
+    the same section parser the HTTP path uses; their raw text is the
+    consensus dialogue.  Every other template gets an empty scripted
+    response, which tells the collaboration engine to take its own
+    heuristic answer.
     """
 
-    registry: EntityRegistry
     backend = SCRIPTED
     fallback_count: int = 0
 
@@ -88,20 +71,14 @@ class ScriptedReasoner:
         missing = [v for v in tmpl.required_vars if v not in request.vars]
         if missing:
             raise prompts.TemplateError(f"unbound {missing[0]}")
-        text = self._answer(request.template_id, request.vars)
+        answer = getattr(self, f"_answer_{request.template_id}", None)
+        if answer is None:
+            return ReasonerResponse(sections={}, raw="", backend=SCRIPTED)
+        text = answer(request.vars)
         sections = prompts.parse_sections(tmpl, text)
         return ReasonerResponse(sections=sections, raw=text, backend=SCRIPTED)
 
-    # -- per-template answers -------------------------------------------
-
-    def _answer(self, template_id: str, vars: dict[str, str]) -> str:
-        handler = getattr(self, f"_answer_{template_id}")
-        return handler(vars)
-
-    def _view(self, owner: str, lines: str, order: int = 0) -> PlannerView:
-        return PlannerView.from_facts(
-            owner, self.registry, _belief_bodies(lines, order)
-        )
+    # -- rule-dialogue answers ------------------------------------------
 
     def _answer_rules_propose(self, vars: dict[str, str]) -> str:
         zero, first = rule_consensus.canonical_rule_lines()
@@ -134,171 +111,23 @@ class ScriptedReasoner:
             f"Satisfied: {answer}\n"
         )
 
-    def _split_dialogue(self, message: str) -> tuple[str, str]:
-        sender, sep, text = message.partition(":")
-        if not sep:
-            return "", message
-        return sender.strip(), text.strip()
-
-    def _answer_update_zero(self, vars: dict[str, str]) -> str:
-        agent = vars["AGENT_NAME"]
-        _, body = self._split_dialogue(vars["MESSAGE"])
-        try:
-            facts, _ = collab_engine.parse_message(body)
-        except ParseError:
-            log.warning("scripted update ignoring unparseable message: %r", body)
-            facts = []
-        lines = [f"{agent} BELIEVE {f}" for f in sorted(facts, key=str)]
-        return (
-            "Extracted Information: statements taken from the dialogue"
-            " verbatim.\n"
-            "Zero order beliefs:\n" + ("\n".join(lines) if lines else "None") + "\n"
-        )
-
-    def _answer_update_first(self, vars: dict[str, str]) -> str:
-        agent = vars["AGENT_NAME"]
-        oppo = vars["OPPO_NAME"]
-        _, body = self._split_dialogue(vars["MESSAGE"])
-        plan_text = "None"
-        try:
-            facts, plan = collab_engine.parse_message(body)
-            if plan is not None:
-                plan_text = str(plan)
-        except ParseError:
-            log.warning("scripted update ignoring unparseable message: %r", body)
-            facts = []
-        lines = [f"{agent} BELIEVE {oppo} BELIEVE {f}" for f in sorted(facts, key=str)]
-        return (
-            "Extracted Information: statements the sender made, which the"
-            " sender therefore knows.\n"
-            "First order beliefs:\n" + ("\n".join(lines) if lines else "None") + "\n"
-            f"{oppo}'s plan: {plan_text}\n"
-        )
-
-    def _answer_predict_zero(self, vars: dict[str, str]) -> str:
-        view = self._view(vars["AGENT_NAME"], vars["ZERO_ORDER_BELIEF"])
-        plan = collab_engine.best_plan(view)
-        return (
-            "reasoning: ranked container filling, transporting, fetching"
-            " known targets, and exploring unexplored rooms.\n"
-            f"plan: {plan if plan is not None else 'None'}\n"
-        )
-
-    def _answer_predict_first(self, vars: dict[str, str]) -> str:
-        view = self._view(vars["OPPO_NAME"], vars["FIRST_ORDER_BELIEF"], order=1)
-        plans = collab_engine.candidate_plans(view)
-        lines = [
-            f"plan{i + 1}: {plans[i] if i < len(plans) else 'None'}" for i in range(3)
-        ]
-        return (
-            "reasoning: projected the teammate's ranked options from the"
-            " first-order beliefs alone.\n"
-            "plans:\n" + "\n".join(lines) + "\n"
-        )
-
-    def _answer_adaptive(self, vars: dict[str, str]) -> str:
-        my_plan = _parse_plan_var(vars["MY_PLAN"])
-        their_plans = []
-        for line in vars["OPPO_PLANS"].splitlines():
-            _, _, rest = line.partition(":")
-            plan = _parse_plan_var(rest)
-            if plan is not None:
-                their_plans.append(plan)
-        zero = _belief_bodies(vars["ZERO_ORDER_BELIEF"], 0)
-        first = _belief_bodies(vars["MY_FIRST_ORDER_BELIEF"], 1)
-        first_set = set(first)
-        misaligned = sorted((f for f in zero if f not in first_set), key=str)
-
-        conflicts = []
-        heavy_conflict = False
-        if my_plan is not None:
-            my_head = collab_engine.head_indexes(my_plan)
-            for theirs in their_plans:
-                their_head = collab_engine.head_indexes(theirs)
-                for i, a in enumerate(my_plan.steps):
-                    for j, b in enumerate(theirs.steps):
-                        kind = collab_engine.step_conflict(a, b, self.registry)
-                        if kind:
-                            conflicts.append(f"{kind} on '{a}' vs '{b}'")
-                            if i in my_head and j in their_head:
-                                heavy_conflict = True
-        heavy_misalign = any(
-            collab_engine.fact_is_goal_relevant(f, self.registry) for f in misaligned
-        )
-        heavy = heavy_conflict or heavy_misalign
-        reasons = "; ".join(conflicts) if conflicts else "no step conflicts detected"
-        mis_lines = "\n".join(str(f) for f in misaligned) if heavy and misaligned else ""
-        return (
-            f"reasons: {reasons}\n"
-            f"answer: {'Yes' if heavy else 'No'}\n"
-            "misaligned information:" + ("\n" + mis_lines if mis_lines else " None") + "\n"
-        )
-
-    def _answer_communicate(self, vars: dict[str, str]) -> str:
-        facts = []
-        for line in vars["MISALIGNED_INFORMATION"].splitlines():
-            line = line.strip()
-            if not line or line.lower() == "none":
-                continue
-            try:
-                facts.append(parse_atomic(line))
-            except ParseError:
-                continue
-        plan = _parse_plan_var(vars["MY_PLAN"])
-        text = collab_engine.compose_message(facts, plan, self.registry)
-        return f"Message: {text}\n"
-
-    def _answer_plan_next(self, vars: dict[str, str]) -> str:
-        view = self._view(vars["AGENT_NAME"], vars["ZERO_ORDER_BELIEF"])
-        plan = _parse_plan_var(vars["MY_PLAN"])
-        if plan is None:
-            return "reasons: no active plan remains.\nanswer: SUBPLAN DONE\n"
-        history = []
-        prev = vars.get("PREVIOUS_ACTIONS", "")
-        if prev.strip().lower() not in ("", "none"):
-            parsed = _parse_plan_var(prev)
-            if parsed is not None:
-                history = list(parsed.steps)
-        try:
-            step = collab_engine.next_step(view, plan, history)
-        except collab_engine.StalePlan as exc:
-            return f"reasons: {exc}.\nanswer: STALE PLAN\n"
-        if step == collab_engine.SUBPLAN_DONE:
-            return "reasons: every step's effect already holds.\nanswer: SUBPLAN DONE\n"
-        return f"reasons: first step whose effect is not yet in my beliefs.\nanswer: {step}\n"
-
-    def _answer_replan(self, vars: dict[str, str]) -> str:
-        view = self._view(vars["AGENT_NAME"], vars["ZERO_ORDER_BELIEF"])
-        avoid = _parse_plan_var(vars["OPPO_PLAN"])
-        plan = collab_engine.avoiding_plan(view, avoid)
-        return (
-            "reasoning: deprioritized rooms and objects the teammate is"
-            " already covering.\n"
-            f"plan: {plan if plan is not None else 'None'}\n"
-        )
-
 
 @dataclass
 class HttpReasoner:
     """OpenAI-compatible chat completions client with scripted fallback."""
 
-    registry: EntityRegistry
     base_url: str
     model: str
     api_key: str | None = None
     timeout: float = 30.0
     backoff_base: float = 0.5
-    max_in_flight: int = 4
     backend = LLM
     fallback_count: int = 0
-    _scripted: ScriptedReasoner = field(init=False)
-    _gate: threading.BoundedSemaphore = field(init=False)
+    _scripted: ScriptedReasoner = field(init=False, default_factory=ScriptedReasoner)
 
     def __post_init__(self):
         if self.api_key is None:
             self.api_key = os.environ.get(API_KEY_ENV, "")
-        self._scripted = ScriptedReasoner(self.registry)
-        self._gate = threading.BoundedSemaphore(self.max_in_flight)
 
     def _post(self, prompt: str) -> str:
         url = self.base_url.rstrip("/") + "/chat/completions"
@@ -310,13 +139,14 @@ class HttpReasoner:
             "max_tokens": MAX_TOKENS,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
-        with self._gate:
-            response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+        response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
         if response.status_code != 200:
             log.warning("chat completion returned HTTP %s", response.status_code)
             raise requests.HTTPError(f"HTTP {response.status_code}", response=response)
-        data = response.json()
-        return data["choices"][0]["message"]["content"]
+        content = response.json()["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise ValueError(f"chat completion content is {type(content).__name__}, not text")
+        return content
 
     def _post_with_retry(self, prompt: str) -> str:
         try:
@@ -352,24 +182,20 @@ class HttpReasoner:
         )
         scripted = self._scripted.complete(request)
         return ReasonerResponse(
-            sections=scripted.sections,
-            raw=raw or scripted.raw,
-            backend=SCRIPTED,
-            fallback_used=True,
+            sections=scripted.sections, raw=raw or scripted.raw, backend=SCRIPTED
         )
 
 
 def make_reasoner(
     backend: str,
-    registry: EntityRegistry,
     base_url: str | None = None,
     model: str | None = None,
     **kwargs,
 ) -> ScriptedReasoner | HttpReasoner:
     if backend == SCRIPTED:
-        return ScriptedReasoner(registry)
+        return ScriptedReasoner()
     if backend == LLM:
         if not base_url or not model:
             raise ValueError("llm backend requires base_url and model")
-        return HttpReasoner(registry=registry, base_url=base_url, model=model, **kwargs)
+        return HttpReasoner(base_url=base_url, model=model, **kwargs)
     raise ValueError(f"unknown backend {backend!r}")

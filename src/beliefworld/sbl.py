@@ -147,10 +147,6 @@ class BeliefExpr:
         return serialize(self)
 
 
-# A rule is structurally just an expression with variables; the alias keeps
-# signatures readable.
-BeliefRule = BeliefExpr
-
 # A binding maps variable names to ground terms.
 Binding = dict[str, Term]
 
@@ -264,7 +260,7 @@ def _positions(expr: BeliefExpr) -> list[Term]:
     return [*expr.believers, expr.body.subject, expr.body.object]
 
 
-def unify(rule: BeliefRule, ground: BeliefExpr) -> Binding | None:
+def unify(rule: BeliefExpr, ground: BeliefExpr) -> Binding | None:
     """Match ``ground`` against ``rule``, returning the unique binding.
 
     Order and relation symbol must match exactly; a variable repeated in
@@ -299,7 +295,7 @@ def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:
     return binding
 
 
-def substitute(rule: BeliefRule, binding: Binding) -> BeliefExpr:
+def substitute(rule: BeliefExpr, binding: Binding) -> BeliefExpr:
     """Replace every variable in the rule; unbound variables are errors."""
 
     def value(term: Term) -> Term:

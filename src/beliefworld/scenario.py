@@ -22,8 +22,9 @@ rooms, objects, and the goal bed):
 
 ``edges`` are undirected ``[room_id, room_id, frame_cost]`` triples and the
 room graph must be connected.  Object kinds are ``target`` (to be carried
-to the bed) or ``container`` (holds up to ``container_capacity`` targets,
-lost on delivery).  Agents beyond the listed ones can be added by the
+to the bed) or ``container`` (holds up to ``CONTAINER_CAPACITY`` targets,
+lost on delivery); ``container_capacity`` is optional and, when present,
+must equal that constant.  Agents beyond the listed ones can be added by the
 harness; extras draw names from a fixed pool and start rooms round-robin
 from the listed starts.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .sbl import AgentName, ObjectRef, _AGENT_RE
+from .sbl import ObjectRef, _AGENT_RE
 
 TARGET = "target"
 CONTAINER = "container"
@@ -77,7 +78,6 @@ class Scenario:
     agents: tuple[tuple[str, int], ...]  # (name, start room id)
     frame_budget: int = 3000
     reveal_fraction: float = 0.5
-    container_capacity: int = CONTAINER_CAPACITY
 
     @property
     def goal(self) -> GoalSpec:
@@ -307,7 +307,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         agents=tuple(agents),
         frame_budget=frame_budget,
         reveal_fraction=reveal,
-        container_capacity=capacity,
     )
 
 
@@ -344,7 +343,3 @@ def load_scenario(spec: str | Path) -> Scenario:
             return scenario_from_dict(json.loads(candidate.read_text()))
         raise ScenarioError(f"scenario not found: {spec}")
     return scenario_from_dict(json.loads(path.read_text()))
-
-
-def agent_ref(name: str) -> AgentName:
-    return AgentName(name)

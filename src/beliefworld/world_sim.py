@@ -49,7 +49,7 @@ from .actions import (
     SendMessage,
     Transport,
 )
-from .scenario import BED, CONTAINER, TARGET, EntityRegistry, Scenario
+from .scenario import BED, CONTAINER, CONTAINER_CAPACITY, TARGET, EntityRegistry, Scenario
 from .sbl import ObjectRef
 
 log = logging.getLogger(__name__)
@@ -248,7 +248,7 @@ def _validate(state: WorldState, agent: AgentState, action: AtomicAction) -> str
             return f"{action.container} is not a container"
         if reg.is_container(action.object.id):
             return "cannot put a container inside a container"
-        if len(state.container_load(action.container.id)) >= reg.scenario.container_capacity:
+        if len(state.container_load(action.container.id)) >= CONTAINER_CAPACITY:
             return f"{action.container} is full"
         return None
     if isinstance(action, Transport):
@@ -487,5 +487,5 @@ def _check_invariants(state: WorldState) -> None:
 
     for cid in reg.container_ids():
         load = state.container_load(cid)
-        if len(load) > reg.scenario.container_capacity:
+        if len(load) > CONTAINER_CAPACITY:
             raise InvariantViolation(f"container {cid} over capacity: {load}")

@@ -462,7 +462,7 @@ def test_update_from_visual_rejects_unknown_entity(food_registry):
 
 def test_update_from_messages_spec_example(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner(food_registry)
+    reasoner = ScriptedReasoner()
     text = (
         "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000)"
         " | PLAN: go grasp <apple>(101); transport"
@@ -477,7 +477,7 @@ def test_update_from_messages_spec_example(food_registry):
 def test_update_from_messages_empty_inbox(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = update_from_messages(world, [], ScriptedReasoner(food_registry), food_registry)
+    declared = update_from_messages(world, [], ScriptedReasoner(), food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -485,7 +485,7 @@ def test_update_from_messages_empty_inbox(food_registry):
 def test_update_from_messages_plan_none(food_registry):
     world = make_world(food_registry)
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
-    declared = update_from_messages(world, [("Bob", text)], ScriptedReasoner(food_registry), food_registry)
+    declared = update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
     assert declared == {}
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about="Bob")
 
@@ -494,7 +494,7 @@ def test_update_from_messages_unparseable_ignored(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
     declared = update_from_messages(
-        world, [("Bob", "utter gibberish !!")], ScriptedReasoner(food_registry), food_registry
+        world, [("Bob", "utter gibberish !!")], ScriptedReasoner(), food_registry
     )
     assert declared == {}
     assert world.snapshot() == before
@@ -505,7 +505,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
     world.assert_fact(fact("Bob HOLD <apple>(101)"), about="Bob")
     world.assert_fact(fact("Bob HOLD <banana>(102)"), about="Bob")
     text = "FACTS: Bob HOLD <orange>(103) | PLAN: None"
-    update_from_messages(world, [("Bob", text)], ScriptedReasoner(food_registry), food_registry)
+    update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
     assert world.holds(fact("Bob HOLD <orange>(103)"), about="Bob")
     # the stale pair was displaced rather than blocking the fresh report
     held = [f for f in world.facts(about="Bob") if f.relation == "HOLD"]
@@ -519,7 +519,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
 
 def test_predict_collaborator_reads_first_order_only(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner(food_registry)
+    reasoner = ScriptedReasoner()
     world.assert_fact(fact("<livingroom>(1000) EXPLORED none"), about="Bob")
     world.assert_fact(fact("Bob AT <kitchen>(2000)"), about="Bob")
     before = predict_collaborator(world, "Bob", food_registry.goal, reasoner, food_registry)
@@ -535,7 +535,7 @@ def test_predict_collaborator_reads_first_order_only(food_registry):
 def test_predict_collaborator_empty_first_order_explores(food_registry):
     world = make_world(food_registry)
     plans = predict_collaborator(
-        world, "Bob", food_registry.goal, ScriptedReasoner(food_registry), food_registry
+        world, "Bob", food_registry.goal, ScriptedReasoner(), food_registry
     )
     assert len(plans) == 3
     assert all("explore current room" in str(p) for p in plans)
@@ -543,7 +543,7 @@ def test_predict_collaborator_empty_first_order_explores(food_registry):
 
 def test_predict_matches_self_when_views_coincide(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner(food_registry)
+    reasoner = ScriptedReasoner()
     shared = [
         fact("<apple>(101) IN <kitchen>(2000)"),
         fact("<kitchen>(2000) EXPLORED all"),
@@ -569,7 +569,7 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42):
     scn = load_scenario(scenario_name)
     registry = EntityRegistry(scn)
     state = world_sim.init(scn, seed)
-    reasoner = ScriptedReasoner(registry)
+    reasoner = ScriptedReasoner()
     minds = []
     names = [n for n, _ in scn.agents]
     for index, name in enumerate(names):
@@ -643,7 +643,7 @@ def test_three_agent_pairwise_heaviness():
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Charlie"),
                         registry.container_ids())
     mind = AgentMind(name="Alice", index=0, world=world, registry=registry,
-                     reasoner=ScriptedReasoner(registry), goal=registry.goal)
+                     reasoner=ScriptedReasoner(), goal=registry.goal)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")

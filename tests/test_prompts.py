@@ -28,6 +28,7 @@ SAMPLE_VARS = {
     "TASK_DESCRIPTION": "transport things",
     "PREVIOUS_CONTENT": "previous rules",
     "SUGGESTIONS": "add the position rule",
+    "ALICE_CONTENT": "Zero order belief rules:\n?agent BELIEVE ?agent AT ?room",
 }
 
 

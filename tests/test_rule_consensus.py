@@ -21,8 +21,8 @@ TASK = "Transport ten food items to the bed with two containers."
 
 
 @pytest.fixture
-def scripted(food_registry):
-    return ScriptedReasoner(food_registry)
+def scripted():
+    return ScriptedReasoner()
 
 
 def proposal_without(relation: str) -> RuleProposal:
@@ -117,8 +117,8 @@ def test_consensus_exhausts_rounds(scripted):
 class FaultyThenFixedProposer:
     """Proposer double: first a duplicated rule set, then the canonical."""
 
-    def __init__(self, registry):
-        self.inner = ScriptedReasoner(registry)
+    def __init__(self):
+        self.inner = ScriptedReasoner()
         self.calls = 0
 
     fallback_count = 0
@@ -144,8 +144,8 @@ class FaultyThenFixedProposer:
         return self.inner.complete(request)
 
 
-def test_consensus_duplicate_then_fixed_accepted_round_two(scripted, food_registry):
-    proposer = FaultyThenFixedProposer(food_registry)
+def test_consensus_duplicate_then_fixed_accepted_round_two(scripted):
+    proposer = FaultyThenFixedProposer()
     result = consensus_loop(proposer, scripted, TASK, max_rounds=3)
     assert result.rounds == 2
     assert result.rules == canonical_rules()

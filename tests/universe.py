@@ -14,6 +14,7 @@ import random
 
 import networkx as nx
 
+from beliefworld.scenario import CONTAINER_CAPACITY
 from beliefworld.sbl import (
     AgentName,
     AtomicBelief,
@@ -157,7 +158,7 @@ def reference_plan_ranking(view) -> list[str]:
         if reg.is_container(ref.id):
             container = ref
     load = view.container_load(container) if container else []
-    space = reg.scenario.container_capacity - len(load) if container else 0
+    space = CONTAINER_CAPACITY - len(load) if container else 0
     free_hand = 2 - len(held)
     held_targets = [r for r in held if reg.is_target(r.id)]
     known = view.located_targets()
