@@ -14,10 +14,9 @@ structured message format exchanged by scripted agents.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .sbl import ObjectRef, ParseError
+from .sbl import ObjectRef, ParseError, _OBJECT_RE
 
 MAX_MESSAGE_CHARS = 500
 MAX_PLAN_STEPS = 3
@@ -98,7 +97,7 @@ class Plan:
 
 
 def _parse_ref(token: str) -> ObjectRef:
-    m = re.fullmatch(r"<([^<>()\s]+)>\((\d+)\)", token.strip())
+    m = _OBJECT_RE.fullmatch(token.strip())
     if not m:
         raise ParseError(f"expected <name>(id), got {token!r}", 0)
     return ObjectRef(m.group(1), int(m.group(2)))

@@ -14,13 +14,14 @@ variable across the believer chain and the body, which would reject
 perfectly ordinary facts such as an observed collaborator's holdings, so
 chain variables do not constrain body variables here.
 
-Overwrite semantics are newest-wins for functional facts.  Exploration
-level is functional per room and position is functional per agent.  The
-location of a thing is functional across relations: IN a room, HOLD by an
-agent, CONTAINed, or AT the goal all describe where one entity is, so
-asserting any of them retracts the others for that entity.  Holdings are
-additionally bounded: at most two held items per agent, at most one of
-them a container.
+A partition maps each fact's :func:`slot` to the fact, so it holds at most
+one fact per slot by construction and the newest assertion wins.
+Exploration level is one slot per room and position one slot per agent.
+The location of a thing is one slot across relations: IN a room, HOLD by
+an agent, CONTAINed, or AT the goal all describe where one entity is, so
+asserting any of them displaces the others for that entity.  A fact of any
+other relation is its own slot.  Holdings are additionally bounded: at
+most ``MAX_HANDS`` held items per agent, at most one of them a container.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ import logging
 from dataclasses import dataclass, field
 
 from . import sbl
-from .sbl import AgentName, AtomicBelief, BeliefExpr, Binding, ObjectRef, StateAtom
+from .scenario import MAX_HANDS
+from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef
 
 log = logging.getLogger(__name__)
 
-ZERO = "zero"
-
-LOCATION_RELATIONS = ("IN", "HOLD", "CONTAIN", "AT")
-
-MAX_HELD = 2
-MAX_HELD_CONTAINERS = 1
+# A partition: slot -> the one fact occupying it.
+Partition = dict[object, AtomicBelief]
 
 
 class RuleViolation(ValueError):
@@ -57,6 +55,20 @@ class SnapshotError(ValueError):
     pass
 
 
+# The functional slots: an agent's position, a room's exploration level,
+# and an entity's location (shared by IN, HOLD, CONTAIN and AT).
+def position_slot(agent: AgentName) -> tuple[str, sbl.Term]:
+    return ("AT", agent)
+
+
+def explored_slot(room: ObjectRef) -> tuple[str, sbl.Term]:
+    return ("EXPLORED", room)
+
+
+def location_slot(entity: sbl.Term) -> tuple[str, sbl.Term]:
+    return ("LOC", entity)
+
+
 def functional_key(fact: AtomicBelief) -> tuple[str, sbl.Term] | None:
     """The slot a fact occupies, or None for non-functional facts.
 
@@ -64,14 +76,20 @@ def functional_key(fact: AtomicBelief) -> tuple[str, sbl.Term] | None:
     the newest assertion wins.
     """
     if fact.relation == "EXPLORED":
-        return ("EXPLORED", fact.subject)
+        return explored_slot(fact.subject)
     if fact.relation == "AT" and isinstance(fact.subject, AgentName):
-        return ("AT", fact.subject)
+        return position_slot(fact.subject)
     if fact.relation in ("IN", "AT"):
-        return ("LOC", fact.subject)
+        return location_slot(fact.subject)
     if fact.relation in ("HOLD", "CONTAIN"):
-        return ("LOC", fact.object)
+        return location_slot(fact.object)
     return None
+
+
+def slot(fact: AtomicBelief) -> object:
+    """The partition key of a fact: its functional key, or the fact itself."""
+    key = functional_key(fact)
+    return fact if key is None else key
 
 
 @dataclass(frozen=True)
@@ -91,16 +109,16 @@ class BeliefWorld:
     rules: tuple[BeliefExpr, ...]
     collaborators: tuple[str, ...]
     container_ids: frozenset[int] = frozenset()
-    zero: set[AtomicBelief] = field(default_factory=set)
-    first: dict[str, set[AtomicBelief]] = field(default_factory=dict)
+    zero: Partition = field(default_factory=dict)
+    first: dict[str, Partition] = field(default_factory=dict)
 
     def __post_init__(self):
         for c in self.collaborators:
-            self.first.setdefault(c, set())
+            self.first.setdefault(c, {})
 
     # -- partitions ---------------------------------------------------
 
-    def _partition(self, about: str | None) -> set[AtomicBelief]:
+    def _partition(self, about: str | None) -> Partition:
         if about is None:
             return self.zero
         if about not in self.first:
@@ -109,7 +127,7 @@ class BeliefWorld:
 
     def facts(self, about: str | None = None) -> list[AtomicBelief]:
         """Partition contents in canonical order."""
-        return sorted(self._partition(about), key=sbl.sort_key)
+        return sorted(self._partition(about).values(), key=sbl.sort_key)
 
     # -- conformance ---------------------------------------------------
 
@@ -119,16 +137,16 @@ class BeliefWorld:
                 return True
         return False
 
-    def _check_bounds(self, fact: AtomicBelief, partition: set[AtomicBelief]) -> None:
+    def _check_bounds(self, fact: AtomicBelief, partition: Partition) -> None:
         if fact.relation != "HOLD":
             return
         holder = fact.subject
         held = [
-            f for f in partition
+            f for f in partition.values()
             if f.relation == "HOLD" and f.subject == holder and f.object != fact.object
         ]
-        if len(held) >= MAX_HELD:
-            raise RuleViolation(f"{holder} already holds {MAX_HELD} items", fact)
+        if len(held) >= MAX_HANDS:
+            raise RuleViolation(f"{holder} already holds {MAX_HANDS} items", fact)
         if self._is_container(fact.object):
             if any(self._is_container(f.object) for f in held):
                 raise RuleViolation(f"{holder} already holds a container", fact)
@@ -152,61 +170,18 @@ class BeliefWorld:
         if not self._conforms(fact, order):
             raise RuleViolation("fact conforms to no consensus rule", fact)
         partition = self._partition(about)
-        if fact in partition:
+        key = slot(fact)
+        if partition.get(key) == fact:
             return
         self._check_bounds(fact, partition)
-        key = functional_key(fact)
-        if key is not None:
-            partition.difference_update(
-                {f for f in partition if functional_key(f) == key}
-            )
-        partition.add(fact)
+        partition[key] = fact
 
     def retract_location(self, entity: ObjectRef, *, about: str | None = None) -> None:
         """Forget where an entity is (its location became unknown)."""
-        partition = self._partition(about)
-        key = ("LOC", entity)
-        partition.difference_update({f for f in partition if functional_key(f) == key})
-
-    def retract_holdings(self, holder: str, *, about: str | None = None) -> None:
-        """Forget everything a given agent is believed to hold."""
-        partition = self._partition(about)
-        who = AgentName(holder)
-        partition.difference_update(
-            {f for f in partition if f.relation == "HOLD" and f.subject == who}
-        )
-
-    def query(
-        self, pattern: AtomicBelief | BeliefExpr, *, about: str | None = None
-    ) -> list[Binding]:
-        """All bindings of a variable-bearing pattern over one partition.
-
-        Results are ordered lexicographically by the serialized matched
-        fact.  A full-chain pattern is matched against facts wrapped in the
-        partition's implicit believer chain.
-        """
-        partition = self._partition(about)
-        out: list[tuple[str, Binding]] = []
-        for fact in partition:
-            if isinstance(pattern, BeliefExpr):
-                binding = sbl.unify(pattern, self.wrap(fact, about=about))
-            else:
-                binding = sbl.unify_atomic(pattern, fact)
-            if binding is not None:
-                out.append((str(fact), binding))
-        return [b for _, b in sorted(out, key=lambda pair: pair[0])]
+        self._partition(about).pop(location_slot(entity), None)
 
     def holds(self, fact: AtomicBelief, *, about: str | None = None) -> bool:
-        return fact in self._partition(about)
-
-    def wrap(self, fact: AtomicBelief, *, about: str | None = None) -> BeliefExpr:
-        """Wrap a stored fact in its implicit believer chain."""
-        believers: tuple[sbl.EntityRef, ...]
-        if about is None:
-            believers = (AgentName(self.owner),)
-        else:
-            believers = (AgentName(self.owner), AgentName(about))
-        return BeliefExpr(believers, fact)
+        return self._partition(about).get(slot(fact)) == fact
 
     def misalignment(self, collaborator: str) -> MisalignmentReport:
         """Everything the owner knows that its model of ``collaborator``
@@ -215,7 +190,7 @@ class BeliefWorld:
         """
         theirs = self._partition(collaborator)
         missing = sorted(
-            (f for f in self.zero if f not in theirs), key=sbl.sort_key
+            (f for key, f in self.zero.items() if theirs.get(key) != f), key=sbl.sort_key
         )
         return MisalignmentReport(collaborator, tuple(missing))
 

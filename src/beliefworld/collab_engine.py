@@ -34,7 +34,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from . import belief_store, prompts
+from . import belief_store, prompts, sbl
 from .actions import (
     MAX_MESSAGE_CHARS,
     ExploreCurrent,
@@ -47,9 +47,9 @@ from .actions import (
     parse_plan,
 )
 from .belief_store import BeliefWorld, MisalignmentReport
-from .scenario import CONTAINER_CAPACITY, EntityRegistry, GoalSpec
+from .scenario import CONTAINER_CAPACITY, MAX_HANDS, EntityRegistry, GoalSpec
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
-from .world_sim import ALL, MAX_HANDS, NONE, PART, VisualObservation
+from .world_sim import ALL, NONE, VisualObservation
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +58,10 @@ SUBPLAN_DONE = "SUBPLAN_DONE"
 MODE_ADAPTIVE = "adaptive"
 MODE_ALWAYS = "always"
 MODE_NEVER = "never"
+
+# Candidate plans predicted per collaborator; the predict_first prompt's
+# answer format names them plan1..plan3.
+PREDICTED_PLANS = 3
 
 SAME_ROOM_EXPLORE = "same-room-explore"
 SAME_GRASP_TARGET = "same-grasp-target"
@@ -87,27 +91,32 @@ class CorruptObservation(ValueError):
 
 @dataclass
 class PlannerView:
-    """What the planning heuristic reads out of a belief partition."""
+    """What the planning heuristic reads out of one belief partition.
+
+    ``slots`` is the partition itself (slot -> fact, see
+    :func:`belief_store.slot`), shared rather than copied, so a question
+    about one functional slot (an agent's room, a room's exploration
+    level, where an object is) is a single lookup.
+    """
 
     owner: str
     registry: EntityRegistry
-    facts: set[AtomicBelief] = field(default_factory=set)
+    slots: belief_store.Partition = field(default_factory=dict)
 
     @classmethod
     def from_facts(
         cls, owner: str, registry: EntityRegistry, facts: "list[AtomicBelief] | set[AtomicBelief]"
     ) -> "PlannerView":
-        return cls(owner=owner, registry=registry, facts=set(facts))
+        slots = {belief_store.slot(f): f for f in facts}
+        return cls(owner=owner, registry=registry, slots=slots)
+
+    def holds(self, fact: AtomicBelief) -> bool:
+        return self.slots.get(belief_store.slot(fact)) == fact
 
     def room_of(self, agent: str) -> int | None:
-        for f in self.facts:
-            if (
-                f.relation == "AT"
-                and f.subject == AgentName(agent)
-                and isinstance(f.object, ObjectRef)
-                and self.registry.is_room(f.object.id)
-            ):
-                return f.object.id
+        f = self.slots.get(belief_store.position_slot(AgentName(agent)))
+        if f is not None and isinstance(f.object, ObjectRef) and self.registry.is_room(f.object.id):
+            return f.object.id
         return None
 
     def my_room(self) -> int:
@@ -120,7 +129,7 @@ class PlannerView:
         who = AgentName(agent or self.owner)
         held = [
             f.object
-            for f in self.facts
+            for f in self.slots.values()
             if f.relation == "HOLD" and f.subject == who and isinstance(f.object, ObjectRef)
         ]
         return sorted(held, key=lambda r: r.id)
@@ -134,7 +143,7 @@ class PlannerView:
     def container_load(self, container: ObjectRef) -> list[ObjectRef]:
         inner = [
             f.object
-            for f in self.facts
+            for f in self.slots.values()
             if f.relation == "CONTAIN"
             and f.subject == container
             and isinstance(f.object, ObjectRef)
@@ -142,21 +151,20 @@ class PlannerView:
         return sorted(inner, key=lambda r: r.id)
 
     def explored_level(self, room_id: int) -> str:
-        room = self.registry.rooms_by_id[room_id]
-        for f in self.facts:
-            if f.relation == "EXPLORED" and f.subject == room and isinstance(f.object, StateAtom):
-                return f.object.value
-        return NONE
+        f = self.slots.get(belief_store.explored_slot(self.registry.rooms_by_id[room_id]))
+        return f.object.value if f is not None and isinstance(f.object, StateAtom) else NONE
 
     def located_targets(self) -> list[tuple[ObjectRef, int]]:
         """Known, unheld, untransported targets and the room they sit in."""
+        # By id, not by slot: a remote reply may name a known id under
+        # another name, which puts its HOLD and IN facts in different slots.
         held_anywhere = {
             f.object.id
-            for f in self.facts
+            for f in self.slots.values()
             if f.relation == "HOLD" and isinstance(f.object, ObjectRef)
         }
         out = []
-        for f in self.facts:
+        for f in self.slots.values():
             if f.relation != "IN" or not isinstance(f.subject, ObjectRef):
                 continue
             if not isinstance(f.object, ObjectRef) or not self.registry.is_room(f.object.id):
@@ -166,32 +174,28 @@ class PlannerView:
         return sorted(out, key=lambda pair: pair[0].id)
 
     def believed_room_of_object(self, ref: ObjectRef) -> int | None:
-        for f in self.facts:
-            if f.relation == "IN" and f.subject == ref and isinstance(f.object, ObjectRef):
-                if self.registry.is_room(f.object.id):
-                    return f.object.id
+        f = self.slots.get(belief_store.location_slot(ref))
+        if f is not None and f.relation == "IN" and isinstance(f.object, ObjectRef):
+            if self.registry.is_room(f.object.id):
+                return f.object.id
         return None
 
     def believed_transported(self, ref: ObjectRef) -> bool:
-        bed = self.registry.bed
-        return any(
-            f.relation == "AT" and f.subject == ref and f.object == bed for f in self.facts
-        )
+        return self.holds(AtomicBelief(ref, "AT", self.registry.bed))
 
     def believed_holder(self, ref: ObjectRef) -> str | None:
-        for f in self.facts:
-            if f.relation == "HOLD" and f.object == ref and isinstance(f.subject, AgentName):
-                return f.subject.name
+        f = self.slots.get(belief_store.location_slot(ref))
+        if f is not None and f.relation == "HOLD" and isinstance(f.subject, AgentName):
+            return f.subject.name
         return None
 
 
 def zero_view(world: BeliefWorld, registry: EntityRegistry) -> PlannerView:
-    return PlannerView.from_facts(world.owner, registry, world.zero)
+    return PlannerView(world.owner, registry, world.zero)
 
 
 def first_view(world: BeliefWorld, collab: str, registry: EntityRegistry) -> PlannerView:
-    view = PlannerView.from_facts(collab, registry, world.first[collab])
-    return view
+    return PlannerView(collab, registry, world.first[collab])
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +268,8 @@ def best_plan(view: PlannerView) -> Plan | None:
     return options[0] if options else None
 
 
-def candidate_plans(view: PlannerView, limit: int = 3) -> list[Plan]:
-    return plan_options(view)[:limit]
+def candidate_plans(view: PlannerView) -> list[Plan]:
+    return plan_options(view)[:PREDICTED_PLANS]
 
 
 def _plan_rooms_explored(plan: Plan) -> set[int]:
@@ -312,9 +316,9 @@ def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
     if isinstance(step, ExploreCurrent):
         return view.explored_level(step.room.id) == ALL
     if isinstance(step, GoGrasp):
-        return AtomicBelief(owner, "HOLD", step.item) in view.facts
+        return view.holds(AtomicBelief(owner, "HOLD", step.item))
     if isinstance(step, Put):
-        return AtomicBelief(step.container, "CONTAIN", step.object) in view.facts
+        return view.holds(AtomicBelief(step.container, "CONTAIN", step.object))
     return False  # transport progress is tracked through history alone
 
 
@@ -447,9 +451,7 @@ def detect_miscoordination(
     """
     conflicts: list[Conflict] = []
     if my_plan is not None:
-        my_head = head_indexes(my_plan)
         for p, theirs in enumerate(their_plans):
-            their_head = head_indexes(theirs)
             for i, a in enumerate(my_plan.steps):
                 for j, b in enumerate(theirs.steps):
                     kind = step_conflict(a, b, registry)
@@ -565,12 +567,8 @@ def update_from_visual(
 
     world.assert_fact(AtomicBelief(owner, "AT", obs.room))
 
-    levels = {NONE: 0, PART: 1, ALL: 2}
-    current = NONE
-    for f in world.facts():
-        if f.relation == "EXPLORED" and f.subject == obs.room and isinstance(f.object, StateAtom):
-            current = f.object.value
-    if levels[obs.exploration] >= levels[current]:
+    current = zero_view(world, registry).explored_level(obs.room.id)
+    if sbl.EXPLORED_STATES.index(obs.exploration) >= sbl.EXPLORED_STATES.index(current):
         world.assert_fact(AtomicBelief(obs.room, "EXPLORED", StateAtom(obs.exploration)))
 
     for ref, _ in obs.items:
@@ -688,7 +686,7 @@ def rules_text(world: BeliefWorld) -> str:
 
 def plans_text(plans: list[Plan]) -> str:
     lines = []
-    for i in range(3):
+    for i in range(PREDICTED_PLANS):
         body = str(plans[i]) if i < len(plans) else "None"
         lines.append(f"plan{i + 1}: {body}")
     return "\n".join(lines)
@@ -844,8 +842,8 @@ def predict_collaborator(
     resp = reasoner.complete(prompts.ReasonerRequest("predict_first", vars))
     plans = []
     if _remote(resp):
-        for label in ("plan1", "plan2", "plan3"):
-            plan = _safe_plan(resp.section(label), registry)
+        for i in range(PREDICTED_PLANS):
+            plan = _safe_plan(resp.section(f"plan{i + 1}"), registry)
             if plan is not None:
                 plans.append(plan)
     return plans or candidate_plans(first_view(world, collab, registry))
@@ -949,7 +947,6 @@ class AgentMind:
     """Decision state for one agent: beliefs, current plan, bookkeeping."""
 
     name: str
-    index: int
     world: BeliefWorld
     registry: EntityRegistry
     reasoner: object
@@ -992,7 +989,7 @@ class AgentMind:
         None means the agent has nothing left to do and idles this frame.
         """
         self.tick += 1
-        fallbacks_before = getattr(self.reasoner, "fallback_count", 0)
+        fallbacks_before = self.reasoner.fallback_count
         update_from_visual(self.world, obs, self.registry)
         declared = update_from_messages(self.world, inbox, self.reasoner, self.registry)
 
@@ -1013,7 +1010,7 @@ class AgentMind:
                     self.world, collab, self.goal, self.reasoner, self.registry
                 )
                 if collab in declared:
-                    candidates = [declared[collab]] + candidates[:2]
+                    candidates = [declared[collab]] + candidates[: PREDICTED_PLANS - 1]
                 candidates_by_collab[collab] = candidates
                 reports.append(self._judge(collab, candidates))
 
@@ -1062,12 +1059,10 @@ class AgentMind:
             self._note_shared(text, misaligned)
             self.last_comm_tick = self.tick
             payload["plan"] = str(self.plan) if self.plan is not None else None
-            payload["fallbacks"] = (
-                getattr(self.reasoner, "fallback_count", 0) - fallbacks_before
-            )
+            payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
             return CollabDecision(kind="communicate", message=text), payload
 
-        payload["fallbacks"] = getattr(self.reasoner, "fallback_count", 0) - fallbacks_before
+        payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
         if self.plan is None or step is None or step == SUBPLAN_DONE:
             return None, payload
         return CollabDecision(kind="act", action=step), payload

@@ -136,7 +136,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     goal = scenario.goal
     names = [name for name, _ in scenario.agents]
     minds = []
-    for index, name in enumerate(names):
+    for name in names:
         others = tuple(n for n in names if n != name)
         world = BeliefWorld(
             owner=name,
@@ -147,7 +147,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         minds.append(
             AgentMind(
                 name=name,
-                index=index,
                 world=world,
                 registry=registry,
                 reasoner=reasoner,

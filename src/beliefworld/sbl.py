@@ -1,4 +1,4 @@
-"""Symbolic belief language: parsing, canonical form, and unification.
+"""Symbolic belief language: parsing, canonical form, and body-level matching.
 
 Belief statements are whitespace-separated token streams of the form
 
@@ -41,10 +41,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class SubstitutionError(ValueError):
-    """Raised when a binding does not cover every variable in a rule."""
 
 
 @dataclass(frozen=True, order=True)
@@ -256,32 +252,13 @@ def serialize(expr: BeliefExpr) -> str:
     return " ".join(parts)
 
 
-def _positions(expr: BeliefExpr) -> list[Term]:
-    return [*expr.believers, expr.body.subject, expr.body.object]
-
-
-def unify(rule: BeliefExpr, ground: BeliefExpr) -> Binding | None:
-    """Match ``ground`` against ``rule``, returning the unique binding.
-
-    Order and relation symbol must match exactly; a variable repeated in
-    the rule must take the same value at every occurrence.  Returns None
-    when no substitution makes the rule equal the ground expression.
-    """
-    if rule.order != ground.order or rule.body.relation != ground.body.relation:
-        return None
-    binding: Binding = {}
-    for pat, val in zip(_positions(rule), _positions(ground)):
-        if isinstance(pat, Variable):
-            if pat.name in binding and binding[pat.name] != val:
-                return None
-            binding[pat.name] = val
-        elif pat != val:
-            return None
-    return binding
-
-
 def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:
-    """Body-level match: like unify but over bare triples."""
+    """Match the bare triple ``fact`` against ``pattern``; the unique binding.
+
+    The relation symbol must match exactly; a variable repeated in the
+    pattern must take the same value at every occurrence.  Returns None
+    when no substitution makes the pattern equal the fact.
+    """
     if pattern.relation != fact.relation:
         return None
     binding: Binding = {}
@@ -293,23 +270,6 @@ def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:
         elif pat != val:
             return None
     return binding
-
-
-def substitute(rule: BeliefExpr, binding: Binding) -> BeliefExpr:
-    """Replace every variable in the rule; unbound variables are errors."""
-
-    def value(term: Term) -> Term:
-        if isinstance(term, Variable):
-            if term.name not in binding:
-                raise SubstitutionError(f"unbound ?{term.name}")
-            return binding[term.name]
-        return term
-
-    believers = tuple(value(b) for b in rule.believers)
-    body = AtomicBelief(
-        value(rule.body.subject), rule.body.relation, value(rule.body.object)
-    )
-    return BeliefExpr(believers, body)
 
 
 def sort_key(item: BeliefExpr | AtomicBelief) -> str:

@@ -44,6 +44,7 @@ CONTAINER = "container"
 BED = "bed"
 
 CONTAINER_CAPACITY = 3
+MAX_HANDS = 2
 
 EXTRA_AGENT_NAMES = ("Charlie", "David", "Eve", "Frank", "Grace", "Heidi")
 

@@ -49,8 +49,8 @@ from .actions import (
     SendMessage,
     Transport,
 )
-from .scenario import BED, CONTAINER, CONTAINER_CAPACITY, TARGET, EntityRegistry, Scenario
-from .sbl import ObjectRef
+from .scenario import BED, CONTAINER, CONTAINER_CAPACITY, MAX_HANDS, TARGET, EntityRegistry, Scenario
+from .sbl import EXPLORED_STATES, ObjectRef
 
 log = logging.getLogger(__name__)
 
@@ -60,9 +60,7 @@ PUT_COST = 10
 TRANSPORT_DROP_COST = 20
 MESSAGE_COST = 1
 
-MAX_HANDS = 2
-
-NONE, PART, ALL = "none", "part", "all"
+NONE, PART, ALL = EXPLORED_STATES
 
 # Object locations: exactly one of these per object at every frame.
 AT_ROOM = "room"
@@ -84,7 +82,6 @@ class InvariantViolation(SimulationError):
 @dataclass
 class AgentState:
     name: str
-    index: int
     room_id: int
     hands: list[int] = field(default_factory=list)
     busy: tuple[AtomicAction, int] | None = None  # (action, frames remaining)
@@ -167,7 +164,7 @@ def init(scenario: Scenario, seed: int) -> WorldState:
     for ref, _, home in scenario.objects:
         state.locations[ref.id] = (AT_ROOM, home)
     for index, (name, room_id) in enumerate(scenario.agents):
-        state.agents.append(AgentState(name=name, index=index, room_id=room_id))
+        state.agents.append(AgentState(name=name, room_id=room_id))
         state.revealed[name] = set()
         state._rngs[name] = random.Random(seed * 100003 + index * 7919)
     for agent in state.agents:

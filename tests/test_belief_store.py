@@ -1,4 +1,4 @@
-"""Belief world: assertion semantics, queries, misalignment, snapshots."""
+"""Belief world: assertion semantics, misalignment, snapshots."""
 
 import random
 
@@ -11,14 +11,19 @@ from beliefworld.belief_store import (
     UnknownCollaborator,
     load_snapshot,
 )
+from beliefworld.collab_engine import first_view, zero_view
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
-from universe import misalignment_oracle
+from universe import (
+    misalignment_oracle,
+    scan_explored_level,
+    scan_holder,
+    scan_room_of,
+    scan_room_of_object,
+    scan_transported,
+)
 
 KITCHEN = ObjectRef("kitchen", 2000)
-OFFICE = ObjectRef("office", 3000)
-APPLE = ObjectRef("apple", 123)
-PEN = ObjectRef("pen", 7)
 BOWL = ObjectRef("bowl", 9)
 PLATE = ObjectRef("plate", 11)
 BED = ObjectRef("bed", 9000)
@@ -67,7 +72,7 @@ def test_location_exclusive_across_relations(world):
     world.assert_fact(fact("Alice HOLD <apple>(123)"))
     assert world.facts() == [fact("Alice HOLD <apple>(123)")]
     world.assert_fact(fact("<bowl>(9) CONTAIN <apple>(123)"))
-    assert fact("Alice HOLD <apple>(123)") not in world.zero
+    assert not world.holds(fact("Alice HOLD <apple>(123)"))
     world.assert_fact(fact("<apple>(123) AT <bed>(9000)"))
     assert world.facts() == [fact("<apple>(123) AT <bed>(9000)")]
 
@@ -110,34 +115,15 @@ def test_observed_collaborator_holdings_conform(world):
     assert world.holds(fact("Bob HOLD <pen>(7)"))
 
 
-def test_query_single_match(world):
-    world.assert_fact(fact("<apple>(123) IN <kitchen>(2000)"))
-    world.assert_fact(fact("<pen>(7) IN <office>(3000)"))
-    pattern = AtomicBelief(Variable("object"), "IN", KITCHEN)
-    assert world.query(pattern) == [{"object": APPLE}]
-
-
-def test_query_empty_store(world):
-    pattern = AtomicBelief(Variable("object"), "IN", KITCHEN)
-    assert world.query(pattern) == []
-
-
-def test_query_full_chain_pattern(world):
-    world.assert_fact(fact("<pen>(7) IN <office>(3000)"), about="Bob")
-    pattern = sbl.parse("?me BELIEVE ?collab BELIEVE ?object IN ?room")
-    results = world.query(pattern, about="Bob")
-    assert results == [{
-        "me": AgentName("Alice"),
-        "collab": AgentName("Bob"),
-        "object": PEN,
-        "room": OFFICE,
-    }]
+WORLD_OBJECTS = [
+    ObjectRef(n, i) for n, i in (("apple", 1), ("pen", 7), ("banana", 12), ("bowl", 9), ("plate", 11))
+]
 
 
 def _random_world(rng: random.Random) -> BeliefWorld:
     world = BeliefWorld("Alice", canonical_rules(), ("Bob",), CONTAINERS)
     agents = ("Alice", "Bob")
-    objects = [ObjectRef(n, i) for n, i in (("apple", 1), ("pen", 7), ("banana", 12), ("bowl", 9), ("plate", 11))]
+    objects = WORLD_OBJECTS
     rooms = [ObjectRef(n, i) for n, i in (("kitchen", 2000), ("office", 3000), ("livingroom", 1000))]
     for _ in range(rng.randint(0, 30)):
         about = rng.choice((None, "Bob"))
@@ -159,28 +145,6 @@ def _random_world(rng: random.Random) -> BeliefWorld:
         except RuleViolation:
             pass
     return world
-
-
-def test_query_matches_brute_force_scan():
-    rng = random.Random(31337)
-    patterns = [
-        AtomicBelief(Variable("o"), "IN", Variable("r")),
-        AtomicBelief(Variable("o"), "IN", KITCHEN),
-        AtomicBelief(AgentName("Alice"), "HOLD", Variable("o")),
-        AtomicBelief(Variable("r"), "EXPLORED", Variable("s")),
-        AtomicBelief(Variable("a"), "AT", Variable("w")),
-    ]
-    for case in range(300):
-        world = _random_world(rng)
-        about = rng.choice((None, "Bob"))
-        pattern = rng.choice(patterns)
-        expected = []
-        for f in world.facts(about=about):
-            binding = sbl.unify_atomic(pattern, f)
-            if binding is not None:
-                expected.append((str(f), binding))
-        expected = [b for _, b in sorted(expected, key=lambda p: p[0])]
-        assert world.query(pattern, about=about) == expected, f"case {case}"
 
 
 def test_misalignment_functional_contradiction(world):
@@ -219,6 +183,43 @@ def test_misalignment_monotone_under_sync():
         assert world.misalignment("Bob").facts == ()
 
 
+def test_slot_reads_match_reference_scans(food_registry):
+    rng = random.Random(2024)
+    objects = WORLD_OBJECTS
+    for case in range(300):
+        world = _random_world(rng)
+        # Facts the reads' guards must see through: an object AT a place
+        # other than the bed, an object as holder, an agent AT a non-room.
+        for _ in range(rng.randint(0, 3)):
+            odd = rng.choice((
+                AtomicBelief(rng.choice(objects), "AT", KITCHEN),
+                AtomicBelief(ObjectRef("bowl", 9), "HOLD", rng.choice(objects[:3])),
+                AtomicBelief(AgentName(rng.choice(("Alice", "Bob"))), "AT", BED),
+            ))
+            try:
+                world.assert_fact(odd, about=rng.choice((None, "Bob")))
+            except RuleViolation:
+                pass
+        for about in (None, "Bob"):
+            if about is None:
+                view = zero_view(world, food_registry)
+            else:
+                view = first_view(world, about, food_registry)
+            facts = world.facts(about=about)
+            for agent in ("Alice", "Bob"):
+                expected_at = scan_room_of(facts, food_registry, agent)
+                assert view.room_of(agent) == expected_at, f"case {case}"
+            for room_id in food_registry.rooms_by_id:
+                expected = scan_explored_level(facts, food_registry, room_id)
+                assert view.explored_level(room_id) == expected, f"case {case}"
+            for ref in objects:
+                expected_room = scan_room_of_object(facts, food_registry, ref)
+                assert view.believed_room_of_object(ref) == expected_room, f"case {case}"
+                assert view.believed_holder(ref) == scan_holder(facts, ref), f"case {case}"
+                expected_done = scan_transported(facts, food_registry, ref)
+                assert view.believed_transported(ref) == expected_done, f"case {case}"
+
+
 def test_snapshot_empty_world_header_only(world):
     lines = world.snapshot().splitlines()
     assert lines[0] == "world: Alice"
@@ -243,10 +244,3 @@ def test_snapshot_load_round_trip_fixed_point():
         assert rebuilt.snapshot() == text
         assert rebuilt.zero == world.zero
         assert rebuilt.first == world.first
-
-
-def test_retract_holdings(world):
-    world.assert_fact(fact("Bob HOLD <pen>(7)"))
-    world.assert_fact(fact("Bob HOLD <apple>(123)"))
-    world.retract_holdings("Bob")
-    assert world.facts() == []

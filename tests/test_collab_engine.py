@@ -572,10 +572,10 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42):
     reasoner = ScriptedReasoner()
     minds = []
     names = [n for n, _ in scn.agents]
-    for index, name in enumerate(names):
+    for name in names:
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
                             registry.container_ids())
-        minds.append(AgentMind(name=name, index=index, world=world, registry=registry,
+        minds.append(AgentMind(name=name, world=world, registry=registry,
                                reasoner=reasoner, goal=scn.goal, mode=mode))
     return state, minds
 
@@ -642,7 +642,7 @@ def test_three_agent_pairwise_heaviness():
     # heavy misalignment against Charlie only: only Bob was told the fact
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Charlie"),
                         registry.container_ids())
-    mind = AgentMind(name="Alice", index=0, world=world, registry=registry,
+    mind = AgentMind(name="Alice", world=world, registry=registry,
                      reasoner=ScriptedReasoner(), goal=registry.goal)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))

@@ -180,7 +180,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
         world.assert_fact(parse_atomic(text))
     world.assert_fact(parse_atomic("Bob AT <office>(3000)"), about="Bob")
     mind = AgentMind(
-        name="Alice", index=0, world=world, registry=registry,
+        name="Alice", world=world, registry=registry,
         reasoner=reasoner, goal=registry.goal,
     )
     mind.adopt(collab_engine.best_plan(collab_engine.zero_view(world, registry)))

@@ -1,4 +1,4 @@
-"""Belief language: parsing, canonical form, unification, substitution."""
+"""Belief language: parsing, canonical form, body-level matching."""
 
 import random
 
@@ -13,7 +13,6 @@ from beliefworld.sbl import (
     ObjectRef,
     ParseError,
     StateAtom,
-    SubstitutionError,
     Variable,
 )
 from universe import brute_force_unify, random_ground, random_rule
@@ -118,31 +117,9 @@ def test_round_trip_random_expressions():
         assert sbl.parse(text) == expr
 
 
-def test_unify_direct_positional():
-    rule = sbl.parse("?agent BELIEVE ?object IN ?room")
-    ground = sbl.parse("Alice BELIEVE <apple>(123) IN <kitchen>(2000)")
-    assert sbl.unify(rule, ground) == {
-        "agent": AgentName("Alice"),
-        "object": ObjectRef("apple", 123),
-        "room": ObjectRef("kitchen", 2000),
-    }
-
-
-def test_unify_repeated_variable_consistency():
-    rule = sbl.parse("?agent BELIEVE ?agent HOLD ?object")
-    assert sbl.unify(rule, sbl.parse("Alice BELIEVE Bob HOLD <pen>(7)")) is None
-    binding = sbl.unify(rule, sbl.parse("Alice BELIEVE Alice HOLD <pen>(7)"))
-    assert binding == {"agent": AgentName("Alice"), "object": ObjectRef("pen", 7)}
-
-
-def test_unify_requires_matching_order_and_relation():
-    rule = sbl.parse("?a BELIEVE ?x IN ?r")
-    assert sbl.unify(rule, sbl.parse("Alice BELIEVE Bob BELIEVE <pen>(7) IN <office>(3000)")) is None
-    assert sbl.unify(rule, sbl.parse("Alice BELIEVE <pen>(7) AT <office>(3000)")) is None
-
-
 def test_unify_matches_brute_force_oracle():
     rng = random.Random(417)
+    believer = (AgentName("Alice"),)
     matched = 0
     for case in range(500):
         ground = random_ground(rng)
@@ -150,44 +127,13 @@ def test_unify_matches_brute_force_oracle():
             rule = random_rule(rng, ground)
         else:
             rule = random_rule(rng)
-        expected = brute_force_unify(rule, ground)
-        actual = sbl.unify(rule, ground)
-        assert actual == expected, f"case {case}: {rule} vs {ground}"
+        expected = brute_force_unify(
+            BeliefExpr(believer, rule.body), BeliefExpr(believer, ground.body)
+        )
+        actual = sbl.unify_atomic(rule.body, ground.body)
+        assert actual == expected, f"case {case}: {rule.body} vs {ground.body}"
         matched += expected is not None
     assert 100 < matched < 450  # both outcomes well represented
-
-
-def test_substitute_produces_ground_expression():
-    rule = sbl.parse("?agent BELIEVE ?room EXPLORED ?exploration_state")
-    binding = {
-        "agent": AgentName("Bob"),
-        "room": ObjectRef("office", 3000),
-        "exploration_state": StateAtom("part"),
-    }
-    result = sbl.substitute(rule, binding)
-    assert sbl.serialize(result) == "Bob BELIEVE <office>(3000) EXPLORED part"
-    assert result.is_ground
-
-
-def test_substitute_unbound_variable_named():
-    rule = sbl.parse("?agent BELIEVE ?room EXPLORED part")
-    with pytest.raises(SubstitutionError, match=r"unbound \?room"):
-        sbl.substitute(rule, {"agent": AgentName("Bob")})
-
-
-def test_substitute_then_unify_recovers_binding():
-    rng = random.Random(2718)
-    checked = 0
-    while checked < 200:
-        rule = random_rule(rng)
-        ground = random_ground(rng)
-        binding = brute_force_unify(rule, ground)
-        if binding is None:
-            continue
-        rebuilt = sbl.substitute(rule, binding)
-        assert rebuilt == ground
-        assert sbl.unify(rule, rebuilt) == binding
-        checked += 1
 
 
 def test_parse_atomic_triple():

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own matching and diff
 code paths: the unification oracle enumerates substitutions positionally,
-the misalignment oracle diffs snapshot text, and the planner oracle is a
+the misalignment oracle diffs snapshot text, the slot-read oracles scan
+every fact instead of looking up one slot, and the planner oracle is a
 separate translation of the documented priority rules using networkx for
 distances.
 """
@@ -123,6 +124,53 @@ def misalignment_oracle(world, collaborator: str) -> list[str]:
         elif line.startswith(f"first[{collaborator}]: "):
             first.add(line.split(": ", 1)[1])
     return [fact for fact in zero if fact not in first]
+
+
+# ---------------------------------------------------------------------------
+# Reference slot reads: the planner's one-slot questions answered by
+# scanning every fact of a partition.
+# ---------------------------------------------------------------------------
+
+
+def scan_room_of(facts, registry, agent: str):
+    for f in facts:
+        if (
+            f.relation == "AT"
+            and f.subject == AgentName(agent)
+            and isinstance(f.object, ObjectRef)
+            and registry.is_room(f.object.id)
+        ):
+            return f.object.id
+    return None
+
+
+def scan_explored_level(facts, registry, room_id: int) -> str:
+    room = registry.rooms_by_id[room_id]
+    for f in facts:
+        if f.relation == "EXPLORED" and f.subject == room and isinstance(f.object, StateAtom):
+            return f.object.value
+    return "none"
+
+
+def scan_room_of_object(facts, registry, ref: ObjectRef):
+    for f in facts:
+        if f.relation == "IN" and f.subject == ref and isinstance(f.object, ObjectRef):
+            if registry.is_room(f.object.id):
+                return f.object.id
+    return None
+
+
+def scan_transported(facts, registry, ref: ObjectRef) -> bool:
+    return any(
+        f.relation == "AT" and f.subject == ref and f.object == registry.bed for f in facts
+    )
+
+
+def scan_holder(facts, ref: ObjectRef):
+    for f in facts:
+        if f.relation == "HOLD" and f.object == ref and isinstance(f.subject, AgentName):
+            return f.subject.name
+    return None
 
 
 # ---------------------------------------------------------------------------
