@@ -1,6 +1,6 @@
 """Symbolic belief worlds for decentralized multi-agent transport.
 
-A belief language with unification, per-agent belief stores with
+A symbolic belief language, per-agent belief stores with
 theory-of-mind partitions, a propose-and-revise rule consensus, an
 update/predict/decide collaboration loop with adaptive messaging, a
 deterministic lockstep transport simulator, pluggable reasoning backends

@@ -92,17 +92,6 @@ def slot(fact: AtomicBelief) -> object:
     return fact if key is None else key
 
 
-@dataclass(frozen=True)
-class MisalignmentReport:
-    """Facts the owner holds that its model of a collaborator lacks."""
-
-    collaborator: str
-    facts: tuple[AtomicBelief, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.facts)
-
-
 @dataclass
 class BeliefWorld:
     owner: str
@@ -183,16 +172,14 @@ class BeliefWorld:
     def holds(self, fact: AtomicBelief, *, about: str | None = None) -> bool:
         return self._partition(about).get(slot(fact)) == fact
 
-    def misalignment(self, collaborator: str) -> MisalignmentReport:
+    def misalignment(self, collaborator: str) -> tuple[AtomicBelief, ...]:
         """Everything the owner knows that its model of ``collaborator``
         does not: facts in zero that are absent from (or, for functional
         facts, displaced by a different value in) the first-order set.
         """
         theirs = self._partition(collaborator)
-        missing = sorted(
-            (f for key, f in self.zero.items() if theirs.get(key) != f), key=sbl.sort_key
-        )
-        return MisalignmentReport(collaborator, tuple(missing))
+        missing = (f for key, f in self.zero.items() if theirs.get(key) != f)
+        return tuple(sorted(missing, key=sbl.sort_key))
 
     # -- snapshots -----------------------------------------------------
 

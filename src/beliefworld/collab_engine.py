@@ -18,12 +18,16 @@ that steers away from the collaborator's projected activity; anything
 lighter is tolerated and the agent just acts.
 
 Every reasoning step is a call to a pluggable backend through its
-prompt template, whichever backend is plugged in.  This module alone
-decides: a remote model's answer is taken when one arrives and parses,
-and otherwise the step falls back to the heuristics here (planning,
-miscoordination detection, the message grammar), read straight off the
-structured beliefs.  The scripted backend answers only the rule
-dialogue, so scripted runs are exactly replayable.
+prompt template, whichever backend is plugged in.  The steps of the loop
+(predict self, predict a collaborator, replan, next action, compose,
+judge) are methods of :class:`AgentMind`, which reads its beliefs, goal
+and backend from itself; the inbox update is a module function.  All of
+them send their request through one helper, :func:`_ask`.  This module
+alone decides: a remote model's answer is taken when one arrives and
+parses, and otherwise the step falls back to the heuristics here
+(planning, miscoordination detection, the message grammar), read
+straight off the structured beliefs.  The scripted backend answers only
+the rule dialogue, so scripted runs are exactly replayable.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import functools
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import belief_store, prompts, sbl
 from .actions import (
@@ -46,7 +50,7 @@ from .actions import (
     Transport,
     parse_plan,
 )
-from .belief_store import BeliefWorld, MisalignmentReport
+from .belief_store import BeliefWorld
 from .scenario import CONTAINER_CAPACITY, MAX_HANDS, EntityRegistry, GoalSpec
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, NONE, VisualObservation
@@ -390,7 +394,7 @@ class Conflict:
 class MiscoordReport:
     collaborator: str
     conflicts: tuple[Conflict, ...]
-    misaligned: MisalignmentReport
+    misaligned: tuple[AtomicBelief, ...]
     heavy: bool
 
     def to_payload(self) -> dict:
@@ -407,7 +411,7 @@ class MiscoordReport:
                 }
                 for c in self.conflicts
             ],
-            "misaligned": [str(f) for f in self.misaligned.facts],
+            "misaligned": [str(f) for f in self.misaligned],
             "heavy": self.heavy,
         }
 
@@ -429,10 +433,17 @@ def head_indexes(plan: Plan) -> set[int]:
     return head
 
 
+def names_target(fact: AtomicBelief, registry: EntityRegistry) -> bool:
+    return any(
+        isinstance(term, ObjectRef) and registry.is_target(term.id)
+        for term in (fact.subject, fact.object)
+    )
+
+
 def fact_is_goal_relevant(fact: AtomicBelief, registry: EntityRegistry) -> bool:
-    for term in (fact.subject, fact.object):
-        if isinstance(term, ObjectRef) and registry.is_target(term.id):
-            return True
+    """A fact about a target object, or a room becoming fully explored."""
+    if names_target(fact, registry):
+        return True
     if fact.relation == "EXPLORED" and isinstance(fact.object, StateAtom):
         return fact.object.value == ALL
     return False
@@ -465,9 +476,7 @@ def detect_miscoordination(
             if c.my_index in my_head and c.their_index in head_indexes(their_plans[c.their_plan]):
                 heavy_conflict = True
                 break
-    heavy_misalign = any(
-        fact_is_goal_relevant(f, registry) for f in misaligned.facts
-    )
+    heavy_misalign = any(fact_is_goal_relevant(f, registry) for f in misaligned)
     return MiscoordReport(
         collaborator=collaborator,
         conflicts=tuple(conflicts),
@@ -497,10 +506,7 @@ def compose_message(
     facts = sorted(set(misaligned), key=str)
 
     def priority(fact: AtomicBelief) -> int:
-        if any(
-            isinstance(t, ObjectRef) and registry.is_target(t.id)
-            for t in (fact.subject, fact.object)
-        ):
+        if names_target(fact, registry):
             return 0
         if fact.relation == "EXPLORED":
             return 1
@@ -722,18 +728,20 @@ def _step_refs(step: PlanStep) -> list[ObjectRef]:
     return []
 
 
-def _remote(resp: prompts.ReasonerResponse) -> bool:
-    """True when a remote model answered; otherwise the engine decides."""
-    return resp.backend == "llm"
+def _ask(reasoner, template_id: str, vars: dict[str, str]) -> prompts.ReasonerResponse | None:
+    """Send one reasoning step; the reply when a remote model answered,
+    otherwise None: the engine decides."""
+    resp = reasoner.complete(prompts.ReasonerRequest(template_id, vars))
+    return resp if resp.backend == "llm" else None
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse, label: str, order: int
+    resp: prompts.ReasonerResponse | None, label: str, order: int
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists (``Owner BELIEVE
     fact`` lines of one order); None when no remote model answered or the
     section is missing or holds no readable line."""
-    if not _remote(resp) or label not in resp.sections:
+    if resp is None or label not in resp.sections:
         return None
     lines = resp.sections[label]
     facts = _facts_from_lines(lines, order)
@@ -742,10 +750,12 @@ def _reply_facts(
     return None
 
 
-def _plan_reply(resp: prompts.ReasonerResponse, registry: EntityRegistry, heuristic) -> Plan | None:
+def _plan_reply(
+    resp: prompts.ReasonerResponse | None, registry: EntityRegistry, heuristic
+) -> Plan | None:
     """A remote model's single-plan answer ("None" means done); the
     heuristic decides when no remote model answered or the plan is bad."""
-    if not _remote(resp):
+    if resp is None:
         return heuristic()
     section = resp.section("plan")
     if section.strip().lower() in _NO_ANSWER:
@@ -792,8 +802,8 @@ def update_from_messages(
             "MESSAGE": f"{sender}: {text}",
             "RULE": rules_text(world),
         }
-        zero_resp = reasoner.complete(prompts.ReasonerRequest("update_zero", vars))
-        first_resp = reasoner.complete(prompts.ReasonerRequest("update_first", vars))
+        zero_resp = _ask(reasoner, "update_zero", vars)
+        first_resp = _ask(reasoner, "update_first", vars)
         # The message itself is parsed only when some reply is not usable.
         heard = functools.cache(lambda text=text: _heard(text, registry))
         zero = _reply_facts(zero_resp, "Zero order beliefs", 0)
@@ -804,130 +814,6 @@ def update_from_messages(
         if plan is not None:
             declared[sender] = plan
     return declared
-
-
-def predict_self(
-    world: BeliefWorld,
-    goal: GoalSpec,
-    reasoner,
-    registry: EntityRegistry,
-    oppo_name: str,
-) -> Plan | None:
-    """Best next 1-3 step plan from the zero partition; None when done."""
-    vars = {
-        "AGENT_NAME": world.owner,
-        "OPPO_NAME": oppo_name,
-        "GOAL": goal.describe(),
-        "ZERO_ORDER_BELIEF": zero_lines(world),
-    }
-    resp = reasoner.complete(prompts.ReasonerRequest("predict_zero", vars))
-    return _plan_reply(resp, registry, lambda: best_plan(zero_view(world, registry)))
-
-
-def predict_collaborator(
-    world: BeliefWorld,
-    collab: str,
-    goal: GoalSpec,
-    reasoner,
-    registry: EntityRegistry,
-) -> list[Plan]:
-    """Up to three candidate plans for a collaborator, computed from the
-    first-order partition only (never from the owner's zero beliefs)."""
-    vars = {
-        "AGENT_NAME": world.owner,
-        "OPPO_NAME": collab,
-        "GOAL": goal.describe(),
-        "FIRST_ORDER_BELIEF": first_lines(world, collab),
-    }
-    resp = reasoner.complete(prompts.ReasonerRequest("predict_first", vars))
-    plans = []
-    if _remote(resp):
-        for i in range(PREDICTED_PLANS):
-            plan = _safe_plan(resp.section(f"plan{i + 1}"), registry)
-            if plan is not None:
-                plans.append(plan)
-    return plans or candidate_plans(first_view(world, collab, registry))
-
-
-def replan(
-    world: BeliefWorld,
-    collab_plan: Plan | None,
-    goal: GoalSpec,
-    reasoner,
-    registry: EntityRegistry,
-    oppo_name: str,
-) -> Plan | None:
-    """Like predict_self, but steering clear of the collaborator's plan."""
-    vars = {
-        "AGENT_NAME": world.owner,
-        "OPPO_NAME": oppo_name,
-        "GOAL": goal.describe(),
-        "OPPO_PLAN": str(collab_plan) if collab_plan is not None else "None",
-        "ZERO_ORDER_BELIEF": zero_lines(world),
-    }
-    resp = reasoner.complete(prompts.ReasonerRequest("replan", vars))
-    return _plan_reply(
-        resp, registry, lambda: avoiding_plan(zero_view(world, registry), collab_plan)
-    )
-
-
-def next_action(
-    world: BeliefWorld,
-    plan: Plan,
-    history: list[PlanStep],
-    reasoner,
-    registry: EntityRegistry,
-    goal: GoalSpec,
-    oppo_name: str,
-) -> PlanStep | str:
-    """The first incomplete plan step, or SUBPLAN_DONE.
-
-    The mechanical completion/staleness check runs first (raising
-    :class:`StalePlan` deterministically); a remote model may then pick
-    a different legal next step.
-    """
-    view = zero_view(world, registry)
-    mechanical = next_step(view, plan, history)
-    vars = {
-        "AGENT_NAME": world.owner,
-        "OPPO_NAME": oppo_name,
-        "GOAL": goal.describe(),
-        "MY_PLAN": str(plan),
-        "PREVIOUS_ACTIONS": "; ".join(str(s) for s in history) if history else "None",
-        "ZERO_ORDER_BELIEF": zero_lines(world),
-        "ACTION_LIST": ACTION_LIST_TEXT,
-    }
-    resp = reasoner.complete(prompts.ReasonerRequest("plan_next", vars))
-    if _remote(resp):
-        answer = resp.section("answer").strip()
-        if answer.upper().startswith("SUBPLAN DONE"):
-            return SUBPLAN_DONE
-        plan_step = _safe_plan(answer, registry)
-        if plan_step is not None and len(plan_step.steps) == 1:
-            return plan_step.steps[0]
-    return mechanical
-
-
-def compose_via(
-    reasoner,
-    owner: str,
-    oppo_name: str,
-    misaligned: list[AtomicBelief],
-    plan: Plan | None,
-    registry: EntityRegistry,
-) -> str:
-    """Draft the outgoing message through the reasoner; always <= 500 chars."""
-    vars = {
-        "AGENT_NAME": owner,
-        "OPPO_NAME": oppo_name,
-        "MISALIGNED_INFORMATION": "\n".join(str(f) for f in misaligned) or "None",
-        "MY_PLAN": str(plan) if plan is not None else "None",
-    }
-    resp = reasoner.complete(prompts.ReasonerRequest("communicate", vars))
-    text = resp.section("Message").strip() if _remote(resp) else ""
-    if not text:
-        text = compose_message(misaligned, plan, registry)
-    return text[:MAX_MESSAGE_CHARS]
 
 
 # ---------------------------------------------------------------------------
@@ -994,11 +880,9 @@ class AgentMind:
         declared = update_from_messages(self.world, inbox, self.reasoner, self.registry)
 
         if self.plan is None:
-            self.adopt(
-                predict_self(self.world, self.goal, self.reasoner, self.registry, self.default_oppo)
-            )
+            self.adopt(self.predict_self())
 
-        step: PlanStep | str | None = None
+        step: PlanStep | None = None
         if self.plan is not None:
             step = self._advance(declared)
 
@@ -1006,13 +890,11 @@ class AgentMind:
         candidates_by_collab: dict[str, list[Plan]] = {}
         if self.plan is not None:
             for collab in self.collaborators:
-                candidates = predict_collaborator(
-                    self.world, collab, self.goal, self.reasoner, self.registry
-                )
+                candidates = self.predict_collaborator(collab)
                 if collab in declared:
                     candidates = [declared[collab]] + candidates[: PREDICTED_PLANS - 1]
                 candidates_by_collab[collab] = candidates
-                reports.append(self._judge(collab, candidates))
+                reports.append(self.judge(collab, candidates))
 
         heavy = [r for r in reports if r.heavy]
         comm_allowed = self._cooldown_ok()
@@ -1031,101 +913,142 @@ class AgentMind:
             MODE_NEVER: False,
         }[self.mode]
 
+        decision: CollabDecision | None = None
         if wants_message and comm_allowed:
-            misaligned: list[AtomicBelief] = []
-            seen = set()
-            for r in reports:
-                for f in r.misaligned.facts:
-                    if f not in seen:
-                        seen.add(f)
-                        misaligned.append(f)
-            misaligned.sort(key=str)
+            misaligned = sorted({f for r in reports for f in r.misaligned}, key=str)
             if self.mode == MODE_ADAPTIVE and heavy:
-                first_heavy = heavy[0]
-                avoid = declared.get(first_heavy.collaborator)
-                if avoid is None:
-                    cands = candidates_by_collab.get(first_heavy.collaborator, [])
-                    avoid = cands[0] if cands else None
-                self.adopt(
-                    replan(
-                        self.world, avoid, self.goal, self.reasoner,
-                        self.registry, first_heavy.collaborator,
-                    )
-                )
-            text = compose_via(
-                self.reasoner, self.name, self.default_oppo,
-                misaligned, self.plan, self.registry,
-            )
+                # A declared plan heads its sender's candidates.
+                collab = heavy[0].collaborator
+                candidates = candidates_by_collab[collab]
+                self.adopt(self.replan(candidates[0] if candidates else None, collab))
+            text = self.compose(misaligned)
             self._note_shared(text, misaligned)
             self.last_comm_tick = self.tick
             payload["plan"] = str(self.plan) if self.plan is not None else None
-            payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
-            return CollabDecision(kind="communicate", message=text), payload
-
+            decision = CollabDecision(kind="communicate", message=text)
+        elif step is not None:
+            decision = CollabDecision(kind="act", action=step)
         payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
-        if self.plan is None or step is None or step == SUBPLAN_DONE:
-            return None, payload
-        return CollabDecision(kind="act", action=step), payload
+        return decision, payload
 
-    def _advance(self, declared: dict[str, Plan]) -> PlanStep | str | None:
+    def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
         """Resolve the next step, replanning through staleness and
         completed subplans; None when the goal side is exhausted."""
         for _ in range(3):
-            assert self.plan is not None
             try:
-                step = next_action(
-                    self.world, self.plan, self.plan_history, self.reasoner,
-                    self.registry, self.goal, self.default_oppo,
-                )
+                step = self.next_action()
             except StalePlan as exc:
                 log.debug("%s: stale plan (%s); replanning", self.name, exc)
-                avoid = next(iter(declared.values()), None)
-                self.adopt(
-                    replan(
-                        self.world, avoid, self.goal, self.reasoner,
-                        self.registry, self.default_oppo,
-                    )
-                )
-                if self.plan is None:
-                    return None
-                continue
-            if step == SUBPLAN_DONE:
-                self.adopt(
-                    predict_self(
-                        self.world, self.goal, self.reasoner, self.registry, self.default_oppo
-                    )
-                )
-                if self.plan is None:
-                    return None
-                continue
-            return step
+                self.adopt(self.replan(next(iter(declared.values()), None), self.default_oppo))
+            else:
+                if step != SUBPLAN_DONE:
+                    return step
+                self.adopt(self.predict_self())
+            if self.plan is None:
+                return None
         return None
 
-    def _judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
+    # -- reasoning steps: one reasoner call each ------------------------
+
+    def predict_self(self) -> Plan | None:
+        """Best next 1-3 step plan from the zero partition; None when done."""
+        resp = _ask(self.reasoner, "predict_zero", {
+            "AGENT_NAME": self.name,
+            "OPPO_NAME": self.default_oppo,
+            "GOAL": self.goal.describe(),
+            "ZERO_ORDER_BELIEF": zero_lines(self.world),
+        })
+        view = zero_view(self.world, self.registry)
+        return _plan_reply(resp, self.registry, lambda: best_plan(view))
+
+    def predict_collaborator(self, collab: str) -> list[Plan]:
+        """Up to three candidate plans for a collaborator, computed from the
+        first-order partition only (never from the owner's zero beliefs)."""
+        resp = _ask(self.reasoner, "predict_first", {
+            "AGENT_NAME": self.name,
+            "OPPO_NAME": collab,
+            "GOAL": self.goal.describe(),
+            "FIRST_ORDER_BELIEF": first_lines(self.world, collab),
+        })
+        plans = []
+        if resp is not None:
+            for i in range(PREDICTED_PLANS):
+                plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
+                if plan is not None:
+                    plans.append(plan)
+        return plans or candidate_plans(first_view(self.world, collab, self.registry))
+
+    def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
+        """Like predict_self, but steering clear of ``avoid``, the plan
+        projected for collaborator ``oppo``."""
+        resp = _ask(self.reasoner, "replan", {
+            "AGENT_NAME": self.name,
+            "OPPO_NAME": oppo,
+            "GOAL": self.goal.describe(),
+            "OPPO_PLAN": str(avoid) if avoid is not None else "None",
+            "ZERO_ORDER_BELIEF": zero_lines(self.world),
+        })
+        view = zero_view(self.world, self.registry)
+        return _plan_reply(resp, self.registry, lambda: avoiding_plan(view, avoid))
+
+    def next_action(self) -> PlanStep | str:
+        """The first incomplete step of the current plan, or SUBPLAN_DONE.
+
+        The mechanical completion/staleness check runs first (raising
+        :class:`StalePlan` deterministically); a remote model may then pick
+        a different legal next step.
+        """
+        assert self.plan is not None
+        history = self.plan_history
+        mechanical = next_step(zero_view(self.world, self.registry), self.plan, history)
+        resp = _ask(self.reasoner, "plan_next", {
+            "AGENT_NAME": self.name,
+            "OPPO_NAME": self.default_oppo,
+            "GOAL": self.goal.describe(),
+            "MY_PLAN": str(self.plan),
+            "PREVIOUS_ACTIONS": "; ".join(str(s) for s in history) if history else "None",
+            "ZERO_ORDER_BELIEF": zero_lines(self.world),
+            "ACTION_LIST": ACTION_LIST_TEXT,
+        })
+        if resp is not None:
+            answer = resp.section("answer").strip()
+            if answer.upper().startswith("SUBPLAN DONE"):
+                return SUBPLAN_DONE
+            plan_step = _safe_plan(answer, self.registry)
+            if plan_step is not None and len(plan_step.steps) == 1:
+                return plan_step.steps[0]
+        return mechanical
+
+    def compose(self, misaligned: list[AtomicBelief]) -> str:
+        """Draft the outgoing message through the reasoner; always <= 500 chars."""
+        resp = _ask(self.reasoner, "communicate", {
+            "AGENT_NAME": self.name,
+            "OPPO_NAME": self.default_oppo,
+            "MISALIGNED_INFORMATION": "\n".join(str(f) for f in misaligned) or "None",
+            "MY_PLAN": str(self.plan) if self.plan is not None else "None",
+        })
+        text = resp.section("Message").strip() if resp is not None else ""
+        if not text:
+            text = compose_message(misaligned, self.plan, self.registry)
+        return text[:MAX_MESSAGE_CHARS]
+
+    def judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
         """Pairwise miscoordination: mechanical scan; a remote model may
         overturn the heaviness verdict."""
         report = detect_miscoordination(
             self.plan, candidates, self.world, collab, self.registry
         )
-        vars = {
+        resp = _ask(self.reasoner, "adaptive", {
             "AGENT_NAME": self.name,
             "OPPO_NAME": collab,
             "ZERO_ORDER_BELIEF": zero_lines(self.world),
             "MY_FIRST_ORDER_BELIEF": first_lines(self.world, collab),
             "MY_PLAN": str(self.plan) if self.plan is not None else "None",
             "OPPO_PLANS": plans_text(candidates),
-        }
-        resp = self.reasoner.complete(prompts.ReasonerRequest("adaptive", vars))
-        answer = resp.section("answer").strip().lower()
-        if _remote(resp) and answer:
-            heavy = answer.startswith("yes")
-            if heavy != report.heavy:
-                report = MiscoordReport(
-                    collaborator=report.collaborator,
-                    conflicts=report.conflicts,
-                    misaligned=report.misaligned,
-                    heavy=heavy,
-                )
+        })
+        answer = resp.section("answer").strip().lower() if resp is not None else ""
+        if answer:
+            report = replace(report, heavy=answer.startswith("yes"))
         return report
 
     def _note_shared(self, text: str, misaligned: list[AtomicBelief]) -> None:

@@ -31,7 +31,7 @@ from .collab_engine import (
     CollabDecision,
 )
 from .episode_log import EpisodeLog, EpisodeMetrics
-from .reasoner import LLM, SCRIPTED, make_reasoner
+from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
 
 log = logging.getLogger(__name__)
@@ -103,16 +103,15 @@ def task_description(scenario: Scenario) -> str:
     )
 
 
-def _build_reasoner(cfg: RunConfig):
-    kwargs = {}
-    if cfg.backend == LLM:
-        kwargs = {
-            "base_url": cfg.base_url,
-            "model": cfg.model,
-            "timeout": cfg.http_timeout,
-            "backoff_base": cfg.backoff_base,
-        }
-    return make_reasoner(cfg.backend, **kwargs)
+def _build_reasoner(cfg: RunConfig) -> ScriptedReasoner | HttpReasoner:
+    if cfg.backend == SCRIPTED:
+        return ScriptedReasoner()
+    return HttpReasoner(
+        base_url=cfg.base_url,
+        model=cfg.model,
+        timeout=cfg.http_timeout,
+        backoff_base=cfg.backoff_base,
+    )
 
 
 def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:

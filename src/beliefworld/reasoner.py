@@ -51,6 +51,12 @@ REPAIR_INSTRUCTION = (
 SCRIPTED = "scripted"
 LLM = "llm"
 
+# The rule sections of the scripted proposal and refinement.
+CANONICAL_RULES_TEXT = (
+    "Zero order belief rules:\n" + "\n".join(rule_consensus.CANONICAL_ZERO_RULES) + "\n"
+    "First order belief rules:\n" + "\n".join(rule_consensus.CANONICAL_FIRST_RULES) + "\n"
+)
+
 
 @dataclass
 class ScriptedReasoner:
@@ -81,28 +87,22 @@ class ScriptedReasoner:
     # -- rule-dialogue answers ------------------------------------------
 
     def _answer_rules_propose(self, vars: dict[str, str]) -> str:
-        zero, first = rule_consensus.canonical_rule_lines()
         return (
             "Entity and predicate reasoning: agents, rooms, target objects,"
             " containers, the bed, holdings, containment, positions, and"
-            " per-room exploration levels.\n"
-            "Zero order belief rules:\n" + "\n".join(zero) + "\n"
-            "First order belief rules:\n" + "\n".join(first) + "\n"
+            " per-room exploration levels.\n" + CANONICAL_RULES_TEXT
         )
 
     def _answer_rules_refine(self, vars: dict[str, str]) -> str:
-        zero, first = rule_consensus.canonical_rule_lines()
         return (
             "Reasoning: restored the full canonical rule set per the"
-            " suggestions.\n"
-            "Zero order belief rules:\n" + "\n".join(zero) + "\n"
-            "First order belief rules:\n" + "\n".join(first) + "\n"
+            " suggestions.\n" + CANONICAL_RULES_TEXT
         )
 
     def _answer_rules_review(self, vars: dict[str, str]) -> str:
-        verdict = rule_consensus.checklist_review(vars.get("ALICE_CONTENT", ""))
-        suggestions = "; ".join(verdict.problems) if verdict.problems else "None"
-        answer = "no" if verdict.problems else "yes"
+        problems = rule_consensus.checklist_review(vars.get("ALICE_CONTENT", ""))
+        suggestions = "; ".join(problems) if problems else "None"
+        answer = "no" if problems else "yes"
         return (
             "Reasoning: checked parseability, duplicates, and coverage of"
             " position, holdings, exploration, object locations, and"
@@ -184,18 +184,3 @@ class HttpReasoner:
         return ReasonerResponse(
             sections=scripted.sections, raw=raw or scripted.raw, backend=SCRIPTED
         )
-
-
-def make_reasoner(
-    backend: str,
-    base_url: str | None = None,
-    model: str | None = None,
-    **kwargs,
-) -> ScriptedReasoner | HttpReasoner:
-    if backend == SCRIPTED:
-        return ScriptedReasoner()
-    if backend == LLM:
-        if not base_url or not model:
-            raise ValueError("llm backend requires base_url and model")
-        return HttpReasoner(base_url=base_url, model=model, **kwargs)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -71,10 +71,6 @@ class ConsensusFailure(RuntimeError):
         self.review = review
 
 
-def canonical_rule_lines() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES
-
-
 def canonical_rules() -> tuple[sbl.BeliefExpr, ...]:
     return tuple(sbl.parse(line) for line in CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
 
@@ -124,11 +120,6 @@ class Review:
             object.__setattr__(self, "suggestions", "no specific suggestions given")
 
 
-@dataclass(frozen=True)
-class ChecklistVerdict:
-    problems: tuple[str, ...]
-
-
 def _rule_lines(text: str) -> list[str]:
     lines = []
     for line in text.splitlines():
@@ -138,8 +129,10 @@ def _rule_lines(text: str) -> list[str]:
     return lines
 
 
-def checklist_review(proposal_text: str) -> ChecklistVerdict:
-    """The deterministic reviewer: parse, dedupe, and coverage checks."""
+def checklist_review(proposal_text: str) -> tuple[str, ...]:
+    """The deterministic reviewer: parse, dedupe, and coverage checks.
+
+    Returns the problems found; empty when the proposal passes."""
     problems: list[str] = []
     rules: list[sbl.BeliefExpr] = []
     seen: set[str] = set()
@@ -160,13 +153,13 @@ def checklist_review(proposal_text: str) -> ChecklistVerdict:
         rules.append(rule)
     if not rules:
         problems.append("no rules found")
-        return ChecklistVerdict(tuple(problems))
+        return tuple(problems)
     for order, label in ((0, "zero-order"), (1, "first-order")):
         present = {r.body.relation for r in rules if r.order == order}
         for relation, description in COVERAGE:
             if relation not in present:
                 problems.append(f"{label} rules are missing {description}")
-    return ChecklistVerdict(tuple(problems))
+    return tuple(problems)
 
 
 def _parse_proposal(sections: dict[str, str]) -> RuleProposal:

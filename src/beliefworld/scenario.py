@@ -118,23 +118,20 @@ class EntityRegistry:
     """
 
     scenario: Scenario
-    rooms_by_id: dict[int, ObjectRef] = field(default_factory=dict)
-    objects_by_id: dict[int, tuple[ObjectRef, str]] = field(default_factory=dict)
-    agent_names: tuple[str, ...] = ()
-    _dist: dict[int, dict[int, int]] = field(default_factory=dict)
+    rooms_by_id: dict[int, ObjectRef] = field(init=False)
+    objects_by_id: dict[int, tuple[ObjectRef, str]] = field(init=False)
+    _dist: dict[int, dict[int, int]] = field(init=False)
 
     def __post_init__(self):
         scn = self.scenario
         self.rooms_by_id = {r.id: r for r in scn.rooms}
         self.objects_by_id = {ref.id: (ref, kind) for ref, kind, _ in scn.objects}
         self.objects_by_id[scn.bed.id] = (scn.bed, BED)
-        self.agent_names = tuple(name for name, _ in scn.agents)
         adj: dict[int, list[tuple[int, int]]] = {r.id: [] for r in scn.rooms}
         for a, b, cost in scn.edges:
             adj[a].append((b, cost))
             adj[b].append((a, cost))
-        for start in adj:
-            self._dist[start] = _dijkstra(adj, start)
+        self._dist = {start: _dijkstra(adj, start) for start in adj}
 
     @property
     def bed(self) -> ObjectRef:

@@ -151,14 +151,14 @@ def test_misalignment_functional_contradiction(world):
     world.assert_fact(fact("<kitchen>(2000) EXPLORED all"))
     world.assert_fact(fact("<kitchen>(2000) EXPLORED none"), about="Bob")
     report = world.misalignment("Bob")
-    assert [str(f) for f in report.facts] == ["<kitchen>(2000) EXPLORED all"]
+    assert [str(f) for f in report] == ["<kitchen>(2000) EXPLORED all"]
 
 
 def test_misalignment_identical_sets_empty(world):
     f = fact("<apple>(123) IN <kitchen>(2000)")
     world.assert_fact(f)
     world.assert_fact(f, about="Bob")
-    assert world.misalignment("Bob").facts == ()
+    assert world.misalignment("Bob") == ()
 
 
 def test_misalignment_unknown_collaborator(world):
@@ -171,16 +171,16 @@ def test_misalignment_matches_reference_diff():
     for case in range(300):
         world = _random_world(rng)
         report = world.misalignment("Bob")
-        assert [str(f) for f in report.facts] == misalignment_oracle(world, "Bob"), f"case {case}"
+        assert [str(f) for f in report] == misalignment_oracle(world, "Bob"), f"case {case}"
 
 
 def test_misalignment_monotone_under_sync():
     rng = random.Random(888)
     for _ in range(50):
         world = _random_world(rng)
-        for f in world.misalignment("Bob").facts:
+        for f in world.misalignment("Bob"):
             world.assert_fact(f, about="Bob")
-        assert world.misalignment("Bob").facts == ()
+        assert world.misalignment("Bob") == ()
 
 
 def test_slot_reads_match_reference_scans(food_registry):

@@ -15,17 +15,12 @@ from beliefworld.collab_engine import (
     StalePlan,
     avoiding_plan,
     best_plan,
-    candidate_plans,
     compose_message,
     detect_miscoordination,
     next_step,
     parse_message,
-    predict_collaborator,
-    predict_self,
-    replan,
     update_from_messages,
     update_from_visual,
-    zero_view,
 )
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
@@ -294,7 +289,7 @@ def test_goal_relevant_misalignment_is_heavy(food_registry):
     theirs = Plan((GoTo(BEDROOM),))
     report = detect_miscoordination(mine, [theirs], world, "Bob", food_registry)
     assert report.heavy
-    assert [str(f) for f in report.misaligned.facts] == ["<apple>(101) IN <kitchen>(2000)"]
+    assert [str(f) for f in report.misaligned] == ["<apple>(101) IN <kitchen>(2000)"]
 
 
 def test_explored_all_misalignment_is_heavy(food_registry):
@@ -517,33 +512,35 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
 # ---------------------------------------------------------------------------
 
 
+def make_mind(registry, world) -> AgentMind:
+    return AgentMind(name=world.owner, world=world, registry=registry,
+                     reasoner=ScriptedReasoner(), goal=registry.goal)
+
+
 def test_predict_collaborator_reads_first_order_only(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner()
+    mind = make_mind(food_registry, world)
     world.assert_fact(fact("<livingroom>(1000) EXPLORED none"), about="Bob")
     world.assert_fact(fact("Bob AT <kitchen>(2000)"), about="Bob")
-    before = predict_collaborator(world, "Bob", food_registry.goal, reasoner, food_registry)
+    before = mind.predict_collaborator("Bob")
     # mutate zero heavily; predictions must not move
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<kitchen>(2000) EXPLORED all"))
     world.assert_fact(fact("Alice AT <office>(3000)"))
-    after = predict_collaborator(world, "Bob", food_registry.goal, reasoner, food_registry)
+    after = mind.predict_collaborator("Bob")
     assert before == after
     assert any("explore" in str(p) for p in before)
 
 
 def test_predict_collaborator_empty_first_order_explores(food_registry):
-    world = make_world(food_registry)
-    plans = predict_collaborator(
-        world, "Bob", food_registry.goal, ScriptedReasoner(), food_registry
-    )
+    plans = make_mind(food_registry, make_world(food_registry)).predict_collaborator("Bob")
     assert len(plans) == 3
     assert all("explore current room" in str(p) for p in plans)
 
 
 def test_predict_matches_self_when_views_coincide(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner()
+    mind = make_mind(food_registry, world)
     shared = [
         fact("<apple>(101) IN <kitchen>(2000)"),
         fact("<kitchen>(2000) EXPLORED all"),
@@ -553,8 +550,8 @@ def test_predict_matches_self_when_views_coincide(food_registry):
         world.assert_fact(f, about="Bob")
     world.assert_fact(fact("Alice AT <kitchen>(2000)"))
     world.assert_fact(fact("Bob AT <kitchen>(2000)"), about="Bob")
-    mine = predict_self(world, food_registry.goal, reasoner, food_registry, "Bob")
-    theirs = predict_collaborator(world, "Bob", food_registry.goal, reasoner, food_registry)
+    mine = mind.predict_self()
+    theirs = mind.predict_collaborator("Bob")
     assert str(mine) == str(theirs[0])
 
 

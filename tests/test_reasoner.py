@@ -195,42 +195,30 @@ def site_update(mind):
 
 
 def site_predict_self(mind):
-    return collab_engine.predict_self(
-        mind.world, mind.goal, mind.reasoner, mind.registry, "Bob"
-    )
+    return mind.predict_self()
 
 
 def site_predict_collaborator(mind):
-    return collab_engine.predict_collaborator(
-        mind.world, "Bob", mind.goal, mind.reasoner, mind.registry
-    )
+    return mind.predict_collaborator("Bob")
 
 
 def site_replan(mind):
-    avoid = parse_plan("go grasp <apple>(101)")
-    return collab_engine.replan(
-        mind.world, avoid, mind.goal, mind.reasoner, mind.registry, "Bob"
-    )
+    return mind.replan(parse_plan("go grasp <apple>(101)"), "Bob")
 
 
 def site_next_action(mind):
-    return collab_engine.next_action(
-        mind.world, mind.plan, [], mind.reasoner, mind.registry, mind.goal, "Bob"
-    )
+    return mind.next_action()
 
 
 def site_compose(mind):
-    misaligned = list(mind.world.misalignment("Bob").facts)
-    return collab_engine.compose_via(
-        mind.reasoner, "Alice", "Bob", misaligned, mind.plan, mind.registry
-    )
+    return mind.compose(list(mind.world.misalignment("Bob")))
 
 
 def site_judge(mind):
     candidates = collab_engine.candidate_plans(
         collab_engine.first_view(mind.world, "Bob", mind.registry)
     )
-    return mind._judge("Bob", candidates)
+    return mind.judge("Bob", candidates)
 
 
 SITES = (

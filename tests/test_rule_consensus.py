@@ -60,13 +60,13 @@ def test_review_flags_duplicates():
         "?agent BELIEVE ?object IN ?room\n"
     )
     verdict = checklist_review(text)
-    assert any("duplicate" in p for p in verdict.problems)
-    assert any("deletion" in p for p in verdict.problems)
+    assert any("duplicate" in p for p in verdict)
+    assert any("deletion" in p for p in verdict)
 
 
 def test_review_flags_unparseable_rule():
     verdict = checklist_review("?agent BELIEVE in the mission\n")
-    assert any("unparseable" in p for p in verdict.problems)
+    assert any("unparseable" in p for p in verdict)
 
 
 def test_proposal_keeps_duplicates_for_review_but_dedupes_output():
@@ -74,7 +74,7 @@ def test_proposal_keeps_duplicates_for_review_but_dedupes_output():
     proposal = RuleProposal(reasoning="", zero_rules=(rule, rule), first_rules=())
     assert proposal.all_rules() == (rule,)
     verdict = checklist_review(proposal.render())
-    assert any("duplicate" in p for p in verdict.problems)
+    assert any("duplicate" in p for p in verdict)
 
 
 def test_consensus_scripted_one_round(scripted):
