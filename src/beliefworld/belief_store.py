@@ -51,10 +51,6 @@ class UnknownCollaborator(KeyError):
     pass
 
 
-class SnapshotError(ValueError):
-    pass
-
-
 # The functional slots: an agent's position, a room's exploration level,
 # and an entity's location (shared by IN, HOLD, CONTAIN and AT).
 def position_slot(agent: AgentName) -> tuple[str, sbl.Term]:
@@ -92,6 +88,11 @@ def slot(fact: AtomicBelief) -> object:
     return fact if key is None else key
 
 
+def held_by(partition: Partition, holder: sbl.Term) -> list[sbl.Term]:
+    """What ``holder`` holds in one partition, in partition order."""
+    return [f.object for f in partition.values() if f.relation == "HOLD" and f.subject == holder]
+
+
 @dataclass
 class BeliefWorld:
     owner: str
@@ -107,7 +108,8 @@ class BeliefWorld:
 
     # -- partitions ---------------------------------------------------
 
-    def _partition(self, about: str | None) -> Partition:
+    def partition(self, about: str | None = None) -> Partition:
+        """The zero partition, or the first-order one about a collaborator."""
         if about is None:
             return self.zero
         if about not in self.first:
@@ -116,7 +118,7 @@ class BeliefWorld:
 
     def facts(self, about: str | None = None) -> list[AtomicBelief]:
         """Partition contents in canonical order."""
-        return sorted(self._partition(about).values(), key=sbl.sort_key)
+        return sorted(self.partition(about).values(), key=sbl.sort_key)
 
     # -- conformance ---------------------------------------------------
 
@@ -130,14 +132,11 @@ class BeliefWorld:
         if fact.relation != "HOLD":
             return
         holder = fact.subject
-        held = [
-            f for f in partition.values()
-            if f.relation == "HOLD" and f.subject == holder and f.object != fact.object
-        ]
+        held = [t for t in held_by(partition, holder) if t != fact.object]
         if len(held) >= MAX_HANDS:
             raise RuleViolation(f"{holder} already holds {MAX_HANDS} items", fact)
         if self._is_container(fact.object):
-            if any(self._is_container(f.object) for f in held):
+            if any(self._is_container(t) for t in held):
                 raise RuleViolation(f"{holder} already holds a container", fact)
 
     def _is_container(self, term: sbl.Term) -> bool:
@@ -158,7 +157,7 @@ class BeliefWorld:
         order = 0 if about is None else 1
         if not self._conforms(fact, order):
             raise RuleViolation("fact conforms to no consensus rule", fact)
-        partition = self._partition(about)
+        partition = self.partition(about)
         key = slot(fact)
         if partition.get(key) == fact:
             return
@@ -167,17 +166,17 @@ class BeliefWorld:
 
     def retract_location(self, entity: ObjectRef, *, about: str | None = None) -> None:
         """Forget where an entity is (its location became unknown)."""
-        self._partition(about).pop(location_slot(entity), None)
+        self.partition(about).pop(location_slot(entity), None)
 
     def holds(self, fact: AtomicBelief, *, about: str | None = None) -> bool:
-        return self._partition(about).get(slot(fact)) == fact
+        return self.partition(about).get(slot(fact)) == fact
 
     def misalignment(self, collaborator: str) -> tuple[AtomicBelief, ...]:
         """Everything the owner knows that its model of ``collaborator``
         does not: facts in zero that are absent from (or, for functional
         facts, displaced by a different value in) the first-order set.
         """
-        theirs = self._partition(collaborator)
+        theirs = self.partition(collaborator)
         missing = (f for key, f in self.zero.items() if theirs.get(key) != f)
         return tuple(sorted(missing, key=sbl.sort_key))
 
@@ -197,34 +196,3 @@ class BeliefWorld:
                 lines.append(f"first[{c}]: {fact}")
         return "\n".join(lines) + "\n"
 
-
-def load_snapshot(text: str, container_ids: frozenset[int] = frozenset()) -> BeliefWorld:
-    """Rebuild a world from :meth:`BeliefWorld.snapshot` output."""
-    owner = None
-    collaborators: list[str] = []
-    rules: list[BeliefExpr] = []
-    facts: list[tuple[str | None, AtomicBelief]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        rest = rest.strip()
-        if head == "world":
-            owner = rest
-        elif head == "collaborator":
-            collaborators.append(rest)
-        elif head == "rule":
-            rules.append(sbl.parse(rest))
-        elif head == "zero":
-            facts.append((None, sbl.parse_atomic(rest)))
-        elif head.startswith("first[") and head.endswith("]"):
-            facts.append((head[6:-1], sbl.parse_atomic(rest)))
-        else:
-            raise SnapshotError(f"unrecognized snapshot line {lineno}: {raw!r}")
-    if owner is None:
-        raise SnapshotError("snapshot lacks a world header line")
-    world = BeliefWorld(owner, tuple(rules), tuple(collaborators), container_ids)
-    for about, fact in facts:
-        world.assert_fact(fact, about=about)
-    return world

@@ -47,6 +47,7 @@ from .actions import (
     Plan,
     PlanStep,
     Put,
+    SendMessage,
     Transport,
     parse_plan,
 )
@@ -130,13 +131,8 @@ class PlannerView:
         return room
 
     def holdings(self, agent: str | None = None) -> list[ObjectRef]:
-        who = AgentName(agent or self.owner)
-        held = [
-            f.object
-            for f in self.slots.values()
-            if f.relation == "HOLD" and f.subject == who and isinstance(f.object, ObjectRef)
-        ]
-        return sorted(held, key=lambda r: r.id)
+        held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
+        return sorted((r for r in held if isinstance(r, ObjectRef)), key=lambda r: r.id)
 
     def held_container(self) -> ObjectRef | None:
         for ref in self.holdings():
@@ -207,15 +203,17 @@ def first_view(world: BeliefWorld, collab: str, registry: EntityRegistry) -> Pla
 # ---------------------------------------------------------------------------
 
 
-def plan_options(view: PlannerView) -> list[Plan]:
-    """Ranked plan candidates, best first.
+def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
+    """Ranked plan candidates, best first; the one plan ranking.
 
     Priority order: fill a held container (put a held target in, or grasp
     a known same-room target into it); transport when payload is aboard
     and either capacity is exhausted or no graspable target is known;
     fetch the nearest known target; otherwise explore the nearest
     not-fully-explored room, unexplored rooms first.  Ties break on
-    ascending room id, then ascending object id.
+    ascending room id, then ascending object id.  Options that
+    :func:`plan_conflicts` with ``avoid`` (another agent's projected
+    plan) keep that order but move behind every other option.
     """
     reg = view.registry
     here = view.my_room()
@@ -264,48 +262,16 @@ def plan_options(view: PlannerView) -> list[Plan]:
         ranked.append(((4, 0 if level == NONE else 1, dist, room_id), Plan(steps)))
 
     ranked.sort(key=lambda pair: pair[0])
-    return [plan for _, plan in ranked]
+    options = [plan for _, plan in ranked]
+    if avoid is not None:
+        options.sort(key=lambda plan: plan_conflicts(plan, avoid, reg))
+    return options
 
 
-def best_plan(view: PlannerView) -> Plan | None:
-    options = plan_options(view)
+def best_plan(view: PlannerView, avoid: Plan | None = None) -> Plan | None:
+    """The head of :func:`plan_options`; None when nothing is left to do."""
+    options = plan_options(view, avoid)
     return options[0] if options else None
-
-
-def candidate_plans(view: PlannerView) -> list[Plan]:
-    return plan_options(view)[:PREDICTED_PLANS]
-
-
-def _plan_rooms_explored(plan: Plan) -> set[int]:
-    return {s.room.id for s in plan.steps if isinstance(s, ExploreCurrent)}
-
-
-def _plan_grasps(plan: Plan) -> set[int]:
-    return {s.item.id for s in plan.steps if isinstance(s, GoGrasp)}
-
-
-def avoiding_plan(view: PlannerView, avoid: Plan | None) -> Plan | None:
-    """Best plan that stays clear of another agent's projected activity.
-
-    Options exploring a room the other plan explores, or grasping an
-    object it grasps, drop to the back of the ranking; they are chosen
-    only when nothing else remains.
-    """
-    options = plan_options(view)
-    if not options:
-        return None
-    if avoid is None:
-        return options[0]
-    their_rooms = _plan_rooms_explored(avoid)
-    their_grasps = _plan_grasps(avoid)
-
-    def conflicts(plan: Plan) -> bool:
-        return bool(
-            _plan_rooms_explored(plan) & their_rooms or _plan_grasps(plan) & their_grasps
-        )
-
-    clear = [p for p in options if not conflicts(p)]
-    return clear[0] if clear else options[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +390,11 @@ def step_conflict(a: PlanStep, b: PlanStep, registry: EntityRegistry) -> str | N
             return SAME_CONTAINER_GRAB
         return SAME_GRASP_TARGET
     return None
+
+
+def plan_conflicts(mine: Plan, theirs: Plan, registry: EntityRegistry) -> bool:
+    """Whether any step of ``mine`` conflicts with any step of ``theirs``."""
+    return any(step_conflict(a, b, registry) for a in mine.steps for b in theirs.steps)
 
 
 def head_indexes(plan: Plan) -> set[int]:
@@ -584,7 +555,7 @@ def update_from_visual(
         visible = {ref.id for ref, _ in obs.items}
         stale = [
             f.subject
-            for f in world.facts()
+            for f in world.partition().values()
             if f.relation == "IN"
             and f.object == obs.room
             and isinstance(f.subject, ObjectRef)
@@ -596,12 +567,9 @@ def update_from_visual(
     def sync_hands(agent: AgentName, hands: tuple[tuple[ObjectRef, str], ...]) -> None:
         held_now = {ref.id for ref, _ in hands}
         stale_holds = [
-            f.object
-            for f in world.facts()
-            if f.relation == "HOLD"
-            and f.subject == agent
-            and isinstance(f.object, ObjectRef)
-            and f.object.id not in held_now
+            ref
+            for ref in belief_store.held_by(world.partition(), agent)
+            if isinstance(ref, ObjectRef) and ref.id not in held_now
         ]
         for ref in stale_holds:
             world.retract_location(ref)
@@ -643,13 +611,9 @@ def ingest_facts(
                     f.object for f in ordered
                     if f.relation == "HOLD" and f.subject == fact.subject
                 }
-                for held in world.facts(about=about):
-                    if (
-                        held.relation == "HOLD"
-                        and held.subject == fact.subject
-                        and held.object not in fresh
-                    ):
-                        world.retract_location(held.object, about=about)
+                for held in belief_store.held_by(world.partition(about), fact.subject):
+                    if held not in fresh:
+                        world.retract_location(held, about=about)
             try:
                 world.assert_fact(fact, about=about)
             except belief_store.RuleViolation as exc:
@@ -821,13 +785,6 @@ def update_from_messages(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollabDecision:
-    kind: str  # communicate | act
-    message: str | None = None
-    action: PlanStep | None = None
-
-
 @dataclass
 class AgentMind:
     """Decision state for one agent: beliefs, current plan, bookkeeping."""
@@ -869,10 +826,12 @@ class AgentMind:
 
     def decide(
         self, obs: VisualObservation, inbox: list[tuple[str, str]]
-    ) -> tuple[CollabDecision | None, dict]:
-        """Run one decision tick; returns (decision, log payload).
+    ) -> tuple[SendMessage | PlanStep | None, dict]:
+        """Run one decision tick; returns (intent, log payload).
 
-        None means the agent has nothing left to do and idles this frame.
+        The intent goes to the simulator as it is: a :class:`SendMessage`
+        to broadcast, or the next plan step to execute.  None means the
+        agent has nothing left to do and idles this frame.
         """
         self.tick += 1
         fallbacks_before = self.reasoner.fallback_count
@@ -882,9 +841,9 @@ class AgentMind:
         if self.plan is None:
             self.adopt(self.predict_self())
 
-        step: PlanStep | None = None
+        intent: SendMessage | PlanStep | None = None
         if self.plan is not None:
-            step = self._advance(declared)
+            intent = self._advance(declared)
 
         reports: list[MiscoordReport] = []
         candidates_by_collab: dict[str, list[Plan]] = {}
@@ -913,7 +872,6 @@ class AgentMind:
             MODE_NEVER: False,
         }[self.mode]
 
-        decision: CollabDecision | None = None
         if wants_message and comm_allowed:
             misaligned = sorted({f for r in reports for f in r.misaligned}, key=str)
             if self.mode == MODE_ADAPTIVE and heavy:
@@ -925,11 +883,9 @@ class AgentMind:
             self._note_shared(text, misaligned)
             self.last_comm_tick = self.tick
             payload["plan"] = str(self.plan) if self.plan is not None else None
-            decision = CollabDecision(kind="communicate", message=text)
-        elif step is not None:
-            decision = CollabDecision(kind="act", action=step)
+            intent = SendMessage(text)
         payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
-        return decision, payload
+        return intent, payload
 
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
         """Resolve the next step, replanning through staleness and
@@ -976,7 +932,7 @@ class AgentMind:
                 plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
                 if plan is not None:
                     plans.append(plan)
-        return plans or candidate_plans(first_view(self.world, collab, self.registry))
+        return plans or plan_options(first_view(self.world, collab, self.registry))[:PREDICTED_PLANS]
 
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan
@@ -989,7 +945,7 @@ class AgentMind:
             "ZERO_ORDER_BELIEF": zero_lines(self.world),
         })
         view = zero_view(self.world, self.registry)
-        return _plan_reply(resp, self.registry, lambda: avoiding_plan(view, avoid))
+        return _plan_reply(resp, self.registry, lambda: best_plan(view, avoid))
 
     def next_action(self) -> PlanStep | str:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.

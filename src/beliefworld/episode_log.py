@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -88,15 +88,7 @@ class EpisodeMetrics:
     reasoner_fallbacks: int
 
     def to_dict(self) -> dict:
-        return {
-            "transport_rate": self.transport_rate,
-            "frames_used": self.frames_used,
-            "decision_ticks": self.decision_ticks,
-            "comm_tokens": self.comm_tokens,
-            "comm_chars": self.comm_chars,
-            "messages_sent": self.messages_sent,
-            "reasoner_fallbacks": self.reasoner_fallbacks,
-        }
+        return asdict(self)
 
 
 def metrics(log: EpisodeLog) -> EpisodeMetrics:

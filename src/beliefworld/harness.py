@@ -3,9 +3,13 @@
 One episode is: consensus phase (the first two agents agree on the belief
 rules, broadcast to everyone), then the lockstep decision loop until every
 target is delivered or the frame budget runs out, then metrics computed
-from the persisted log.  A reasoning call the remote model fails to
-answer falls back to the collaboration engine's own heuristics for that
-step; reasoner failures never abort a run.
+from the persisted log.  Each decision tick, an agent's intent (a message
+to broadcast or a plan step) goes to the simulator as ``decide`` returned
+it.  A reasoning call the remote model fails to answer falls back to the
+collaboration engine's own heuristics for that step, and when the rule
+dialogue fails or the rules it accepts fail the checklist review, the
+canonical rules stand in (the header's ``consensus_fallbacks`` counts
+it); reasoner failures never abort a run.
 
 Batches run the same scenario over a seed list and report per-seed
 metrics plus means, written as both a machine-readable JSON summary and
@@ -17,22 +21,17 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import episode_log, rule_consensus, world_sim
-from .actions import SendMessage
+from .actions import PlanStep, SendMessage
 from .belief_store import BeliefWorld
-from .collab_engine import (
-    MODE_ADAPTIVE,
-    MODE_ALWAYS,
-    MODE_NEVER,
-    AgentMind,
-    CollabDecision,
-)
+from .collab_engine import MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
+from .sbl import BeliefExpr
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +113,27 @@ def _build_reasoner(cfg: RunConfig) -> ScriptedReasoner | HttpReasoner:
     )
 
 
+def _agree_rules(
+    reasoner, scenario: Scenario, max_rounds: int
+) -> tuple[tuple[BeliefExpr, ...], int, int]:
+    """The rules, the consensus rounds, and 1 when the canonical rules
+    stand in, else 0.  They stand in when the dialogue fails (the rounds
+    are then the whole budget) or the accepted rules fail the checklist
+    review."""
+    try:
+        consensus = rule_consensus.consensus_loop(
+            reasoner, reasoner, task_description(scenario), max_rounds=max_rounds
+        )
+    except rule_consensus.ConsensusFailure as exc:
+        log.warning("rule consensus failed (%s); using the canonical rules", exc)
+        return rule_consensus.canonical_rules(), max_rounds, 1
+    problems = rule_consensus.checklist_review("\n".join(str(r) for r in consensus.rules))
+    if problems:
+        log.warning("accepted rules fail review (%s); using the canonical rules", "; ".join(problems))
+        return rule_consensus.canonical_rules(), consensus.rounds, 1
+    return consensus.rules, consensus.rounds, 0
+
+
 def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     """Run one full episode; returns its log and metrics.
 
@@ -126,10 +146,8 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     reasoner = _build_reasoner(cfg)
 
     fallbacks_before = reasoner.fallback_count
-    consensus = rule_consensus.consensus_loop(
-        reasoner, reasoner, task_description(scenario), max_rounds=cfg.max_rounds
-    )
-    consensus_fallbacks = reasoner.fallback_count - fallbacks_before
+    rules, rounds, fell_back = _agree_rules(reasoner, scenario, cfg.max_rounds)
+    consensus_fallbacks = reasoner.fallback_count - fallbacks_before + fell_back
 
     state = world_sim.init(scenario, seed)
     goal = scenario.goal
@@ -139,7 +157,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         others = tuple(n for n in names if n != name)
         world = BeliefWorld(
             owner=name,
-            rules=consensus.rules,
+            rules=rules,
             collaborators=others,
             container_ids=registry.container_ids(),
         )
@@ -169,8 +187,8 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             "cooldown": cfg.cooldown,
             "frame_budget": scenario.frame_budget,
             "reveal_fraction": scenario.reveal_fraction,
-            "rules": [str(r) for r in consensus.rules],
-            "consensus_rounds": consensus.rounds,
+            "rules": [str(r) for r in rules],
+            "consensus_rounds": rounds,
             "consensus_fallbacks": consensus_fallbacks,
         },
     )
@@ -189,26 +207,19 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             if mind.name in dormant and dormant[mind.name] == obs and not state.agent(mind.name).inbox:
                 continue
             inbox = world_sim.drain_inbox(state, mind.name)
-            decision, payload = mind.decide(obs, inbox)
-            if decision is None:
+            intent, payload = mind.decide(obs, inbox)
+            if intent is None:
                 dormant[mind.name] = obs
             else:
                 dormant.pop(mind.name, None)
             payload = dict(payload)
-            payload["decision"] = _decision_payload(decision)
+            payload["decision"] = _decision_payload(intent)
             log_.append(state.frame, mind.name, "decision", payload)
-            if decision is None:
+            if intent is None:
                 continue
-            if decision.kind == "communicate":
-                assert decision.message is not None
-                intents[mind.name] = SendMessage(decision.message)
-            else:
-                assert decision.action is not None
-                intents[mind.name] = decision.action
-                log_.append(
-                    state.frame, mind.name, "action_start",
-                    {"action": str(decision.action)},
-                )
+            intents[mind.name] = intent
+            if not isinstance(intent, SendMessage):
+                log_.append(state.frame, mind.name, "action_start", {"action": str(intent)})
         state, results = world_sim.apply(state, intents)
         for mind in minds:
             result = results.get(mind.name)
@@ -259,12 +270,12 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     return log_, result_metrics
 
 
-def _decision_payload(decision: CollabDecision | None) -> dict:
-    if decision is None:
+def _decision_payload(intent: SendMessage | PlanStep | None) -> dict:
+    if intent is None:
         return {"type": "idle"}
-    if decision.kind == "communicate":
-        return {"type": "communicate", "message": decision.message}
-    return {"type": "act", "action": str(decision.action)}
+    if isinstance(intent, SendMessage):
+        return {"type": "communicate", "message": intent.text}
+    return {"type": "act", "action": str(intent)}
 
 
 @dataclass
@@ -290,15 +301,7 @@ class BatchSummary:
         }
 
 
-_COLUMNS = (
-    "transport_rate",
-    "frames_used",
-    "decision_ticks",
-    "comm_tokens",
-    "comm_chars",
-    "messages_sent",
-    "reasoner_fallbacks",
-)
+_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
 
 
 def format_summary_table(summary: BatchSummary) -> str:

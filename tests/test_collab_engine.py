@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from beliefworld import sbl, world_sim
-from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, Transport
+from beliefworld import harness, sbl, world_sim
+from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, SendMessage, Transport
 from beliefworld.belief_store import BeliefWorld
 from beliefworld.collab_engine import (
     SUBPLAN_DONE,
@@ -13,12 +13,12 @@ from beliefworld.collab_engine import (
     CorruptObservation,
     PlannerView,
     StalePlan,
-    avoiding_plan,
     best_plan,
     compose_message,
     detect_miscoordination,
     next_step,
     parse_message,
+    plan_options,
     update_from_messages,
     update_from_visual,
 )
@@ -88,8 +88,6 @@ def random_view(rng: random.Random, registry) -> PlannerView:
 
 
 def test_plan_ranking_matches_reference_oracle(food_registry):
-    from beliefworld.collab_engine import plan_options
-
     rng = random.Random(4242)
     for case in range(200):
         view = random_view(rng, food_registry)
@@ -161,14 +159,41 @@ def test_replan_avoids_collaborator_room(food_registry):
     view = PlannerView.from_facts("Alice", food_registry, facts)
     assert str(best_plan(view)).endswith("explore current room <livingroom>(1000)")
     avoid = Plan((GoTo(LIVING), ExploreCurrent(LIVING)))
-    assert str(avoiding_plan(view, avoid)).endswith("explore current room <office>(3000)")
+    assert str(best_plan(view, avoid)).endswith("explore current room <office>(3000)")
 
 
 def test_replan_fallback_without_collaborator_plan(food_registry):
     rng = random.Random(11)
     for _ in range(100):
         view = random_view(rng, food_registry)
-        assert avoiding_plan(view, None) == best_plan(view)
+        assert best_plan(view, None) == best_plan(view)
+
+
+def test_avoid_moves_conflicting_options_back_in_order(food_registry):
+    def explored(plan):
+        return {s.room.id for s in plan.steps if isinstance(s, ExploreCurrent)}
+
+    def grasped(plan):
+        return {s.item.id for s in plan.steps if isinstance(s, GoGrasp)}
+
+    rng = random.Random(31)
+    moved = 0
+    for case in range(200):
+        view = random_view(rng, food_registry)
+        theirs = plan_options(random_view(rng, food_registry))
+        if not theirs:
+            continue
+        avoid = rng.choice(theirs)
+        ranking = plan_options(view)
+        clash = [
+            bool(explored(p) & explored(avoid) or grasped(p) & grasped(avoid)) for p in ranking
+        ]
+        expected = [p for p, c in zip(ranking, clash) if not c] + [
+            p for p, c in zip(ranking, clash) if c
+        ]
+        assert plan_options(view, avoid) == expected, f"case {case}"
+        moved += expected != ranking
+    assert moved > 20
 
 
 def test_replan_returns_conflicting_room_when_no_alternative():
@@ -188,7 +213,7 @@ def test_replan_returns_conflicting_room_when_no_alternative():
     }
     view = PlannerView.from_facts("Alice", registry, facts)
     avoid = Plan((ExploreCurrent(room1),))
-    assert str(avoiding_plan(view, avoid)) == "explore current room <kitchen>(1)"
+    assert str(best_plan(view, avoid)) == "explore current room <kitchen>(1)"
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +606,15 @@ def test_decide_communicates_on_heavy_then_acts(food_registry):
     state, minds = fresh_minds()
     alice = minds[0]
     observation = world_sim.observe(state, "Alice")
-    decision, payload = alice.decide(observation, [])
-    assert decision is not None
-    if decision.kind == "communicate":
+    intent, payload = alice.decide(observation, [])
+    assert intent is not None
+    if isinstance(intent, SendMessage):
         assert any(r["heavy"] for r in payload["reports"])
-        assert len(decision.message) <= 500
+        assert len(intent.text) <= 500
         # cooldown: the very next tick must act even if still heavy
-        decision2, payload2 = alice.decide(observation, [])
+        intent2, payload2 = alice.decide(observation, [])
         assert payload2["comm_allowed"] is False
-        assert decision2 is None or decision2.kind == "act"
+        assert not isinstance(intent2, SendMessage)
 
 
 def test_decide_acts_when_nothing_heavy(food_registry):
@@ -603,8 +628,8 @@ def test_decide_acts_when_nothing_heavy(food_registry):
     # he sits in the goal room believing the room Alice will pick is done
     alice.world.assert_fact(fact("Bob AT <bedroom>(4000)"), about="Bob")
     alice.world.assert_fact(fact("<livingroom>(1000) EXPLORED all"), about="Bob")
-    decision, payload = alice.decide(observation, [])
-    assert decision is not None and decision.kind == "act"
+    intent, payload = alice.decide(observation, [])
+    assert intent is not None and not isinstance(intent, SendMessage)
     assert not any(r["heavy"] for r in payload["reports"])
 
 
@@ -613,8 +638,8 @@ def test_decide_never_mode_never_communicates():
     for mind in minds:
         for _ in range(4):
             observation = world_sim.observe(state, mind.name)
-            decision, _ = mind.decide(observation, [])
-            assert decision is None or decision.kind == "act"
+            intent, _ = mind.decide(observation, [])
+            assert not isinstance(intent, SendMessage)
 
 
 def test_decide_always_mode_alternates():
@@ -623,8 +648,8 @@ def test_decide_always_mode_alternates():
     observation = world_sim.observe(state, "Alice")
     kinds = []
     for _ in range(6):
-        decision, _ = alice.decide(observation, [])
-        kinds.append(decision.kind if decision else "idle")
+        intent, _ = alice.decide(observation, [])
+        kinds.append(harness._decision_payload(intent)["type"])
     assert kinds[0] == "communicate"
     assert all(kinds[i] != "communicate" or kinds[i + 1] != "communicate"
                for i in range(len(kinds) - 1))
@@ -654,8 +679,8 @@ def test_three_agent_pairwise_heaviness():
     # hands full, so the plan is a conflict-free transport
     observation = obs(exploration="part", items=[],
                       hands=((banana, "target"), (orange, "target")))
-    decision, payload = mind.decide(observation, [])
+    intent, payload = mind.decide(observation, [])
     assert payload["plan"] == "transport"
     heavy_by = {r["collaborator"]: r["heavy"] for r in payload["reports"]}
     assert heavy_by["Charlie"] and not heavy_by["Bob"]
-    assert decision.kind == "communicate"
+    assert isinstance(intent, SendMessage)

@@ -1,0 +1,101 @@
+"""Harness, episode log and CLI: rule-consensus fallbacks, log checks,
+seed parsing and one batch through the command line."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from beliefworld import cli, harness
+from beliefworld.episode_log import EpisodeLog, LogError, metrics
+from beliefworld.reasoner import ScriptedReasoner
+from beliefworld.rule_consensus import canonical_rules
+
+
+class NoPositionRules(ScriptedReasoner):
+    """Proposes every canonical rule but the AT ones, and approves anything."""
+
+    def _answer_rules_propose(self, vars):
+        text = super()._answer_rules_propose(vars)
+        return "".join(line + "\n" for line in text.splitlines() if " AT " not in line)
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
+
+
+class AlwaysRejects(ScriptedReasoner):
+    """Rejects every proposal, so the rule dialogue never agrees."""
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: not yet.\nSuggestions: start over\nSatisfied: no\n"
+
+
+@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, AlwaysRejects))
+def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkeypatch):
+    monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner_cls())
+    cfg = harness.RunConfig(scenario="food_small", seeds=(1,))
+    episode, result = harness.run_episode(cfg, 1)
+    header = episode.of_kind("header")[0]["payload"]
+    assert header["rules"] == [str(r) for r in canonical_rules()]
+    assert header["consensus_fallbacks"] == 1
+    assert len(episode.of_kind("done")) == 1
+    assert result.reasoner_fallbacks == 1
+
+
+def done_log(count: int) -> EpisodeLog:
+    log = EpisodeLog()
+    log.append(0, None, "header", {})
+    for _ in range(count):
+        log.append(5, None, "done", {"reason": "x", "transported": 1, "total_targets": 2})
+    return log
+
+
+def test_metrics_need_exactly_one_done_record():
+    assert metrics(done_log(1)).transport_rate == 0.5
+    for count in (0, 2):
+        with pytest.raises(LogError):
+            metrics(done_log(count))
+
+
+def test_read_names_the_bad_json_line(tmp_path):
+    path = tmp_path / "episode.log"
+    path.write_text(done_log(1).to_text().splitlines()[0] + "\n{not json\n")
+    with pytest.raises(LogError) as exc:
+        EpisodeLog.read(path)
+    assert exc.value.line == 2
+    assert "log line 2" in str(exc.value)
+
+
+def test_read_round_trips_a_written_log(tmp_path):
+    path = tmp_path / "episode.log"
+    done_log(1).write(path)
+    assert EpisodeLog.read(path).to_text() == done_log(1).to_text()
+
+
+def test_parse_seeds():
+    assert cli.parse_seeds("1..3") == (1, 2, 3)
+    assert cli.parse_seeds("1,2,7") == (1, 2, 7)
+    for garbage in ("a..b", "one", "1,x"):
+        with pytest.raises(harness.ConfigError):
+            cli.parse_seeds(garbage)
+
+
+def test_cli_run_writes_both_summaries(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        cli.main, ["run", "--scenario", "food_small", "--seeds", "1", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["seeds"]) == ["1"]
+    table = (out / "summary.txt").read_text().splitlines()
+    assert table[1].split() == ["seed", *harness._COLUMNS]
+    assert (out / "adaptive" / "1" / "metrics.json").is_file()
+
+
+def test_cli_rejects_one_agent(tmp_path):
+    result = CliRunner().invoke(
+        cli.main,
+        ["run", "--scenario", "food_small", "--agents", "1", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == cli.EXIT_CONFIG

@@ -215,9 +215,9 @@ def site_compose(mind):
 
 
 def site_judge(mind):
-    candidates = collab_engine.candidate_plans(
+    candidates = collab_engine.plan_options(
         collab_engine.first_view(mind.world, "Bob", mind.registry)
-    )
+    )[: collab_engine.PREDICTED_PLANS]
     return mind.judge("Bob", candidates)
 
 

@@ -166,6 +166,15 @@ def scan_transported(facts, registry, ref: ObjectRef) -> bool:
     )
 
 
+def scan_holdings(facts, agent: str) -> list[ObjectRef]:
+    held = [
+        f.object
+        for f in facts
+        if f.relation == "HOLD" and f.subject == AgentName(agent) and isinstance(f.object, ObjectRef)
+    ]
+    return sorted(held, key=lambda r: r.id)
+
+
 def scan_holder(facts, ref: ObjectRef):
     for f in facts:
         if f.relation == "HOLD" and f.object == ref and isinstance(f.subject, AgentName):
