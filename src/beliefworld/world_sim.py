@@ -105,8 +105,6 @@ class VisualObservation:
     ``colocated`` carries same-room teammates with their held items.
     """
 
-    agent: str
-    frame: int
     room: ObjectRef
     exploration: str
     items: tuple[tuple[ObjectRef, str], ...]
@@ -391,8 +389,6 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
     )
 
     return VisualObservation(
-        agent=agent_name,
-        frame=state.frame,
         room=room,
         exploration=state.exploration_of(agent_name, agent.room_id),
         items=tuple(items),

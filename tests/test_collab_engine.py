@@ -396,10 +396,10 @@ def test_parse_message_rejects_free_text():
 # ---------------------------------------------------------------------------
 
 
-def obs(agent="Alice", room=KITCHEN, exploration="all", items=(), hands=(),
-        contents=(), at_bed=(), colocated=(), frame=0):
+def obs(room=KITCHEN, exploration="all", items=(), hands=(),
+        contents=(), at_bed=(), colocated=()):
     return VisualObservation(
-        agent=agent, frame=frame, room=room, exploration=exploration,
+        room=room, exploration=exploration,
         items=tuple(items), hands=tuple(hands), contents=tuple(contents),
         at_bed=tuple(at_bed), colocated=tuple(colocated),
     )

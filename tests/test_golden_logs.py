@@ -1,7 +1,7 @@
 """Golden-log gate: scripted episodes replay byte-for-byte.
 
 Each case runs one seed through the harness and compares the episode
-log's sha256 with the value recorded when the gate was introduced.  The
+log's sha256 with a recorded value.  The
 same run also pins what the engine sends the reasoner: the template id
 and vars of every request, in call order, hashed as canonical JSON.  A
 change that alters behaviour on purpose must re-record these digests and
@@ -17,20 +17,20 @@ from beliefworld import harness
 from beliefworld.reasoner import ScriptedReasoner
 
 GOLDEN = {
-    ("food_small", 2, "adaptive"): "866cb88186637886351d9bfa013bdcb422e00ffee83fcef1c2c8beef7c1a3d21",
+    ("food_small", 2, "adaptive"): "3ade3bf3a9ca1c91470dd835f7bf98112a98f77bdac24911b0bf3cfc3519a39b",
     ("food_small", 2, "never"): "f6e012514701e984ff3f7e1db7d46753d7a1504c0617c3ae229082aae3f722cf",
-    ("food_small", 2, "always"): "6f0fc5060e2aa6b1499affd385a1e0a79cc5e574936799cde2d38464d94a7c52",
-    ("stuff_small", 2, "always"): "0179158bdb374a61663636fd6d9eb36c3d84235a65b94b6dbae41d483d0797a1",
-    ("stuff_small", 4, "adaptive"): "f943d44001277c295c9580c1eac981324b92d4119b19ca3be3c6c1a93ded58ec",
+    ("food_small", 2, "always"): "3c37821fd6f21ec5c21d33edb490d9dff0538bfe794f63444d98e401788fd035",
+    ("stuff_small", 2, "always"): "faec0c2d9238e5de989480b7719e01f11662b879f112b0fdd494d20102abfce5",
+    ("stuff_small", 4, "adaptive"): "c0ddd18e603863c6d907a7aa768d9b0eee0f65c815b10c4548dd216d242e3f00",
 }
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (550, "51d380d69c93664e5bb26bcf6518319c63afa590c936da3d206bf3f585a6d9c1"),
+    ("food_small", 2, "adaptive"): (356, "bbca669e83276195257b05f01ac90f2c7b3124bc9509d0e2a508e0ec2145e365"),
     ("food_small", 2, "never"): (140, "a03ae901e7b212dad968e5fcb44ec0cac3f2676865253268c93445e6b0441618"),
-    ("food_small", 2, "always"): (555, "b57de288663e18fc2b07a4e1ac48dcf3d83d9b46236a1b21aa981dbe9b5afa04"),
-    ("stuff_small", 2, "always"): (336, "e339801f099a41baa7e6bc593c1fe8b22981db3c34d4cf08e58335b4c7fd78f9"),
-    ("stuff_small", 4, "adaptive"): (1160, "a9ac160ab9dc35bb61d3387f37bb49e3239ef46f12dbf9020d8dfc7a4fa980fd"),
+    ("food_small", 2, "always"): (342, "ca99abe1b83f2076b5dd23ff33052bc5a5adb1b667cd4b1c2151a60a67371ea4"),
+    ("stuff_small", 2, "always"): (308, "80bd4474df1d5c80e334b6f205118d72bc810d9acae09a674e0861665b36d326"),
+    ("stuff_small", 4, "adaptive"): (1075, "65fbe3c906defce8e5ad188b18a0ac7c7e51de74efe3c7b2990e45dce7972b65"),
 }
 
 

@@ -250,6 +250,14 @@ def test_observation_invariant_to_unrevealed_items_elsewhere():
     assert world_sim.observe(a, "Alice") == world_sim.observe(b, "Alice")
 
 
+def test_observation_unchanged_by_an_idle_frame():
+    # Nothing happened, so a finished agent sees nothing new and may sleep.
+    state = world_sim.init(tiny_scenario(reveal=1.0), 1)
+    before = world_sim.observe(state, "Alice")
+    state, _ = world_sim.apply(state, {})
+    assert world_sim.observe(state, "Alice") == before
+
+
 def test_colocated_hands_visible():
     state = world_sim.init(tiny_scenario(reveal=1.0), 1)
     run_until_idle(state, "Bob", GoGrasp(BANANA))
