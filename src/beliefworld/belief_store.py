@@ -195,4 +195,3 @@ class BeliefWorld:
             for fact in self.facts(about=c):
                 lines.append(f"first[{c}]: {fact}")
         return "\n".join(lines) + "\n"
-

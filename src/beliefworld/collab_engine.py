@@ -383,9 +383,12 @@ class MiscoordReport:
 
 
 def step_conflict(a: PlanStep, b: PlanStep, registry: EntityRegistry) -> str | None:
-    if isinstance(a, ExploreCurrent) and isinstance(b, ExploreCurrent) and a.room == b.room:
+    """The conflict kind when both steps explore one room or grasp one
+    object, else None.  Entities match by id: a remote reply may name a
+    known id under another name."""
+    if isinstance(a, ExploreCurrent) and isinstance(b, ExploreCurrent) and a.room.id == b.room.id:
         return SAME_ROOM_EXPLORE
-    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.item == b.item:
+    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.item.id == b.item.id:
         if registry.is_container(a.item.id):
             return SAME_CONTAINER_GRAB
         return SAME_GRASP_TARGET
@@ -932,7 +935,8 @@ class AgentMind:
                 plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
                 if plan is not None:
                     plans.append(plan)
-        return plans or plan_options(first_view(self.world, collab, self.registry))[:PREDICTED_PLANS]
+        view = first_view(self.world, collab, self.registry)
+        return plans or plan_options(view)[:PREDICTED_PLANS]
 
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan

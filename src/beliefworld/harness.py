@@ -129,7 +129,8 @@ def _agree_rules(
         return rule_consensus.canonical_rules(), max_rounds, 1
     problems = rule_consensus.checklist_review("\n".join(str(r) for r in consensus.rules))
     if problems:
-        log.warning("accepted rules fail review (%s); using the canonical rules", "; ".join(problems))
+        log.warning("accepted rules fail review (%s); using the canonical rules",
+                    "; ".join(problems))
         return rule_consensus.canonical_rules(), consensus.rounds, 1
     return consensus.rules, consensus.rounds, 0
 
@@ -204,7 +205,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 continue
             obs = world_sim.observe(state, mind.name)
             # A finished agent sleeps until it sees or hears anything new.
-            if mind.name in dormant and dormant[mind.name] == obs and not state.agent(mind.name).inbox:
+            if dormant.get(mind.name) == obs and not state.agent(mind.name).inbox:
                 continue
             inbox = world_sim.drain_inbox(state, mind.name)
             intent, payload = mind.decide(obs, inbox)

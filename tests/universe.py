@@ -167,10 +167,11 @@ def scan_transported(facts, registry, ref: ObjectRef) -> bool:
 
 
 def scan_holdings(facts, agent: str) -> list[ObjectRef]:
+    who = AgentName(agent)
     held = [
         f.object
         for f in facts
-        if f.relation == "HOLD" and f.subject == AgentName(agent) and isinstance(f.object, ObjectRef)
+        if f.relation == "HOLD" and f.subject == who and isinstance(f.object, ObjectRef)
     ]
     return sorted(held, key=lambda r: r.id)
 
