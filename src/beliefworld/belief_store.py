@@ -22,6 +22,11 @@ an agent, CONTAINed, or AT the goal all describe where one entity is, so
 asserting any of them displaces the others for that entity.  A fact of any
 other relation is its own slot.  Holdings are additionally bounded: at
 most ``MAX_HANDS`` held items per agent, at most one of them a container.
+
+A partition changes only through :meth:`BeliefWorld.assert_fact` and
+:meth:`BeliefWorld.retract_location`; both drop the partition's cached
+sorted text (:meth:`BeliefWorld.lines`), which every prompt and the
+snapshot read.
 """
 
 from __future__ import annotations
@@ -105,6 +110,9 @@ class BeliefWorld:
     def __post_init__(self):
         for c in self.collaborators:
             self.first.setdefault(c, {})
+        # The sorted rule strings (the rules never change), and lines() per partition.
+        self.rule_lines = tuple(sorted(map(str, self.rules)))
+        self._lines: dict[str | None, tuple[str, ...]] = {}
 
     # -- partitions ---------------------------------------------------
 
@@ -119,6 +127,13 @@ class BeliefWorld:
     def facts(self, about: str | None = None) -> list[AtomicBelief]:
         """Partition contents in canonical order."""
         return sorted(self.partition(about).values(), key=sbl.sort_key)
+
+    def lines(self, about: str | None = None) -> tuple[str, ...]:
+        """``str`` of each fact, in :meth:`facts` order; cached until the partition changes."""
+        text = self._lines.get(about)
+        if text is None:
+            text = self._lines[about] = tuple(sorted(map(str, self.partition(about).values())))
+        return text
 
     # -- conformance ---------------------------------------------------
 
@@ -148,25 +163,29 @@ class BeliefWorld:
         """Insert a ground fact, displacing whatever occupied its slot.
 
         ``about=None`` targets the zero partition, a collaborator name its
-        first-order partition.  Re-asserting an identical fact is a no-op;
+        first-order partition.  Re-asserting an identical fact is a no-op
+        that skips the conformance scan (the stored fact passed it, and the
+        rules never change), so an unknown ``about`` raises
+        :class:`UnknownCollaborator` before any :class:`RuleViolation` for
         a fact matching no consensus rule, a third held item, or a second
-        held container raises :class:`RuleViolation`.
+        held container.  Storing a fact drops the cached :meth:`lines`.
         """
         if not fact.is_ground:
             raise RuleViolation("only ground facts can be stored", fact)
-        order = 0 if about is None else 1
-        if not self._conforms(fact, order):
-            raise RuleViolation("fact conforms to no consensus rule", fact)
         partition = self.partition(about)
         key = slot(fact)
         if partition.get(key) == fact:
             return
+        if not self._conforms(fact, 0 if about is None else 1):
+            raise RuleViolation("fact conforms to no consensus rule", fact)
         self._check_bounds(fact, partition)
         partition[key] = fact
+        self._lines.pop(about, None)
 
     def retract_location(self, entity: ObjectRef, *, about: str | None = None) -> None:
         """Forget where an entity is (its location became unknown)."""
-        self.partition(about).pop(location_slot(entity), None)
+        if self.partition(about).pop(location_slot(entity), None) is not None:
+            self._lines.pop(about, None)
 
     def holds(self, fact: AtomicBelief, *, about: str | None = None) -> bool:
         return self.partition(about).get(slot(fact)) == fact
@@ -185,13 +204,9 @@ class BeliefWorld:
     def snapshot(self) -> str:
         """Canonical line-per-fact dump, sorted; stable across runs."""
         lines = [f"world: {self.owner}"]
+        lines += [f"collaborator: {c}" for c in sorted(self.first)]
+        lines += [f"rule: {r}" for r in self.rule_lines]
+        lines += [f"zero: {f}" for f in self.lines()]
         for c in sorted(self.first):
-            lines.append(f"collaborator: {c}")
-        for rule in sorted(self.rules, key=sbl.sort_key):
-            lines.append(f"rule: {rule}")
-        for fact in self.facts():
-            lines.append(f"zero: {fact}")
-        for c in sorted(self.first):
-            for fact in self.facts(about=c):
-                lines.append(f"first[{c}]: {fact}")
+            lines += [f"first[{c}]: {f}" for f in self.lines(c)]
         return "\n".join(lines) + "\n"

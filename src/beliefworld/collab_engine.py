@@ -645,16 +645,16 @@ def _facts_from_lines(lines: str, order: int) -> list[AtomicBelief]:
 
 
 def zero_lines(world: BeliefWorld) -> str:
-    lines = [f"{world.owner} BELIEVE {f}" for f in world.facts()]
-    return "\n".join(lines) if lines else "None"
+    prefix, lines = f"{world.owner} BELIEVE ", world.lines()
+    return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
 def first_lines(world: BeliefWorld, collab: str) -> str:
-    lines = [f"{world.owner} BELIEVE {collab} BELIEVE {f}" for f in world.facts(about=collab)]
-    return "\n".join(lines) if lines else "None"
+    prefix, lines = f"{world.owner} BELIEVE {collab} BELIEVE ", world.lines(collab)
+    return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
 
 def rules_text(world: BeliefWorld) -> str:
-    return "\n".join(str(r) for r in sorted(world.rules, key=str))
+    return "\n".join(world.rule_lines)
 
 
 def plans_text(plans: list[Plan]) -> str:

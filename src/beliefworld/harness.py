@@ -31,7 +31,7 @@ from .collab_engine import MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
-from .sbl import BeliefExpr
+from .sbl import BeliefExpr, unify_atomic
 
 log = logging.getLogger(__name__)
 
@@ -118,8 +118,9 @@ def _agree_rules(
 ) -> tuple[tuple[BeliefExpr, ...], int, int]:
     """The rules, the consensus rounds, and 1 when the canonical rules
     stand in, else 0.  They stand in when the dialogue fails (the rounds
-    are then the whole budget) or the accepted rules fail the checklist
-    review."""
+    are then the whole budget), when the accepted rules fail the checklist
+    review, or when some canonical rule matches no accepted rule of its
+    order: a narrower accepted rule would reject observed facts."""
     try:
         consensus = rule_consensus.consensus_loop(
             reasoner, reasoner, task_description(scenario), max_rounds=max_rounds
@@ -127,7 +128,13 @@ def _agree_rules(
     except rule_consensus.ConsensusFailure as exc:
         log.warning("rule consensus failed (%s); using the canonical rules", exc)
         return rule_consensus.canonical_rules(), max_rounds, 1
-    problems = rule_consensus.checklist_review("\n".join(str(r) for r in consensus.rules))
+    problems = [*rule_consensus.checklist_review("\n".join(str(r) for r in consensus.rules))]
+    problems += [
+        f"no accepted rule covers {c}"
+        for c in rule_consensus.canonical_rules()
+        if not any(a.order == c.order and unify_atomic(a.body, c.body) is not None
+                   for a in consensus.rules)
+    ]
     if problems:
         log.warning("accepted rules fail review (%s); using the canonical rules",
                     "; ".join(problems))

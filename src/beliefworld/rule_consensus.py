@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cache
 
 from . import prompts, sbl
 from .prompts import ReasonerRequest
@@ -71,6 +72,7 @@ class ConsensusFailure(RuntimeError):
         self.review = review
 
 
+@cache
 def canonical_rules() -> tuple[sbl.BeliefExpr, ...]:
     return tuple(sbl.parse(line) for line in CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
 

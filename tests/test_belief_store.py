@@ -10,7 +10,7 @@ from beliefworld.belief_store import (
     RuleViolation,
     UnknownCollaborator,
 )
-from beliefworld.collab_engine import first_view, zero_view
+from beliefworld.collab_engine import first_lines, first_view, ingest_facts, zero_lines, zero_view
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
@@ -20,6 +20,7 @@ from universe import (
     scan_holdings,
     scan_room_of,
     scan_room_of_object,
+    scan_snapshot,
     scan_transported,
 )
 
@@ -120,28 +121,30 @@ WORLD_OBJECTS = [
 ]
 
 
-def _random_world(rng: random.Random) -> BeliefWorld:
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), CONTAINERS)
+def _random_fact(rng: random.Random) -> AtomicBelief:
     agents = ("Alice", "Bob")
     objects = WORLD_OBJECTS
     rooms = [ObjectRef(n, i) for n, i in (("kitchen", 2000), ("office", 3000), ("livingroom", 1000))]
+    kind = rng.random()
+    if kind < 0.3:
+        return AtomicBelief(rng.choice(objects), "IN", rng.choice(rooms))
+    if kind < 0.5:
+        return AtomicBelief(rng.choice(rooms), "EXPLORED", StateAtom(rng.choice(("none", "part", "all"))))
+    if kind < 0.65:
+        return AtomicBelief(AgentName(rng.choice(agents)), "AT", rng.choice(rooms))
+    if kind < 0.8:
+        return AtomicBelief(AgentName(rng.choice(agents)), "HOLD", rng.choice(objects))
+    if kind < 0.9:
+        return AtomicBelief(ObjectRef("bowl", 9), "CONTAIN", rng.choice(objects[:3]))
+    return AtomicBelief(rng.choice(objects), "AT", BED)
+
+
+def _random_world(rng: random.Random) -> BeliefWorld:
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), CONTAINERS)
     for _ in range(rng.randint(0, 30)):
         about = rng.choice((None, "Bob"))
-        kind = rng.random()
-        if kind < 0.3:
-            f = AtomicBelief(rng.choice(objects), "IN", rng.choice(rooms))
-        elif kind < 0.5:
-            f = AtomicBelief(rng.choice(rooms), "EXPLORED", StateAtom(rng.choice(("none", "part", "all"))))
-        elif kind < 0.65:
-            f = AtomicBelief(AgentName(rng.choice(agents)), "AT", rng.choice(rooms))
-        elif kind < 0.8:
-            f = AtomicBelief(AgentName(rng.choice(agents)), "HOLD", rng.choice(objects))
-        elif kind < 0.9:
-            f = AtomicBelief(ObjectRef("bowl", 9), "CONTAIN", rng.choice(objects[:3]))
-        else:
-            f = AtomicBelief(rng.choice(objects), "AT", BED)
         try:
-            world.assert_fact(f, about=about)
+            world.assert_fact(_random_fact(rng), about=about)
         except RuleViolation:
             pass
     return world
@@ -219,6 +222,39 @@ def test_slot_reads_match_reference_scans(food_registry):
                 assert view.believed_holder(ref) == scan_holder(facts, ref), f"case {case}"
                 expected_done = scan_transported(facts, food_registry, ref)
                 assert view.believed_transported(ref) == expected_done, f"case {case}"
+
+
+def test_cached_text_follows_every_change():
+    """After each store, retraction, re-assert or ingested batch, the
+    cached partition text, the prompt renderings and the snapshot equal
+    the same text rebuilt from ``facts()``."""
+    rng = random.Random(4242)
+    absent = ObjectRef("ghost", 99)
+    for case in range(150):
+        world = _random_world(rng)
+        for step in range(25):
+            about = rng.choice((None, "Bob"))
+            held = list(world.partition(about).values())
+            op = rng.random()
+            if op < 0.2 and held:
+                world.assert_fact(rng.choice(held), about=about)
+            elif op < 0.4:
+                world.retract_location(rng.choice(WORLD_OBJECTS + [absent]), about=about)
+            elif op < 0.6:
+                ingest_facts(world, [_random_fact(rng) for _ in range(rng.randint(1, 4))], about)
+            else:
+                try:
+                    world.assert_fact(_random_fact(rng), about=about)
+                except RuleViolation:
+                    pass
+            where = f"case {case} step {step}"
+            for part in (None, "Bob"):
+                assert world.lines(part) == tuple(str(f) for f in world.facts(part)), where
+            zero = [f"Alice BELIEVE {f}" for f in world.facts()]
+            first = [f"Alice BELIEVE Bob BELIEVE {f}" for f in world.facts(about="Bob")]
+            assert zero_lines(world) == ("\n".join(zero) if zero else "None"), where
+            assert first_lines(world, "Bob") == ("\n".join(first) if first else "None"), where
+            assert world.snapshot() == scan_snapshot(world), where
 
 
 def test_snapshot_empty_world_header_only(world):

@@ -5,11 +5,16 @@ log's sha256 with a recorded value.  The
 same run also pins what the engine sends the reasoner: the template id
 and vars of every request, in call order, hashed as canonical JSON.  A
 change that alters behaviour on purpose must re-record these digests and
-say why; a refactor must leave them alone.
+say why; a refactor must leave them alone.  Replays must also not
+depend on the interpreter's string-hash seed.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +54,19 @@ def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     digest = hashlib.sha256(json.dumps(calls, sort_keys=True).encode()).hexdigest()
     assert (len(calls), digest) == GOLDEN_REQUESTS[(scenario, agents, mode)]
+
+
+@pytest.mark.parametrize("hash_seed", ("0", "123"))
+def test_replay_does_not_depend_on_the_hash_seed(hash_seed):
+    script = (
+        "from beliefworld import harness\n"
+        "cfg = harness.RunConfig(scenario='food_small', seeds=(1,), agents=2, mode='adaptive')\n"
+        "print(harness.run_episode(cfg, 1)[0].sha256())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == GOLDEN[("food_small", 2, "adaptive")]

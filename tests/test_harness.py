@@ -23,6 +23,18 @@ class NoPositionRules(ScriptedReasoner):
         return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
 
 
+class NarrowIn(ScriptedReasoner):
+    """Proposes the canonical rules with every IN pinned to the kitchen,
+    and approves anything: the rules pass the checklist but would reject
+    an object seen in any other room."""
+
+    def _answer_rules_propose(self, vars):
+        return super()._answer_rules_propose(vars).replace(" IN ?room", " IN <kitchen>(2000)")
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
+
+
 class AlwaysRejects(ScriptedReasoner):
     """Rejects every proposal, so the rule dialogue never agrees."""
 
@@ -30,7 +42,7 @@ class AlwaysRejects(ScriptedReasoner):
         return "Reasoning: not yet.\nSuggestions: start over\nSatisfied: no\n"
 
 
-@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, AlwaysRejects))
+@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, NarrowIn, AlwaysRejects))
 def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkeypatch):
     monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner_cls())
     cfg = harness.RunConfig(scenario="food_small", seeds=(1,))

@@ -1,0 +1,76 @@
+"""Scenario loading, validation, roster extension and the entity registry."""
+
+import json
+from importlib import resources
+
+import pytest
+
+from beliefworld.scenario import (
+    CONTAINER,
+    CONTAINER_CAPACITY,
+    EXTRA_AGENT_NAMES,
+    TARGET,
+    EntityRegistry,
+    ScenarioError,
+    load_scenario,
+    scenario_from_dict,
+)
+
+
+def food_small_data() -> dict:
+    path = resources.files("beliefworld").joinpath("scenarios/food_small.json")
+    return json.loads(path.read_text())
+
+
+def test_every_violation_is_listed_in_one_error():
+    data = food_small_data()
+    data["objects"][1]["id"] = data["objects"][0]["id"]
+    data["rooms"].append({"name": "attic", "id": 5000})
+    data["container_capacity"] = CONTAINER_CAPACITY + 1
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(data)
+    message = str(exc.value)
+    assert f"duplicate entity id {data['objects'][0]['id']}" in message
+    assert "room graph is not connected" in message
+    assert f"container_capacity is fixed at {CONTAINER_CAPACITY}" in message
+
+
+def test_with_agents_needs_two():
+    with pytest.raises(ScenarioError):
+        load_scenario("food_small").with_agents(1)
+
+
+def test_with_agents_extends_round_robin_over_listed_starts():
+    scn = load_scenario("food_small")
+    listed = scn.agents
+    grown = scn.with_agents(4).agents
+    assert grown[:2] == listed
+    assert [name for name, _ in grown[2:]] == list(EXTRA_AGENT_NAMES[:2])
+    assert [room for _, room in grown[2:]] == [room for _, room in listed]
+    assert scn.with_agents(2).agents == listed
+
+
+def test_unknown_scenario_name_raises():
+    with pytest.raises(ScenarioError):
+        load_scenario("nope")
+
+
+def test_distance_is_zero_in_place_and_symmetric():
+    registry = EntityRegistry(load_scenario("food_small"))
+    rooms = sorted(registry.rooms_by_id)
+    for a in rooms:
+        assert registry.distance(a, a) == 0
+        for b in rooms:
+            assert registry.distance(a, b) == registry.distance(b, a)
+            if a != b:
+                assert registry.distance(a, b) > 0
+
+
+@pytest.mark.parametrize("name", ("food_small", "stuff_small"))
+def test_kind_id_sets_match_declared_objects(name):
+    scn = load_scenario(name)
+    registry = EntityRegistry(scn)
+    assert registry.target_ids() == {ref.id for ref, kind, _ in scn.objects if kind == TARGET}
+    assert registry.container_ids() == {
+        ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
+    }

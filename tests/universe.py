@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own matching and diff
 code paths: the unification oracle enumerates substitutions positionally,
-the misalignment oracle diffs snapshot text, the slot-read oracles scan
-every fact instead of looking up one slot, and the planner oracle is a
-separate translation of the documented priority rules using networkx for
+the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
+that text from the sorted facts, the slot-read oracles scan every fact
+instead of looking up one slot, and the planner oracle is a separate
+translation of the documented priority rules using networkx for
 distances.
 """
 
@@ -124,6 +125,18 @@ def misalignment_oracle(world, collaborator: str) -> list[str]:
         elif line.startswith(f"first[{collaborator}]: "):
             first.add(line.split(": ", 1)[1])
     return [fact for fact in zero if fact not in first]
+
+
+def scan_snapshot(world) -> str:
+    """The snapshot text rebuilt from ``facts()`` and the rules sorted by
+    their text, without the world's cached partition text."""
+    lines = [f"world: {world.owner}"]
+    lines += [f"collaborator: {c}" for c in sorted(world.first)]
+    lines += [f"rule: {r}" for r in sorted(world.rules, key=str)]
+    lines += [f"zero: {f}" for f in world.facts()]
+    for c in sorted(world.first):
+        lines += [f"first[{c}]: {f}" for f in world.facts(about=c)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
