@@ -112,6 +112,10 @@ class BeliefWorld:
             self.first.setdefault(c, {})
         # The sorted rule strings (the rules never change), and lines() per partition.
         self.rule_lines = tuple(sorted(map(str, self.rules)))
+        # Rule bodies by (order, relation): unify_atomic rejects any other relation.
+        self._bodies: dict[tuple[int, str], list[AtomicBelief]] = {}
+        for rule in self.rules:
+            self._bodies.setdefault((rule.order, rule.body.relation), []).append(rule.body)
         self._lines: dict[str | None, tuple[str, ...]] = {}
 
     # -- partitions ---------------------------------------------------
@@ -138,10 +142,10 @@ class BeliefWorld:
     # -- conformance ---------------------------------------------------
 
     def _conforms(self, fact: AtomicBelief, order: int) -> bool:
-        for rule in self.rules:
-            if rule.order == order and sbl.unify_atomic(rule.body, fact) is not None:
-                return True
-        return False
+        return any(
+            sbl.unify_atomic(body, fact) is not None
+            for body in self._bodies.get((order, fact.relation), ())
+        )
 
     def _check_bounds(self, fact: AtomicBelief, partition: Partition) -> None:
         if fact.relation != "HOLD":

@@ -5,7 +5,10 @@ rules, broadcast to everyone), then the lockstep decision loop until every
 target is delivered or the frame budget runs out, then metrics computed
 from the persisted log.  Each decision tick, an agent's intent (a message
 to broadcast or a plan step) goes to the simulator as ``decide`` returned
-it.  A reasoning call the remote model fails to answer falls back to the
+it.  A tick with no intents means every idle agent is asleep, so the loop
+skips the quiet frames up to the next completion (or the frame budget)
+instead of stepping them one by one; the log is the same either way.
+A reasoning call the remote model fails to answer falls back to the
 collaboration engine's own heuristics for that step, and when the rule
 dialogue fails or the rules it accepts fail the checklist review, the
 canonical rules stand in (the header's ``consensus_fallbacks`` counts
@@ -228,6 +231,9 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             intents[mind.name] = intent
             if not isinstance(intent, SendMessage):
                 log_.append(state.frame, mind.name, "action_start", {"action": str(intent)})
+        if not intents:
+            # Everyone idle is asleep: nothing is seen or heard until a completion.
+            world_sim.skip_quiet_frames(state)
         state, results = world_sim.apply(state, intents)
         for mind in minds:
             result = results.get(mind.name)

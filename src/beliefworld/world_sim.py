@@ -3,9 +3,11 @@
 The world advances one frame per :func:`apply` call.  Agents submit an
 intent when idle and ``CONTINUE`` while an action is in progress; actions
 occupy a fixed number of frames and mutate state atomically on their final
-frame.  All randomness comes from per-agent streams derived from the
-episode seed, so a (scenario, seed, intent sequence) triple replays to a
-bit-identical trajectory.
+frame.  A frame without intents or completions therefore changes nothing
+an agent can observe, and :func:`skip_quiet_frames` jumps over such frames
+up to the next completion or the frame budget.  All randomness comes from
+per-agent streams derived from the episode seed, so a (scenario, seed,
+intent sequence) triple replays to a bit-identical trajectory.
 
 Frame costs:
 
@@ -348,6 +350,26 @@ def apply(
 
     _check_invariants(state)
     return state, results
+
+
+def skip_quiet_frames(state: WorldState) -> None:
+    """Jump over frames in which nothing can happen, when no one acts.
+
+    Moves ``state.frame`` forward and counts every busy agent's action
+    down by the same amount, up to one frame before the earliest
+    completion or the frame budget, so the next :func:`apply` runs the
+    frame that changes something (or times out).  Only valid when no
+    intents are submitted: a frame with neither intents nor completions
+    changes nothing but the frame and the countdowns.
+    """
+    budget = state.registry.scenario.frame_budget
+    busy = [a for a in state.agents if a.busy is not None]
+    skip = min([budget - state.frame, *(a.busy[1] for a in busy)]) - 1
+    if skip > 0:
+        state.frame += skip
+        for agent in busy:
+            action, remaining = agent.busy
+            agent.busy = (action, remaining - skip)
 
 
 def observe(state: WorldState, agent_name: str) -> VisualObservation:

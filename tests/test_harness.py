@@ -2,11 +2,12 @@
 seed parsing and one batch through the command line."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from beliefworld import cli, harness
+from beliefworld import cli, harness, world_sim
 from beliefworld.episode_log import EpisodeLog, LogError, metrics
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
@@ -52,6 +53,48 @@ def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkey
     assert header["consensus_fallbacks"] == 1
     assert len(episode.of_kind("done")) == 1
     assert result.reasoner_fallbacks == 1
+
+
+@pytest.mark.parametrize(
+    "scenario,agents,mode,budget",
+    [
+        ("food_small", 2, "never", None),
+        ("food_small", 2, "always", None),
+        ("stuff_small", 4, "adaptive", None),
+        ("food_small", 2, "adaptive", 400),
+    ],
+)
+def test_skipping_quiet_frames_leaves_the_log_unchanged(
+    scenario, agents, mode, budget, monkeypatch
+):
+    if budget is not None:
+        load = harness.load_scenario
+        monkeypatch.setattr(
+            harness, "load_scenario", lambda name: replace(load(name), frame_budget=budget)
+        )
+    cfg = harness.RunConfig(scenario=scenario, seeds=(2,), agents=agents, mode=mode)
+    skipped, _ = harness.run_episode(cfg, 2)
+    monkeypatch.setattr(world_sim, "skip_quiet_frames", lambda state: None)
+    stepped, result = harness.run_episode(cfg, 2)
+    assert skipped.to_text() == stepped.to_text()
+    if budget is not None:
+        assert skipped.of_kind("done")[0]["payload"]["reason"] == "timeout"
+        assert result.frames_used == budget
+
+
+def test_quiet_frames_are_not_stepped_one_by_one(monkeypatch):
+    calls = []
+    apply = world_sim.apply
+
+    def counting(state, intents):
+        calls.append(state.frame)
+        return apply(state, intents)
+
+    monkeypatch.setattr(world_sim, "apply", counting)
+    cfg = harness.RunConfig(scenario="food_small", seeds=(1,), mode="never")
+    _, result = harness.run_episode(cfg, 1)
+    assert result.frames_used > 1000
+    assert len(calls) < 100
 
 
 def done_log(count: int) -> EpisodeLog:

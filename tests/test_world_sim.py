@@ -2,8 +2,11 @@
 
 import copy
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beliefworld import world_sim
 from beliefworld.actions import CONTINUE, ExploreCurrent, GoGrasp, GoTo, Put, SendMessage, Transport
@@ -239,8 +242,6 @@ def test_is_done_complete():
 def test_observation_invariant_to_unrevealed_items_elsewhere():
     # Moving a never-revealed object between the *other* rooms must not
     # change what an agent observes where it stands.
-    from dataclasses import replace
-
     base = tiny_scenario(reveal=0.0)
     objects = list(base.objects)
     objects[1] = (PEN, "target", 4000)  # pen moves office -> goal room
@@ -293,6 +294,17 @@ def test_trajectory_determinism_bitwise():
     assert trajectory(11) == trajectory(11)
 
 
+def random_intents(state, rng):
+    """Fuzz intents: each idle agent starts a random legal intent 80% of the time."""
+    intents = {}
+    for agent in state.agents:
+        if agent.busy is None and rng.random() < 0.8:
+            options = world_sim.legal_intents(state, agent.name)
+            if options:
+                intents[agent.name] = rng.choice(options)
+    return intents
+
+
 def test_conservation_fuzz():
     scn = load_scenario("food_small")
     rng = random.Random(999)
@@ -300,14 +312,71 @@ def test_conservation_fuzz():
     while applies < 2000:
         state = world_sim.init(scn, rng.randint(0, 10**6))
         for _ in range(400):
-            intents = {}
-            for agent in state.agents:
-                if agent.busy is None and rng.random() < 0.8:
-                    options = world_sim.legal_intents(state, agent.name)
-                    if options:
-                        intents[agent.name] = rng.choice(options)
-            world_sim.apply(state, intents)  # invariants checked inside
+            world_sim.apply(state, random_intents(state, rng))  # invariants checked inside
             applies += 1
             done, _ = world_sim.is_done(state)
             if done:
                 break
+
+
+def observable(state):
+    """Everything a quiet frame could change, as one comparable value."""
+    return (
+        state.frame,
+        sorted(state.locations.items()),
+        sorted(state.lost_containers),
+        [(a.name, a.busy, a.hands, a.room_id, a.inbox) for a in state.agents],
+        sorted(state.explored.items()),
+        sorted((name, sorted(ids)) for name, ids in state.revealed.items()),
+        state.pending_messages,
+    )
+
+
+def frames_left(state):
+    return [a.busy[1] for a in state.agents if a.busy is not None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    world_seed=st.integers(0, 10**6),
+    intent_seed=st.integers(0, 10**6),
+    steps=st.integers(0, 300),
+    budget=st.integers(1, 1500),
+    message=st.booleans(),
+    to_edge=st.booleans(),
+)
+def test_skip_quiet_frames_matches_frame_by_frame(
+    world_seed, intent_seed, steps, budget, message, to_edge
+):
+    scn = replace(load_scenario("food_small"), frame_budget=budget)
+    rng = random.Random(intent_seed)
+    state = world_sim.init(scn, world_seed)
+    for _ in range(steps):
+        if world_sim.is_done(state)[0]:
+            break
+        world_sim.apply(state, random_intents(state, rng))
+    if message and not world_sim.is_done(state)[0]:
+        # Leave an undrained message in an inbox: the skip must keep it.
+        idle = [a.name for a in state.agents if a.busy is None]
+        if idle:
+            world_sim.apply(state, {idle[0]: SendMessage("hello")})
+    while to_edge and min(frames_left(state), default=1) > 1 and not world_sim.is_done(state)[0]:
+        world_sim.apply(state, {})  # up to the frame before a completion
+    assume(not world_sim.is_done(state)[0])
+
+    stepped = copy.deepcopy(state)
+    completes_next = 1 in frames_left(state)
+    before = observable(state)
+    world_sim.skip_quiet_frames(state)
+    if completes_next:
+        assert observable(state) == before
+    assert state.frame < budget
+    _, results = world_sim.apply(state, {})
+
+    while stepped.frame < state.frame - 1:
+        _, quiet = world_sim.apply(stepped, {})
+        assert {r.status for r in quiet.values()} <= {"idle", "in_progress"}
+    _, stepped_results = world_sim.apply(stepped, {})
+    assert observable(state) == observable(stepped)
+    assert results == stepped_results
+    assert world_sim.is_done(state) == world_sim.is_done(stepped)
