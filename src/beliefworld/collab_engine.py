@@ -748,36 +748,61 @@ def update_from_messages(
     reasoner,
     registry: EntityRegistry,
 ) -> dict[str, Plan]:
-    """Fold inbox messages into both belief orders via the reasoner.
+    """Fold one tick's inbox into both belief orders via the reasoner.
 
-    Each message updates the zero partition (the owner now knows what it
-    was told) and the sender's first-order partition (the sender plainly
-    knows what it said).  Returns any plans the senders declared.  Where
-    no usable remote reply arrives, the message grammar is read directly:
-    unparseable messages are ignored with a warning, facts with variables
-    are dropped, and plans naming unknown entities are not declared.
-    Facts that violate the consensus rules are dropped individually.
+    The inbox is one batch: a single ``update_zero`` request carries every
+    ``sender: text`` line in arrival order (the owner now knows what it
+    was told), and one ``update_first`` request per distinct sender
+    carries that sender's lines alone (the sender plainly knows what it
+    said).  A usable remote reply is ingested as one batch into its
+    partition.  Where no usable reply arrives, the message grammar is read
+    directly, message by message in arrival order: unparseable messages
+    are ignored with a warning, facts with variables are dropped, and
+    plans naming unknown entities are not declared.  Facts that violate
+    the consensus rules are dropped individually.  Messages from
+    unregistered senders are ignored with a warning.
+
+    Returns the plans the senders declared, keyed in the order of each
+    sender's first message declaring one; a sender's later declaration
+    replaces its earlier one.
     """
-    declared: dict[str, Plan] = {}
+    mail = []
     for sender, text in inbox:
         if sender not in world.first:
             log.warning("message from unregistered sender %r ignored", sender)
-            continue
-        vars = {
+        else:
+            mail.append((sender, text))
+    if not mail:
+        return {}
+    senders = tuple(dict.fromkeys(sender for sender, _ in mail))
+    rule = rules_text(world)
+
+    def ask(template_id: str, oppo: str, lines: list[tuple[str, str]]):
+        return _ask(reasoner, template_id, {
             "AGENT_NAME": world.owner,
-            "OPPO_NAME": sender,
-            "MESSAGE": f"{sender}: {text}",
-            "RULE": rules_text(world),
-        }
-        zero_resp = _ask(reasoner, "update_zero", vars)
-        first_resp = _ask(reasoner, "update_first", vars)
-        # The message itself is parsed only when some reply is not usable.
-        heard = functools.cache(lambda text=text: _heard(text, registry))
-        zero = _reply_facts(zero_resp, "Zero order beliefs", 0)
-        first = _reply_facts(first_resp, "First order beliefs", 1)
-        ingest_facts(world, heard()[0] if zero is None else zero, None)
-        ingest_facts(world, heard()[0] if first is None else first, sender)
-        plan = _plan_reply(first_resp, registry, lambda: heard()[1])
+            "OPPO_NAME": oppo,
+            "MESSAGE": "\n".join(f"{sender}: {text}" for sender, text in lines),
+            "RULE": rule,
+        })
+
+    zero = _reply_facts(ask("update_zero", ", ".join(senders), mail), "Zero order beliefs", 0)
+    first_resp = {s: ask("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
+    first = {s: _reply_facts(r, "First order beliefs", 1) for s, r in first_resp.items()}
+    if zero is not None:
+        ingest_facts(world, zero, None)
+    for sender in senders:
+        if first[sender] is not None:
+            ingest_facts(world, first[sender], sender)
+
+    # A message text is parsed only when some reply is not usable.
+    heard = functools.cache(lambda text: _heard(text, registry))
+    declared: dict[str, Plan] = {}
+    for sender, text in mail:
+        if zero is None:
+            ingest_facts(world, heard(text)[0], None)
+        if first[sender] is None:
+            ingest_facts(world, heard(text)[0], sender)
+        plan = _plan_reply(first_resp[sender], registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared

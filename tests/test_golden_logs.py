@@ -31,11 +31,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (356, "bbca669e83276195257b05f01ac90f2c7b3124bc9509d0e2a508e0ec2145e365"),
+    ("food_small", 2, "adaptive"): (340, "f829670049dd240bfc7cc144805c749fc579fe030a52d4ecfa5e982dc13351ca"),
     ("food_small", 2, "never"): (140, "a03ae901e7b212dad968e5fcb44ec0cac3f2676865253268c93445e6b0441618"),
-    ("food_small", 2, "always"): (342, "ca99abe1b83f2076b5dd23ff33052bc5a5adb1b667cd4b1c2151a60a67371ea4"),
-    ("stuff_small", 2, "always"): (308, "80bd4474df1d5c80e334b6f205118d72bc810d9acae09a674e0861665b36d326"),
-    ("stuff_small", 4, "adaptive"): (1075, "65fbe3c906defce8e5ad188b18a0ac7c7e51de74efe3c7b2990e45dce7972b65"),
+    ("food_small", 2, "always"): (324, "c38f6b4c1b63fa4c09ef852ca8bf9fe4b59d7a165edf60d35f7e179ba0fa7775"),
+    ("stuff_small", 2, "always"): (292, "a6cf6e73e439750ee2b54b5de24324726b763794407d447cd875dff8185a553c"),
+    ("stuff_small", 4, "adaptive"): (979, "46890adb1ebea08ae722f9a404bcb3e1fa9b950930a794223306a2d24bcb47e3"),
 }
 
 
