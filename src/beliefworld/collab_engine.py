@@ -923,7 +923,8 @@ class AgentMind:
                 step = self.next_action()
             except StalePlan as exc:
                 log.debug("%s: stale plan (%s); replanning", self.name, exc)
-                self.adopt(self.replan(next(iter(declared.values()), None), self.default_oppo))
+                oppo, avoid = next(iter(declared.items()), (self.default_oppo, None))
+                self.adopt(self.replan(avoid, oppo))
             else:
                 if step != SUBPLAN_DONE:
                     return step

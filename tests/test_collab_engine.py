@@ -698,3 +698,34 @@ def test_three_agent_pairwise_heaviness():
     heavy_by = {r["collaborator"]: r["heavy"] for r in payload["reports"]}
     assert heavy_by["Charlie"] and not heavy_by["Bob"]
     assert isinstance(intent, SendMessage)
+
+
+class RecordingScripted(ScriptedReasoner):
+    """The scripted backend, keeping every request it was sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
+def test_stale_replan_names_the_declaring_collaborator(food_registry):
+    # Carol, not the first collaborator Bob, declares a plan and takes the
+    # apple Alice meant to grasp: the stale-plan replan avoids Carol's plan
+    # and must name Carol as its owner.
+    world = make_world(food_registry, collaborators=("Bob", "Carol"))
+    reasoner = RecordingScripted()
+    mind = AgentMind(name="Alice", world=world, registry=food_registry,
+                     reasoner=reasoner, goal=food_registry.goal)
+    world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
+    world.assert_fact(fact("Carol AT <office>(3000)"), about="Carol")
+    mind.adopt(Plan((GoGrasp(ObjectRef("apple", 101)),)))
+    carol_plan = "go to <office>(3000); explore current room <office>(3000)"
+    inbox = [("Carol", f"FACTS: Carol HOLD <apple>(101) | PLAN: {carol_plan}")]
+    mind.decide(obs(exploration="part"), inbox)
+    replans = [r.vars for r in reasoner.requests if r.template_id == "replan"]
+    assert replans[0]["OPPO_NAME"] == "Carol"
+    assert replans[0]["OPPO_PLAN"] == carol_plan

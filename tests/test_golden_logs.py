@@ -35,7 +35,7 @@ GOLDEN_REQUESTS = {
     ("food_small", 2, "never"): (140, "a03ae901e7b212dad968e5fcb44ec0cac3f2676865253268c93445e6b0441618"),
     ("food_small", 2, "always"): (324, "c38f6b4c1b63fa4c09ef852ca8bf9fe4b59d7a165edf60d35f7e179ba0fa7775"),
     ("stuff_small", 2, "always"): (292, "a6cf6e73e439750ee2b54b5de24324726b763794407d447cd875dff8185a553c"),
-    ("stuff_small", 4, "adaptive"): (979, "46890adb1ebea08ae722f9a404bcb3e1fa9b950930a794223306a2d24bcb47e3"),
+    ("stuff_small", 4, "adaptive"): (979, "5d848242eeea66bb70c1b9b82f01d5bb2f56088501c9cc64a61f7eeca3f2ed24"),
 }
 
 
