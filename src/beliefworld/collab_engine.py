@@ -21,8 +21,10 @@ Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in.  The steps of the loop
 (predict self, predict a collaborator, replan, next action, compose,
 judge) are methods of :class:`AgentMind`, which reads its beliefs, goal
-and backend from itself; the inbox update is a module function.  All of
-them send their request through one helper, :func:`_ask`.  This module
+and backend from itself; the inbox update is a module function that
+sends one tick's inbox as one batch: one ``update_zero`` request for all
+of it and one ``update_first`` request per sender.  All of them send
+their request through one helper, :func:`_ask`.  This module
 alone decides: a remote model's answer is taken when one arrives and
 parses, and otherwise the step falls back to the heuristics here
 (planning, miscoordination detection, the message grammar), read
@@ -506,8 +508,13 @@ def compose_message(
     return text[:MAX_MESSAGE_CHARS]
 
 
-def parse_message(text: str) -> tuple[list[AtomicBelief], Plan | None]:
-    """Parse the structured message grammar; raises ParseError otherwise."""
+@functools.lru_cache(maxsize=64)
+def parse_message(text: str) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
+    """Parse the structured message grammar; raises ParseError otherwise.
+
+    Every recipient of a broadcast parses the same text, and so does its
+    sender, so results are memoized; they are immutable to be shared.
+    """
     m = _MESSAGE_RE.match(text.strip())
     if not m:
         raise ParseError("message does not match 'FACTS: ... | PLAN: ...'", 0)
@@ -518,7 +525,11 @@ def parse_message(text: str) -> tuple[list[AtomicBelief], Plan | None]:
             chunk = chunk.strip()
             if chunk:
                 facts.append(parse_atomic(chunk))
-    return facts, parse_plan(m.group("plan"))
+    try:
+        plan = parse_plan(m.group("plan"))
+    except ValueError as exc:  # Plan rejects too many steps with a plain ValueError
+        raise ParseError(str(exc), 0) from exc
+    return tuple(facts), plan
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +604,9 @@ def update_from_visual(
 
 
 def ingest_facts(
-    world: BeliefWorld, facts: list[AtomicBelief], about: str | None
+    world: BeliefWorld,
+    facts: list[AtomicBelief] | tuple[AtomicBelief, ...],
+    about: str | None,
 ) -> None:
     """Fold one coherent batch of reported facts into a partition.
 

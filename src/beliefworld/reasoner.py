@@ -17,6 +17,12 @@ once after a ``backoff_base``-second pause, and format violations once
 with a repair instruction.  When both retries are exhausted the call falls back to the
 scripted backend: the response is marked ``backend="scripted"``, the
 engine's heuristics decide that step, and ``fallback_count`` goes up.
+
+The inbox update sends a whole tick's messages in one request (all of
+them to ``update_zero``, each sender's to its ``update_first``), so a
+batched reply shares the one ``max_tokens`` budget: after a long inbox
+the belief list can be cut short, and a line cut mid-way does not parse
+and is skipped, like any other unparseable belief line.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefworld import harness, sbl, world_sim
 from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, SendMessage, Transport
-from beliefworld.belief_store import BeliefWorld
+from beliefworld.belief_store import BeliefWorld, RuleViolation
 from beliefworld.collab_engine import (
     SUBPLAN_DONE,
     AgentMind,
@@ -27,7 +29,7 @@ from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom
 from beliefworld.world_sim import VisualObservation
-from universe import reference_plan_ranking
+from universe import reference_plan_ranking, reference_update_from_messages
 
 LIVING = ObjectRef("livingroom", 1000)
 KITCHEN = ObjectRef("kitchen", 2000)
@@ -398,6 +400,9 @@ def test_parse_message_round_trip(food_registry):
     facts, parsed_plan = parse_message(text)
     assert set(facts) == set(mis)
     assert parsed_plan == plan
+    # Memoized: every recipient shares one immutable result.
+    assert isinstance(facts, tuple)
+    assert parse_message(text) is parse_message(text)
 
 
 def test_parse_message_rejects_free_text():
@@ -532,6 +537,84 @@ def test_update_from_messages_unparseable_ignored(food_registry):
     )
     assert declared == {}
     assert world.snapshot() == before
+
+
+def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_registry):
+    # Plan() rejects a fourth step; the message is unparseable, not fatal.
+    world = make_world(food_registry)
+    before = world.snapshot()
+    text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: transport; transport; transport; transport"
+    declared = update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
+    assert declared == {}
+    assert world.snapshot() == before
+
+
+# Pools for random inboxes: conflicting locations, a third held item, a
+# fact with a variable, a fact that does not parse, and plans that are
+# None, unknown or over-long.
+INBOX_FACTS = (
+    "<kitchen>(2000) EXPLORED all",
+    "<kitchen>(2000) EXPLORED part",
+    "<apple>(101) IN <kitchen>(2000)",
+    "<apple>(101) IN <office>(3000)",
+    "<apple>(101) AT <bed>(9000)",
+    "<bowl>(201) CONTAIN <apple>(101)",
+    "Bob HOLD <apple>(101)",
+    "Bob HOLD <banana>(102)",
+    "Bob HOLD <orange>(103)",
+    "Carol HOLD <apple>(101)",
+    "Bob AT <office>(3000)",
+    "Alice AT <kitchen>(2000)",
+    "?x IN <office>(3000)",
+    "<kitchen EXPLORED",
+)
+INBOX_PLANS = (
+    "None",
+    "go grasp <apple>(101); transport",
+    "go to <office>(3000); explore current room <office>(3000)",
+    "go grasp <banana>(102)",
+    "go grasp <ghost>(66666)",
+    "transport; transport; transport; transport",
+)
+INBOX_SENDERS = ("Bob", "Carol", "Dave", "Mallory")  # Mallory is not registered
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    texts=st.lists(
+        st.builds(
+            lambda facts, plan: f"FACTS: {'; '.join(facts)} | PLAN: {plan}",
+            st.lists(st.sampled_from(INBOX_FACTS), max_size=4),
+            st.sampled_from(INBOX_PLANS),
+        ),
+        min_size=1, max_size=4,
+    ),
+    picks=st.lists(
+        st.tuples(st.sampled_from(INBOX_SENDERS), st.integers(0, 4)), max_size=12
+    ),
+    known=st.lists(st.sampled_from(INBOX_FACTS[:-2]), max_size=4),
+)
+def test_batched_scripted_update_matches_the_per_message_loop(food_registry, texts, picks, known):
+    # Few texts for many messages, so texts repeat; one pick in
+    # len(texts) + 1 is free text.
+    texts = texts + ["utter gibberish !!"]
+    inbox = [(sender, texts[i % len(texts)]) for sender, i in picks]
+    worlds = []
+    for _ in range(2):
+        world = make_world(food_registry, collaborators=("Bob", "Carol", "Dave"))
+        for about in (None, "Bob", "Carol"):
+            for f in known:
+                try:
+                    world.assert_fact(fact(f), about=about)
+                except RuleViolation:  # a third held item
+                    pass
+        worlds.append(world)
+    expected = reference_update_from_messages(worlds[0], inbox, ScriptedReasoner(), food_registry)
+    declared = update_from_messages(worlds[1], inbox, ScriptedReasoner(), food_registry)
+    assert list(declared.items()) == list(expected.items())
+    assert worlds[1].snapshot() == worlds[0].snapshot()
+    for about in (None, "Bob", "Carol", "Dave"):
+        assert list(worlds[1].partition(about).items()) == list(worlds[0].partition(about).items())
 
 
 def test_stale_holdings_displaced_by_fresh_report(food_registry):

@@ -148,6 +148,24 @@ class RemoteDouble:
         )
 
 
+class RecordingRemote(RemoteDouble):
+    """A remote double that keeps every request; a reply keyed by
+    (template, OPPO_NAME) takes precedence over the template's reply."""
+
+    def __init__(self, replies: dict):
+        super().__init__(replies)
+        self.requests: list[ReasonerRequest] = []
+
+    def complete(self, req: ReasonerRequest) -> ReasonerResponse:
+        self.requests.append(req)
+        text = self.replies.get((req.template_id, req.vars["OPPO_NAME"]))
+        if text is None:
+            return super().complete(req)
+        return ReasonerResponse(
+            sections=parse_sections(req.template_id, text), raw=text, backend=reasoner_mod.LLM
+        )
+
+
 # Replies that parse into sections but carry nothing usable.
 MALFORMED = RemoteDouble({
     "update_zero": "Extracted Information: x\nZero order beliefs: Bob says the kitchen is done",
@@ -265,3 +283,62 @@ def test_remote_verdict_overrides_judge(food_registry):
     report = site_judge(seeded_mind(food_registry, calm))
     assert not report.heavy
     assert report.misaligned == heuristic.misaligned
+
+
+# ---------------------------------------------------------------------------
+# One tick's inbox as one batch.
+# ---------------------------------------------------------------------------
+
+BOB_FIRST = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
+CAROL_ONLY = "FACTS: <orange>(103) IN <office>(3000) | PLAN: go grasp <orange>(103)"
+BOB_SECOND = "FACTS: <banana>(102) IN <kitchen>(2000) | PLAN: None"
+BATCH_INBOX = [("Bob", BOB_FIRST), ("Carol", CAROL_ONLY), ("Bob", BOB_SECOND)]
+
+BATCH_REPLIES = {
+    "update_zero": (
+        "Extracted Information: x\n"
+        "Zero order beliefs: Alice BELIEVE <apple>(101) IN <livingroom>(1000)"
+    ),
+    ("update_first", "Bob"): (
+        "Extracted Information: x\n"
+        "First order beliefs: Alice BELIEVE Bob BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+        "Bob's plan: go grasp <apple>(101)"
+    ),
+    ("update_first", "Carol"): (
+        "Extracted Information: x\n"
+        "First order beliefs: Alice BELIEVE Carol BELIEVE <bread>(104) IN <office>(3000)\n"
+        "Carol's plan: None"
+    ),
+}
+
+
+def batch_update(registry, replies):
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
+    remote = RecordingRemote(replies)
+    declared = collab_engine.update_from_messages(world, BATCH_INBOX, remote, registry)
+    return world, remote.requests, {k: str(v) for k, v in declared.items()}
+
+
+def test_one_update_zero_and_one_update_first_per_sender(food_registry):
+    world, requests, declared = batch_update(food_registry, BATCH_REPLIES)
+    assert [(r.template_id, r.vars["OPPO_NAME"]) for r in requests] == [
+        ("update_zero", "Bob, Carol"), ("update_first", "Bob"), ("update_first", "Carol"),
+    ]
+    zero, bob, carol = (r.vars["MESSAGE"] for r in requests)
+    assert zero == f"Bob: {BOB_FIRST}\nCarol: {CAROL_ONLY}\nBob: {BOB_SECOND}"
+    assert bob == f"Bob: {BOB_FIRST}\nBob: {BOB_SECOND}"
+    assert carol == f"Carol: {CAROL_ONLY}"
+    # The remote facts, each in its own partition; nothing read off the messages.
+    assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
+    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
+    assert world.facts(about="Carol") == [parse_atomic("<bread>(104) IN <office>(3000)")]
+    assert declared == {"Bob": "go grasp <apple>(101)"}
+
+
+def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_registry):
+    replies = {**BATCH_REPLIES, ("update_first", "Carol"): MALFORMED.replies["update_first"]}
+    world, _, declared = batch_update(food_registry, replies)
+    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
+    assert world.facts(about="Carol") == [parse_atomic("<orange>(103) IN <office>(3000)")]
+    assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
+    assert declared == {"Bob": "go grasp <apple>(101)", "Carol": "go grasp <orange>(103)"}

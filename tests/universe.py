@@ -6,16 +6,20 @@ the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
 that text from the sorted facts, the slot-read oracles scan every fact
 instead of looking up one slot, and the planner oracle is a separate
 translation of the documented priority rules using networkx for
-distances.
+distances.  The one exception is the message-update reference, which is
+the engine's former per-message inbox loop kept as it was: the batched
+update must leave the same beliefs and declare the same plans.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import networkx as nx
 
+from beliefworld import collab_engine as ce
 from beliefworld.scenario import CONTAINER_CAPACITY
 from beliefworld.sbl import (
     AgentName,
@@ -299,3 +303,35 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
             if i in head(my_plan) and j in head(their_plan):
                 heavy = True
     return pairs, heavy
+
+
+# ---------------------------------------------------------------------------
+# Reference inbox update: two reasoner requests per received message.
+# ---------------------------------------------------------------------------
+
+
+def reference_update_from_messages(world, inbox, reasoner, registry):
+    """The inbox update one message at a time, in arrival order: an
+    ``update_zero`` and an ``update_first`` request per message, each
+    reply (or else the parsed message) ingested on its own."""
+    declared = {}
+    for sender, text in inbox:
+        if sender not in world.first:
+            continue
+        vars = {
+            "AGENT_NAME": world.owner,
+            "OPPO_NAME": sender,
+            "MESSAGE": f"{sender}: {text}",
+            "RULE": ce.rules_text(world),
+        }
+        zero_resp = ce._ask(reasoner, "update_zero", vars)
+        first_resp = ce._ask(reasoner, "update_first", vars)
+        heard = functools.cache(lambda text=text: ce._heard(text, registry))
+        zero = ce._reply_facts(zero_resp, "Zero order beliefs", 0)
+        first = ce._reply_facts(first_resp, "First order beliefs", 1)
+        ce.ingest_facts(world, heard()[0] if zero is None else zero, None)
+        ce.ingest_facts(world, heard()[0] if first is None else first, sender)
+        plan = ce._plan_reply(first_resp, registry, lambda: heard()[1])
+        if plan is not None:
+            declared[sender] = plan
+    return declared
