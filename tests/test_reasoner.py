@@ -101,6 +101,58 @@ def test_http_null_content_falls_back(monkeypatch):
     assert resp.sections == ScriptedReasoner().complete(request("rules_propose")).sections
 
 
+REVIEW_OK = "Reasoning: fine\nSuggestions: None\nSatisfied: yes\n"
+REVIEW_BAD = "Reasoning: fine\nSuggestions: None\n"  # no Satisfied label
+SCRIPTED_REVIEW = ScriptedReasoner().complete(request("rules_review"))
+
+
+# One scripted sequence of post outcomes per case: a reply text, or an
+# exception to raise.  Expected: which posts carry the repair instruction,
+# the backend, fallback_count and raw.
+RETRY_CASES = {
+    "bad format, then good": (
+        [REVIEW_BAD, REVIEW_OK], [False, True], reasoner_mod.LLM, 0, REVIEW_OK,
+    ),
+    "bad format twice": (
+        [REVIEW_BAD, REVIEW_BAD], [False, True], reasoner_mod.SCRIPTED, 1, REVIEW_BAD,
+    ),
+    "transport error twice": (
+        [requests.ConnectionError("down"), requests.ConnectionError("down")],
+        [False, False], reasoner_mod.SCRIPTED, 1, SCRIPTED_REVIEW.raw,
+    ),
+    "transport error, then bad format, then good": (
+        [requests.ConnectionError("down"), REVIEW_BAD, REVIEW_OK],
+        [False, False, True], reasoner_mod.LLM, 0, REVIEW_OK,
+    ),
+    "bad format, then transport error twice": (
+        [REVIEW_BAD, requests.Timeout("slow"), requests.Timeout("slow")],
+        [False, True, True], reasoner_mod.SCRIPTED, 1, REVIEW_BAD,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RETRY_CASES)
+def test_http_retry_and_repair(case, monkeypatch):
+    outcomes, repaired, backend, fallbacks, raw = RETRY_CASES[case]
+    prompts_sent = []
+
+    def post(*args, **kwargs):
+        prompts_sent.append(kwargs["json"]["messages"][0]["content"])
+        outcome = outcomes[len(prompts_sent) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return FakeHttpResponse(outcome)
+
+    monkeypatch.setattr(requests, "post", post)
+    client = http_reasoner()
+    resp = client.complete(request("rules_review"))
+    marker = reasoner_mod.REPAIR_INSTRUCTION.split("{")[0]
+    assert [marker in p for p in prompts_sent] == repaired
+    assert (resp.backend, client.fallback_count, resp.raw) == (backend, fallbacks, raw)
+    if backend == reasoner_mod.SCRIPTED:
+        assert resp.sections == SCRIPTED_REVIEW.sections
+
+
 def test_http_fallback_replays_the_scripted_episode(monkeypatch):
     def refuse(*args, **kwargs):
         raise requests.ConnectionError("connection refused")

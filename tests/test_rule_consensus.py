@@ -172,6 +172,42 @@ def test_consensus_failure_on_unparseable_proposer(food_registry):
         propose_rules(Garbage(), TASK)
 
 
+class VerdictlessReviewer:
+    """Reviewer double whose first replies lack a yes/no verdict."""
+
+    fallback_count = 0
+
+    def __init__(self, verdicts: list[str]):
+        self.verdicts = verdicts
+        self.calls = 0
+
+    def complete(self, request: ReasonerRequest):
+        from beliefworld.prompts import ReasonerResponse
+
+        assert request.template_id == "rules_review"
+        verdict = self.verdicts[self.calls]
+        self.calls += 1
+        return ReasonerResponse(
+            sections={"Reasoning": "x", "Suggestions": "None", "Satisfied": verdict},
+            raw=f"Reasoning: x\nSuggestions: None\nSatisfied: {verdict}\n",
+            backend="llm",
+        )
+
+
+def test_review_without_verdict_is_asked_again(scripted):
+    reviewer = VerdictlessReviewer(["maybe", "yes, all covered"])
+    result = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    assert (result.rounds, reviewer.calls) == (1, 2)
+    assert result.rules == canonical_rules()
+
+
+def test_review_without_verdict_twice_fails(scripted):
+    reviewer = VerdictlessReviewer(["maybe", ""])
+    with pytest.raises(ConsensusFailure, match="did not parse"):
+        consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    assert reviewer.calls == 2
+
+
 def test_max_rounds_validation(scripted):
     with pytest.raises(ValueError):
         consensus_loop(scripted, scripted, TASK, max_rounds=0)
