@@ -10,9 +10,9 @@ skips the quiet frames up to the next completion (or the frame budget)
 instead of stepping them one by one; the log is the same either way.
 A reasoning call the remote model fails to answer falls back to the
 collaboration engine's own heuristics for that step, and when the rule
-dialogue fails or the rules it accepts fail the checklist review, the
-canonical rules stand in (the header's ``consensus_fallbacks`` counts
-it); reasoner failures never abort a run.
+dialogue fails or the rules it accepts are ground or miss a canonical
+rule, the canonical rules stand in (the header's ``consensus_fallbacks``
+counts it); reasoner failures never abort a run.
 
 Batches run the same scenario over a seed list and report per-seed
 metrics plus means, written as both a machine-readable JSON summary and
@@ -121,9 +121,10 @@ def _agree_rules(
 ) -> tuple[tuple[BeliefExpr, ...], int, int]:
     """The rules, the consensus rounds, and 1 when the canonical rules
     stand in, else 0.  They stand in when the dialogue fails (the rounds
-    are then the whole budget), when the accepted rules fail the checklist
-    review, or when some canonical rule matches no accepted rule of its
-    order: a narrower accepted rule would reject observed facts."""
+    are then the whole budget), when an accepted rule is ground, or when
+    some canonical rule matches no accepted rule of its order (which also
+    covers every relation the checklist asks for): a narrower accepted
+    rule would reject observed facts.  The rules are judged as parsed."""
     try:
         consensus = rule_consensus.consensus_loop(
             reasoner, reasoner, task_description(scenario), max_rounds=max_rounds
@@ -131,7 +132,7 @@ def _agree_rules(
     except rule_consensus.ConsensusFailure as exc:
         log.warning("rule consensus failed (%s); using the canonical rules", exc)
         return rule_consensus.canonical_rules(), max_rounds, 1
-    problems = [*rule_consensus.checklist_review("\n".join(str(r) for r in consensus.rules))]
+    problems = [f"'{r}' is ground, not a rule" for r in consensus.rules if not r.is_rule]
     problems += [
         f"no accepted rule covers {c}"
         for c in rule_consensus.canonical_rules()

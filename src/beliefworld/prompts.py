@@ -3,10 +3,10 @@
 Every reasoning step an agent performs (belief updates, plan prediction,
 miscoordination judgment, message drafting, plan stepping, replanning, and
 the three rule-construction roles) corresponds to one template here.
-Templates carry ``$VAR$`` placeholders and an ordered list of labels the
-answer must contain; :func:`parse_sections` recovers those labeled
-sections from a completion, tolerating case and spacing but not missing
-or reordered labels.
+Templates carry ``$VAR$`` placeholders, filled in one pass so that values
+are never rescanned, and an ordered list of labels the answer must
+contain; :func:`parse_sections` recovers those labeled sections from a
+completion, tolerating case and spacing but not missing or reordered labels.
 
 The catalog ships as a checksummed JSON data file; the loader refuses a
 catalog whose per-template or overall digests do not match, so silent
@@ -118,21 +118,20 @@ def template(template_id: str) -> PromptTemplate:
         raise TemplateError(f"unknown template id {template_id!r}") from None
 
 
-def render(tmpl: PromptTemplate | str, vars: dict[str, str]) -> str:
-    """Substitute every ``$VAR$``; missing or leftover placeholders raise."""
+def require_vars(tmpl: PromptTemplate | str, vars: dict[str, str]) -> PromptTemplate:
+    """The template, once every var it requires is bound."""
     if isinstance(tmpl, str):
         tmpl = template(tmpl)
-    missing = [v for v in set(_PLACEHOLDER_RE.findall(tmpl.text)) if v not in vars]
+    missing = [v for v in tmpl.required_vars if v not in vars]
     if missing:
         raise TemplateError(f"unbound {missing[0]}")
-    text = tmpl.text
-    for name in tmpl.required_vars:
-        if name in vars:
-            text = text.replace(f"${name}$", vars[name])
-    leftover = _PLACEHOLDER_RE.search(text)
-    if leftover:
-        raise TemplateError(f"unbound {leftover.group(1)}")
-    return text
+    return tmpl
+
+
+def render(tmpl: PromptTemplate | str, vars: dict[str, str]) -> str:
+    """Substitute every ``$VAR$`` in one pass; values are never rescanned."""
+    tmpl = require_vars(tmpl, vars)
+    return _PLACEHOLDER_RE.sub(lambda m: vars[m.group(1)], tmpl.text)
 
 
 def _label_line(line: str) -> tuple[str, str] | None:

@@ -11,10 +11,12 @@ then decides that step with its own heuristics from the beliefs it holds.
 
 The HTTP backend speaks the OpenAI-compatible chat completions protocol:
 one user message per call, temperature 0.7, top_p 1, max_tokens 512,
-bearer auth from the ``COBEL_API_KEY`` environment variable.  Transport
-errors and malformed replies (including non-text content) are retried
-once after a ``backoff_base``-second pause, and format violations once
-with a repair instruction.  When both retries are exhausted the call falls back to the
+bearer auth from the ``COBEL_API_KEY`` environment variable.  One loop
+asks at most twice: the prompt, then, if the reply misses a section
+label, the prompt plus a repair instruction.  Each ask posts once more
+after a ``backoff_base``-second pause when the post fails (a transport
+error or a reply without text content); a second failed post ends the
+loop.  A loop that ends without a parsed reply falls back to the
 scripted backend: the response is marked ``backend="scripted"``, the
 engine's heuristics decide that step, and ``fallback_count`` goes up.
 
@@ -54,6 +56,9 @@ REPAIR_INSTRUCTION = (
     "Answer again and include every labeled section, in order: {labels}."
 )
 
+# What a failed post raises: transport errors and replies without text.
+POST_ERRORS = (requests.RequestException, KeyError, IndexError, ValueError)
+
 SCRIPTED = "scripted"
 LLM = "llm"
 
@@ -79,10 +84,7 @@ class ScriptedReasoner:
     fallback_count: int = 0
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
-        tmpl = prompts.template(request.template_id)
-        missing = [v for v in tmpl.required_vars if v not in request.vars]
-        if missing:
-            raise prompts.TemplateError(f"unbound {missing[0]}")
+        tmpl = prompts.require_vars(request.template_id, request.vars)
         answer = getattr(self, f"_answer_{request.template_id}", None)
         if answer is None:
             return ReasonerResponse(sections={}, raw="", backend=SCRIPTED)
@@ -157,7 +159,7 @@ class HttpReasoner:
     def _post_with_retry(self, prompt: str) -> str:
         try:
             return self._post(prompt)
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        except POST_ERRORS as exc:
             log.warning("chat completion failed (%s); retrying once", exc)
             time.sleep(self.backoff_base)
             return self._post(prompt)
@@ -165,23 +167,17 @@ class HttpReasoner:
     def complete(self, request: ReasonerRequest) -> ReasonerResponse:
         tmpl = prompts.template(request.template_id)
         prompt = prompts.render(tmpl, request.vars)
+        repair = REPAIR_INSTRUCTION.format(labels=", ".join(tmpl.output_labels))
         raw = ""
-        try:
-            raw = self._post_with_retry(prompt)
-            sections = prompts.parse_sections(tmpl, raw)
-            return ReasonerResponse(sections=sections, raw=raw, backend=LLM)
-        except ParseFailure:
-            repair = prompt + REPAIR_INSTRUCTION.format(
-                labels=", ".join(tmpl.output_labels)
-            )
+        for attempt in (prompt, prompt + repair):
             try:
-                raw = self._post_with_retry(repair)
+                raw = self._post_with_retry(attempt)
                 sections = prompts.parse_sections(tmpl, raw)
                 return ReasonerResponse(sections=sections, raw=raw, backend=LLM)
-            except (ParseFailure, requests.RequestException, KeyError, IndexError, ValueError):
-                pass
-        except (requests.RequestException, KeyError, IndexError, ValueError):
-            pass
+            except ParseFailure:  # a ValueError too, so it is caught first
+                continue
+            except POST_ERRORS:
+                break
         self.fallback_count += 1
         log.warning(
             "falling back to scripted reasoning for template %s", request.template_id

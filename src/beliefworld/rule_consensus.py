@@ -6,7 +6,9 @@ first-order rules from the task description, the reviewer checks them for
 parseability, duplicates, and coverage (agent position, holdings, room
 exploration, object locations, container contents), and the loop repeats
 with refinement suggestions until the reviewer is satisfied or the round
-budget runs out.  The result is broadcast to every agent.
+budget runs out.  A reply that does not parse into rules or a yes/no
+verdict is asked for once more (:func:`_ask_twice`) before the dialogue
+fails.  The accepted rules, as parsed, are broadcast to every agent.
 
 With the deterministic backend on both sides this converges in one round
 to the canonical sixteen-rule set below.
@@ -65,10 +67,8 @@ BELIEF_LANGUAGE_TEXT = (
 
 
 class ConsensusFailure(RuntimeError):
-    def __init__(self, message: str, raw: str = "", proposal=None, review=None):
+    def __init__(self, message: str, review=None):
         super().__init__(message)
-        self.raw = raw
-        self.proposal = proposal
         self.review = review
 
 
@@ -91,14 +91,7 @@ class RuleProposal:
     first_rules: tuple[sbl.BeliefExpr, ...]
 
     def all_rules(self) -> tuple[sbl.BeliefExpr, ...]:
-        out = []
-        seen: set[str] = set()
-        for rule in self.zero_rules + self.first_rules:
-            text = str(rule)
-            if text not in seen:
-                seen.add(text)
-                out.append(rule)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.zero_rules + self.first_rules))
 
     def render(self) -> str:
         return (
@@ -113,7 +106,6 @@ class RuleProposal:
 
 @dataclass(frozen=True)
 class Review:
-    reasoning: str
     suggestions: str
     satisfied: bool
 
@@ -165,28 +157,32 @@ def checklist_review(proposal_text: str) -> tuple[str, ...]:
 
 
 def _parse_proposal(sections: dict[str, str]) -> RuleProposal:
-    reasoning = sections.get("Entity and predicate reasoning") or sections.get(
-        "Reasoning", ""
+    def rules(label: str) -> tuple[sbl.BeliefExpr, ...]:
+        return tuple(sbl.parse(line) for line in _rule_lines(sections.get(label, "")))
+
+    reasoning = sections.get("Entity and predicate reasoning") or sections.get("Reasoning", "")
+    return RuleProposal(
+        reasoning, rules("Zero order belief rules"), rules("First order belief rules")
     )
-    zero = []
-    for line in _rule_lines(sections.get("Zero order belief rules", "")):
-        zero.append(sbl.parse(line))
-    first = []
-    for line in _rule_lines(sections.get("First order belief rules", "")):
-        first.append(sbl.parse(line))
-    return RuleProposal(reasoning=reasoning, zero_rules=tuple(zero), first_rules=tuple(first))
 
 
-def _complete_proposal(reasoner, template_id: str, vars: dict[str, str]) -> RuleProposal:
-    raw = ""
-    for attempt in range(2):
+def _parse_review(sections: dict[str, str]) -> Review:
+    verdict = sections.get("Satisfied", "").strip().lower()
+    if not verdict.startswith(("yes", "no")):
+        raise ValueError("no yes/no verdict")
+    return Review(sections.get("Suggestions", ""), satisfied=verdict.startswith("yes"))
+
+
+def _ask_twice(reasoner, template_id: str, vars: dict[str, str], read):
+    """``read`` the reply's sections; ask once more if it raises ValueError
+    (an :class:`sbl.ParseError` is one)."""
+    for attempt in (1, 2):
         response = reasoner.complete(ReasonerRequest(template_id, vars))
-        raw = response.raw
         try:
-            return _parse_proposal(response.sections)
-        except (sbl.ParseError, ValueError) as exc:
-            log.warning("proposal attempt %d failed to parse: %s", attempt + 1, exc)
-    raise ConsensusFailure("proposal did not parse after one retry", raw=raw)
+            return read(response.sections)
+        except ValueError as exc:
+            log.warning("%s attempt %d is unusable: %s", template_id, attempt, exc)
+    raise ConsensusFailure(f"{template_id} reply did not parse after one retry")
 
 
 def propose_rules(reasoner, task_description: str) -> RuleProposal:
@@ -195,7 +191,7 @@ def propose_rules(reasoner, task_description: str) -> RuleProposal:
         "BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT,
         "TASK_DESCRIPTION": task_description,
     }
-    return _complete_proposal(reasoner, "rules_propose", vars)
+    return _ask_twice(reasoner, "rules_propose", vars, _parse_proposal)
 
 
 def refine_rules(
@@ -207,7 +203,7 @@ def refine_rules(
         "PREVIOUS_CONTENT": previous.render(),
         "SUGGESTIONS": suggestions,
     }
-    return _complete_proposal(reasoner, "rules_refine", vars)
+    return _ask_twice(reasoner, "rules_refine", vars, _parse_proposal)
 
 
 def review_rules(reasoner, proposal: RuleProposal, task_description: str) -> Review:
@@ -217,27 +213,13 @@ def review_rules(reasoner, proposal: RuleProposal, task_description: str) -> Rev
         "TASK_DESCRIPTION": task_description,
         "ALICE_CONTENT": proposal.render(),
     }
-    raw = ""
-    for attempt in range(2):
-        response = reasoner.complete(ReasonerRequest("rules_review", vars))
-        raw = response.raw
-        verdict = response.section("Satisfied").strip().lower()
-        if verdict.startswith(("yes", "no")):
-            return Review(
-                reasoning=response.section("Reasoning"),
-                suggestions=response.section("Suggestions"),
-                satisfied=verdict.startswith("yes"),
-            )
-        log.warning("review attempt %d lacked a yes/no verdict", attempt + 1)
-    raise ConsensusFailure("review did not parse after one retry", raw=raw)
+    return _ask_twice(reasoner, "rules_review", vars, _parse_review)
 
 
 @dataclass(frozen=True)
 class ConsensusResult:
     rules: tuple[sbl.BeliefExpr, ...]
     rounds: int
-    proposal: RuleProposal
-    review: Review
 
 
 def consensus_loop(
@@ -245,9 +227,10 @@ def consensus_loop(
 ) -> ConsensusResult:
     """Propose, review, and refine until the reviewer accepts.
 
-    Raises :class:`ConsensusFailure` carrying the last proposal and review
-    when no acceptance happens within ``max_rounds`` rounds (one proposer
-    call and one reviewer call each).
+    Raises :class:`ConsensusFailure` carrying the last review when no
+    acceptance happens within ``max_rounds`` rounds (one proposer call and
+    one reviewer call each, each asked once more when its reply is
+    unusable).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -260,14 +243,5 @@ def consensus_loop(
             proposal = refine_rules(proposer, task_description, proposal, review.suggestions)
         review = review_rules(reviewer, proposal, task_description)
         if review.satisfied:
-            return ConsensusResult(
-                rules=proposal.all_rules(),
-                rounds=round_number,
-                proposal=proposal,
-                review=review,
-            )
-    raise ConsensusFailure(
-        f"no accepted proposal within {max_rounds} rounds",
-        proposal=proposal,
-        review=review,
-    )
+            return ConsensusResult(rules=proposal.all_rules(), rounds=round_number)
+    raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", review)

@@ -36,6 +36,19 @@ class NarrowIn(ScriptedReasoner):
         return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
 
 
+class GroundRule(ScriptedReasoner):
+    """Proposes the canonical rules plus one ground statement, and
+    approves anything: every canonical rule is covered, but a ground
+    statement is no rule."""
+
+    def _answer_rules_propose(self, vars):
+        ground = "Alice BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+        return super()._answer_rules_propose(vars) + ground
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
+
+
 class AlwaysRejects(ScriptedReasoner):
     """Rejects every proposal, so the rule dialogue never agrees."""
 
@@ -43,7 +56,9 @@ class AlwaysRejects(ScriptedReasoner):
         return "Reasoning: not yet.\nSuggestions: start over\nSatisfied: no\n"
 
 
-@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, NarrowIn, AlwaysRejects))
+@pytest.mark.parametrize(
+    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, AlwaysRejects)
+)
 def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkeypatch):
     monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner_cls())
     cfg = harness.RunConfig(scenario="food_small", seeds=(1,))

@@ -65,6 +65,15 @@ def test_render_missing_var_named():
         render("update_zero", vars)
 
 
+def test_render_inserts_values_verbatim():
+    message = "Bob: FACTS: | PLAN: None; the bowl costs $USD$, see $RULE$"
+    rendered = render("update_zero", {**SAMPLE_VARS, "MESSAGE": message})
+    assert message in rendered
+    assert SAMPLE_VARS["RULE"] in rendered  # the real $RULE$ site is still filled
+    with pytest.raises(TemplateError, match="unbound RULE"):
+        render("update_zero", {k: v for k, v in SAMPLE_VARS.items() if k != "RULE"})
+
+
 def test_render_distinct_var_maps_distinct_output():
     import random
 

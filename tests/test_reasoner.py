@@ -179,6 +179,22 @@ def test_http_fallback_replays_the_scripted_episode(monkeypatch):
     assert without_fallback_marks(fallen_back) == without_fallback_marks(scripted)
 
 
+def test_http_reply_quoting_a_placeholder_does_not_stop_the_run(monkeypatch):
+    # Only `communicate` parses this reply, so the text goes out as a
+    # message and comes back as the MESSAGE var of the recipient's update.
+    text = "Message: the bowl costs $USD$"
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeHttpResponse(text))
+    cfg = harness.RunConfig(
+        scenario="food_small", seeds=(1,), agents=2, mode="adaptive",
+        backend="llm", base_url="http://localhost:9", model="stub", backoff_base=0,
+    )
+    log, _ = harness.run_episode(cfg, 1)
+    assert log.records[-1]["kind"] == "done"
+    assert any(
+        r["kind"] == "message_sent" and "$USD$" in r["payload"]["text"] for r in log.records
+    )
+
+
 # ---------------------------------------------------------------------------
 # Remote answers versus the engine's heuristics.
 # ---------------------------------------------------------------------------
