@@ -915,12 +915,12 @@ class AgentMind:
 
         if wants_message and comm_allowed:
             misaligned = sorted({f for r in reports for f in r.misaligned}, key=str)
+            oppo = heavy[0].collaborator if heavy else self.default_oppo
             if self.mode == MODE_ADAPTIVE and heavy:
                 # A declared plan heads its sender's candidates.
-                collab = heavy[0].collaborator
-                candidates = candidates_by_collab[collab]
-                self.adopt(self.replan(candidates[0] if candidates else None, collab))
-            text = self.compose(misaligned)
+                candidates = candidates_by_collab[oppo]
+                self.adopt(self.replan(candidates[0] if candidates else None, oppo))
+            text = self.compose(misaligned, oppo)
             self._note_shared(text, misaligned)
             self.last_comm_tick = self.tick
             payload["plan"] = str(self.plan) if self.plan is not None else None
@@ -1018,11 +1018,12 @@ class AgentMind:
                 return plan_step.steps[0]
         return mechanical
 
-    def compose(self, misaligned: list[AtomicBelief]) -> str:
-        """Draft the outgoing message through the reasoner; always <= 500 chars."""
+    def compose(self, misaligned: list[AtomicBelief], oppo: str) -> str:
+        """Draft the outgoing message through the reasoner, addressed to
+        ``oppo``, the collaborator that prompted it; always <= 500 chars."""
         resp = _ask(self.reasoner, "communicate", {
             "AGENT_NAME": self.name,
-            "OPPO_NAME": self.default_oppo,
+            "OPPO_NAME": oppo,
             "MISALIGNED_INFORMATION": "\n".join(str(f) for f in misaligned) or "None",
             "MY_PLAN": str(self.plan) if self.plan is not None else "None",
         })

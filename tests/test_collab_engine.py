@@ -753,20 +753,22 @@ def test_decide_always_mode_alternates():
     assert "communicate" in kinds[1:]
 
 
-def test_three_agent_pairwise_heaviness():
+def only_third_heavy(reasoner, third: str):
+    """Alice with collaborators Bob and ``third``, and her observation:
+    only Bob was told the apple's room, so only the report on ``third``
+    is heavy."""
     from beliefworld.scenario import load_scenario
 
     scn = load_scenario("food_small").with_agents(3)
     registry = EntityRegistry(scn)
-    # heavy misalignment against Charlie only: only Bob was told the fact
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Charlie"),
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", third),
                         registry.container_ids())
     mind = AgentMind(name="Alice", world=world, registry=registry,
-                     reasoner=ScriptedReasoner(), goal=registry.goal)
+                     reasoner=reasoner, goal=registry.goal)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")
-    for collab in ("Bob", "Charlie"):
+    for collab in ("Bob", third):
         world.assert_fact(fact("Alice AT <kitchen>(2000)"), about=collab)
         world.assert_fact(fact("Alice HOLD <banana>(102)"), about=collab)
         world.assert_fact(fact("Alice HOLD <orange>(103)"), about=collab)
@@ -776,11 +778,27 @@ def test_three_agent_pairwise_heaviness():
     # hands full, so the plan is a conflict-free transport
     observation = obs(exploration="part", items=[],
                       hands=((banana, "target"), (orange, "target")))
+    return mind, observation
+
+
+def test_three_agent_pairwise_heaviness():
+    mind, observation = only_third_heavy(ScriptedReasoner(), "Charlie")
     intent, payload = mind.decide(observation, [])
     assert payload["plan"] == "transport"
     heavy_by = {r["collaborator"]: r["heavy"] for r in payload["reports"]}
     assert heavy_by["Charlie"] and not heavy_by["Bob"]
     assert isinstance(intent, SendMessage)
+
+
+def test_message_names_the_heavy_collaborator():
+    # Bob comes first among Alice's collaborators, but only the report on
+    # Carol is heavy, so the message is drafted for Carol.
+    reasoner = RecordingScripted()
+    mind, observation = only_third_heavy(reasoner, "Carol")
+    intent, _ = mind.decide(observation, [])
+    assert isinstance(intent, SendMessage)
+    [composed] = [r.vars for r in reasoner.requests if r.template_id == "communicate"]
+    assert composed["OPPO_NAME"] == "Carol"
 
 
 class RecordingScripted(ScriptedReasoner):

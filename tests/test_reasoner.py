@@ -297,7 +297,7 @@ def site_next_action(mind):
 
 
 def site_compose(mind):
-    return mind.compose(list(mind.world.misalignment("Bob")))
+    return mind.compose(list(mind.world.misalignment("Bob")), "Bob")
 
 
 def site_judge(mind):
