@@ -9,7 +9,10 @@ Seeds accept a range (``1..20``) or a comma list (``1,2,7``).  The llm
 backend additionally needs ``--base-url`` and ``--model``; the bearer
 token is read from the ``COBEL_API_KEY`` environment variable.
 
-Exit codes: 0 success, 2 configuration error, 3 episode failure.
+Exit codes: 0 success; 2 configuration error (a bad option value, an
+unknown scenario, or more agents than it can seat), reported before any
+episode runs; 3 episode failure, with the summary of the seeds finished
+before it still written.
 """
 
 from __future__ import annotations
@@ -102,13 +105,8 @@ def run(
             base_url=base_url,
             model=model,
         )
-        cfg.validate()
-    except (ConfigError, ScenarioError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
         summary = run_batch(cfg)
-    except (ScenarioError, ConfigError) as exc:
+    except (ConfigError, ScenarioError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except EpisodeFailure as exc:

@@ -65,7 +65,7 @@ class RunConfig:
     http_timeout: float = 30.0
     backoff_base: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = []
         if not self.seeds:
             problems.append("at least one seed is required")
@@ -152,7 +152,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     When ``cfg.out_dir`` is set, ``episode.log`` and ``metrics.json`` are
     written under ``<out>/<mode>/<seed>/``.
     """
-    cfg.validate()
     scenario = load_scenario(cfg.scenario).with_agents(cfg.agents)
     registry = EntityRegistry(scenario)
     reasoner = _build_reasoner(cfg)
@@ -325,8 +324,9 @@ def format_summary_table(summary: BatchSummary) -> str:
     for seed, m in sorted(summary.per_seed.items()):
         row = m.to_dict()
         rows.append([str(seed)] + [_fmt(row[c]) for c in _COLUMNS])
-    means = summary.means()
-    rows.append(["mean"] + [_fmt(means[c]) for c in _COLUMNS])
+    if summary.per_seed:
+        means = summary.means()
+        rows.append(["mean"] + [_fmt(means[c]) for c in _COLUMNS])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = [
         f"scenario={summary.scenario} mode={summary.mode} episodes={len(summary.per_seed)}"
@@ -344,8 +344,9 @@ def _fmt(value: float) -> str:
 
 def run_batch(cfg: RunConfig) -> BatchSummary:
     """Run every seed; write the summary; abort on the first episode
-    failure with the partial results preserved on disk."""
-    cfg.validate()
+    failure with the partial results preserved on disk.  A scenario that
+    cannot load with ``cfg.agents`` agents raises before the first one."""
+    load_scenario(cfg.scenario).with_agents(cfg.agents)
     summary = BatchSummary(mode=cfg.mode, scenario=cfg.scenario)
     try:
         for seed in cfg.seeds:

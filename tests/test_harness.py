@@ -169,3 +169,27 @@ def test_cli_rejects_one_agent(tmp_path):
         ["run", "--scenario", "food_small", "--agents", "1", "--out", str(tmp_path / "out")],
     )
     assert result.exit_code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args", (["--scenario", "nope"], ["--scenario", "food_small", "--agents", "9"])
+)
+def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):
+    result = CliRunner().invoke(cli.main, ["run", *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == cli.EXIT_CONFIG, result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_first_episode_failure_exits_3_with_a_summary(tmp_path, monkeypatch):
+    def fail(cfg, seed):
+        raise RuntimeError("simulated episode failure")
+
+    monkeypatch.setattr(harness, "run_episode", fail)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        cli.main, ["run", "--scenario", "food_small", "--seeds", "1..2", "--out", str(out)]
+    )
+    assert result.exit_code == cli.EXIT_EPISODE, result.output
+    table = (out / "summary.txt").read_text().splitlines()
+    assert table[1].split() == ["seed", *harness._COLUMNS]
+    assert len(table) == 2  # no seed finished, so there is no mean row
