@@ -56,8 +56,9 @@ REPAIR_INSTRUCTION = (
     "Answer again and include every labeled section, in order: {labels}."
 )
 
-# What a failed post raises: transport errors and replies without text.
-POST_ERRORS = (requests.RequestException, KeyError, IndexError, ValueError)
+# What a failed post raises: transport errors and replies without text
+# (TypeError: a body of the wrong shape, such as a null message).
+POST_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, ValueError)
 
 SCRIPTED = "scripted"
 LLM = "llm"

@@ -101,13 +101,21 @@ def test_http_null_content_falls_back(monkeypatch):
     assert resp.sections == ScriptedReasoner().complete(request("rules_propose")).sections
 
 
+class NullMessage(FakeHttpResponse):
+    def __init__(self):
+        super().__init__(None)
+
+    def json(self):
+        return {"choices": [{"message": None}]}
+
+
 REVIEW_OK = "Reasoning: fine\nSuggestions: None\nSatisfied: yes\n"
 REVIEW_BAD = "Reasoning: fine\nSuggestions: None\n"  # no Satisfied label
 SCRIPTED_REVIEW = ScriptedReasoner().complete(request("rules_review"))
 
 
-# One scripted sequence of post outcomes per case: a reply text, or an
-# exception to raise.  Expected: which posts carry the repair instruction,
+# One scripted sequence of post outcomes per case: a reply text, a
+# response, or an exception to raise.  Expected: which posts carry the repair instruction,
 # the backend, fallback_count and raw.
 RETRY_CASES = {
     "bad format, then good": (
@@ -123,6 +131,10 @@ RETRY_CASES = {
     "transport error, then bad format, then good": (
         [requests.ConnectionError("down"), REVIEW_BAD, REVIEW_OK],
         [False, False, True], reasoner_mod.LLM, 0, REVIEW_OK,
+    ),
+    "null message twice": (
+        [NullMessage(), NullMessage()], [False, False], reasoner_mod.SCRIPTED, 1,
+        SCRIPTED_REVIEW.raw,
     ),
     "bad format, then transport error twice": (
         [REVIEW_BAD, requests.Timeout("slow"), requests.Timeout("slow")],
@@ -141,7 +153,7 @@ def test_http_retry_and_repair(case, monkeypatch):
         outcome = outcomes[len(prompts_sent) - 1]
         if isinstance(outcome, Exception):
             raise outcome
-        return FakeHttpResponse(outcome)
+        return FakeHttpResponse(outcome) if isinstance(outcome, str) else outcome
 
     monkeypatch.setattr(requests, "post", post)
     client = http_reasoner()
