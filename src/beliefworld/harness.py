@@ -10,9 +10,10 @@ skips the quiet frames up to the next completion (or the frame budget)
 instead of stepping them one by one; the log is the same either way.
 A reasoning call the remote model fails to answer falls back to the
 collaboration engine's own heuristics for that step, and when the rule
-dialogue fails or the rules it accepts are ground or miss a canonical
-rule, the canonical rules stand in (the header's ``consensus_fallbacks``
-counts it); reasoner failures never abort a run.
+dialogue fails or :func:`rule_consensus.rule_problems` rejects the rules
+it accepts, :func:`rule_consensus.agree_rules` puts the canonical rules in
+their place (the header's ``consensus_fallbacks`` counts it); reasoner
+failures never abort a run.
 
 Batches run the same scenario over a seed list and report per-seed
 metrics plus means, written as both a machine-readable JSON summary and
@@ -34,7 +35,6 @@ from .collab_engine import MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
-from .sbl import BeliefExpr, unify_atomic
 
 log = logging.getLogger(__name__)
 
@@ -116,36 +116,6 @@ def _build_reasoner(cfg: RunConfig) -> ScriptedReasoner | HttpReasoner:
     )
 
 
-def _agree_rules(
-    reasoner, scenario: Scenario, max_rounds: int
-) -> tuple[tuple[BeliefExpr, ...], int, int]:
-    """The rules, the consensus rounds, and 1 when the canonical rules
-    stand in, else 0.  They stand in when the dialogue fails (the rounds
-    are then the whole budget), when an accepted rule is ground, or when
-    some canonical rule matches no accepted rule of its order (which also
-    covers every relation the checklist asks for): a narrower accepted
-    rule would reject observed facts.  The rules are judged as parsed."""
-    try:
-        consensus = rule_consensus.consensus_loop(
-            reasoner, reasoner, task_description(scenario), max_rounds=max_rounds
-        )
-    except rule_consensus.ConsensusFailure as exc:
-        log.warning("rule consensus failed (%s); using the canonical rules", exc)
-        return rule_consensus.canonical_rules(), max_rounds, 1
-    problems = [f"'{r}' is ground, not a rule" for r in consensus.rules if not r.is_rule]
-    problems += [
-        f"no accepted rule covers {c}"
-        for c in rule_consensus.canonical_rules()
-        if not any(a.order == c.order and unify_atomic(a.body, c.body) is not None
-                   for a in consensus.rules)
-    ]
-    if problems:
-        log.warning("accepted rules fail review (%s); using the canonical rules",
-                    "; ".join(problems))
-        return rule_consensus.canonical_rules(), consensus.rounds, 1
-    return consensus.rules, consensus.rounds, 0
-
-
 def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     """Run one full episode; returns its log and metrics.
 
@@ -157,7 +127,9 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     reasoner = _build_reasoner(cfg)
 
     fallbacks_before = reasoner.fallback_count
-    rules, rounds, fell_back = _agree_rules(reasoner, scenario, cfg.max_rounds)
+    rules, rounds, fell_back = rule_consensus.agree_rules(
+        reasoner, task_description(scenario), cfg.max_rounds
+    )
     consensus_fallbacks = reasoner.fallback_count - fallbacks_before + fell_back
 
     state = world_sim.init(scenario, seed)

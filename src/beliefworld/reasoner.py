@@ -4,8 +4,8 @@ Both backends answer :class:`~beliefworld.prompts.ReasonerRequest` calls,
 and the collaboration engine makes the same calls whichever one is
 plugged in.  The scripted backend answers only the rule dialogue
 (``rules_propose``, ``rules_refine``, ``rules_review``): canonical rule
-proposals and a checklist review, rendered as text and parsed back
-through the same section parser the HTTP path uses.  Every other
+proposals and :func:`rule_consensus.checklist_review`, rendered as text
+and parsed back through the same section parser the HTTP path uses.  Every other
 template gets an empty scripted response; :mod:`beliefworld.collab_engine`
 then decides that step with its own heuristics from the beliefs it holds.
 
@@ -63,12 +63,6 @@ POST_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, Value
 SCRIPTED = "scripted"
 LLM = "llm"
 
-# The rule sections of the scripted proposal and refinement.
-CANONICAL_RULES_TEXT = (
-    "Zero order belief rules:\n" + "\n".join(rule_consensus.CANONICAL_ZERO_RULES) + "\n"
-    "First order belief rules:\n" + "\n".join(rule_consensus.CANONICAL_FIRST_RULES) + "\n"
-)
-
 
 @dataclass
 class ScriptedReasoner:
@@ -99,13 +93,13 @@ class ScriptedReasoner:
         return (
             "Entity and predicate reasoning: agents, rooms, target objects,"
             " containers, the bed, holdings, containment, positions, and"
-            " per-room exploration levels.\n" + CANONICAL_RULES_TEXT
+            " per-room exploration levels.\n" + rule_consensus.rule_sections()
         )
 
     def _answer_rules_refine(self, vars: dict[str, str]) -> str:
         return (
             "Reasoning: restored the full canonical rule set per the"
-            " suggestions.\n" + CANONICAL_RULES_TEXT
+            " suggestions.\n" + rule_consensus.rule_sections()
         )
 
     def _answer_rules_review(self, vars: dict[str, str]) -> str:

@@ -2,13 +2,21 @@
 
 Before an episode starts, the first two agents agree on the rule schema
 every stored belief must conform to.  The proposer drafts zero- and
-first-order rules from the task description, the reviewer checks them for
-parseability, duplicates, and coverage (agent position, holdings, room
-exploration, object locations, container contents), and the loop repeats
-with refinement suggestions until the reviewer is satisfied or the round
-budget runs out.  A reply that does not parse into rules or a yes/no
-verdict is asked for once more (:func:`_ask_twice`) before the dialogue
-fails.  The accepted rules, as parsed, are broadcast to every agent.
+first-order rules from the task description, the reviewer answers with a
+verdict and suggestions, and the loop repeats with refinement until the
+reviewer is satisfied or the round budget runs out.  A reply that does
+not parse into rules or a yes/no verdict is asked for once more
+(:func:`_ask_twice`) before the dialogue fails.
+
+:func:`rule_problems` is the one judge of a rule set: no rule may be
+ground or stated twice, and every canonical rule below must be unified
+with by some rule of its order, since a narrower rule would reject
+observed facts.  The scripted reviewer (:func:`checklist_review`) and
+:func:`agree_rules` both ask it, so a reviewer that falls back to the
+scripted one rejects during the dialogue exactly what :func:`agree_rules`
+would replace afterwards.  :func:`agree_rules` runs the dialogue and
+puts the canonical rules in place of a failed dialogue or of accepted
+rules the judge rejects; the rules it returns go to every agent.
 
 With the deterministic backend on both sides this converges in one round
 to the canonical sixteen-rule set below.
@@ -17,10 +25,12 @@ to the canonical sixteen-rule set below.
 from __future__ import annotations
 
 import logging
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from . import prompts, sbl
+from . import sbl
 from .prompts import ReasonerRequest
 
 log = logging.getLogger(__name__)
@@ -45,15 +55,6 @@ CANONICAL_FIRST_RULES = (
     "?agentA BELIEVE ?agentB BELIEVE ?container CONTAIN ?object",
     "?agentA BELIEVE ?agentB BELIEVE ?room EXPLORED ?exploration_state",
     "?agentA BELIEVE ?agentB BELIEVE ?agent AT ?room",
-)
-
-# Coverage the reviewer insists on, per believer order.
-COVERAGE = (
-    ("AT", "the agent position rule (?agent AT ?room)"),
-    ("HOLD", "a holdings rule (?agent HOLD ?object)"),
-    ("EXPLORED", "the room exploration rule (?room EXPLORED ?exploration_state)"),
-    ("IN", "object location rules (?object IN ?room)"),
-    ("CONTAIN", "the container contents rule (?container CONTAIN ?object)"),
 )
 
 BELIEF_LANGUAGE_TEXT = (
@@ -94,14 +95,20 @@ class RuleProposal:
         return tuple(dict.fromkeys(self.zero_rules + self.first_rules))
 
     def render(self) -> str:
-        return (
-            f"Reasoning: {self.reasoning or 'None'}\n"
-            "Zero order belief rules:\n"
-            + "\n".join(str(r) for r in self.zero_rules)
-            + "\nFirst order belief rules:\n"
-            + "\n".join(str(r) for r in self.first_rules)
-            + "\n"
+        return f"Reasoning: {self.reasoning or 'None'}\n" + rule_sections(
+            self.zero_rules, self.first_rules
         )
+
+
+def rule_sections(
+    zero_rules: Iterable = CANONICAL_ZERO_RULES, first_rules: Iterable = CANONICAL_FIRST_RULES
+) -> str:
+    """The two rule sections of a proposal, one rule (or rule text) a line;
+    by default the canonical rules, as the scripted proposer states them."""
+    return (
+        "Zero order belief rules:\n" + "\n".join(map(str, zero_rules))
+        + "\nFirst order belief rules:\n" + "\n".join(map(str, first_rules)) + "\n"
+    )
 
 
 @dataclass(frozen=True)
@@ -115,45 +122,40 @@ class Review:
 
 
 def _rule_lines(text: str) -> list[str]:
-    lines = []
-    for line in text.splitlines():
-        line = line.strip().lstrip("-*").strip()
-        if line and " BELIEVE " in line:
-            lines.append(line)
-    return lines
+    stripped = (line.strip().lstrip("-*").strip() for line in text.splitlines())
+    return [line for line in stripped if " BELIEVE " in line]
+
+
+def rule_problems(rules: Sequence[sbl.BeliefExpr]) -> tuple[str, ...]:
+    """What makes a rule set unacceptable; empty when it is acceptable.
+
+    A rule is ground, or stated more than once, or a canonical rule is
+    unified with by no rule of its order (a narrower rule, such as one
+    pinned to a room, would reject facts observed anywhere else)."""
+    problems = [f"'{r}' is ground, not a rule" for r in rules if not r.is_rule]
+    problems += [
+        f"duplicate rule '{r}'; deletion advised" for r, n in Counter(rules).items() if n > 1
+    ]
+    problems += [
+        f"no rule covers the canonical rule '{c}'"
+        for c in canonical_rules()
+        if not any(r.order == c.order and sbl.unify_atomic(r.body, c.body) is not None
+                   for r in rules)
+    ]
+    return tuple(problems)
 
 
 def checklist_review(proposal_text: str) -> tuple[str, ...]:
-    """The deterministic reviewer: parse, dedupe, and coverage checks.
-
-    Returns the problems found; empty when the proposal passes."""
-    problems: list[str] = []
-    rules: list[sbl.BeliefExpr] = []
-    seen: set[str] = set()
+    """The deterministic reviewer: the unparseable rule lines, then
+    :func:`rule_problems` of the rest.  Returns the problems found; empty
+    when the proposal passes."""
+    problems, rules = [], []
     for line in _rule_lines(proposal_text):
         try:
-            rule = sbl.parse(line)
+            rules.append(sbl.parse(line))
         except sbl.ParseError as exc:
             problems.append(f"unparseable rule '{line}' ({exc})")
-            continue
-        if not rule.is_rule:
-            problems.append(f"'{line}' is ground, not a rule")
-            continue
-        text = str(rule)
-        if text in seen:
-            problems.append(f"duplicate rule '{text}'; deletion advised")
-            continue
-        seen.add(text)
-        rules.append(rule)
-    if not rules:
-        problems.append("no rules found")
-        return tuple(problems)
-    for order, label in ((0, "zero-order"), (1, "first-order")):
-        present = {r.body.relation for r in rules if r.order == order}
-        for relation, description in COVERAGE:
-            if relation not in present:
-                problems.append(f"{label} rules are missing {description}")
-    return tuple(problems)
+    return tuple(problems) + rule_problems(rules)
 
 
 def _parse_proposal(sections: dict[str, str]) -> RuleProposal:
@@ -185,37 +187,6 @@ def _ask_twice(reasoner, template_id: str, vars: dict[str, str], read):
     raise ConsensusFailure(f"{template_id} reply did not parse after one retry")
 
 
-def propose_rules(reasoner, task_description: str) -> RuleProposal:
-    """Ask the proposer role for an initial rule set."""
-    vars = {
-        "BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT,
-        "TASK_DESCRIPTION": task_description,
-    }
-    return _ask_twice(reasoner, "rules_propose", vars, _parse_proposal)
-
-
-def refine_rules(
-    reasoner, task_description: str, previous: RuleProposal, suggestions: str
-) -> RuleProposal:
-    vars = {
-        "BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT,
-        "TASK_DESCRIPTION": task_description,
-        "PREVIOUS_CONTENT": previous.render(),
-        "SUGGESTIONS": suggestions,
-    }
-    return _ask_twice(reasoner, "rules_refine", vars, _parse_proposal)
-
-
-def review_rules(reasoner, proposal: RuleProposal, task_description: str) -> Review:
-    """Ask the reviewer role for a verdict on a proposal."""
-    vars = {
-        "BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT,
-        "TASK_DESCRIPTION": task_description,
-        "ALICE_CONTENT": proposal.render(),
-    }
-    return _ask_twice(reasoner, "rules_review", vars, _parse_review)
-
-
 @dataclass(frozen=True)
 class ConsensusResult:
     rules: tuple[sbl.BeliefExpr, ...]
@@ -234,14 +205,37 @@ def consensus_loop(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    task = {"BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT, "TASK_DESCRIPTION": task_description}
     proposal: RuleProposal | None = None
     review: Review | None = None
     for round_number in range(1, max_rounds + 1):
         if proposal is None or review is None:
-            proposal = propose_rules(proposer, task_description)
+            proposal = _ask_twice(proposer, "rules_propose", task, _parse_proposal)
         else:
-            proposal = refine_rules(proposer, task_description, proposal, review.suggestions)
-        review = review_rules(reviewer, proposal, task_description)
+            previous = {"PREVIOUS_CONTENT": proposal.render(), "SUGGESTIONS": review.suggestions}
+            proposal = _ask_twice(proposer, "rules_refine", task | previous, _parse_proposal)
+        alice = {"ALICE_CONTENT": proposal.render()}
+        review = _ask_twice(reviewer, "rules_review", task | alice, _parse_review)
         if review.satisfied:
             return ConsensusResult(rules=proposal.all_rules(), rounds=round_number)
     raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", review)
+
+
+def agree_rules(
+    reasoner, task_description: str, max_rounds: int
+) -> tuple[tuple[sbl.BeliefExpr, ...], int, int]:
+    """The rules, the consensus rounds, and 1 when the canonical rules
+    stand in, else 0.  They stand in when the dialogue fails (the rounds
+    are then the whole budget) or when :func:`rule_problems` rejects the
+    accepted rules, as parsed."""
+    try:
+        consensus = consensus_loop(reasoner, reasoner, task_description, max_rounds=max_rounds)
+    except ConsensusFailure as exc:
+        log.warning("rule consensus failed (%s); using the canonical rules", exc)
+        return canonical_rules(), max_rounds, 1
+    problems = rule_problems(consensus.rules)
+    if problems:
+        log.warning("accepted rules fail review (%s); using the canonical rules",
+                    "; ".join(problems))
+        return canonical_rules(), consensus.rounds, 1
+    return consensus.rules, consensus.rounds, 0

@@ -10,12 +10,12 @@ from beliefworld.rule_consensus import (
     CANONICAL_ZERO_RULES,
     ConsensusFailure,
     RuleProposal,
+    agree_rules,
     canonical_rules,
     checklist_review,
     consensus_loop,
-    propose_rules,
-    review_rules,
 )
+from test_harness import GroundRule, NarrowIn, NoPositionRules
 
 TASK = "Transport ten food items to the bed with two containers."
 
@@ -32,25 +32,31 @@ def proposal_without(relation: str) -> RuleProposal:
 
 
 def test_scripted_proposal_is_canonical(scripted):
-    proposal = propose_rules(scripted, TASK)
-    assert [str(r) for r in proposal.zero_rules] == list(CANONICAL_ZERO_RULES)
-    assert [str(r) for r in proposal.first_rules] == list(CANONICAL_FIRST_RULES)
+    rules = consensus_loop(scripted, scripted, TASK).rules
+    assert [str(r) for r in rules if r.order == 0] == list(CANONICAL_ZERO_RULES)
+    assert [str(r) for r in rules if r.order == 1] == list(CANONICAL_FIRST_RULES)
 
 
 def test_scripted_proposal_ignores_task_text(scripted):
-    assert propose_rules(scripted, "") == propose_rules(scripted, TASK)
+    assert consensus_loop(scripted, scripted, "") == consensus_loop(scripted, scripted, TASK)
 
 
 def test_review_accepts_canonical(scripted):
-    proposal = propose_rules(scripted, TASK)
-    review = review_rules(scripted, proposal, TASK)
-    assert review.satisfied
+    canonical = RuleProposal("", canonical_rules()[:8], canonical_rules()[8:])
+    assert checklist_review(canonical.render()) == ()
+    assert consensus_loop(scripted, scripted, TASK, max_rounds=1).rounds == 1
 
 
 def test_review_flags_missing_position_rule(scripted):
-    review = review_rules(scripted, proposal_without("AT"), TASK)
+    with pytest.raises(ConsensusFailure) as err:
+        consensus_loop(NoPositionRules(), scripted, TASK, max_rounds=1)
+    review = err.value.review
     assert not review.satisfied
-    assert "position" in review.suggestions
+    for rule in canonical_rules():
+        assert (str(rule) in review.suggestions) == (rule.body.relation == "AT")
+    assert checklist_review(proposal_without("AT").render()) == checklist_review(
+        NoPositionRules()._answer_rules_propose({})
+    )
 
 
 def test_review_flags_duplicates():
@@ -169,7 +175,7 @@ def test_consensus_failure_on_unparseable_proposer(food_registry):
             )
 
     with pytest.raises(ConsensusFailure, match="did not parse"):
-        propose_rules(Garbage(), TASK)
+        consensus_loop(Garbage(), ScriptedReasoner(), TASK)
 
 
 class VerdictlessReviewer:
@@ -211,3 +217,16 @@ def test_review_without_verdict_twice_fails(scripted):
 def test_max_rounds_validation(scripted):
     with pytest.raises(ValueError):
         consensus_loop(scripted, scripted, TASK, max_rounds=0)
+
+
+@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, NarrowIn, GroundRule))
+def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls):
+    # Each double proposes a flawed rule set and approves it; the scripted
+    # reviewer and agree_rules must both turn it down.
+    proposal = reasoner_cls()._answer_rules_propose({})
+    assert checklist_review(proposal)
+    rules, rounds, fell_back = agree_rules(reasoner_cls(), TASK, max_rounds=3)
+    assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
+    with pytest.raises(ConsensusFailure) as err:
+        consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK, max_rounds=1)
+    assert err.value.review.suggestions == "; ".join(checklist_review(proposal))
