@@ -70,8 +70,9 @@ def location_slot(entity: sbl.Term) -> tuple[str, sbl.Term]:
     return ("LOC", entity)
 
 
-def functional_key(fact: AtomicBelief) -> tuple[str, sbl.Term] | None:
-    """The slot a fact occupies, or None for non-functional facts.
+def slot(fact: AtomicBelief) -> object:
+    """The partition key of a fact: the functional slot it occupies, or
+    the fact itself for non-functional facts.
 
     Facts sharing a slot within one partition are mutually exclusive and
     the newest assertion wins.
@@ -84,13 +85,7 @@ def functional_key(fact: AtomicBelief) -> tuple[str, sbl.Term] | None:
         return location_slot(fact.subject)
     if fact.relation in ("HOLD", "CONTAIN"):
         return location_slot(fact.object)
-    return None
-
-
-def slot(fact: AtomicBelief) -> object:
-    """The partition key of a fact: its functional key, or the fact itself."""
-    key = functional_key(fact)
-    return fact if key is None else key
+    return fact
 
 
 def held_by(partition: Partition, holder: sbl.Term) -> list[sbl.Term]:

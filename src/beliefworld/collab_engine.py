@@ -854,11 +854,10 @@ class AgentMind:
         self.plan = plan
         self.plan_history = []
 
-    def note_result(self, action, completed: bool) -> None:
-        """Harness feedback after the simulator finishes an action."""
-        if completed and self.plan is not None and not isinstance(action, str):
-            if action in self.plan.steps:
-                self.plan_history.append(action)
+    def note_done(self, action: PlanStep) -> None:
+        """Harness feedback after the simulator completes a plan step."""
+        if self.plan is not None and action in self.plan.steps:
+            self.plan_history.append(action)
 
     def _cooldown_ok(self) -> bool:
         if self.last_comm_tick is None:
@@ -909,7 +908,7 @@ class AgentMind:
 
         wants_message = {
             MODE_ADAPTIVE: bool(heavy),
-            MODE_ALWAYS: self.plan is not None or bool(heavy),
+            MODE_ALWAYS: self.plan is not None,
             MODE_NEVER: False,
         }[self.mode]
 

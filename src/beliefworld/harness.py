@@ -225,13 +225,12 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                         state.frame, mind.name, "action_done",
                         {"action": str(result.action)},
                     )
-                    mind.note_result(result.action, True)
+                    mind.note_done(result.action)
             elif result.status == "rejected":
                 log_.append(
                     state.frame, mind.name, "action_rejected",
                     {"action": str(result.action), "detail": result.detail},
                 )
-                mind.note_result(result.action, False)
 
     total = len(registry.target_ids())
     log_.append(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -127,10 +128,7 @@ class EntityRegistry:
         self.rooms_by_id = {r.id: r for r in scn.rooms}
         self.objects_by_id = {ref.id: (ref, kind) for ref, kind, _ in scn.objects}
         self.objects_by_id[scn.bed.id] = (scn.bed, BED)
-        adj: dict[int, list[tuple[int, int]]] = {r.id: [] for r in scn.rooms}
-        for a, b, cost in scn.edges:
-            adj[a].append((b, cost))
-            adj[b].append((a, cost))
+        adj = _adjacency(self.rooms_by_id, scn.edges)
         self._dist = {start: _dijkstra(adj, start) for start in adj}
 
     @property
@@ -182,6 +180,17 @@ class EntityRegistry:
         raise KeyError(agent)
 
 
+def _adjacency(
+    room_ids: Iterable[int], edges: Iterable[tuple[int, int, int]]
+) -> dict[int, list[tuple[int, int]]]:
+    """Each room's (neighbour, frame cost) pairs over the undirected edges."""
+    adj: dict[int, list[tuple[int, int]]] = {r: [] for r in room_ids}
+    for a, b, cost in edges:
+        adj[a].append((b, cost))
+        adj[b].append((a, cost))
+    return adj
+
+
 def _dijkstra(adj: dict[int, list[tuple[int, int]]], start: int) -> dict[int, int]:
     dist = {start: 0}
     queue = [(0, start)]
@@ -231,7 +240,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             violations.append(f"edge cost must be positive: {e!r}")
         else:
             edges.append((a, b, cost))
-    if rooms and not _connected(room_ids, edges):
+    if rooms and len(_dijkstra(_adjacency(room_ids, edges), rooms[0].id)) < len(room_ids):
         violations.append("room graph is not connected")
 
     bed_entry = data.get("bed", {})
@@ -306,25 +315,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         frame_budget=frame_budget,
         reveal_fraction=reveal,
     )
-
-
-def _connected(room_ids: set[int], edges: list[tuple[int, int, int]]) -> bool:
-    if not room_ids:
-        return False
-    adj: dict[int, set[int]] = {r: set() for r in room_ids}
-    for a, b, _ in edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    stack = [next(iter(room_ids))]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(adj[node] - seen)
-    return seen == room_ids
 
 
 def bundled_scenario_names() -> list[str]:
