@@ -214,12 +214,30 @@ def _ref(entry: dict, what: str, violations: list[str]) -> ObjectRef | None:
         return None
 
 
+def _list(data: dict, key: str, violations: list[str]) -> list:
+    value = data.get(key, [])
+    if isinstance(value, list):
+        return value
+    violations.append(f"{key} must be a list: {value!r}")
+    return []
+
+
+def _number(data: dict, key: str, default, kind, violations: list[str]):
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        violations.append(f"{key} must be a finite number: {data[key]!r}")
+        return default
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate raw JSON data; raises ScenarioError listing all problems."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"invalid scenario: the top level must be a JSON object: {data!r}")
     violations: list[str] = []
 
     rooms = tuple(
-        r for r in (_ref(e, "room", violations) for e in data.get("rooms", [])) if r
+        r for r in (_ref(e, "room", violations) for e in _list(data, "rooms", violations)) if r
     )
     if not rooms:
         violations.append("at least one room is required")
@@ -228,10 +246,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         violations.append("duplicate room ids")
 
     edges = []
-    for e in data.get("edges", []):
+    for e in _list(data, "edges", violations):
         try:
             a, b, cost = int(e[0]), int(e[1]), int(e[2])
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, IndexError, KeyError):
             violations.append(f"edge must be [room_id, room_id, cost]: {e!r}")
             continue
         if a not in room_ids or b not in room_ids:
@@ -245,7 +263,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     bed_entry = data.get("bed", {})
     bed = _ref(bed_entry, "bed", violations)
-    bed_room_id = bed_entry.get("room")
+    bed_room_id = bed_entry.get("room") if isinstance(bed_entry, dict) else None
     if bed_room_id not in room_ids:
         violations.append(f"bed room {bed_room_id!r} is not a known room")
 
@@ -254,7 +272,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if bed:
         seen_ids.add(bed.id)
     target_count = 0
-    for entry in data.get("objects", []):
+    for entry in _list(data, "objects", violations):
         ref = _ref(entry, "object", violations)
         if ref is None:
             continue
@@ -276,7 +294,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         violations.append("at least one target object is required")
 
     agents = []
-    for entry in data.get("agents", []):
+    for entry in _list(data, "agents", violations):
+        if not isinstance(entry, dict):
+            violations.append(f"agent entry must be an object: {entry!r}")
+            continue
         name = str(entry.get("name", ""))
         room = entry.get("room")
         if not _AGENT_RE.match(name):
@@ -290,13 +311,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     if len({n for n, _ in agents}) != len(agents):
         violations.append("duplicate agent names")
 
-    capacity = int(data.get("container_capacity", CONTAINER_CAPACITY))
+    capacity = _number(data, "container_capacity", CONTAINER_CAPACITY, int, violations)
     if capacity != CONTAINER_CAPACITY:
         violations.append(f"container_capacity is fixed at {CONTAINER_CAPACITY}")
-    frame_budget = int(data.get("frame_budget", 3000))
+    frame_budget = _number(data, "frame_budget", 3000, int, violations)
     if frame_budget <= 0:
         violations.append("frame_budget must be positive")
-    reveal = float(data.get("reveal_fraction", 0.5))
+    reveal = _number(data, "reveal_fraction", 0.5, float, violations)
     if not 0.0 <= reveal <= 1.0:
         violations.append("reveal_fraction must lie in [0, 1]")
 
@@ -324,10 +345,13 @@ def bundled_scenario_names() -> list[str]:
 
 def load_scenario(spec: str | Path) -> Scenario:
     """Load a scenario from a path, or by bundled name (e.g. food_small)."""
-    path = Path(spec)
-    if not path.exists():
-        candidate = resources.files("beliefworld").joinpath(f"scenarios/{spec}.json")
-        if candidate.is_file():
-            return scenario_from_dict(json.loads(candidate.read_text()))
-        raise ScenarioError(f"scenario not found: {spec}")
-    return scenario_from_dict(json.loads(path.read_text()))
+    source = Path(spec)
+    if not source.exists():
+        source = resources.files("beliefworld").joinpath(f"scenarios/{spec}.json")
+        if not source.is_file():
+            raise ScenarioError(f"scenario not found: {spec}")
+    try:
+        data = json.loads(source.read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read scenario {spec}: {exc}") from None
+    return scenario_from_dict(data)

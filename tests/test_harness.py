@@ -172,9 +172,16 @@ def test_cli_rejects_one_agent(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args", (["--scenario", "nope"], ["--scenario", "food_small", "--agents", "9"])
+    "args",
+    (
+        ["--scenario", "nope"],
+        ["--scenario", "food_small", "--agents", "9"],
+        ["--scenario", "{tmp}/invalid.json"],
+    ),
 )
 def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):
+    (tmp_path / "invalid.json").write_text("{not json")
+    args = [arg.format(tmp=tmp_path) for arg in args]
     result = CliRunner().invoke(cli.main, ["run", *args, "--out", str(tmp_path / "out")])
     assert result.exit_code == cli.EXIT_CONFIG, result.output
     assert not (tmp_path / "out").exists()

@@ -74,3 +74,40 @@ def test_kind_id_sets_match_declared_objects(name):
     assert registry.container_ids() == {
         ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
     }
+
+
+def food_small_with(**changes) -> str:
+    return json.dumps({**food_small_data(), **changes})
+
+
+# Malformed scenario files: (file text, or None for a directory; the
+# problem the error names).
+MALFORMED = {
+    "invalid JSON": ("{not json", "cannot read scenario"),
+    "a directory": (None, "cannot read scenario"),
+    "top-level list": ("[]", "top level must be a JSON object"),
+    "bed is a list": (food_small_with(bed=[9000]), "bed entry needs"),
+    "agent is a string": (
+        food_small_with(agents=["Alice", {"name": "Bob", "room": 3000}]),
+        "agent entry must be an object",
+    ),
+    "rooms is an object": (food_small_with(rooms={"kitchen": 2000}), "rooms must be a list"),
+    "edge is an object": (food_small_with(edges=[{}]), "edge must be"),
+    "frame_budget": (food_small_with(frame_budget="long"), "frame_budget must be a finite"),
+    "reveal_fraction": (food_small_with(reveal_fraction=None), "reveal_fraction must be a finite"),
+    "container_capacity": (
+        food_small_with(container_capacity=[3]), "container_capacity must be a finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_file_raises_scenario_error(case, tmp_path):
+    text, problem = MALFORMED[case]
+    path = tmp_path / "scenario.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    with pytest.raises(ScenarioError, match=problem):
+        load_scenario(path)
