@@ -10,9 +10,9 @@ backend additionally needs ``--base-url`` and ``--model``; the bearer
 token is read from the ``COBEL_API_KEY`` environment variable.
 
 Exit codes: 0 success; 2 configuration error (a bad option value, an
-unknown scenario, or more agents than it can seat), reported before any
-episode runs; 3 episode failure, with the summary of the seeds finished
-before it still written.
+unknown or malformed scenario, or more agents than it can seat), reported
+before any episode runs; 3 episode failure, with the summary of the seeds
+finished before it still written.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -222,6 +222,11 @@ def _list(data: dict, key: str, violations: list[str]) -> list:
     return []
 
 
+def _known(value, ids: set[int]) -> bool:
+    """``value in ids`` for any JSON value; a list or an object is never in it."""
+    return isinstance(value, Hashable) and value in ids
+
+
 def _number(data: dict, key: str, default, kind, violations: list[str]):
     try:
         return kind(data.get(key, default))
@@ -264,7 +269,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     bed_entry = data.get("bed", {})
     bed = _ref(bed_entry, "bed", violations)
     bed_room_id = bed_entry.get("room") if isinstance(bed_entry, dict) else None
-    if bed_room_id not in room_ids:
+    if not _known(bed_room_id, room_ids):
         violations.append(f"bed room {bed_room_id!r} is not a known room")
 
     objects = []
@@ -281,7 +286,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if kind not in (TARGET, CONTAINER):
             violations.append(f"object kind must be target|container: {entry!r}")
             continue
-        if home not in room_ids:
+        if not _known(home, room_ids):
             violations.append(f"object home room {home!r} is not a known room")
             continue
         if ref.id in seen_ids:
@@ -302,7 +307,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         room = entry.get("room")
         if not _AGENT_RE.match(name):
             violations.append(f"agent name must be a capitalized identifier: {name!r}")
-        elif room not in room_ids:
+        elif not _known(room, room_ids):
             violations.append(f"agent start room {room!r} is not a known room")
         else:
             agents.append((name, int(room)))

@@ -25,12 +25,6 @@ def scripted():
     return ScriptedReasoner()
 
 
-def proposal_without(relation: str) -> RuleProposal:
-    zero = tuple(sbl.parse(l) for l in CANONICAL_ZERO_RULES if f" {relation} " not in l)
-    first = tuple(sbl.parse(l) for l in CANONICAL_FIRST_RULES if f" {relation} " not in l)
-    return RuleProposal(reasoning="trimmed", zero_rules=zero, first_rules=first)
-
-
 def test_scripted_proposal_is_canonical(scripted):
     rules = consensus_loop(scripted, scripted, TASK).rules
     assert [str(r) for r in rules if r.order == 0] == list(CANONICAL_ZERO_RULES)
@@ -54,9 +48,6 @@ def test_review_flags_missing_position_rule(scripted):
     assert not review.satisfied
     for rule in canonical_rules():
         assert (str(rule) in review.suggestions) == (rule.body.relation == "AT")
-    assert checklist_review(proposal_without("AT").render()) == checklist_review(
-        NoPositionRules()._answer_rules_propose({})
-    )
 
 
 def test_review_flags_duplicates():

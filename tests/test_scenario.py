@@ -93,6 +93,9 @@ MALFORMED = {
     ),
     "rooms is an object": (food_small_with(rooms={"kitchen": 2000}), "rooms must be a list"),
     "edge is an object": (food_small_with(edges=[{}]), "edge must be"),
+    "bed room is a list": (
+        food_small_with(bed={"name": "bed", "id": 9000, "room": [4000]}), "bed room"
+    ),
     "frame_budget": (food_small_with(frame_budget="long"), "frame_budget must be a finite"),
     "reveal_fraction": (food_small_with(reveal_fraction=None), "reveal_fraction must be a finite"),
     "container_capacity": (
