@@ -47,7 +47,7 @@ def test_review_flags_missing_position_rule(scripted):
     review = err.value.review
     assert not review.satisfied
     for rule in canonical_rules():
-        assert (str(rule) in review.suggestions) == (rule.body.relation == "AT")
+        assert (f"'{rule}'" in review.suggestions) == (rule.body.relation == "AT")
 
 
 def test_review_flags_duplicates():
