@@ -6,16 +6,9 @@ inbox into its belief world, (2) keeps or recomputes its 1-3 step plan,
 first-order beliefs alone, (4) checks the pair for miscoordination, and
 (5) either broadcasts a message or executes the next plan step.
 
-Miscoordination has two sources.  Plan conflicts are step pairs that
-explore the same room or grasp the same object or container; a conflict is
-imminent when both steps sit in their plan's opening move (the first step,
-or the second when the first is the travel leg to it).  Belief
-misalignment is everything the agent knows that its model of the
-collaborator lacks; it weighs heavily when it touches a goal target or a
-room becoming fully explored.  Heavy miscoordination triggers a message
-(subject to a per-agent cooldown measured in decision ticks) and a replan
-that steers away from the collaborator's projected activity; anything
-lighter is tolerated and the agent just acts.
+The rules that rank plans, step through them and flag miscoordination
+are pure functions in :mod:`beliefworld.planner`; this module keeps the
+agent: messages, belief updates, reading replies and :class:`AgentMind`.
 
 Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in.  The steps of the loop
@@ -24,12 +17,12 @@ judge) are methods of :class:`AgentMind`, which reads its beliefs, goal
 and backend from itself; the inbox update is a module function that
 sends one tick's inbox as one batch: one ``update_zero`` request for all
 of it and one ``update_first`` request per sender.  All of them send
-their request through one helper, :func:`_ask`.  This module
-alone decides: a remote model's answer is taken when one arrives and
-parses, and otherwise the step falls back to the heuristics here
-(planning, miscoordination detection, the message grammar), read
-straight off the structured beliefs.  The scripted backend answers only
-the rule dialogue, so scripted runs are exactly replayable.
+their request through one helper, :func:`_ask`.  This module alone
+decides: a remote model's answer is taken when one arrives and parses,
+and whenever no remote model answers the step asks the planner (or reads
+the message grammar here), straight off the structured beliefs.  The
+scripted backend answers only the rule dialogue, so scripted runs are
+exactly replayable.
 """
 
 from __future__ import annotations
@@ -41,26 +34,24 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import belief_store, prompts, sbl
-from .actions import (
-    MAX_MESSAGE_CHARS,
-    ExploreCurrent,
-    GoGrasp,
-    GoTo,
-    Plan,
-    PlanStep,
-    Put,
-    SendMessage,
-    Transport,
-    parse_plan,
-)
+from .actions import MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, parse_plan
 from .belief_store import BeliefWorld
-from .scenario import CONTAINER_CAPACITY, MAX_HANDS, EntityRegistry, GoalSpec
+from .planner import (
+    SUBPLAN_DONE,
+    MiscoordReport,
+    PlannerView,
+    StalePlan,
+    best_plan,
+    detect_miscoordination,
+    names_target,
+    next_step,
+    plan_options,
+)
+from .scenario import EntityRegistry, GoalSpec
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, NONE, VisualObservation
 
 log = logging.getLogger(__name__)
-
-SUBPLAN_DONE = "SUBPLAN_DONE"
 
 MODE_ADAPTIVE = "adaptive"
 MODE_ALWAYS = "always"
@@ -69,10 +60,6 @@ MODE_NEVER = "never"
 # Candidate plans predicted per collaborator; the predict_first prompt's
 # answer format names them plan1..plan3.
 PREDICTED_PLANS = 3
-
-SAME_ROOM_EXPLORE = "same-room-explore"
-SAME_GRASP_TARGET = "same-grasp-target"
-SAME_CONTAINER_GRAB = "same-container-grab"
 
 # Replies that mean "nothing": no plan, no belief lines.
 _NO_ANSWER = ("", "none", "none.")
@@ -83,382 +70,8 @@ ACTION_LIST_TEXT = (
 )
 
 
-class StalePlan(RuntimeError):
-    """A plan step's premise no longer holds in the agent's beliefs."""
-
-
 class CorruptObservation(ValueError):
     """An observation referenced entities outside the scenario registry."""
-
-
-# ---------------------------------------------------------------------------
-# Planner view: the plan-relevant projection of one fact set.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlannerView:
-    """What the planning heuristic reads out of one belief partition.
-
-    ``slots`` is the partition itself (slot -> fact, see
-    :func:`belief_store.slot`), shared rather than copied, so a question
-    about one functional slot (an agent's room, a room's exploration
-    level, where an object is) is a single lookup.
-    """
-
-    owner: str
-    registry: EntityRegistry
-    slots: belief_store.Partition = field(default_factory=dict)
-
-    @classmethod
-    def from_facts(
-        cls, owner: str, registry: EntityRegistry, facts: "list[AtomicBelief] | set[AtomicBelief]"
-    ) -> "PlannerView":
-        slots = {belief_store.slot(f): f for f in facts}
-        return cls(owner=owner, registry=registry, slots=slots)
-
-    def holds(self, fact: AtomicBelief) -> bool:
-        return self.slots.get(belief_store.slot(fact)) == fact
-
-    def room_of(self, agent: str) -> int | None:
-        f = self.slots.get(belief_store.position_slot(AgentName(agent)))
-        if f is not None and isinstance(f.object, ObjectRef) and self.registry.is_room(f.object.id):
-            return f.object.id
-        return None
-
-    def my_room(self) -> int:
-        room = self.room_of(self.owner)
-        if room is None:
-            room = self.registry.start_room(self.owner).id
-        return room
-
-    def holdings(self, agent: str | None = None) -> list[ObjectRef]:
-        held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
-        return sorted((r for r in held if isinstance(r, ObjectRef)), key=lambda r: r.id)
-
-    def held_container(self) -> ObjectRef | None:
-        for ref in self.holdings():
-            if self.registry.is_container(ref.id):
-                return ref
-        return None
-
-    def container_load(self, container: ObjectRef) -> list[ObjectRef]:
-        inner = [
-            f.object
-            for f in self.slots.values()
-            if f.relation == "CONTAIN"
-            and f.subject == container
-            and isinstance(f.object, ObjectRef)
-        ]
-        return sorted(inner, key=lambda r: r.id)
-
-    def explored_level(self, room_id: int) -> str:
-        f = self.slots.get(belief_store.explored_slot(self.registry.rooms_by_id[room_id]))
-        return f.object.value if f is not None and isinstance(f.object, StateAtom) else NONE
-
-    def located_targets(self) -> list[tuple[ObjectRef, int]]:
-        """Known, unheld, untransported targets and the room they sit in."""
-        # By id, not by slot: a remote reply may name a known id under
-        # another name, which puts its HOLD and IN facts in different slots.
-        held_anywhere = {
-            f.object.id
-            for f in self.slots.values()
-            if f.relation == "HOLD" and isinstance(f.object, ObjectRef)
-        }
-        out = []
-        for f in self.slots.values():
-            if f.relation != "IN" or not isinstance(f.subject, ObjectRef):
-                continue
-            if not isinstance(f.object, ObjectRef) or not self.registry.is_room(f.object.id):
-                continue
-            if self.registry.is_target(f.subject.id) and f.subject.id not in held_anywhere:
-                out.append((f.subject, f.object.id))
-        return sorted(out, key=lambda pair: pair[0].id)
-
-    def believed_room_of_object(self, ref: ObjectRef) -> int | None:
-        f = self.slots.get(belief_store.location_slot(ref))
-        if f is not None and f.relation == "IN" and isinstance(f.object, ObjectRef):
-            if self.registry.is_room(f.object.id):
-                return f.object.id
-        return None
-
-    def believed_transported(self, ref: ObjectRef) -> bool:
-        return self.holds(AtomicBelief(ref, "AT", self.registry.bed))
-
-    def believed_holder(self, ref: ObjectRef) -> str | None:
-        f = self.slots.get(belief_store.location_slot(ref))
-        if f is not None and f.relation == "HOLD" and isinstance(f.subject, AgentName):
-            return f.subject.name
-        return None
-
-
-def zero_view(world: BeliefWorld, registry: EntityRegistry) -> PlannerView:
-    return PlannerView(world.owner, registry, world.zero)
-
-
-def first_view(world: BeliefWorld, collab: str, registry: EntityRegistry) -> PlannerView:
-    return PlannerView(collab, registry, world.first[collab])
-
-
-# ---------------------------------------------------------------------------
-# The planning heuristic.
-# ---------------------------------------------------------------------------
-
-
-def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
-    """Ranked plan candidates, best first; the one plan ranking.
-
-    Priority order: fill a held container (put a held target in, or grasp
-    a known same-room target into it); transport when payload is aboard
-    and either capacity is exhausted or no graspable target is known;
-    fetch the nearest known target; otherwise explore the nearest
-    not-fully-explored room, unexplored rooms first.  Ties break on
-    ascending room id, then ascending object id.  Options that
-    :func:`plan_conflicts` with ``avoid`` (another agent's projected
-    plan) keep that order but move behind every other option.
-    """
-    reg = view.registry
-    here = view.my_room()
-    held = view.holdings()
-    container = view.held_container()
-    load = view.container_load(container) if container else []
-    space = CONTAINER_CAPACITY - len(load) if container else 0
-    free_hand = MAX_HANDS - len(held)
-    held_targets = [r for r in held if reg.is_target(r.id)]
-    known = view.located_targets()
-
-    ranked: list[tuple[tuple, Plan]] = []
-
-    if container is not None and space > 0:
-        for t in held_targets:
-            ranked.append(((1, 0, 0, t.id), Plan((Put(t, container),))))
-        if free_hand >= 1:
-            for t, room_id in known:
-                if room_id == here:
-                    ranked.append(((1, 1, 0, t.id), Plan((GoGrasp(t), Put(t, container)))))
-
-    payload = bool(held_targets) or bool(load)
-    full = free_hand == 0 and space == 0
-    if payload and (full or not known):
-        ranked.append(((2, 0, 0, 0), Plan((Transport(),))))
-
-    if free_hand >= 1:
-        for t, room_id in known:
-            dist = reg.distance(here, room_id)
-            if room_id == here:
-                steps: tuple[PlanStep, ...] = (GoGrasp(t),)
-            else:
-                steps = (GoTo(reg.rooms_by_id[room_id]), GoGrasp(t))
-            ranked.append(((3, dist, room_id, t.id), Plan(steps)))
-
-    for room_id in sorted(reg.rooms_by_id):
-        level = view.explored_level(room_id)
-        if level == ALL:
-            continue
-        room = reg.rooms_by_id[room_id]
-        dist = reg.distance(here, room_id)
-        if room_id == here:
-            steps = (ExploreCurrent(room),)
-        else:
-            steps = (GoTo(room), ExploreCurrent(room))
-        ranked.append(((4, 0 if level == NONE else 1, dist, room_id), Plan(steps)))
-
-    ranked.sort(key=lambda pair: pair[0])
-    options = [plan for _, plan in ranked]
-    if avoid is not None:
-        options.sort(key=lambda plan: plan_conflicts(plan, avoid, reg))
-    return options
-
-
-def best_plan(view: PlannerView, avoid: Plan | None = None) -> Plan | None:
-    """The head of :func:`plan_options`; None when nothing is left to do."""
-    options = plan_options(view, avoid)
-    return options[0] if options else None
-
-
-# ---------------------------------------------------------------------------
-# Plan stepping.
-# ---------------------------------------------------------------------------
-
-
-def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
-    owner = AgentName(view.owner)
-    if isinstance(step, GoTo):
-        return view.room_of(view.owner) == step.room.id
-    if isinstance(step, ExploreCurrent):
-        return view.explored_level(step.room.id) == ALL
-    if isinstance(step, GoGrasp):
-        return view.holds(AtomicBelief(owner, "HOLD", step.item))
-    if isinstance(step, Put):
-        return view.holds(AtomicBelief(step.container, "CONTAIN", step.object))
-    return False  # transport progress is tracked through history alone
-
-
-def _check_stale(view: PlannerView, plan: Plan, index: int) -> None:
-    step = plan.steps[index]
-    if isinstance(step, GoGrasp):
-        item = step.item
-        if view.believed_transported(item):
-            raise StalePlan(f"{item} already transported")
-        holder = view.believed_holder(item)
-        if holder is not None and holder != view.owner:
-            raise StalePlan(f"{item} held by {holder}")
-        expected_room = None
-        for earlier in reversed(plan.steps[:index]):
-            if isinstance(earlier, GoTo):
-                expected_room = earlier.room.id
-                break
-        if expected_room is None:
-            expected_room = view.my_room()
-        believed = view.believed_room_of_object(item)
-        if believed != expected_room:
-            raise StalePlan(f"{item} no longer believed in the grasp room")
-    elif isinstance(step, Put):
-        if view.believed_holder(step.container) != view.owner:
-            raise StalePlan(f"not holding {step.container}")
-        if view.believed_holder(step.object) != view.owner:
-            raise StalePlan(f"not holding {step.object}")
-    elif isinstance(step, Transport):
-        if not view.holdings():
-            raise StalePlan("nothing held to transport")
-
-
-def next_step(view: PlannerView, plan: Plan, history: list[PlanStep]) -> PlanStep | str:
-    """First plan step not yet reflected in beliefs or history.
-
-    ``history`` lists this plan's completed steps in execution order.
-    Steps whose effects already hold are skipped without executing;
-    returns ``SUBPLAN_DONE`` once every step is accounted for and raises
-    :class:`StalePlan` when a pending step's premise has evaporated.
-    """
-    h = 0
-    for index, step in enumerate(plan.steps):
-        if h < len(history) and history[h] == step:
-            h += 1
-            continue
-        if _effect_holds(view, step):
-            continue
-        _check_stale(view, plan, index)
-        return step
-    return SUBPLAN_DONE
-
-
-# ---------------------------------------------------------------------------
-# Miscoordination detection.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Conflict:
-    my_index: int
-    their_plan: int
-    their_index: int
-    my_step: PlanStep
-    their_step: PlanStep
-    kind: str
-
-
-@dataclass(frozen=True)
-class MiscoordReport:
-    collaborator: str
-    conflicts: tuple[Conflict, ...]
-    misaligned: tuple[AtomicBelief, ...]
-    heavy: bool
-
-    def to_payload(self) -> dict:
-        return {
-            "collaborator": self.collaborator,
-            "conflicts": [
-                {
-                    "kind": c.kind,
-                    "mine": str(c.my_step),
-                    "theirs": str(c.their_step),
-                    "my_index": c.my_index,
-                    "their_plan": c.their_plan,
-                    "their_index": c.their_index,
-                }
-                for c in self.conflicts
-            ],
-            "misaligned": [str(f) for f in self.misaligned],
-            "heavy": self.heavy,
-        }
-
-
-def step_conflict(a: PlanStep, b: PlanStep, registry: EntityRegistry) -> str | None:
-    """The conflict kind when both steps explore one room or grasp one
-    object, else None.  Entities match by id: a remote reply may name a
-    known id under another name."""
-    if isinstance(a, ExploreCurrent) and isinstance(b, ExploreCurrent) and a.room.id == b.room.id:
-        return SAME_ROOM_EXPLORE
-    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.item.id == b.item.id:
-        if registry.is_container(a.item.id):
-            return SAME_CONTAINER_GRAB
-        return SAME_GRASP_TARGET
-    return None
-
-
-def plan_conflicts(mine: Plan, theirs: Plan, registry: EntityRegistry) -> bool:
-    """Whether any step of ``mine`` conflicts with any step of ``theirs``."""
-    return any(step_conflict(a, b, registry) for a in mine.steps for b in theirs.steps)
-
-
-def head_indexes(plan: Plan) -> set[int]:
-    head = {0}
-    if len(plan.steps) > 1 and isinstance(plan.steps[0], GoTo):
-        head.add(1)
-    return head
-
-
-def names_target(fact: AtomicBelief, registry: EntityRegistry) -> bool:
-    return any(
-        isinstance(term, ObjectRef) and registry.is_target(term.id)
-        for term in (fact.subject, fact.object)
-    )
-
-
-def fact_is_goal_relevant(fact: AtomicBelief, registry: EntityRegistry) -> bool:
-    """A fact about a target object, or a room becoming fully explored."""
-    if names_target(fact, registry):
-        return True
-    if fact.relation == "EXPLORED" and isinstance(fact.object, StateAtom):
-        return fact.object.value == ALL
-    return False
-
-
-def detect_miscoordination(
-    my_plan: Plan | None,
-    their_plans: list[Plan],
-    world: BeliefWorld,
-    collaborator: str,
-    registry: EntityRegistry,
-) -> MiscoordReport:
-    """Pairwise conflict scan plus belief misalignment, with a heaviness
-    verdict: an imminent conflict (both steps in their plans' opening
-    moves) or a goal-relevant misaligned fact makes the report heavy.
-    """
-    conflicts: list[Conflict] = []
-    if my_plan is not None:
-        for p, theirs in enumerate(their_plans):
-            for i, a in enumerate(my_plan.steps):
-                for j, b in enumerate(theirs.steps):
-                    kind = step_conflict(a, b, registry)
-                    if kind:
-                        conflicts.append(Conflict(i, p, j, a, b, kind))
-    misaligned = world.misalignment(collaborator)
-    heavy_conflict = False
-    if my_plan is not None:
-        my_head = head_indexes(my_plan)
-        for c in conflicts:
-            if c.my_index in my_head and c.their_index in head_indexes(their_plans[c.their_plan]):
-                heavy_conflict = True
-                break
-    heavy_misalign = any(fact_is_goal_relevant(f, registry) for f in misaligned)
-    return MiscoordReport(
-        collaborator=collaborator,
-        conflicts=tuple(conflicts),
-        misaligned=misaligned,
-        heavy=heavy_conflict or heavy_misalign,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +171,9 @@ def update_from_visual(
 
     world.assert_fact(AtomicBelief(owner, "AT", obs.room))
 
-    current = zero_view(world, registry).explored_level(obs.room.id)
+    known = world.zero.get(belief_store.explored_slot(obs.room))
+    stated = known is not None and isinstance(known.object, StateAtom)
+    current = known.object.value if stated else NONE
     if sbl.EXPLORED_STATES.index(obs.exploration) >= sbl.EXPLORED_STATES.index(current):
         world.assert_fact(AtomicBelief(obs.room, "EXPLORED", StateAtom(obs.exploration)))
 
@@ -689,23 +304,13 @@ def _safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
 
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     """The plan itself when every entity it names is known, else None."""
-    if plan is None:
-        return None
-    for step in plan.steps:
-        for ref in _step_refs(step):
-            if not registry.knows(ref.id):
-                return None
-    return plan
+    # Every field of a plan step is an ObjectRef.
+    if plan is not None and all(
+        registry.knows(ref.id) for step in plan.steps for ref in vars(step).values()
+    ):
+        return plan
+    return None
 
-
-def _step_refs(step: PlanStep) -> list[ObjectRef]:
-    if isinstance(step, (GoTo, ExploreCurrent)):
-        return [step.room]
-    if isinstance(step, GoGrasp):
-        return [step.item]
-    if isinstance(step, Put):
-        return [step.object, step.container]
-    return []
 
 
 def _ask(reasoner, template_id: str, vars: dict[str, str]) -> prompts.ReasonerResponse | None:
@@ -850,6 +455,10 @@ class AgentMind:
     def default_oppo(self) -> str:
         return self.collaborators[0]
 
+    def view(self, about: str | None = None) -> PlannerView:
+        """The planner's view of the zero partition, or of the one about ``about``."""
+        return PlannerView(about or self.name, self.registry, self.world.partition(about))
+
     def adopt(self, plan: Plan | None) -> None:
         self.plan = plan
         self.plan_history = []
@@ -955,8 +564,7 @@ class AgentMind:
             "GOAL": self.goal.describe(),
             "ZERO_ORDER_BELIEF": zero_lines(self.world),
         })
-        view = zero_view(self.world, self.registry)
-        return _plan_reply(resp, self.registry, lambda: best_plan(view))
+        return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
     def predict_collaborator(self, collab: str) -> list[Plan]:
         """Up to three candidate plans for a collaborator, computed from the
@@ -973,8 +581,7 @@ class AgentMind:
                 plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
                 if plan is not None:
                     plans.append(plan)
-        view = first_view(self.world, collab, self.registry)
-        return plans or plan_options(view)[:PREDICTED_PLANS]
+        return plans or plan_options(self.view(collab))[:PREDICTED_PLANS]
 
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan
@@ -986,8 +593,7 @@ class AgentMind:
             "OPPO_PLAN": str(avoid) if avoid is not None else "None",
             "ZERO_ORDER_BELIEF": zero_lines(self.world),
         })
-        view = zero_view(self.world, self.registry)
-        return _plan_reply(resp, self.registry, lambda: best_plan(view, avoid))
+        return _plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
     def next_action(self) -> PlanStep | str:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.
@@ -998,7 +604,7 @@ class AgentMind:
         """
         assert self.plan is not None
         history = self.plan_history
-        mechanical = next_step(zero_view(self.world, self.registry), self.plan, history)
+        mechanical = next_step(self.view(), self.plan, history)
         resp = _ask(self.reasoner, "plan_next", {
             "AGENT_NAME": self.name,
             "OPPO_NAME": self.default_oppo,
@@ -1035,7 +641,7 @@ class AgentMind:
         """Pairwise miscoordination: mechanical scan; a remote model may
         overturn the heaviness verdict."""
         report = detect_miscoordination(
-            self.plan, candidates, self.world, collab, self.registry
+            self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
         resp = _ask(self.reasoner, "adaptive", {
             "AGENT_NAME": self.name,

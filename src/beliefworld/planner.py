@@ -1,0 +1,378 @@
+"""The planner: plan ranking, plan stepping and miscoordination detection.
+
+Pure functions of one belief partition (read through a
+:class:`PlannerView`), of plans and of facts the caller passes in.  This
+module stores no beliefs, asks no reasoner, runs no simulator and logs
+nothing.
+
+Miscoordination has two sources.  Plan conflicts are step pairs that
+explore the same room or grasp the same object or container; a conflict is
+imminent when both steps sit in their plan's opening move (the first step,
+or the second when the first is the travel leg to it).  Belief
+misalignment is everything the agent knows that its model of the
+collaborator lacks; it weighs heavily when it touches a goal target or a
+room becoming fully explored.  Heavy miscoordination triggers a message
+(subject to a per-agent cooldown measured in decision ticks) and a replan
+that steers away from the collaborator's projected activity; anything
+lighter is tolerated and the agent just acts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+
+from . import belief_store
+from .actions import ExploreCurrent, GoGrasp, GoTo, Plan, PlanStep, Put, Transport
+from .scenario import CONTAINER_CAPACITY, MAX_HANDS, EntityRegistry
+from .sbl import EXPLORED_STATES, AgentName, AtomicBelief, ObjectRef, StateAtom
+
+NONE, _PART, ALL = EXPLORED_STATES
+
+SUBPLAN_DONE = "SUBPLAN_DONE"
+
+SAME_ROOM_EXPLORE = "same-room-explore"
+SAME_GRASP_TARGET = "same-grasp-target"
+SAME_CONTAINER_GRAB = "same-container-grab"
+
+
+class StalePlan(RuntimeError):
+    """A plan step's premise no longer holds in the agent's beliefs."""
+
+
+# ---------------------------------------------------------------------------
+# Planner view: the plan-relevant projection of one fact set.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PlannerView:
+    """What the planning heuristic reads out of one belief partition.
+
+    ``slots`` is the partition itself (slot -> fact, see
+    :func:`belief_store.slot`), shared rather than copied, so a question
+    about one functional slot (an agent's room, a room's exploration
+    level, where an object is) is a single lookup.
+    """
+
+    owner: str
+    registry: EntityRegistry
+    slots: belief_store.Partition
+
+    def holds(self, fact: AtomicBelief) -> bool:
+        return self.slots.get(belief_store.slot(fact)) == fact
+
+    def room_of(self, agent: str) -> int | None:
+        f = self.slots.get(belief_store.position_slot(AgentName(agent)))
+        if f is not None and isinstance(f.object, ObjectRef) and self.registry.is_room(f.object.id):
+            return f.object.id
+        return None
+
+    def my_room(self) -> int:
+        room = self.room_of(self.owner)
+        return self.registry.start_room(self.owner).id if room is None else room
+
+    def holdings(self, agent: str | None = None) -> list[ObjectRef]:
+        held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
+        return sorted((r for r in held if isinstance(r, ObjectRef)), key=lambda r: r.id)
+
+    def held_container(self) -> ObjectRef | None:
+        return next((r for r in self.holdings() if self.registry.is_container(r.id)), None)
+
+    def container_load(self, container: ObjectRef) -> list[ObjectRef]:
+        inner = [
+            f.object
+            for f in self.slots.values()
+            if f.relation == "CONTAIN"
+            and f.subject == container
+            and isinstance(f.object, ObjectRef)
+        ]
+        return sorted(inner, key=lambda r: r.id)
+
+    def explored_level(self, room_id: int) -> str:
+        f = self.slots.get(belief_store.explored_slot(self.registry.rooms_by_id[room_id]))
+        return f.object.value if f is not None and isinstance(f.object, StateAtom) else NONE
+
+    def located_targets(self) -> list[tuple[ObjectRef, int]]:
+        """Known, unheld, untransported targets and the room they sit in."""
+        # By id, not by slot: a remote reply may name a known id under
+        # another name, which puts its HOLD and IN facts in different slots.
+        held_anywhere = {
+            f.object.id
+            for f in self.slots.values()
+            if f.relation == "HOLD" and isinstance(f.object, ObjectRef)
+        }
+        out = []
+        for f in self.slots.values():
+            if f.relation != "IN" or not isinstance(f.subject, ObjectRef):
+                continue
+            if not isinstance(f.object, ObjectRef) or not self.registry.is_room(f.object.id):
+                continue
+            if self.registry.is_target(f.subject.id) and f.subject.id not in held_anywhere:
+                out.append((f.subject, f.object.id))
+        return sorted(out, key=lambda pair: pair[0].id)
+
+    def believed_room_of_object(self, ref: ObjectRef) -> int | None:
+        f = self.slots.get(belief_store.location_slot(ref))
+        if f is not None and f.relation == "IN" and isinstance(f.object, ObjectRef):
+            if self.registry.is_room(f.object.id):
+                return f.object.id
+        return None
+
+    def believed_transported(self, ref: ObjectRef) -> bool:
+        return self.holds(AtomicBelief(ref, "AT", self.registry.bed))
+
+    def believed_holder(self, ref: ObjectRef) -> str | None:
+        f = self.slots.get(belief_store.location_slot(ref))
+        if f is not None and f.relation == "HOLD" and isinstance(f.subject, AgentName):
+            return f.subject.name
+        return None
+
+
+# ---------------------------------------------------------------------------
+# The planning heuristic.
+# ---------------------------------------------------------------------------
+
+
+def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
+    """Ranked plan candidates, best first; the one plan ranking.
+
+    Priority order: fill a held container (put a held target in, or grasp
+    a known same-room target into it); transport when payload is aboard
+    and either capacity is exhausted or no graspable target is known;
+    fetch the nearest known target; otherwise explore the nearest
+    not-fully-explored room, unexplored rooms first.  Ties break on
+    ascending room id, then ascending object id.  Options that
+    :func:`plan_conflicts` with ``avoid`` (another agent's projected
+    plan) keep that order but move behind every other option.
+    """
+    reg = view.registry
+    here = view.my_room()
+    held = view.holdings()
+    container = view.held_container()
+    load = view.container_load(container) if container else []
+    space = CONTAINER_CAPACITY - len(load) if container else 0
+    free_hand = MAX_HANDS - len(held)
+    held_targets = [r for r in held if reg.is_target(r.id)]
+    known = view.located_targets()
+
+    ranked: list[tuple[tuple, Plan]] = []
+
+    if container is not None and space > 0:
+        for t in held_targets:
+            ranked.append(((1, 0, 0, t.id), Plan((Put(t, container),))))
+        if free_hand >= 1:
+            for t, room_id in known:
+                if room_id == here:
+                    ranked.append(((1, 1, 0, t.id), Plan((GoGrasp(t), Put(t, container)))))
+
+    payload = bool(held_targets) or bool(load)
+    full = free_hand == 0 and space == 0
+    if payload and (full or not known):
+        ranked.append(((2, 0, 0, 0), Plan((Transport(),))))
+
+    if free_hand >= 1:
+        for t, room_id in known:
+            dist = reg.distance(here, room_id)
+            if room_id == here:
+                steps: tuple[PlanStep, ...] = (GoGrasp(t),)
+            else:
+                steps = (GoTo(reg.rooms_by_id[room_id]), GoGrasp(t))
+            ranked.append(((3, dist, room_id, t.id), Plan(steps)))
+
+    for room_id in sorted(reg.rooms_by_id):
+        level = view.explored_level(room_id)
+        if level == ALL:
+            continue
+        room = reg.rooms_by_id[room_id]
+        dist = reg.distance(here, room_id)
+        if room_id == here:
+            steps = (ExploreCurrent(room),)
+        else:
+            steps = (GoTo(room), ExploreCurrent(room))
+        ranked.append(((4, 0 if level == NONE else 1, dist, room_id), Plan(steps)))
+
+    ranked.sort(key=lambda pair: pair[0])
+    options = [plan for _, plan in ranked]
+    if avoid is not None:
+        options.sort(key=lambda plan: plan_conflicts(plan, avoid, reg))
+    return options
+
+
+def best_plan(view: PlannerView, avoid: Plan | None = None) -> Plan | None:
+    """The head of :func:`plan_options`; None when nothing is left to do."""
+    options = plan_options(view, avoid)
+    return options[0] if options else None
+
+
+# ---------------------------------------------------------------------------
+# Plan stepping.
+# ---------------------------------------------------------------------------
+
+
+def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
+    if isinstance(step, GoTo):
+        return view.room_of(view.owner) == step.room.id
+    if isinstance(step, ExploreCurrent):
+        return view.explored_level(step.room.id) == ALL
+    if isinstance(step, GoGrasp):
+        return view.holds(AtomicBelief(AgentName(view.owner), "HOLD", step.item))
+    if isinstance(step, Put):
+        return view.holds(AtomicBelief(step.container, "CONTAIN", step.object))
+    return False  # transport progress is tracked through history alone
+
+
+def _check_stale(view: PlannerView, plan: Plan, index: int) -> None:
+    step = plan.steps[index]
+    if isinstance(step, GoGrasp):
+        item = step.item
+        if view.believed_transported(item):
+            raise StalePlan(f"{item} already transported")
+        holder = view.believed_holder(item)
+        if holder is not None and holder != view.owner:
+            raise StalePlan(f"{item} held by {holder}")
+        expected_room = None
+        for earlier in reversed(plan.steps[:index]):
+            if isinstance(earlier, GoTo):
+                expected_room = earlier.room.id
+                break
+        if expected_room is None:
+            expected_room = view.my_room()
+        believed = view.believed_room_of_object(item)
+        if believed != expected_room:
+            raise StalePlan(f"{item} no longer believed in the grasp room")
+    elif isinstance(step, Put):
+        if view.believed_holder(step.container) != view.owner:
+            raise StalePlan(f"not holding {step.container}")
+        if view.believed_holder(step.object) != view.owner:
+            raise StalePlan(f"not holding {step.object}")
+    elif isinstance(step, Transport):
+        if not view.holdings():
+            raise StalePlan("nothing held to transport")
+
+
+def next_step(view: PlannerView, plan: Plan, history: list[PlanStep]) -> PlanStep | str:
+    """First plan step not yet reflected in beliefs or history.
+
+    ``history`` lists this plan's completed steps in execution order.
+    Steps whose effects already hold are skipped without executing;
+    returns ``SUBPLAN_DONE`` once every step is accounted for and raises
+    :class:`StalePlan` when a pending step's premise has evaporated.
+    """
+    h = 0
+    for index, step in enumerate(plan.steps):
+        if h < len(history) and history[h] == step:
+            h += 1
+            continue
+        if _effect_holds(view, step):
+            continue
+        _check_stale(view, plan, index)
+        return step
+    return SUBPLAN_DONE
+
+
+# ---------------------------------------------------------------------------
+# Miscoordination detection.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Conflict:
+    """One conflicting step pair; the fields are the episode log's keys."""
+
+    kind: str
+    mine: str
+    theirs: str
+    my_index: int
+    their_plan: int
+    their_index: int
+
+
+@dataclass(frozen=True)
+class MiscoordReport:
+    collaborator: str
+    conflicts: tuple[Conflict, ...]
+    misaligned: tuple[AtomicBelief, ...]
+    heavy: bool
+
+    def to_payload(self) -> dict:
+        return {
+            "collaborator": self.collaborator,
+            "conflicts": [asdict(c) for c in self.conflicts],
+            "misaligned": [str(f) for f in self.misaligned],
+            "heavy": self.heavy,
+        }
+
+
+def step_conflict(a: PlanStep, b: PlanStep, registry: EntityRegistry) -> str | None:
+    """The conflict kind when both steps explore one room or grasp one
+    object, else None.  Entities match by id: a remote reply may name a
+    known id under another name."""
+    if isinstance(a, ExploreCurrent) and isinstance(b, ExploreCurrent) and a.room.id == b.room.id:
+        return SAME_ROOM_EXPLORE
+    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.item.id == b.item.id:
+        if registry.is_container(a.item.id):
+            return SAME_CONTAINER_GRAB
+        return SAME_GRASP_TARGET
+    return None
+
+
+def plan_conflicts(mine: Plan, theirs: Plan, registry: EntityRegistry) -> bool:
+    """Whether any step of ``mine`` conflicts with any step of ``theirs``."""
+    return any(step_conflict(a, b, registry) for a in mine.steps for b in theirs.steps)
+
+
+def head_indexes(plan: Plan) -> set[int]:
+    head = {0}
+    if len(plan.steps) > 1 and isinstance(plan.steps[0], GoTo):
+        head.add(1)
+    return head
+
+
+def names_target(fact: AtomicBelief, registry: EntityRegistry) -> bool:
+    return any(
+        isinstance(term, ObjectRef) and registry.is_target(term.id)
+        for term in (fact.subject, fact.object)
+    )
+
+
+def fact_is_goal_relevant(fact: AtomicBelief, registry: EntityRegistry) -> bool:
+    """A fact about a target object, or a room becoming fully explored."""
+    if names_target(fact, registry):
+        return True
+    if fact.relation == "EXPLORED" and isinstance(fact.object, StateAtom):
+        return fact.object.value == ALL
+    return False
+
+
+def detect_miscoordination(
+    my_plan: Plan | None,
+    their_plans: list[Plan],
+    misaligned: tuple[AtomicBelief, ...],
+    collaborator: str,
+    registry: EntityRegistry,
+) -> MiscoordReport:
+    """Pairwise conflict scan plus belief misalignment, with a heaviness
+    verdict: an imminent conflict (both steps in their plans' opening
+    moves) or a goal-relevant misaligned fact makes the report heavy.
+    ``misaligned`` is :meth:`BeliefWorld.misalignment` of ``collaborator``.
+    """
+    conflicts: list[Conflict] = []
+    if my_plan is not None:
+        for p, theirs in enumerate(their_plans):
+            for i, a in enumerate(my_plan.steps):
+                for j, b in enumerate(theirs.steps):
+                    kind = step_conflict(a, b, registry)
+                    if kind:
+                        conflicts.append(Conflict(kind, str(a), str(b), i, p, j))
+    heavy_conflict = any(
+        c.my_index in head_indexes(my_plan)
+        and c.their_index in head_indexes(their_plans[c.their_plan])
+        for c in conflicts
+    )
+    heavy_misalign = any(fact_is_goal_relevant(f, registry) for f in misaligned)
+    return MiscoordReport(
+        collaborator=collaborator,
+        conflicts=tuple(conflicts),
+        misaligned=misaligned,
+        heavy=heavy_conflict or heavy_misalign,
+    )

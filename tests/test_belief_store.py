@@ -10,7 +10,8 @@ from beliefworld.belief_store import (
     RuleViolation,
     UnknownCollaborator,
 )
-from beliefworld.collab_engine import first_lines, first_view, ingest_facts, zero_lines, zero_view
+from beliefworld.collab_engine import first_lines, ingest_facts, zero_lines
+from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
@@ -204,10 +205,7 @@ def test_slot_reads_match_reference_scans(food_registry):
             except RuleViolation:
                 pass
         for about in (None, "Bob"):
-            if about is None:
-                view = zero_view(world, food_registry)
-            else:
-                view = first_view(world, about, food_registry)
+            view = PlannerView(about or world.owner, food_registry, world.partition(about))
             facts = world.facts(about=about)
             for agent in ("Alice", "Bob"):
                 expected_at = scan_room_of(facts, food_registry, agent)

@@ -10,26 +10,28 @@ from beliefworld import harness, sbl, world_sim
 from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, SendMessage, Transport
 from beliefworld.belief_store import BeliefWorld, RuleViolation
 from beliefworld.collab_engine import (
-    SUBPLAN_DONE,
     AgentMind,
     CorruptObservation,
+    compose_message,
+    parse_message,
+    update_from_messages,
+    update_from_visual,
+)
+from beliefworld.planner import (
+    SUBPLAN_DONE,
     PlannerView,
     StalePlan,
     best_plan,
-    compose_message,
     detect_miscoordination,
     next_step,
-    parse_message,
     plan_options,
-    update_from_messages,
-    update_from_visual,
 )
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom
 from beliefworld.world_sim import VisualObservation
-from universe import reference_plan_ranking, reference_update_from_messages
+from universe import planner_view, reference_plan_ranking, reference_update_from_messages
 
 LIVING = ObjectRef("livingroom", 1000)
 KITCHEN = ObjectRef("kitchen", 2000)
@@ -86,7 +88,7 @@ def random_view(rng: random.Random, registry) -> PlannerView:
             load += 1
         else:
             facts.add(AtomicBelief(AgentName("Bob"), "HOLD", ref))
-    return PlannerView.from_facts(owner, registry, facts)
+    return planner_view(owner, registry, facts)
 
 
 def test_plan_ranking_matches_reference_oracle(food_registry):
@@ -103,7 +105,7 @@ def test_best_plan_grasps_target_in_current_room(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(ObjectRef("apple", 101), "IN", KITCHEN),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     assert str(best_plan(view)) == "go grasp <apple>(101)"
 
 
@@ -111,7 +113,7 @@ def test_best_plan_done_when_everything_exhausted(food_registry):
     facts = {AtomicBelief(AgentName("Alice"), "AT", KITCHEN)}
     for room in (LIVING, KITCHEN, OFFICE, BEDROOM):
         facts.add(AtomicBelief(room, "EXPLORED", StateAtom("all")))
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     assert best_plan(view) is None
 
 
@@ -122,7 +124,7 @@ def test_container_fill_priority(food_registry):
         AtomicBelief(AgentName("Alice"), "HOLD", bowl),
         AtomicBelief(ObjectRef("apple", 101), "IN", KITCHEN),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     assert str(best_plan(view)) == "go grasp <apple>(101); put <apple>(101) <bowl>(201)"
 
 
@@ -133,7 +135,7 @@ def test_transport_when_full(food_registry):
         AtomicBelief(AgentName("Alice"), "HOLD", ObjectRef("banana", 102)),
         AtomicBelief(ObjectRef("orange", 103), "IN", KITCHEN),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     assert str(best_plan(view)) == "transport"
 
 
@@ -142,7 +144,7 @@ def test_explore_prefers_unexplored_nearest(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(KITCHEN, "EXPLORED", StateAtom("part")),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     # all other rooms are unexplored (none); nearest is livingroom at 100
     assert str(best_plan(view)) == "go to <livingroom>(1000); explore current room <livingroom>(1000)"
 
@@ -158,7 +160,7 @@ def test_replan_avoids_collaborator_room(food_registry):
         AtomicBelief(KITCHEN, "EXPLORED", StateAtom("all")),
         AtomicBelief(BEDROOM, "EXPLORED", StateAtom("all")),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     assert str(best_plan(view)).endswith("explore current room <livingroom>(1000)")
     avoid = Plan((GoTo(LIVING), ExploreCurrent(LIVING)))
     assert str(best_plan(view, avoid)).endswith("explore current room <office>(3000)")
@@ -214,7 +216,7 @@ def test_replan_returns_conflicting_room_when_no_alternative():
         AtomicBelief(AgentName("Alice"), "AT", room1),
         AtomicBelief(ObjectRef("bedroom", 2), "EXPLORED", StateAtom("all")),
     }
-    view = PlannerView.from_facts("Alice", registry, facts)
+    view = planner_view("Alice", registry, facts)
     avoid = Plan((ExploreCurrent(room1),))
     assert str(best_plan(view, avoid)) == "explore current room <kitchen>(1)"
 
@@ -230,7 +232,7 @@ def test_next_step_first_incomplete(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(apple, "IN", KITCHEN),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     plan = Plan((GoTo(KITCHEN), GoGrasp(apple)))
     assert next_step(view, plan, []) == GoGrasp(apple)
 
@@ -241,7 +243,7 @@ def test_next_step_subplan_done(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(AgentName("Alice"), "HOLD", apple),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     plan = Plan((GoTo(KITCHEN), GoGrasp(apple)))
     assert next_step(view, plan, [GoGrasp(apple)]) == SUBPLAN_DONE
 
@@ -252,7 +254,7 @@ def test_next_step_stale_when_target_transported(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(apple, "AT", BED),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     with pytest.raises(StalePlan, match="transported"):
         next_step(view, Plan((GoGrasp(apple),)), [])
 
@@ -263,7 +265,7 @@ def test_next_step_stale_when_target_taken(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", KITCHEN),
         AtomicBelief(AgentName("Bob"), "HOLD", apple),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     with pytest.raises(StalePlan, match="held by Bob"):
         next_step(view, Plan((GoGrasp(apple),)), [])
 
@@ -273,7 +275,7 @@ def test_next_step_skips_steps_with_effects_already_true(food_registry):
         AtomicBelief(AgentName("Alice"), "AT", OFFICE),
         AtomicBelief(OFFICE, "EXPLORED", StateAtom("all")),
     }
-    view = PlannerView.from_facts("Alice", food_registry, facts)
+    view = planner_view("Alice", food_registry, facts)
     plan = Plan((GoTo(OFFICE), ExploreCurrent(OFFICE)))
     assert next_step(view, plan, []) == SUBPLAN_DONE
 
@@ -284,42 +286,38 @@ def test_next_step_skips_steps_with_effects_already_true(food_registry):
 
 
 def test_same_room_explore_conflict_is_heavy(food_registry):
-    world = make_world(food_registry)
     plan = Plan((GoTo(LIVING), ExploreCurrent(LIVING)))
-    report = detect_miscoordination(plan, [plan], world, "Bob", food_registry)
+    report = detect_miscoordination(plan, [plan], (), "Bob", food_registry)
     assert report.heavy
     assert report.conflicts[0].kind == "same-room-explore"
 
 
 def test_disjoint_plans_not_heavy(food_registry):
-    world = make_world(food_registry)
     mine = Plan((GoTo(LIVING), ExploreCurrent(LIVING)))
     theirs = Plan((GoTo(OFFICE), ExploreCurrent(OFFICE)))
-    report = detect_miscoordination(mine, [theirs], world, "Bob", food_registry)
+    report = detect_miscoordination(mine, [theirs], (), "Bob", food_registry)
     assert not report.heavy
     assert report.conflicts == ()
 
 
 def test_late_conflict_not_heavy(food_registry):
-    world = make_world(food_registry)
     apple = ObjectRef("apple", 101)
     mine = Plan((GoGrasp(apple), Put(apple, ObjectRef("bowl", 201)), Transport()))
     theirs = Plan((Transport(), ExploreCurrent(KITCHEN), GoGrasp(apple)))
-    report = detect_miscoordination(mine, [theirs], world, "Bob", food_registry)
+    report = detect_miscoordination(mine, [theirs], (), "Bob", food_registry)
     assert report.conflicts and report.conflicts[0].kind == "same-grasp-target"
     assert not report.heavy  # their grasp sits outside the opening move
 
 
 def test_conflicts_match_entities_by_id(food_registry):
     # A remote reply may name a known id under another name.
-    world = make_world(food_registry)
     mine = Plan((GoGrasp(ObjectRef("apple", 101)),))
     theirs = Plan((GoGrasp(ObjectRef("pomme", 101)),))
-    report = detect_miscoordination(mine, [theirs], world, "Bob", food_registry)
+    report = detect_miscoordination(mine, [theirs], (), "Bob", food_registry)
     assert [c.kind for c in report.conflicts] == ["same-grasp-target"]
     salle = Plan((ExploreCurrent(ObjectRef("salle", 1000)),))
     assert detect_miscoordination(
-        Plan((ExploreCurrent(LIVING),)), [salle], world, "Bob", food_registry
+        Plan((ExploreCurrent(LIVING),)), [salle], (), "Bob", food_registry
     ).conflicts
 
 
@@ -328,7 +326,7 @@ def test_goal_relevant_misalignment_is_heavy(food_registry):
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     mine = Plan((GoTo(OFFICE),))
     theirs = Plan((GoTo(BEDROOM),))
-    report = detect_miscoordination(mine, [theirs], world, "Bob", food_registry)
+    report = detect_miscoordination(mine, [theirs], world.misalignment("Bob"), "Bob", food_registry)
     assert report.heavy
     assert [str(f) for f in report.misaligned] == ["<apple>(101) IN <kitchen>(2000)"]
 
@@ -337,7 +335,7 @@ def test_explored_all_misalignment_is_heavy(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<kitchen>(2000) EXPLORED all"))
     world.assert_fact(fact("<kitchen>(2000) EXPLORED none"), about="Bob")
-    report = detect_miscoordination(None, [], world, "Bob", food_registry)
+    report = detect_miscoordination(None, [], world.misalignment("Bob"), "Bob", food_registry)
     assert report.heavy
 
 
@@ -345,7 +343,7 @@ def test_plain_misalignment_not_heavy(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("Alice AT <kitchen>(2000)"))
     world.assert_fact(fact("<kitchen>(2000) EXPLORED part"))
-    report = detect_miscoordination(None, [], world, "Bob", food_registry)
+    report = detect_miscoordination(None, [], world.misalignment("Bob"), "Bob", food_registry)
     assert not report.heavy
 
 

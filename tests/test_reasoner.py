@@ -13,6 +13,7 @@ from beliefworld import reasoner as reasoner_mod
 from beliefworld.actions import parse_plan
 from beliefworld.belief_store import BeliefWorld
 from beliefworld.collab_engine import AgentMind
+from beliefworld.planner import best_plan, plan_options
 from beliefworld.prompts import ReasonerRequest, ReasonerResponse, TemplateError, parse_sections
 from beliefworld.reasoner import HttpReasoner, ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
@@ -281,7 +282,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
         name="Alice", world=world, registry=registry,
         reasoner=reasoner, goal=registry.goal,
     )
-    mind.adopt(collab_engine.best_plan(collab_engine.zero_view(world, registry)))
+    mind.adopt(best_plan(mind.view()))
     return mind
 
 
@@ -313,9 +314,7 @@ def site_compose(mind):
 
 
 def site_judge(mind):
-    candidates = collab_engine.plan_options(
-        collab_engine.first_view(mind.world, "Bob", mind.registry)
-    )[: collab_engine.PREDICTED_PLANS]
+    candidates = plan_options(mind.view("Bob"))[: collab_engine.PREDICTED_PLANS]
     return mind.judge("Bob", candidates)
 
 

@@ -20,6 +20,8 @@ import random
 import networkx as nx
 
 from beliefworld import collab_engine as ce
+from beliefworld.belief_store import slot
+from beliefworld.planner import PlannerView
 from beliefworld.scenario import CONTAINER_CAPACITY
 from beliefworld.sbl import (
     AgentName,
@@ -203,6 +205,11 @@ def scan_holder(facts, ref: ObjectRef):
 # ---------------------------------------------------------------------------
 # Reference planner: an independent translation of the priority rules.
 # ---------------------------------------------------------------------------
+
+
+def planner_view(owner: str, registry, facts) -> PlannerView:
+    """A planner view over a partition holding ``facts``."""
+    return PlannerView(owner, registry, {slot(f): f for f in facts})
 
 
 def _graph(registry) -> nx.Graph:
