@@ -125,7 +125,7 @@ class BeliefWorld:
 
     def facts(self, about: str | None = None) -> list[AtomicBelief]:
         """Partition contents in canonical order."""
-        return sorted(self.partition(about).values(), key=sbl.sort_key)
+        return sorted(self.partition(about).values(), key=str)
 
     def lines(self, about: str | None = None) -> tuple[str, ...]:
         """``str`` of each fact, in :meth:`facts` order; cached until the partition changes."""
@@ -196,7 +196,7 @@ class BeliefWorld:
         """
         theirs = self.partition(collaborator)
         missing = (f for key, f in self.zero.items() if theirs.get(key) != f)
-        return tuple(sorted(missing, key=sbl.sort_key))
+        return tuple(sorted(missing, key=str))
 
     # -- snapshots -----------------------------------------------------
 

@@ -271,7 +271,3 @@ def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:
             return None
     return binding
 
-
-def sort_key(item: BeliefExpr | AtomicBelief) -> str:
-    """Deterministic ordering key: the canonical serialization."""
-    return str(item)
