@@ -24,16 +24,19 @@ rooms, objects, and the goal bed):
 room graph must be connected.  Object kinds are ``target`` (to be carried
 to the bed) or ``container`` (holds up to ``CONTAINER_CAPACITY`` targets,
 lost on delivery); ``container_capacity`` is optional and, when present,
-must equal that constant.  Agents beyond the listed ones can be added by the
-harness; extras draw names from a fixed pool and start rooms round-robin
-from the listed starts.
+must equal that constant.  Ids, room references, edge entries,
+``frame_budget`` and ``container_capacity`` are JSON integers and
+``reveal_fraction`` is a JSON number: a bool, a fraction or a quoted number
+is an error, never rounded or parsed.  Agents beyond the listed ones can
+be added by the harness; extras draw names from a fixed pool and start
+rooms round-robin from the listed starts.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Hashable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -206,12 +209,17 @@ def _dijkstra(adj: dict[int, list[tuple[int, int]]], start: int) -> dict[int, in
     return dist
 
 
+def _int(value) -> int | None:
+    """``value`` when it is a JSON integer, else None: a bool, a float or a
+    string is never read as one."""
+    return value if type(value) is int else None
+
+
 def _ref(entry: dict, what: str, violations: list[str]) -> ObjectRef | None:
-    try:
-        return ObjectRef(str(entry["name"]), int(entry["id"]))
-    except (KeyError, TypeError, ValueError):
-        violations.append(f"{what} entry needs string 'name' and integer 'id': {entry!r}")
-        return None
+    if isinstance(entry, dict) and "name" in entry and _int(entry.get("id")) is not None:
+        return ObjectRef(str(entry["name"]), entry["id"])
+    violations.append(f"{what} entry needs string 'name' and integer 'id': {entry!r}")
+    return None
 
 
 def _list(data: dict, key: str, violations: list[str]) -> list:
@@ -222,17 +230,12 @@ def _list(data: dict, key: str, violations: list[str]) -> list:
     return []
 
 
-def _known(value, ids: set[int]) -> bool:
-    """``value in ids`` for any JSON value; a list or an object is never in it."""
-    return isinstance(value, Hashable) and value in ids
-
-
-def _number(data: dict, key: str, default, kind, violations: list[str]):
-    try:
-        return kind(data.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"{key} must be a finite number: {data[key]!r}")
+def _int_field(data: dict, key: str, default: int, violations: list[str]) -> int:
+    value = _int(data.get(key, default))
+    if value is None:
+        violations.append(f"{key} must be an integer: {data[key]!r}")
         return default
+    return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -252,11 +255,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     edges = []
     for e in _list(data, "edges", violations):
-        try:
-            a, b, cost = int(e[0]), int(e[1]), int(e[2])
-        except (TypeError, ValueError, IndexError, KeyError):
+        if not isinstance(e, list) or len(e) != 3 or None in map(_int, e):
             violations.append(f"edge must be [room_id, room_id, cost]: {e!r}")
             continue
+        a, b, cost = e
         if a not in room_ids or b not in room_ids:
             violations.append(f"edge references unknown room: {e!r}")
         elif cost <= 0:
@@ -269,7 +271,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     bed_entry = data.get("bed", {})
     bed = _ref(bed_entry, "bed", violations)
     bed_room_id = bed_entry.get("room") if isinstance(bed_entry, dict) else None
-    if not _known(bed_room_id, room_ids):
+    if _int(bed_room_id) not in room_ids:
         violations.append(f"bed room {bed_room_id!r} is not a known room")
 
     objects = []
@@ -286,7 +288,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if kind not in (TARGET, CONTAINER):
             violations.append(f"object kind must be target|container: {entry!r}")
             continue
-        if not _known(home, room_ids):
+        if _int(home) not in room_ids:
             violations.append(f"object home room {home!r} is not a known room")
             continue
         if ref.id in seen_ids:
@@ -294,7 +296,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             continue
         seen_ids.add(ref.id)
         target_count += kind == TARGET
-        objects.append((ref, kind, int(home)))
+        objects.append((ref, kind, home))
     if target_count < 1:
         violations.append("at least one target object is required")
 
@@ -307,23 +309,25 @@ def scenario_from_dict(data: dict) -> Scenario:
         room = entry.get("room")
         if not _AGENT_RE.match(name):
             violations.append(f"agent name must be a capitalized identifier: {name!r}")
-        elif not _known(room, room_ids):
+        elif _int(room) not in room_ids:
             violations.append(f"agent start room {room!r} is not a known room")
         else:
-            agents.append((name, int(room)))
+            agents.append((name, room))
     if len(agents) < 2:
         violations.append("at least two agents are required")
     if len({n for n, _ in agents}) != len(agents):
         violations.append("duplicate agent names")
 
-    capacity = _number(data, "container_capacity", CONTAINER_CAPACITY, int, violations)
+    capacity = _int_field(data, "container_capacity", CONTAINER_CAPACITY, violations)
     if capacity != CONTAINER_CAPACITY:
         violations.append(f"container_capacity is fixed at {CONTAINER_CAPACITY}")
-    frame_budget = _number(data, "frame_budget", 3000, int, violations)
+    frame_budget = _int_field(data, "frame_budget", 3000, violations)
     if frame_budget <= 0:
         violations.append("frame_budget must be positive")
-    reveal = _number(data, "reveal_fraction", 0.5, float, violations)
-    if not 0.0 <= reveal <= 1.0:
+    reveal = data.get("reveal_fraction", 0.5)
+    if type(reveal) not in (int, float):
+        violations.append(f"reveal_fraction must be a finite number: {reveal!r}")
+    elif not 0.0 <= reveal <= 1.0:
         violations.append("reveal_fraction must lie in [0, 1]")
 
     if violations:
@@ -335,11 +339,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         rooms=rooms,
         edges=tuple(edges),
         bed=bed,
-        bed_room_id=int(bed_room_id),
+        bed_room_id=bed_room_id,
         objects=tuple(objects),
         agents=tuple(agents),
         frame_budget=frame_budget,
-        reveal_fraction=reveal,
+        reveal_fraction=float(reveal),
     )
 
 

@@ -80,6 +80,12 @@ def food_small_with(**changes) -> str:
     return json.dumps({**food_small_data(), **changes})
 
 
+def food_small_replacing(key: str, index: int, entry) -> str:
+    data = food_small_data()
+    data[key][index] = entry
+    return json.dumps(data)
+
+
 # Malformed scenario files: (file text, or None for a directory; the
 # problem the error names).
 MALFORMED = {
@@ -96,10 +102,37 @@ MALFORMED = {
     "bed room is a list": (
         food_small_with(bed={"name": "bed", "id": 9000, "room": [4000]}), "bed room"
     ),
-    "frame_budget": (food_small_with(frame_budget="long"), "frame_budget must be a finite"),
+    "frame_budget": (food_small_with(frame_budget="long"), "frame_budget must be an integer"),
     "reveal_fraction": (food_small_with(reveal_fraction=None), "reveal_fraction must be a finite"),
     "container_capacity": (
-        food_small_with(container_capacity=[3]), "container_capacity must be a finite"
+        food_small_with(container_capacity=[3]), "container_capacity must be an integer"
+    ),
+    # A number of the wrong JSON type is a mistake, never rounded or parsed.
+    "fractional frame_budget": (
+        food_small_with(frame_budget=2999.9), "frame_budget must be an integer"
+    ),
+    "bool frame_budget": (food_small_with(frame_budget=True), "frame_budget must be an integer"),
+    "string reveal_fraction": (
+        food_small_with(reveal_fraction="0.5"), "reveal_fraction must be a finite"
+    ),
+    "bool reveal_fraction": (
+        food_small_with(reveal_fraction=True), "reveal_fraction must be a finite"
+    ),
+    "fractional container_capacity": (
+        food_small_with(container_capacity=3.5), "container_capacity must be an integer"
+    ),
+    "fractional object id": (
+        food_small_replacing(
+            "objects", 0, {"name": "apple", "id": 101.7, "kind": "target", "room": 2000}
+        ),
+        "object entry needs",
+    ),
+    "fractional edge cost": (
+        food_small_replacing("edges", 3, [3000, 4000, 100.9]), "edge must be"
+    ),
+    "fractional agent room": (
+        food_small_replacing("agents", 0, {"name": "Alice", "room": 2000.0}),
+        "agent start room 2000.0",
     ),
 }
 
