@@ -171,7 +171,7 @@ def update_from_visual(
 
     world.assert_fact(AtomicBelief(owner, "AT", obs.room))
 
-    known = world.zero.get(belief_store.explored_slot(obs.room))
+    known = world.partition().get(belief_store.explored_slot(obs.room))
     stated = known is not None and isinstance(known.object, StateAtom)
     current = known.object.value if stated else NONE
     if sbl.EXPLORED_STATES.index(obs.exploration) >= sbl.EXPLORED_STATES.index(current):
