@@ -1,20 +1,25 @@
-"""Atomic actions, plans, and their message-grammar rendering.
+"""Atomic actions, plans, and their verb grammar.
 
 The action vocabulary mirrors the planning surface the agents reason over:
-move to a room, explore the current room, grasp an item in the current
+move to a room, explore the current room, grasp an object in the current
 room, put a held object into a held container, carry everything to the
 goal, or send a broadcast message.  Plans are 1-3 physical steps; sending
 messages is a decision of its own and never appears inside a plan.
 
-Plan steps serialize to a small verb grammar (``go to <kitchen>(2000)``,
+Each step class names its verb once, and a step serializes as that verb
+followed by its entities in field order (``go to <kitchen>(2000)``,
 ``go grasp <apple>(123)``, ``put <apple>(123) <bowl>(9)``, ``explore
-current room <office>(3000)``, ``transport``) used both in logs and in the
-structured message format exchanged by scripted agents.
+current room <office>(3000)``, ``transport``).  That one table, ordered
+by :data:`STEP_TYPES`, gives the text in logs and in the structured
+message format, the reader :func:`parse_step`, and :data:`ACTION_LIST`,
+the action list of the ``plan_next`` prompt, whose slots are named after
+the fields (``<object>(id)``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .sbl import ObjectRef, ParseError, _OBJECT_RE
 
@@ -22,43 +27,43 @@ MAX_MESSAGE_CHARS = 500
 MAX_PLAN_STEPS = 3
 
 
+class _Step:
+    """A plan step: its verb, then the entities of its fields in order."""
+
+    verb: ClassVar[str]
+
+    def __str__(self) -> str:
+        return " ".join([self.verb, *map(str, vars(self).values())])
+
+
 @dataclass(frozen=True)
-class GoTo:
+class GoTo(_Step):
+    verb = "go to"
     room: ObjectRef
 
-    def __str__(self) -> str:
-        return f"go to {self.room}"
-
 
 @dataclass(frozen=True)
-class ExploreCurrent:
+class ExploreCurrent(_Step):
+    verb = "explore current room"
     room: ObjectRef
 
-    def __str__(self) -> str:
-        return f"explore current room {self.room}"
+
+@dataclass(frozen=True)
+class GoGrasp(_Step):
+    verb = "go grasp"
+    object: ObjectRef
 
 
 @dataclass(frozen=True)
-class GoGrasp:
-    item: ObjectRef
-
-    def __str__(self) -> str:
-        return f"go grasp {self.item}"
-
-
-@dataclass(frozen=True)
-class Put:
+class Put(_Step):
+    verb = "put"
     object: ObjectRef
     container: ObjectRef
 
-    def __str__(self) -> str:
-        return f"put {self.object} {self.container}"
-
 
 @dataclass(frozen=True)
-class Transport:
-    def __str__(self) -> str:
-        return "transport"
+class Transport(_Step):
+    verb = "transport"
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,16 @@ class SendMessage:
                 f"message exceeds {MAX_MESSAGE_CHARS} characters ({len(self.text)})"
             )
 
-    def __str__(self) -> str:
-        return f"send message {self.text!r}"
-
 
 AtomicAction = GoTo | ExploreCurrent | GoGrasp | Put | Transport | SendMessage
 PlanStep = GoTo | ExploreCurrent | GoGrasp | Put | Transport
+
+STEP_TYPES = (GoTo, ExploreCurrent, GoGrasp, Put, Transport)
+
+# The plan_next prompt's action list: every verb with its slots.
+ACTION_LIST = "; ".join(
+    " ".join([cls.verb, *(f"<{f.name}>(id)" for f in fields(cls))]) for cls in STEP_TYPES
+)
 
 # Sentinel intent for an agent that keeps executing (or stays idle).
 CONTINUE = "continue"
@@ -97,29 +106,22 @@ class Plan:
 
 
 def _parse_ref(token: str) -> ObjectRef:
-    m = _OBJECT_RE.fullmatch(token.strip())
+    m = _OBJECT_RE.fullmatch(token)
     if not m:
         raise ParseError(f"expected <name>(id), got {token!r}", 0)
     return ObjectRef(m.group(1), int(m.group(2)))
 
 
 def parse_step(text: str) -> PlanStep:
-    """Parse one verb-grammar step; raises ParseError on anything else."""
-    text = text.strip()
-    if text == "transport":
-        return Transport()
-    if text.startswith("go to "):
-        return GoTo(_parse_ref(text[len("go to "):]))
-    if text.startswith("explore current room "):
-        return ExploreCurrent(_parse_ref(text[len("explore current room "):]))
-    if text.startswith("go grasp "):
-        return GoGrasp(_parse_ref(text[len("go grasp "):]))
-    if text.startswith("put "):
-        parts = text[len("put "):].split()
-        if len(parts) != 2:
-            raise ParseError(f"put takes an object and a container: {text!r}", 0)
-        return Put(_parse_ref(parts[0]), _parse_ref(parts[1]))
-    raise ParseError(f"unrecognized plan step {text!r}", 0)
+    """Parse one verb-grammar step: a verb of :data:`STEP_TYPES` followed
+    by exactly as many ``<name>(id)`` entities as its class has fields;
+    raises ParseError on anything else."""
+    tokens = text.split()
+    for cls in STEP_TYPES:
+        verb = cls.verb.split()
+        if tokens[: len(verb)] == verb and len(tokens) == len(verb) + len(fields(cls)):
+            return cls(*map(_parse_ref, tokens[len(verb):]))
+    raise ParseError(f"unrecognized plan step {text.strip()!r}", 0)
 
 
 def parse_plan(text: str) -> Plan | None:

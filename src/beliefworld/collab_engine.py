@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import belief_store, prompts, sbl
-from .actions import MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, parse_plan
+from .actions import ACTION_LIST, MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, parse_plan
 from .belief_store import BeliefWorld
 from .planner import (
     SUBPLAN_DONE,
@@ -47,7 +47,7 @@ from .planner import (
     next_step,
     plan_options,
 )
-from .scenario import EntityRegistry, GoalSpec
+from .scenario import EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, NONE, VisualObservation
 
@@ -63,11 +63,6 @@ PREDICTED_PLANS = 3
 
 # Replies that mean "nothing": no plan, no belief lines.
 _NO_ANSWER = ("", "none", "none.")
-
-ACTION_LIST_TEXT = (
-    "go to <room>(id); explore current room <room>(id); go grasp <object>(id); "
-    "put <object>(id) <container>(id); transport"
-)
 
 
 class CorruptObservation(ValueError):
@@ -101,13 +96,11 @@ def compose_message(
             return 1
         return 2
 
-    plan_text = str(plan) if plan is not None else "None"
-
     def render(kept: list[AtomicBelief]) -> str:
         parts = ["FACTS:"]
         if kept:
             parts.append("; ".join(str(f) for f in kept))
-        parts.extend(["|", "PLAN:", plan_text])
+        parts.extend(["|", "PLAN:", plan_text(plan)])
         return " ".join(parts)
 
     text = render(facts)
@@ -272,25 +265,21 @@ def _facts_from_lines(lines: str, order: int) -> list[AtomicBelief]:
 # ---------------------------------------------------------------------------
 
 
-def zero_lines(world: BeliefWorld) -> str:
-    prefix, lines = f"{world.owner} BELIEVE ", world.lines()
+def belief_text(world: BeliefWorld, about: str | None = None) -> str:
+    """The zero partition, or the one about ``about``, one ``Owner BELIEVE
+    [About BELIEVE] fact`` line per fact; "None" when it is empty."""
+    prefix = f"{world.owner} BELIEVE " + (f"{about} BELIEVE " if about is not None else "")
+    lines = world.lines(about)
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
-def first_lines(world: BeliefWorld, collab: str) -> str:
-    prefix, lines = f"{world.owner} BELIEVE {collab} BELIEVE ", world.lines(collab)
-    return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
-
-def rules_text(world: BeliefWorld) -> str:
-    return "\n".join(world.rule_lines)
+def plan_text(plan: Plan | None) -> str:
+    return str(plan) if plan is not None else "None"
 
 
 def plans_text(plans: list[Plan]) -> str:
-    lines = []
-    for i in range(PREDICTED_PLANS):
-        body = str(plans[i]) if i < len(plans) else "None"
-        lines.append(f"plan{i + 1}: {body}")
-    return "\n".join(lines)
+    padded = plans[:PREDICTED_PLANS] + [None] * (PREDICTED_PLANS - len(plans))
+    return "\n".join(f"plan{i + 1}: {plan_text(p)}" for i, p in enumerate(padded))
 
 
 def _safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
@@ -312,10 +301,12 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     return None
 
 
-
-def _ask(reasoner, template_id: str, vars: dict[str, str]) -> prompts.ReasonerResponse | None:
-    """Send one reasoning step; the reply when a remote model answered,
-    otherwise None: the engine decides."""
+def _ask(
+    reasoner, template_id: str, agent: str, oppo: str, **vars: str
+) -> prompts.ReasonerResponse | None:
+    """Send one reasoning step from ``agent`` about teammate ``oppo``; the
+    reply when a remote model answered, otherwise None: the engine decides."""
+    vars = {"AGENT_NAME": agent, "OPPO_NAME": oppo, **vars}
     resp = reasoner.complete(prompts.ReasonerRequest(template_id, vars))
     return resp if resp.backend == "llm" else None
 
@@ -393,15 +384,11 @@ def update_from_messages(
     if not mail:
         return {}
     senders = tuple(dict.fromkeys(sender for sender, _ in mail))
-    rule = rules_text(world)
+    rule = "\n".join(world.rule_lines)
 
     def ask(template_id: str, oppo: str, lines: list[tuple[str, str]]):
-        return _ask(reasoner, template_id, {
-            "AGENT_NAME": world.owner,
-            "OPPO_NAME": oppo,
-            "MESSAGE": "\n".join(f"{sender}: {text}" for sender, text in lines),
-            "RULE": rule,
-        })
+        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
+        return _ask(reasoner, template_id, world.owner, oppo, MESSAGE=message, RULE=rule)
 
     zero = _reply_facts(ask("update_zero", ", ".join(senders), mail), "Zero order beliefs", 0)
     first_resp = {s: ask("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
@@ -439,7 +426,7 @@ class AgentMind:
     world: BeliefWorld
     registry: EntityRegistry
     reasoner: object
-    goal: GoalSpec
+    goal: str
     mode: str = MODE_ADAPTIVE
     cooldown: int = 1
     plan: Plan | None = None
@@ -556,25 +543,24 @@ class AgentMind:
 
     # -- reasoning steps: one reasoner call each ------------------------
 
+    def _ask(self, template_id: str, oppo: str, **vars: str) -> prompts.ReasonerResponse | None:
+        return _ask(self.reasoner, template_id, self.name, oppo, **vars)
+
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""
-        resp = _ask(self.reasoner, "predict_zero", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": self.default_oppo,
-            "GOAL": self.goal.describe(),
-            "ZERO_ORDER_BELIEF": zero_lines(self.world),
-        })
+        resp = self._ask(
+            "predict_zero", self.default_oppo,
+            GOAL=self.goal, ZERO_ORDER_BELIEF=belief_text(self.world),
+        )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
     def predict_collaborator(self, collab: str) -> list[Plan]:
         """Up to three candidate plans for a collaborator, computed from the
         first-order partition only (never from the owner's zero beliefs)."""
-        resp = _ask(self.reasoner, "predict_first", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": collab,
-            "GOAL": self.goal.describe(),
-            "FIRST_ORDER_BELIEF": first_lines(self.world, collab),
-        })
+        resp = self._ask(
+            "predict_first", collab,
+            GOAL=self.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
+        )
         plans = []
         if resp is not None:
             for i in range(PREDICTED_PLANS):
@@ -586,13 +572,10 @@ class AgentMind:
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan
         projected for collaborator ``oppo``."""
-        resp = _ask(self.reasoner, "replan", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": oppo,
-            "GOAL": self.goal.describe(),
-            "OPPO_PLAN": str(avoid) if avoid is not None else "None",
-            "ZERO_ORDER_BELIEF": zero_lines(self.world),
-        })
+        resp = self._ask(
+            "replan", oppo,
+            GOAL=self.goal, OPPO_PLAN=plan_text(avoid), ZERO_ORDER_BELIEF=belief_text(self.world),
+        )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
     def next_action(self) -> PlanStep | str:
@@ -605,15 +588,14 @@ class AgentMind:
         assert self.plan is not None
         history = self.plan_history
         mechanical = next_step(self.view(), self.plan, history)
-        resp = _ask(self.reasoner, "plan_next", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": self.default_oppo,
-            "GOAL": self.goal.describe(),
-            "MY_PLAN": str(self.plan),
-            "PREVIOUS_ACTIONS": "; ".join(str(s) for s in history) if history else "None",
-            "ZERO_ORDER_BELIEF": zero_lines(self.world),
-            "ACTION_LIST": ACTION_LIST_TEXT,
-        })
+        resp = self._ask(
+            "plan_next", self.default_oppo,
+            GOAL=self.goal,
+            MY_PLAN=plan_text(self.plan),
+            PREVIOUS_ACTIONS="; ".join(str(s) for s in history) if history else "None",
+            ZERO_ORDER_BELIEF=belief_text(self.world),
+            ACTION_LIST=ACTION_LIST,
+        )
         if resp is not None:
             answer = resp.section("answer").strip()
             if answer.upper().startswith("SUBPLAN DONE"):
@@ -626,12 +608,11 @@ class AgentMind:
     def compose(self, misaligned: list[AtomicBelief], oppo: str) -> str:
         """Draft the outgoing message through the reasoner, addressed to
         ``oppo``, the collaborator that prompted it; always <= 500 chars."""
-        resp = _ask(self.reasoner, "communicate", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": oppo,
-            "MISALIGNED_INFORMATION": "\n".join(str(f) for f in misaligned) or "None",
-            "MY_PLAN": str(self.plan) if self.plan is not None else "None",
-        })
+        resp = self._ask(
+            "communicate", oppo,
+            MISALIGNED_INFORMATION="\n".join(str(f) for f in misaligned) or "None",
+            MY_PLAN=plan_text(self.plan),
+        )
         text = resp.section("Message").strip() if resp is not None else ""
         if not text:
             text = compose_message(misaligned, self.plan, self.registry)
@@ -643,14 +624,13 @@ class AgentMind:
         report = detect_miscoordination(
             self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
-        resp = _ask(self.reasoner, "adaptive", {
-            "AGENT_NAME": self.name,
-            "OPPO_NAME": collab,
-            "ZERO_ORDER_BELIEF": zero_lines(self.world),
-            "MY_FIRST_ORDER_BELIEF": first_lines(self.world, collab),
-            "MY_PLAN": str(self.plan) if self.plan is not None else "None",
-            "OPPO_PLANS": plans_text(candidates),
-        })
+        resp = self._ask(
+            "adaptive", collab,
+            ZERO_ORDER_BELIEF=belief_text(self.world),
+            MY_FIRST_ORDER_BELIEF=belief_text(self.world, collab),
+            MY_PLAN=plan_text(self.plan),
+            OPPO_PLANS=plans_text(candidates),
+        )
         answer = resp.section("answer").strip().lower() if resp is not None else ""
         if answer:
             report = replace(report, heavy=answer.startswith("yes"))

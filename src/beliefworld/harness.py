@@ -34,7 +34,7 @@ from .belief_store import BeliefWorld
 from .collab_engine import MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
-from .scenario import CONTAINER_CAPACITY, EntityRegistry, Scenario, load_scenario
+from .scenario import CONTAINER, CONTAINER_CAPACITY, TARGET, EntityRegistry, Scenario, load_scenario
 
 log = logging.getLogger(__name__)
 
@@ -85,17 +85,14 @@ class RunConfig:
             raise ConfigError("invalid run configuration:\n- " + "\n- ".join(problems))
 
 
-def task_description(scenario: Scenario) -> str:
-    goal = scenario.goal
+def task_description(scenario: Scenario, registry: EntityRegistry) -> str:
     rooms = ", ".join(str(r) for r in scenario.rooms)
-    targets = ", ".join(str(t) for t in goal.targets)
-    containers = ", ".join(
-        str(ref) for ref, kind, _ in scenario.objects if kind == "container"
-    )
+    targets = ", ".join(str(ref) for ref, kind, _ in scenario.objects if kind == TARGET)
+    containers = ", ".join(str(ref) for ref, kind, _ in scenario.objects if kind == CONTAINER)
     names = ", ".join(name for name, _ in scenario.agents)
     return (
         f"Agents {names} collaborate to transport target objects to the bed "
-        f"{goal.bed} in {goal.bed_room} within {scenario.frame_budget} frames. "
+        f"{registry.bed} in {registry.bed_room} within {scenario.frame_budget} frames. "
         f"Rooms: {rooms}. Target objects: {targets}. "
         f"Containers (each holds up to {CONTAINER_CAPACITY} objects, "
         f"lost once dropped at the bed): {containers or 'none'}. "
@@ -128,12 +125,11 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
 
     fallbacks_before = reasoner.fallback_count
     rules, rounds, fell_back = rule_consensus.agree_rules(
-        reasoner, task_description(scenario), cfg.max_rounds
+        reasoner, task_description(scenario, registry), cfg.max_rounds
     )
     consensus_fallbacks = reasoner.fallback_count - fallbacks_before + fell_back
 
     state = world_sim.init(scenario, seed)
-    goal = scenario.goal
     names = [name for name, _ in scenario.agents]
     minds = []
     for name in names:
@@ -150,7 +146,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 world=world,
                 registry=registry,
                 reasoner=reasoner,
-                goal=goal,
+                goal=registry.goal,
                 mode=cfg.mode,
                 cooldown=cfg.cooldown,
             )

@@ -215,7 +215,7 @@ def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
     if isinstance(step, ExploreCurrent):
         return view.explored_level(step.room.id) == ALL
     if isinstance(step, GoGrasp):
-        return view.holds(AtomicBelief(AgentName(view.owner), "HOLD", step.item))
+        return view.holds(AtomicBelief(AgentName(view.owner), "HOLD", step.object))
     if isinstance(step, Put):
         return view.holds(AtomicBelief(step.container, "CONTAIN", step.object))
     return False  # transport progress is tracked through history alone
@@ -224,12 +224,12 @@ def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
 def _check_stale(view: PlannerView, plan: Plan, index: int) -> None:
     step = plan.steps[index]
     if isinstance(step, GoGrasp):
-        item = step.item
-        if view.believed_transported(item):
-            raise StalePlan(f"{item} already transported")
-        holder = view.believed_holder(item)
+        obj = step.object
+        if view.believed_transported(obj):
+            raise StalePlan(f"{obj} already transported")
+        holder = view.believed_holder(obj)
         if holder is not None and holder != view.owner:
-            raise StalePlan(f"{item} held by {holder}")
+            raise StalePlan(f"{obj} held by {holder}")
         expected_room = None
         for earlier in reversed(plan.steps[:index]):
             if isinstance(earlier, GoTo):
@@ -237,9 +237,9 @@ def _check_stale(view: PlannerView, plan: Plan, index: int) -> None:
                 break
         if expected_room is None:
             expected_room = view.my_room()
-        believed = view.believed_room_of_object(item)
+        believed = view.believed_room_of_object(obj)
         if believed != expected_room:
-            raise StalePlan(f"{item} no longer believed in the grasp room")
+            raise StalePlan(f"{obj} no longer believed in the grasp room")
     elif isinstance(step, Put):
         if view.believed_holder(step.container) != view.owner:
             raise StalePlan(f"not holding {step.container}")
@@ -309,8 +309,8 @@ def step_conflict(a: PlanStep, b: PlanStep, registry: EntityRegistry) -> str | N
     known id under another name."""
     if isinstance(a, ExploreCurrent) and isinstance(b, ExploreCurrent) and a.room.id == b.room.id:
         return SAME_ROOM_EXPLORE
-    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.item.id == b.item.id:
-        if registry.is_container(a.item.id):
+    if isinstance(a, GoGrasp) and isinstance(b, GoGrasp) and a.object.id == b.object.id:
+        if registry.is_container(a.object.id):
             return SAME_CONTAINER_GRAB
         return SAME_GRASP_TARGET
     return None

@@ -58,21 +58,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class GoalSpec:
-    """Transport-to-bed goal: every target object delivered to the bed."""
-
-    bed: ObjectRef
-    bed_room: ObjectRef
-    targets: tuple[ObjectRef, ...]
-
-    def describe(self) -> str:
-        return (
-            f"Transport the {len(self.targets)} target objects to the bed "
-            f"{self.bed} in {self.bed_room}."
-        )
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     rooms: tuple[ObjectRef, ...]
@@ -83,17 +68,6 @@ class Scenario:
     agents: tuple[tuple[str, int], ...]  # (name, start room id)
     frame_budget: int = 3000
     reveal_fraction: float = 0.5
-
-    @property
-    def goal(self) -> GoalSpec:
-        targets = tuple(ref for ref, kind, _ in self.objects if kind == TARGET)
-        return GoalSpec(self.bed, self.room_by_id(self.bed_room_id), targets)
-
-    def room_by_id(self, room_id: int) -> ObjectRef:
-        for room in self.rooms:
-            if room.id == room_id:
-                return room
-        raise KeyError(room_id)
 
     def with_agents(self, count: int) -> "Scenario":
         """Trim or extend the agent roster to exactly ``count`` entries."""
@@ -124,6 +98,7 @@ class EntityRegistry:
     scenario: Scenario
     rooms_by_id: dict[int, ObjectRef] = field(init=False)
     objects_by_id: dict[int, tuple[ObjectRef, str]] = field(init=False)
+    goal: str = field(init=False)  # the GOAL sentence of the planning prompts
     _dist: dict[int, dict[int, int]] = field(init=False)
 
     def __post_init__(self):
@@ -133,6 +108,10 @@ class EntityRegistry:
         self.objects_by_id[scn.bed.id] = (scn.bed, BED)
         adj = _adjacency(self.rooms_by_id, scn.edges)
         self._dist = {start: _dijkstra(adj, start) for start in adj}
+        self.goal = (
+            f"Transport the {len(self.target_ids())} target objects to the bed "
+            f"{self.bed} in {self.bed_room}."
+        )
 
     @property
     def bed(self) -> ObjectRef:
@@ -141,10 +120,6 @@ class EntityRegistry:
     @property
     def bed_room(self) -> ObjectRef:
         return self.rooms_by_id[self.scenario.bed_room_id]
-
-    @property
-    def goal(self) -> GoalSpec:
-        return self.scenario.goal
 
     def kind_of(self, entity_id: int) -> str | None:
         entry = self.objects_by_id.get(entity_id)

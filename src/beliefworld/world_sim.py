@@ -226,11 +226,11 @@ def _validate(state: WorldState, agent: AgentState, action: AtomicAction) -> str
             return "can only explore the current room"
         return None
     if isinstance(action, GoGrasp):
-        oid = action.item.id
+        oid = action.object.id
         if reg.kind_of(oid) not in (TARGET, CONTAINER):
-            return f"not a graspable object: {action.item}"
+            return f"not a graspable object: {action.object}"
         if state.locations.get(oid) != (AT_ROOM, agent.room_id):
-            return f"{action.item} is not in this room"
+            return f"{action.object} is not in this room"
         if len(agent.hands) >= MAX_HANDS:
             return "hands are full"
         if reg.is_container(oid) and _held_container(state, agent) is not None:
@@ -267,9 +267,9 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
         state.revealed[agent.name].update(state.room_contents(agent.room_id))
         return ActionResult("completed", action)
     if isinstance(action, GoGrasp):
-        oid = action.item.id
+        oid = action.object.id
         if state.locations.get(oid) != (AT_ROOM, agent.room_id) or len(agent.hands) >= MAX_HANDS:
-            return ActionResult("rejected", action, f"{action.item} no longer available")
+            return ActionResult("rejected", action, f"{action.object} no longer available")
         if reg.is_container(oid) and _held_container(state, agent) is not None:
             return ActionResult("rejected", action, "already holding a container")
         state.locations[oid] = (HELD, agent.name)

@@ -10,7 +10,7 @@ from beliefworld.belief_store import (
     RuleViolation,
     UnknownCollaborator,
 )
-from beliefworld.collab_engine import first_lines, ingest_facts, zero_lines
+from beliefworld.collab_engine import belief_text, ingest_facts
 from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
@@ -250,8 +250,8 @@ def test_cached_text_follows_every_change():
                 assert world.lines(part) == tuple(str(f) for f in world.facts(part)), where
             zero = [f"Alice BELIEVE {f}" for f in world.facts()]
             first = [f"Alice BELIEVE Bob BELIEVE {f}" for f in world.facts(about="Bob")]
-            assert zero_lines(world) == ("\n".join(zero) if zero else "None"), where
-            assert first_lines(world, "Bob") == ("\n".join(first) if first else "None"), where
+            assert belief_text(world) == ("\n".join(zero) if zero else "None"), where
+            assert belief_text(world, "Bob") == ("\n".join(first) if first else "None"), where
             assert world.snapshot() == scan_snapshot(world), where
 
 

@@ -179,7 +179,7 @@ def test_avoid_moves_conflicting_options_back_in_order(food_registry):
         return {s.room.id for s in plan.steps if isinstance(s, ExploreCurrent)}
 
     def grasped(plan):
-        return {s.item.id for s in plan.steps if isinstance(s, GoGrasp)}
+        return {s.object.id for s in plan.steps if isinstance(s, GoGrasp)}
 
     rng = random.Random(31)
     moved = 0
@@ -693,7 +693,7 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42):
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
                             registry.container_ids())
         minds.append(AgentMind(name=name, world=world, registry=registry,
-                               reasoner=reasoner, goal=scn.goal, mode=mode))
+                               reasoner=reasoner, goal=registry.goal, mode=mode))
     return state, minds
 
 

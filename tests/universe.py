@@ -285,7 +285,7 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
         if text.startswith("explore current room "):
             return "explore", step.room.id
         if text.startswith("go grasp "):
-            return "grasp", step.item.id
+            return "grasp", step.object.id
         return "other", None
 
     def head(plan) -> set[int]:
@@ -325,14 +325,9 @@ def reference_update_from_messages(world, inbox, reasoner, registry):
     for sender, text in inbox:
         if sender not in world.first:
             continue
-        vars = {
-            "AGENT_NAME": world.owner,
-            "OPPO_NAME": sender,
-            "MESSAGE": f"{sender}: {text}",
-            "RULE": ce.rules_text(world),
-        }
-        zero_resp = ce._ask(reasoner, "update_zero", vars)
-        first_resp = ce._ask(reasoner, "update_first", vars)
+        vars = {"MESSAGE": f"{sender}: {text}", "RULE": "\n".join(world.rule_lines)}
+        zero_resp = ce._ask(reasoner, "update_zero", world.owner, sender, **vars)
+        first_resp = ce._ask(reasoner, "update_first", world.owner, sender, **vars)
         heard = functools.cache(lambda text=text: ce._heard(text, registry))
         zero = ce._reply_facts(zero_resp, "Zero order beliefs", 0)
         first = ce._reply_facts(first_resp, "First order beliefs", 1)
