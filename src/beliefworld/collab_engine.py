@@ -244,33 +244,47 @@ def ingest_facts(
                 log.warning("dropping non-conforming fact from message: %s", exc)
 
 
-def _facts_from_lines(lines: str, order: int) -> list[AtomicBelief]:
+# ---------------------------------------------------------------------------
+# Reasoner-backed operations.
+# ---------------------------------------------------------------------------
+
+
+def _believers(world: BeliefWorld, about: str | None) -> tuple[str, ...]:
+    """Who believes a partition's facts: the owner, then ``about``."""
+    return (world.owner,) if about is None else (world.owner, about)
+
+
+def belief_text(world: BeliefWorld, about: str | None = None) -> str:
+    """The zero partition, or the one about ``about``, one ``Owner BELIEVE
+    [About BELIEVE] fact`` line per fact; "None" when it is empty."""
+    prefix = "".join(f"{name} BELIEVE " for name in _believers(world, about))
+    lines = world.lines(about)
+    return prefix + ("\n" + prefix).join(lines) if lines else "None"
+
+
+# The update prompts show entities as "<table> (712)"; sbl writes "<table>(712)".
+_SPACED_REF_RE = re.compile(r"(<[^<>()\s]+>)\s+(?=\(\d+\))")
+
+
+def _facts_from_lines(lines: str, world: BeliefWorld, about: str | None) -> list[AtomicBelief]:
+    """The ground facts of the lines written as :func:`belief_text` writes
+    the partition: a line another believer chain holds is skipped."""
+    believers = tuple(map(AgentName, _believers(world, about)))
     facts = []
     for line in lines.splitlines():
         line = line.strip().lstrip("-*").strip()
         if line.lower() in _NO_ANSWER:
             continue
         try:
-            expr = parse(line)
+            expr = parse(_SPACED_REF_RE.sub(r"\1", line))
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
-        if expr.order == order and expr.is_ground:
-            facts.append(expr.body)
+        if expr.believers != believers or not expr.is_ground:
+            log.warning("skipping belief line outside the partition: %r", line)
+            continue
+        facts.append(expr.body)
     return facts
-
-
-# ---------------------------------------------------------------------------
-# Reasoner-backed operations.
-# ---------------------------------------------------------------------------
-
-
-def belief_text(world: BeliefWorld, about: str | None = None) -> str:
-    """The zero partition, or the one about ``about``, one ``Owner BELIEVE
-    [About BELIEVE] fact`` line per fact; "None" when it is empty."""
-    prefix = f"{world.owner} BELIEVE " + (f"{about} BELIEVE " if about is not None else "")
-    lines = world.lines(about)
-    return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
 
 def plan_text(plan: Plan | None) -> str:
@@ -312,15 +326,16 @@ def _ask(
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse | None, label: str, order: int
+    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
 ) -> list[AtomicBelief] | None:
-    """The facts a remote model's belief section lists (``Owner BELIEVE
-    fact`` lines of one order); None when no remote model answered or the
-    section is missing or holds no readable line."""
+    """The facts a remote model's belief section lists for the zero
+    partition, or the one about ``about``; None when no remote model
+    answered or the section is missing or holds no readable line."""
+    label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
     lines = resp.sections[label]
-    facts = _facts_from_lines(lines, order)
+    facts = _facts_from_lines(lines, world, about)
     if facts or lines.strip().lower() in _NO_ANSWER:
         return facts
     return None
@@ -390,9 +405,9 @@ def update_from_messages(
         message = "\n".join(f"{sender}: {text}" for sender, text in lines)
         return _ask(reasoner, template_id, world.owner, oppo, MESSAGE=message, RULE=rule)
 
-    zero = _reply_facts(ask("update_zero", ", ".join(senders), mail), "Zero order beliefs", 0)
+    zero = _reply_facts(ask("update_zero", ", ".join(senders), mail), world, None)
     first_resp = {s: ask("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
-    first = {s: _reply_facts(r, "First order beliefs", 1) for s, r in first_resp.items()}
+    first = {s: _reply_facts(r, world, s) for s, r in first_resp.items()}
     if zero is not None:
         ingest_facts(world, zero, None)
     for sender in senders:
@@ -619,8 +634,8 @@ class AgentMind:
         return text[:MAX_MESSAGE_CHARS]
 
     def judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
-        """Pairwise miscoordination: mechanical scan; a remote model may
-        overturn the heaviness verdict."""
+        """Pairwise miscoordination: mechanical scan; a remote model's
+        answer that starts with yes or no overturns the heaviness verdict."""
         report = detect_miscoordination(
             self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
@@ -632,7 +647,7 @@ class AgentMind:
             OPPO_PLANS=plans_text(candidates),
         )
         answer = resp.section("answer").strip().lower() if resp is not None else ""
-        if answer:
+        if answer.startswith(("yes", "no")):
             report = replace(report, heavy=answer.startswith("yes"))
         return report
 

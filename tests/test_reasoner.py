@@ -259,6 +259,24 @@ MALFORMED = RemoteDouble({
     "adaptive": "reasons: x\nanswer:\nmisaligned information: None",
 })
 
+# Replies in the right shape that are still unusable: the update replies
+# name the wrong believers (Bob's beliefs offered as Alice's own, Carol's
+# in a reply about Bob) and carry a fact the message does not, and the
+# verdict is neither yes nor no.
+MISADDRESSED = RemoteDouble({
+    **MALFORMED.replies,
+    "update_zero": (
+        "Extracted Information: x\n"
+        "Zero order beliefs: Bob BELIEVE <banana>(102) IN <office>(3000)"
+    ),
+    "update_first": (
+        "Extracted Information: x\n"
+        "First order beliefs: Alice BELIEVE Carol BELIEVE <banana>(102) IN <office>(3000)\n"
+        "Bob's plan: run"
+    ),
+    "adaptive": "reasons: x\nanswer: maybe\nmisaligned information: None",
+})
+
 MESSAGE = (
     "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000);"
     " ?x IN <office>(3000) | PLAN: go to <livingroom>(1000); explore current room"
@@ -324,10 +342,13 @@ SITES = (
 )
 
 
-@pytest.mark.parametrize("site", SITES, ids=lambda f: f.__name__)
-def test_malformed_remote_reply_falls_back_to_the_heuristic(site, food_registry):
+@pytest.mark.parametrize("site,remote", [
+    *(pytest.param(site, MALFORMED, id=site.__name__) for site in SITES),
+    *(pytest.param(site, MISADDRESSED, id=f"{site.__name__}-misaddressed") for site in SITES),
+])
+def test_malformed_remote_reply_falls_back_to_the_heuristic(site, remote, food_registry):
     heuristic = site(seeded_mind(food_registry, ScriptedReasoner()))
-    assert site(seeded_mind(food_registry, MALFORMED)) == heuristic
+    assert site(seeded_mind(food_registry, remote)) == heuristic
 
 
 def test_heuristic_message_ingest_drops_facts_with_variables(food_registry):
@@ -421,3 +442,23 @@ def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_re
     assert world.facts(about="Carol") == [parse_atomic("<orange>(103) IN <office>(3000)")]
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
     assert declared == {"Bob": "go grasp <apple>(101)", "Carol": "go grasp <orange>(103)"}
+
+
+def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry):
+    # The update prompts' own example writes "<table> (712)".
+    spaced = {
+        **BATCH_REPLIES,
+        "update_zero": (
+            "Extracted Information: x\n"
+            "Zero order beliefs: Alice BELIEVE <apple> (101) IN <livingroom> (1000)"
+        ),
+        ("update_first", "Bob"): (
+            "Extracted Information: x\n"
+            "First order beliefs: Alice BELIEVE Bob BELIEVE <apple> (101) IN <kitchen>  (2000)\n"
+            "Bob's plan: go grasp <apple>(101)"
+        ),
+    }
+    world, _, declared = batch_update(food_registry, spaced)
+    assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
+    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
+    assert declared == {"Bob": "go grasp <apple>(101)"}

@@ -329,8 +329,8 @@ def reference_update_from_messages(world, inbox, reasoner, registry):
         zero_resp = ce._ask(reasoner, "update_zero", world.owner, sender, **vars)
         first_resp = ce._ask(reasoner, "update_first", world.owner, sender, **vars)
         heard = functools.cache(lambda text=text: ce._heard(text, registry))
-        zero = ce._reply_facts(zero_resp, "Zero order beliefs", 0)
-        first = ce._reply_facts(first_resp, "First order beliefs", 1)
+        zero = ce._reply_facts(zero_resp, world, None)
+        first = ce._reply_facts(first_resp, world, sender)
         ce.ingest_facts(world, heard()[0] if zero is None else zero, None)
         ce.ingest_facts(world, heard()[0] if first is None else first, sender)
         plan = ce._plan_reply(first_resp, registry, lambda: heard()[1])
