@@ -27,7 +27,10 @@ lost on delivery); ``container_capacity`` is optional and, when present,
 must equal that constant.  Ids, room references, edge entries,
 ``frame_budget`` and ``container_capacity`` are JSON integers and
 ``reveal_fraction`` is a JSON number: a bool, a fraction or a quoted number
-is an error, never rounded or parsed.  Agents beyond the listed ones can
+is an error, never rounded or parsed.  Names are JSON strings: each
+entity must render as a ``<name>(id)`` the belief language can write (no
+whitespace, brackets or parentheses in the name, no negative id), and an
+agent name is a capitalized identifier.  Agents beyond the listed ones can
 be added by the harness; extras draw names from a fixed pool and start
 rooms round-robin from the listed starts.
 """
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .sbl import ObjectRef, _AGENT_RE
+from .sbl import ObjectRef, _AGENT_RE, _OBJECT_RE
 
 TARGET = "target"
 CONTAINER = "container"
@@ -191,9 +194,13 @@ def _int(value) -> int | None:
 
 
 def _ref(entry: dict, what: str, violations: list[str]) -> ObjectRef | None:
-    if isinstance(entry, dict) and "name" in entry and _int(entry.get("id")) is not None:
-        return ObjectRef(str(entry["name"]), entry["id"])
-    violations.append(f"{what} entry needs string 'name' and integer 'id': {entry!r}")
+    if not (isinstance(entry, dict) and "name" in entry and _int(entry.get("id")) is not None):
+        violations.append(f"{what} entry needs string 'name' and integer 'id': {entry!r}")
+        return None
+    ref = ObjectRef(entry["name"], entry["id"])
+    if isinstance(ref.name, str) and _OBJECT_RE.match(str(ref)):
+        return ref
+    violations.append(f"{what} entry is not a <name>(id) the belief language can write: {entry!r}")
     return None
 
 
@@ -280,10 +287,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(entry, dict):
             violations.append(f"agent entry must be an object: {entry!r}")
             continue
-        name = str(entry.get("name", ""))
+        name = entry.get("name")
         room = entry.get("room")
-        if not _AGENT_RE.match(name):
-            violations.append(f"agent name must be a capitalized identifier: {name!r}")
+        if not (isinstance(name, str) and _AGENT_RE.match(name)):
+            violations.append(f"agent name must be a capitalized identifier string: {entry!r}")
         elif _int(room) not in room_ids:
             violations.append(f"agent start room {room!r} is not a known room")
         else:

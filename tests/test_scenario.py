@@ -134,6 +134,20 @@ MALFORMED = {
         food_small_replacing("agents", 0, {"name": "Alice", "room": 2000.0}),
         "agent start room 2000.0",
     ),
+    # A name the belief language cannot write as <name>(id) or as an agent.
+    "object name with a space": (
+        food_small_replacing(
+            "objects", 0, {"name": "red apple", "id": 101, "kind": "target", "room": 2000}
+        ),
+        "object entry is not a <name>",
+    ),
+    "integer room name": (
+        food_small_replacing("rooms", 1, {"name": 2000, "id": 2000}), "room entry is not a <name>"
+    ),
+    "bool agent name": (
+        food_small_replacing("agents", 0, {"name": True, "room": 2000}),
+        "agent name must be a capitalized identifier string",
+    ),
 }
 
 
