@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefworld import harness, sbl, world_sim
@@ -24,14 +24,20 @@ from beliefworld.planner import (
     best_plan,
     detect_miscoordination,
     next_step,
+    plan_conflicts,
     plan_options,
 )
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.scenario import EntityRegistry, scenario_from_dict
+from beliefworld.scenario import EntityRegistry, load_scenario, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom
 from beliefworld.world_sim import VisualObservation
-from universe import planner_view, reference_plan_ranking, reference_update_from_messages
+from universe import (
+    conflict_oracle,
+    planner_view,
+    reference_plan_ranking,
+    reference_update_from_messages,
+)
 
 LIVING = ObjectRef("livingroom", 1000)
 KITCHEN = ObjectRef("kitchen", 2000)
@@ -319,6 +325,35 @@ def test_conflicts_match_entities_by_id(food_registry):
     assert detect_miscoordination(
         Plan((ExploreCurrent(LIVING),)), [salle], (), "Bob", food_registry
     ).conflicts
+
+
+FOOD = EntityRegistry(load_scenario("food_small"))
+FOOD_ROOMS = st.sampled_from(sorted(FOOD.rooms_by_id.values()))
+FOOD_TARGETS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.target_ids()))
+FOOD_CONTAINERS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.container_ids()))
+FOOD_PLANS = st.lists(
+    st.one_of(
+        st.builds(GoTo, FOOD_ROOMS),
+        st.builds(ExploreCurrent, FOOD_ROOMS),
+        st.builds(GoGrasp, st.one_of(FOOD_TARGETS, FOOD_CONTAINERS)),
+        st.builds(Put, FOOD_TARGETS, FOOD_CONTAINERS),
+        st.just(Transport()),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda steps: Plan(tuple(steps)))
+BOWL_GRAB = Plan((GoTo(KITCHEN), GoGrasp(ObjectRef("bowl", 201))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mine=FOOD_PLANS, theirs=FOOD_PLANS)
+@example(mine=BOWL_GRAB, theirs=BOWL_GRAB)
+def test_conflict_scan_matches_the_exhaustive_oracle(mine, theirs):
+    pairs, heavy = conflict_oracle(mine, theirs, FOOD.container_ids())
+    report = detect_miscoordination(mine, [theirs], (), "Bob", FOOD)
+    assert plan_conflicts(mine, theirs, FOOD) == bool(pairs)
+    assert [(c.my_index, c.their_index, c.kind) for c in report.conflicts] == pairs
+    assert report.heavy == heavy
 
 
 def test_goal_relevant_misalignment_is_heavy(food_registry):
