@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from beliefworld import world_sim
 from beliefworld.actions import CONTINUE, ExploreCurrent, GoGrasp, GoTo, Put, SendMessage, Transport
+from beliefworld.belief_store import BeliefWorld
+from beliefworld.collab_engine import update_from_visual
+from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, ScenarioError, load_scenario, scenario_from_dict
-from beliefworld.sbl import ObjectRef
+from beliefworld.sbl import AtomicBelief, ObjectRef
 
 
 def tiny_scenario(reveal=0.5, **overrides):
@@ -62,6 +65,7 @@ BANANA = ObjectRef("banana", 3)
 ORANGE = ObjectRef("orange", 4)
 BREAD = ObjectRef("bread", 5)
 BOWL = ObjectRef("bowl", 9)
+PLATE = ObjectRef("plate", 8)
 
 
 def test_init_deterministic():
@@ -154,6 +158,49 @@ def test_put_and_container_capacity():
     _, results = world_sim.apply(state, {"Alice": Put(BREAD, BOWL)})
     assert results["Alice"].status == "rejected"
     assert "full" in results["Alice"].detail
+
+
+# (objects grasped first, the intent, what the rejection says); Alice
+# starts in the kitchen with everything but the pen in view.  Hands hold
+# one container at most, so only the bowl put into itself reaches the
+# container-in-container check.
+REJECTIONS = {
+    "unknown room": ((), GoTo(ObjectRef("attic", 7000)), "unknown room <attic>(7000)"),
+    "same room": ((), GoTo(KITCHEN), "already in that room"),
+    "not graspable": ((), GoGrasp(KITCHEN), "not a graspable object: <kitchen>(2000)"),
+    "second container": ((BOWL,), GoGrasp(PLATE), "already holding a container"),
+    "object not held": ((BOWL,), Put(APPLE, BOWL), "not holding <apple>(1)"),
+    "container not held": ((APPLE,), Put(APPLE, BOWL), "not holding <bowl>(9)"),
+    "not a container": ((APPLE, BANANA), Put(APPLE, BANANA), "<banana>(3) is not a container"),
+    "container in container": (
+        (BOWL,), Put(BOWL, BOWL), "cannot put a container inside a container"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_illegal_intent_is_rejected_with_its_reason(case):
+    grasped, intent, reason = REJECTIONS[case]
+    scenario = tiny_scenario(reveal=1.0)
+    scenario = replace(scenario, objects=scenario.objects + ((PLATE, "container", 2000),))
+    state = world_sim.init(scenario, 1)
+    for ref in grasped:
+        assert run_until_idle(state, "Alice", GoGrasp(ref)).status == "completed"
+    _, results = world_sim.apply(state, {"Alice": intent})
+    assert (results["Alice"].status, results["Alice"].detail) == ("rejected", reason)
+    assert state.agent("Alice").busy is None
+
+
+def test_held_container_contents_are_seen_and_believed():
+    state = world_sim.init(tiny_scenario(reveal=1.0), 1)
+    for intent in (GoGrasp(BOWL), GoGrasp(APPLE), Put(APPLE, BOWL)):
+        assert run_until_idle(state, "Alice", intent).status == "completed"
+    obs = world_sim.observe(state, "Bob")  # Bob shares Alice's room
+    assert obs.contents == ((BOWL, APPLE),)
+    registry = state.registry
+    world = BeliefWorld("Bob", canonical_rules(), ("Alice",), registry.container_ids())
+    update_from_visual(world, obs, registry)
+    assert world.holds(AtomicBelief(BOWL, "CONTAIN", APPLE))
 
 
 def test_transport_four_items_container_lost():
