@@ -17,7 +17,12 @@ judge) are methods of :class:`AgentMind`, which reads its beliefs, goal
 and backend from itself; the inbox update is a module function that
 sends one tick's inbox as one batch: one ``update_zero`` request for all
 of it and one ``update_first`` request per sender.  All of them send
-their request through one helper, :func:`_ask`.  This module alone
+their request through one helper, :func:`_ask`, which sets the
+``AGENT_NAME``/``OPPO_NAME`` header; each other prompt input is written
+in one place too: :func:`belief_text` for belief lines (a reply's belief
+lines are read back only with the believer chain it writes),
+:func:`plan_text` for a plan, ``EntityRegistry.goal`` for the goal and
+``actions.ACTION_LIST`` for the step grammar.  This module alone
 decides: a remote model's answer is taken when one arrives and parses,
 and whenever no remote model answers the step asks the planner (or reads
 the message grammar here), straight off the structured beliefs.  The
@@ -257,7 +262,7 @@ def _believers(world: BeliefWorld, about: str | None) -> tuple[str, ...]:
 def belief_text(world: BeliefWorld, about: str | None = None) -> str:
     """The zero partition, or the one about ``about``, one ``Owner BELIEVE
     [About BELIEVE] fact`` line per fact; "None" when it is empty."""
-    prefix = "".join(f"{name} BELIEVE " for name in _believers(world, about))
+    prefix = " BELIEVE ".join(_believers(world, about)) + " BELIEVE "
     lines = world.lines(about)
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
 

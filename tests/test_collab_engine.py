@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefworld import harness, sbl, world_sim
-from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, SendMessage, Transport
+from beliefworld.actions import (
+    ExploreCurrent,
+    GoGrasp,
+    GoTo,
+    Plan,
+    Put,
+    SendMessage,
+    Transport,
+    parse_plan,
+)
 from beliefworld.belief_store import BeliefWorld, RuleViolation
 from beliefworld.collab_engine import (
     AgentMind,
@@ -354,6 +363,13 @@ def test_conflict_scan_matches_the_exhaustive_oracle(mine, theirs):
     assert plan_conflicts(mine, theirs, FOOD) == bool(pairs)
     assert [(c.my_index, c.their_index, c.kind) for c in report.conflicts] == pairs
     assert report.heavy == heavy
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=FOOD_PLANS)
+def test_plan_text_parses_back_to_the_plan(plan):
+    assert parse_plan(str(plan)) == plan
+    assert parse_plan(str(plan).replace(" ", "  ")) == plan  # spacing is free
 
 
 def test_goal_relevant_misalignment_is_heavy(food_registry):
