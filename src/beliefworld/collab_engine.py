@@ -22,7 +22,12 @@ their request through one helper, :func:`_ask`, which sets the
 in one place too: :func:`belief_text` for belief lines (a reply's belief
 lines are read back only with the believer chain it writes),
 :func:`plan_text` for a plan, ``EntityRegistry.goal`` for the goal and
-``actions.ACTION_LIST`` for the step grammar.  This module alone
+``actions.ACTION_LIST`` for the step grammar.  Each mind sends a step
+once per distinct input: per slot, a template and a collaborator, it
+keeps the last vars it sent and the outcome, and an unchanged input gets
+that outcome back without a call.  A call that fell back is not
+remembered, so the same input goes to the remote model again.  The inbox
+update is not remembered: an inbox does not repeat.  This module alone
 decides: a remote model's answer is taken when one arrives and parses,
 and whenever no remote model answers the step asks the planner (or reads
 the message grammar here), straight off the structured beliefs.  The
@@ -453,6 +458,8 @@ class AgentMind:
     plan_history: list[PlanStep] = field(default_factory=list)
     tick: int = 0
     last_comm_tick: int | None = None
+    # (template_id, oppo) -> the vars last sent from that slot and the reply.
+    _last_reply: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def collaborators(self) -> tuple[str, ...]:
@@ -561,10 +568,25 @@ class AgentMind:
                 return None
         return None
 
-    # -- reasoning steps: one reasoner call each ------------------------
+    # -- reasoning steps: one reasoner call per distinct input ----------
 
     def _ask(self, template_id: str, oppo: str, **vars: str) -> prompts.ReasonerResponse | None:
-        return _ask(self.reasoner, template_id, self.name, oppo, **vars)
+        """:func:`_ask`, sent once per distinct input per slot.
+
+        A slot is a template and a collaborator.  When ``vars`` equal the
+        ones the slot last sent, the slot's last outcome is returned and
+        nothing is sent.  A call that fell back (``fallback_count`` rose)
+        leaves its slot as it was, so the same input is asked again.
+        """
+        slot = (template_id, oppo)
+        sent, reply = self._last_reply.get(slot, (None, None))
+        if sent == vars:
+            return reply
+        fallbacks = self.reasoner.fallback_count
+        resp = _ask(self.reasoner, template_id, self.name, oppo, **vars)
+        if self.reasoner.fallback_count == fallbacks:
+            self._last_reply[slot] = (vars, resp)
+        return resp
 
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""
@@ -640,7 +662,8 @@ class AgentMind:
 
     def judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
         """Pairwise miscoordination: mechanical scan; a remote model's
-        answer that starts with yes or no overturns the heaviness verdict."""
+        answer whose first word is yes or no (:func:`prompts.yes_no`)
+        overturns the heaviness verdict."""
         report = detect_miscoordination(
             self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
@@ -651,9 +674,9 @@ class AgentMind:
             MY_PLAN=plan_text(self.plan),
             OPPO_PLANS=plans_text(candidates),
         )
-        answer = resp.section("answer").strip().lower() if resp is not None else ""
-        if answer.startswith(("yes", "no")):
-            report = replace(report, heavy=answer.startswith("yes"))
+        heavy = prompts.yes_no(resp.section("answer")) if resp is not None else None
+        if heavy is not None:
+            report = replace(report, heavy=heavy)
         return report
 
     def _note_shared(self, text: str, misaligned: list[AtomicBelief]) -> None:

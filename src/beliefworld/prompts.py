@@ -6,7 +6,8 @@ the three rule-construction roles) corresponds to one template here.
 Templates carry ``$VAR$`` placeholders, filled in one pass so that values
 are never rescanned, and an ordered list of labels the answer must
 contain; :func:`parse_sections` recovers those labeled sections from a
-completion, tolerating case and spacing but not missing or reordered labels.
+completion, tolerating case and spacing but not missing or reordered labels,
+and :func:`yes_no` reads the verdict a section gives.
 
 The catalog ships as a checksummed JSON data file; the loader refuses a
 catalog whose per-template or overall digests do not match, so silent
@@ -132,6 +133,15 @@ def render(tmpl: PromptTemplate | str, vars: dict[str, str]) -> str:
     """Substitute every ``$VAR$`` in one pass; values are never rescanned."""
     tmpl = require_vars(tmpl, vars)
     return _PLACEHOLDER_RE.sub(lambda m: vars[m.group(1)], tmpl.text)
+
+
+def yes_no(text: str) -> bool | None:
+    """A verdict: True or False when the first word, trailing punctuation
+    stripped, is yes or no ("No, because ..." is a no); otherwise None,
+    so "not sure", "none" and "nothing to add" are no verdict."""
+    words = text.split(maxsplit=1)
+    word = words[0].rstrip(".,;:!?-").lower() if words else ""
+    return {"yes": True, "no": False}.get(word)
 
 
 def _label_line(line: str) -> tuple[str, str] | None:

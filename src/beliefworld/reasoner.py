@@ -11,7 +11,12 @@ then decides that step with its own heuristics from the beliefs it holds.
 
 The HTTP backend speaks the OpenAI-compatible chat completions protocol:
 one user message per call, temperature 0.7, top_p 1, max_tokens 512,
-bearer auth from the ``COBEL_API_KEY`` environment variable.  One loop
+bearer auth from the ``COBEL_API_KEY`` environment variable.  A sample
+at that temperature is drawn once per distinct input, not once per
+step: each ``AgentMind`` remembers its last reply per step and
+collaborator and returns it while that slot's inputs stay the same, so
+the reply is a function of the prompt for that long.  A fallback is
+never remembered.  One loop
 asks at most twice: the prompt, then, if the reply misses a section
 label, the prompt plus a repair instruction.  Each ask posts once more
 after a ``backoff_base``-second pause when the post fails (a transport

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import sbl
-from .prompts import ReasonerRequest
+from .prompts import ReasonerRequest, yes_no
 
 log = logging.getLogger(__name__)
 
@@ -169,10 +169,10 @@ def _parse_proposal(sections: dict[str, str]) -> RuleProposal:
 
 
 def _parse_review(sections: dict[str, str]) -> Review:
-    verdict = sections.get("Satisfied", "").strip().lower()
-    if not verdict.startswith(("yes", "no")):
+    satisfied = yes_no(sections.get("Satisfied", ""))
+    if satisfied is None:
         raise ValueError("no yes/no verdict")
-    return Review(sections.get("Suggestions", ""), satisfied=verdict.startswith("yes"))
+    return Review(sections.get("Suggestions", ""), satisfied=satisfied)
 
 
 def _ask_twice(reasoner, template_id: str, vars: dict[str, str], read):

@@ -31,11 +31,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (340, "f829670049dd240bfc7cc144805c749fc579fe030a52d4ecfa5e982dc13351ca"),
-    ("food_small", 2, "never"): (140, "a03ae901e7b212dad968e5fcb44ec0cac3f2676865253268c93445e6b0441618"),
-    ("food_small", 2, "always"): (324, "c38f6b4c1b63fa4c09ef852ca8bf9fe4b59d7a165edf60d35f7e179ba0fa7775"),
-    ("stuff_small", 2, "always"): (292, "a6cf6e73e439750ee2b54b5de24324726b763794407d447cd875dff8185a553c"),
-    ("stuff_small", 4, "adaptive"): (979, "f5565c854e5ec62698bbc96642d0abb9df7cab7412c8970d99c9152db57db68a"),
+    ("food_small", 2, "adaptive"): (308, "3e27047fb6cf41226fce7314b237456c04f0d129657ba37b16d86a6149e90f60"),
+    ("food_small", 2, "never"): (112, "a2ec0d073b9b960004e5783f84ea19c1d24c0fca556a6133075c66188a4b0fdd"),
+    ("food_small", 2, "always"): (280, "1241266219fd4f28587cfc09a9f3482f03145765f287e6feb1a86aac4abe22e7"),
+    ("stuff_small", 2, "always"): (253, "e70055dc1a90a983fa42c05737d8c9e5f3dde335eed15f3aaa208783a077c037"),
+    ("stuff_small", 4, "adaptive"): (883, "7545a1efa89ff12c7e1f7109e9a9753d7722b4f37c39aa32984f596f1cb458de"),
 }
 
 

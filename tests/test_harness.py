@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from beliefworld import cli, harness, world_sim
+from beliefworld import cli, collab_engine, harness, world_sim
+from beliefworld.collab_engine import AgentMind
 from beliefworld.episode_log import EpisodeLog, LogError, metrics
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
@@ -95,6 +96,48 @@ def test_skipping_quiet_frames_leaves_the_log_unchanged(
     if budget is not None:
         assert skipped.of_kind("done")[0]["payload"]["reason"] == "timeout"
         assert result.frames_used == budget
+
+
+MEMO_RUNS = [
+    ("food_small", 2, "never"),
+    ("food_small", 2, "always"),
+    ("food_small", 2, "adaptive"),
+    ("stuff_small", 4, "adaptive"),
+]
+
+
+@pytest.mark.parametrize("scenario,agents,mode", MEMO_RUNS)
+def test_the_reply_memo_leaves_the_log_unchanged(scenario, agents, mode, monkeypatch):
+    cfg = harness.RunConfig(scenario=scenario, seeds=(2,), agents=agents, mode=mode)
+    memoised, _ = harness.run_episode(cfg, 2)
+
+    def unmemoised(mind, template_id, oppo, **vars):
+        return collab_engine._ask(mind.reasoner, template_id, mind.name, oppo, **vars)
+
+    monkeypatch.setattr(AgentMind, "_ask", unmemoised)
+    asked_every_time, _ = harness.run_episode(cfg, 2)
+    assert memoised.to_text() == asked_every_time.to_text()
+
+
+@pytest.mark.parametrize("scenario,agents,mode", MEMO_RUNS)
+def test_no_slot_sends_the_same_request_twice_in_a_row(scenario, agents, mode, monkeypatch):
+    last_sent, repeats = {}, []
+    complete = ScriptedReasoner.complete
+
+    def recording(reasoner, request):
+        vars = request.vars
+        if "AGENT_NAME" in vars:  # an engine request, not the rule dialogue
+            slot = (vars["AGENT_NAME"], request.template_id, vars["OPPO_NAME"])
+            if last_sent.get(slot) == vars:
+                repeats.append(slot)
+            last_sent[slot] = vars
+        return complete(reasoner, request)
+
+    monkeypatch.setattr(ScriptedReasoner, "complete", recording)
+    cfg = harness.RunConfig(scenario=scenario, seeds=(2,), agents=agents, mode=mode)
+    harness.run_episode(cfg, 2)
+    assert last_sent
+    assert repeats == []
 
 
 def test_quiet_frames_are_not_stepped_one_by_one(monkeypatch):

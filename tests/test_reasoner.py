@@ -385,6 +385,71 @@ def test_remote_verdict_overrides_judge(food_registry):
     assert report.misaligned == heuristic.misaligned
 
 
+# The engine's own verdict here is heavy; only a yes or no word overturns it.
+@pytest.mark.parametrize("answer,heavy", [
+    ("yes", True), ("yes.", True), ("yes - because Bob is far", True),
+    ("No", False), ("no.", False), ("No, nothing conflicts", False),
+    ("not sure", True), ("none", True), ("nothing to add", True), ("maybe", True),
+])
+def test_judge_reads_yes_or_no_as_a_word(answer, heavy, food_registry):
+    remote = RemoteDouble(
+        {"adaptive": f"reasons: x\nanswer: {answer}\nmisaligned information: None"}
+    )
+    assert site_judge(seeded_mind(food_registry, remote)).heavy is heavy
+
+
+# ---------------------------------------------------------------------------
+# The reply memo: one request per distinct input per (template, collaborator).
+# ---------------------------------------------------------------------------
+
+PREDICT_FIRST_REPLY = (
+    "reasoning: x\nplans:\nplan1: go grasp <apple>(101)\nplan2: None\nplan3: None"
+)
+
+
+def test_an_unchanged_input_is_asked_once(food_registry):
+    remote = RecordingRemote({"predict_first": PREDICT_FIRST_REPLY})
+    mind = seeded_mind(food_registry, remote)
+    first = mind.predict_collaborator("Bob")
+    assert mind.predict_collaborator("Bob") == first
+    assert len(remote.requests) == 1
+    mind.world.assert_fact(parse_atomic("<bowl>(201) IN <kitchen>(2000)"), about="Bob")
+    mind.predict_collaborator("Bob")
+    assert len(remote.requests) == 2
+    assert "<bowl>(201)" in remote.requests[1].vars["FIRST_ORDER_BELIEF"]
+
+
+def test_each_collaborator_is_its_own_slot(food_registry):
+    remote = RecordingRemote({"predict_first": PREDICT_FIRST_REPLY})
+    world = BeliefWorld(
+        "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids()
+    )
+    mind = AgentMind(
+        name="Alice", world=world, registry=food_registry, reasoner=remote,
+        goal=food_registry.goal,
+    )
+    for collab in ("Bob", "Carol", "Bob", "Carol"):
+        mind.predict_collaborator(collab)
+    sent = [(r.vars["OPPO_NAME"], r.vars["FIRST_ORDER_BELIEF"]) for r in remote.requests]
+    assert sent == [("Bob", "None"), ("Carol", "None")]
+
+
+def test_a_fallback_is_not_remembered(food_registry, monkeypatch):
+    posts = []
+
+    def refuse(*args, **kwargs):
+        posts.append(kwargs["json"])
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    client = http_reasoner()
+    mind = seeded_mind(food_registry, client)
+    site_judge(mind)
+    assert (len(posts), client.fallback_count) == (2, 1)  # the first try and its retry
+    site_judge(mind)
+    assert (len(posts), client.fallback_count) == (4, 2)
+
+
 # ---------------------------------------------------------------------------
 # One tick's inbox as one batch.
 # ---------------------------------------------------------------------------

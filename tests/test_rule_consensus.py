@@ -170,7 +170,7 @@ def test_consensus_failure_on_unparseable_proposer(food_registry):
 
 
 class VerdictlessReviewer:
-    """Reviewer double whose first replies lack a yes/no verdict."""
+    """Reviewer double that gives the listed verdicts, one per call."""
 
     fallback_count = 0
 
@@ -203,6 +203,20 @@ def test_review_without_verdict_twice_fails(scripted):
     with pytest.raises(ConsensusFailure, match="did not parse"):
         consensus_loop(scripted, reviewer, TASK, max_rounds=3)
     assert reviewer.calls == 2
+
+
+# (verdict, review calls, rounds): a yes accepts the first proposal, a no
+# asks for a refinement reviewed in round 2, and anything else is no
+# verdict, so the review is asked again.
+@pytest.mark.parametrize("verdict,calls,rounds", [
+    ("yes", 1, 1), ("Yes.", 1, 1), ("yes - all covered", 1, 1),
+    ("no", 2, 2), ("No, start over", 2, 2),
+    ("not sure", 2, 1), ("none", 2, 1), ("nothing to add", 2, 1),
+])
+def test_review_verdict_is_yes_or_no_as_a_word(verdict, calls, rounds, scripted):
+    reviewer = VerdictlessReviewer([verdict, "yes"])
+    result = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    assert (reviewer.calls, result.rounds) == (calls, rounds)
 
 
 def test_max_rounds_validation(scripted):
