@@ -11,28 +11,28 @@ are pure functions in :mod:`beliefworld.planner`; this module keeps the
 agent: messages, belief updates, reading replies and :class:`AgentMind`.
 
 Every reasoning step is a call to a pluggable backend through its
-prompt template, whichever backend is plugged in.  The steps of the loop
-(predict self, predict a collaborator, replan, next action, compose,
-judge) are methods of :class:`AgentMind`, which reads its beliefs, goal
-and backend from itself; the inbox update is a module function that
-sends one tick's inbox as one batch: one ``update_zero`` request for all
-of it and one ``update_first`` request per sender.  All of them send
-their request through one helper, :func:`_ask`, which sets the
+prompt template, whichever backend is plugged in; the backend answers
+with a reply or with None.  The steps of the loop (predict self, predict
+a collaborator, replan, next action, compose, judge) are methods of
+:class:`AgentMind`, which reads its beliefs, registry and backend from
+itself; the inbox update is a module function that sends one tick's
+inbox as one batch: one ``update_zero`` request for all of it and one
+``update_first`` request per sender.  All of them send their request
+through the mind's one ask path, ``AgentMind._ask``, which sets the
 ``AGENT_NAME``/``OPPO_NAME`` header; each other prompt input is written
 in one place too: :func:`belief_text` for belief lines (a reply's belief
 lines are read back only with the believer chain it writes),
 :func:`plan_text` for a plan, ``EntityRegistry.goal`` for the goal and
-``actions.ACTION_LIST`` for the step grammar.  Each mind sends a step
-once per distinct input: per slot, a template and a collaborator, it
-keeps the last vars it sent and the outcome, and an unchanged input gets
-that outcome back without a call.  A call that fell back is not
-remembered, so the same input goes to the remote model again.  The inbox
-update is not remembered: an inbox does not repeat.  This module alone
-decides: a remote model's answer is taken when one arrives and parses,
-and whenever no remote model answers the step asks the planner (or reads
-the message grammar here), straight off the structured beliefs.  The
-scripted backend answers only the rule dialogue, so scripted runs are
-exactly replayable.
+``actions.ACTION_LIST`` for the step grammar.  Each mind sends a request
+once per distinct input, the inbox update included: per slot, a template
+and a collaborator, it keeps the last vars it sent and the outcome, and
+an unchanged input gets that outcome back without a call.  A call that
+fell back is not remembered, so the same input goes to the remote model
+again.  This module alone decides: a remote model's answer is taken when
+one arrives and parses, and whenever no reply arrives the step asks the
+planner (or reads the message grammar here), straight off the structured
+beliefs.  The scripted backend answers only the rule dialogue, so
+scripted runs are exactly replayable.
 """
 
 from __future__ import annotations
@@ -325,22 +325,12 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     return None
 
 
-def _ask(
-    reasoner, template_id: str, agent: str, oppo: str, **vars: str
-) -> prompts.ReasonerResponse | None:
-    """Send one reasoning step from ``agent`` about teammate ``oppo``; the
-    reply when a remote model answered, otherwise None: the engine decides."""
-    vars = {"AGENT_NAME": agent, "OPPO_NAME": oppo, **vars}
-    resp = reasoner.complete(prompts.ReasonerRequest(template_id, vars))
-    return resp if resp.backend == "llm" else None
-
-
 def _reply_facts(
     resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists for the zero
-    partition, or the one about ``about``; None when no remote model
-    answered or the section is missing or holds no readable line."""
+    partition, or the one about ``about``; None when no reply arrived or
+    the section is missing or holds no readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
@@ -355,7 +345,7 @@ def _plan_reply(
     resp: prompts.ReasonerResponse | None, registry: EntityRegistry, heuristic
 ) -> Plan | None:
     """A remote model's single-plan answer ("None" means done); the
-    heuristic decides when no remote model answered or the plan is bad."""
+    heuristic decides when no reply arrived or the plan is bad."""
     if resp is None:
         return heuristic()
     section = resp.section("plan")
@@ -379,10 +369,11 @@ def _heard(text: str, registry: EntityRegistry) -> tuple[list[AtomicBelief], Pla
 def update_from_messages(
     world: BeliefWorld,
     inbox: list[tuple[str, str]],
-    reasoner,
+    ask,
     registry: EntityRegistry,
 ) -> dict[str, Plan]:
-    """Fold one tick's inbox into both belief orders via the reasoner.
+    """Fold one tick's inbox into both belief orders through ``ask``, the
+    owner's ``AgentMind._ask``.
 
     The inbox is one batch: a single ``update_zero`` request carries every
     ``sender: text`` line in arrival order (the owner now knows what it
@@ -411,12 +402,12 @@ def update_from_messages(
     senders = tuple(dict.fromkeys(sender for sender, _ in mail))
     rule = "\n".join(world.rule_lines)
 
-    def ask(template_id: str, oppo: str, lines: list[tuple[str, str]]):
+    def send(template_id: str, oppo: str, lines: list[tuple[str, str]]):
         message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-        return _ask(reasoner, template_id, world.owner, oppo, MESSAGE=message, RULE=rule)
+        return ask(template_id, oppo, MESSAGE=message, RULE=rule)
 
-    zero = _reply_facts(ask("update_zero", ", ".join(senders), mail), world, None)
-    first_resp = {s: ask("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
+    zero = _reply_facts(send("update_zero", ", ".join(senders), mail), world, None)
+    first_resp = {s: send("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
     first = {s: _reply_facts(r, world, s) for s, r in first_resp.items()}
     if zero is not None:
         ingest_facts(world, zero, None)
@@ -451,7 +442,6 @@ class AgentMind:
     world: BeliefWorld
     registry: EntityRegistry
     reasoner: object
-    goal: str
     mode: str = MODE_ADAPTIVE
     cooldown: int = 1
     plan: Plan | None = None
@@ -499,7 +489,7 @@ class AgentMind:
         self.tick += 1
         fallbacks_before = self.reasoner.fallback_count
         update_from_visual(self.world, obs, self.registry)
-        declared = update_from_messages(self.world, inbox, self.reasoner, self.registry)
+        declared = update_from_messages(self.world, inbox, self._ask, self.registry)
 
         if self.plan is None:
             self.adopt(self.predict_self())
@@ -571,19 +561,21 @@ class AgentMind:
     # -- reasoning steps: one reasoner call per distinct input ----------
 
     def _ask(self, template_id: str, oppo: str, **vars: str) -> prompts.ReasonerResponse | None:
-        """:func:`_ask`, sent once per distinct input per slot.
+        """Send one reasoning step about teammate ``oppo``, once per
+        distinct input per slot; the reply, or None: the engine decides.
 
-        A slot is a template and a collaborator.  When ``vars`` equal the
+        A slot is a template and a collaborator.  When the vars equal the
         ones the slot last sent, the slot's last outcome is returned and
         nothing is sent.  A call that fell back (``fallback_count`` rose)
         leaves its slot as it was, so the same input is asked again.
         """
+        vars = {"AGENT_NAME": self.name, "OPPO_NAME": oppo, **vars}
         slot = (template_id, oppo)
         sent, reply = self._last_reply.get(slot, (None, None))
         if sent == vars:
             return reply
         fallbacks = self.reasoner.fallback_count
-        resp = _ask(self.reasoner, template_id, self.name, oppo, **vars)
+        resp = self.reasoner.complete(prompts.ReasonerRequest(template_id, vars))
         if self.reasoner.fallback_count == fallbacks:
             self._last_reply[slot] = (vars, resp)
         return resp
@@ -592,7 +584,7 @@ class AgentMind:
         """Best next 1-3 step plan from the zero partition; None when done."""
         resp = self._ask(
             "predict_zero", self.default_oppo,
-            GOAL=self.goal, ZERO_ORDER_BELIEF=belief_text(self.world),
+            GOAL=self.registry.goal, ZERO_ORDER_BELIEF=belief_text(self.world),
         )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
@@ -601,7 +593,7 @@ class AgentMind:
         first-order partition only (never from the owner's zero beliefs)."""
         resp = self._ask(
             "predict_first", collab,
-            GOAL=self.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
+            GOAL=self.registry.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
         )
         plans = []
         if resp is not None:
@@ -616,7 +608,9 @@ class AgentMind:
         projected for collaborator ``oppo``."""
         resp = self._ask(
             "replan", oppo,
-            GOAL=self.goal, OPPO_PLAN=plan_text(avoid), ZERO_ORDER_BELIEF=belief_text(self.world),
+            GOAL=self.registry.goal,
+            OPPO_PLAN=plan_text(avoid),
+            ZERO_ORDER_BELIEF=belief_text(self.world),
         )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
@@ -632,7 +626,7 @@ class AgentMind:
         mechanical = next_step(self.view(), self.plan, history)
         resp = self._ask(
             "plan_next", self.default_oppo,
-            GOAL=self.goal,
+            GOAL=self.registry.goal,
             MY_PLAN=plan_text(self.plan),
             PREVIOUS_ACTIONS="; ".join(str(s) for s in history) if history else "None",
             ZERO_ORDER_BELIEF=belief_text(self.world),

@@ -10,8 +10,8 @@ skips the quiet frames up to the next completion (or the frame budget)
 instead of stepping them one by one; the log is the same either way.
 A reasoning call the remote model fails to answer falls back to the
 collaboration engine's own heuristics for that step, and when the rule
-dialogue fails or :func:`rule_consensus.rule_problems` rejects the rules
-it accepts, :func:`rule_consensus.agree_rules` puts the canonical rules in
+dialogue fails or :func:`rule_consensus.judge` rejects the proposal it
+accepts, :func:`rule_consensus.agree_rules` puts the canonical rules in
 their place (the header's ``consensus_fallbacks`` counts it); reasoner
 failures never abort a run.
 
@@ -62,8 +62,6 @@ class RunConfig:
     cooldown: int = 1
     base_url: str | None = None
     model: str | None = None
-    http_timeout: float = 30.0
-    backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
         problems = []
@@ -105,12 +103,7 @@ def task_description(scenario: Scenario, registry: EntityRegistry) -> str:
 def _build_reasoner(cfg: RunConfig) -> ScriptedReasoner | HttpReasoner:
     if cfg.backend == SCRIPTED:
         return ScriptedReasoner()
-    return HttpReasoner(
-        base_url=cfg.base_url,
-        model=cfg.model,
-        timeout=cfg.http_timeout,
-        backoff_base=cfg.backoff_base,
-    )
+    return HttpReasoner(base_url=cfg.base_url, model=cfg.model)
 
 
 def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
@@ -146,7 +139,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 world=world,
                 registry=registry,
                 reasoner=reasoner,
-                goal=registry.goal,
                 mode=cfg.mode,
                 cooldown=cfg.cooldown,
             )

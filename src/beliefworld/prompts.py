@@ -79,7 +79,6 @@ class ReasonerRequest:
 class ReasonerResponse:
     sections: dict[str, str]
     raw: str
-    backend: str  # scripted | llm
 
     def section(self, label: str, default: str = "") -> str:
         return self.sections.get(label, default)

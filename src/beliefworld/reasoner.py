@@ -1,13 +1,15 @@
 """Reasoning backends: a deterministic scripted backend and an HTTP client.
 
-Both backends answer :class:`~beliefworld.prompts.ReasonerRequest` calls,
-and the collaboration engine makes the same calls whichever one is
-plugged in.  The scripted backend answers only the rule dialogue
-(``rules_propose``, ``rules_refine``, ``rules_review``): canonical rule
-proposals and :func:`rule_consensus.checklist_review`, rendered as text
-and parsed back through the same section parser the HTTP path uses.  Every other
-template gets an empty scripted response; :mod:`beliefworld.collab_engine`
-then decides that step with its own heuristics from the beliefs it holds.
+Both backends answer :class:`~beliefworld.prompts.ReasonerRequest` calls
+with a :class:`~beliefworld.prompts.ReasonerResponse` or with None, and
+the collaboration engine makes the same calls whichever one is plugged
+in.  None means "no answer": the engine decides that step itself.  The
+scripted backend answers only the rule dialogue (``rules_propose``,
+``rules_refine``, ``rules_review``): canonical rule proposals and the
+verdict of :func:`rule_consensus.judge`, rendered as text and parsed back
+through the same section parser the HTTP path uses.  It returns None for
+every other template; :mod:`beliefworld.collab_engine` then decides that
+step with its own heuristics from the beliefs it holds.
 
 The HTTP backend speaks the OpenAI-compatible chat completions protocol:
 one user message per call, temperature 0.7, top_p 1, max_tokens 512,
@@ -21,9 +23,12 @@ asks at most twice: the prompt, then, if the reply misses a section
 label, the prompt plus a repair instruction.  Each ask posts once more
 after a ``backoff_base``-second pause when the post fails (a transport
 error or a reply without text content); a second failed post ends the
-loop.  A loop that ends without a parsed reply falls back to the
-scripted backend: the response is marked ``backend="scripted"``, the
-engine's heuristics decide that step, and ``fallback_count`` goes up.
+loop.  After a failed post, later asks post once, without pause or
+retry, until a post returns text, so a dead endpoint costs one post per
+step.  A loop that ends without a parsed reply falls back: the client
+returns what the scripted backend returns for the request (None for an
+engine step, the scripted answer for a rule-dialogue step), and
+``fallback_count``, the one fallback signal, goes up.
 
 The inbox update sends a whole tick's messages in one request (all of
 them to ``update_zero``, each sender's to its ``update_first``), so a
@@ -65,6 +70,7 @@ REPAIR_INSTRUCTION = (
 # (TypeError: a body of the wrong shape, such as a null message).
 POST_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, ValueError)
 
+# The backend names a run configuration chooses between.
 SCRIPTED = "scripted"
 LLM = "llm"
 
@@ -75,22 +81,20 @@ class ScriptedReasoner:
 
     The three ``rules_*`` templates get full replies, parsed back through
     the same section parser the HTTP path uses; their raw text is the
-    consensus dialogue.  Every other template gets an empty scripted
-    response, which tells the collaboration engine to take its own
-    heuristic answer.
+    consensus dialogue.  Every other template gets None, which tells the
+    collaboration engine to take its own heuristic answer.
     """
 
-    backend = SCRIPTED
     fallback_count: int = 0
 
-    def complete(self, request: ReasonerRequest) -> ReasonerResponse:
+    def complete(self, request: ReasonerRequest) -> ReasonerResponse | None:
         tmpl = prompts.require_vars(request.template_id, request.vars)
         answer = getattr(self, f"_answer_{request.template_id}", None)
         if answer is None:
-            return ReasonerResponse(sections={}, raw="", backend=SCRIPTED)
+            return None
         text = answer(request.vars)
         sections = prompts.parse_sections(tmpl, text)
-        return ReasonerResponse(sections=sections, raw=text, backend=SCRIPTED)
+        return ReasonerResponse(sections=sections, raw=text)
 
     # -- rule-dialogue answers ------------------------------------------
 
@@ -108,7 +112,7 @@ class ScriptedReasoner:
         )
 
     def _answer_rules_review(self, vars: dict[str, str]) -> str:
-        problems = rule_consensus.checklist_review(vars.get("ALICE_CONTENT", ""))
+        _, problems = rule_consensus.judge(vars.get("ALICE_CONTENT", ""))
         suggestions = "; ".join(problems) if problems else "None"
         answer = "no" if problems else "yes"
         return (
@@ -129,9 +133,10 @@ class HttpReasoner:
     api_key: str | None = None
     timeout: float = 30.0
     backoff_base: float = 0.5
-    backend = LLM
     fallback_count: int = 0
     _scripted: ScriptedReasoner = field(init=False, default_factory=ScriptedReasoner)
+    # True while the last post failed: the endpoint is taken to be down.
+    _last_post_failed: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.api_key is None:
@@ -157,23 +162,29 @@ class HttpReasoner:
         return content
 
     def _post_with_retry(self, prompt: str) -> str:
+        """The reply text; a failed post is retried once after a pause,
+        unless the post before it failed too."""
         try:
-            return self._post(prompt)
+            text = self._post(prompt)
         except POST_ERRORS as exc:
+            if self._last_post_failed:
+                raise
+            self._last_post_failed = True
             log.warning("chat completion failed (%s); retrying once", exc)
             time.sleep(self.backoff_base)
-            return self._post(prompt)
+            text = self._post(prompt)
+        self._last_post_failed = False
+        return text
 
-    def complete(self, request: ReasonerRequest) -> ReasonerResponse:
+    def complete(self, request: ReasonerRequest) -> ReasonerResponse | None:
         tmpl = prompts.template(request.template_id)
         prompt = prompts.render(tmpl, request.vars)
         repair = REPAIR_INSTRUCTION.format(labels=", ".join(tmpl.output_labels))
-        raw = ""
         for attempt in (prompt, prompt + repair):
             try:
                 raw = self._post_with_retry(attempt)
                 sections = prompts.parse_sections(tmpl, raw)
-                return ReasonerResponse(sections=sections, raw=raw, backend=LLM)
+                return ReasonerResponse(sections=sections, raw=raw)
             except ParseFailure:  # a ValueError too, so it is caught first
                 continue
             except POST_ERRORS:
@@ -182,7 +193,4 @@ class HttpReasoner:
         log.warning(
             "falling back to scripted reasoning for template %s", request.template_id
         )
-        scripted = self._scripted.complete(request)
-        return ReasonerResponse(
-            sections=scripted.sections, raw=raw or scripted.raw, backend=SCRIPTED
-        )
+        return self._scripted.complete(request)

@@ -4,19 +4,20 @@ Before an episode starts, the first two agents agree on the rule schema
 every stored belief must conform to.  The proposer drafts zero- and
 first-order rules from the task description, the reviewer answers with a
 verdict and suggestions, and the loop repeats with refinement until the
-reviewer is satisfied or the round budget runs out.  A reply that does
-not parse into rules or a yes/no verdict is asked for once more
-(:func:`_ask_twice`) before the dialogue fails.
+reviewer is satisfied or the round budget runs out.  A proposal keeps its
+rule lines as text, as written; a review without a yes/no verdict is
+asked for once more (:func:`_review`) before the dialogue fails.
 
-:func:`rule_problems` is the one judge of a rule set: no rule may be
-ground or stated twice, and every canonical rule below must be unified
-with by some rule of its order, since a narrower rule would reject
-observed facts.  The scripted reviewer (:func:`checklist_review`) and
-:func:`agree_rules` both ask it, so a reviewer that falls back to the
-scripted one rejects during the dialogue exactly what :func:`agree_rules`
-would replace afterwards.  :func:`agree_rules` runs the dialogue and
-puts the canonical rules in place of a failed dialogue or of accepted
-rules the judge rejects; the rules it returns go to every agent.
+:func:`judge` is the one judge of a proposal's text: every rule line must
+parse, no rule may be ground or stated twice, and every canonical rule
+below must be unified with by some rule of its order, since a narrower
+rule would reject observed facts.  The scripted reviewer and
+:func:`agree_rules` both ask it about the same rendered proposal, so a
+reviewer that falls back to the scripted one rejects during the dialogue
+exactly what :func:`agree_rules` would replace afterwards.
+:func:`agree_rules` runs the dialogue and puts the canonical rules in
+place of a failed dialogue or of an accepted proposal the judge rejects;
+the rules it returns go to every agent.
 
 With the deterministic backend on both sides this converges in one round
 to the canonical sixteen-rule set below.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -80,19 +81,15 @@ def canonical_rules() -> tuple[sbl.BeliefExpr, ...]:
 
 @dataclass(frozen=True)
 class RuleProposal:
-    """One side's draft rule set.
+    """One side's draft rule set: its rule lines as written.
 
-    Deliberately lenient: duplicated or misfiled rules are kept as stated
-    so the reviewer can see and reject them.  The accepted consensus
-    output is deduplicated and order-partitioned in :meth:`all_rules`.
+    Nothing is parsed or deduplicated here, so the reviewer sees, and can
+    reject, duplicated, misfiled and unparseable rules alike.
     """
 
     reasoning: str
-    zero_rules: tuple[sbl.BeliefExpr, ...]
-    first_rules: tuple[sbl.BeliefExpr, ...]
-
-    def all_rules(self) -> tuple[sbl.BeliefExpr, ...]:
-        return tuple(dict.fromkeys(self.zero_rules + self.first_rules))
+    zero_rules: tuple[str, ...]
+    first_rules: tuple[str, ...]
 
     def render(self) -> str:
         return f"Reasoning: {self.reasoning or 'None'}\n" + rule_sections(
@@ -103,11 +100,11 @@ class RuleProposal:
 def rule_sections(
     zero_rules: Iterable = CANONICAL_ZERO_RULES, first_rules: Iterable = CANONICAL_FIRST_RULES
 ) -> str:
-    """The two rule sections of a proposal, one rule (or rule text) a line;
-    by default the canonical rules, as the scripted proposer states them."""
+    """The two rule sections of a proposal, one rule line a line; by
+    default the canonical rules, as the scripted proposer states them."""
     return (
-        "Zero order belief rules:\n" + "\n".join(map(str, zero_rules))
-        + "\nFirst order belief rules:\n" + "\n".join(map(str, first_rules)) + "\n"
+        "Zero order belief rules:\n" + "\n".join(zero_rules)
+        + "\nFirst order belief rules:\n" + "\n".join(first_rules) + "\n"
     )
 
 
@@ -126,13 +123,21 @@ def _rule_lines(text: str) -> list[str]:
     return [line for line in stripped if " BELIEVE " in line]
 
 
-def rule_problems(rules: Sequence[sbl.BeliefExpr]) -> tuple[str, ...]:
-    """What makes a rule set unacceptable; empty when it is acceptable.
+def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
+    """The rules a proposal's text states, and what makes them
+    unacceptable: empty when they are acceptable.
 
-    A rule is ground, or stated more than once, or a canonical rule is
-    unified with by no rule of its order (a narrower rule, such as one
-    pinned to a room, would reject facts observed anywhere else)."""
-    problems = [f"'{r}' is ground, not a rule" for r in rules if not r.is_rule]
+    A rule line does not parse, or a rule is ground, or stated more than
+    once, or a canonical rule is unified with by no rule of its order (a
+    narrower rule, such as one pinned to a room, would reject facts
+    observed anywhere else)."""
+    rules, problems = [], []
+    for line in _rule_lines(text):
+        try:
+            rules.append(sbl.parse(line))
+        except sbl.ParseError as exc:
+            problems.append(f"unparseable rule '{line}' ({exc})")
+    problems += [f"'{r}' is ground, not a rule" for r in rules if not r.is_rule]
     problems += [
         f"duplicate rule '{r}'; deletion advised" for r, n in Counter(rules).items() if n > 1
     ]
@@ -142,25 +147,12 @@ def rule_problems(rules: Sequence[sbl.BeliefExpr]) -> tuple[str, ...]:
         if not any(r.order == c.order and sbl.unify_atomic(r.body, c.body) is not None
                    for r in rules)
     ]
-    return tuple(problems)
-
-
-def checklist_review(proposal_text: str) -> tuple[str, ...]:
-    """The deterministic reviewer: the unparseable rule lines, then
-    :func:`rule_problems` of the rest.  Returns the problems found; empty
-    when the proposal passes."""
-    problems, rules = [], []
-    for line in _rule_lines(proposal_text):
-        try:
-            rules.append(sbl.parse(line))
-        except sbl.ParseError as exc:
-            problems.append(f"unparseable rule '{line}' ({exc})")
-    return tuple(problems) + rule_problems(rules)
+    return tuple(rules), tuple(problems)
 
 
 def _parse_proposal(sections: dict[str, str]) -> RuleProposal:
-    def rules(label: str) -> tuple[sbl.BeliefExpr, ...]:
-        return tuple(sbl.parse(line) for line in _rule_lines(sections.get(label, "")))
+    def rules(label: str) -> tuple[str, ...]:
+        return tuple(_rule_lines(sections.get(label, "")))
 
     reasoning = sections.get("Entity and predicate reasoning") or sections.get("Reasoning", "")
     return RuleProposal(
@@ -175,49 +167,39 @@ def _parse_review(sections: dict[str, str]) -> Review:
     return Review(sections.get("Suggestions", ""), satisfied=satisfied)
 
 
-def _ask_twice(reasoner, template_id: str, vars: dict[str, str], read):
-    """``read`` the reply's sections; ask once more if it raises ValueError
-    (an :class:`sbl.ParseError` is one)."""
+def _review(reviewer, vars: dict[str, str]) -> Review:
+    """The reviewer's verdict, asked for once more when a reply has none."""
     for attempt in (1, 2):
-        response = reasoner.complete(ReasonerRequest(template_id, vars))
+        response = reviewer.complete(ReasonerRequest("rules_review", vars))
         try:
-            return read(response.sections)
+            return _parse_review(response.sections)
         except ValueError as exc:
-            log.warning("%s attempt %d is unusable: %s", template_id, attempt, exc)
-    raise ConsensusFailure(f"{template_id} reply did not parse after one retry")
-
-
-@dataclass(frozen=True)
-class ConsensusResult:
-    rules: tuple[sbl.BeliefExpr, ...]
-    rounds: int
+            log.warning("rules_review attempt %d is unusable: %s", attempt, exc)
+    raise ConsensusFailure("rules_review reply did not parse after one retry")
 
 
 def consensus_loop(
     proposer, reviewer, task_description: str, max_rounds: int = 3
-) -> ConsensusResult:
-    """Propose, review, and refine until the reviewer accepts.
+) -> tuple[RuleProposal, int]:
+    """Propose, review, and refine until the reviewer accepts; returns the
+    accepted proposal and the round it was accepted in.
 
     Raises :class:`ConsensusFailure` carrying the last review when no
     acceptance happens within ``max_rounds`` rounds (one proposer call and
-    one reviewer call each, each asked once more when its reply is
-    unusable).
+    one reviewer call each, the review asked once more when it has no
+    verdict).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     task = {"BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT, "TASK_DESCRIPTION": task_description}
-    proposal: RuleProposal | None = None
-    review: Review | None = None
+    request = ReasonerRequest("rules_propose", task)
     for round_number in range(1, max_rounds + 1):
-        if proposal is None or review is None:
-            proposal = _ask_twice(proposer, "rules_propose", task, _parse_proposal)
-        else:
-            previous = {"PREVIOUS_CONTENT": proposal.render(), "SUGGESTIONS": review.suggestions}
-            proposal = _ask_twice(proposer, "rules_refine", task | previous, _parse_proposal)
-        alice = {"ALICE_CONTENT": proposal.render()}
-        review = _ask_twice(reviewer, "rules_review", task | alice, _parse_review)
+        proposal = _parse_proposal(proposer.complete(request).sections)
+        review = _review(reviewer, task | {"ALICE_CONTENT": proposal.render()})
         if review.satisfied:
-            return ConsensusResult(rules=proposal.all_rules(), rounds=round_number)
+            return proposal, round_number
+        previous = {"PREVIOUS_CONTENT": proposal.render(), "SUGGESTIONS": review.suggestions}
+        request = ReasonerRequest("rules_refine", task | previous)
     raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", review)
 
 
@@ -226,16 +208,18 @@ def agree_rules(
 ) -> tuple[tuple[sbl.BeliefExpr, ...], int, int]:
     """The rules, the consensus rounds, and 1 when the canonical rules
     stand in, else 0.  They stand in when the dialogue fails (the rounds
-    are then the whole budget) or when :func:`rule_problems` rejects the
-    accepted rules, as parsed."""
+    are then the whole budget) or when :func:`judge` rejects the accepted
+    proposal."""
     try:
-        consensus = consensus_loop(reasoner, reasoner, task_description, max_rounds=max_rounds)
+        proposal, rounds = consensus_loop(
+            reasoner, reasoner, task_description, max_rounds=max_rounds
+        )
     except ConsensusFailure as exc:
         log.warning("rule consensus failed (%s); using the canonical rules", exc)
         return canonical_rules(), max_rounds, 1
-    problems = rule_problems(consensus.rules)
+    rules, problems = judge(proposal.render())
     if problems:
         log.warning("accepted rules fail review (%s); using the canonical rules",
                     "; ".join(problems))
-        return canonical_rules(), consensus.rounds, 1
-    return consensus.rules, consensus.rounds, 0
+        return canonical_rules(), rounds, 1
+    return rules, rounds, 0

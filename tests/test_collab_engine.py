@@ -548,14 +548,19 @@ def test_update_from_visual_rejects_unknown_entity(food_registry):
 # ---------------------------------------------------------------------------
 
 
+def scripted_ask(world, registry):
+    """The ask path of the world owner's mind, over the scripted backend."""
+    return make_mind(registry, world)._ask
+
+
 def test_update_from_messages_spec_example(food_registry):
     world = make_world(food_registry)
-    reasoner = ScriptedReasoner()
     text = (
         "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000)"
         " | PLAN: go grasp <apple>(101); transport"
     )
-    declared = update_from_messages(world, [("Bob", text)], reasoner, food_registry)
+    ask = scripted_ask(world, food_registry)
+    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
     for about in (None, "Bob"):
         assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about=about)
         assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"), about=about)
@@ -565,7 +570,7 @@ def test_update_from_messages_spec_example(food_registry):
 def test_update_from_messages_empty_inbox(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = update_from_messages(world, [], ScriptedReasoner(), food_registry)
+    declared = update_from_messages(world, [], scripted_ask(world, food_registry), food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -573,7 +578,8 @@ def test_update_from_messages_empty_inbox(food_registry):
 def test_update_from_messages_plan_none(food_registry):
     world = make_world(food_registry)
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
-    declared = update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
+    ask = scripted_ask(world, food_registry)
+    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
     assert declared == {}
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about="Bob")
 
@@ -582,7 +588,7 @@ def test_update_from_messages_unparseable_ignored(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
     declared = update_from_messages(
-        world, [("Bob", "utter gibberish !!")], ScriptedReasoner(), food_registry
+        world, [("Bob", "utter gibberish !!")], scripted_ask(world, food_registry), food_registry
     )
     assert declared == {}
     assert world.snapshot() == before
@@ -593,7 +599,8 @@ def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_regis
     world = make_world(food_registry)
     before = world.snapshot()
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: transport; transport; transport; transport"
-    declared = update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
+    ask = scripted_ask(world, food_registry)
+    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -658,8 +665,9 @@ def test_batched_scripted_update_matches_the_per_message_loop(food_registry, tex
                 except RuleViolation:  # a third held item
                     pass
         worlds.append(world)
-    expected = reference_update_from_messages(worlds[0], inbox, ScriptedReasoner(), food_registry)
-    declared = update_from_messages(worlds[1], inbox, ScriptedReasoner(), food_registry)
+    asks = [scripted_ask(world, food_registry) for world in worlds]
+    expected = reference_update_from_messages(worlds[0], inbox, asks[0], food_registry)
+    declared = update_from_messages(worlds[1], inbox, asks[1], food_registry)
     assert list(declared.items()) == list(expected.items())
     assert worlds[1].snapshot() == worlds[0].snapshot()
     for about in (None, "Bob", "Carol", "Dave"):
@@ -671,7 +679,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
     world.assert_fact(fact("Bob HOLD <apple>(101)"), about="Bob")
     world.assert_fact(fact("Bob HOLD <banana>(102)"), about="Bob")
     text = "FACTS: Bob HOLD <orange>(103) | PLAN: None"
-    update_from_messages(world, [("Bob", text)], ScriptedReasoner(), food_registry)
+    update_from_messages(world, [("Bob", text)], scripted_ask(world, food_registry), food_registry)
     assert world.holds(fact("Bob HOLD <orange>(103)"), about="Bob")
     # the stale pair was displaced rather than blocking the fresh report
     held = [f for f in world.facts(about="Bob") if f.relation == "HOLD"]
@@ -685,7 +693,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
 
 def make_mind(registry, world) -> AgentMind:
     return AgentMind(name=world.owner, world=world, registry=registry,
-                     reasoner=ScriptedReasoner(), goal=registry.goal)
+                     reasoner=ScriptedReasoner())
 
 
 def test_predict_collaborator_reads_first_order_only(food_registry):
@@ -744,7 +752,7 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42):
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
                             registry.container_ids())
         minds.append(AgentMind(name=name, world=world, registry=registry,
-                               reasoner=reasoner, goal=registry.goal, mode=mode))
+                               reasoner=reasoner, mode=mode))
     return state, minds
 
 
@@ -813,7 +821,7 @@ def only_third_heavy(reasoner, third: str):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", third),
                         registry.container_ids())
     mind = AgentMind(name="Alice", world=world, registry=registry,
-                     reasoner=reasoner, goal=registry.goal)
+                     reasoner=reasoner)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")
@@ -869,7 +877,7 @@ def test_stale_replan_names_the_declaring_collaborator(food_registry):
     world = make_world(food_registry, collaborators=("Bob", "Carol"))
     reasoner = RecordingScripted()
     mind = AgentMind(name="Alice", world=world, registry=food_registry,
-                     reasoner=reasoner, goal=food_registry.goal)
+                     reasoner=reasoner)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("Carol AT <office>(3000)"), about="Carol")
     mind.adopt(Plan((GoGrasp(ObjectRef("apple", 101)),)))

@@ -7,9 +7,10 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from beliefworld import cli, collab_engine, harness, world_sim
+from beliefworld import cli, harness, rule_consensus, world_sim
 from beliefworld.collab_engine import AgentMind
 from beliefworld.episode_log import EpisodeLog, LogError, metrics
+from beliefworld.prompts import ReasonerRequest
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
 
@@ -27,8 +28,8 @@ class NoPositionRules(ScriptedReasoner):
 
 class NarrowIn(ScriptedReasoner):
     """Proposes the canonical rules with every IN pinned to the kitchen,
-    and approves anything: the rules pass the checklist but would reject
-    an object seen in any other room."""
+    and approves anything: the rules would reject an object seen in any
+    other room."""
 
     def _answer_rules_propose(self, vars):
         return super()._answer_rules_propose(vars).replace(" IN ?room", " IN <kitchen>(2000)")
@@ -50,6 +51,19 @@ class GroundRule(ScriptedReasoner):
         return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
 
 
+class DuplicateRule(ScriptedReasoner):
+    """Proposes the canonical rules with the first first-order rule stated
+    twice, and approves anything: the scripted reviewer rejects the
+    duplicate."""
+
+    def _answer_rules_propose(self, vars):
+        duplicate = rule_consensus.CANONICAL_FIRST_RULES[0]
+        return super()._answer_rules_propose(vars) + duplicate + "\n"
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
+
+
 class AlwaysRejects(ScriptedReasoner):
     """Rejects every proposal, so the rule dialogue never agrees."""
 
@@ -58,7 +72,7 @@ class AlwaysRejects(ScriptedReasoner):
 
 
 @pytest.mark.parametrize(
-    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, AlwaysRejects)
+    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, DuplicateRule, AlwaysRejects)
 )
 def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkeypatch):
     monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner_cls())
@@ -103,6 +117,8 @@ MEMO_RUNS = [
     ("food_small", 2, "always"),
     ("food_small", 2, "adaptive"),
     ("stuff_small", 4, "adaptive"),
+    # Here an inbox update can repeat its slot's previous request.
+    ("stuff_small", 4, "always"),
 ]
 
 
@@ -112,7 +128,8 @@ def test_the_reply_memo_leaves_the_log_unchanged(scenario, agents, mode, monkeyp
     memoised, _ = harness.run_episode(cfg, 2)
 
     def unmemoised(mind, template_id, oppo, **vars):
-        return collab_engine._ask(mind.reasoner, template_id, mind.name, oppo, **vars)
+        vars = {"AGENT_NAME": mind.name, "OPPO_NAME": oppo, **vars}
+        return mind.reasoner.complete(ReasonerRequest(template_id, vars))
 
     monkeypatch.setattr(AgentMind, "_ask", unmemoised)
     asked_every_time, _ = harness.run_episode(cfg, 2)

@@ -46,15 +46,13 @@ def test_scripted_rejects_unbound_vars(tid):
 @pytest.mark.parametrize("tid", RULE_TEMPLATES)
 def test_scripted_answers_rule_dialogue_with_parseable_sections(tid):
     resp = ScriptedReasoner().complete(request(tid))
-    assert resp.backend == reasoner_mod.SCRIPTED
     assert resp.sections == parse_sections(tid, resp.raw)
     assert set(resp.sections) == set(prompts.template(tid).output_labels)
 
 
 def test_scripted_leaves_every_other_step_to_the_engine():
     for tid in set(prompts.TEMPLATE_IDS) - set(RULE_TEMPLATES):
-        resp = ScriptedReasoner().complete(request(tid))
-        assert (resp.sections, resp.raw, resp.backend) == ({}, "", reasoner_mod.SCRIPTED)
+        assert ScriptedReasoner().complete(request(tid)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +74,26 @@ def http_reasoner() -> HttpReasoner:
     return HttpReasoner(base_url="http://localhost:9", model="stub", backoff_base=0)
 
 
+@pytest.fixture
+def refuse_posts(monkeypatch):
+    """Refuse every post; returns the list of posts and the list of sleeps."""
+    posts, sleeps = [], []
+
+    def refuse(*args, **kwargs):
+        posts.append(kwargs["json"])
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    monkeypatch.setattr(reasoner_mod.time, "sleep", sleeps.append)
+    return posts, sleeps
+
+
 def test_http_reply_is_taken(monkeypatch):
     text = "Reasoning: fine\nSuggestions: None\nSatisfied: yes\n"
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeHttpResponse(text))
     client = http_reasoner()
     resp = client.complete(request("rules_review"))
-    assert resp.backend == reasoner_mod.LLM
-    assert resp.section("Satisfied") == "yes"
+    assert resp == ReasonerResponse(parse_sections("rules_review", text), text)
     assert client.fallback_count == 0
 
 
@@ -98,8 +109,7 @@ def test_http_null_content_falls_back(monkeypatch):
     resp = client.complete(request("rules_propose"))
     assert len(posts) == 2  # the first try and its one retry
     assert client.fallback_count == 1
-    assert resp.backend == reasoner_mod.SCRIPTED
-    assert resp.sections == ScriptedReasoner().complete(request("rules_propose")).sections
+    assert resp == ScriptedReasoner().complete(request("rules_propose"))
 
 
 class NullMessage(FakeHttpResponse):
@@ -116,37 +126,28 @@ SCRIPTED_REVIEW = ScriptedReasoner().complete(request("rules_review"))
 
 
 # One scripted sequence of post outcomes per case: a reply text, a
-# response, or an exception to raise.  Expected: which posts carry the repair instruction,
-# the backend, fallback_count and raw.
+# response, or an exception to raise.  Expected: which posts carry the
+# repair instruction, and the reply text, or None for a fallback (the
+# client then returns the scripted review and counts the fallback).
 RETRY_CASES = {
-    "bad format, then good": (
-        [REVIEW_BAD, REVIEW_OK], [False, True], reasoner_mod.LLM, 0, REVIEW_OK,
-    ),
-    "bad format twice": (
-        [REVIEW_BAD, REVIEW_BAD], [False, True], reasoner_mod.SCRIPTED, 1, REVIEW_BAD,
-    ),
+    "bad format, then good": ([REVIEW_BAD, REVIEW_OK], [False, True], REVIEW_OK),
+    "bad format twice": ([REVIEW_BAD, REVIEW_BAD], [False, True], None),
     "transport error twice": (
-        [requests.ConnectionError("down"), requests.ConnectionError("down")],
-        [False, False], reasoner_mod.SCRIPTED, 1, SCRIPTED_REVIEW.raw,
+        [requests.ConnectionError("down"), requests.ConnectionError("down")], [False, False], None,
     ),
     "transport error, then bad format, then good": (
-        [requests.ConnectionError("down"), REVIEW_BAD, REVIEW_OK],
-        [False, False, True], reasoner_mod.LLM, 0, REVIEW_OK,
+        [requests.ConnectionError("down"), REVIEW_BAD, REVIEW_OK], [False, False, True], REVIEW_OK,
     ),
-    "null message twice": (
-        [NullMessage(), NullMessage()], [False, False], reasoner_mod.SCRIPTED, 1,
-        SCRIPTED_REVIEW.raw,
-    ),
+    "null message twice": ([NullMessage(), NullMessage()], [False, False], None),
     "bad format, then transport error twice": (
-        [REVIEW_BAD, requests.Timeout("slow"), requests.Timeout("slow")],
-        [False, True, True], reasoner_mod.SCRIPTED, 1, REVIEW_BAD,
+        [REVIEW_BAD, requests.Timeout("slow"), requests.Timeout("slow")], [False, True, True], None,
     ),
 }
 
 
 @pytest.mark.parametrize("case", RETRY_CASES)
 def test_http_retry_and_repair(case, monkeypatch):
-    outcomes, repaired, backend, fallbacks, raw = RETRY_CASES[case]
+    outcomes, repaired, reply = RETRY_CASES[case]
     prompts_sent = []
 
     def post(*args, **kwargs):
@@ -161,23 +162,50 @@ def test_http_retry_and_repair(case, monkeypatch):
     resp = client.complete(request("rules_review"))
     marker = reasoner_mod.REPAIR_INSTRUCTION.split("{")[0]
     assert [marker in p for p in prompts_sent] == repaired
-    assert (resp.backend, client.fallback_count, resp.raw) == (backend, fallbacks, raw)
-    if backend == reasoner_mod.SCRIPTED:
-        assert resp.sections == SCRIPTED_REVIEW.sections
+    if reply is None:
+        assert (resp, client.fallback_count) == (SCRIPTED_REVIEW, 1)
+    else:
+        assert (resp.raw, client.fallback_count) == (reply, 0)
 
 
-def test_http_fallback_replays_the_scripted_episode(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise requests.ConnectionError("connection refused")
+def test_a_dead_endpoint_costs_one_post_per_step(refuse_posts):
+    # Only the first failure is retried after a pause; while the endpoint
+    # stays down, each later step posts once and falls back at once.
+    posts, sleeps = refuse_posts
+    client = http_reasoner()
+    for _ in range(3):
+        assert client.complete(request("adaptive")) is None
+    assert (len(posts), len(sleeps), client.fallback_count) == (4, 1, 3)
 
-    monkeypatch.setattr(requests, "post", refuse)
+
+def test_a_post_that_answers_clears_the_dead_endpoint_mark(refuse_posts, monkeypatch):
+    _, sleeps = refuse_posts
+    client = http_reasoner()
+    client.complete(request("rules_review"))  # two failed posts and a pause
+    outcomes = iter([REVIEW_OK, requests.ConnectionError("down"), REVIEW_OK])
+
+    def post(*args, **kwargs):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return FakeHttpResponse(outcome)
+
+    monkeypatch.setattr(requests, "post", post)
+    assert client.complete(request("rules_review")).raw == REVIEW_OK
+    # The endpoint answered, so the next failed post is retried after a pause.
+    assert client.complete(request("rules_review")).raw == REVIEW_OK
+    assert (len(sleeps), client.fallback_count) == (2, 1)
+
+
+def test_http_fallback_replays_the_scripted_episode(refuse_posts):
+    posts, sleeps = refuse_posts
     base = dict(scenario="food_small", seeds=(1,), agents=2, mode="adaptive")
     scripted, _ = harness.run_episode(harness.RunConfig(**base), 1)
-    cfg = harness.RunConfig(
-        **base, backend="llm", base_url="http://localhost:9", model="stub", backoff_base=0
-    )
+    cfg = harness.RunConfig(**base, backend="llm", base_url="http://localhost:9", model="stub")
     fallen_back, metrics = harness.run_episode(cfg, 1)
-    assert metrics.reasoner_fallbacks > 0
+    # Only the first failed post is retried: the endpoint stays down.
+    assert len(posts) == metrics.reasoner_fallbacks + 1 > 1
+    assert len(sleeps) == 1
 
     def without_fallback_marks(log):
         out = []
@@ -199,7 +227,7 @@ def test_http_reply_quoting_a_placeholder_does_not_stop_the_run(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeHttpResponse(text))
     cfg = harness.RunConfig(
         scenario="food_small", seeds=(1,), agents=2, mode="adaptive",
-        backend="llm", base_url="http://localhost:9", model="stub", backoff_base=0,
+        backend="llm", base_url="http://localhost:9", model="stub",
     )
     log, _ = harness.run_episode(cfg, 1)
     assert log.records[-1]["kind"] == "done"
@@ -216,7 +244,6 @@ def test_http_reply_quoting_a_placeholder_does_not_stop_the_run(monkeypatch):
 class RemoteDouble:
     """Stands in for a remote model: one fixed reply text per template."""
 
-    backend = reasoner_mod.LLM
     fallback_count = 0
 
     def __init__(self, replies: dict[str, str]):
@@ -224,9 +251,7 @@ class RemoteDouble:
 
     def complete(self, req: ReasonerRequest) -> ReasonerResponse:
         text = self.replies[req.template_id]
-        return ReasonerResponse(
-            sections=parse_sections(req.template_id, text), raw=text, backend=reasoner_mod.LLM
-        )
+        return ReasonerResponse(sections=parse_sections(req.template_id, text), raw=text)
 
 
 class RecordingRemote(RemoteDouble):
@@ -242,9 +267,7 @@ class RecordingRemote(RemoteDouble):
         text = self.replies.get((req.template_id, req.vars["OPPO_NAME"]))
         if text is None:
             return super().complete(req)
-        return ReasonerResponse(
-            sections=parse_sections(req.template_id, text), raw=text, backend=reasoner_mod.LLM
-        )
+        return ReasonerResponse(sections=parse_sections(req.template_id, text), raw=text)
 
 
 # Replies that parse into sections but carry nothing usable.
@@ -296,17 +319,14 @@ def seeded_mind(registry, reasoner) -> AgentMind:
     ):
         world.assert_fact(parse_atomic(text))
     world.assert_fact(parse_atomic("Bob AT <office>(3000)"), about="Bob")
-    mind = AgentMind(
-        name="Alice", world=world, registry=registry,
-        reasoner=reasoner, goal=registry.goal,
-    )
+    mind = AgentMind(name="Alice", world=world, registry=registry, reasoner=reasoner)
     mind.adopt(best_plan(mind.view()))
     return mind
 
 
 def site_update(mind):
     declared = collab_engine.update_from_messages(
-        mind.world, [("Bob", MESSAGE)], mind.reasoner, mind.registry
+        mind.world, [("Bob", MESSAGE)], mind._ask, mind.registry
     )
     return mind.world.snapshot(), {k: str(v) for k, v in declared.items()}
 
@@ -363,7 +383,7 @@ def test_heuristic_message_ingest_rejects_unknown_plan_entities(food_registry):
     mind = seeded_mind(food_registry, ScriptedReasoner())
     declared = collab_engine.update_from_messages(
         mind.world, [("Bob", "FACTS: | PLAN: go grasp <ghost>(66666)")],
-        mind.reasoner, food_registry,
+        mind._ask, food_registry,
     )
     assert declared == {}
 
@@ -424,30 +444,21 @@ def test_each_collaborator_is_its_own_slot(food_registry):
     world = BeliefWorld(
         "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids()
     )
-    mind = AgentMind(
-        name="Alice", world=world, registry=food_registry, reasoner=remote,
-        goal=food_registry.goal,
-    )
+    mind = AgentMind(name="Alice", world=world, registry=food_registry, reasoner=remote)
     for collab in ("Bob", "Carol", "Bob", "Carol"):
         mind.predict_collaborator(collab)
     sent = [(r.vars["OPPO_NAME"], r.vars["FIRST_ORDER_BELIEF"]) for r in remote.requests]
     assert sent == [("Bob", "None"), ("Carol", "None")]
 
 
-def test_a_fallback_is_not_remembered(food_registry, monkeypatch):
-    posts = []
-
-    def refuse(*args, **kwargs):
-        posts.append(kwargs["json"])
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(requests, "post", refuse)
+def test_a_fallback_is_not_remembered(food_registry, refuse_posts):
+    posts, _ = refuse_posts
     client = http_reasoner()
     mind = seeded_mind(food_registry, client)
     site_judge(mind)
     assert (len(posts), client.fallback_count) == (2, 1)  # the first try and its retry
     site_judge(mind)
-    assert (len(posts), client.fallback_count) == (4, 2)
+    assert (len(posts), client.fallback_count) == (3, 2)  # no retry: the endpoint is down
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +491,8 @@ BATCH_REPLIES = {
 def batch_update(registry, replies):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
     remote = RecordingRemote(replies)
-    declared = collab_engine.update_from_messages(world, BATCH_INBOX, remote, registry)
+    ask = AgentMind(name="Alice", world=world, registry=registry, reasoner=remote)._ask
+    declared = collab_engine.update_from_messages(world, BATCH_INBOX, ask, registry)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
 

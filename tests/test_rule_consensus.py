@@ -12,10 +12,10 @@ from beliefworld.rule_consensus import (
     RuleProposal,
     agree_rules,
     canonical_rules,
-    checklist_review,
     consensus_loop,
+    judge,
 )
-from test_harness import GroundRule, NarrowIn, NoPositionRules
+from test_harness import DuplicateRule, GroundRule, NarrowIn, NoPositionRules
 
 TASK = "Transport ten food items to the bed with two containers."
 
@@ -26,9 +26,9 @@ def scripted():
 
 
 def test_scripted_proposal_is_canonical(scripted):
-    rules = consensus_loop(scripted, scripted, TASK).rules
-    assert [str(r) for r in rules if r.order == 0] == list(CANONICAL_ZERO_RULES)
-    assert [str(r) for r in rules if r.order == 1] == list(CANONICAL_FIRST_RULES)
+    proposal, _ = consensus_loop(scripted, scripted, TASK)
+    assert proposal.zero_rules == CANONICAL_ZERO_RULES
+    assert proposal.first_rules == CANONICAL_FIRST_RULES
 
 
 def test_scripted_proposal_ignores_task_text(scripted):
@@ -36,9 +36,9 @@ def test_scripted_proposal_ignores_task_text(scripted):
 
 
 def test_review_accepts_canonical(scripted):
-    canonical = RuleProposal("", canonical_rules()[:8], canonical_rules()[8:])
-    assert checklist_review(canonical.render()) == ()
-    assert consensus_loop(scripted, scripted, TASK, max_rounds=1).rounds == 1
+    canonical = RuleProposal("", CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES)
+    assert judge(canonical.render()) == (canonical_rules(), ())
+    assert consensus_loop(scripted, scripted, TASK, max_rounds=1)[1] == 1
 
 
 def test_review_flags_missing_position_rule(scripted):
@@ -56,35 +56,34 @@ def test_review_flags_duplicates():
         "?agent BELIEVE ?object IN ?room\n"
         "?agent BELIEVE ?object IN ?room\n"
     )
-    verdict = checklist_review(text)
+    _, verdict = judge(text)
     assert any("duplicate" in p for p in verdict)
     assert any("deletion" in p for p in verdict)
 
 
 def test_review_flags_unparseable_rule():
-    verdict = checklist_review("?agent BELIEVE in the mission\n")
+    _, verdict = judge("?agent BELIEVE in the mission\n")
     assert any("unparseable" in p for p in verdict)
 
 
-def test_proposal_keeps_duplicates_for_review_but_dedupes_output():
-    rule = sbl.parse(CANONICAL_ZERO_RULES[0])
+def test_proposal_keeps_duplicates_for_review():
+    rule = CANONICAL_ZERO_RULES[0]
     proposal = RuleProposal(reasoning="", zero_rules=(rule, rule), first_rules=())
-    assert proposal.all_rules() == (rule,)
-    verdict = checklist_review(proposal.render())
+    rules, verdict = judge(proposal.render())
+    assert rules == (sbl.parse(rule),) * 2
     assert any("duplicate" in p for p in verdict)
 
 
 def test_consensus_scripted_one_round(scripted):
-    result = consensus_loop(scripted, scripted, TASK, max_rounds=3)
-    assert result.rounds == 1
-    assert [str(r) for r in result.rules] == list(CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
-    assert len({str(r) for r in result.rules}) == 16
-    assert all(r.order in (0, 1) for r in result.rules)
+    proposal, rounds = consensus_loop(scripted, scripted, TASK, max_rounds=3)
+    assert rounds == 1
+    rules, problems = judge(proposal.render())
+    assert [str(r) for r in rules] == list(CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
+    assert problems == ()
 
 
 def test_consensus_matches_canonical_rules_helper(scripted):
-    result = consensus_loop(scripted, scripted, TASK)
-    assert result.rules == canonical_rules()
+    assert agree_rules(scripted, TASK, max_rounds=3) == (canonical_rules(), 1, 0)
 
 
 class RejectingReviewer:
@@ -100,7 +99,6 @@ class RejectingReviewer:
         return ReasonerResponse(
             sections={"Reasoning": "no", "Suggestions": "start over", "Satisfied": "no"},
             raw=text,
-            backend="scripted",
         )
 
 
@@ -112,40 +110,53 @@ def test_consensus_exhausts_rounds(scripted):
 
 
 class FaultyThenFixedProposer:
-    """Proposer double: first a duplicated rule set, then the canonical."""
-
-    def __init__(self):
-        self.inner = ScriptedReasoner()
-        self.calls = 0
+    """Proposer double: first the canonical rule set plus one faulty zero
+    order line, then the canonical rule set; it keeps every request."""
 
     fallback_count = 0
+
+    def __init__(self, faulty_line: str = CANONICAL_ZERO_RULES[0]):
+        self.inner = ScriptedReasoner()
+        self.faulty_line = faulty_line
+        self.requests = []
 
     def complete(self, request: ReasonerRequest):
         from beliefworld.prompts import ReasonerResponse, parse_sections, template
 
-        self.calls += 1
+        self.requests.append(request)
         if request.template_id == "rules_propose":
-            dup = CANONICAL_ZERO_RULES[0]
             text = (
                 "Entity and predicate reasoning: entities and relations.\n"
                 "Zero order belief rules:\n"
-                + "\n".join(CANONICAL_ZERO_RULES) + f"\n{dup}\n"
+                + "\n".join(CANONICAL_ZERO_RULES) + f"\n{self.faulty_line}\n"
                 "First order belief rules:\n"
                 + "\n".join(CANONICAL_FIRST_RULES) + "\n"
             )
             return ReasonerResponse(
                 sections=parse_sections(template("rules_propose"), text),
                 raw=text,
-                backend="scripted",
             )
         return self.inner.complete(request)
 
 
 def test_consensus_duplicate_then_fixed_accepted_round_two(scripted):
     proposer = FaultyThenFixedProposer()
-    result = consensus_loop(proposer, scripted, TASK, max_rounds=3)
-    assert result.rounds == 2
-    assert result.rules == canonical_rules()
+    proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
+    assert rounds == 2
+    assert judge(proposal.render()) == (canonical_rules(), ())
+
+
+def test_unparseable_rule_line_is_reviewed_and_refined(scripted):
+    # The line reaches the reviewer, whose suggestions name it; the
+    # refinement fixes it.
+    proposer = FaultyThenFixedProposer("?agent BELIEVE broken(")
+    proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
+    assert rounds == 2
+    assert judge(proposal.render()) == (canonical_rules(), ())
+    refine = proposer.requests[1]
+    assert refine.template_id == "rules_refine"
+    assert "unparseable rule '?agent BELIEVE broken('" in refine.vars["SUGGESTIONS"]
+    assert "?agent BELIEVE broken(" in refine.vars["PREVIOUS_CONTENT"]
 
 
 def test_consensus_failure_on_unparseable_proposer(food_registry):
@@ -162,11 +173,11 @@ def test_consensus_failure_on_unparseable_proposer(food_registry):
                     "First order belief rules": "",
                 },
                 raw="?agent BELIEVE broken(",
-                backend="scripted",
             )
 
-    with pytest.raises(ConsensusFailure, match="did not parse"):
+    with pytest.raises(ConsensusFailure, match="no accepted proposal within 3 rounds") as err:
         consensus_loop(Garbage(), ScriptedReasoner(), TASK)
+    assert "unparseable rule '?agent BELIEVE broken('" in err.value.review.suggestions
 
 
 class VerdictlessReviewer:
@@ -187,15 +198,14 @@ class VerdictlessReviewer:
         return ReasonerResponse(
             sections={"Reasoning": "x", "Suggestions": "None", "Satisfied": verdict},
             raw=f"Reasoning: x\nSuggestions: None\nSatisfied: {verdict}\n",
-            backend="llm",
         )
 
 
 def test_review_without_verdict_is_asked_again(scripted):
     reviewer = VerdictlessReviewer(["maybe", "yes, all covered"])
-    result = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
-    assert (result.rounds, reviewer.calls) == (1, 2)
-    assert result.rules == canonical_rules()
+    proposal, rounds = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    assert (rounds, reviewer.calls) == (1, 2)
+    assert judge(proposal.render()) == (canonical_rules(), ())
 
 
 def test_review_without_verdict_twice_fails(scripted):
@@ -215,8 +225,8 @@ def test_review_without_verdict_twice_fails(scripted):
 ])
 def test_review_verdict_is_yes_or_no_as_a_word(verdict, calls, rounds, scripted):
     reviewer = VerdictlessReviewer([verdict, "yes"])
-    result = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
-    assert (reviewer.calls, result.rounds) == (calls, rounds)
+    _, accepted_in = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    assert (reviewer.calls, accepted_in) == (calls, rounds)
 
 
 def test_max_rounds_validation(scripted):
@@ -224,14 +234,16 @@ def test_max_rounds_validation(scripted):
         consensus_loop(scripted, scripted, TASK, max_rounds=0)
 
 
-@pytest.mark.parametrize("reasoner_cls", (NoPositionRules, NarrowIn, GroundRule))
+@pytest.mark.parametrize(
+    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, DuplicateRule)
+)
 def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls):
     # Each double proposes a flawed rule set and approves it; the scripted
     # reviewer and agree_rules must both turn it down.
-    proposal = reasoner_cls()._answer_rules_propose({})
-    assert checklist_review(proposal)
+    _, problems = judge(reasoner_cls()._answer_rules_propose({}))
+    assert problems
     rules, rounds, fell_back = agree_rules(reasoner_cls(), TASK, max_rounds=3)
     assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
     with pytest.raises(ConsensusFailure) as err:
         consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK, max_rounds=1)
-    assert err.value.review.suggestions == "; ".join(checklist_review(proposal))
+    assert err.value.review.suggestions == "; ".join(problems)

@@ -317,17 +317,18 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
 # ---------------------------------------------------------------------------
 
 
-def reference_update_from_messages(world, inbox, reasoner, registry):
+def reference_update_from_messages(world, inbox, ask, registry):
     """The inbox update one message at a time, in arrival order: an
-    ``update_zero`` and an ``update_first`` request per message, each
-    reply (or else the parsed message) ingested on its own."""
+    ``update_zero`` and an ``update_first`` request per message, sent
+    through ``ask`` (an ``AgentMind._ask``), each reply (or else the
+    parsed message) ingested on its own."""
     declared = {}
     for sender, text in inbox:
         if sender not in world.first:
             continue
         vars = {"MESSAGE": f"{sender}: {text}", "RULE": "\n".join(world.rule_lines)}
-        zero_resp = ce._ask(reasoner, "update_zero", world.owner, sender, **vars)
-        first_resp = ce._ask(reasoner, "update_first", world.owner, sender, **vars)
+        zero_resp = ask("update_zero", sender, **vars)
+        first_resp = ask("update_first", sender, **vars)
         heard = functools.cache(lambda text=text: ce._heard(text, registry))
         zero = ce._reply_facts(zero_resp, world, None)
         first = ce._reply_facts(first_resp, world, sender)
