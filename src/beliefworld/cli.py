@@ -74,7 +74,6 @@ def scenarios() -> None:
 @click.option("--mode", default="adaptive", show_default=True, type=click.Choice(MODES))
 @click.option("--out", "out_dir", default=None, help="Output directory (default runs/<stamp>).")
 @click.option("--max-rounds", default=3, show_default=True, type=int, help="Consensus round budget.")
-@click.option("--cooldown", default=1, show_default=True, type=int, help="Decision ticks between messages.")
 @click.option("--base-url", default=None, help="Chat completions base URL (llm backend).")
 @click.option("--model", default=None, help="Model name (llm backend).")
 def run(
@@ -85,7 +84,6 @@ def run(
     mode: str,
     out_dir: str | None,
     max_rounds: int,
-    cooldown: int,
     base_url: str | None,
     model: str | None,
 ) -> None:
@@ -101,7 +99,6 @@ def run(
             mode=mode,
             out_dir=Path(out_dir),
             max_rounds=max_rounds,
-            cooldown=cooldown,
             base_url=base_url,
             model=model,
         )

@@ -1,10 +1,13 @@
-"""The per-agent collaboration loop: update, predict, detect, decide.
+"""The per-agent collaboration loop: perceive, infer, plan, act.
 
-Each decision tick an idle agent (1) folds its visual observation and
-inbox into its belief world, (2) keeps or recomputes its 1-3 step plan,
-(3) predicts up to three candidate plans per collaborator from its
-first-order beliefs alone, (4) checks the pair for miscoordination, and
-(5) either broadcasts a message or executes the next plan step.
+Each decision tick an idle agent takes four steps.  (1) Perceive: it
+folds its visual observation, then its inbox, into its belief world.
+(2) Infer: it predicts up to three candidate plans per collaborator from
+its first-order beliefs alone, a plan the collaborator declared first.
+(3) Plan: it keeps, advances or replaces its own 1-3 step plan, and when
+it ends with one, checks it against each collaborator's candidates for
+miscoordination.  (4) Act: it either broadcasts a message or executes
+the next plan step.
 
 The rules that rank plans, step through them and flag miscoordination
 are pure functions in :mod:`beliefworld.planner`; this module keeps the
@@ -66,6 +69,10 @@ log = logging.getLogger(__name__)
 MODE_ADAPTIVE = "adaptive"
 MODE_ALWAYS = "always"
 MODE_NEVER = "never"
+
+# An agent that broadcast a message stays silent for this many decision
+# ticks after it.
+COOLDOWN = 1
 
 # Candidate plans predicted per collaborator; the predict_first prompt's
 # answer format names them plan1..plan3.
@@ -443,7 +450,6 @@ class AgentMind:
     registry: EntityRegistry
     reasoner: object
     mode: str = MODE_ADAPTIVE
-    cooldown: int = 1
     plan: Plan | None = None
     plan_history: list[PlanStep] = field(default_factory=list)
     tick: int = 0
@@ -472,15 +478,19 @@ class AgentMind:
         if self.plan is not None and action in self.plan.steps:
             self.plan_history.append(action)
 
-    def _cooldown_ok(self) -> bool:
-        if self.last_comm_tick is None:
-            return True
-        return (self.tick - self.last_comm_tick) > self.cooldown
-
     def decide(
         self, obs: VisualObservation, inbox: list[tuple[str, str]]
     ) -> tuple[SendMessage | PlanStep | None, dict]:
         """Run one decision tick; returns (intent, log payload).
+
+        A tick is four steps.  Perceive: fold the observation, then the
+        inbox, into the beliefs.  Infer: predict each collaborator's
+        candidate plans, a plan it declared first.  Plan: keep, advance or
+        replace the agent's own plan (:meth:`_advance`).  Act: when the
+        mode calls for a message and the cooldown allows one, broadcast it
+        (in adaptive mode after replanning around the collaborator that
+        made the tick heavy), else take the next plan step.  Reports are
+        judged only when the plan step ends with a plan.
 
         The intent goes to the simulator as it is: a :class:`SendMessage`
         to broadcast, or the next plan step to execute.  None means the
@@ -491,59 +501,51 @@ class AgentMind:
         update_from_visual(self.world, obs, self.registry)
         declared = update_from_messages(self.world, inbox, self._ask, self.registry)
 
-        if self.plan is None:
-            self.adopt(self.predict_self())
+        candidates = {c: self.predict_collaborator(c, declared.get(c)) for c in self.collaborators}
 
-        intent: SendMessage | PlanStep | None = None
-        if self.plan is not None:
-            intent = self._advance(declared)
-
+        intent: SendMessage | PlanStep | None = self._advance(declared)
         reports: list[MiscoordReport] = []
-        candidates_by_collab: dict[str, list[Plan]] = {}
         if self.plan is not None:
-            for collab in self.collaborators:
-                candidates = self.predict_collaborator(collab)
-                if collab in declared:
-                    candidates = [declared[collab]] + candidates[: PREDICTED_PLANS - 1]
-                candidates_by_collab[collab] = candidates
-                reports.append(self.judge(collab, candidates))
-
+            reports = [self.judge(c, candidates[c]) for c in self.collaborators]
         heavy = [r for r in reports if r.heavy]
-        comm_allowed = self._cooldown_ok()
-        payload = {
-            "tick": self.tick,
-            "snapshot_hash": snapshot_hash(self.world),
-            "plan": str(self.plan) if self.plan is not None else None,
-            "reports": [r.to_payload() for r in reports],
-            "declared": {k: str(v) for k, v in declared.items()},
-            "comm_allowed": comm_allowed,
-        }
-
+        comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
         wants_message = {
             MODE_ADAPTIVE: bool(heavy),
             MODE_ALWAYS: self.plan is not None,
             MODE_NEVER: False,
         }[self.mode]
+        # The hash is of the beliefs the agent decided on, before sharing.
+        beliefs = snapshot_hash(self.world)
 
         if wants_message and comm_allowed:
             misaligned = sorted({f for r in reports for f in r.misaligned}, key=str)
             oppo = heavy[0].collaborator if heavy else self.default_oppo
-            if self.mode == MODE_ADAPTIVE and heavy:
-                # A declared plan heads its sender's candidates.
-                candidates = candidates_by_collab[oppo]
-                self.adopt(self.replan(candidates[0] if candidates else None, oppo))
+            if self.mode == MODE_ADAPTIVE:
+                self.adopt(self.replan(next(iter(candidates[oppo]), None), oppo))
             text = self.compose(misaligned, oppo)
             self._note_shared(text, misaligned)
             self.last_comm_tick = self.tick
-            payload["plan"] = str(self.plan) if self.plan is not None else None
             intent = SendMessage(text)
-        payload["fallbacks"] = self.reasoner.fallback_count - fallbacks_before
+        payload = {
+            "tick": self.tick,
+            "snapshot_hash": beliefs,
+            "plan": str(self.plan) if self.plan is not None else None,
+            "reports": [r.to_payload() for r in reports],
+            "declared": {k: str(v) for k, v in declared.items()},
+            "comm_allowed": comm_allowed,
+            "fallbacks": self.reasoner.fallback_count - fallbacks_before,
+        }
         return intent, payload
 
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
-        """Resolve the next step, replanning through staleness and
-        completed subplans; None when the goal side is exhausted."""
+        """Adopt a plan when there is none, then resolve the next step,
+        replanning through staleness and completed subplans; None when
+        the goal side is exhausted."""
+        if self.plan is None:
+            self.adopt(self.predict_self())
         for _ in range(3):
+            if self.plan is None:
+                break
             try:
                 step = self.next_action()
             except StalePlan as exc:
@@ -554,8 +556,6 @@ class AgentMind:
                 if step != SUBPLAN_DONE:
                     return step
                 self.adopt(self.predict_self())
-            if self.plan is None:
-                return None
         return None
 
     # -- reasoning steps: one reasoner call per distinct input ----------
@@ -588,9 +588,10 @@ class AgentMind:
         )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
-    def predict_collaborator(self, collab: str) -> list[Plan]:
+    def predict_collaborator(self, collab: str, declared: Plan | None = None) -> list[Plan]:
         """Up to three candidate plans for a collaborator, computed from the
-        first-order partition only (never from the owner's zero beliefs)."""
+        first-order partition only (never from the owner's zero beliefs);
+        a plan the collaborator ``declared`` heads them."""
         resp = self._ask(
             "predict_first", collab,
             GOAL=self.registry.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
@@ -601,7 +602,10 @@ class AgentMind:
                 plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
                 if plan is not None:
                     plans.append(plan)
-        return plans or plan_options(self.view(collab))[:PREDICTED_PLANS]
+        plans = plans or plan_options(self.view(collab))
+        if declared is not None:
+            plans = [declared] + plans
+        return plans[:PREDICTED_PLANS]
 
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan

@@ -31,7 +31,7 @@ from pathlib import Path
 from . import episode_log, rule_consensus, world_sim
 from .actions import PlanStep, SendMessage
 from .belief_store import BeliefWorld
-from .collab_engine import MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
+from .collab_engine import COOLDOWN, MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER, CONTAINER_CAPACITY, TARGET, EntityRegistry, Scenario, load_scenario
@@ -59,7 +59,6 @@ class RunConfig:
     mode: str = MODE_ADAPTIVE
     out_dir: Path | None = None
     max_rounds: int = 3
-    cooldown: int = 1
     base_url: str | None = None
     model: str | None = None
 
@@ -75,8 +74,6 @@ class RunConfig:
             problems.append(f"mode must be one of {MODES}")
         if self.max_rounds < 1:
             problems.append("max_rounds must be at least 1")
-        if self.cooldown < 0:
-            problems.append("cooldown must be non-negative")
         if self.backend == LLM and (not self.base_url or not self.model):
             problems.append("llm backend requires --base-url and --model")
         if problems:
@@ -140,7 +137,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 registry=registry,
                 reasoner=reasoner,
                 mode=cfg.mode,
-                cooldown=cfg.cooldown,
             )
         )
 
@@ -155,7 +151,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             "mode": cfg.mode,
             "backend": cfg.backend,
             "agents": names,
-            "cooldown": cfg.cooldown,
+            "cooldown": COOLDOWN,
             "frame_budget": scenario.frame_budget,
             "reveal_fraction": scenario.reveal_fraction,
             "rules": [str(r) for r in rules],

@@ -124,15 +124,17 @@ def _rule_lines(text: str) -> list[str]:
 
 
 def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
-    """The rules a proposal's text states, and what makes them
-    unacceptable: empty when they are acceptable.
+    """The rules a proposal's text states in its rule sections, as
+    :func:`rule_sections` writes them, and what makes them unacceptable:
+    empty when they are acceptable.  The reasoning above the sections may
+    quote a belief; it holds no rule.
 
     A rule line does not parse, or a rule is ground, or stated more than
     once, or a canonical rule is unified with by no rule of its order (a
     narrower rule, such as one pinned to a room, would reject facts
     observed anywhere else)."""
     rules, problems = [], []
-    for line in _rule_lines(text):
+    for line in _rule_lines(text.partition("Zero order belief rules:")[2]):
         try:
             rules.append(sbl.parse(line))
         except sbl.ParseError as exc:

@@ -739,13 +739,13 @@ def test_predict_matches_self_when_views_coincide(food_registry):
 # ---------------------------------------------------------------------------
 
 
-def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42):
+def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, reasoner=None):
     from beliefworld.scenario import load_scenario
 
-    scn = load_scenario(scenario_name)
+    scn = load_scenario(scenario_name).with_agents(agents)
     registry = EntityRegistry(scn)
     state = world_sim.init(scn, seed)
-    reasoner = ScriptedReasoner()
+    reasoner = reasoner or ScriptedReasoner()
     minds = []
     names = [n for n, _ in scn.agents]
     for name in names:
@@ -868,6 +868,19 @@ class RecordingScripted(ScriptedReasoner):
     def complete(self, request):
         self.requests.append(request)
         return super().complete(request)
+
+
+def test_collaborators_are_predicted_before_the_agent_plans():
+    # Infer, then plan: on a fresh mind's first tick every collaborator's
+    # candidates are requested before the agent's own plan is.
+    reasoner = RecordingScripted()
+    state, minds = fresh_minds("stuff_small", agents=4, reasoner=reasoner)
+    minds[0].decide(world_sim.observe(state, minds[0].name), [])
+    order = [r.template_id for r in reasoner.requests]
+    own = [i for i, t in enumerate(order) if t in ("predict_zero", "plan_next", "replan")]
+    predicted = [i for i, t in enumerate(order) if t == "predict_first"]
+    assert own and len(predicted) == 3
+    assert max(predicted) < min(own)
 
 
 def test_stale_replan_names_the_declaring_collaborator(food_registry):

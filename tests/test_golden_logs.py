@@ -31,11 +31,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (308, "3e27047fb6cf41226fce7314b237456c04f0d129657ba37b16d86a6149e90f60"),
-    ("food_small", 2, "never"): (112, "a2ec0d073b9b960004e5783f84ea19c1d24c0fca556a6133075c66188a4b0fdd"),
-    ("food_small", 2, "always"): (280, "1241266219fd4f28587cfc09a9f3482f03145765f287e6feb1a86aac4abe22e7"),
-    ("stuff_small", 2, "always"): (253, "e70055dc1a90a983fa42c05737d8c9e5f3dde335eed15f3aaa208783a077c037"),
-    ("stuff_small", 4, "adaptive"): (883, "7545a1efa89ff12c7e1f7109e9a9753d7722b4f37c39aa32984f596f1cb458de"),
+    ("food_small", 2, "adaptive"): (309, "2da1c5a3dcc8b0df6d2e437ec3d1756ca5ef7659a3ef769402708f43492a7c93"),
+    ("food_small", 2, "never"): (112, "e9a0d25f4fb58741f171ce8788714643b7a375c767122a671002478c421b0161"),
+    ("food_small", 2, "always"): (281, "1ac9088f3b8e70631db42c125d5d5aee221f38dadf73edcd37d81825619a7803"),
+    ("stuff_small", 2, "always"): (253, "593ad87dc659c209f45760243fb3d6f9b286469883e4b728a2beddd69083f209"),
+    ("stuff_small", 4, "adaptive"): (885, "82f5dd56191ed6f81f57b0464911fafaf00e2a558428d19409963e2e1f8ea9b5"),
 }
 
 

@@ -14,6 +14,7 @@ from beliefworld.rule_consensus import (
     canonical_rules,
     consensus_loop,
     judge,
+    rule_sections,
 )
 from test_harness import DuplicateRule, GroundRule, NarrowIn, NoPositionRules
 
@@ -62,8 +63,29 @@ def test_review_flags_duplicates():
 
 
 def test_review_flags_unparseable_rule():
-    _, verdict = judge("?agent BELIEVE in the mission\n")
-    assert any("unparseable" in p for p in verdict)
+    bad = "?agent BELIEVE in the mission"
+    proposal = RuleProposal("", CANONICAL_ZERO_RULES + (bad,), CANONICAL_FIRST_RULES)
+    _, verdict = judge(proposal.render())
+    assert any("unparseable" in p and bad in p for p in verdict)
+
+
+class QuotingProposer(ScriptedReasoner):
+    """Proposes its own rules, a reordered canonical set, with reasoning
+    that quotes a belief; the scripted reviewer judges them."""
+
+    def _answer_rules_propose(self, vars):
+        return (
+            "Entity and predicate reasoning: each line reads like"
+            " Alice BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+            + rule_sections(CANONICAL_ZERO_RULES[::-1], CANONICAL_FIRST_RULES[::-1])
+        )
+
+
+def test_agree_rules_keeps_rules_whose_reasoning_quotes_a_belief():
+    rules, rounds, fell_back = agree_rules(QuotingProposer(), TASK, max_rounds=3)
+    assert (rounds, fell_back) == (1, 0)
+    own = CANONICAL_ZERO_RULES[::-1] + CANONICAL_FIRST_RULES[::-1]
+    assert rules == tuple(sbl.parse(line) for line in own)
 
 
 def test_proposal_keeps_duplicates_for_review():
