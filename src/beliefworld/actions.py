@@ -87,9 +87,6 @@ ACTION_LIST = "; ".join(
     " ".join([cls.verb, *(f"<{f.name}>(id)" for f in fields(cls))]) for cls in STEP_TYPES
 )
 
-# Sentinel intent for an agent that keeps executing (or stays idle).
-CONTINUE = "continue"
-
 
 @dataclass(frozen=True)
 class Plan:

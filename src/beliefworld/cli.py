@@ -73,7 +73,6 @@ def scenarios() -> None:
 @click.option("--backend", default="scripted", show_default=True, type=click.Choice(BACKENDS))
 @click.option("--mode", default="adaptive", show_default=True, type=click.Choice(MODES))
 @click.option("--out", "out_dir", default=None, help="Output directory (default runs/<stamp>).")
-@click.option("--max-rounds", default=3, show_default=True, type=int, help="Consensus round budget.")
 @click.option("--base-url", default=None, help="Chat completions base URL (llm backend).")
 @click.option("--model", default=None, help="Model name (llm backend).")
 def run(
@@ -83,7 +82,6 @@ def run(
     backend: str,
     mode: str,
     out_dir: str | None,
-    max_rounds: int,
     base_url: str | None,
     model: str | None,
 ) -> None:
@@ -98,7 +96,6 @@ def run(
             backend=backend,
             mode=mode,
             out_dir=Path(out_dir),
-            max_rounds=max_rounds,
             base_url=base_url,
             model=model,
         )

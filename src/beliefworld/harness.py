@@ -58,7 +58,6 @@ class RunConfig:
     backend: str = SCRIPTED
     mode: str = MODE_ADAPTIVE
     out_dir: Path | None = None
-    max_rounds: int = 3
     base_url: str | None = None
     model: str | None = None
 
@@ -72,8 +71,6 @@ class RunConfig:
             problems.append(f"backend must be one of {BACKENDS}")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}")
-        if self.max_rounds < 1:
-            problems.append("max_rounds must be at least 1")
         if self.backend == LLM and (not self.base_url or not self.model):
             problems.append("llm backend requires --base-url and --model")
         if problems:
@@ -110,16 +107,16 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     written under ``<out>/<mode>/<seed>/``.
     """
     scenario = load_scenario(cfg.scenario).with_agents(cfg.agents)
-    registry = EntityRegistry(scenario)
+    state = world_sim.init(scenario, seed)
+    registry = state.registry
     reasoner = _build_reasoner(cfg)
 
     fallbacks_before = reasoner.fallback_count
     rules, rounds, fell_back = rule_consensus.agree_rules(
-        reasoner, task_description(scenario, registry), cfg.max_rounds
+        reasoner, task_description(scenario, registry)
     )
     consensus_fallbacks = reasoner.fallback_count - fallbacks_before + fell_back
 
-    state = world_sim.init(scenario, seed)
     names = [name for name, _ in scenario.agents]
     minds = []
     for name in names:
@@ -190,7 +187,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         if not intents:
             # Everyone idle is asleep: nothing is seen or heard until a completion.
             world_sim.skip_quiet_frames(state)
-        state, results = world_sim.apply(state, intents)
+        results = world_sim.apply(state, intents)
         for mind in minds:
             result = results.get(mind.name)
             if result is None or result.action is None:

@@ -4,9 +4,10 @@ Before an episode starts, the first two agents agree on the rule schema
 every stored belief must conform to.  The proposer drafts zero- and
 first-order rules from the task description, the reviewer answers with a
 verdict and suggestions, and the loop repeats with refinement until the
-reviewer is satisfied or the round budget runs out.  A proposal keeps its
-rule lines as text, as written; a review without a yes/no verdict is
-asked for once more (:func:`_review`) before the dialogue fails.
+reviewer is satisfied or the round budget, :data:`MAX_ROUNDS`, runs out.
+A proposal keeps its rule lines as text, as written; a review without a
+yes/no verdict is asked for once more (:func:`_review`) before the
+dialogue fails.
 
 :func:`judge` is the one judge of a proposal's text: every rule line must
 parse, no rule may be ground or stated twice, and every canonical rule
@@ -35,6 +36,8 @@ from . import sbl
 from .prompts import ReasonerRequest, yes_no
 
 log = logging.getLogger(__name__)
+
+MAX_ROUNDS = 3
 
 CANONICAL_ZERO_RULES = (
     "?agent BELIEVE ?object IN ?room",
@@ -181,7 +184,7 @@ def _review(reviewer, vars: dict[str, str]) -> Review:
 
 
 def consensus_loop(
-    proposer, reviewer, task_description: str, max_rounds: int = 3
+    proposer, reviewer, task_description: str, max_rounds: int = MAX_ROUNDS
 ) -> tuple[RuleProposal, int]:
     """Propose, review, and refine until the reviewer accepts; returns the
     accepted proposal and the round it was accepted in.
@@ -206,19 +209,17 @@ def consensus_loop(
 
 
 def agree_rules(
-    reasoner, task_description: str, max_rounds: int
+    reasoner, task_description: str
 ) -> tuple[tuple[sbl.BeliefExpr, ...], int, int]:
     """The rules, the consensus rounds, and 1 when the canonical rules
     stand in, else 0.  They stand in when the dialogue fails (the rounds
     are then the whole budget) or when :func:`judge` rejects the accepted
     proposal."""
     try:
-        proposal, rounds = consensus_loop(
-            reasoner, reasoner, task_description, max_rounds=max_rounds
-        )
+        proposal, rounds = consensus_loop(reasoner, reasoner, task_description)
     except ConsensusFailure as exc:
         log.warning("rule consensus failed (%s); using the canonical rules", exc)
-        return canonical_rules(), max_rounds, 1
+        return canonical_rules(), MAX_ROUNDS, 1
     rules, problems = judge(proposal.render())
     if problems:
         log.warning("accepted rules fail review (%s); using the canonical rules",

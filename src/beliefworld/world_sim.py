@@ -1,13 +1,18 @@
 """Deterministic lockstep transport environment.
 
-The world advances one frame per :func:`apply` call.  Agents submit an
-intent when idle and ``CONTINUE`` while an action is in progress; actions
-occupy a fixed number of frames and mutate state atomically on their final
-frame.  A frame without intents or completions therefore changes nothing
-an agent can observe, and :func:`skip_quiet_frames` jumps over such frames
-up to the next completion or the frame budget.  All randomness comes from
-per-agent streams derived from the episode seed, so a (scenario, seed,
-intent sequence) triple replays to a bit-identical trajectory.
+The world advances one frame per :func:`apply` call.  An idle agent
+submits an intent to start an action, and a busy agent goes on without
+one; actions occupy a fixed number of frames and mutate state atomically
+on their final frame.  A frame without intents or completions therefore
+changes nothing an agent can observe, and :func:`skip_quiet_frames` jumps
+over such frames up to the next completion or the frame budget.  All
+randomness comes from per-agent streams derived from the episode seed, so
+a (scenario, seed, intent sequence) triple replays to a bit-identical
+trajectory.
+
+:func:`_start` is the one rule for whether an action may start and how
+many frames it takes: :func:`apply` asks it, and :func:`legal_intents`
+only filters candidates through it.
 
 Frame costs:
 
@@ -29,20 +34,19 @@ shared between agents.
 
 Carrying rules: two hands, at most one held container, up to three objects
 inside a container (so a full container plus a loose object delivers four
-targets in one trip).  Containers dropped at the goal are lost and can
-never be picked up again.  When two agents' grasps of the same object
-complete on the same frame, the lower-indexed agent wins and the loser's
-action is rejected.
+targets in one trip).  Containers dropped at the goal are lost: they lie
+at the bed, in no room, so they can never be picked up again.  When two
+agents' grasps of the same object complete on the same frame, the
+lower-indexed agent wins and the loser's action is rejected.  A message
+goes straight into the other agents' inboxes on the frame it completes.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 
 from .actions import (
-    CONTINUE,
     AtomicAction,
     ExploreCurrent,
     GoGrasp,
@@ -53,8 +57,6 @@ from .actions import (
 )
 from .scenario import BED, CONTAINER, CONTAINER_CAPACITY, MAX_HANDS, TARGET, EntityRegistry, Scenario
 from .sbl import EXPLORED_STATES, ObjectRef
-
-log = logging.getLogger(__name__)
 
 EXPLORE_COST = 50
 GRASP_COST = 20
@@ -119,14 +121,11 @@ class VisualObservation:
 @dataclass
 class WorldState:
     registry: EntityRegistry
-    seed: int
     frame: int = 0
     locations: dict[int, Location] = field(default_factory=dict)
-    lost_containers: set[int] = field(default_factory=set)
     agents: list[AgentState] = field(default_factory=list)
     explored: dict[tuple[str, int], str] = field(default_factory=dict)
     revealed: dict[str, set[int]] = field(default_factory=dict)
-    pending_messages: list[tuple[str, str]] = field(default_factory=list)
     _rngs: dict[str, random.Random] = field(default_factory=dict)
 
     def agent(self, name: str) -> AgentState:
@@ -159,8 +158,7 @@ class WorldState:
 
 def init(scenario: Scenario, seed: int) -> WorldState:
     """Build the deterministic initial state for an episode."""
-    registry = EntityRegistry(scenario)
-    state = WorldState(registry=registry, seed=seed)
+    state = WorldState(registry=EntityRegistry(scenario))
     for ref, _, home in scenario.objects:
         state.locations[ref.id] = (AT_ROOM, home)
     for index, (name, room_id) in enumerate(scenario.agents):
@@ -188,23 +186,6 @@ def _enter_room(state: WorldState, agent: AgentState, room_id: int) -> None:
         state.explored[key] = PART
 
 
-def _action_cost(state: WorldState, agent: AgentState, action: AtomicAction) -> int:
-    reg = state.registry
-    if isinstance(action, GoTo):
-        return reg.distance(agent.room_id, action.room.id)
-    if isinstance(action, ExploreCurrent):
-        return EXPLORE_COST
-    if isinstance(action, GoGrasp):
-        return GRASP_COST
-    if isinstance(action, Put):
-        return PUT_COST
-    if isinstance(action, Transport):
-        return reg.distance(agent.room_id, reg.bed_room.id) + TRANSPORT_DROP_COST
-    if isinstance(action, SendMessage):
-        return MESSAGE_COST
-    raise SimulationError(f"unknown action {action!r}")
-
-
 def _held_container(state: WorldState, agent: AgentState) -> int | None:
     for oid in agent.hands:
         if state.registry.is_container(oid):
@@ -212,122 +193,117 @@ def _held_container(state: WorldState, agent: AgentState) -> int | None:
     return None
 
 
-def _validate(state: WorldState, agent: AgentState, action: AtomicAction) -> str | None:
-    """Why the intent is illegal right now, or None when it may start."""
+def _start(
+    state: WorldState, agent: AgentState, action: AtomicAction
+) -> tuple[str | None, int]:
+    """Why the action cannot start now (None when it can), and its frames."""
     reg = state.registry
+    if agent.busy is not None:
+        return "agent is busy", 0
     if isinstance(action, GoTo):
         if action.room.id not in reg.rooms_by_id:
-            return f"unknown room {action.room}"
+            return f"unknown room {action.room}", 0
         if action.room.id == agent.room_id:
-            return "already in that room"
-        return None
+            return "already in that room", 0
+        return None, reg.distance(agent.room_id, action.room.id)
     if isinstance(action, ExploreCurrent):
         if action.room.id != agent.room_id:
-            return "can only explore the current room"
-        return None
+            return "can only explore the current room", 0
+        return None, EXPLORE_COST
     if isinstance(action, GoGrasp):
         oid = action.object.id
         if reg.kind_of(oid) not in (TARGET, CONTAINER):
-            return f"not a graspable object: {action.object}"
+            return f"not a graspable object: {action.object}", 0
         if state.locations.get(oid) != (AT_ROOM, agent.room_id):
-            return f"{action.object} is not in this room"
+            return f"{action.object} is not in this room", 0
         if len(agent.hands) >= MAX_HANDS:
-            return "hands are full"
+            return "hands are full", 0
         if reg.is_container(oid) and _held_container(state, agent) is not None:
-            return "already holding a container"
-        return None
+            return "already holding a container", 0
+        return None, GRASP_COST
     if isinstance(action, Put):
         if action.object.id not in agent.hands:
-            return f"not holding {action.object}"
+            return f"not holding {action.object}", 0
         if action.container.id not in agent.hands:
-            return f"not holding {action.container}"
+            return f"not holding {action.container}", 0
         if not reg.is_container(action.container.id):
-            return f"{action.container} is not a container"
+            return f"{action.container} is not a container", 0
         if reg.is_container(action.object.id):
-            return "cannot put a container inside a container"
+            return "cannot put a container inside a container", 0
         if len(state.container_load(action.container.id)) >= CONTAINER_CAPACITY:
-            return f"{action.container} is full"
-        return None
+            return f"{action.container} is full", 0
+        return None, PUT_COST
     if isinstance(action, Transport):
         if not agent.hands:
-            return "nothing to transport"
-        return None
+            return "nothing to transport", 0
+        return None, reg.distance(agent.room_id, reg.bed_room.id) + TRANSPORT_DROP_COST
     if isinstance(action, SendMessage):
-        return None  # length enforced at construction
-    return f"unknown action {action!r}"
+        return None, MESSAGE_COST  # length enforced at construction
+    return f"unknown action {action!r}", 0
 
 
 def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> ActionResult:
+    """Apply a finished action; ``agent`` is no longer busy."""
     reg = state.registry
     if isinstance(action, GoTo):
         _enter_room(state, agent, action.room.id)
-        return ActionResult("completed", action)
-    if isinstance(action, ExploreCurrent):
+    elif isinstance(action, ExploreCurrent):
         state.explored[(agent.name, agent.room_id)] = ALL
         state.revealed[agent.name].update(state.room_contents(agent.room_id))
-        return ActionResult("completed", action)
-    if isinstance(action, GoGrasp):
+    elif isinstance(action, GoGrasp):
+        # Hands change only when the agent's own actions complete, so only a
+        # teammate's grasp can have taken the object since the start.
         oid = action.object.id
-        if state.locations.get(oid) != (AT_ROOM, agent.room_id) or len(agent.hands) >= MAX_HANDS:
+        if state.locations.get(oid) != (AT_ROOM, agent.room_id):
             return ActionResult("rejected", action, f"{action.object} no longer available")
-        if reg.is_container(oid) and _held_container(state, agent) is not None:
-            return ActionResult("rejected", action, "already holding a container")
         state.locations[oid] = (HELD, agent.name)
         agent.hands.append(oid)
         state.revealed[agent.name].add(oid)
-        return ActionResult("completed", action)
-    if isinstance(action, Put):
-        err = _validate(state, agent, action)
+    elif isinstance(action, Put):
+        err, _ = _start(state, agent, action)
         if err:
             return ActionResult("rejected", action, err)
         state.locations[action.object.id] = (INSIDE, action.container.id)
         agent.hands.remove(action.object.id)
-        return ActionResult("completed", action)
-    if isinstance(action, Transport):
+    elif isinstance(action, Transport):
         _enter_room(state, agent, reg.bed_room.id)
-        for oid in list(agent.hands):
+        for oid in agent.hands:
             for inner in state.container_load(oid):
                 state.locations[inner] = (AT_BED,)
             state.locations[oid] = (AT_BED,)
-            if reg.is_container(oid):
-                state.lost_containers.add(oid)
         agent.hands.clear()
-        return ActionResult("completed", action)
-    if isinstance(action, SendMessage):
-        state.pending_messages.append((agent.name, action.text))
-        return ActionResult("completed", action)
-    raise SimulationError(f"unknown action {action!r}")
+    else:  # SendMessage: _start refuses any other action
+        for other in state.agents:
+            if other is not agent:
+                other.inbox.append((agent.name, action.text))
+    return ActionResult("completed", action)
 
 
-def apply(
-    state: WorldState, intents: dict[str, AtomicAction | str]
-) -> tuple[WorldState, dict[str, ActionResult]]:
-    """Advance the world by exactly one frame.
+def apply(state: WorldState, intents: dict[str, AtomicAction]) -> dict[str, ActionResult]:
+    """Advance the world by exactly one frame; returns each agent's result.
 
-    Idle agents may start the submitted intent (illegal intents are
-    rejected and the agent idles this frame); busy agents must submit
-    ``CONTINUE``.  Completions run in agent-index order, which resolves
-    same-frame grasp races in favor of the lower index.  Messages sent
-    this frame reach the other agents' inboxes once the frame ends.
+    ``intents`` holds only the agents that start something: an idle agent
+    without one idles this frame and a busy one goes on.  An intent
+    :func:`_start` refuses is rejected (a busy agent's with "agent is
+    busy") and an idle agent then idles this frame.  Completions run in
+    agent-index order, which resolves same-frame grasp races in favor of
+    the lower index; a completed message goes straight into the other
+    agents' inboxes, which are read only between frames.
     """
     state.frame += 1
     results: dict[str, ActionResult] = {}
 
     for agent in state.agents:
-        intent = intents.get(agent.name, CONTINUE)
-        if agent.busy is not None:
-            if intent != CONTINUE:
-                results[agent.name] = ActionResult("rejected", None, "agent is busy")
+        intent = intents.get(agent.name)
+        if intent is None:
+            if agent.busy is None:
+                results[agent.name] = ActionResult("idle")
             continue
-        if intent == CONTINUE:
-            results[agent.name] = ActionResult("idle")
-            continue
-        assert not isinstance(intent, str)
-        err = _validate(state, agent, intent)
+        err, cost = _start(state, agent, intent)
         if err:
             results[agent.name] = ActionResult("rejected", intent, err)
-            continue
-        agent.busy = (intent, _action_cost(state, agent, intent))
+        else:
+            agent.busy = (intent, cost)
 
     for agent in state.agents:
         if agent.busy is None:
@@ -341,15 +317,8 @@ def apply(
             agent.busy = None
             results[agent.name] = _complete(state, agent, action)
 
-    if state.pending_messages:
-        for sender, text in state.pending_messages:
-            for agent in state.agents:
-                if agent.name != sender:
-                    agent.inbox.append((sender, text))
-        state.pending_messages.clear()
-
     _check_invariants(state)
-    return state, results
+    return results
 
 
 def skip_quiet_frames(state: WorldState) -> None:
@@ -379,18 +348,12 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
     room = reg.rooms_by_id[agent.room_id]
     seen = state.revealed[agent_name]
 
-    items = []
-    for oid in state.room_contents(agent.room_id):
-        if oid in seen:
-            ref, kind = reg.objects_by_id[oid]
-            items.append((ref, kind))
+    items = [reg.objects_by_id[oid] for oid in state.room_contents(agent.room_id) if oid in seen]
     if agent.room_id == reg.scenario.bed_room_id:
         items.append((reg.bed, BED))
 
     def hand_view(a: AgentState):
-        return tuple(
-            (reg.objects_by_id[oid][0], reg.objects_by_id[oid][1]) for oid in a.hands
-        )
+        return tuple(reg.objects_by_id[oid] for oid in a.hands)
 
     contents = []
     for a in state.agents:
@@ -438,31 +401,20 @@ def is_done(state: WorldState) -> tuple[bool, str]:
 
 
 def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
-    """Every intent the agent could legally start this frame (sorted)."""
+    """Every intent the agent could start this frame, in a fixed order: each
+    candidate that :func:`_start` accepts."""
     agent = state.agent(agent_name)
-    if agent.busy is not None:
-        return []
     reg = state.registry
-    options: list[AtomicAction] = []
-    for room_id in sorted(reg.rooms_by_id):
-        if room_id != agent.room_id:
-            options.append(GoTo(reg.rooms_by_id[room_id]))
-    options.append(ExploreCurrent(reg.rooms_by_id[agent.room_id]))
-    for oid in state.room_contents(agent.room_id):
-        action = GoGrasp(reg.objects_by_id[oid][0])
-        if _validate(state, agent, action) is None:
-            options.append(action)
-    container = _held_container(state, agent)
-    if container is not None:
-        for oid in sorted(agent.hands):
-            if oid == container:
-                continue
-            action = Put(reg.objects_by_id[oid][0], reg.objects_by_id[container][0])
-            if _validate(state, agent, action) is None:
-                options.append(action)
-    if agent.hands:
-        options.append(Transport())
-    return options
+    rooms = [reg.rooms_by_id[room_id] for room_id in sorted(reg.rooms_by_id)]
+    held = [reg.objects_by_id[oid][0] for oid in sorted(agent.hands)]
+    candidates = [
+        *map(GoTo, rooms),
+        *map(ExploreCurrent, rooms),
+        *(GoGrasp(reg.objects_by_id[oid][0]) for oid in sorted(reg.objects_by_id)),
+        *(Put(item, container) for item in held for container in held),
+        Transport(),
+    ]
+    return [action for action in candidates if _start(state, agent, action)[0] is None]
 
 
 def _check_invariants(state: WorldState) -> None:
@@ -485,8 +437,6 @@ def _check_invariants(state: WorldState) -> None:
         elif tag == INSIDE:
             if not reg.is_container(loc[1]):
                 raise InvariantViolation(f"object {oid} inside non-container {loc[1]}")
-            if state.locations.get(loc[1]) == (AT_BED,) and loc[1] not in state.lost_containers:
-                raise InvariantViolation(f"container {loc[1]} at bed but not lost")
         elif tag != AT_BED:
             raise InvariantViolation(f"object {oid} in unknown location {loc!r}")
 

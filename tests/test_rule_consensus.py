@@ -82,7 +82,7 @@ class QuotingProposer(ScriptedReasoner):
 
 
 def test_agree_rules_keeps_rules_whose_reasoning_quotes_a_belief():
-    rules, rounds, fell_back = agree_rules(QuotingProposer(), TASK, max_rounds=3)
+    rules, rounds, fell_back = agree_rules(QuotingProposer(), TASK)
     assert (rounds, fell_back) == (1, 0)
     own = CANONICAL_ZERO_RULES[::-1] + CANONICAL_FIRST_RULES[::-1]
     assert rules == tuple(sbl.parse(line) for line in own)
@@ -105,7 +105,7 @@ def test_consensus_scripted_one_round(scripted):
 
 
 def test_consensus_matches_canonical_rules_helper(scripted):
-    assert agree_rules(scripted, TASK, max_rounds=3) == (canonical_rules(), 1, 0)
+    assert agree_rules(scripted, TASK) == (canonical_rules(), 1, 0)
 
 
 class RejectingReviewer:
@@ -264,7 +264,7 @@ def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls):
     # reviewer and agree_rules must both turn it down.
     _, problems = judge(reasoner_cls()._answer_rules_propose({}))
     assert problems
-    rules, rounds, fell_back = agree_rules(reasoner_cls(), TASK, max_rounds=3)
+    rules, rounds, fell_back = agree_rules(reasoner_cls(), TASK)
     assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
     with pytest.raises(ConsensusFailure) as err:
         consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK, max_rounds=1)
