@@ -49,7 +49,6 @@ class RuleViolation(ValueError):
 
     def __init__(self, message: str, fact: AtomicBelief):
         super().__init__(f"{message}: {fact}")
-        self.fact = fact
 
 
 class UnknownCollaborator(KeyError):

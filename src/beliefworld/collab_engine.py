@@ -24,7 +24,8 @@ inbox as one batch: one ``update_zero`` request for all of it and one
 through the mind's one ask path, ``AgentMind._ask``, which sets the
 ``AGENT_NAME``/``OPPO_NAME`` header; each other prompt input is written
 in one place too: :func:`belief_text` for belief lines (a reply's belief
-lines are read back only with the believer chain it writes),
+lines, read with :func:`sbl.belief_lines` like any statement line, are
+kept only under the believer chain it writes),
 :func:`plan_text` for a plan, ``EntityRegistry.goal`` for the goal and
 ``actions.ACTION_LIST`` for the step grammar.  Each mind sends a request
 once per distinct input, the inbox update included: per slot, a template
@@ -279,31 +280,6 @@ def belief_text(world: BeliefWorld, about: str | None = None) -> str:
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
 
 
-# The update prompts show entities as "<table> (712)"; sbl writes "<table>(712)".
-_SPACED_REF_RE = re.compile(r"(<[^<>()\s]+>)\s+(?=\(\d+\))")
-
-
-def _facts_from_lines(lines: str, world: BeliefWorld, about: str | None) -> list[AtomicBelief]:
-    """The ground facts of the lines written as :func:`belief_text` writes
-    the partition: a line another believer chain holds is skipped."""
-    believers = tuple(map(AgentName, _believers(world, about)))
-    facts = []
-    for line in lines.splitlines():
-        line = line.strip().lstrip("-*").strip()
-        if line.lower() in _NO_ANSWER:
-            continue
-        try:
-            expr = parse(_SPACED_REF_RE.sub(r"\1", line))
-        except ParseError:
-            log.warning("skipping unparseable belief line: %r", line)
-            continue
-        if expr.believers != believers or not expr.is_ground:
-            log.warning("skipping belief line outside the partition: %r", line)
-            continue
-        facts.append(expr.body)
-    return facts
-
-
 def plan_text(plan: Plan | None) -> str:
     return str(plan) if plan is not None else "None"
 
@@ -336,14 +312,27 @@ def _reply_facts(
     resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists for the zero
-    partition, or the one about ``about``; None when no reply arrived or
-    the section is missing or holds no readable line."""
+    partition, or the one about ``about``, read from the section's
+    :func:`sbl.belief_lines`: a line under another believer chain than
+    :func:`belief_text` writes for the partition is skipped.  None when no
+    reply arrived or the section is missing or holds no readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
-    lines = resp.sections[label]
-    facts = _facts_from_lines(lines, world, about)
-    if facts or lines.strip().lower() in _NO_ANSWER:
+    section = resp.sections[label]
+    believers = tuple(map(AgentName, _believers(world, about)))
+    facts = []
+    for line in sbl.belief_lines(section):
+        try:
+            expr = parse(line)
+        except ParseError:
+            log.warning("skipping unparseable belief line: %r", line)
+            continue
+        if expr.believers != believers or not expr.is_ground:
+            log.warning("skipping belief line outside the partition: %r", line)
+            continue
+        facts.append(expr.body)
+    if facts or section.strip().lower() in _NO_ANSWER:
         return facts
     return None
 

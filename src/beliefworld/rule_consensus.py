@@ -5,15 +5,18 @@ every stored belief must conform to.  The proposer drafts zero- and
 first-order rules from the task description, the reviewer answers with a
 verdict and suggestions, and the loop repeats with refinement until the
 reviewer is satisfied or the round budget, :data:`MAX_ROUNDS`, runs out.
-A proposal keeps its rule lines as text, as written; a review without a
-yes/no verdict is asked for once more (:func:`_review`) before the
-dialogue fails.
+The dialogue passes text: a proposal is the text the reviewer reads, its
+reasoning and its rule lines as written (read with
+:func:`sbl.belief_lines`), and a review is a verdict and its suggestions.
+A review without a yes/no verdict is asked for once more
+(:func:`_review`) before the dialogue fails; a :class:`ConsensusFailure`
+carries the last review's suggestions.
 
 :func:`judge` is the one judge of a proposal's text: every rule line must
 parse, no rule may be ground or stated twice, and every canonical rule
 below must be unified with by some rule of its order, since a narrower
 rule would reject observed facts.  The scripted reviewer and
-:func:`agree_rules` both ask it about the same rendered proposal, so a
+:func:`agree_rules` both ask it about the same proposal text, so a
 reviewer that falls back to the scripted one rejects during the dialogue
 exactly what :func:`agree_rules` would replace afterwards.
 :func:`agree_rules` runs the dialogue and puts the canonical rules in
@@ -29,7 +32,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
 
 from . import sbl
@@ -39,27 +41,19 @@ log = logging.getLogger(__name__)
 
 MAX_ROUNDS = 3
 
-CANONICAL_ZERO_RULES = (
-    "?agent BELIEVE ?object IN ?room",
-    "?agent BELIEVE ?bed IN ?room",
-    "?agent BELIEVE ?container IN ?room",
-    "?agent BELIEVE ?agent HOLD ?object",
-    "?agent BELIEVE ?agent HOLD ?container",
-    "?agent BELIEVE ?container CONTAIN ?object",
-    "?agent BELIEVE ?room EXPLORED ?exploration_state",
-    "?agent BELIEVE ?agent AT ?room",
+# The canonical rule bodies, stated once for each belief order.
+_RULE_BODIES = (
+    "?object IN ?room",
+    "?bed IN ?room",
+    "?container IN ?room",
+    "?agent HOLD ?object",
+    "?agent HOLD ?container",
+    "?container CONTAIN ?object",
+    "?room EXPLORED ?exploration_state",
+    "?agent AT ?room",
 )
-
-CANONICAL_FIRST_RULES = (
-    "?agentA BELIEVE ?agentB BELIEVE ?object IN ?room",
-    "?agentA BELIEVE ?agentB BELIEVE ?bed IN ?room",
-    "?agentA BELIEVE ?agentB BELIEVE ?container IN ?room",
-    "?agentA BELIEVE ?agentB BELIEVE ?agent HOLD ?object",
-    "?agentA BELIEVE ?agentB BELIEVE ?agent HOLD ?container",
-    "?agentA BELIEVE ?agentB BELIEVE ?container CONTAIN ?object",
-    "?agentA BELIEVE ?agentB BELIEVE ?room EXPLORED ?exploration_state",
-    "?agentA BELIEVE ?agentB BELIEVE ?agent AT ?room",
-)
+CANONICAL_ZERO_RULES = tuple(f"?agent BELIEVE {body}" for body in _RULE_BODIES)
+CANONICAL_FIRST_RULES = tuple(f"?agentA BELIEVE ?agentB BELIEVE {body}" for body in _RULE_BODIES)
 
 BELIEF_LANGUAGE_TEXT = (
     "A belief statement is 'X BELIEVE subject RELATION object' (zero order)"
@@ -72,32 +66,14 @@ BELIEF_LANGUAGE_TEXT = (
 
 
 class ConsensusFailure(RuntimeError):
-    def __init__(self, message: str, review=None):
+    def __init__(self, message: str, suggestions: str | None = None):
         super().__init__(message)
-        self.review = review
+        self.suggestions = suggestions
 
 
 @cache
 def canonical_rules() -> tuple[sbl.BeliefExpr, ...]:
     return tuple(sbl.parse(line) for line in CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
-
-
-@dataclass(frozen=True)
-class RuleProposal:
-    """One side's draft rule set: its rule lines as written.
-
-    Nothing is parsed or deduplicated here, so the reviewer sees, and can
-    reject, duplicated, misfiled and unparseable rules alike.
-    """
-
-    reasoning: str
-    zero_rules: tuple[str, ...]
-    first_rules: tuple[str, ...]
-
-    def render(self) -> str:
-        return f"Reasoning: {self.reasoning or 'None'}\n" + rule_sections(
-            self.zero_rules, self.first_rules
-        )
 
 
 def rule_sections(
@@ -111,21 +87,6 @@ def rule_sections(
     )
 
 
-@dataclass(frozen=True)
-class Review:
-    suggestions: str
-    satisfied: bool
-
-    def __post_init__(self):
-        if not self.satisfied and not self.suggestions.strip():
-            object.__setattr__(self, "suggestions", "no specific suggestions given")
-
-
-def _rule_lines(text: str) -> list[str]:
-    stripped = (line.strip().lstrip("-*").strip() for line in text.splitlines())
-    return [line for line in stripped if " BELIEVE " in line]
-
-
 def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
     """The rules a proposal's text states in its rule sections, as
     :func:`rule_sections` writes them, and what makes them unacceptable:
@@ -137,7 +98,7 @@ def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
     narrower rule, such as one pinned to a room, would reject facts
     observed anywhere else)."""
     rules, problems = [], []
-    for line in _rule_lines(text.partition("Zero order belief rules:")[2]):
+    for line in sbl.belief_lines(text.partition("Zero order belief rules:")[2]):
         try:
             rules.append(sbl.parse(line))
         except sbl.ParseError as exc:
@@ -155,57 +116,56 @@ def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
     return tuple(rules), tuple(problems)
 
 
-def _parse_proposal(sections: dict[str, str]) -> RuleProposal:
-    def rules(label: str) -> tuple[str, ...]:
-        return tuple(_rule_lines(sections.get(label, "")))
-
+def _proposal(sections: dict[str, str]) -> str:
+    """A proposal reply as the reviewer reads it: its reasoning, then its
+    rule lines as written.  Nothing is parsed or deduplicated here, so the
+    reviewer sees, and can reject, duplicated, misfiled and unparseable
+    rules alike."""
     reasoning = sections.get("Entity and predicate reasoning") or sections.get("Reasoning", "")
-    return RuleProposal(
-        reasoning, rules("Zero order belief rules"), rules("First order belief rules")
+    return f"Reasoning: {reasoning or 'None'}\n" + rule_sections(
+        sbl.belief_lines(sections.get("Zero order belief rules", "")),
+        sbl.belief_lines(sections.get("First order belief rules", "")),
     )
 
 
-def _parse_review(sections: dict[str, str]) -> Review:
-    satisfied = yes_no(sections.get("Satisfied", ""))
-    if satisfied is None:
-        raise ValueError("no yes/no verdict")
-    return Review(sections.get("Suggestions", ""), satisfied=satisfied)
-
-
-def _review(reviewer, vars: dict[str, str]) -> Review:
-    """The reviewer's verdict, asked for once more when a reply has none."""
+def _review(reviewer, vars: dict[str, str]) -> tuple[bool, str]:
+    """The reviewer's verdict and suggestions, asked for once more when a
+    reply has no verdict; a rejection always names some suggestion."""
     for attempt in (1, 2):
-        response = reviewer.complete(ReasonerRequest("rules_review", vars))
-        try:
-            return _parse_review(response.sections)
-        except ValueError as exc:
-            log.warning("rules_review attempt %d is unusable: %s", attempt, exc)
+        sections = reviewer.complete(ReasonerRequest("rules_review", vars)).sections
+        satisfied = yes_no(sections.get("Satisfied", ""))
+        if satisfied is not None:
+            suggestions = sections.get("Suggestions", "")
+            if not suggestions.strip():
+                suggestions = "no specific suggestions given"
+            return satisfied, suggestions
+        log.warning("rules_review attempt %d is unusable: no yes/no verdict", attempt)
     raise ConsensusFailure("rules_review reply did not parse after one retry")
 
 
 def consensus_loop(
     proposer, reviewer, task_description: str, max_rounds: int = MAX_ROUNDS
-) -> tuple[RuleProposal, int]:
+) -> tuple[str, int]:
     """Propose, review, and refine until the reviewer accepts; returns the
-    accepted proposal and the round it was accepted in.
+    accepted proposal's text and the round it was accepted in.
 
-    Raises :class:`ConsensusFailure` carrying the last review when no
-    acceptance happens within ``max_rounds`` rounds (one proposer call and
-    one reviewer call each, the review asked once more when it has no
-    verdict).
+    Raises :class:`ConsensusFailure` carrying the last review's
+    suggestions when no acceptance happens within ``max_rounds`` rounds
+    (one proposer call and one reviewer call each, the review asked once
+    more when it has no verdict).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     task = {"BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT, "TASK_DESCRIPTION": task_description}
     request = ReasonerRequest("rules_propose", task)
     for round_number in range(1, max_rounds + 1):
-        proposal = _parse_proposal(proposer.complete(request).sections)
-        review = _review(reviewer, task | {"ALICE_CONTENT": proposal.render()})
-        if review.satisfied:
+        proposal = _proposal(proposer.complete(request).sections)
+        satisfied, suggestions = _review(reviewer, task | {"ALICE_CONTENT": proposal})
+        if satisfied:
             return proposal, round_number
-        previous = {"PREVIOUS_CONTENT": proposal.render(), "SUGGESTIONS": review.suggestions}
+        previous = {"PREVIOUS_CONTENT": proposal, "SUGGESTIONS": suggestions}
         request = ReasonerRequest("rules_refine", task | previous)
-    raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", review)
+    raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", suggestions)
 
 
 def agree_rules(
@@ -220,7 +180,7 @@ def agree_rules(
     except ConsensusFailure as exc:
         log.warning("rule consensus failed (%s); using the canonical rules", exc)
         return canonical_rules(), MAX_ROUNDS, 1
-    rules, problems = judge(proposal.render())
+    rules, problems = judge(proposal)
     if problems:
         log.warning("accepted rules fail review (%s); using the canonical rules",
                     "; ".join(problems))

@@ -17,6 +17,11 @@ lowercase identifiers are state atoms (``none``/``part``/``all``/...),
 legal only on the right-hand side of a relation.  Relation symbols are
 uppercase; their kind (predicate vs. attribute) is inferred from the sort
 of the right-hand token rather than a closed symbol table.
+
+:func:`belief_lines` is the one reader of statement lines in a reply's
+text, rule proposals and belief updates alike: it cleans each line
+(bullets, the prompts' spaced ``<name> (id)`` form) and keeps those that
+hold a BELIEVE operator, for :func:`parse` to read.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ _AGENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
 _STATE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _VARIABLE_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
 _OBJECT_RE = re.compile(r"^<([^<>()\s]+)>\((\d+)\)$")
+# Prompts show entities as "<table> (712)"; statements write "<table>(712)".
+_SPACED_REF_RE = re.compile(r"(<[^<>()\s]+>)\s+(?=\(\d+\))")
 
 
 class ParseError(ValueError):
@@ -239,6 +246,15 @@ def parse(text: str) -> BeliefExpr:
     if len(rest) > 3:
         raise ParseError(f"trailing tokens after belief body: {rest[3][0]!r}", rest[3][1])
     return BeliefExpr(believers, _parse_body(rest))
+
+
+def belief_lines(text: str) -> list[str]:
+    """The statement lines of a reply: each line stripped of whitespace
+    and of a ``-``/``*`` bullet, its ``<name> (id)`` references closed up,
+    and only lines holding a BELIEVE operator kept.  This is the one
+    cleaner of reply lines; :func:`parse` then reads each line."""
+    lines = (line.strip().lstrip("-*").strip() for line in text.splitlines())
+    return [_SPACED_REF_RE.sub(r"\1", line) for line in lines if BELIEVE in line.split()]
 
 
 def serialize(expr: BeliefExpr) -> str:

@@ -75,11 +75,7 @@ AT_BED = "bed"
 Location = tuple  # (AT_ROOM, room_id) | (HELD, agent) | (INSIDE, container_id) | (AT_BED,)
 
 
-class SimulationError(RuntimeError):
-    pass
-
-
-class InvariantViolation(SimulationError):
+class InvariantViolation(RuntimeError):
     pass
 
 

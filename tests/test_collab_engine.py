@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beliefworld import harness, sbl, world_sim
+from beliefworld import collab_engine, harness, sbl, world_sim
 from beliefworld.actions import (
     ExploreCurrent,
     GoGrasp,
@@ -36,6 +36,7 @@ from beliefworld.planner import (
     plan_conflicts,
     plan_options,
 )
+from beliefworld.prompts import ReasonerResponse
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, load_scenario, scenario_from_dict
@@ -592,6 +593,18 @@ def test_update_from_messages_unparseable_ignored(food_registry):
     )
     assert declared == {}
     assert world.snapshot() == before
+
+
+def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog):
+    # A prose line is no belief line: it is skipped without a warning,
+    # and a bulleted belief line is read.
+    world = make_world(food_registry)
+    section = "Here is what Alice now believes:\n- Alice BELIEVE <apple>(101) IN <kitchen>(2000)"
+    reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
+    with caplog.at_level("WARNING"):
+        facts = collab_engine._reply_facts(reply, world, None)
+    assert facts == [fact("<apple>(101) IN <kitchen>(2000)")]
+    assert "unparseable" not in caplog.text
 
 
 def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_registry):

@@ -1,5 +1,8 @@
 """Propose-and-revise consensus: canonical output, review checks, loop."""
 
+import hashlib
+import json
+
 import pytest
 
 from beliefworld import sbl
@@ -9,7 +12,7 @@ from beliefworld.rule_consensus import (
     CANONICAL_FIRST_RULES,
     CANONICAL_ZERO_RULES,
     ConsensusFailure,
-    RuleProposal,
+    _proposal,
     agree_rules,
     canonical_rules,
     consensus_loop,
@@ -28,8 +31,8 @@ def scripted():
 
 def test_scripted_proposal_is_canonical(scripted):
     proposal, _ = consensus_loop(scripted, scripted, TASK)
-    assert proposal.zero_rules == CANONICAL_ZERO_RULES
-    assert proposal.first_rules == CANONICAL_FIRST_RULES
+    rules = proposal.partition("\n")[2]
+    assert rules == rule_sections(CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES)
 
 
 def test_scripted_proposal_ignores_task_text(scripted):
@@ -37,18 +40,16 @@ def test_scripted_proposal_ignores_task_text(scripted):
 
 
 def test_review_accepts_canonical(scripted):
-    canonical = RuleProposal("", CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES)
-    assert judge(canonical.render()) == (canonical_rules(), ())
+    canonical = rule_sections(CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES)
+    assert judge(canonical) == (canonical_rules(), ())
     assert consensus_loop(scripted, scripted, TASK, max_rounds=1)[1] == 1
 
 
 def test_review_flags_missing_position_rule(scripted):
     with pytest.raises(ConsensusFailure) as err:
         consensus_loop(NoPositionRules(), scripted, TASK, max_rounds=1)
-    review = err.value.review
-    assert not review.satisfied
     for rule in canonical_rules():
-        assert (f"'{rule}'" in review.suggestions) == (rule.body.relation == "AT")
+        assert (f"'{rule}'" in err.value.suggestions) == (rule.body.relation == "AT")
 
 
 def test_review_flags_duplicates():
@@ -64,8 +65,7 @@ def test_review_flags_duplicates():
 
 def test_review_flags_unparseable_rule():
     bad = "?agent BELIEVE in the mission"
-    proposal = RuleProposal("", CANONICAL_ZERO_RULES + (bad,), CANONICAL_FIRST_RULES)
-    _, verdict = judge(proposal.render())
+    _, verdict = judge(rule_sections(CANONICAL_ZERO_RULES + (bad,), CANONICAL_FIRST_RULES))
     assert any("unparseable" in p and bad in p for p in verdict)
 
 
@@ -88,10 +88,17 @@ def test_agree_rules_keeps_rules_whose_reasoning_quotes_a_belief():
     assert rules == tuple(sbl.parse(line) for line in own)
 
 
+def test_judge_reads_a_rule_line_in_the_prompts_spaced_entity_form():
+    spaced = "?agent BELIEVE <bed> (9000) IN ?room"
+    rules, problems = judge(rule_sections(CANONICAL_ZERO_RULES + (spaced,), CANONICAL_FIRST_RULES))
+    assert sbl.parse("?agent BELIEVE <bed>(9000) IN ?room") in rules
+    assert not any("unparseable" in p for p in problems)
+
+
 def test_proposal_keeps_duplicates_for_review():
     rule = CANONICAL_ZERO_RULES[0]
-    proposal = RuleProposal(reasoning="", zero_rules=(rule, rule), first_rules=())
-    rules, verdict = judge(proposal.render())
+    proposal = _proposal({"Zero order belief rules": f"{rule}\n{rule}"})
+    rules, verdict = judge(proposal)
     assert rules == (sbl.parse(rule),) * 2
     assert any("duplicate" in p for p in verdict)
 
@@ -99,7 +106,7 @@ def test_proposal_keeps_duplicates_for_review():
 def test_consensus_scripted_one_round(scripted):
     proposal, rounds = consensus_loop(scripted, scripted, TASK, max_rounds=3)
     assert rounds == 1
-    rules, problems = judge(proposal.render())
+    rules, problems = judge(proposal)
     assert [str(r) for r in rules] == list(CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
     assert problems == ()
 
@@ -127,8 +134,7 @@ class RejectingReviewer:
 def test_consensus_exhausts_rounds(scripted):
     with pytest.raises(ConsensusFailure) as err:
         consensus_loop(scripted, RejectingReviewer(), TASK, max_rounds=2)
-    assert err.value.review is not None
-    assert not err.value.review.satisfied
+    assert err.value.suggestions == "start over"
 
 
 class FaultyThenFixedProposer:
@@ -165,7 +171,7 @@ def test_consensus_duplicate_then_fixed_accepted_round_two(scripted):
     proposer = FaultyThenFixedProposer()
     proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
     assert rounds == 2
-    assert judge(proposal.render()) == (canonical_rules(), ())
+    assert judge(proposal) == (canonical_rules(), ())
 
 
 def test_unparseable_rule_line_is_reviewed_and_refined(scripted):
@@ -174,7 +180,7 @@ def test_unparseable_rule_line_is_reviewed_and_refined(scripted):
     proposer = FaultyThenFixedProposer("?agent BELIEVE broken(")
     proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
     assert rounds == 2
-    assert judge(proposal.render()) == (canonical_rules(), ())
+    assert judge(proposal) == (canonical_rules(), ())
     refine = proposer.requests[1]
     assert refine.template_id == "rules_refine"
     assert "unparseable rule '?agent BELIEVE broken('" in refine.vars["SUGGESTIONS"]
@@ -199,7 +205,7 @@ def test_consensus_failure_on_unparseable_proposer(food_registry):
 
     with pytest.raises(ConsensusFailure, match="no accepted proposal within 3 rounds") as err:
         consensus_loop(Garbage(), ScriptedReasoner(), TASK)
-    assert "unparseable rule '?agent BELIEVE broken('" in err.value.review.suggestions
+    assert "unparseable rule '?agent BELIEVE broken('" in err.value.suggestions
 
 
 class VerdictlessReviewer:
@@ -227,7 +233,7 @@ def test_review_without_verdict_is_asked_again(scripted):
     reviewer = VerdictlessReviewer(["maybe", "yes, all covered"])
     proposal, rounds = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
     assert (rounds, reviewer.calls) == (1, 2)
-    assert judge(proposal.render()) == (canonical_rules(), ())
+    assert judge(proposal) == (canonical_rules(), ())
 
 
 def test_review_without_verdict_twice_fails(scripted):
@@ -268,4 +274,125 @@ def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls):
     assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
     with pytest.raises(ConsensusFailure) as err:
         consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK, max_rounds=1)
-    assert err.value.review.suggestions == "; ".join(problems)
+    assert err.value.suggestions == "; ".join(problems)
+
+
+class EmptySuggestionsReviewer:
+    """Reviewer double that rejects every proposal and suggests nothing."""
+
+    fallback_count = 0
+
+    def complete(self, request: ReasonerRequest):
+        from beliefworld.prompts import ReasonerResponse
+
+        return ReasonerResponse(
+            sections={"Reasoning": "no", "Suggestions": "", "Satisfied": "no"},
+            raw="Reasoning: no\nSuggestions:\nSatisfied: no\n",
+        )
+
+
+def test_empty_suggestions_still_name_a_suggestion(scripted):
+    with pytest.raises(ConsensusFailure) as err:
+        consensus_loop(scripted, EmptySuggestionsReviewer(), TASK, max_rounds=1)
+    assert err.value.suggestions == "no specific suggestions given"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:12]
+
+
+class Recorded:
+    """Passes requests on to ``inner``, adding each one's digest to a list
+    it shares with the other side of the dialogue."""
+
+    def __init__(self, inner, requests: list[str]):
+        self.inner, self.requests = inner, requests
+
+    def complete(self, request: ReasonerRequest):
+        self.requests.append(_digest([request.template_id, request.vars]))
+        return self.inner.complete(request)
+
+
+def _dialogue(proposer, reviewer):
+    requests = []
+    try:
+        proposal, rounds = consensus_loop(
+            Recorded(proposer, requests), Recorded(reviewer, requests), TASK
+        )
+        outcome = ("accepted", rounds, _digest(proposal))
+    except ConsensusFailure as exc:
+        outcome = ("failed", str(exc), _digest(exc.suggestions))
+    return requests, outcome
+
+
+def _agreed(double):
+    requests = []
+    rules, rounds, fell_back = agree_rules(Recorded(double, requests), TASK)
+    return requests, ("agreed", rounds, fell_back, _digest([str(r) for r in rules]))
+
+
+DIALOGUES = {
+    "duplicate_line": lambda: _dialogue(FaultyThenFixedProposer(), ScriptedReasoner()),
+    "unparseable_line": lambda: _dialogue(
+        FaultyThenFixedProposer("?agent BELIEVE broken("), ScriptedReasoner()
+    ),
+    "rounds_exhausted": lambda: _dialogue(ScriptedReasoner(), RejectingReviewer()),
+    "verdictless": lambda: _dialogue(
+        ScriptedReasoner(), VerdictlessReviewer(["maybe", "no", "yes"])
+    ),
+    "no_position_rules": lambda: _dialogue(NoPositionRules(), ScriptedReasoner()),
+    "no_position_rules_agreed": lambda: _agreed(NoPositionRules()),
+    "narrow_in": lambda: _dialogue(NarrowIn(), ScriptedReasoner()),
+    "narrow_in_agreed": lambda: _agreed(NarrowIn()),
+    "empty_suggestions": lambda: _dialogue(ScriptedReasoner(), EmptySuggestionsReviewer()),
+}
+
+# Per dialogue: the digest of each request's [template_id, vars], in the
+# order sent by either side, and the outcome (the accepted proposal text,
+# the failure and its suggestions, or the rules agree_rules returns).  A
+# refactor of the dialogue keeps every request and every decision.
+DIALOGUE_DIGESTS = {
+    "duplicate_line": (
+        ["2eeda416926a", "442e77a48c5b", "520d42d5fb5f", "74003e9ffe3d"],
+        ("accepted", 2, "86ce7f5f560f"),
+    ),
+    "unparseable_line": (
+        ["2eeda416926a", "57cc2e99f96c", "903d26d351cd", "74003e9ffe3d"],
+        ("accepted", 2, "86ce7f5f560f"),
+    ),
+    "rounds_exhausted": (
+        ["2eeda416926a", "7151666790e9", "ab7d890e3df1", "74003e9ffe3d", "48a14446e8b8",
+         "74003e9ffe3d"],
+        ("failed", "no accepted proposal within 3 rounds", "0f2e02dd66ae"),
+    ),
+    "verdictless": (
+        ["2eeda416926a", "7151666790e9", "7151666790e9", "1f650f0a8142", "74003e9ffe3d"],
+        ("accepted", 2, "86ce7f5f560f"),
+    ),
+    "no_position_rules": (
+        ["2eeda416926a", "9179a35865bc", "eac53c96ff55", "74003e9ffe3d"],
+        ("accepted", 2, "86ce7f5f560f"),
+    ),
+    "no_position_rules_agreed": (
+        ["2eeda416926a", "9179a35865bc"],
+        ("agreed", 1, 1, "6b981468ec07"),
+    ),
+    "narrow_in": (
+        ["2eeda416926a", "dd37bb1e48cd", "fa3fd1c6d954", "74003e9ffe3d"],
+        ("accepted", 2, "86ce7f5f560f"),
+    ),
+    "narrow_in_agreed": (
+        ["2eeda416926a", "dd37bb1e48cd"],
+        ("agreed", 1, 1, "6b981468ec07"),
+    ),
+    "empty_suggestions": (
+        ["2eeda416926a", "7151666790e9", "67c57f02da68", "74003e9ffe3d", "3a4a5c594918",
+         "74003e9ffe3d"],
+        ("failed", "no accepted proposal within 3 rounds", "396a71750838"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIALOGUE_DIGESTS)
+def test_rule_dialogue_requests_and_outcome_keep_their_digests(name):
+    assert DIALOGUES[name]() == DIALOGUE_DIGESTS[name]
