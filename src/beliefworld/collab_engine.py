@@ -32,11 +32,15 @@ once per distinct input, the inbox update included: per slot, a template
 and a collaborator, it keeps the last vars it sent and the outcome, and
 an unchanged input gets that outcome back without a call.  A call that
 fell back is not remembered, so the same input goes to the remote model
-again.  This module alone decides: a remote model's answer is taken when
-one arrives and parses, and whenever no reply arrives the step asks the
-planner (or reads the message grammar here), straight off the structured
-beliefs.  The scripted backend answers only the rule dialogue, so
-scripted runs are exactly replayable.
+again.  The ``adaptive`` ("is this miscoordination heavy?") verdict is
+asked only where it can change the tick's intent: in adaptive mode, off
+cooldown, and until one report on the tick is heavy; elsewhere the
+mechanical report stands, and the log shows its ``heavy``.  This module
+alone decides: a remote model's answer is taken when one arrives and
+parses, and whenever no reply arrives the step asks the planner (or
+reads the message grammar here), straight off the structured beliefs.
+The scripted backend answers only the rule dialogue, so scripted runs
+are exactly replayable.
 """
 
 from __future__ import annotations
@@ -481,6 +485,16 @@ class AgentMind:
         made the tick heavy), else take the next plan step.  Reports are
         judged only when the plan step ends with a plan.
 
+        The ``adaptive`` verdict is asked only when it can change the
+        intent: in adaptive mode, when the cooldown allows a message, and
+        until one report on the tick is heavy.  In ``never`` mode no
+        message goes out whatever it says; on a cooldown tick neither;
+        after a heavy report the message and its addressee are settled,
+        and every report's misaligned facts are shared regardless.  In
+        ``always`` mode the addressee is the first mechanically heavy
+        collaborator, else :attr:`default_oppo`.  A report whose verdict
+        was not asked logs the mechanical ``heavy``, on the HTTP path too.
+
         The intent goes to the simulator as it is: a :class:`SendMessage`
         to broadcast, or the next plan step to execute.  None means the
         agent has nothing left to do and idles this frame.
@@ -493,11 +507,14 @@ class AgentMind:
         candidates = {c: self.predict_collaborator(c, declared.get(c)) for c in self.collaborators}
 
         intent: SendMessage | PlanStep | None = self._advance(declared)
+        comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
         reports: list[MiscoordReport] = []
         if self.plan is not None:
-            reports = [self.judge(c, candidates[c]) for c in self.collaborators]
+            for c in self.collaborators:
+                settled = any(r.heavy for r in reports)
+                ask = self.mode == MODE_ADAPTIVE and comm_allowed and not settled
+                reports.append(self.judge(c, candidates[c], ask))
         heavy = [r for r in reports if r.heavy]
-        comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
         wants_message = {
             MODE_ADAPTIVE: bool(heavy),
             MODE_ALWAYS: self.plan is not None,
@@ -647,13 +664,20 @@ class AgentMind:
             text = compose_message(misaligned, self.plan, self.registry)
         return text[:MAX_MESSAGE_CHARS]
 
-    def judge(self, collab: str, candidates: list[Plan]) -> MiscoordReport:
-        """Pairwise miscoordination: mechanical scan; a remote model's
-        answer whose first word is yes or no (:func:`prompts.yes_no`)
-        overturns the heaviness verdict."""
+    def judge(self, collab: str, candidates: list[Plan], ask: bool = True) -> MiscoordReport:
+        """Pairwise miscoordination: mechanical scan; when ``ask`` is set,
+        a remote model's answer whose first word is yes or no
+        (:func:`prompts.yes_no`) overturns the heaviness verdict.
+
+        :meth:`decide` sets ``ask`` only where the verdict can change the
+        tick's intent; otherwise the mechanical report is returned, no
+        ``adaptive`` request is sent and its memo slot stays as it was.
+        """
         report = detect_miscoordination(
             self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
+        if not ask:
+            return report
         resp = self._ask(
             "adaptive", collab,
             ZERO_ORDER_BELIEF=belief_text(self.world),

@@ -85,6 +85,7 @@ class EpisodeMetrics:
     comm_tokens: int
     comm_chars: int
     messages_sent: int
+    rejected_actions: int
     reasoner_fallbacks: int
 
     def to_dict(self) -> dict:
@@ -95,7 +96,8 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
     """Compute episode metrics exactly from the log records.
 
     Communication cost counts whitespace-delimited tokens over every sent
-    message; a missing or malformed terminal record is an error.
+    message; rejected actions count the ``action_rejected`` records; a
+    missing or malformed terminal record is an error.
     """
     done = log.of_kind("done")
     if len(done) != 1:
@@ -130,5 +132,6 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
         comm_tokens=comm_tokens,
         comm_chars=comm_chars,
         messages_sent=messages_sent,
+        rejected_actions=len(log.of_kind("action_rejected")),
         reasoner_fallbacks=fallbacks,
     )

@@ -36,7 +36,7 @@ from beliefworld.planner import (
     plan_conflicts,
     plan_options,
 )
-from beliefworld.prompts import ReasonerResponse
+from beliefworld.prompts import ReasonerResponse, parse_sections
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, load_scenario, scenario_from_dict
@@ -769,19 +769,27 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, 
     return state, minds
 
 
+def adaptive_requests(reasoner) -> list[str]:
+    """The collaborators named by the ``adaptive`` requests recorded so far."""
+    return [r.vars["OPPO_NAME"] for r in reasoner.requests if r.template_id == "adaptive"]
+
+
 def test_decide_communicates_on_heavy_then_acts(food_registry):
-    state, minds = fresh_minds()
+    reasoner = RecordingScripted()
+    state, minds = fresh_minds(reasoner=reasoner)
     alice = minds[0]
     observation = world_sim.observe(state, "Alice")
     intent, payload = alice.decide(observation, [])
-    assert intent is not None
-    if isinstance(intent, SendMessage):
-        assert any(r["heavy"] for r in payload["reports"])
-        assert len(intent.text) <= 500
-        # cooldown: the very next tick must act even if still heavy
-        intent2, payload2 = alice.decide(observation, [])
-        assert payload2["comm_allowed"] is False
-        assert not isinstance(intent2, SendMessage)
+    assert isinstance(intent, SendMessage)
+    assert any(r["heavy"] for r in payload["reports"])
+    assert len(intent.text) <= 500
+    # cooldown: the very next tick must act even if still heavy, and no
+    # verdict is asked, because none could make it send
+    reasoner.requests.clear()
+    intent2, payload2 = alice.decide(observation, [])
+    assert payload2["comm_allowed"] is False
+    assert not isinstance(intent2, SendMessage)
+    assert payload2["reports"] and adaptive_requests(reasoner) == []
 
 
 def test_decide_acts_when_nothing_heavy(food_registry):
@@ -881,6 +889,51 @@ class RecordingScripted(ScriptedReasoner):
     def complete(self, request):
         self.requests.append(request)
         return super().complete(request)
+
+
+class Verdict(RecordingScripted):
+    """A remote double that answers every ``adaptive`` request with one
+    verdict word and leaves every other step to the engine."""
+
+    def __init__(self, answer: str):
+        super().__init__()
+        self.answer = answer
+
+    def complete(self, request):
+        if request.template_id != "adaptive":
+            return super().complete(request)
+        self.requests.append(request)
+        text = f"reasons: x\nanswer: {self.answer}\nmisaligned information: None"
+        return ReasonerResponse(sections=parse_sections("adaptive", text), raw=text)
+
+
+@pytest.mark.parametrize("answer,asked", [("yes", 1), ("no", 3)])
+def test_the_verdict_is_asked_until_one_report_is_heavy(answer, asked):
+    # After a heavy verdict the tick's message and addressee are settled,
+    # so the later collaborators' reports are mechanical.
+    reasoner = Verdict(answer)
+    state, minds = fresh_minds("stuff_small", agents=4, reasoner=reasoner)
+    mind = minds[0]
+    intent, payload = mind.decide(world_sim.observe(state, mind.name), [])
+    assert payload["comm_allowed"] and len(payload["reports"]) == 3
+    assert adaptive_requests(reasoner) == list(mind.collaborators[:asked])
+    assert isinstance(intent, SendMessage) is (answer == "yes")
+
+
+@pytest.mark.parametrize("mode", ["never", "always"])
+def test_a_baseline_episode_asks_no_verdict(mode, monkeypatch):
+    asked = []
+    complete = ScriptedReasoner.complete
+
+    def recording(reasoner, request):
+        asked.append(request.template_id)
+        return complete(reasoner, request)
+
+    monkeypatch.setattr(ScriptedReasoner, "complete", recording)
+    cfg = harness.RunConfig(scenario="food_small", seeds=(1,), mode=mode)
+    episode, _ = harness.run_episode(cfg, 1)
+    assert episode.of_kind("decision") and "predict_first" in asked
+    assert "adaptive" not in asked
 
 
 def test_collaborators_are_predicted_before_the_agent_plans():

@@ -31,11 +31,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (309, "2da1c5a3dcc8b0df6d2e437ec3d1756ca5ef7659a3ef769402708f43492a7c93"),
-    ("food_small", 2, "never"): (112, "e9a0d25f4fb58741f171ce8788714643b7a375c767122a671002478c421b0161"),
-    ("food_small", 2, "always"): (281, "1ac9088f3b8e70631db42c125d5d5aee221f38dadf73edcd37d81825619a7803"),
-    ("stuff_small", 2, "always"): (253, "593ad87dc659c209f45760243fb3d6f9b286469883e4b728a2beddd69083f209"),
-    ("stuff_small", 4, "adaptive"): (885, "82f5dd56191ed6f81f57b0464911fafaf00e2a558428d19409963e2e1f8ea9b5"),
+    ("food_small", 2, "adaptive"): (278, "86555b763facdc8df771797e471f4f9b2268223a308d5c26ff1491637a33c4b7"),
+    ("food_small", 2, "never"): (82, "3e110129f54a3ecc017f40ff8f5732cb9fd61a8dbe2be61962ab1198f79c3a64"),
+    ("food_small", 2, "always"): (217, "8529b67fbf99f9b4289b6a4ccef269ed55acb659a086a168f05ab568fd41466a"),
+    ("stuff_small", 2, "always"): (195, "435a440ea35d39eaa27e95c5d24e424c232047cc3ef284c2acf34a83da914be9"),
+    ("stuff_small", 4, "adaptive"): (659, "9ad9a28e4e8d559e03f5860fea9c231f65a7b338990a6e2ff993a054abad7d4d"),
 }
 
 

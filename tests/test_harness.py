@@ -187,6 +187,17 @@ def test_metrics_need_exactly_one_done_record():
             metrics(done_log(count))
 
 
+def test_metrics_count_the_rejected_actions():
+    log = EpisodeLog()
+    log.append(0, None, "header", {})
+    log.append(3, "Alice", "action_rejected", {"action": "go grasp <apple>(101)", "detail": "x"})
+    log.append(3, "Bob", "action_done", {"action": "go to <kitchen>(2000)"})
+    log.append(4, "Bob", "action_rejected", {"action": "go grasp <apple>(101)", "detail": "y"})
+    log.append(5, None, "done", {"reason": "x", "transported": 1, "total_targets": 2})
+    assert metrics(log).rejected_actions == 2
+    assert metrics(done_log(1)).rejected_actions == 0
+
+
 def test_read_names_the_bad_json_line(tmp_path):
     path = tmp_path / "episode.log"
     path.write_text(done_log(1).to_text().splitlines()[0] + "\n{not json\n")
@@ -220,7 +231,7 @@ def test_cli_run_writes_both_summaries(tmp_path):
     assert list(summary["seeds"]) == ["1"]
     table = (out / "summary.txt").read_text().splitlines()
     assert table[1].split() == ["seed", *harness._COLUMNS]
-    assert (out / "adaptive" / "1" / "metrics.json").is_file()
+    assert "rejected_actions" in json.loads((out / "adaptive" / "1" / "metrics.json").read_text())
 
 
 def test_cli_rejects_one_agent(tmp_path):
