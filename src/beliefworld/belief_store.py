@@ -98,12 +98,12 @@ class BeliefWorld:
     rules: tuple[BeliefExpr, ...]
     collaborators: tuple[str, ...]
     container_ids: frozenset[int] = frozenset()
-    zero: Partition = field(default_factory=dict)
-    first: dict[str, Partition] = field(default_factory=dict)
+    zero: Partition = field(default_factory=dict, init=False)
+    first: dict[str, Partition] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         for c in self.collaborators:
-            self.first.setdefault(c, {})
+            self.first[c] = {}
         # The sorted rule strings (the rules never change), and lines() per partition.
         self.rule_lines = tuple(sorted(map(str, self.rules)))
         # Rule bodies by (order, relation): unify_atomic rejects any other relation.

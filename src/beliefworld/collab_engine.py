@@ -18,16 +18,19 @@ prompt template, whichever backend is plugged in; the backend answers
 with a reply or with None.  The steps of the loop (predict self, predict
 a collaborator, replan, next action, compose, judge) are methods of
 :class:`AgentMind`, which reads its beliefs, registry and backend from
-itself; the inbox update is a module function that sends one tick's
-inbox as one batch: one ``update_zero`` request for all of it and one
-``update_first`` request per sender.  All of them send their request
-through the mind's one ask path, ``AgentMind._ask``, which sets the
-``AGENT_NAME``/``OPPO_NAME`` header; each other prompt input is written
-in one place too: :func:`belief_text` for belief lines (a reply's belief
-lines, read with :func:`sbl.belief_lines` like any statement line, are
-kept only under the believer chain it writes),
-:func:`plan_text` for a plan, ``EntityRegistry.goal`` for the goal and
-``actions.ACTION_LIST`` for the step grammar.  Each mind sends a request
+itself.  Perceiving keeps each fact once: an observation names entities
+by reference alone (the registry knows their kinds), and the inbox
+update is a module function that folds one tick's inbox as one batch,
+one pass per belief partition: one ``update_zero`` request for all of
+it, then one ``update_first`` request per sender, each reply kept once.
+All of them send their request through the mind's one ask path,
+``AgentMind._ask``, which sets the ``AGENT_NAME``/``OPPO_NAME`` header;
+each other prompt input is written in one place too: :func:`belief_text`
+for belief lines (a reply's belief lines, read with
+:func:`sbl.belief_lines` like any statement line, are kept only under
+the believer chain it writes), :func:`plan_text` for a plan,
+``EntityRegistry.goal`` for the goal and ``actions.ACTION_LIST`` for the
+step grammar.  Each mind sends a request
 once per distinct input, the inbox update included: per slot, a template
 and a collaborator, it keeps the last vars it sent and the outcome, and
 an unchanged input gets that outcome back without a call.  A call that
@@ -67,7 +70,7 @@ from .planner import (
 )
 from .scenario import EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
-from .world_sim import ALL, NONE, VisualObservation
+from .world_sim import ALL, VisualObservation
 
 log = logging.getLogger(__name__)
 
@@ -178,7 +181,7 @@ def update_from_visual(
     contradicted by such an observation are forgotten.
     """
     owner = AgentName(world.owner)
-    for ref, _ in obs.items + obs.hands:
+    for ref in obs.items + obs.hands:
         if not registry.knows(ref.id):
             raise CorruptObservation(f"unknown entity {ref} in observation")
     if not registry.is_room(obs.room.id):
@@ -186,17 +189,15 @@ def update_from_visual(
 
     world.assert_fact(AtomicBelief(owner, "AT", obs.room))
 
-    known = world.partition().get(belief_store.explored_slot(obs.room))
-    stated = known is not None and isinstance(known.object, StateAtom)
-    current = known.object.value if stated else NONE
+    current = PlannerView(world.owner, registry, world.partition()).explored_level(obs.room.id)
     if sbl.EXPLORED_STATES.index(obs.exploration) >= sbl.EXPLORED_STATES.index(current):
         world.assert_fact(AtomicBelief(obs.room, "EXPLORED", StateAtom(obs.exploration)))
 
-    for ref, _ in obs.items:
+    for ref in obs.items:
         world.assert_fact(AtomicBelief(ref, "IN", obs.room))
 
     if obs.exploration == ALL:
-        visible = {ref.id for ref, _ in obs.items}
+        visible = {ref.id for ref in obs.items}
         stale = [
             f.subject
             for f in world.partition().values()
@@ -208,16 +209,13 @@ def update_from_visual(
         for ref in stale:
             world.retract_location(ref)
 
-    def sync_hands(agent: AgentName, hands: tuple[tuple[ObjectRef, str], ...]) -> None:
-        held_now = {ref.id for ref, _ in hands}
-        stale_holds = [
-            ref
-            for ref in belief_store.held_by(world.partition(), agent)
-            if isinstance(ref, ObjectRef) and ref.id not in held_now
-        ]
-        for ref in stale_holds:
-            world.retract_location(ref)
-        for ref, _ in hands:
+    def sync_hands(agent: AgentName, hands: tuple[ObjectRef, ...]) -> None:
+        # By reference, not by id: a holding believed under another name
+        # for a seen id is stale too, or it would overflow the hands.
+        for ref in belief_store.held_by(world.partition(), agent):
+            if ref not in hands:
+                world.retract_location(ref)
+        for ref in hands:
             world.assert_fact(AtomicBelief(agent, "HOLD", ref))
 
     sync_hands(owner, obs.hands)
@@ -375,17 +373,18 @@ def update_from_messages(
     """Fold one tick's inbox into both belief orders through ``ask``, the
     owner's ``AgentMind._ask``.
 
-    The inbox is one batch: a single ``update_zero`` request carries every
+    The inbox is one batch, folded in one pass per partition.  The zero
+    partition goes first: a single ``update_zero`` request carries every
     ``sender: text`` line in arrival order (the owner now knows what it
-    was told), and one ``update_first`` request per distinct sender
-    carries that sender's lines alone (the sender plainly knows what it
-    said).  A usable remote reply is ingested as one batch into its
-    partition.  Where no usable reply arrives, the message grammar is read
-    directly, message by message in arrival order: unparseable messages
-    are ignored with a warning, facts with variables are dropped, and
-    plans naming unknown entities are not declared.  Facts that violate
-    the consensus rules are dropped individually.  Messages from
-    unregistered senders are ignored with a warning.
+    was told).  Then each sender's first-order partition, in order of
+    first arrival: one ``update_first`` request carries that sender's
+    lines alone (the sender plainly knows what it said).  A pass ingests
+    its usable remote reply as one batch.  Without one, the message
+    grammar is read directly, message by message in arrival order:
+    unparseable messages are ignored with a warning, facts with variables
+    are dropped, and plans naming unknown entities are not declared.
+    Facts that violate the consensus rules are dropped individually.
+    Messages from unregistered senders are ignored with a warning.
 
     Returns the plans the senders declared, keyed in the order of each
     sender's first message declaring one; a sender's later declaration
@@ -401,29 +400,26 @@ def update_from_messages(
         return {}
     senders = tuple(dict.fromkeys(sender for sender, _ in mail))
     rule = "\n".join(world.rule_lines)
-
-    def send(template_id: str, oppo: str, lines: list[tuple[str, str]]):
-        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-        return ask(template_id, oppo, MESSAGE=message, RULE=rule)
-
-    zero = _reply_facts(send("update_zero", ", ".join(senders), mail), world, None)
-    first_resp = {s: send("update_first", s, [m for m in mail if m[0] == s]) for s in senders}
-    first = {s: _reply_facts(r, world, s) for s, r in first_resp.items()}
-    if zero is not None:
-        ingest_facts(world, zero, None)
-    for sender in senders:
-        if first[sender] is not None:
-            ingest_facts(world, first[sender], sender)
-
     # A message text is parsed only when some reply is not usable.
     heard = functools.cache(lambda text: _heard(text, registry))
+    replies = {}
+    for about in (None, *senders):
+        lines = [(sender, text) for sender, text in mail if about in (None, sender)]
+        template, oppo = (
+            ("update_zero", ", ".join(senders)) if about is None else ("update_first", about)
+        )
+        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
+        replies[about] = ask(template, oppo, MESSAGE=message, RULE=rule)
+        facts = _reply_facts(replies[about], world, about)
+        if facts is not None:
+            ingest_facts(world, facts, about)
+        else:
+            for _, text in lines:
+                ingest_facts(world, heard(text)[0], about)
+
     declared: dict[str, Plan] = {}
     for sender, text in mail:
-        if zero is None:
-            ingest_facts(world, heard(text)[0], None)
-        if first[sender] is None:
-            ingest_facts(world, heard(text)[0], sender)
-        plan = _plan_reply(first_resp[sender], registry, lambda: heard(text)[1])
+        plan = _plan_reply(replies[sender], registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared
@@ -436,19 +432,26 @@ def update_from_messages(
 
 @dataclass
 class AgentMind:
-    """Decision state for one agent: beliefs, current plan, bookkeeping."""
+    """Decision state for one agent: beliefs, current plan, bookkeeping.
 
-    name: str
+    The caller chooses the beliefs (whose owner is the agent), registry,
+    backend and mode; the plan and the tick counters start empty.
+    """
+
     world: BeliefWorld
     registry: EntityRegistry
     reasoner: object
     mode: str = MODE_ADAPTIVE
-    plan: Plan | None = None
-    plan_history: list[PlanStep] = field(default_factory=list)
-    tick: int = 0
-    last_comm_tick: int | None = None
+    plan: Plan | None = field(default=None, init=False)
+    plan_history: list[PlanStep] = field(default_factory=list, init=False)
+    tick: int = field(default=0, init=False)
+    last_comm_tick: int | None = field(default=None, init=False)
     # (template_id, oppo) -> the vars last sent from that slot and the reply.
     _last_reply: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def name(self) -> str:
+        return self.world.owner
 
     @property
     def collaborators(self) -> tuple[str, ...]:

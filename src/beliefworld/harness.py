@@ -111,11 +111,10 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     registry = state.registry
     reasoner = _build_reasoner(cfg)
 
-    fallbacks_before = reasoner.fallback_count
     rules, rounds, fell_back = rule_consensus.agree_rules(
         reasoner, task_description(scenario, registry)
     )
-    consensus_fallbacks = reasoner.fallback_count - fallbacks_before + fell_back
+    consensus_fallbacks = reasoner.fallback_count + fell_back
 
     names = [name for name, _ in scenario.agents]
     minds = []
@@ -127,15 +126,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             collaborators=others,
             container_ids=registry.container_ids(),
         )
-        minds.append(
-            AgentMind(
-                name=name,
-                world=world,
-                registry=registry,
-                reasoner=reasoner,
-                mode=cfg.mode,
-            )
-        )
+        minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=cfg.mode))
 
     log_ = EpisodeLog()
     log_.append(

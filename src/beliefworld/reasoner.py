@@ -85,7 +85,7 @@ class ScriptedReasoner:
     collaboration engine to take its own heuristic answer.
     """
 
-    fallback_count: int = 0
+    fallback_count: int = field(default=0, init=False)
 
     def complete(self, request: ReasonerRequest) -> ReasonerResponse | None:
         tmpl = prompts.require_vars(request.template_id, request.vars)
@@ -133,7 +133,7 @@ class HttpReasoner:
     api_key: str | None = None
     timeout: float = 30.0
     backoff_base: float = 0.5
-    fallback_count: int = 0
+    fallback_count: int = field(default=0, init=False)
     _scripted: ScriptedReasoner = field(init=False, default_factory=ScriptedReasoner)
     # True while the last post failed: the endpoint is taken to be down.
     _last_post_failed: bool = field(init=False, default=False)

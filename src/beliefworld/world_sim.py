@@ -14,6 +14,11 @@ trajectory.
 many frames it takes: :func:`apply` asks it, and :func:`legal_intents`
 only filters candidates through it.
 
+``WorldState.locations`` is the one record of where every object is,
+held ones included: an agent's hands are the objects at ``(HELD, name)``,
+a container's load the objects at ``(INSIDE, id)``.
+:meth:`WorldState.objects_at` is the one scan of it.
+
 Frame costs:
 
 ==================  =============================================
@@ -83,7 +88,6 @@ class InvariantViolation(RuntimeError):
 class AgentState:
     name: str
     room_id: int
-    hands: list[int] = field(default_factory=list)
     busy: tuple[AtomicAction, int] | None = None  # (action, frames remaining)
     inbox: list[tuple[str, str]] = field(default_factory=list)
 
@@ -100,18 +104,20 @@ class VisualObservation:
     """What one agent can see from where it stands this frame.
 
     Nothing outside the current room and nothing unrevealed ever appears
-    here; ``items`` lists (ref, kind) pairs for revealed objects lying in
-    the room, ``at_bed`` is only populated in the goal room, and
+    here; every entity is an :class:`ObjectRef` (the registry knows its
+    kind).  ``items`` lists the revealed objects lying in the room (and
+    the bed in the goal room), ``hands`` the agent's held items by
+    ascending id, ``at_bed`` is only populated in the goal room, and
     ``colocated`` carries same-room teammates with their held items.
     """
 
     room: ObjectRef
     exploration: str
-    items: tuple[tuple[ObjectRef, str], ...]
-    hands: tuple[tuple[ObjectRef, str], ...]
+    items: tuple[ObjectRef, ...]
+    hands: tuple[ObjectRef, ...]
     contents: tuple[tuple[ObjectRef, ObjectRef], ...]  # (container, object) pairs
     at_bed: tuple[ObjectRef, ...]
-    colocated: tuple[tuple[str, tuple[tuple[ObjectRef, str], ...]], ...]
+    colocated: tuple[tuple[str, tuple[ObjectRef, ...]], ...]
 
 
 @dataclass
@@ -133,23 +139,12 @@ class WorldState:
     def exploration_of(self, agent: str, room_id: int) -> str:
         return self.explored.get((agent, room_id), NONE)
 
-    def room_contents(self, room_id: int) -> list[int]:
-        return sorted(
-            oid for oid, loc in self.locations.items() if loc == (AT_ROOM, room_id)
-        )
-
-    def container_load(self, container_id: int) -> list[int]:
-        return sorted(
-            oid for oid, loc in self.locations.items() if loc == (INSIDE, container_id)
-        )
+    def objects_at(self, *location) -> list[int]:
+        """The ids of the objects at one location, ascending."""
+        return sorted(oid for oid, loc in self.locations.items() if loc == location)
 
     def transported_ids(self) -> list[int]:
-        reg = self.registry
-        return sorted(
-            oid
-            for oid, loc in self.locations.items()
-            if loc == (AT_BED,) and reg.is_target(oid)
-        )
+        return [oid for oid in self.objects_at(AT_BED) if self.registry.is_target(oid)]
 
 
 def init(scenario: Scenario, seed: int) -> WorldState:
@@ -172,7 +167,7 @@ def _enter_room(state: WorldState, agent: AgentState, room_id: int) -> None:
     agent.room_id = room_id
     rng = state._rngs[agent.name]
     fraction = state.registry.scenario.reveal_fraction
-    for oid in state.room_contents(room_id):
+    for oid in state.objects_at(AT_ROOM, room_id):
         if oid in state.revealed[agent.name]:
             continue
         if rng.random() < fraction:
@@ -180,13 +175,6 @@ def _enter_room(state: WorldState, agent: AgentState, room_id: int) -> None:
     key = (agent.name, room_id)
     if state.explored.get(key) != ALL:
         state.explored[key] = PART
-
-
-def _held_container(state: WorldState, agent: AgentState) -> int | None:
-    for oid in agent.hands:
-        if state.registry.is_container(oid):
-            return oid
-    return None
 
 
 def _start(
@@ -212,25 +200,26 @@ def _start(
             return f"not a graspable object: {action.object}", 0
         if state.locations.get(oid) != (AT_ROOM, agent.room_id):
             return f"{action.object} is not in this room", 0
-        if len(agent.hands) >= MAX_HANDS:
+        held = state.objects_at(HELD, agent.name)
+        if len(held) >= MAX_HANDS:
             return "hands are full", 0
-        if reg.is_container(oid) and _held_container(state, agent) is not None:
+        if reg.is_container(oid) and any(map(reg.is_container, held)):
             return "already holding a container", 0
         return None, GRASP_COST
     if isinstance(action, Put):
-        if action.object.id not in agent.hands:
+        if state.locations.get(action.object.id) != (HELD, agent.name):
             return f"not holding {action.object}", 0
-        if action.container.id not in agent.hands:
+        if state.locations.get(action.container.id) != (HELD, agent.name):
             return f"not holding {action.container}", 0
         if not reg.is_container(action.container.id):
             return f"{action.container} is not a container", 0
         if reg.is_container(action.object.id):
             return "cannot put a container inside a container", 0
-        if len(state.container_load(action.container.id)) >= CONTAINER_CAPACITY:
+        if len(state.objects_at(INSIDE, action.container.id)) >= CONTAINER_CAPACITY:
             return f"{action.container} is full", 0
         return None, PUT_COST
     if isinstance(action, Transport):
-        if not agent.hands:
+        if not state.objects_at(HELD, agent.name):
             return "nothing to transport", 0
         return None, reg.distance(agent.room_id, reg.bed_room.id) + TRANSPORT_DROP_COST
     if isinstance(action, SendMessage):
@@ -245,7 +234,7 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
         _enter_room(state, agent, action.room.id)
     elif isinstance(action, ExploreCurrent):
         state.explored[(agent.name, agent.room_id)] = ALL
-        state.revealed[agent.name].update(state.room_contents(agent.room_id))
+        state.revealed[agent.name].update(state.objects_at(AT_ROOM, agent.room_id))
     elif isinstance(action, GoGrasp):
         # Hands change only when the agent's own actions complete, so only a
         # teammate's grasp can have taken the object since the start.
@@ -253,21 +242,18 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
         if state.locations.get(oid) != (AT_ROOM, agent.room_id):
             return ActionResult("rejected", action, f"{action.object} no longer available")
         state.locations[oid] = (HELD, agent.name)
-        agent.hands.append(oid)
         state.revealed[agent.name].add(oid)
     elif isinstance(action, Put):
         err, _ = _start(state, agent, action)
         if err:
             return ActionResult("rejected", action, err)
         state.locations[action.object.id] = (INSIDE, action.container.id)
-        agent.hands.remove(action.object.id)
     elif isinstance(action, Transport):
         _enter_room(state, agent, reg.bed_room.id)
-        for oid in agent.hands:
-            for inner in state.container_load(oid):
+        for oid in state.objects_at(HELD, agent.name):
+            for inner in state.objects_at(INSIDE, oid):
                 state.locations[inner] = (AT_BED,)
             state.locations[oid] = (AT_BED,)
-        agent.hands.clear()
     else:  # SendMessage: _start refuses any other action
         for other in state.agents:
             if other is not agent:
@@ -344,39 +330,32 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
     room = reg.rooms_by_id[agent.room_id]
     seen = state.revealed[agent_name]
 
-    items = [reg.objects_by_id[oid] for oid in state.room_contents(agent.room_id) if oid in seen]
-    if agent.room_id == reg.scenario.bed_room_id:
-        items.append((reg.bed, BED))
+    def refs(ids) -> tuple[ObjectRef, ...]:
+        return tuple(reg.objects_by_id[oid][0] for oid in ids)
 
-    def hand_view(a: AgentState):
-        return tuple(reg.objects_by_id[oid] for oid in a.hands)
-
-    contents = []
-    for a in state.agents:
-        if a.room_id != agent.room_id:
-            continue
-        for oid in a.hands:
-            for inner in state.container_load(oid):
-                contents.append((reg.objects_by_id[oid][0], reg.objects_by_id[inner][0]))
-
+    items = [ref for ref in refs(state.objects_at(AT_ROOM, agent.room_id)) if ref.id in seen]
     at_bed = ()
     if agent.room_id == reg.scenario.bed_room_id:
-        at_bed = tuple(reg.objects_by_id[oid][0] for oid in state.transported_ids())
+        items.append(reg.bed)
+        at_bed = refs(state.transported_ids())
 
-    colocated = tuple(
-        (a.name, hand_view(a))
-        for a in state.agents
-        if a.name != agent_name and a.room_id == agent.room_id
+    here = [a for a in state.agents if a.room_id == agent.room_id]
+    hands = {a.name: refs(state.objects_at(HELD, a.name)) for a in here}
+    contents = tuple(
+        (held, inner)
+        for a in here
+        for held in hands[a.name]
+        for inner in refs(state.objects_at(INSIDE, held.id))
     )
 
     return VisualObservation(
         room=room,
         exploration=state.exploration_of(agent_name, agent.room_id),
         items=tuple(items),
-        hands=hand_view(agent),
-        contents=tuple(contents),
+        hands=hands[agent_name],
+        contents=contents,
         at_bed=at_bed,
-        colocated=colocated,
+        colocated=tuple((a.name, hands[a.name]) for a in here if a is not agent),
     )
 
 
@@ -402,7 +381,7 @@ def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
     agent = state.agent(agent_name)
     reg = state.registry
     rooms = [reg.rooms_by_id[room_id] for room_id in sorted(reg.rooms_by_id)]
-    held = [reg.objects_by_id[oid][0] for oid in sorted(agent.hands)]
+    held = [reg.objects_by_id[oid][0] for oid in state.objects_at(HELD, agent_name)]
     candidates = [
         *map(GoTo, rooms),
         *map(ExploreCurrent, rooms),
@@ -416,6 +395,7 @@ def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
 def _check_invariants(state: WorldState) -> None:
     """Conservation and capacity checks, run after every frame."""
     reg = state.registry
+    names = {agent.name for agent in state.agents}
     for oid, (_, kind) in reg.objects_by_id.items():
         if kind == BED:
             continue
@@ -427,9 +407,8 @@ def _check_invariants(state: WorldState) -> None:
             if loc[1] not in reg.rooms_by_id:
                 raise InvariantViolation(f"object {oid} in unknown room {loc[1]}")
         elif tag == HELD:
-            holder = state.agent(loc[1])
-            if oid not in holder.hands:
-                raise InvariantViolation(f"object {oid} marked held but not in hands")
+            if loc[1] not in names:
+                raise InvariantViolation(f"object {oid} held by unknown agent {loc[1]}")
         elif tag == INSIDE:
             if not reg.is_container(loc[1]):
                 raise InvariantViolation(f"object {oid} inside non-container {loc[1]}")
@@ -437,16 +416,13 @@ def _check_invariants(state: WorldState) -> None:
             raise InvariantViolation(f"object {oid} in unknown location {loc!r}")
 
     for agent in state.agents:
-        if len(agent.hands) > MAX_HANDS:
+        held = state.objects_at(HELD, agent.name)
+        if len(held) > MAX_HANDS:
             raise InvariantViolation(f"{agent.name} holds more than {MAX_HANDS} items")
-        containers = [oid for oid in agent.hands if reg.is_container(oid)]
-        if len(containers) > 1:
+        if sum(map(reg.is_container, held)) > 1:
             raise InvariantViolation(f"{agent.name} holds more than one container")
-        for oid in agent.hands:
-            if state.locations.get(oid) != (HELD, agent.name):
-                raise InvariantViolation(f"hand/location mismatch for {oid}")
 
     for cid in reg.container_ids():
-        load = state.container_load(cid)
+        load = state.objects_at(INSIDE, cid)
         if len(load) > CONTAINER_CAPACITY:
             raise InvariantViolation(f"container {cid} over capacity: {load}")

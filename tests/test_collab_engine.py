@@ -477,7 +477,7 @@ def obs(room=KITCHEN, exploration="all", items=(), hands=(),
 def test_update_from_visual_basic(food_registry):
     world = make_world(food_registry)
     apple, bowl = ObjectRef("apple", 101), ObjectRef("bowl", 201)
-    update_from_visual(world, obs(items=[(apple, "target"), (bowl, "container")]), food_registry)
+    update_from_visual(world, obs(items=[apple, bowl]), food_registry)
     assert world.holds(fact("Alice AT <kitchen>(2000)"))
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"))
     assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
@@ -486,7 +486,7 @@ def test_update_from_visual_basic(food_registry):
 
 def test_update_from_visual_idempotent(food_registry):
     world = make_world(food_registry)
-    observation = obs(items=[(ObjectRef("apple", 101), "target")])
+    observation = obs(items=[ObjectRef("apple", 101)])
     update_from_visual(world, observation, food_registry)
     before = world.snapshot()
     update_from_visual(world, observation, food_registry)
@@ -497,7 +497,7 @@ def test_update_from_visual_collaborator_holdings(food_registry):
     world = make_world(food_registry)
     banana = ObjectRef("banana", 102)
     update_from_visual(
-        world, obs(colocated=[("Bob", ((banana, "target"),))]), food_registry
+        world, obs(colocated=[("Bob", (banana,))]), food_registry
     )
     assert world.holds(fact("Bob HOLD <banana>(102)"))
     assert world.holds(fact("Bob AT <kitchen>(2000)"))
@@ -540,7 +540,7 @@ def test_update_from_visual_rejects_unknown_entity(food_registry):
     world = make_world(food_registry)
     with pytest.raises(CorruptObservation):
         update_from_visual(
-            world, obs(items=[(ObjectRef("ghost", 66666), "target")]), food_registry
+            world, obs(items=[ObjectRef("ghost", 66666)]), food_registry
         )
 
 
@@ -705,8 +705,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
 
 
 def make_mind(registry, world) -> AgentMind:
-    return AgentMind(name=world.owner, world=world, registry=registry,
-                     reasoner=ScriptedReasoner())
+    return AgentMind(world=world, registry=registry, reasoner=ScriptedReasoner())
 
 
 def test_predict_collaborator_reads_first_order_only(food_registry):
@@ -764,8 +763,7 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, 
     for name in names:
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
                             registry.container_ids())
-        minds.append(AgentMind(name=name, world=world, registry=registry,
-                               reasoner=reasoner, mode=mode))
+        minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=mode))
     return state, minds
 
 
@@ -841,8 +839,7 @@ def only_third_heavy(reasoner, third: str):
     registry = EntityRegistry(scn)
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", third),
                         registry.container_ids())
-    mind = AgentMind(name="Alice", world=world, registry=registry,
-                     reasoner=reasoner)
+    mind = AgentMind(world=world, registry=registry, reasoner=reasoner)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")
@@ -854,8 +851,7 @@ def only_third_heavy(reasoner, third: str):
         world.assert_fact(fact("<livingroom>(1000) EXPLORED all"), about=collab)
         world.assert_fact(fact(f"{collab} AT <bedroom>(4000)"), about=collab)
     # hands full, so the plan is a conflict-free transport
-    observation = obs(exploration="part", items=[],
-                      hands=((banana, "target"), (orange, "target")))
+    observation = obs(exploration="part", items=[], hands=(banana, orange))
     return mind, observation
 
 
@@ -955,8 +951,7 @@ def test_stale_replan_names_the_declaring_collaborator(food_registry):
     # and must name Carol as its owner.
     world = make_world(food_registry, collaborators=("Bob", "Carol"))
     reasoner = RecordingScripted()
-    mind = AgentMind(name="Alice", world=world, registry=food_registry,
-                     reasoner=reasoner)
+    mind = AgentMind(world=world, registry=food_registry, reasoner=reasoner)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("Carol AT <office>(3000)"), about="Carol")
     mind.adopt(Plan((GoGrasp(ObjectRef("apple", 101)),)))

@@ -17,7 +17,8 @@ from beliefworld.planner import best_plan, plan_options
 from beliefworld.prompts import ReasonerRequest, ReasonerResponse, TemplateError, parse_sections
 from beliefworld.reasoner import HttpReasoner, ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.sbl import parse_atomic
+from beliefworld.sbl import ObjectRef, parse_atomic
+from beliefworld.world_sim import VisualObservation
 
 from test_prompts import SAMPLE_VARS
 
@@ -319,7 +320,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
     ):
         world.assert_fact(parse_atomic(text))
     world.assert_fact(parse_atomic("Bob AT <office>(3000)"), about="Bob")
-    mind = AgentMind(name="Alice", world=world, registry=registry, reasoner=reasoner)
+    mind = AgentMind(world=world, registry=registry, reasoner=reasoner)
     mind.adopt(best_plan(mind.view()))
     return mind
 
@@ -444,7 +445,7 @@ def test_each_collaborator_is_its_own_slot(food_registry):
     world = BeliefWorld(
         "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids()
     )
-    mind = AgentMind(name="Alice", world=world, registry=food_registry, reasoner=remote)
+    mind = AgentMind(world=world, registry=food_registry, reasoner=remote)
     for collab in ("Bob", "Carol", "Bob", "Carol"):
         mind.predict_collaborator(collab)
     sent = [(r.vars["OPPO_NAME"], r.vars["FIRST_ORDER_BELIEF"]) for r in remote.requests]
@@ -491,7 +492,7 @@ BATCH_REPLIES = {
 def batch_update(registry, replies):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
     remote = RecordingRemote(replies)
-    ask = AgentMind(name="Alice", world=world, registry=registry, reasoner=remote)._ask
+    ask = AgentMind(world=world, registry=registry, reasoner=remote)._ask
     declared = collab_engine.update_from_messages(world, BATCH_INBOX, ask, registry)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
@@ -539,3 +540,35 @@ def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
     assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
     assert declared == {"Bob": "go grasp <apple>(101)"}
+
+
+class MisnamingRemote(ScriptedReasoner):
+    """Answers ``update_zero`` with Alice holding object 101 under a name
+    the registry does not give it; every other engine step gets None."""
+
+    def complete(self, request: ReasonerRequest) -> ReasonerResponse | None:
+        if request.template_id != "update_zero":
+            return super().complete(request)
+        text = (
+            "Extracted Information: x\n"
+            "Zero order beliefs: Alice BELIEVE Alice HOLD <red_apple>(101)"
+        )
+        return ReasonerResponse(sections=parse_sections("update_zero", text), raw=text)
+
+
+def test_a_holding_the_model_misnames_gives_way_to_the_hands_seen(food_registry):
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry.container_ids())
+    mind = AgentMind(world=world, registry=food_registry, reasoner=MisnamingRemote())
+    apple, banana = ObjectRef("apple", 101), ObjectRef("banana", 102)
+
+    def seen(*hands):
+        return VisualObservation(
+            room=food_registry.rooms_by_id[2000], exploration="part", items=(),
+            hands=hands, contents=(), at_bed=(), colocated=(),
+        )
+
+    mind.decide(seen(), [("Bob", BOB_FIRST)])
+    assert world.holds(parse_atomic("Alice HOLD <red_apple>(101)"))
+    # Both hands are seen full: the misnamed holding is stale, not a third item.
+    mind.decide(seen(apple, banana), [])
+    assert mind.view().holdings() == [apple, banana]

@@ -117,7 +117,7 @@ def test_explore_reveals_all_and_costs_50():
     assert state.frame - start == 50
     assert state.exploration_of("Alice", 2000) == "all"
     obs = world_sim.observe(state, "Alice")
-    assert {ref.id for ref, _ in obs.items} == {1, 3, 4, 5, 9}
+    assert {ref.id for ref in obs.items} == {1, 3, 4, 5, 9}
 
 
 def test_entry_reveal_zero_fraction_sets_part():
@@ -130,7 +130,7 @@ def test_entry_reveal_zero_fraction_sets_part():
 def test_entry_reveal_full_fraction():
     state = world_sim.init(tiny_scenario(reveal=1.0), 1)
     obs = world_sim.observe(state, "Alice")
-    assert {ref.id for ref, _ in obs.items} == {1, 3, 4, 5, 9}
+    assert {ref.id for ref in obs.items} == {1, 3, 4, 5, 9}
 
 
 def test_entry_reveal_seeded_replay():
@@ -190,6 +190,35 @@ def test_illegal_intent_is_rejected_with_its_reason(case):
     results = world_sim.apply(state, {"Alice": intent})
     assert (results["Alice"].status, results["Alice"].detail) == ("rejected", reason)
     assert state.agent("Alice").busy is None
+
+
+# (location changes that corrupt a fresh state, what the violation says);
+# the plate is a second container in the kitchen, beside the bowl.
+CORRUPTIONS = {
+    "no location": ({1: None}, "object 1 has no location"),
+    "unknown room": ({1: ("room", 7000)}, "object 1 in unknown room 7000"),
+    "unknown holder": ({1: ("held", "Zed")}, "object 1 held by unknown agent Zed"),
+    "inside a non-container": ({1: ("inside", 3)}, "object 1 inside non-container 3"),
+    "unknown tag": ({1: ("floor", 2000)}, "object 1 in unknown location"),
+    "three held": (dict.fromkeys((1, 3, 4), ("held", "Alice")), "Alice holds more than 2"),
+    "two containers held": (dict.fromkeys((8, 9), ("held", "Alice")), "more than one container"),
+    "over capacity": (dict.fromkeys((1, 3, 4, 5), ("inside", 9)), "container 9 over capacity"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_every_invariant_fires_on_a_corrupted_state(case):
+    changes, message = CORRUPTIONS[case]
+    scenario = tiny_scenario()
+    scenario = replace(scenario, objects=scenario.objects + ((PLATE, "container", 2000),))
+    state = world_sim.init(scenario, 1)
+    for oid, loc in changes.items():
+        if loc is None:
+            del state.locations[oid]
+        else:
+            state.locations[oid] = loc
+    with pytest.raises(world_sim.InvariantViolation, match=message):
+        world_sim.apply(state, {})
 
 
 def test_held_container_contents_are_seen_and_believed():
@@ -263,7 +292,7 @@ def test_grasp_race_lower_index_wins():
     assert results["Alice"].status == "completed"
     assert results["Bob"].status == "rejected"
     assert state.locations[1] == ("held", "Alice")
-    assert state.agent("Bob").hands == []
+    assert state.objects_at("held", "Bob") == []
 
 
 def test_frame_advances_exactly_one_per_apply():
@@ -322,7 +351,7 @@ def test_colocated_hands_visible():
     state = world_sim.init(tiny_scenario(reveal=1.0), 1)
     run_until_idle(state, "Bob", GoGrasp(BANANA))
     obs = world_sim.observe(state, "Alice")
-    assert obs.colocated == (("Bob", ((BANANA, "target"),)),)
+    assert obs.colocated == (("Bob", (BANANA,)),)
 
 
 def test_at_bed_pile_visible_in_goal_room():
@@ -331,7 +360,7 @@ def test_at_bed_pile_visible_in_goal_room():
     run_until_idle(state, "Alice", Transport())
     obs = world_sim.observe(state, "Alice")
     assert obs.at_bed == (APPLE,)
-    assert (ObjectRef("bed", 9000), "bed") in obs.items
+    assert ObjectRef("bed", 9000) in obs.items
 
 
 def test_trajectory_determinism_bitwise():
@@ -415,7 +444,7 @@ def observable(state):
     return (
         state.frame,
         sorted(state.locations.items()),
-        [(a.name, a.busy, a.hands, a.room_id, a.inbox) for a in state.agents],
+        [(a.name, a.busy, a.room_id, a.inbox) for a in state.agents],
         sorted(state.explored.items()),
         sorted((name, sorted(ids)) for name, ids in state.revealed.items()),
     )
