@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -178,10 +179,15 @@ def update_from_visual(
     visible, so holdings no longer seen are retracted), container loads,
     and the delivered pile when standing in the goal room.  A fully
     explored room is authoritative about its contents: believed locations
-    contradicted by such an observation are forgotten.
+    contradicted by such an observation are forgotten.  An entity the
+    registry does not know, anywhere in the observation, raises
+    :class:`CorruptObservation` before any belief changes.
     """
     owner = AgentName(world.owner)
-    for ref in obs.items + obs.hands:
+    refs = itertools.chain(
+        obs.items, obs.hands, obs.at_bed, *(hands for _, hands in obs.colocated), *obs.contents
+    )
+    for ref in refs:
         if not registry.knows(ref.id):
             raise CorruptObservation(f"unknown entity {ref} in observation")
     if not registry.is_room(obs.room.id):
@@ -197,14 +203,16 @@ def update_from_visual(
         world.assert_fact(AtomicBelief(ref, "IN", obs.room))
 
     if obs.exploration == ALL:
-        visible = {ref.id for ref in obs.items}
+        # By reference, as in sync_hands: a location believed under another
+        # name for a seen id is stale too.
+        visible = set(obs.items)
         stale = [
             f.subject
             for f in world.partition().values()
             if f.relation == "IN"
             and f.object == obs.room
             and isinstance(f.subject, ObjectRef)
-            and f.subject.id not in visible
+            and f.subject not in visible
         ]
         for ref in stale:
             world.retract_location(ref)

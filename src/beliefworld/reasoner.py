@@ -30,6 +30,13 @@ returns what the scripted backend returns for the request (None for an
 engine step, the scripted answer for a rule-dialogue step), and
 ``fallback_count``, the one fallback signal, goes up.
 
+The HTTP client library, ``requests``, is imported by the first post,
+not by this module: it and its dependencies take about half of the
+package's import time and about 10 MB of memory, and a scripted run
+never posts.  So ``POST_ERRORS`` names ``OSError``, which
+``requests.RequestException`` derives from, and a missing ``requests``
+raises ``ImportError`` on the first post rather than falling back.
+
 The inbox update sends a whole tick's messages in one request (all of
 them to ``update_zero``, each sender's to its ``update_first``), so a
 batched reply shares the one ``max_tokens`` budget: after a long inbox
@@ -43,8 +50,6 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 from . import prompts, rule_consensus
 from .prompts import ParseFailure, ReasonerRequest, ReasonerResponse
@@ -66,9 +71,10 @@ REPAIR_INSTRUCTION = (
     "Answer again and include every labeled section, in order: {labels}."
 )
 
-# What a failed post raises: transport errors and replies without text
-# (TypeError: a body of the wrong shape, such as a null message).
-POST_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, ValueError)
+# What a failed post raises: transport errors (every
+# ``requests.RequestException`` is an ``OSError``) and replies without
+# text (TypeError: a body of the wrong shape, such as a null message).
+POST_ERRORS = (OSError, KeyError, IndexError, TypeError, ValueError)
 
 # The backend names a run configuration chooses between.
 SCRIPTED = "scripted"
@@ -143,6 +149,8 @@ class HttpReasoner:
             self.api_key = os.environ.get(API_KEY_ENV, "")
 
     def _post(self, prompt: str) -> str:
+        import requests
+
         url = self.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.model,

@@ -544,6 +544,31 @@ def test_update_from_visual_rejects_unknown_entity(food_registry):
         )
 
 
+GHOST, APPLE, BOWL = ObjectRef("ghost", 66666), ObjectRef("apple", 101), ObjectRef("bowl", 201)
+
+
+@pytest.mark.parametrize("seen", [
+    dict(colocated=[("Bob", (GHOST,))]),
+    dict(contents=[(BOWL, GHOST)]),
+    dict(contents=[(GHOST, APPLE)]),
+    dict(room=BEDROOM, at_bed=[GHOST]),
+], ids=["colocated hands", "contents object", "contents container", "at_bed"])
+def test_update_from_visual_checks_every_reference(food_registry, seen):
+    world = make_world(food_registry)
+    before = world.snapshot()
+    with pytest.raises(CorruptObservation, match="66666"):
+        update_from_visual(world, obs(**seen), food_registry)
+    assert world.snapshot() == before
+
+
+def test_a_full_view_retracts_a_location_believed_under_another_name(food_registry):
+    world = make_world(food_registry)
+    world.assert_fact(fact("<red_apple>(101) IN <kitchen>(2000)"))
+    update_from_visual(world, obs(exploration="all", items=[APPLE]), food_registry)
+    assert not world.holds(fact("<red_apple>(101) IN <kitchen>(2000)"))
+    assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
+
+
 # ---------------------------------------------------------------------------
 # Message updates (through the scripted backend).
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ same run also pins what the engine sends the reasoner: the template id
 and vars of every request, in call order, hashed as canonical JSON.  A
 change that alters behaviour on purpose must re-record these digests and
 say why; a refactor must leave them alone.  Replays must also not
-depend on the interpreter's string-hash seed.
+depend on the interpreter's string-hash seed, and must neither load nor
+need the HTTP client library.
 """
 
 import hashlib
@@ -56,17 +57,38 @@ def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch
     assert (len(calls), digest) == GOLDEN_REQUESTS[(scenario, agents, mode)]
 
 
-@pytest.mark.parametrize("hash_seed", ("0", "123"))
-def test_replay_does_not_depend_on_the_hash_seed(hash_seed):
-    script = (
+def replay_in_a_fresh_interpreter(prelude: str = "", **env: str) -> list[str]:
+    """Run food_small/2/adaptive seed 1 in a new interpreter that first runs
+    ``prelude`` and then imports the CLI; its stdout lines: the log's
+    sha256, then whether ``requests`` is in ``sys.modules``."""
+    script = prelude + (
+        "import sys\n"
+        "import beliefworld.cli\n"
         "from beliefworld import harness\n"
         "cfg = harness.RunConfig(scenario='food_small', seeds=(1,), agents=2, mode='adaptive')\n"
         "print(harness.run_episode(cfg, 1)[0].sha256())\n"
+        "print('requests' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+    env = {**os.environ, **env, "PYTHONPATH": str(src)}
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == GOLDEN[("food_small", 2, "adaptive")]
+    return run.stdout.split()
+
+
+@pytest.mark.parametrize("hash_seed", ("0", "123"))
+def test_replay_does_not_depend_on_the_hash_seed(hash_seed):
+    digest, _ = replay_in_a_fresh_interpreter(PYTHONHASHSEED=hash_seed)
+    assert digest == GOLDEN[("food_small", 2, "adaptive")]
+
+
+def test_a_scripted_replay_loads_no_http_client():
+    assert replay_in_a_fresh_interpreter() == [GOLDEN[("food_small", 2, "adaptive")], "False"]
+
+
+def test_a_scripted_replay_runs_where_requests_cannot_be_imported():
+    # A None entry in sys.modules makes every `import requests` raise ImportError.
+    digest, _ = replay_in_a_fresh_interpreter("import sys\nsys.modules['requests'] = None\n")
+    assert digest == GOLDEN[("food_small", 2, "adaptive")]

@@ -121,6 +121,21 @@ class NullMessage(FakeHttpResponse):
         return {"choices": [{"message": None}]}
 
 
+class ServerError(FakeHttpResponse):
+    status_code = 500
+
+    def __init__(self):
+        super().__init__(None)
+
+
+class NotJson(FakeHttpResponse):
+    def __init__(self):
+        super().__init__(None)
+
+    def json(self):
+        raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+
 REVIEW_OK = "Reasoning: fine\nSuggestions: None\nSatisfied: yes\n"
 REVIEW_BAD = "Reasoning: fine\nSuggestions: None\n"  # no Satisfied label
 SCRIPTED_REVIEW = ScriptedReasoner().complete(request("rules_review"))
@@ -143,6 +158,8 @@ RETRY_CASES = {
     "bad format, then transport error twice": (
         [REVIEW_BAD, requests.Timeout("slow"), requests.Timeout("slow")], [False, True, True], None,
     ),
+    "HTTP 500 twice": ([ServerError(), ServerError()], [False, False], None),
+    "a body that is not JSON twice": ([NotJson(), NotJson()], [False, False], None),
 }
 
 
@@ -167,6 +184,14 @@ def test_http_retry_and_repair(case, monkeypatch):
         assert (resp, client.fallback_count) == (SCRIPTED_REVIEW, 1)
     else:
         assert (resp.raw, client.fallback_count) == (reply, 0)
+
+
+def test_every_requests_failure_is_a_post_error():
+    # The reasoner module does not import requests, so POST_ERRORS names
+    # the base classes that requests' errors derive from.
+    for error in (requests.RequestException, requests.HTTPError, requests.Timeout,
+                  requests.JSONDecodeError):
+        assert issubclass(error, reasoner_mod.POST_ERRORS), error
 
 
 def test_a_dead_endpoint_costs_one_post_per_step(refuse_posts):
