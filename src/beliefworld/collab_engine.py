@@ -1,13 +1,13 @@
-"""The per-agent collaboration loop: perceive, infer, plan, act.
+"""The per-agent collaboration loop: perceive, plan, infer and judge, act.
 
 Each decision tick an idle agent takes four steps.  (1) Perceive: it
 folds its visual observation, then its inbox, into its belief world.
-(2) Infer: it predicts up to three candidate plans per collaborator from
-its first-order beliefs alone, a plan the collaborator declared first.
-(3) Plan: it keeps, advances or replaces its own 1-3 step plan, and when
-it ends with one, checks it against each collaborator's candidates for
-miscoordination.  (4) Act: it either broadcasts a message or executes
-the next plan step.
+(2) Plan: it keeps, advances or replaces its own 1-3 step plan.
+(3) Infer and judge: when it ends with a plan, it takes each collaborator
+in turn, predicts up to three candidate plans from its first-order
+beliefs alone (a plan the collaborator declared first), and checks its
+own plan against them for miscoordination.  (4) Act: it either
+broadcasts a message or executes the next plan step.
 
 The rules that rank plans, step through them and flag miscoordination
 are pure functions in :mod:`beliefworld.planner`; this module keeps the
@@ -35,13 +35,17 @@ once per distinct input, the inbox update included: per slot, a template
 and a collaborator, it keeps the last vars it sent and the outcome, and
 an unchanged input gets that outcome back without a call.  A call that
 fell back is not remembered, so the same input goes to the remote model
-again.  The ``adaptive`` ("is this miscoordination heavy?") verdict is
-asked only where it can change the tick's intent: in adaptive mode, off
-cooldown, and until one report on the tick is heavy; elsewhere the
-mechanical report stands, and the log shows its ``heavy``.  This module
-alone decides: a remote model's answer is taken when one arrives and
-parses, and whenever no reply arrives the step asks the planner (or
-reads the message grammar here), straight off the structured beliefs.
+again.  A collaborator's ``predict_first`` request is sent only where
+its answer can change the tick's intent: outside ``never`` mode, off
+cooldown, with a plan, and until one report on the tick is heavy;
+elsewhere the candidates are mechanical: :func:`plan_options` on the
+first-order view, a declared plan first.  The ``adaptive`` ("is this
+miscoordination heavy?") verdict is asked under the same condition, in
+adaptive mode only; elsewhere the mechanical report stands, and the log
+shows its ``heavy``.  This module alone decides: a remote model's answer
+is taken when one arrives and parses, and whenever no reply arrives the
+step asks the planner (or reads the message grammar here), straight off
+the structured beliefs.
 The scripted backend answers only the rule dialogue, so scripted runs
 are exactly replayable.
 """
@@ -488,23 +492,29 @@ class AgentMind:
         """Run one decision tick; returns (intent, log payload).
 
         A tick is four steps.  Perceive: fold the observation, then the
-        inbox, into the beliefs.  Infer: predict each collaborator's
-        candidate plans, a plan it declared first.  Plan: keep, advance or
-        replace the agent's own plan (:meth:`_advance`).  Act: when the
-        mode calls for a message and the cooldown allows one, broadcast it
-        (in adaptive mode after replanning around the collaborator that
-        made the tick heavy), else take the next plan step.  Reports are
-        judged only when the plan step ends with a plan.
+        inbox, into the beliefs.  Plan: keep, advance or replace the
+        agent's own plan (:meth:`_advance`).  Infer and judge: when the
+        plan step ends with a plan, predict each collaborator's candidate
+        plans in turn, a plan it declared first, and judge them against
+        the plan.  Act: when the mode calls for a message and the cooldown
+        allows one, broadcast it (in adaptive mode after replanning around
+        the collaborator that made the tick heavy), else take the next
+        plan step.
 
-        The ``adaptive`` verdict is asked only when it can change the
-        intent: in adaptive mode, when the cooldown allows a message, and
-        until one report on the tick is heavy.  In ``never`` mode no
-        message goes out whatever it says; on a cooldown tick neither;
-        after a heavy report the message and its addressee are settled,
-        and every report's misaligned facts are shared regardless.  In
-        ``always`` mode the addressee is the first mechanically heavy
-        collaborator, else :attr:`default_oppo`.  A report whose verdict
-        was not asked logs the mechanical ``heavy``, on the HTTP path too.
+        A collaborator is asked about only where the answer can change
+        the intent: outside ``never`` mode, when the cooldown allows a
+        message, and until one report on the tick is heavy.  Under that
+        condition its ``predict_first`` request is sent, and in adaptive
+        mode its ``adaptive`` verdict too.  In ``never`` mode no message
+        goes out whatever they say; on a cooldown tick neither; after a
+        heavy report the message, its addressee and the replan's
+        ``avoid`` are settled, and every report's misaligned facts, which
+        no candidate changes, are shared regardless.  In ``always`` mode
+        the addressee is the first mechanically heavy collaborator, else
+        :attr:`default_oppo`.  A collaborator not asked about gets the
+        mechanical candidates (:func:`plan_options` on its first-order
+        view) and a report whose verdict was not asked logs the
+        mechanical ``heavy``, on the HTTP path too.
 
         The intent goes to the simulator as it is: a :class:`SendMessage`
         to broadcast, or the next plan step to execute.  None means the
@@ -515,16 +525,16 @@ class AgentMind:
         update_from_visual(self.world, obs, self.registry)
         declared = update_from_messages(self.world, inbox, self._ask, self.registry)
 
-        candidates = {c: self.predict_collaborator(c, declared.get(c)) for c in self.collaborators}
-
         intent: SendMessage | PlanStep | None = self._advance(declared)
         comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
+        candidates: dict[str, list[Plan]] = {}
         reports: list[MiscoordReport] = []
         if self.plan is not None:
             for c in self.collaborators:
-                settled = any(r.heavy for r in reports)
-                ask = self.mode == MODE_ADAPTIVE and comm_allowed and not settled
-                reports.append(self.judge(c, candidates[c], ask))
+                # Only here can an answer about c change the intent.
+                ask = self.mode != MODE_NEVER and comm_allowed and not any(r.heavy for r in reports)
+                candidates[c] = self.predict_collaborator(c, declared.get(c), ask)
+                reports.append(self.judge(c, candidates[c], ask and self.mode == MODE_ADAPTIVE))
         heavy = [r for r in reports if r.heavy]
         wants_message = {
             MODE_ADAPTIVE: bool(heavy),
@@ -605,14 +615,21 @@ class AgentMind:
         )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
-    def predict_collaborator(self, collab: str, declared: Plan | None = None) -> list[Plan]:
+    def predict_collaborator(
+        self, collab: str, declared: Plan | None = None, ask: bool = True
+    ) -> list[Plan]:
         """Up to three candidate plans for a collaborator, computed from the
         first-order partition only (never from the owner's zero beliefs);
-        a plan the collaborator ``declared`` heads them."""
+        a plan the collaborator ``declared`` heads them.
+
+        Without ``ask`` no ``predict_first`` request is sent and its memo
+        slot stays as it was: the candidates are :func:`plan_options` on
+        the first-order view.
+        """
         resp = self._ask(
             "predict_first", collab,
             GOAL=self.registry.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
-        )
+        ) if ask else None
         plans = []
         if resp is not None:
             for i in range(PREDICTED_PLANS):

@@ -19,7 +19,7 @@ lighter is tolerated and the agent just acts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import belief_store
 from .actions import ExploreCurrent, GoGrasp, GoTo, Plan, PlanStep, Put, Transport
@@ -297,7 +297,9 @@ class MiscoordReport:
     def to_payload(self) -> dict:
         return {
             "collaborator": self.collaborator,
-            "conflicts": [asdict(c) for c in self.conflicts],
+            # A shallow copy: every field is a str or an int, so the deep
+            # copy of dataclasses.asdict buys nothing.
+            "conflicts": [dict(vars(c)) for c in self.conflicts],
             "misaligned": [str(f) for f in self.misaligned],
             "heavy": self.heavy,
         }

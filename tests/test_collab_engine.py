@@ -792,9 +792,9 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, 
     return state, minds
 
 
-def adaptive_requests(reasoner) -> list[str]:
-    """The collaborators named by the ``adaptive`` requests recorded so far."""
-    return [r.vars["OPPO_NAME"] for r in reasoner.requests if r.template_id == "adaptive"]
+def asked_about(reasoner, template_id: str) -> list[str]:
+    """The collaborators named by the ``template_id`` requests recorded so far."""
+    return [r.vars["OPPO_NAME"] for r in reasoner.requests if r.template_id == template_id]
 
 
 def test_decide_communicates_on_heavy_then_acts(food_registry):
@@ -807,12 +807,14 @@ def test_decide_communicates_on_heavy_then_acts(food_registry):
     assert any(r["heavy"] for r in payload["reports"])
     assert len(intent.text) <= 500
     # cooldown: the very next tick must act even if still heavy, and no
-    # verdict is asked, because none could make it send
+    # collaborator is predicted or judged by the reasoner, because no
+    # answer could make it send
     reasoner.requests.clear()
     intent2, payload2 = alice.decide(observation, [])
     assert payload2["comm_allowed"] is False
     assert not isinstance(intent2, SendMessage)
-    assert payload2["reports"] and adaptive_requests(reasoner) == []
+    assert payload2["reports"] and asked_about(reasoner, "adaptive") == []
+    assert asked_about(reasoner, "predict_first") == []
 
 
 def test_decide_acts_when_nothing_heavy(food_registry):
@@ -912,32 +914,38 @@ class RecordingScripted(ScriptedReasoner):
         return super().complete(request)
 
 
-class Verdict(RecordingScripted):
-    """A remote double that answers every ``adaptive`` request with one
-    verdict word and leaves every other step to the engine."""
+class Remote(RecordingScripted):
+    """A remote double that answers each template in ``replies`` with its
+    fixed text and leaves every other step to the engine."""
 
-    def __init__(self, answer: str):
+    def __init__(self, **replies: str):
         super().__init__()
-        self.answer = answer
+        self.replies = replies
 
     def complete(self, request):
-        if request.template_id != "adaptive":
+        text = self.replies.get(request.template_id)
+        if text is None:
             return super().complete(request)
         self.requests.append(request)
-        text = f"reasons: x\nanswer: {self.answer}\nmisaligned information: None"
-        return ReasonerResponse(sections=parse_sections("adaptive", text), raw=text)
+        return ReasonerResponse(sections=parse_sections(request.template_id, text), raw=text)
+
+
+def verdict(answer: str) -> Remote:
+    """A remote double that answers every ``adaptive`` request with one
+    verdict word."""
+    return Remote(adaptive=f"reasons: x\nanswer: {answer}\nmisaligned information: None")
 
 
 @pytest.mark.parametrize("answer,asked", [("yes", 1), ("no", 3)])
 def test_the_verdict_is_asked_until_one_report_is_heavy(answer, asked):
     # After a heavy verdict the tick's message and addressee are settled,
     # so the later collaborators' reports are mechanical.
-    reasoner = Verdict(answer)
+    reasoner = verdict(answer)
     state, minds = fresh_minds("stuff_small", agents=4, reasoner=reasoner)
     mind = minds[0]
     intent, payload = mind.decide(world_sim.observe(state, mind.name), [])
     assert payload["comm_allowed"] and len(payload["reports"]) == 3
-    assert adaptive_requests(reasoner) == list(mind.collaborators[:asked])
+    assert asked_about(reasoner, "adaptive") == list(mind.collaborators[:asked])
     assert isinstance(intent, SendMessage) is (answer == "yes")
 
 
@@ -953,21 +961,55 @@ def test_a_baseline_episode_asks_no_verdict(mode, monkeypatch):
     monkeypatch.setattr(ScriptedReasoner, "complete", recording)
     cfg = harness.RunConfig(scenario="food_small", seeds=(1,), mode=mode)
     episode, _ = harness.run_episode(cfg, 1)
-    assert episode.of_kind("decision") and "predict_first" in asked
+    assert episode.of_kind("decision") and {"predict_zero", "plan_next"} & set(asked)
     assert "adaptive" not in asked
+    # In never mode no prediction can change the intent either.
+    assert ("predict_first" in asked) is (mode == "always")
 
 
-def test_collaborators_are_predicted_before_the_agent_plans():
-    # Infer, then plan: on a fresh mind's first tick every collaborator's
-    # candidates are requested before the agent's own plan is.
-    reasoner = RecordingScripted()
-    state, minds = fresh_minds("stuff_small", agents=4, reasoner=reasoner)
-    minds[0].decide(world_sim.observe(state, minds[0].name), [])
-    order = [r.template_id for r in reasoner.requests]
-    own = [i for i, t in enumerate(order) if t in ("predict_zero", "plan_next", "replan")]
-    predicted = [i for i, t in enumerate(order) if t == "predict_first"]
-    assert own and len(predicted) == 3
-    assert max(predicted) < min(own)
+def test_collaborators_are_predicted_where_the_verdict_is_asked():
+    # Plan, then infer and judge: after the agent's own plan, each
+    # collaborator is predicted just before its verdict is asked, and
+    # neither is asked once a report is heavy.
+    for answer, asked in (("yes", 1), ("no", 3)):
+        reasoner = verdict(answer)
+        state, minds = fresh_minds("stuff_small", agents=4, reasoner=reasoner)
+        mind = minds[0]
+        mind.decide(world_sim.observe(state, mind.name), [])
+        order = [(r.template_id, r.vars["OPPO_NAME"]) for r in reasoner.requests]
+        own = [i for i, (t, _) in enumerate(order) if t in ("predict_zero", "plan_next")]
+        predicted = [i for i, (t, _) in enumerate(order) if t == "predict_first"]
+        collaborators = list(mind.collaborators[:asked])
+        assert [order[i][1] for i in predicted] == collaborators
+        assert [order[i + 1] for i in predicted] == [("adaptive", c) for c in collaborators]
+        assert own and max(own) < min(predicted)
+
+
+def test_a_predicted_plan_heads_the_candidates_only_where_it_was_asked(monkeypatch):
+    # On an asked tick the remote plan heads the judged candidates; on the
+    # cooldown tick after the message the mechanical candidates do.
+    remote = "go to <office>(3000); explore current room <office>(3000)"
+    reasoner = Remote(
+        predict_first=f"reasoning: x\nplans:\nplan1: {remote}\nplan2: None\nplan3: None"
+    )
+    state, minds = fresh_minds(reasoner=reasoner)
+    alice = minds[0]
+    judged = []
+    judge = AgentMind.judge
+
+    def recording(mind, collab, candidates, ask=True):
+        mechanical = str(plan_options(mind.view(collab))[0])
+        judged.append((str(candidates[0]), mechanical))
+        return judge(mind, collab, candidates, ask)
+
+    monkeypatch.setattr(AgentMind, "judge", recording)
+    observation = world_sim.observe(state, "Alice")
+    allowed = [alice.decide(observation, [])[1]["comm_allowed"] for _ in range(2)]
+    assert allowed == [True, False]
+    (asked, _), (skipped, mechanical) = judged
+    assert asked == remote
+    assert skipped == mechanical != remote
+    assert asked_about(reasoner, "predict_first") == ["Bob"]
 
 
 def test_stale_replan_names_the_declaring_collaborator(food_registry):

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from beliefworld import harness
+from beliefworld.collab_engine import AgentMind
 from beliefworld.reasoner import ScriptedReasoner
 
 GOLDEN = {
@@ -32,11 +33,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (278, "86555b763facdc8df771797e471f4f9b2268223a308d5c26ff1491637a33c4b7"),
-    ("food_small", 2, "never"): (82, "3e110129f54a3ecc017f40ff8f5732cb9fd61a8dbe2be61962ab1198f79c3a64"),
-    ("food_small", 2, "always"): (217, "8529b67fbf99f9b4289b6a4ccef269ed55acb659a086a168f05ab568fd41466a"),
-    ("stuff_small", 2, "always"): (195, "435a440ea35d39eaa27e95c5d24e424c232047cc3ef284c2acf34a83da914be9"),
-    ("stuff_small", 4, "adaptive"): (659, "9ad9a28e4e8d559e03f5860fea9c231f65a7b338990a6e2ff993a054abad7d4d"),
+    ("food_small", 2, "adaptive"): (263, "f52b9cc8bfb6785e3be047f6251574edd341cba7d105230555c68b1659400521"),
+    ("food_small", 2, "never"): (80, "0ce24ed66b5f695ea6998a24b240dec854ef7e98a3a9592085b5c34a072c6c9b"),
+    ("food_small", 2, "always"): (204, "0ebf8fff2b53345857f4aaa37a092ba3caff667e26af215cc0d3bd3f1701401b"),
+    ("stuff_small", 2, "always"): (183, "0f1ffde460d57f744b114608584a9822da00466eeba3d1c83ff3eb2fcd3b5362"),
+    ("stuff_small", 4, "adaptive"): (512, "1096cb041561385b4cc5b2fddc42f017bc7d6d0b90d1839cafb7db6eeb045acc"),
 }
 
 
@@ -55,6 +56,29 @@ def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     digest = hashlib.sha256(json.dumps(calls, sort_keys=True).encode()).hexdigest()
     assert (len(calls), digest) == GOLDEN_REQUESTS[(scenario, agents, mode)]
+
+
+@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
+def test_asking_every_prediction_leaves_the_log_unchanged(scenario, agents, mode, monkeypatch):
+    # The scripted backend answers no prediction, so a prediction that is
+    # not asked saves a request and changes nothing in the log.
+    calls = []
+    complete = ScriptedReasoner.complete
+    predict = AgentMind.predict_collaborator
+
+    def recording(reasoner, request):
+        calls.append(request.template_id)
+        return complete(reasoner, request)
+
+    monkeypatch.setattr(ScriptedReasoner, "complete", recording)
+    monkeypatch.setattr(
+        AgentMind, "predict_collaborator",
+        lambda mind, collab, declared=None, ask=True: predict(mind, collab, declared),
+    )
+    cfg = harness.RunConfig(scenario=scenario, seeds=(1,), agents=agents, mode=mode)
+    episode, _ = harness.run_episode(cfg, 1)
+    assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
+    assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
 
 
 def replay_in_a_fresh_interpreter(prelude: str = "", **env: str) -> list[str]:
