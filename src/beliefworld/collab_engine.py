@@ -42,10 +42,15 @@ elsewhere the candidates are mechanical: :func:`plan_options` on the
 first-order view, a declared plan first.  The ``adaptive`` ("is this
 miscoordination heavy?") verdict is asked under the same condition, in
 adaptive mode only; elsewhere the mechanical report stands, and the log
-shows its ``heavy``.  This module alone decides: a remote model's answer
-is taken when one arrives and parses, and whenever no reply arrives the
-step asks the planner (or reads the message grammar here), straight off
-the structured beliefs.
+shows its ``heavy``.  A plan adopted on the tick (the agent had none, its
+plan went stale, or its subplan was done) takes its first pending step
+from :func:`planner.next_step` without a ``plan_next`` request, which
+would read the zero-order beliefs the plan was just chosen from; a plan
+carried over from an earlier tick is stepped through ``plan_next``.
+This module alone decides: a remote model's answer is taken when one
+arrives and parses, and whenever no reply arrives the step asks the
+planner (or reads the message grammar here), straight off the
+structured beliefs.
 The scripted backend answers only the rule dialogue, so scripted runs
 are exactly replayable.
 """
@@ -514,7 +519,9 @@ class AgentMind:
         :attr:`default_oppo`.  A collaborator not asked about gets the
         mechanical candidates (:func:`plan_options` on its first-order
         view) and a report whose verdict was not asked logs the
-        mechanical ``heavy``, on the HTTP path too.
+        mechanical ``heavy``, on the HTTP path too.  Likewise only a plan
+        carried over from an earlier tick sends ``plan_next``; a plan
+        adopted on this tick takes the planner's first pending step.
 
         The intent goes to the simulator as it is: a :class:`SendMessage`
         to broadcast, or the next plan step to execute.  None means the
@@ -567,14 +574,21 @@ class AgentMind:
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
         """Adopt a plan when there is none, then resolve the next step,
         replanning through staleness and completed subplans; None when
-        the goal side is exhausted."""
-        if self.plan is None:
+        the goal side is exhausted.
+
+        Only the plan carried over from an earlier tick asks for its next
+        step (``plan_next``).  A plan adopted here, by ``predict_self`` or
+        ``replan``, was chosen from the same zero-order beliefs a moment
+        ago, so its first pending step is :func:`planner.next_step`'s.
+        """
+        carried = self.plan is not None
+        if not carried:
             self.adopt(self.predict_self())
         for _ in range(3):
             if self.plan is None:
                 break
             try:
-                step = self.next_action()
+                step = self.next_action(ask=carried)
             except StalePlan as exc:
                 log.debug("%s: stale plan (%s); replanning", self.name, exc)
                 oppo, avoid = next(iter(declared.items()), (self.default_oppo, None))
@@ -583,6 +597,7 @@ class AgentMind:
                 if step != SUBPLAN_DONE:
                     return step
                 self.adopt(self.predict_self())
+            carried = False
         return None
 
     # -- reasoning steps: one reasoner call per distinct input ----------
@@ -652,16 +667,21 @@ class AgentMind:
         )
         return _plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
-    def next_action(self) -> PlanStep | str:
+    def next_action(self, ask: bool = True) -> PlanStep | str:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.
 
         The mechanical completion/staleness check runs first (raising
-        :class:`StalePlan` deterministically); a remote model may then pick
-        a different legal next step.
+        :class:`StalePlan` deterministically); when ``ask`` is set, a remote
+        model may then pick a different legal next step.  Without ``ask`` no
+        ``plan_next`` request is sent and its memo slot stays as it was:
+        :meth:`_advance` unsets it for a plan adopted on this tick, whose
+        first pending step is :func:`planner.next_step`'s.
         """
         assert self.plan is not None
         history = self.plan_history
         mechanical = next_step(self.view(), self.plan, history)
+        if not ask:
+            return mechanical
         resp = self._ask(
             "plan_next", self.default_oppo,
             GOAL=self.registry.goal,

@@ -1028,3 +1028,34 @@ def test_stale_replan_names_the_declaring_collaborator(food_registry):
     replans = [r.vars for r in reasoner.requests if r.template_id == "replan"]
     assert replans[0]["OPPO_NAME"] == "Carol"
     assert replans[0]["OPPO_PLAN"] == carol_plan
+
+
+def test_only_a_plan_carried_over_asks_for_its_next_step():
+    # The plan chosen on the first tick takes the planner's first pending
+    # step; on the next tick the same plan is carried over, and the
+    # remote model's legal step becomes the intent.
+    remote = "go to <office>(3000)"
+    reasoner = Remote(plan_next=f"reasons: x\nanswer: {remote}")
+    state, minds = fresh_minds(mode="never", reasoner=reasoner)
+    alice = minds[0]
+    observation = world_sim.observe(state, "Alice")
+    intent, _ = alice.decide(observation, [])
+    assert asked_about(reasoner, "predict_zero") == ["Bob"]
+    assert asked_about(reasoner, "plan_next") == []
+    assert intent == alice.plan.steps[0] != parse_plan(remote).steps[0]
+    plan = alice.plan
+    intent, _ = alice.decide(observation, [])
+    assert alice.plan == plan
+    assert asked_about(reasoner, "plan_next") == ["Bob"]
+    assert intent == parse_plan(remote).steps[0]
+
+
+def test_a_model_that_calls_every_plan_done_does_not_stall_the_agents(monkeypatch):
+    # Each tick's "SUBPLAN DONE" replaces the carried plan with a fresh one,
+    # whose first step the planner takes without asking again.
+    reasoner = Remote(plan_next="reasons: x\nanswer: SUBPLAN DONE")
+    monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner)
+    cfg = harness.RunConfig(scenario="food_small", seeds=(1,), mode="never")
+    _, metrics = harness.run_episode(cfg, 1)
+    assert asked_about(reasoner, "plan_next")
+    assert metrics.transport_rate == 1.0

@@ -33,16 +33,17 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (263, "f52b9cc8bfb6785e3be047f6251574edd341cba7d105230555c68b1659400521"),
-    ("food_small", 2, "never"): (80, "0ce24ed66b5f695ea6998a24b240dec854ef7e98a3a9592085b5c34a072c6c9b"),
-    ("food_small", 2, "always"): (204, "0ebf8fff2b53345857f4aaa37a092ba3caff667e26af215cc0d3bd3f1701401b"),
-    ("stuff_small", 2, "always"): (183, "0f1ffde460d57f744b114608584a9822da00466eeba3d1c83ff3eb2fcd3b5362"),
-    ("stuff_small", 4, "adaptive"): (512, "1096cb041561385b4cc5b2fddc42f017bc7d6d0b90d1839cafb7db6eeb045acc"),
+    ("food_small", 2, "adaptive"): (256, "9e3e81466e8d9a8be08f03e6b9b75d5cb902a042d6fe9e33109db7347887b005"),
+    ("food_small", 2, "never"): (54, "edb9a67172f807031675f45cea285fb94065736ad542d10dd70b46741dbde10a"),
+    ("food_small", 2, "always"): (196, "2d7684900c46a4dd534b3d01d2fa68360cdde09bb447b60860748afdfd778448"),
+    ("stuff_small", 2, "always"): (175, "3c8fc8c66813ce4400ed65b3d6a2b87cf9c5921a4c823edc0ee4bb4dd8992383"),
+    ("stuff_small", 4, "adaptive"): (488, "9f6bbffb3efe58be74a23ac7dd3895e9ebe0b4458c1a3fab59c1287ed3b16b54"),
 }
 
 
-@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
-def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch):
+def recorded_run(scenario, agents, mode, monkeypatch):
+    """Run seed 1 through the harness; the episode log and the
+    ``[template_id, vars]`` of every request, in call order."""
     calls = []
     complete = ScriptedReasoner.complete
 
@@ -53,6 +54,12 @@ def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch
     monkeypatch.setattr(ScriptedReasoner, "complete", recording)
     cfg = harness.RunConfig(scenario=scenario, seeds=(1,), agents=agents, mode=mode)
     episode, _ = harness.run_episode(cfg, 1)
+    return episode, calls
+
+
+@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
+def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch):
+    episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     digest = hashlib.sha256(json.dumps(calls, sort_keys=True).encode()).hexdigest()
     assert (len(calls), digest) == GOLDEN_REQUESTS[(scenario, agents, mode)]
@@ -62,21 +69,23 @@ def test_scripted_episode_log_matches_golden(scenario, agents, mode, monkeypatch
 def test_asking_every_prediction_leaves_the_log_unchanged(scenario, agents, mode, monkeypatch):
     # The scripted backend answers no prediction, so a prediction that is
     # not asked saves a request and changes nothing in the log.
-    calls = []
-    complete = ScriptedReasoner.complete
     predict = AgentMind.predict_collaborator
-
-    def recording(reasoner, request):
-        calls.append(request.template_id)
-        return complete(reasoner, request)
-
-    monkeypatch.setattr(ScriptedReasoner, "complete", recording)
     monkeypatch.setattr(
         AgentMind, "predict_collaborator",
         lambda mind, collab, declared=None, ask=True: predict(mind, collab, declared),
     )
-    cfg = harness.RunConfig(scenario=scenario, seeds=(1,), agents=agents, mode=mode)
-    episode, _ = harness.run_episode(cfg, 1)
+    episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
+    assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
+    assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
+
+
+@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
+def test_asking_every_next_step_leaves_the_log_unchanged(scenario, agents, mode, monkeypatch):
+    # The scripted backend answers no next step, so a plan adopted on the
+    # tick takes the planner's first pending step whether or not it is asked.
+    next_action = AgentMind.next_action
+    monkeypatch.setattr(AgentMind, "next_action", lambda mind, ask=True: next_action(mind))
+    episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
 
