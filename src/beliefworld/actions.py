@@ -26,6 +26,9 @@ from .sbl import ObjectRef, ParseError, _OBJECT_RE
 MAX_MESSAGE_CHARS = 500
 MAX_PLAN_STEPS = 3
 
+# Answers that mean "nothing": no plan, no belief lines.
+NO_ANSWER = ("", "none", "none.")
+
 
 class _Step:
     """A plan step: its verb, then the entities of its fields in order."""
@@ -121,10 +124,15 @@ def parse_step(text: str) -> PlanStep:
     raise ParseError(f"unrecognized plan step {text.strip()!r}", 0)
 
 
+def plan_text(plan: Plan | None) -> str:
+    """The text :func:`parse_plan` reads back: the plan, or "None"."""
+    return str(plan) if plan is not None else "None"
+
+
 def parse_plan(text: str) -> Plan | None:
-    """Parse a ``;``-separated step list; ``None``/empty means no plan."""
+    """Parse a ``;``-separated step list; a :data:`NO_ANSWER` means no plan."""
     text = text.strip()
-    if not text or text.lower() in ("none", "none."):
+    if text.lower() in NO_ANSWER:
         return None
     steps = tuple(parse_step(part) for part in text.split(";") if part.strip())
     return Plan(steps)

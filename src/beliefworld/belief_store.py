@@ -122,6 +122,10 @@ class BeliefWorld:
             raise UnknownCollaborator(about)
         return self.first[about]
 
+    def believers(self, about: str | None = None) -> tuple[str, ...]:
+        """Who believes a partition's facts: the owner, then ``about``."""
+        return (self.owner,) if about is None else (self.owner, about)
+
     def facts(self, about: str | None = None) -> list[AtomicBelief]:
         """Partition contents in canonical order."""
         return sorted(self.partition(about).values(), key=str)
@@ -184,6 +188,13 @@ class BeliefWorld:
         """Forget where an entity is (its location became unknown)."""
         if self.partition(about).pop(location_slot(entity), None) is not None:
             self._lines.pop(about, None)
+
+    def clear_holdings(self, holder: AgentName, keep, *, about: str | None = None) -> None:
+        """Forget where each thing ``holder`` is believed to hold is, in
+        partition order, except the references in ``keep``."""
+        for ref in held_by(self.partition(about), holder):
+            if ref not in keep:
+                self.retract_location(ref, about=about)
 
     def holds(self, fact: AtomicBelief, *, about: str | None = None) -> bool:
         return self.partition(about).get(slot(fact)) == fact

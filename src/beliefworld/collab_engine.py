@@ -9,26 +9,22 @@ beliefs alone (a plan the collaborator declared first), and checks its
 own plan against them for miscoordination.  (4) Act: it either
 broadcasts a message or executes the next plan step.
 
-The rules that rank plans, step through them and flag miscoordination
-are pure functions in :mod:`beliefworld.planner`; this module keeps the
-agent: messages, belief updates, reading replies and :class:`AgentMind`.
+Belief revision, the message grammar and the readers of a remote
+model's replies are pure functions in :mod:`beliefworld.perceive`; the
+rules that rank plans, step through them and flag miscoordination are
+pure functions in :mod:`beliefworld.planner`.  This module keeps the
+agent, :class:`AgentMind`, and the prompt inputs it writes.
 
 Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in; the backend answers
 with a reply or with None.  The steps of the loop (predict self, predict
 a collaborator, replan, next action, compose, judge) are methods of
 :class:`AgentMind`, which reads its beliefs, registry and backend from
-itself.  Perceiving keeps each fact once: an observation names entities
-by reference alone (the registry knows their kinds), and the inbox
-update is a module function that folds one tick's inbox as one batch,
-one pass per belief partition: one ``update_zero`` request for all of
-it, then one ``update_first`` request per sender, each reply kept once.
-All of them send their request through the mind's one ask path,
+itself; the inbox update gets the mind's ask path as an argument.
+All of them send their request through that one path,
 ``AgentMind._ask``, which sets the ``AGENT_NAME``/``OPPO_NAME`` header;
 each other prompt input is written in one place too: :func:`belief_text`
-for belief lines (a reply's belief lines, read with
-:func:`sbl.belief_lines` like any statement line, are kept only under
-the believer chain it writes), :func:`plan_text` for a plan,
+for belief lines, :func:`actions.plan_text` for a plan,
 ``EntityRegistry.goal`` for the goal and ``actions.ACTION_LIST`` for the
 step grammar.  Each mind sends a request
 once per distinct input, the inbox update included: per slot, a template
@@ -49,7 +45,7 @@ would read the zero-order beliefs the plan was just chosen from; a plan
 carried over from an earlier tick is stepped through ``plan_next``.
 This module alone decides: a remote model's answer is taken when one
 arrives and parses, and whenever no reply arrives the step asks the
-planner (or reads the message grammar here), straight off the
+planner (or reads the message grammar), straight off the
 structured beliefs.
 The scripted backend answers only the rule dialogue, so scripted runs
 are exactly replayable.
@@ -57,16 +53,17 @@ are exactly replayable.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 import logging
-import re
 from dataclasses import dataclass, field, replace
 
-from . import belief_store, prompts, sbl
-from .actions import ACTION_LIST, MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, parse_plan
+from . import prompts
+from .actions import ACTION_LIST, MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, plan_text
 from .belief_store import BeliefWorld
+from .perceive import (
+    compose_message, ingest_facts, parse_message, plan_reply, safe_plan,
+    update_from_messages, update_from_visual,
+)
 from .planner import (
     SUBPLAN_DONE,
     MiscoordReport,
@@ -74,13 +71,15 @@ from .planner import (
     StalePlan,
     best_plan,
     detect_miscoordination,
-    names_target,
     next_step,
     plan_options,
 )
 from .scenario import EntityRegistry
-from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
-from .world_sim import ALL, VisualObservation
+from .sbl import AtomicBelief, ParseError
+# Unused here, but bench/smoke.py checks that ``collab_engine.parse`` is
+# the original ``sbl.parse`` after a traced run, so the name must stay bound.
+from .sbl import parse  # noqa: F401
+from .world_sim import VisualObservation
 
 log = logging.getLogger(__name__)
 
@@ -96,350 +95,18 @@ COOLDOWN = 1
 # answer format names them plan1..plan3.
 PREDICTED_PLANS = 3
 
-# Replies that mean "nothing": no plan, no belief lines.
-_NO_ANSWER = ("", "none", "none.")
-
-
-class CorruptObservation(ValueError):
-    """An observation referenced entities outside the scenario registry."""
-
-
-# ---------------------------------------------------------------------------
-# Messages.
-# ---------------------------------------------------------------------------
-
-_MESSAGE_RE = re.compile(r"^FACTS:\s*(?P<facts>.*?)\s*\|\s*PLAN:\s*(?P<plan>.*)$", re.S)
-
-
-def compose_message(
-    misaligned: list[AtomicBelief] | tuple[AtomicBelief, ...],
-    plan: Plan | None,
-    registry: EntityRegistry,
-) -> str:
-    """Render the structured two-part message: facts I hold, then my plan.
-
-    Facts print in canonical order; when the 500-character budget is
-    tight, the least goal-relevant facts are dropped first (plain facts
-    before exploration facts before target facts, last-listed first).
-    """
-    facts = sorted(set(misaligned), key=str)
-
-    def priority(fact: AtomicBelief) -> int:
-        if names_target(fact, registry):
-            return 0
-        if fact.relation == "EXPLORED":
-            return 1
-        return 2
-
-    def render(kept: list[AtomicBelief]) -> str:
-        parts = ["FACTS:"]
-        if kept:
-            parts.append("; ".join(str(f) for f in kept))
-        parts.extend(["|", "PLAN:", plan_text(plan)])
-        return " ".join(parts)
-
-    text = render(facts)
-    while len(text) > MAX_MESSAGE_CHARS and facts:
-        worst = max(priority(f) for f in facts)
-        for i in range(len(facts) - 1, -1, -1):
-            if priority(facts[i]) == worst:
-                del facts[i]
-                break
-        text = render(facts)
-    return text[:MAX_MESSAGE_CHARS]
-
-
-@functools.lru_cache(maxsize=64)
-def parse_message(text: str) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
-    """Parse the structured message grammar; raises ParseError otherwise.
-
-    Every recipient of a broadcast parses the same text, and so does its
-    sender, so results are memoized; they are immutable to be shared.
-    """
-    m = _MESSAGE_RE.match(text.strip())
-    if not m:
-        raise ParseError("message does not match 'FACTS: ... | PLAN: ...'", 0)
-    facts = []
-    fact_part = m.group("facts").strip()
-    if fact_part:
-        for chunk in fact_part.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                facts.append(parse_atomic(chunk))
-    try:
-        plan = parse_plan(m.group("plan"))
-    except ValueError as exc:  # Plan rejects too many steps with a plain ValueError
-        raise ParseError(str(exc), 0) from exc
-    return tuple(facts), plan
-
-
-# ---------------------------------------------------------------------------
-# Belief updates.
-# ---------------------------------------------------------------------------
-
-
-def update_from_visual(
-    world: BeliefWorld, obs: VisualObservation, registry: EntityRegistry
-) -> None:
-    """Fold one visual observation into the zero partition.
-
-    Purely mechanical: position, exploration level (never downgraded),
-    revealed room contents, own and co-located holdings (hands are fully
-    visible, so holdings no longer seen are retracted), container loads,
-    and the delivered pile when standing in the goal room.  A fully
-    explored room is authoritative about its contents: believed locations
-    contradicted by such an observation are forgotten.  An entity the
-    registry does not know, anywhere in the observation, raises
-    :class:`CorruptObservation` before any belief changes.
-    """
-    owner = AgentName(world.owner)
-    refs = itertools.chain(
-        obs.items, obs.hands, obs.at_bed, *(hands for _, hands in obs.colocated), *obs.contents
-    )
-    for ref in refs:
-        if not registry.knows(ref.id):
-            raise CorruptObservation(f"unknown entity {ref} in observation")
-    if not registry.is_room(obs.room.id):
-        raise CorruptObservation(f"unknown room {obs.room} in observation")
-
-    world.assert_fact(AtomicBelief(owner, "AT", obs.room))
-
-    current = PlannerView(world.owner, registry, world.partition()).explored_level(obs.room.id)
-    if sbl.EXPLORED_STATES.index(obs.exploration) >= sbl.EXPLORED_STATES.index(current):
-        world.assert_fact(AtomicBelief(obs.room, "EXPLORED", StateAtom(obs.exploration)))
-
-    for ref in obs.items:
-        world.assert_fact(AtomicBelief(ref, "IN", obs.room))
-
-    if obs.exploration == ALL:
-        # By reference, as in sync_hands: a location believed under another
-        # name for a seen id is stale too.
-        visible = set(obs.items)
-        stale = [
-            f.subject
-            for f in world.partition().values()
-            if f.relation == "IN"
-            and f.object == obs.room
-            and isinstance(f.subject, ObjectRef)
-            and f.subject not in visible
-        ]
-        for ref in stale:
-            world.retract_location(ref)
-
-    def sync_hands(agent: AgentName, hands: tuple[ObjectRef, ...]) -> None:
-        # By reference, not by id: a holding believed under another name
-        # for a seen id is stale too, or it would overflow the hands.
-        for ref in belief_store.held_by(world.partition(), agent):
-            if ref not in hands:
-                world.retract_location(ref)
-        for ref in hands:
-            world.assert_fact(AtomicBelief(agent, "HOLD", ref))
-
-    sync_hands(owner, obs.hands)
-    for name, hands in obs.colocated:
-        other = AgentName(name)
-        world.assert_fact(AtomicBelief(other, "AT", obs.room))
-        sync_hands(other, hands)
-
-    for container, inner in obs.contents:
-        world.assert_fact(AtomicBelief(container, "CONTAIN", inner))
-
-    for ref in obs.at_bed:
-        world.assert_fact(AtomicBelief(ref, "AT", registry.bed))
-
-
-def ingest_facts(
-    world: BeliefWorld,
-    facts: list[AtomicBelief] | tuple[AtomicBelief, ...],
-    about: str | None,
-) -> None:
-    """Fold one coherent batch of reported facts into a partition.
-
-    Location facts land before holdings so that delivered or contained
-    items release hands first.  A holding report that would overflow the
-    holder's hands displaces that holder's previously believed holdings
-    (newest wins: the report is fresher than whatever went unmentioned).
-    Facts that still violate the consensus rules are dropped individually
-    with a warning.
-    """
-    ordered = sorted(facts, key=lambda f: (f.relation == "HOLD", str(f)))
-    for fact in ordered:
-        try:
-            world.assert_fact(fact, about=about)
-        except belief_store.RuleViolation:
-            if fact.relation == "HOLD" and isinstance(fact.subject, AgentName):
-                fresh = {
-                    f.object for f in ordered
-                    if f.relation == "HOLD" and f.subject == fact.subject
-                }
-                for held in belief_store.held_by(world.partition(about), fact.subject):
-                    if held not in fresh:
-                        world.retract_location(held, about=about)
-            try:
-                world.assert_fact(fact, about=about)
-            except belief_store.RuleViolation as exc:
-                log.warning("dropping non-conforming fact from message: %s", exc)
-
-
-# ---------------------------------------------------------------------------
-# Reasoner-backed operations.
-# ---------------------------------------------------------------------------
-
-
-def _believers(world: BeliefWorld, about: str | None) -> tuple[str, ...]:
-    """Who believes a partition's facts: the owner, then ``about``."""
-    return (world.owner,) if about is None else (world.owner, about)
-
 
 def belief_text(world: BeliefWorld, about: str | None = None) -> str:
     """The zero partition, or the one about ``about``, one ``Owner BELIEVE
     [About BELIEVE] fact`` line per fact; "None" when it is empty."""
-    prefix = " BELIEVE ".join(_believers(world, about)) + " BELIEVE "
+    prefix = " BELIEVE ".join(world.believers(about)) + " BELIEVE "
     lines = world.lines(about)
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
-
-
-def plan_text(plan: Plan | None) -> str:
-    return str(plan) if plan is not None else "None"
 
 
 def plans_text(plans: list[Plan]) -> str:
     padded = plans[:PREDICTED_PLANS] + [None] * (PREDICTED_PLANS - len(plans))
     return "\n".join(f"plan{i + 1}: {plan_text(p)}" for i, p in enumerate(padded))
-
-
-def _safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
-    """Parse a plan reply; unknown entities or bad grammar yield None."""
-    try:
-        plan = parse_plan(text)
-    except (ParseError, ValueError):
-        return None
-    return _known_plan(plan, registry)
-
-
-def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
-    """The plan itself when every entity it names is known, else None."""
-    # Every field of a plan step is an ObjectRef.
-    if plan is not None and all(
-        registry.knows(ref.id) for step in plan.steps for ref in vars(step).values()
-    ):
-        return plan
-    return None
-
-
-def _reply_facts(
-    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
-) -> list[AtomicBelief] | None:
-    """The facts a remote model's belief section lists for the zero
-    partition, or the one about ``about``, read from the section's
-    :func:`sbl.belief_lines`: a line under another believer chain than
-    :func:`belief_text` writes for the partition is skipped.  None when no
-    reply arrived or the section is missing or holds no readable line."""
-    label = "Zero order beliefs" if about is None else "First order beliefs"
-    if resp is None or label not in resp.sections:
-        return None
-    section = resp.sections[label]
-    believers = tuple(map(AgentName, _believers(world, about)))
-    facts = []
-    for line in sbl.belief_lines(section):
-        try:
-            expr = parse(line)
-        except ParseError:
-            log.warning("skipping unparseable belief line: %r", line)
-            continue
-        if expr.believers != believers or not expr.is_ground:
-            log.warning("skipping belief line outside the partition: %r", line)
-            continue
-        facts.append(expr.body)
-    if facts or section.strip().lower() in _NO_ANSWER:
-        return facts
-    return None
-
-
-def _plan_reply(
-    resp: prompts.ReasonerResponse | None, registry: EntityRegistry, heuristic
-) -> Plan | None:
-    """A remote model's single-plan answer ("None" means done); the
-    heuristic decides when no reply arrived or the plan is bad."""
-    if resp is None:
-        return heuristic()
-    section = resp.section("plan")
-    if section.strip().lower() in _NO_ANSWER:
-        return None
-    plan = _safe_plan(section, registry)
-    return plan if plan is not None else heuristic()
-
-
-def _heard(text: str, registry: EntityRegistry) -> tuple[list[AtomicBelief], Plan | None]:
-    """The ground facts and the known-entity plan a structured message
-    carries; nothing when it does not parse."""
-    try:
-        facts, plan = parse_message(text)
-    except ParseError:
-        log.warning("ignoring unparseable message: %r", text)
-        return [], None
-    return [f for f in facts if f.is_ground], _known_plan(plan, registry)
-
-
-def update_from_messages(
-    world: BeliefWorld,
-    inbox: list[tuple[str, str]],
-    ask,
-    registry: EntityRegistry,
-) -> dict[str, Plan]:
-    """Fold one tick's inbox into both belief orders through ``ask``, the
-    owner's ``AgentMind._ask``.
-
-    The inbox is one batch, folded in one pass per partition.  The zero
-    partition goes first: a single ``update_zero`` request carries every
-    ``sender: text`` line in arrival order (the owner now knows what it
-    was told).  Then each sender's first-order partition, in order of
-    first arrival: one ``update_first`` request carries that sender's
-    lines alone (the sender plainly knows what it said).  A pass ingests
-    its usable remote reply as one batch.  Without one, the message
-    grammar is read directly, message by message in arrival order:
-    unparseable messages are ignored with a warning, facts with variables
-    are dropped, and plans naming unknown entities are not declared.
-    Facts that violate the consensus rules are dropped individually.
-    Messages from unregistered senders are ignored with a warning.
-
-    Returns the plans the senders declared, keyed in the order of each
-    sender's first message declaring one; a sender's later declaration
-    replaces its earlier one.
-    """
-    mail = []
-    for sender, text in inbox:
-        if sender not in world.first:
-            log.warning("message from unregistered sender %r ignored", sender)
-        else:
-            mail.append((sender, text))
-    if not mail:
-        return {}
-    senders = tuple(dict.fromkeys(sender for sender, _ in mail))
-    rule = "\n".join(world.rule_lines)
-    # A message text is parsed only when some reply is not usable.
-    heard = functools.cache(lambda text: _heard(text, registry))
-    replies = {}
-    for about in (None, *senders):
-        lines = [(sender, text) for sender, text in mail if about in (None, sender)]
-        template, oppo = (
-            ("update_zero", ", ".join(senders)) if about is None else ("update_first", about)
-        )
-        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-        replies[about] = ask(template, oppo, MESSAGE=message, RULE=rule)
-        facts = _reply_facts(replies[about], world, about)
-        if facts is not None:
-            ingest_facts(world, facts, about)
-        else:
-            for _, text in lines:
-                ingest_facts(world, heard(text)[0], about)
-
-    declared: dict[str, Plan] = {}
-    for sender, text in mail:
-        plan = _plan_reply(replies[sender], registry, lambda: heard(text)[1])
-        if plan is not None:
-            declared[sender] = plan
-    return declared
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +295,7 @@ class AgentMind:
             "predict_zero", self.default_oppo,
             GOAL=self.registry.goal, ZERO_ORDER_BELIEF=belief_text(self.world),
         )
-        return _plan_reply(resp, self.registry, lambda: best_plan(self.view()))
+        return plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
     def predict_collaborator(
         self, collab: str, declared: Plan | None = None, ask: bool = True
@@ -648,7 +315,7 @@ class AgentMind:
         plans = []
         if resp is not None:
             for i in range(PREDICTED_PLANS):
-                plan = _safe_plan(resp.section(f"plan{i + 1}"), self.registry)
+                plan = safe_plan(resp.section(f"plan{i + 1}"), self.registry)
                 if plan is not None:
                     plans.append(plan)
         plans = plans or plan_options(self.view(collab))
@@ -665,7 +332,7 @@ class AgentMind:
             OPPO_PLAN=plan_text(avoid),
             ZERO_ORDER_BELIEF=belief_text(self.world),
         )
-        return _plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
+        return plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
     def next_action(self, ask: bool = True) -> PlanStep | str:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.
@@ -694,7 +361,7 @@ class AgentMind:
             answer = resp.section("answer").strip()
             if answer.upper().startswith("SUBPLAN DONE"):
                 return SUBPLAN_DONE
-            plan_step = _safe_plan(answer, self.registry)
+            plan_step = safe_plan(answer, self.registry)
             if plan_step is not None and len(plan_step.steps) == 1:
                 return plan_step.steps[0]
         return mechanical

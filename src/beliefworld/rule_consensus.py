@@ -143,29 +143,25 @@ def _review(reviewer, vars: dict[str, str]) -> tuple[bool, str]:
     raise ConsensusFailure("rules_review reply did not parse after one retry")
 
 
-def consensus_loop(
-    proposer, reviewer, task_description: str, max_rounds: int = MAX_ROUNDS
-) -> tuple[str, int]:
+def consensus_loop(proposer, reviewer, task_description: str) -> tuple[str, int]:
     """Propose, review, and refine until the reviewer accepts; returns the
     accepted proposal's text and the round it was accepted in.
 
     Raises :class:`ConsensusFailure` carrying the last review's
-    suggestions when no acceptance happens within ``max_rounds`` rounds
-    (one proposer call and one reviewer call each, the review asked once
-    more when it has no verdict).
+    suggestions when no acceptance happens within :data:`MAX_ROUNDS`
+    rounds (one proposer call and one reviewer call each, the review asked
+    once more when it has no verdict).
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
     task = {"BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT, "TASK_DESCRIPTION": task_description}
     request = ReasonerRequest("rules_propose", task)
-    for round_number in range(1, max_rounds + 1):
+    for round_number in range(1, MAX_ROUNDS + 1):
         proposal = _proposal(proposer.complete(request).sections)
         satisfied, suggestions = _review(reviewer, task | {"ALICE_CONTENT": proposal})
         if satisfied:
             return proposal, round_number
         previous = {"PREVIOUS_CONTENT": proposal, "SUGGESTIONS": suggestions}
         request = ReasonerRequest("rules_refine", task | previous)
-    raise ConsensusFailure(f"no accepted proposal within {max_rounds} rounds", suggestions)
+    raise ConsensusFailure(f"no accepted proposal within {MAX_ROUNDS} rounds", suggestions)
 
 
 def agree_rules(

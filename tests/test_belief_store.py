@@ -10,7 +10,8 @@ from beliefworld.belief_store import (
     RuleViolation,
     UnknownCollaborator,
 )
-from beliefworld.collab_engine import belief_text, ingest_facts
+from beliefworld.collab_engine import belief_text
+from beliefworld.perceive import ingest_facts
 from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable

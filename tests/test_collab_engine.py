@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beliefworld import collab_engine, harness, sbl, world_sim
+from beliefworld import harness, perceive, sbl, world_sim
 from beliefworld.actions import (
     ExploreCurrent,
     GoGrasp,
@@ -18,8 +18,8 @@ from beliefworld.actions import (
     parse_plan,
 )
 from beliefworld.belief_store import BeliefWorld, RuleViolation
-from beliefworld.collab_engine import (
-    AgentMind,
+from beliefworld.collab_engine import AgentMind
+from beliefworld.perceive import (
     CorruptObservation,
     compose_message,
     parse_message,
@@ -627,7 +627,7 @@ def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog
     section = "Here is what Alice now believes:\n- Alice BELIEVE <apple>(101) IN <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     with caplog.at_level("WARNING"):
-        facts = collab_engine._reply_facts(reply, world, None)
+        facts = perceive._reply_facts(reply, world, None)
     assert facts == [fact("<apple>(101) IN <kitchen>(2000)")]
     assert "unparseable" not in caplog.text
 

@@ -1,11 +1,19 @@
-"""The planner's boundary: it reads beliefs, plans and facts, and depends
-on nothing that stores beliefs, reasons, simulates or logs."""
+"""The pure modules' boundaries.  The planner reads beliefs, plans and
+facts, and depends on nothing that stores beliefs, reasons, simulates or
+logs.  Belief revision (``perceive``) writes beliefs, and depends on
+nothing that asks a reasoner, runs the decision loop or logs an episode."""
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 # ``__future__`` is a compiler directive, not a dependency.
-ALLOWED = {
+PLANNER_ALLOWED = {
     "__future__",
     "dataclasses",
     "beliefworld.actions",
@@ -13,6 +21,29 @@ ALLOWED = {
     "beliefworld.scenario",
     "beliefworld.sbl",
 }
+PERCEIVE_ALLOWED = {
+    "__future__",
+    "functools",
+    "itertools",
+    "logging",
+    "re",
+    "beliefworld.actions",
+    "beliefworld.belief_store",
+    "beliefworld.planner",
+    "beliefworld.prompts",
+    "beliefworld.scenario",
+    "beliefworld.sbl",
+    "beliefworld.world_sim",
+}
+# What belief revision must never load, not even through another module.
+PERCEIVE_FORBIDDEN = (
+    "beliefworld.reasoner",
+    "beliefworld.collab_engine",
+    "beliefworld.rule_consensus",
+    "beliefworld.harness",
+    "beliefworld.episode_log",
+    "beliefworld.cli",
+)
 
 
 def imported_modules(source: str) -> set[str]:
@@ -33,7 +64,25 @@ def imported_modules(source: str) -> set[str]:
     return modules
 
 
-def test_planner_imports_only_pure_modules():
+@pytest.mark.parametrize(
+    "module,allowed",
+    [("planner.py", PLANNER_ALLOWED), ("perceive.py", PERCEIVE_ALLOWED)],
+    ids=["planner.py", "perceive.py"],
+)
+def test_a_pure_module_imports_only_its_allow_list(module, allowed):
     # Read as text, not imported: an import cycle must fail here, not in setup.
-    source = resources.files("beliefworld").joinpath("planner.py").read_text()
-    assert imported_modules(source) <= ALLOWED
+    source = resources.files("beliefworld").joinpath(module).read_text()
+    assert imported_modules(source) <= allowed
+
+
+def test_importing_perceive_loads_no_reasoner_loop_or_log():
+    # A fresh interpreter: this test session has imported everything already.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = "import sys, beliefworld.perceive; print(' '.join(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "beliefworld.perceive" in loaded
+    assert [m for m in PERCEIVE_FORBIDDEN if m in loaded] == []

@@ -8,7 +8,7 @@ the HTTP client runs.
 import pytest
 import requests
 
-from beliefworld import collab_engine, harness, prompts
+from beliefworld import collab_engine, harness, perceive, prompts
 from beliefworld import reasoner as reasoner_mod
 from beliefworld.actions import parse_plan
 from beliefworld.belief_store import BeliefWorld
@@ -351,7 +351,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
 
 
 def site_update(mind):
-    declared = collab_engine.update_from_messages(
+    declared = perceive.update_from_messages(
         mind.world, [("Bob", MESSAGE)], mind._ask, mind.registry
     )
     return mind.world.snapshot(), {k: str(v) for k, v in declared.items()}
@@ -407,7 +407,7 @@ def test_heuristic_message_ingest_drops_facts_with_variables(food_registry):
 
 def test_heuristic_message_ingest_rejects_unknown_plan_entities(food_registry):
     mind = seeded_mind(food_registry, ScriptedReasoner())
-    declared = collab_engine.update_from_messages(
+    declared = perceive.update_from_messages(
         mind.world, [("Bob", "FACTS: | PLAN: go grasp <ghost>(66666)")],
         mind._ask, food_registry,
     )
@@ -518,7 +518,7 @@ def batch_update(registry, replies):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
     remote = RecordingRemote(replies)
     ask = AgentMind(world=world, registry=registry, reasoner=remote)._ask
-    declared = collab_engine.update_from_messages(world, BATCH_INBOX, ask, registry)
+    declared = perceive.update_from_messages(world, BATCH_INBOX, ask, registry)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
 

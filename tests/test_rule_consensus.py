@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from beliefworld import sbl
+from beliefworld import rule_consensus, sbl
 from beliefworld.prompts import ReasonerRequest
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import (
@@ -39,15 +39,17 @@ def test_scripted_proposal_ignores_task_text(scripted):
     assert consensus_loop(scripted, scripted, "") == consensus_loop(scripted, scripted, TASK)
 
 
-def test_review_accepts_canonical(scripted):
+def test_review_accepts_canonical(scripted, monkeypatch):
     canonical = rule_sections(CANONICAL_ZERO_RULES, CANONICAL_FIRST_RULES)
     assert judge(canonical) == (canonical_rules(), ())
-    assert consensus_loop(scripted, scripted, TASK, max_rounds=1)[1] == 1
+    monkeypatch.setattr(rule_consensus, "MAX_ROUNDS", 1)
+    assert consensus_loop(scripted, scripted, TASK)[1] == 1
 
 
-def test_review_flags_missing_position_rule(scripted):
+def test_review_flags_missing_position_rule(scripted, monkeypatch):
+    monkeypatch.setattr(rule_consensus, "MAX_ROUNDS", 1)
     with pytest.raises(ConsensusFailure) as err:
-        consensus_loop(NoPositionRules(), scripted, TASK, max_rounds=1)
+        consensus_loop(NoPositionRules(), scripted, TASK)
     for rule in canonical_rules():
         assert (f"'{rule}'" in err.value.suggestions) == (rule.body.relation == "AT")
 
@@ -104,7 +106,7 @@ def test_proposal_keeps_duplicates_for_review():
 
 
 def test_consensus_scripted_one_round(scripted):
-    proposal, rounds = consensus_loop(scripted, scripted, TASK, max_rounds=3)
+    proposal, rounds = consensus_loop(scripted, scripted, TASK)
     assert rounds == 1
     rules, problems = judge(proposal)
     assert [str(r) for r in rules] == list(CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES)
@@ -131,9 +133,10 @@ class RejectingReviewer:
         )
 
 
-def test_consensus_exhausts_rounds(scripted):
-    with pytest.raises(ConsensusFailure) as err:
-        consensus_loop(scripted, RejectingReviewer(), TASK, max_rounds=2)
+def test_consensus_exhausts_rounds(scripted, monkeypatch):
+    monkeypatch.setattr(rule_consensus, "MAX_ROUNDS", 2)
+    with pytest.raises(ConsensusFailure, match="within 2 rounds") as err:
+        consensus_loop(scripted, RejectingReviewer(), TASK)
     assert err.value.suggestions == "start over"
 
 
@@ -169,7 +172,7 @@ class FaultyThenFixedProposer:
 
 def test_consensus_duplicate_then_fixed_accepted_round_two(scripted):
     proposer = FaultyThenFixedProposer()
-    proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
+    proposal, rounds = consensus_loop(proposer, scripted, TASK)
     assert rounds == 2
     assert judge(proposal) == (canonical_rules(), ())
 
@@ -178,7 +181,7 @@ def test_unparseable_rule_line_is_reviewed_and_refined(scripted):
     # The line reaches the reviewer, whose suggestions name it; the
     # refinement fixes it.
     proposer = FaultyThenFixedProposer("?agent BELIEVE broken(")
-    proposal, rounds = consensus_loop(proposer, scripted, TASK, max_rounds=3)
+    proposal, rounds = consensus_loop(proposer, scripted, TASK)
     assert rounds == 2
     assert judge(proposal) == (canonical_rules(), ())
     refine = proposer.requests[1]
@@ -231,7 +234,7 @@ class VerdictlessReviewer:
 
 def test_review_without_verdict_is_asked_again(scripted):
     reviewer = VerdictlessReviewer(["maybe", "yes, all covered"])
-    proposal, rounds = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    proposal, rounds = consensus_loop(scripted, reviewer, TASK)
     assert (rounds, reviewer.calls) == (1, 2)
     assert judge(proposal) == (canonical_rules(), ())
 
@@ -239,7 +242,7 @@ def test_review_without_verdict_is_asked_again(scripted):
 def test_review_without_verdict_twice_fails(scripted):
     reviewer = VerdictlessReviewer(["maybe", ""])
     with pytest.raises(ConsensusFailure, match="did not parse"):
-        consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+        consensus_loop(scripted, reviewer, TASK)
     assert reviewer.calls == 2
 
 
@@ -253,27 +256,23 @@ def test_review_without_verdict_twice_fails(scripted):
 ])
 def test_review_verdict_is_yes_or_no_as_a_word(verdict, calls, rounds, scripted):
     reviewer = VerdictlessReviewer([verdict, "yes"])
-    _, accepted_in = consensus_loop(scripted, reviewer, TASK, max_rounds=3)
+    _, accepted_in = consensus_loop(scripted, reviewer, TASK)
     assert (reviewer.calls, accepted_in) == (calls, rounds)
-
-
-def test_max_rounds_validation(scripted):
-    with pytest.raises(ValueError):
-        consensus_loop(scripted, scripted, TASK, max_rounds=0)
 
 
 @pytest.mark.parametrize(
     "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, DuplicateRule)
 )
-def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls):
+def test_scripted_reviewer_and_agree_rules_reject_the_same_rules(reasoner_cls, monkeypatch):
     # Each double proposes a flawed rule set and approves it; the scripted
     # reviewer and agree_rules must both turn it down.
     _, problems = judge(reasoner_cls()._answer_rules_propose({}))
     assert problems
     rules, rounds, fell_back = agree_rules(reasoner_cls(), TASK)
     assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
+    monkeypatch.setattr(rule_consensus, "MAX_ROUNDS", 1)
     with pytest.raises(ConsensusFailure) as err:
-        consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK, max_rounds=1)
+        consensus_loop(reasoner_cls(), ScriptedReasoner(), TASK)
     assert err.value.suggestions == "; ".join(problems)
 
 
@@ -291,9 +290,10 @@ class EmptySuggestionsReviewer:
         )
 
 
-def test_empty_suggestions_still_name_a_suggestion(scripted):
+def test_empty_suggestions_still_name_a_suggestion(scripted, monkeypatch):
+    monkeypatch.setattr(rule_consensus, "MAX_ROUNDS", 1)
     with pytest.raises(ConsensusFailure) as err:
-        consensus_loop(scripted, EmptySuggestionsReviewer(), TASK, max_rounds=1)
+        consensus_loop(scripted, EmptySuggestionsReviewer(), TASK)
     assert err.value.suggestions == "no specific suggestions given"
 
 

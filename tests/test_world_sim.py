@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from beliefworld import world_sim
 from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Put, SendMessage, Transport
 from beliefworld.belief_store import BeliefWorld
-from beliefworld.collab_engine import update_from_visual
+from beliefworld.perceive import update_from_visual
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import ScenarioError, load_scenario, scenario_from_dict
 from beliefworld.sbl import AtomicBelief, ObjectRef

@@ -19,7 +19,7 @@ import random
 
 import networkx as nx
 
-from beliefworld import collab_engine as ce
+from beliefworld import perceive
 from beliefworld.belief_store import slot
 from beliefworld.planner import PlannerView
 from beliefworld.scenario import CONTAINER_CAPACITY
@@ -329,12 +329,12 @@ def reference_update_from_messages(world, inbox, ask, registry):
         vars = {"MESSAGE": f"{sender}: {text}", "RULE": "\n".join(world.rule_lines)}
         zero_resp = ask("update_zero", sender, **vars)
         first_resp = ask("update_first", sender, **vars)
-        heard = functools.cache(lambda text=text: ce._heard(text, registry))
-        zero = ce._reply_facts(zero_resp, world, None)
-        first = ce._reply_facts(first_resp, world, sender)
-        ce.ingest_facts(world, heard()[0] if zero is None else zero, None)
-        ce.ingest_facts(world, heard()[0] if first is None else first, sender)
-        plan = ce._plan_reply(first_resp, registry, lambda: heard()[1])
+        heard = functools.cache(lambda text=text: perceive._heard(text, registry))
+        zero = perceive._reply_facts(zero_resp, world, None)
+        first = perceive._reply_facts(first_resp, world, sender)
+        perceive.ingest_facts(world, heard()[0] if zero is None else zero, None)
+        perceive.ingest_facts(world, heard()[0] if first is None else first, sender)
+        plan = perceive.plan_reply(first_resp, registry, lambda: heard()[1])
         if plan is not None:
             declared[sender] = plan
     return declared
