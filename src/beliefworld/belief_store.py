@@ -31,14 +31,11 @@ snapshot read.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from . import sbl
 from .scenario import MAX_HANDS
 from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef
-
-log = logging.getLogger(__name__)
 
 # A partition: slot -> the one fact occupying it.
 Partition = dict[object, AtomicBelief]

@@ -10,18 +10,19 @@ own plan against them for miscoordination.  (4) Act: it either
 broadcasts a message or executes the next plan step.
 
 Belief revision, the message grammar and the readers of a remote
-model's replies are pure functions in :mod:`beliefworld.perceive`; the
-rules that rank plans, step through them and flag miscoordination are
-pure functions in :mod:`beliefworld.planner`.  This module keeps the
-agent, :class:`AgentMind`, and the prompt inputs it writes.
+model's replies are pure folds in :mod:`beliefworld.perceive`, over the
+evidence and replies they are handed; the rules that rank plans, step
+through them and flag miscoordination are pure functions in
+:mod:`beliefworld.planner`.  This module keeps the agent,
+:class:`AgentMind`, and builds every engine prompt it sends.
 
 Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in; the backend answers
-with a reply or with None.  The steps of the loop (predict self, predict
-a collaborator, replan, next action, compose, judge) are methods of
-:class:`AgentMind`, which reads its beliefs, registry and backend from
-itself; the inbox update gets the mind's ask path as an argument.
-All of them send their request through that one path,
+with a reply or with None.  The steps of the loop (hear the inbox,
+predict self, predict a collaborator, replan, next action, compose,
+judge) are methods of :class:`AgentMind`, which reads its beliefs,
+registry and backend from itself.
+All of them send their request through one path,
 ``AgentMind._ask``, which sets the ``AGENT_NAME``/``OPPO_NAME`` header;
 each other prompt input is written in one place too: :func:`belief_text`
 for belief lines, :func:`actions.plan_text` for a plan,
@@ -61,9 +62,12 @@ from . import prompts
 from .actions import ACTION_LIST, MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, plan_text
 from .belief_store import BeliefWorld
 from .perceive import (
-    compose_message, ingest_facts, parse_message, plan_reply, safe_plan,
-    update_from_messages, update_from_visual,
+    compose_message, inbox_batches, note_sent, plan_reply, safe_plan, update_from_messages,
+    update_from_visual,
 )
+# Unused here, but bench/layers.py wraps ``collab_engine.ingest_facts`` by
+# name (and with it every module binding it), so the name must stay bound.
+from .perceive import ingest_facts  # noqa: F401
 from .planner import (
     SUBPLAN_DONE,
     MiscoordReport,
@@ -75,7 +79,7 @@ from .planner import (
     plan_options,
 )
 from .scenario import EntityRegistry
-from .sbl import AtomicBelief, ParseError
+from .sbl import AtomicBelief
 # Unused here, but bench/smoke.py checks that ``collab_engine.parse`` is
 # the original ``sbl.parse`` after a traced run, so the name must stay bound.
 from .sbl import parse  # noqa: F401
@@ -197,7 +201,7 @@ class AgentMind:
         self.tick += 1
         fallbacks_before = self.reasoner.fallback_count
         update_from_visual(self.world, obs, self.registry)
-        declared = update_from_messages(self.world, inbox, self._ask, self.registry)
+        declared = self.hear(inbox)
 
         intent: SendMessage | PlanStep | None = self._advance(declared)
         comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
@@ -224,7 +228,7 @@ class AgentMind:
             if self.mode == MODE_ADAPTIVE:
                 self.adopt(self.replan(next(iter(candidates[oppo]), None), oppo))
             text = self.compose(misaligned, oppo)
-            self._note_shared(text, misaligned)
+            note_sent(self.world, text, misaligned)
             self.last_comm_tick = self.tick
             intent = SendMessage(text)
         payload = {
@@ -288,6 +292,27 @@ class AgentMind:
         if self.reasoner.fallback_count == fallbacks:
             self._last_reply[slot] = (vars, resp)
         return resp
+
+    def hear(self, inbox: list[tuple[str, str]]) -> dict[str, Plan]:
+        """Fold one tick's inbox into both belief orders; returns the plans
+        the senders declared (:func:`perceive.update_from_messages`).
+
+        One ``update_zero`` request carries every ``sender: text`` line in
+        arrival order, then one ``update_first`` request per sender, in
+        order of first arrival, carries that sender's lines alone.  No
+        request reads the beliefs, so every request goes out before the
+        first fold, and each request is what it would be after the folds
+        before it.
+        """
+        batches = inbox_batches(self.world, inbox)
+        senders = ", ".join(about for about in batches if about is not None)
+        rule = "\n".join(self.world.rule_lines)
+        replies = {}
+        for about, lines in batches.items():
+            template, oppo = ("update_zero", senders) if about is None else ("update_first", about)
+            message = "\n".join(f"{sender}: {text}" for sender, text in lines)
+            replies[about] = self._ask(template, oppo, MESSAGE=message, RULE=rule)
+        return update_from_messages(self.world, batches, replies, self.registry)
 
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""
@@ -404,16 +429,6 @@ class AgentMind:
         if heavy is not None:
             report = replace(report, heavy=heavy)
         return report
-
-    def _note_shared(self, text: str, misaligned: list[AtomicBelief]) -> None:
-        """After broadcasting, credit every collaborator with the shared
-        facts: the owner now believes they know what it just said."""
-        try:
-            facts, _ = parse_message(text)
-        except ParseError:
-            facts = misaligned
-        for collab in self.collaborators:
-            ingest_facts(self.world, facts, collab)
 
 
 def snapshot_hash(world: BeliefWorld) -> str:

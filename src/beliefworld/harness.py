@@ -24,7 +24,6 @@ metrics land under ``<out>/<mode>/<seed>/``.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -35,8 +34,6 @@ from .collab_engine import COOLDOWN, MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, Age
 from .episode_log import EpisodeLog, EpisodeMetrics
 from .reasoner import LLM, SCRIPTED, HttpReasoner, ScriptedReasoner
 from .scenario import CONTAINER, CONTAINER_CAPACITY, TARGET, EntityRegistry, Scenario, load_scenario
-
-log = logging.getLogger(__name__)
 
 MODES = (MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER)
 BACKENDS = (SCRIPTED, LLM)
@@ -128,8 +125,8 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         )
         minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=cfg.mode))
 
-    log_ = EpisodeLog()
-    log_.append(
+    log = EpisodeLog()
+    log.append(
         0,
         None,
         "header",
@@ -169,12 +166,12 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 dormant.pop(mind.name, None)
             payload = dict(payload)
             payload["decision"] = _decision_payload(intent)
-            log_.append(state.frame, mind.name, "decision", payload)
+            log.append(state.frame, mind.name, "decision", payload)
             if intent is None:
                 continue
             intents[mind.name] = intent
             if not isinstance(intent, SendMessage):
-                log_.append(state.frame, mind.name, "action_start", {"action": str(intent)})
+                log.append(state.frame, mind.name, "action_start", {"action": str(intent)})
         if not intents:
             # Everyone idle is asleep: nothing is seen or heard until a completion.
             world_sim.skip_quiet_frames(state)
@@ -185,7 +182,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 continue
             if result.status == "completed":
                 if isinstance(result.action, SendMessage):
-                    log_.append(
+                    log.append(
                         state.frame, mind.name, "message_sent",
                         {
                             "text": result.action.text,
@@ -193,19 +190,19 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                         },
                     )
                 else:
-                    log_.append(
+                    log.append(
                         state.frame, mind.name, "action_done",
                         {"action": str(result.action)},
                     )
                     mind.note_done(result.action)
             elif result.status == "rejected":
-                log_.append(
+                log.append(
                     state.frame, mind.name, "action_rejected",
                     {"action": str(result.action), "detail": result.detail},
                 )
 
     total = len(registry.target_ids())
-    log_.append(
+    log.append(
         state.frame,
         None,
         "done",
@@ -216,15 +213,15 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         },
     )
 
-    result_metrics = episode_log.metrics(log_)
+    result_metrics = episode_log.metrics(log)
     if cfg.out_dir is not None:
         episode_dir = Path(cfg.out_dir) / cfg.mode / str(seed)
         episode_dir.mkdir(parents=True, exist_ok=True)
-        log_.write(episode_dir / "episode.log")
+        log.write(episode_dir / "episode.log")
         (episode_dir / "metrics.json").write_text(
             json.dumps(result_metrics.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-    return log_, result_metrics
+    return log, result_metrics
 
 
 def _decision_payload(intent: SendMessage | PlanStep | None) -> dict:

@@ -5,20 +5,23 @@ visual observation into its zero partition (:func:`update_from_visual`),
 then its inbox into both belief orders (:func:`update_from_messages`).
 Both keep each fact once.  An observation names entities by reference
 alone (the registry knows their kinds).  The inbox update folds one
-tick's inbox as one batch, one pass per belief partition: one
-``update_zero`` request for all of it, then one ``update_first`` request
-per sender, each reply kept once.  A reply's belief lines, read with
-:func:`sbl.belief_lines` like any statement line, are kept only under the
-partition's believer chain (:meth:`BeliefWorld.believers`).  Without a
-usable reply the structured message grammar (:func:`compose_message`,
-:func:`parse_message`) is read directly, and every batch of heard facts
-goes through :func:`ingest_facts`.
+tick's inbox as one batch per belief partition (:func:`inbox_batches`):
+all of it for the zero partition, then each sender's own lines, each
+with the remote model's reply to that partition's update request, if
+any.  A reply's belief lines, read with :func:`sbl.belief_lines` like
+any statement line, are kept only under the partition's believer chain
+(:meth:`BeliefWorld.believers`).  Without a usable reply the structured
+message grammar (:func:`compose_message`, :func:`parse_message`) is read
+directly, and every batch of heard facts goes through
+:func:`ingest_facts`.  The owner's own broadcast is folded by
+:func:`note_sent`.
 
-The inbox update sends its requests through the ``ask`` it is given (the
-owner's ``AgentMind._ask``), so this module asks no reasoner, runs no
-simulator and logs no episode.  The readers of a remote model's plan
-answers (:func:`plan_reply`, :func:`safe_plan`) sit here too, beside the
-reader of a declared plan.
+Every function here is a fold over the evidence it is handed: none takes
+a callable or sends a request.  ``AgentMind`` builds and sends every
+engine prompt, the inbox update's included, so this module asks no
+reasoner, runs no simulator and logs no episode.  The readers of a
+remote model's plan answers (:func:`plan_reply`, :func:`safe_plan`) sit
+here too, beside the reader of a declared plan.
 """
 
 from __future__ import annotations
@@ -295,53 +298,52 @@ def _heard(text: str, registry: EntityRegistry) -> tuple[list[AtomicBelief], Pla
     return [f for f in facts if f.is_ground], _known_plan(plan, registry)
 
 
-def update_from_messages(
-    world: BeliefWorld,
-    inbox: list[tuple[str, str]],
-    ask,
-    registry: EntityRegistry,
-) -> dict[str, Plan]:
-    """Fold one tick's inbox into both belief orders through ``ask``, the
-    owner's ``AgentMind._ask``.
+# One tick's mail per belief partition: None (the zero partition) or a
+# sender, to its ``(sender, text)`` lines.
+Batches = dict[str | None, list[tuple[str, str]]]
 
-    The inbox is one batch, folded in one pass per partition.  The zero
-    partition goes first: a single ``update_zero`` request carries every
-    ``sender: text`` line in arrival order (the owner now knows what it
-    was told).  Then each sender's first-order partition, in order of
-    first arrival: one ``update_first`` request carries that sender's
-    lines alone (the sender plainly knows what it said).  A pass ingests
-    its usable remote reply as one batch.  Without one, the message
+
+def inbox_batches(world: BeliefWorld, inbox: list[tuple[str, str]]) -> Batches:
+    """One tick's registered mail per belief partition: the zero partition
+    (``None``) holds every ``(sender, text)`` line, then each sender, in
+    order of first arrival, holds its own lines, in arrival order.  Mail
+    from an unregistered sender is ignored with a warning; no registered
+    mail gives ``{}``."""
+    batches: Batches = {}
+    for sender, text in inbox:
+        if sender not in world.first:
+            log.warning("message from unregistered sender %r ignored", sender)
+            continue
+        batches.setdefault(None, []).append((sender, text))
+        batches.setdefault(sender, []).append((sender, text))
+    return batches
+
+
+def update_from_messages(
+    world: BeliefWorld, batches: Batches,
+    replies: dict[str | None, prompts.ReasonerResponse | None], registry: EntityRegistry,
+) -> dict[str, Plan]:
+    """Fold one tick's inbox, split by :func:`inbox_batches`, into both
+    belief orders, given the reply to each partition's update request.
+
+    One pass per partition, in batch order: the zero partition first (the
+    owner now knows what it was told), then each sender's first-order
+    partition (the sender plainly knows what it said).  A pass ingests
+    ``replies.get(about)``'s facts as one batch when that reply is usable;
+    a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
     unparseable messages are ignored with a warning, facts with variables
     are dropped, and plans naming unknown entities are not declared.
     Facts that violate the consensus rules are dropped individually.
-    Messages from unregistered senders are ignored with a warning.
 
     Returns the plans the senders declared, keyed in the order of each
     sender's first message declaring one; a sender's later declaration
     replaces its earlier one.
     """
-    mail = []
-    for sender, text in inbox:
-        if sender not in world.first:
-            log.warning("message from unregistered sender %r ignored", sender)
-        else:
-            mail.append((sender, text))
-    if not mail:
-        return {}
-    senders = tuple(dict.fromkeys(sender for sender, _ in mail))
-    rule = "\n".join(world.rule_lines)
     # A message text is parsed only when some reply is not usable.
     heard = functools.cache(lambda text: _heard(text, registry))
-    replies = {}
-    for about in (None, *senders):
-        lines = [(sender, text) for sender, text in mail if about in (None, sender)]
-        template, oppo = (
-            ("update_zero", ", ".join(senders)) if about is None else ("update_first", about)
-        )
-        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-        replies[about] = ask(template, oppo, MESSAGE=message, RULE=rule)
-        facts = _reply_facts(replies[about], world, about)
+    for about, lines in batches.items():
+        facts = _reply_facts(replies.get(about), world, about)
         if facts is not None:
             ingest_facts(world, facts, about)
         else:
@@ -349,8 +351,20 @@ def update_from_messages(
                 ingest_facts(world, heard(text)[0], about)
 
     declared: dict[str, Plan] = {}
-    for sender, text in mail:
-        plan = plan_reply(replies[sender], registry, lambda: heard(text)[1])
+    for sender, text in batches.get(None, ()):
+        plan = plan_reply(replies.get(sender), registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared
+
+
+def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
+    """Fold the owner's own broadcast: every collaborator is credited with
+    the facts the message carries (the owner now believes they know what
+    it just said), or with ``misaligned`` when the text does not parse."""
+    try:
+        facts, _ = parse_message(text)
+    except ParseError:
+        facts = misaligned
+    for collab in world.collaborators:
+        ingest_facts(world, facts, collab)

@@ -12,8 +12,9 @@ every other template; :mod:`beliefworld.collab_engine` then decides that
 step with its own heuristics from the beliefs it holds.
 
 The HTTP backend speaks the OpenAI-compatible chat completions protocol:
-one user message per call, temperature 0.7, top_p 1, max_tokens 512,
-bearer auth from the ``COBEL_API_KEY`` environment variable.  A sample
+one user message per call, temperature 0.7, top_p 1, max_tokens 512, a
+``TIMEOUT_S`` timeout, bearer auth from the ``COBEL_API_KEY``
+environment variable as it is at post time.  A sample
 at that temperature is drawn once per distinct input, not once per
 step: each ``AgentMind`` remembers its last reply per step and
 collaborator and returns it while that slot's inputs stay the same, so
@@ -21,7 +22,7 @@ the reply is a function of the prompt for that long.  A fallback is
 never remembered.  One loop
 asks at most twice: the prompt, then, if the reply misses a section
 label, the prompt plus a repair instruction.  Each ask posts once more
-after a ``backoff_base``-second pause when the post fails (a transport
+after a ``BACKOFF_S``-second pause when the post fails (a transport
 error or a reply without text content); a second failed post ends the
 loop.  After a failed post, later asks post once, without pause or
 retry, until a post returns text, so a dead endpoint costs one post per
@@ -37,7 +38,7 @@ never posts.  So ``POST_ERRORS`` names ``OSError``, which
 ``requests.RequestException`` derives from, and a missing ``requests``
 raises ``ImportError`` on the first post rather than falling back.
 
-The inbox update sends a whole tick's messages in one request (all of
+``AgentMind.hear`` sends a whole tick's messages in one request (all of
 them to ``update_zero``, each sender's to its ``update_first``), so a
 batched reply shares the one ``max_tokens`` budget: after a long inbox
 the belief list can be cut short, and a line cut mid-way does not parse
@@ -65,6 +66,9 @@ TOP_P = 1
 MAX_TOKENS = 512
 
 API_KEY_ENV = "COBEL_API_KEY"
+# Seconds a post may take, and the pause before a failed post's one retry.
+TIMEOUT_S = 30.0
+BACKOFF_S = 0.5
 
 REPAIR_INSTRUCTION = (
     "\n\nYour previous reply did not follow the required format. "
@@ -136,17 +140,10 @@ class HttpReasoner:
 
     base_url: str
     model: str
-    api_key: str | None = None
-    timeout: float = 30.0
-    backoff_base: float = 0.5
     fallback_count: int = field(default=0, init=False)
     _scripted: ScriptedReasoner = field(init=False, default_factory=ScriptedReasoner)
     # True while the last post failed: the endpoint is taken to be down.
     _last_post_failed: bool = field(init=False, default=False)
-
-    def __post_init__(self):
-        if self.api_key is None:
-            self.api_key = os.environ.get(API_KEY_ENV, "")
 
     def _post(self, prompt: str) -> str:
         import requests
@@ -159,8 +156,8 @@ class HttpReasoner:
             "top_p": TOP_P,
             "max_tokens": MAX_TOKENS,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        response = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+        headers = {"Authorization": f"Bearer {os.environ.get(API_KEY_ENV, '')}"}
+        response = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
         if response.status_code != 200:
             log.warning("chat completion returned HTTP %s", response.status_code)
             raise requests.HTTPError(f"HTTP {response.status_code}", response=response)
@@ -179,7 +176,7 @@ class HttpReasoner:
                 raise
             self._last_post_failed = True
             log.warning("chat completion failed (%s); retrying once", exc)
-            time.sleep(self.backoff_base)
+            time.sleep(BACKOFF_S)
             text = self._post(prompt)
         self._last_post_failed = False
         return text

@@ -22,6 +22,7 @@ from beliefworld.collab_engine import AgentMind
 from beliefworld.perceive import (
     CorruptObservation,
     compose_message,
+    inbox_batches,
     parse_message,
     update_from_messages,
     update_from_visual,
@@ -570,13 +571,37 @@ def test_a_full_view_retracts_a_location_believed_under_another_name(food_regist
 
 
 # ---------------------------------------------------------------------------
-# Message updates (through the scripted backend).
+# Message updates (the message grammar alone: no reply to any request).
 # ---------------------------------------------------------------------------
 
 
-def scripted_ask(world, registry):
-    """The ask path of the world owner's mind, over the scripted backend."""
-    return make_mind(registry, world)._ask
+def fold_inbox(world, inbox, registry):
+    """The pure inbox fold with no remote reply, as on the scripted backend."""
+    return update_from_messages(world, inbox_batches(world, inbox), {}, registry)
+
+
+def test_inbox_batches_hold_all_mail_then_each_senders_own(food_registry):
+    world = make_world(food_registry, collaborators=("Bob", "Carol"))
+    inbox = [("Carol", "c1"), ("Bob", "b1"), ("Carol", "c2"), ("Bob", "b2")]
+    batches = inbox_batches(world, inbox)
+    assert list(batches) == [None, "Carol", "Bob"]
+    assert batches[None] == inbox
+    assert batches["Carol"] == [("Carol", "c1"), ("Carol", "c2")]
+    assert batches["Bob"] == [("Bob", "b1"), ("Bob", "b2")]
+
+
+def test_inbox_batches_ignore_an_unregistered_sender_with_a_warning(food_registry, caplog):
+    world = make_world(food_registry)
+    with caplog.at_level("WARNING"):
+        batches = inbox_batches(world, [("Mallory", "m1"), ("Bob", "b1"), ("Mallory", "m2")])
+    assert batches == {None: [("Bob", "b1")], "Bob": [("Bob", "b1")]}
+    assert caplog.text.count("unregistered sender 'Mallory' ignored") == 2
+
+
+def test_inbox_batches_of_no_registered_mail_are_empty(food_registry):
+    world = make_world(food_registry)
+    assert inbox_batches(world, []) == {}
+    assert inbox_batches(world, [("Mallory", "m1")]) == {}
 
 
 def test_update_from_messages_spec_example(food_registry):
@@ -585,8 +610,7 @@ def test_update_from_messages_spec_example(food_registry):
         "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000)"
         " | PLAN: go grasp <apple>(101); transport"
     )
-    ask = scripted_ask(world, food_registry)
-    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
+    declared = fold_inbox(world, [("Bob", text)], food_registry)
     for about in (None, "Bob"):
         assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about=about)
         assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"), about=about)
@@ -596,7 +620,7 @@ def test_update_from_messages_spec_example(food_registry):
 def test_update_from_messages_empty_inbox(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = update_from_messages(world, [], scripted_ask(world, food_registry), food_registry)
+    declared = fold_inbox(world, [], food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -604,8 +628,7 @@ def test_update_from_messages_empty_inbox(food_registry):
 def test_update_from_messages_plan_none(food_registry):
     world = make_world(food_registry)
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
-    ask = scripted_ask(world, food_registry)
-    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
+    declared = fold_inbox(world, [("Bob", text)], food_registry)
     assert declared == {}
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about="Bob")
 
@@ -613,9 +636,7 @@ def test_update_from_messages_plan_none(food_registry):
 def test_update_from_messages_unparseable_ignored(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = update_from_messages(
-        world, [("Bob", "utter gibberish !!")], scripted_ask(world, food_registry), food_registry
-    )
+    declared = fold_inbox(world, [("Bob", "utter gibberish !!")], food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -637,8 +658,7 @@ def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_regis
     world = make_world(food_registry)
     before = world.snapshot()
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: transport; transport; transport; transport"
-    ask = scripted_ask(world, food_registry)
-    declared = update_from_messages(world, [("Bob", text)], ask, food_registry)
+    declared = fold_inbox(world, [("Bob", text)], food_registry)
     assert declared == {}
     assert world.snapshot() == before
 
@@ -703,9 +723,8 @@ def test_batched_scripted_update_matches_the_per_message_loop(food_registry, tex
                 except RuleViolation:  # a third held item
                     pass
         worlds.append(world)
-    asks = [scripted_ask(world, food_registry) for world in worlds]
-    expected = reference_update_from_messages(worlds[0], inbox, asks[0], food_registry)
-    declared = update_from_messages(worlds[1], inbox, asks[1], food_registry)
+    expected = reference_update_from_messages(worlds[0], inbox, food_registry)
+    declared = fold_inbox(worlds[1], inbox, food_registry)
     assert list(declared.items()) == list(expected.items())
     assert worlds[1].snapshot() == worlds[0].snapshot()
     for about in (None, "Bob", "Carol", "Dave"):
@@ -717,7 +736,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
     world.assert_fact(fact("Bob HOLD <apple>(101)"), about="Bob")
     world.assert_fact(fact("Bob HOLD <banana>(102)"), about="Bob")
     text = "FACTS: Bob HOLD <orange>(103) | PLAN: None"
-    update_from_messages(world, [("Bob", text)], scripted_ask(world, food_registry), food_registry)
+    fold_inbox(world, [("Bob", text)], food_registry)
     assert world.holds(fact("Bob HOLD <orange>(103)"), about="Bob")
     # the stale pair was displaced rather than blocking the fresh report
     held = [f for f in world.facts(about="Bob") if f.relation == "HOLD"]

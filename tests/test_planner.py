@@ -1,7 +1,8 @@
 """The pure modules' boundaries.  The planner reads beliefs, plans and
 facts, and depends on nothing that stores beliefs, reasons, simulates or
 logs.  Belief revision (``perceive``) writes beliefs, and depends on
-nothing that asks a reasoner, runs the decision loop or logs an episode."""
+nothing that asks a reasoner, runs the decision loop or logs an episode.
+Neither names a prompt template: ``collab_engine`` builds every prompt."""
 
 import ast
 import os
@@ -11,6 +12,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+
+from beliefworld import prompts
 
 # ``__future__`` is a compiler directive, not a dependency.
 PLANNER_ALLOWED = {
@@ -73,6 +76,18 @@ def test_a_pure_module_imports_only_its_allow_list(module, allowed):
     # Read as text, not imported: an import cycle must fail here, not in setup.
     source = resources.files("beliefworld").joinpath(module).read_text()
     assert imported_modules(source) <= allowed
+
+
+@pytest.mark.parametrize("module", ["planner.py", "perceive.py"])
+def test_a_pure_module_names_no_prompt_template(module):
+    # collab_engine builds every engine prompt; a template id here would
+    # mean a second prompt builder.
+    source = resources.files("beliefworld").joinpath(module).read_text()
+    literals = {
+        node.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert literals & set(prompts.TEMPLATE_IDS) == set()
 
 
 def test_importing_perceive_loads_no_reasoner_loop_or_log():

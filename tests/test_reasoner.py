@@ -8,7 +8,7 @@ the HTTP client runs.
 import pytest
 import requests
 
-from beliefworld import collab_engine, harness, perceive, prompts
+from beliefworld import collab_engine, harness, prompts
 from beliefworld import reasoner as reasoner_mod
 from beliefworld.actions import parse_plan
 from beliefworld.belief_store import BeliefWorld
@@ -72,7 +72,13 @@ class FakeHttpResponse:
 
 
 def http_reasoner() -> HttpReasoner:
-    return HttpReasoner(base_url="http://localhost:9", model="stub", backoff_base=0)
+    return HttpReasoner(base_url="http://localhost:9", model="stub")
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """A failed post is retried without the pause."""
+    monkeypatch.setattr(reasoner_mod, "BACKOFF_S", 0)
 
 
 @pytest.fixture
@@ -184,6 +190,22 @@ def test_http_retry_and_repair(case, monkeypatch):
         assert (resp, client.fallback_count) == (SCRIPTED_REVIEW, 1)
     else:
         assert (resp.raw, client.fallback_count) == (reply, 0)
+
+
+def test_the_bearer_token_is_read_from_the_environment_at_post_time(monkeypatch):
+    headers = []
+
+    def post(*args, **kwargs):
+        headers.append(kwargs["headers"])
+        return FakeHttpResponse(REVIEW_OK)
+
+    monkeypatch.setattr(requests, "post", post)
+    client = http_reasoner()
+    monkeypatch.setenv(reasoner_mod.API_KEY_ENV, "sk-first")
+    client.complete(request("rules_review"))
+    monkeypatch.setenv(reasoner_mod.API_KEY_ENV, "sk-second")
+    client.complete(request("rules_review"))
+    assert headers == [{"Authorization": "Bearer sk-first"}, {"Authorization": "Bearer sk-second"}]
 
 
 def test_every_requests_failure_is_a_post_error():
@@ -351,9 +373,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
 
 
 def site_update(mind):
-    declared = perceive.update_from_messages(
-        mind.world, [("Bob", MESSAGE)], mind._ask, mind.registry
-    )
+    declared = mind.hear([("Bob", MESSAGE)])
     return mind.world.snapshot(), {k: str(v) for k, v in declared.items()}
 
 
@@ -407,10 +427,7 @@ def test_heuristic_message_ingest_drops_facts_with_variables(food_registry):
 
 def test_heuristic_message_ingest_rejects_unknown_plan_entities(food_registry):
     mind = seeded_mind(food_registry, ScriptedReasoner())
-    declared = perceive.update_from_messages(
-        mind.world, [("Bob", "FACTS: | PLAN: go grasp <ghost>(66666)")],
-        mind._ask, food_registry,
-    )
+    declared = mind.hear([("Bob", "FACTS: | PLAN: go grasp <ghost>(66666)")])
     assert declared == {}
 
 
@@ -517,8 +534,7 @@ BATCH_REPLIES = {
 def batch_update(registry, replies):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
     remote = RecordingRemote(replies)
-    ask = AgentMind(world=world, registry=registry, reasoner=remote)._ask
-    declared = perceive.update_from_messages(world, BATCH_INBOX, ask, registry)
+    declared = AgentMind(world=world, registry=registry, reasoner=remote).hear(BATCH_INBOX)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
 

@@ -7,13 +7,13 @@ that text from the sorted facts, the slot-read oracles scan every fact
 instead of looking up one slot, and the planner oracle is a separate
 translation of the documented priority rules using networkx for
 distances.  The one exception is the message-update reference, which is
-the engine's former per-message inbox loop kept as it was: the batched
-update must leave the same beliefs and declare the same plans.
+the engine's former per-message inbox loop with no remote reply, over
+the library's own message reader: the batched fold must leave the same
+beliefs and declare the same plans.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
@@ -313,28 +313,21 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
 
 
 # ---------------------------------------------------------------------------
-# Reference inbox update: two reasoner requests per received message.
+# Reference inbox update: one message at a time.
 # ---------------------------------------------------------------------------
 
 
-def reference_update_from_messages(world, inbox, ask, registry):
-    """The inbox update one message at a time, in arrival order: an
-    ``update_zero`` and an ``update_first`` request per message, sent
-    through ``ask`` (an ``AgentMind._ask``), each reply (or else the
-    parsed message) ingested on its own."""
+def reference_update_from_messages(world, inbox, registry):
+    """The inbox update with no remote reply, one message at a time, in
+    arrival order: each registered message's parsed facts ingested on
+    their own into the zero partition, then into the sender's."""
     declared = {}
     for sender, text in inbox:
         if sender not in world.first:
             continue
-        vars = {"MESSAGE": f"{sender}: {text}", "RULE": "\n".join(world.rule_lines)}
-        zero_resp = ask("update_zero", sender, **vars)
-        first_resp = ask("update_first", sender, **vars)
-        heard = functools.cache(lambda text=text: perceive._heard(text, registry))
-        zero = perceive._reply_facts(zero_resp, world, None)
-        first = perceive._reply_facts(first_resp, world, sender)
-        perceive.ingest_facts(world, heard()[0] if zero is None else zero, None)
-        perceive.ingest_facts(world, heard()[0] if first is None else first, sender)
-        plan = perceive.plan_reply(first_resp, registry, lambda: heard()[1])
+        facts, plan = perceive._heard(text, registry)
+        perceive.ingest_facts(world, facts, None)
+        perceive.ingest_facts(world, facts, sender)
         if plan is not None:
             declared[sender] = plan
     return declared
