@@ -22,28 +22,39 @@ with a reply or with None.  The steps of the loop (hear the inbox,
 predict self, predict a collaborator, replan, next action, compose,
 judge) are methods of :class:`AgentMind`, which reads its beliefs,
 registry and backend from itself.
-All of them send their request through one path,
-``AgentMind._ask``, which sets the ``AGENT_NAME``/``OPPO_NAME`` header;
-each other prompt input is written in one place too: :func:`belief_text`
-for belief lines, :func:`actions.plan_text` for a plan,
-``EntityRegistry.goal`` for the goal and ``actions.ACTION_LIST`` for the
-step grammar.  Each mind sends a request
-once per distinct input, the inbox update included: per slot, a template
-and a collaborator, it keeps the last vars it sent and the outcome, and
-an unchanged input gets that outcome back without a call.  A call that
-fell back is not remembered, so the same input goes to the remote model
-again.  A collaborator's ``predict_first`` request is sent only where
-its answer can change the tick's intent: outside ``never`` mode, off
-cooldown, with a plan, and until one report on the tick is heavy;
-elsewhere the candidates are mechanical: :func:`plan_options` on the
-first-order view, a declared plan first.  The ``adaptive`` ("is this
-miscoordination heavy?") verdict is asked under the same condition, in
-adaptive mode only; elsewhere the mechanical report stands, and the log
-shows its ``heavy``.  A plan adopted on the tick (the agent had none, its
-plan went stale, or its subplan was done) takes its first pending step
-from :func:`planner.next_step` without a ``plan_next`` request, which
-would read the zero-order beliefs the plan was just chosen from; a plan
-carried over from an earlier tick is stepped through ``plan_next``.
+All of them send their request through one path, ``AgentMind._ask``,
+which fills exactly the vars its template names.  A step passes only
+its own inputs: the inbox lines, the plan to steer clear of, the
+candidate plans, the steps taken so far or the misaligned facts.  Every
+other input is standard and is built by the one table
+:data:`STANDARD_VARS` from the mind and the collaborator: the two
+names, the goal (``EntityRegistry.goal``), either belief order
+(:func:`belief_text`), the agent's plan (:func:`actions.plan_text`), the
+agreed rule lines and the step grammar (``actions.ACTION_LIST``).  Each
+mind sends a request once per distinct input, the inbox update
+included: per slot, a template and a collaborator, it keeps the last
+vars it sent and the outcome, and an unchanged input gets that outcome
+back without a call.  A call that fell back is not remembered, so the
+same input goes to the remote model again.
+
+The ask rule: a step is sent only where its answer can change the
+tick's intent.  A collaborator is asked about outside ``never`` mode,
+off cooldown, with a plan, and until one report on the tick is heavy.  In ``never`` mode no
+message goes out whatever the answers say; on a cooldown tick neither;
+after a heavy report the message, its addressee and the replan's
+``avoid`` are settled, and every report's misaligned facts, which no
+candidate changes, are shared regardless.  Under that condition the
+collaborator's ``predict_first`` request is sent, and in adaptive mode
+its ``adaptive`` ("is this miscoordination heavy?") verdict too.
+Elsewhere the candidates are mechanical, :func:`plan_options` on the
+first-order view with a declared plan first, and the report logs the
+mechanical ``heavy``, on the HTTP path too.  A plan adopted on the tick
+(the agent had none, its plan went stale, or its subplan was done)
+takes its first pending step from :func:`planner.next_step` without a
+``plan_next`` request, which would read the zero-order beliefs the plan
+was just chosen from; a plan carried over from an earlier tick is
+stepped through ``plan_next``.
+
 This module alone decides: a remote model's answer is taken when one
 arrives and parses, and whenever no reply arrives the step asks the
 planner (or reads the message grammar), straight off the
@@ -106,6 +117,22 @@ def belief_text(world: BeliefWorld, about: str | None = None) -> str:
     prefix = " BELIEVE ".join(world.believers(about)) + " BELIEVE "
     lines = world.lines(about)
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
+
+
+# The standard prompt inputs: a var name -> its value for a mind asking
+# about collaborator ``oppo``.  A request builds only the ones its
+# template names.
+STANDARD_VARS = {
+    "AGENT_NAME": lambda mind, oppo: mind.name,
+    "OPPO_NAME": lambda mind, oppo: oppo,
+    "GOAL": lambda mind, oppo: mind.registry.goal,
+    "ZERO_ORDER_BELIEF": lambda mind, oppo: belief_text(mind.world),
+    "FIRST_ORDER_BELIEF": lambda mind, oppo: belief_text(mind.world, oppo),
+    "MY_FIRST_ORDER_BELIEF": lambda mind, oppo: belief_text(mind.world, oppo),
+    "MY_PLAN": lambda mind, oppo: plan_text(mind.plan),
+    "RULE": lambda mind, oppo: "\n".join(mind.world.rule_lines),
+    "ACTION_LIST": lambda mind, oppo: ACTION_LIST,
+}
 
 
 def plans_text(plans: list[Plan]) -> str:
@@ -175,24 +202,9 @@ class AgentMind:
         the plan.  Act: when the mode calls for a message and the cooldown
         allows one, broadcast it (in adaptive mode after replanning around
         the collaborator that made the tick heavy), else take the next
-        plan step.
-
-        A collaborator is asked about only where the answer can change
-        the intent: outside ``never`` mode, when the cooldown allows a
-        message, and until one report on the tick is heavy.  Under that
-        condition its ``predict_first`` request is sent, and in adaptive
-        mode its ``adaptive`` verdict too.  In ``never`` mode no message
-        goes out whatever they say; on a cooldown tick neither; after a
-        heavy report the message, its addressee and the replan's
-        ``avoid`` are settled, and every report's misaligned facts, which
-        no candidate changes, are shared regardless.  In ``always`` mode
-        the addressee is the first mechanically heavy collaborator, else
-        :attr:`default_oppo`.  A collaborator not asked about gets the
-        mechanical candidates (:func:`plan_options` on its first-order
-        view) and a report whose verdict was not asked logs the
-        mechanical ``heavy``, on the HTTP path too.  Likewise only a plan
-        carried over from an earlier tick sends ``plan_next``; a plan
-        adopted on this tick takes the planner's first pending step.
+        plan step.  Which of these steps are asked follows the module's
+        ask rule.  In ``always`` mode the addressee is the first
+        mechanically heavy collaborator, else :attr:`default_oppo`.
 
         The intent goes to the simulator as it is: a :class:`SendMessage`
         to broadcast, or the next plan step to execute.  None means the
@@ -245,13 +257,7 @@ class AgentMind:
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
         """Adopt a plan when there is none, then resolve the next step,
         replanning through staleness and completed subplans; None when
-        the goal side is exhausted.
-
-        Only the plan carried over from an earlier tick asks for its next
-        step (``plan_next``).  A plan adopted here, by ``predict_self`` or
-        ``replan``, was chosen from the same zero-order beliefs a moment
-        ago, so its first pending step is :func:`planner.next_step`'s.
-        """
+        the goal side is exhausted."""
         carried = self.plan is not None
         if not carried:
             self.adopt(self.predict_self())
@@ -273,7 +279,15 @@ class AgentMind:
 
     # -- reasoning steps: one reasoner call per distinct input ----------
 
-    def _ask(self, template_id: str, oppo: str, **vars: str) -> prompts.ReasonerResponse | None:
+    def _vars(self, template_id: str, oppo: str, own_vars: dict[str, str]) -> dict[str, str]:
+        """The vars ``template_id`` names, in its order: the step's own
+        value where it passed one, else the standard one (:data:`STANDARD_VARS`)."""
+        return {
+            var: own_vars[var] if var in own_vars else STANDARD_VARS[var](self, oppo)
+            for var in prompts.template(template_id).required_vars
+        }
+
+    def _ask(self, template_id: str, oppo: str, **own_vars: str) -> prompts.ReasonerResponse | None:
         """Send one reasoning step about teammate ``oppo``, once per
         distinct input per slot; the reply, or None: the engine decides.
 
@@ -282,7 +296,7 @@ class AgentMind:
         nothing is sent.  A call that fell back (``fallback_count`` rose)
         leaves its slot as it was, so the same input is asked again.
         """
-        vars = {"AGENT_NAME": self.name, "OPPO_NAME": oppo, **vars}
+        vars = self._vars(template_id, oppo, own_vars)
         slot = (template_id, oppo)
         sent, reply = self._last_reply.get(slot, (None, None))
         if sent == vars:
@@ -306,20 +320,16 @@ class AgentMind:
         """
         batches = inbox_batches(self.world, inbox)
         senders = ", ".join(about for about in batches if about is not None)
-        rule = "\n".join(self.world.rule_lines)
         replies = {}
         for about, lines in batches.items():
             template, oppo = ("update_zero", senders) if about is None else ("update_first", about)
             message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-            replies[about] = self._ask(template, oppo, MESSAGE=message, RULE=rule)
+            replies[about] = self._ask(template, oppo, MESSAGE=message)
         return update_from_messages(self.world, batches, replies, self.registry)
 
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""
-        resp = self._ask(
-            "predict_zero", self.default_oppo,
-            GOAL=self.registry.goal, ZERO_ORDER_BELIEF=belief_text(self.world),
-        )
+        resp = self._ask("predict_zero", self.default_oppo)
         return plan_reply(resp, self.registry, lambda: best_plan(self.view()))
 
     def predict_collaborator(
@@ -333,10 +343,7 @@ class AgentMind:
         slot stays as it was: the candidates are :func:`plan_options` on
         the first-order view.
         """
-        resp = self._ask(
-            "predict_first", collab,
-            GOAL=self.registry.goal, FIRST_ORDER_BELIEF=belief_text(self.world, collab),
-        ) if ask else None
+        resp = self._ask("predict_first", collab) if ask else None
         plans = []
         if resp is not None:
             for i in range(PREDICTED_PLANS):
@@ -351,12 +358,7 @@ class AgentMind:
     def replan(self, avoid: Plan | None, oppo: str) -> Plan | None:
         """Like predict_self, but steering clear of ``avoid``, the plan
         projected for collaborator ``oppo``."""
-        resp = self._ask(
-            "replan", oppo,
-            GOAL=self.registry.goal,
-            OPPO_PLAN=plan_text(avoid),
-            ZERO_ORDER_BELIEF=belief_text(self.world),
-        )
+        resp = self._ask("replan", oppo, OPPO_PLAN=plan_text(avoid))
         return plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
 
     def next_action(self, ask: bool = True) -> PlanStep | str:
@@ -365,23 +367,15 @@ class AgentMind:
         The mechanical completion/staleness check runs first (raising
         :class:`StalePlan` deterministically); when ``ask`` is set, a remote
         model may then pick a different legal next step.  Without ``ask`` no
-        ``plan_next`` request is sent and its memo slot stays as it was:
-        :meth:`_advance` unsets it for a plan adopted on this tick, whose
-        first pending step is :func:`planner.next_step`'s.
+        ``plan_next`` request is sent and its memo slot stays as it was.
         """
         assert self.plan is not None
         history = self.plan_history
         mechanical = next_step(self.view(), self.plan, history)
         if not ask:
             return mechanical
-        resp = self._ask(
-            "plan_next", self.default_oppo,
-            GOAL=self.registry.goal,
-            MY_PLAN=plan_text(self.plan),
-            PREVIOUS_ACTIONS="; ".join(str(s) for s in history) if history else "None",
-            ZERO_ORDER_BELIEF=belief_text(self.world),
-            ACTION_LIST=ACTION_LIST,
-        )
+        previous = "; ".join(str(s) for s in history) if history else "None"
+        resp = self._ask("plan_next", self.default_oppo, PREVIOUS_ACTIONS=previous)
         if resp is not None:
             answer = resp.section("answer").strip()
             if answer.upper().startswith("SUBPLAN DONE"):
@@ -394,11 +388,8 @@ class AgentMind:
     def compose(self, misaligned: list[AtomicBelief], oppo: str) -> str:
         """Draft the outgoing message through the reasoner, addressed to
         ``oppo``, the collaborator that prompted it; always <= 500 chars."""
-        resp = self._ask(
-            "communicate", oppo,
-            MISALIGNED_INFORMATION="\n".join(str(f) for f in misaligned) or "None",
-            MY_PLAN=plan_text(self.plan),
-        )
+        facts = "\n".join(str(f) for f in misaligned) or "None"
+        resp = self._ask("communicate", oppo, MISALIGNED_INFORMATION=facts)
         text = resp.section("Message").strip() if resp is not None else ""
         if not text:
             text = compose_message(misaligned, self.plan, self.registry)
@@ -409,22 +400,15 @@ class AgentMind:
         a remote model's answer whose first word is yes or no
         (:func:`prompts.yes_no`) overturns the heaviness verdict.
 
-        :meth:`decide` sets ``ask`` only where the verdict can change the
-        tick's intent; otherwise the mechanical report is returned, no
-        ``adaptive`` request is sent and its memo slot stays as it was.
+        Without ``ask`` the mechanical report is returned, no ``adaptive``
+        request is sent and its memo slot stays as it was.
         """
         report = detect_miscoordination(
             self.plan, candidates, self.world.misalignment(collab), collab, self.registry
         )
         if not ask:
             return report
-        resp = self._ask(
-            "adaptive", collab,
-            ZERO_ORDER_BELIEF=belief_text(self.world),
-            MY_FIRST_ORDER_BELIEF=belief_text(self.world, collab),
-            MY_PLAN=plan_text(self.plan),
-            OPPO_PLANS=plans_text(candidates),
-        )
+        resp = self._ask("adaptive", collab, OPPO_PLANS=plans_text(candidates))
         heavy = prompts.yes_no(resp.section("answer")) if resp is not None else None
         if heavy is not None:
             report = replace(report, heavy=heavy)

@@ -9,6 +9,11 @@ contain; :func:`parse_sections` recovers those labeled sections from a
 completion, tolerating case and spacing but not missing or reordered labels,
 and :func:`yes_no` reads the verdict a section gives.
 
+A template's inputs are its placeholders, in order of first appearance
+(:attr:`PromptTemplate.required_vars`), and :data:`TEMPLATE_IDS` is the
+catalog's order, so the catalog file is the one declaration of each
+prompt's id and inputs.
+
 The catalog ships as a checksummed JSON data file; the loader refuses a
 catalog whose per-template or overall digests do not match, so silent
 edits of the template texts cannot go unnoticed.
@@ -21,20 +26,6 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-
-TEMPLATE_IDS = (
-    "rules_propose",
-    "rules_refine",
-    "rules_review",
-    "update_first",
-    "update_zero",
-    "predict_first",
-    "predict_zero",
-    "adaptive",
-    "communicate",
-    "plan_next",
-    "replan",
-)
 
 _PLACEHOLDER_RE = re.compile(r"\$([A-Z][A-Z_]*)\$")
 
@@ -55,16 +46,11 @@ class ParseFailure(ValueError):
 class PromptTemplate:
     id: str
     text: str
+    # The text's placeholders, in order of first appearance.
     required_vars: tuple[str, ...]
     output_labels: tuple[str, ...]
 
     def __post_init__(self):
-        placeholders = set(_PLACEHOLDER_RE.findall(self.text))
-        missing = placeholders - set(self.required_vars)
-        if missing:
-            raise TemplateError(
-                f"template {self.id}: placeholders not declared: {sorted(missing)}"
-            )
         if not self.output_labels:
             raise TemplateError(f"template {self.id}: no output labels")
 
@@ -98,17 +84,17 @@ def _load_catalog(raw: str | None = None) -> dict[str, PromptTemplate]:
         catalog[entry["id"]] = PromptTemplate(
             id=entry["id"],
             text=entry["text"],
-            required_vars=tuple(entry["required_vars"]),
+            required_vars=tuple(dict.fromkeys(_PLACEHOLDER_RE.findall(entry["text"]))),
             output_labels=tuple(entry["output_labels"]),
         )
     if overall.hexdigest() != data["sha256"]:
         raise TemplateError("prompt catalog: overall checksum mismatch")
-    if set(catalog) != set(TEMPLATE_IDS):
-        raise TemplateError("prompt catalog: unexpected template set")
     return catalog
 
 
 _CATALOG = _load_catalog()
+# The catalog's order; the bench prints its per-template rows in it.
+TEMPLATE_IDS = tuple(_CATALOG)
 
 
 def template(template_id: str) -> PromptTemplate:

@@ -335,11 +335,17 @@ def bundled_scenario_names() -> list[str]:
 
 
 def load_scenario(spec: str | Path) -> Scenario:
-    """Load a scenario from a path, or by bundled name (e.g. food_small)."""
+    """Load a scenario from a file path, or by bundled name (e.g. food_small).
+
+    A bundled name wins over a directory of the same name, such as one an
+    earlier ``--out food_small`` left in the working directory.
+    """
     source = Path(spec)
-    if not source.exists():
-        source = resources.files("beliefworld").joinpath(f"scenarios/{spec}.json")
-        if not source.is_file():
+    if not source.is_file():
+        bundled = resources.files("beliefworld").joinpath(f"scenarios/{spec}.json")
+        if bundled.is_file():
+            source = bundled
+        elif not source.exists():
             raise ScenarioError(f"scenario not found: {spec}")
     try:
         data = json.loads(source.read_text())

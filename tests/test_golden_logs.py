@@ -21,6 +21,7 @@ import pytest
 
 from beliefworld import harness
 from beliefworld.collab_engine import AgentMind
+from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
 
 GOLDEN = {
@@ -43,11 +44,14 @@ GOLDEN_REQUESTS = {
 
 def recorded_run(scenario, agents, mode, monkeypatch):
     """Run seed 1 through the harness; the episode log and the
-    ``[template_id, vars]`` of every request, in call order."""
+    ``[template_id, vars]`` of every request, in call order.  Every
+    request, the rule dialogue's included, carries exactly the vars its
+    template names."""
     calls = []
     complete = ScriptedReasoner.complete
 
     def recording(reasoner, request):
+        assert set(request.vars) == set(template(request.template_id).required_vars), request
         calls.append([request.template_id, request.vars])
         return complete(reasoner, request)
 

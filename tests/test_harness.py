@@ -127,8 +127,8 @@ def test_the_reply_memo_leaves_the_log_unchanged(scenario, agents, mode, monkeyp
     cfg = harness.RunConfig(scenario=scenario, seeds=(2,), agents=agents, mode=mode)
     memoised, _ = harness.run_episode(cfg, 2)
 
-    def unmemoised(mind, template_id, oppo, **vars):
-        vars = {"AGENT_NAME": mind.name, "OPPO_NAME": oppo, **vars}
+    def unmemoised(mind, template_id, oppo, **own_vars):
+        vars = mind._vars(template_id, oppo, own_vars)
         return mind.reasoner.complete(ReasonerRequest(template_id, vars))
 
     monkeypatch.setattr(AgentMind, "_ask", unmemoised)

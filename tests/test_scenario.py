@@ -55,6 +55,15 @@ def test_unknown_scenario_name_raises():
         load_scenario("nope")
 
 
+def test_a_directory_named_like_a_bundled_scenario_does_not_shadow_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "food_small").mkdir()  # as an earlier ``--out food_small`` leaves
+    assert load_scenario("food_small") == scenario_from_dict(food_small_data())
+    (tmp_path / "nope").mkdir()
+    with pytest.raises(ScenarioError, match="cannot read scenario nope"):
+        load_scenario("nope")
+
+
 def test_distance_is_zero_in_place_and_symmetric():
     registry = EntityRegistry(load_scenario("food_small"))
     rooms = sorted(registry.rooms_by_id)
