@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .sbl import ObjectRef, ParseError, _OBJECT_RE
+from .sbl import ObjectRef, ParseError, object_ref
 
 MAX_MESSAGE_CHARS = 500
 MAX_PLAN_STEPS = 3
@@ -105,13 +105,6 @@ class Plan:
         return "; ".join(str(s) for s in self.steps)
 
 
-def _parse_ref(token: str) -> ObjectRef:
-    m = _OBJECT_RE.fullmatch(token)
-    if not m:
-        raise ParseError(f"expected <name>(id), got {token!r}", 0)
-    return ObjectRef(m.group(1), int(m.group(2)))
-
-
 def parse_step(text: str) -> PlanStep:
     """Parse one verb-grammar step: a verb of :data:`STEP_TYPES` followed
     by exactly as many ``<name>(id)`` entities as its class has fields;
@@ -120,7 +113,7 @@ def parse_step(text: str) -> PlanStep:
     for cls in STEP_TYPES:
         verb = cls.verb.split()
         if tokens[: len(verb)] == verb and len(tokens) == len(verb) + len(fields(cls)):
-            return cls(*map(_parse_ref, tokens[len(verb):]))
+            return cls(*map(object_ref, tokens[len(verb):]))
     raise ParseError(f"unrecognized plan step {text.strip()!r}", 0)
 
 

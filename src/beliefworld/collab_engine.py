@@ -90,7 +90,7 @@ from .planner import (
     plan_options,
 )
 from .scenario import EntityRegistry
-from .sbl import AtomicBelief
+from .sbl import AtomicBelief, believer_chain
 # Unused here, but bench/smoke.py checks that ``collab_engine.parse`` is
 # the original ``sbl.parse`` after a traced run, so the name must stay bound.
 from .sbl import parse  # noqa: F401
@@ -114,7 +114,7 @@ PREDICTED_PLANS = 3
 def belief_text(world: BeliefWorld, about: str | None = None) -> str:
     """The zero partition, or the one about ``about``, one ``Owner BELIEVE
     [About BELIEVE] fact`` line per fact; "None" when it is empty."""
-    prefix = " BELIEVE ".join(world.believers(about)) + " BELIEVE "
+    prefix = believer_chain(world.believers(about))
     lines = world.lines(about)
     return prefix + ("\n" + prefix).join(lines) if lines else "None"
 

@@ -8,6 +8,8 @@ reviewer is satisfied or the round budget, :data:`MAX_ROUNDS`, runs out.
 The dialogue passes text: a proposal is the text the reviewer reads, its
 reasoning and its rule lines as written (read with
 :func:`sbl.belief_lines`), and a review is a verdict and its suggestions.
+A None reply reads as a reply with no sections: a None proposal is an
+empty one, which the reviewer judges, and a None review has no verdict.
 A review without a yes/no verdict is asked for once more
 (:func:`_review`) before the dialogue fails; a :class:`ConsensusFailure`
 carries the last review's suggestions.
@@ -103,7 +105,7 @@ def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
             rules.append(sbl.parse(line))
         except sbl.ParseError as exc:
             problems.append(f"unparseable rule '{line}' ({exc})")
-    problems += [f"'{r}' is ground, not a rule" for r in rules if not r.is_rule]
+    problems += [f"'{r}' is ground, not a rule" for r in rules if r.is_ground]
     problems += [
         f"duplicate rule '{r}'; deletion advised" for r, n in Counter(rules).items() if n > 1
     ]
@@ -130,9 +132,11 @@ def _proposal(sections: dict[str, str]) -> str:
 
 def _review(reviewer, vars: dict[str, str]) -> tuple[bool, str]:
     """The reviewer's verdict and suggestions, asked for once more when a
-    reply has no verdict; a rejection always names some suggestion."""
+    reply has no verdict (a None reply has none); a rejection always names
+    some suggestion."""
     for attempt in (1, 2):
-        sections = reviewer.complete(ReasonerRequest("rules_review", vars)).sections
+        reply = reviewer.complete(ReasonerRequest("rules_review", vars))
+        sections = reply.sections if reply else {}
         satisfied = yes_no(sections.get("Satisfied", ""))
         if satisfied is not None:
             suggestions = sections.get("Suggestions", "")
@@ -155,7 +159,8 @@ def consensus_loop(proposer, reviewer, task_description: str) -> tuple[str, int]
     task = {"BELIEF_LANGUAGE": BELIEF_LANGUAGE_TEXT, "TASK_DESCRIPTION": task_description}
     request = ReasonerRequest("rules_propose", task)
     for round_number in range(1, MAX_ROUNDS + 1):
-        proposal = _proposal(proposer.complete(request).sections)
+        reply = proposer.complete(request)
+        proposal = _proposal(reply.sections if reply else {})
         satisfied, suggestions = _review(reviewer, task | {"ALICE_CONTENT": proposal})
         if satisfied:
             return proposal, round_number

@@ -9,7 +9,8 @@ A statement names one or two believers (agents or ``?variables``), then an
 atomic body ``subject RELATION object``.  One believer makes an order-0
 statement, two make an order-1 statement; deeper BELIEVE nesting is a parse
 error by design.  Any statement containing a variable is a rule; fully
-ground statements are plain belief expressions.
+ground statements are plain belief expressions.  ``is_ground`` is the one
+test of which is which.
 
 Entities come in three sorts: bare capitalized identifiers are agent names,
 ``<name>(id)`` tokens refer to concrete objects and rooms, and bare
@@ -21,7 +22,11 @@ of the right-hand token rather than a closed symbol table.
 :func:`belief_lines` is the one reader of statement lines in a reply's
 text, rule proposals and belief updates alike: it cleans each line
 (bullets, the prompts' spaced ``<name> (id)`` form) and keeps those that
-hold a BELIEVE operator, for :func:`parse` to read.
+hold a BELIEVE operator, for :func:`parse` to read.  Each rule of the
+written form has one home too: :func:`believer_chain` writes the
+``A BELIEVE [B BELIEVE] `` prefix, for ``str`` of a statement and for
+belief text built from stored facts alike, and :func:`object_ref` is the
+one reader of a ``<name>(id)`` token, for statements and plan steps.
 """
 
 from __future__ import annotations
@@ -100,16 +105,9 @@ class AtomicBelief:
     def __str__(self) -> str:
         return f"{self.subject} {self.relation} {self.object}"
 
-    def variables(self) -> set[str]:
-        out = set()
-        for term in (self.subject, self.object):
-            if isinstance(term, Variable):
-                out.add(term.name)
-        return out
-
     @property
     def is_ground(self) -> bool:
-        return not self.variables()
+        return not (isinstance(self.subject, Variable) or isinstance(self.object, Variable))
 
 
 @dataclass(frozen=True)
@@ -134,30 +132,34 @@ class BeliefExpr:
     def order(self) -> int:
         return len(self.believers) - 1
 
-    def variables(self) -> set[str]:
-        out = {b.name for b in self.believers if isinstance(b, Variable)}
-        return out | self.body.variables()
-
-    @property
-    def is_rule(self) -> bool:
-        return bool(self.variables())
-
     @property
     def is_ground(self) -> bool:
-        return not self.is_rule
+        return self.body.is_ground and not any(isinstance(b, Variable) for b in self.believers)
 
     def __str__(self) -> str:
-        return serialize(self)
+        return believer_chain(self.believers) + str(self.body)
 
 
 # A binding maps variable names to ground terms.
 Binding = dict[str, Term]
 
 
+def believer_chain(believers: tuple[EntityRef | str, ...]) -> str:
+    """The text before a statement's body: ``A BELIEVE [B BELIEVE] ``."""
+    return "".join(f"{b} {BELIEVE} " for b in believers)
+
+
+def object_ref(token: str, position: int = 0) -> ObjectRef:
+    """Read one ``<name>(id)`` token; ``position`` is reported on error."""
+    m = _OBJECT_RE.fullmatch(token)
+    if not m:
+        raise ParseError(f"expected <name>(id), got {token!r}", position)
+    return ObjectRef(m.group(1), int(m.group(2)))
+
+
 def _classify_token(token: str, position: int) -> Term:
-    m = _OBJECT_RE.match(token)
-    if m:
-        return ObjectRef(m.group(1), int(m.group(2)))
+    if _OBJECT_RE.match(token):
+        return object_ref(token, position)
     if _VARIABLE_RE.match(token):
         return Variable(token[1:])
     if token.startswith(("<", "?")) or any(c in token for c in "<>()"):
@@ -228,19 +230,10 @@ def parse(text: str) -> BeliefExpr:
             tokens[believe_idx[2]][1],
         )
 
-    if believe_idx == [1]:
-        believers = (_believer(tokens[0][0], tokens[0][1]),)
-        rest = tokens[2:]
-    elif believe_idx == [1, 3]:
-        believers = (
-            _believer(tokens[0][0], tokens[0][1]),
-            _believer(tokens[2][0], tokens[2][1]),
-        )
-        rest = tokens[4:]
-    else:
-        bad = tokens[believe_idx[0]]
-        raise ParseError("misplaced BELIEVE operator", bad[1])
-
+    if believe_idx != [1, 3][: len(believe_idx)]:
+        raise ParseError("misplaced BELIEVE operator", tokens[believe_idx[0]][1])
+    believers = tuple(_believer(*tokens[i - 1]) for i in believe_idx)
+    rest = tokens[2 * len(believe_idx):]
     if len(rest) < 3:
         raise ParseError("incomplete belief body", tokens[-1][1])
     if len(rest) > 3:
@@ -255,17 +248,6 @@ def belief_lines(text: str) -> list[str]:
     cleaner of reply lines; :func:`parse` then reads each line."""
     lines = (line.strip().lstrip("-*").strip() for line in text.splitlines())
     return [_SPACED_REF_RE.sub(r"\1", line) for line in lines if BELIEVE in line.split()]
-
-
-def serialize(expr: BeliefExpr) -> str:
-    """Canonical text: single spaces, ``<name>(id)`` object references."""
-    parts = []
-    for b in expr.believers:
-        parts.extend((str(b), BELIEVE))
-    parts.append(str(expr.body.subject))
-    parts.append(expr.body.relation)
-    parts.append(str(expr.body.object))
-    return " ".join(parts)
 
 
 def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:

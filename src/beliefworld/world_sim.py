@@ -3,12 +3,13 @@
 The world advances one frame per :func:`apply` call.  An idle agent
 submits an intent to start an action, and a busy agent goes on without
 one; actions occupy a fixed number of frames and mutate state atomically
-on their final frame.  A frame without intents or completions therefore
-changes nothing an agent can observe, and :func:`skip_quiet_frames` jumps
-over such frames up to the next completion or the frame budget.  All
-randomness comes from per-agent streams derived from the episode seed, so
-a (scenario, seed, intent sequence) triple replays to a bit-identical
-trajectory.
+on their final frame.  ``WorldState.frame`` is the one clock: a busy
+agent holds the frame its action completes on, not a count of frames
+left.  A frame without intents or completions therefore changes nothing
+but the clock, and :func:`skip_quiet_frames` moves it over such frames up
+to the next completion or the frame budget.  All randomness comes from
+per-agent streams derived from the episode seed, so a (scenario, seed,
+intent sequence) triple replays to a bit-identical trajectory.
 
 :func:`_start` is the one rule for whether an action may start and how
 many frames it takes: :func:`apply` asks it, and :func:`legal_intents`
@@ -88,7 +89,7 @@ class InvariantViolation(RuntimeError):
 class AgentState:
     name: str
     room_id: int
-    busy: tuple[AtomicAction, int] | None = None  # (action, frames remaining)
+    busy: tuple[AtomicAction, int] | None = None  # (action, the frame it completes on)
     inbox: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -285,15 +286,13 @@ def apply(state: WorldState, intents: dict[str, AtomicAction]) -> dict[str, Acti
         if err:
             results[agent.name] = ActionResult("rejected", intent, err)
         else:
-            agent.busy = (intent, cost)
+            agent.busy = (intent, state.frame + cost - 1)
 
     for agent in state.agents:
         if agent.busy is None:
             continue
-        action, remaining = agent.busy
-        remaining -= 1
-        if remaining > 0:
-            agent.busy = (action, remaining)
+        action, done = agent.busy
+        if state.frame < done:
             results.setdefault(agent.name, ActionResult("in_progress", action))
         else:
             agent.busy = None
@@ -306,21 +305,16 @@ def apply(state: WorldState, intents: dict[str, AtomicAction]) -> dict[str, Acti
 def skip_quiet_frames(state: WorldState) -> None:
     """Jump over frames in which nothing can happen, when no one acts.
 
-    Moves ``state.frame`` forward and counts every busy agent's action
-    down by the same amount, up to one frame before the earliest
-    completion or the frame budget, so the next :func:`apply` runs the
-    frame that changes something (or times out).  Only valid when no
-    intents are submitted: a frame with neither intents nor completions
-    changes nothing but the frame and the countdowns.
+    Moves ``state.frame`` forward, and nothing else, up to one frame
+    before the earliest completion or the frame budget, so the next
+    :func:`apply` runs the frame that changes something (or times out).
+    A busy agent holds the frame its action completes on, so no agent
+    changes.  Only valid when no intents are submitted: a frame with
+    neither intents nor completions changes nothing but the frame.
     """
     budget = state.registry.scenario.frame_budget
-    busy = [a for a in state.agents if a.busy is not None]
-    skip = min([budget - state.frame, *(a.busy[1] for a in busy)]) - 1
-    if skip > 0:
-        state.frame += skip
-        for agent in busy:
-            action, remaining = agent.busy
-            agent.busy = (action, remaining - skip)
+    done = [a.busy[1] for a in state.agents if a.busy is not None]
+    state.frame = max(state.frame, min([budget, *done]) - 1)
 
 
 def observe(state: WorldState, agent_name: str) -> VisualObservation:

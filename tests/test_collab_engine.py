@@ -374,6 +374,11 @@ def test_plan_text_parses_back_to_the_plan(plan):
     assert parse_plan(str(plan).replace(" ", "  ")) == plan  # spacing is free
 
 
+def test_plan_step_entity_must_be_an_object_reference():
+    with pytest.raises(sbl.ParseError, match=r"expected <name>\(id\), got 'apple'"):
+        parse_plan("go grasp apple")
+
+
 def test_goal_relevant_misalignment_is_heavy(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))

@@ -3,6 +3,7 @@ seed parsing and one batch through the command line."""
 
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -71,8 +72,15 @@ class AlwaysRejects(ScriptedReasoner):
         return "Reasoning: not yet.\nSuggestions: start over\nSatisfied: no\n"
 
 
+class Silent(ScriptedReasoner):
+    """Answers None to every request, the rule dialogue's included."""
+
+    def complete(self, request):
+        return None
+
+
 @pytest.mark.parametrize(
-    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, DuplicateRule, AlwaysRejects)
+    "reasoner_cls", (NoPositionRules, NarrowIn, GroundRule, DuplicateRule, AlwaysRejects, Silent)
 )
 def test_failed_consensus_falls_back_to_the_canonical_rules(reasoner_cls, monkeypatch):
     monkeypatch.setattr(harness, "_build_reasoner", lambda cfg: reasoner_cls())
@@ -248,10 +256,19 @@ def test_cli_rejects_one_agent(tmp_path):
         ["--scenario", "nope"],
         ["--scenario", "food_small", "--agents", "9"],
         ["--scenario", "{tmp}/invalid.json"],
+        # A scenario number of the wrong JSON type.
+        ["--scenario", "{tmp}/fractional.json"],
+        # A scenario name the belief language cannot write.
+        ["--scenario", "{tmp}/spaced.json"],
     ),
 )
 def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):
     (tmp_path / "invalid.json").write_text("{not json")
+    food_small = resources.files("beliefworld").joinpath("scenarios/food_small.json")
+    food = json.loads(food_small.read_text())
+    (tmp_path / "fractional.json").write_text(json.dumps({**food, "frame_budget": 2999.9}))
+    food["objects"][0]["name"] = "red apple"
+    (tmp_path / "spaced.json").write_text(json.dumps(food))
     args = [arg.format(tmp=tmp_path) for arg in args]
     result = CliRunner().invoke(cli.main, ["run", *args, "--out", str(tmp_path / "out")])
     assert result.exit_code == cli.EXIT_CONFIG, result.output

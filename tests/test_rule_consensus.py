@@ -297,6 +297,16 @@ def test_empty_suggestions_still_name_a_suggestion(scripted, monkeypatch):
     assert err.value.suggestions == "no specific suggestions given"
 
 
+class Silent:
+    """Backend double that answers None to every request: a None proposal
+    is an empty one, and a None review has no verdict."""
+
+    fallback_count = 0
+
+    def complete(self, request: ReasonerRequest):
+        return None
+
+
 def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:12]
 
@@ -345,6 +355,8 @@ DIALOGUES = {
     "narrow_in": lambda: _dialogue(NarrowIn(), ScriptedReasoner()),
     "narrow_in_agreed": lambda: _agreed(NarrowIn()),
     "empty_suggestions": lambda: _dialogue(ScriptedReasoner(), EmptySuggestionsReviewer()),
+    "silent_proposer": lambda: _dialogue(Silent(), ScriptedReasoner()),
+    "silent_agreed": lambda: _agreed(Silent()),
 }
 
 # Per dialogue: the digest of each request's [template_id, vars], in the
@@ -389,6 +401,15 @@ DIALOGUE_DIGESTS = {
         ["2eeda416926a", "7151666790e9", "67c57f02da68", "74003e9ffe3d", "3a4a5c594918",
          "74003e9ffe3d"],
         ("failed", "no accepted proposal within 3 rounds", "396a71750838"),
+    ),
+    "silent_proposer": (
+        ["2eeda416926a", "b5d7d756cfac", "1f3235ef5d33", "b5d7d756cfac", "1f3235ef5d33",
+         "b5d7d756cfac"],
+        ("failed", "no accepted proposal within 3 rounds", "bfe85842d0d3"),
+    ),
+    "silent_agreed": (
+        ["2eeda416926a", "b5d7d756cfac", "b5d7d756cfac"],
+        ("agreed", 3, 1, "6b981468ec07"),
     ),
 }
 

@@ -21,7 +21,7 @@ from universe import brute_force_unify, random_ground, random_rule
 def test_parse_ground_zero_order():
     expr = sbl.parse("Alice BELIEVE <apple>(123) IN <kitchen>(2000)")
     assert expr.order == 0
-    assert not expr.is_rule
+    assert expr.is_ground
     assert expr.believers == (AgentName("Alice"),)
     assert expr.body == AtomicBelief(
         ObjectRef("apple", 123), "IN", ObjectRef("kitchen", 2000)
@@ -31,13 +31,12 @@ def test_parse_ground_zero_order():
 def test_parse_first_order_rule():
     expr = sbl.parse("?agentA BELIEVE ?agentB BELIEVE ?room EXPLORED ?exploration_state")
     assert expr.order == 1
-    assert expr.is_rule
-    assert expr.variables() == {"agentA", "agentB", "room", "exploration_state"}
+    assert not expr.is_ground
 
 
 def test_classification_rule_iff_variable():
-    assert sbl.parse("?agent BELIEVE <pen>(7) IN <office>(3000)").is_rule
-    assert not sbl.parse("Bob BELIEVE <pen>(7) IN <office>(3000)").is_rule
+    assert not sbl.parse("?agent BELIEVE <pen>(7) IN <office>(3000)").is_ground
+    assert sbl.parse("Bob BELIEVE <pen>(7) IN <office>(3000)").is_ground
 
 
 def test_parse_empty_input_position_zero():
@@ -84,6 +83,18 @@ def test_parse_rejects_explored_bad_state():
         sbl.parse("Alice BELIEVE <kitchen>(2) EXPLORED open")
 
 
+@pytest.mark.parametrize("text", [
+    "BELIEVE Alice <a>(1) IN <k>(2)",
+    "Alice Bob BELIEVE <a>(1) IN <k>(2)",
+    "Alice BELIEVE BELIEVE <a>(1) IN <k>(2)",
+    "Alice BELIEVE Bob <a>(1) BELIEVE <k>(2)",
+])
+def test_misplaced_believe_reported_at_the_first_believe(text):
+    with pytest.raises(ParseError, match="misplaced BELIEVE operator") as err:
+        sbl.parse(text)
+    assert err.value.position == text.index("BELIEVE")
+
+
 def test_error_positions_point_at_offending_token():
     text = "Alice BELIEVE Bob BELIEVE Carol BELIEVE <a>(1) IN <k>(2)"
     with pytest.raises(ParseError) as err:
@@ -93,7 +104,7 @@ def test_error_positions_point_at_offending_token():
 
 def test_serialize_normalizes_whitespace():
     expr = sbl.parse("Alice   BELIEVE  <apple>(123) IN <kitchen>(2000)")
-    assert sbl.serialize(expr) == "Alice BELIEVE <apple>(123) IN <kitchen>(2000)"
+    assert str(expr) == "Alice BELIEVE <apple>(123) IN <kitchen>(2000)"
 
 
 def test_serialize_first_order():
@@ -101,20 +112,21 @@ def test_serialize_first_order():
         (AgentName("Alice"), AgentName("Bob")),
         AtomicBelief(ObjectRef("apple", 123), "IN", ObjectRef("kitchen", 2000)),
     )
-    assert sbl.serialize(expr) == "Alice BELIEVE Bob BELIEVE <apple>(123) IN <kitchen>(2000)"
+    assert str(expr) == "Alice BELIEVE Bob BELIEVE <apple>(123) IN <kitchen>(2000)"
 
 
 def test_canonical_rules_round_trip_byte_identical():
     for line in CANONICAL_ZERO_RULES + CANONICAL_FIRST_RULES:
-        assert sbl.serialize(sbl.parse(line)) == line
+        assert str(sbl.parse(line)) == line
 
 
 def test_round_trip_random_expressions():
     rng = random.Random(90125)
     for _ in range(500):
-        expr = random_rule(rng) if rng.random() < 0.5 else random_ground(rng)
-        text = sbl.serialize(expr)
-        assert sbl.parse(text) == expr
+        is_rule = rng.random() < 0.5
+        expr = random_rule(rng) if is_rule else random_ground(rng)
+        assert expr.is_ground != is_rule
+        assert sbl.parse(str(expr)) == expr
 
 
 def test_unify_matches_brute_force_oracle():

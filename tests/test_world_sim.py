@@ -451,7 +451,7 @@ def observable(state):
 
 
 def frames_left(state):
-    return [a.busy[1] for a in state.agents if a.busy is not None]
+    return [a.busy[1] - state.frame for a in state.agents if a.busy is not None]
 
 
 @settings(max_examples=150, deadline=None)
