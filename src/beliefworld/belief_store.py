@@ -1,10 +1,14 @@
 """Per-agent belief worlds: own facts, per-collaborator models, shared rules.
 
-A :class:`BeliefWorld` keeps three partitions for one owning agent:
+A :class:`BeliefWorld` keeps the beliefs of one owning agent, under the
+consensus rule set ``rules`` every stored fact must conform to.  One map,
+``partitions``, holds each partition under the ``about`` key every method
+takes:
 
-* ``zero`` — what the owner itself holds true about the world,
-* ``first[c]`` — what the owner thinks collaborator ``c`` holds true,
-* ``rules`` — the consensus rule set every stored fact must conform to.
+* ``None`` — the zero partition, what the owner itself holds true about
+  the world,
+* a collaborator ``c`` — the first-order partition, what the owner thinks
+  ``c`` holds true.
 
 Facts are bare :class:`~beliefworld.sbl.AtomicBelief` triples; the believer
 chain is implicit in the partition (``owner BELIEVE ...`` for zero,
@@ -95,12 +99,10 @@ class BeliefWorld:
     rules: tuple[BeliefExpr, ...]
     collaborators: tuple[str, ...]
     container_ids: frozenset[int] = frozenset()
-    zero: Partition = field(default_factory=dict, init=False)
-    first: dict[str, Partition] = field(default_factory=dict, init=False)
+    partitions: dict[str | None, Partition] = field(init=False)  # about -> partition
 
     def __post_init__(self):
-        for c in self.collaborators:
-            self.first[c] = {}
+        self.partitions = {about: {} for about in (None, *self.collaborators)}
         # The sorted rule strings (the rules never change), and lines() per partition.
         self.rule_lines = tuple(sorted(map(str, self.rules)))
         # Rule bodies by (order, relation): unify_atomic rejects any other relation.
@@ -113,11 +115,10 @@ class BeliefWorld:
 
     def partition(self, about: str | None = None) -> Partition:
         """The zero partition, or the first-order one about a collaborator."""
-        if about is None:
-            return self.zero
-        if about not in self.first:
-            raise UnknownCollaborator(about)
-        return self.first[about]
+        try:
+            return self.partitions[about]
+        except KeyError:
+            raise UnknownCollaborator(about) from None
 
     def believers(self, about: str | None = None) -> tuple[str, ...]:
         """Who believes a partition's facts: the owner, then ``about``."""
@@ -202,7 +203,7 @@ class BeliefWorld:
         facts, displaced by a different value in) the first-order set.
         """
         theirs = self.partition(collaborator)
-        missing = (f for key, f in self.zero.items() if theirs.get(key) != f)
+        missing = (f for key, f in self.partition().items() if theirs.get(key) != f)
         return tuple(sorted(missing, key=str))
 
     # -- snapshots -----------------------------------------------------
@@ -210,9 +211,9 @@ class BeliefWorld:
     def snapshot(self) -> str:
         """Canonical line-per-fact dump, sorted; stable across runs."""
         lines = [f"world: {self.owner}"]
-        lines += [f"collaborator: {c}" for c in sorted(self.first)]
+        lines += [f"collaborator: {c}" for c in sorted(self.collaborators)]
         lines += [f"rule: {r}" for r in self.rule_lines]
         lines += [f"zero: {f}" for f in self.lines()]
-        for c in sorted(self.first):
+        for c in sorted(self.collaborators):
             lines += [f"first[{c}]: {f}" for f in self.lines(c)]
         return "\n".join(lines) + "\n"

@@ -6,8 +6,9 @@ Example::
         --backend scripted --mode adaptive --out runs/demo
 
 Seeds accept a range (``1..20``) or a comma list (``1,2,7``).  The llm
-backend additionally needs ``--base-url`` and ``--model``; the bearer
-token is read from the ``COBEL_API_KEY`` environment variable.
+backend additionally needs ``--base-url`` and ``--model``, which the
+scripted backend refuses; the bearer token is read from the
+``COBEL_API_KEY`` environment variable.
 
 Exit codes: 0 success; 2 configuration error (a bad option value, an
 unknown or malformed scenario, or more agents than it can seat), reported

@@ -240,7 +240,7 @@ class AgentMind:
             if self.mode == MODE_ADAPTIVE:
                 self.adopt(self.replan(next(iter(candidates[oppo]), None), oppo))
             text = self.compose(misaligned, oppo)
-            note_sent(self.world, text, misaligned)
+            note_sent(self.world, text, misaligned, self.registry)
             self.last_comm_tick = self.tick
             intent = SendMessage(text)
         payload = {

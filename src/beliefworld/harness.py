@@ -3,11 +3,12 @@
 One episode is: consensus phase (the first two agents agree on the belief
 rules, broadcast to everyone), then the lockstep decision loop until every
 target is delivered or the frame budget runs out, then metrics computed
-from the persisted log.  Each decision tick, an agent's intent (a message
-to broadcast or a plan step) goes to the simulator as ``decide`` returned
-it.  A tick with no intents means every idle agent is asleep, so the loop
-skips the quiet frames up to the next completion (or the frame budget)
-instead of stepping them one by one; the log is the same either way.
+from the episode's log in memory, before anything is written.  Each
+decision tick, an agent's intent (a message to broadcast or a plan step)
+goes to the simulator as ``decide`` returned it.  A tick with no intents
+means every idle agent is asleep, so the loop skips the quiet frames up
+to the next completion (or the frame budget) instead of stepping them one
+by one; the log is the same either way.
 A reasoning call the remote model fails to answer falls back to the
 collaboration engine's own heuristics for that step, and when the rule
 dialogue fails or :func:`rule_consensus.judge` rejects the proposal it
@@ -70,6 +71,8 @@ class RunConfig:
             problems.append(f"mode must be one of {MODES}")
         if self.backend == LLM and (not self.base_url or not self.model):
             problems.append("llm backend requires --base-url and --model")
+        if self.backend == SCRIPTED and (self.base_url or self.model):
+            problems.append("--base-url and --model need the llm backend")
         if problems:
             raise ConfigError("invalid run configuration:\n- " + "\n- ".join(problems))
 
@@ -152,11 +155,12 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             break
         intents = {}
         for mind in minds:
-            if state.agent(mind.name).busy is not None:
+            agent = state.agents[mind.name]
+            if agent.busy is not None:
                 continue
             obs = world_sim.observe(state, mind.name)
             # A finished agent sleeps until it sees or hears anything new.
-            if dormant.get(mind.name) == obs and not state.agent(mind.name).inbox:
+            if dormant.get(mind.name) == obs and not agent.inbox:
                 continue
             inbox = world_sim.drain_inbox(state, mind.name)
             intent, payload = mind.decide(obs, inbox)

@@ -14,7 +14,9 @@ any statement line, are kept only under the partition's believer chain
 message grammar (:func:`compose_message`, :func:`parse_message`) is read
 directly, and every batch of heard facts goes through
 :func:`ingest_facts`.  The owner's own broadcast is folded by
-:func:`note_sent`.
+:func:`note_sent`.  A fact read from any of these texts is kept only when
+the agent could know it (:func:`_knowable`): a remote model or a
+teammate may name an entity the scenario does not have.
 
 Every function here is a fold over the evidence it is handed: none takes
 a callable or sends a request.  ``AgentMind`` builds and sends every
@@ -233,6 +235,18 @@ def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
     return _known_plan(plan, registry)
 
 
+def _knowable(fact: AtomicBelief, world: BeliefWorld, registry: EntityRegistry) -> bool:
+    """Whether a reported fact may enter the owner's beliefs: it is ground,
+    the registry knows each object's id (by id alone, as for plans) and
+    each agent is the owner or a collaborator."""
+    agents = (world.owner, *world.collaborators)
+    return fact.is_ground and all(
+        registry.knows(term.id) if isinstance(term, ObjectRef) else term.name in agents
+        for term in (fact.subject, fact.object)
+        if not isinstance(term, StateAtom)
+    )
+
+
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     """The plan itself when every entity it names is known, else None."""
     # Every field of a plan step is an ObjectRef.
@@ -244,14 +258,15 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
+    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None,
+    registry: EntityRegistry,
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists for the zero
     partition, or the one about ``about``, read from the section's
     :func:`sbl.belief_lines`: a line under another believer chain than
-    :meth:`BeliefWorld.believers` gives for the partition is skipped.  None
-    when no reply arrived or the section is missing or holds no readable
-    line."""
+    :meth:`BeliefWorld.believers` gives for the partition, or whose fact
+    is not :func:`_knowable`, is skipped.  None when no reply arrived or
+    the section is missing or holds no readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
@@ -264,7 +279,7 @@ def _reply_facts(
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
-        if expr.believers != believers or not expr.is_ground:
+        if expr.believers != believers or not _knowable(expr.body, world, registry):
             log.warning("skipping belief line outside the partition: %r", line)
             continue
         facts.append(expr.body)
@@ -287,15 +302,17 @@ def plan_reply(
     return plan if plan is not None else heuristic()
 
 
-def _heard(text: str, registry: EntityRegistry) -> tuple[list[AtomicBelief], Plan | None]:
-    """The ground facts and the known-entity plan a structured message
-    carries; nothing when it does not parse."""
+def _heard(
+    text: str, world: BeliefWorld, registry: EntityRegistry
+) -> tuple[list[AtomicBelief], Plan | None]:
+    """The :func:`_knowable` facts and the known-entity plan a structured
+    message carries; nothing when it does not parse."""
     try:
         facts, plan = parse_message(text)
     except ParseError:
         log.warning("ignoring unparseable message: %r", text)
         return [], None
-    return [f for f in facts if f.is_ground], _known_plan(plan, registry)
+    return [f for f in facts if _knowable(f, world, registry)], _known_plan(plan, registry)
 
 
 # One tick's mail per belief partition: None (the zero partition) or a
@@ -311,7 +328,7 @@ def inbox_batches(world: BeliefWorld, inbox: list[tuple[str, str]]) -> Batches:
     mail gives ``{}``."""
     batches: Batches = {}
     for sender, text in inbox:
-        if sender not in world.first:
+        if sender not in world.collaborators:
             log.warning("message from unregistered sender %r ignored", sender)
             continue
         batches.setdefault(None, []).append((sender, text))
@@ -332,8 +349,9 @@ def update_from_messages(
     ``replies.get(about)``'s facts as one batch when that reply is usable;
     a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
-    unparseable messages are ignored with a warning, facts with variables
-    are dropped, and plans naming unknown entities are not declared.
+    unparseable messages are ignored with a warning, facts that are not
+    :func:`_knowable` are dropped, and plans naming unknown entities are
+    not declared.
     Facts that violate the consensus rules are dropped individually.
 
     Returns the plans the senders declared, keyed in the order of each
@@ -341,9 +359,9 @@ def update_from_messages(
     replaces its earlier one.
     """
     # A message text is parsed only when some reply is not usable.
-    heard = functools.cache(lambda text: _heard(text, registry))
+    heard = functools.cache(lambda text: _heard(text, world, registry))
     for about, lines in batches.items():
-        facts = _reply_facts(replies.get(about), world, about)
+        facts = _reply_facts(replies.get(about), world, about, registry)
         if facts is not None:
             ingest_facts(world, facts, about)
         else:
@@ -358,13 +376,17 @@ def update_from_messages(
     return declared
 
 
-def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
+def note_sent(
+    world: BeliefWorld, text: str, misaligned: list[AtomicBelief], registry: EntityRegistry
+) -> None:
     """Fold the owner's own broadcast: every collaborator is credited with
-    the facts the message carries (the owner now believes they know what
-    it just said), or with ``misaligned`` when the text does not parse."""
+    the :func:`_knowable` facts the message carries (the owner now believes
+    they know what it just said), or with ``misaligned`` when the text does
+    not parse."""
     try:
         facts, _ = parse_message(text)
     except ParseError:
         facts = misaligned
+    facts = [f for f in facts if _knowable(f, world, registry)]
     for collab in world.collaborators:
         ingest_facts(world, facts, collab)

@@ -155,10 +155,7 @@ class EntityRegistry:
         return self._dist[from_room][to_room]
 
     def start_room(self, agent: str) -> ObjectRef:
-        for name, room_id in self.scenario.agents:
-            if name == agent:
-                return self.rooms_by_id[room_id]
-        raise KeyError(agent)
+        return self.rooms_by_id[dict(self.scenario.agents)[agent]]
 
 
 def _adjacency(

@@ -11,6 +11,11 @@ to the next completion or the frame budget.  All randomness comes from
 per-agent streams derived from the episode seed, so a (scenario, seed,
 intent sequence) triple replays to a bit-identical trajectory.
 
+Per-agent state lives on the agent's :class:`AgentState`, and
+``WorldState.agents`` maps each name to it in agent-index order: its
+room, busy action and inbox, and what it alone has seen (its reveal
+stream, the ids revealed to it and its exploration level per room).
+
 :func:`_start` is the one rule for whether an action may start and how
 many frames it takes: :func:`apply` asks it, and :func:`legal_intents`
 only filters candidates through it.
@@ -87,10 +92,18 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class AgentState:
+    """One agent's simulator state, its view of the world included:
+    ``rng`` draws its room-entry reveals, ``revealed`` holds the ids it
+    has seen and ``explored`` maps a room id to its level (a room absent
+    from it is at ``none``)."""
+
     name: str
     room_id: int
+    rng: random.Random = field(compare=False, repr=False)
     busy: tuple[AtomicAction, int] | None = None  # (action, the frame it completes on)
     inbox: list[tuple[str, str]] = field(default_factory=list)
+    explored: dict[int, str] = field(default_factory=dict)
+    revealed: set[int] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -126,19 +139,7 @@ class WorldState:
     registry: EntityRegistry
     frame: int = 0
     locations: dict[int, Location] = field(default_factory=dict)
-    agents: list[AgentState] = field(default_factory=list)
-    explored: dict[tuple[str, int], str] = field(default_factory=dict)
-    revealed: dict[str, set[int]] = field(default_factory=dict)
-    _rngs: dict[str, random.Random] = field(default_factory=dict)
-
-    def agent(self, name: str) -> AgentState:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
-    def exploration_of(self, agent: str, room_id: int) -> str:
-        return self.explored.get((agent, room_id), NONE)
+    agents: dict[str, AgentState] = field(default_factory=dict)  # in agent-index order
 
     def objects_at(self, *location) -> list[int]:
         """The ids of the objects at one location, ascending."""
@@ -154,10 +155,9 @@ def init(scenario: Scenario, seed: int) -> WorldState:
     for ref, _, home in scenario.objects:
         state.locations[ref.id] = (AT_ROOM, home)
     for index, (name, room_id) in enumerate(scenario.agents):
-        state.agents.append(AgentState(name=name, room_id=room_id))
-        state.revealed[name] = set()
-        state._rngs[name] = random.Random(seed * 100003 + index * 7919)
-    for agent in state.agents:
+        rng = random.Random(seed * 100003 + index * 7919)
+        state.agents[name] = AgentState(name=name, room_id=room_id, rng=rng)
+    for agent in state.agents.values():
         _enter_room(state, agent, agent.room_id)
     _check_invariants(state)
     return state
@@ -166,16 +166,12 @@ def init(scenario: Scenario, seed: int) -> WorldState:
 def _enter_room(state: WorldState, agent: AgentState, room_id: int) -> None:
     """Room-entry side effects: partial reveal and exploration >= part."""
     agent.room_id = room_id
-    rng = state._rngs[agent.name]
     fraction = state.registry.scenario.reveal_fraction
     for oid in state.objects_at(AT_ROOM, room_id):
-        if oid in state.revealed[agent.name]:
-            continue
-        if rng.random() < fraction:
-            state.revealed[agent.name].add(oid)
-    key = (agent.name, room_id)
-    if state.explored.get(key) != ALL:
-        state.explored[key] = PART
+        # One draw per object not yet revealed to the agent.
+        if oid not in agent.revealed and agent.rng.random() < fraction:
+            agent.revealed.add(oid)
+    agent.explored.setdefault(room_id, PART)  # a level never decreases
 
 
 def _start(
@@ -234,8 +230,8 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
     if isinstance(action, GoTo):
         _enter_room(state, agent, action.room.id)
     elif isinstance(action, ExploreCurrent):
-        state.explored[(agent.name, agent.room_id)] = ALL
-        state.revealed[agent.name].update(state.objects_at(AT_ROOM, agent.room_id))
+        agent.explored[agent.room_id] = ALL
+        agent.revealed.update(state.objects_at(AT_ROOM, agent.room_id))
     elif isinstance(action, GoGrasp):
         # Hands change only when the agent's own actions complete, so only a
         # teammate's grasp can have taken the object since the start.
@@ -243,7 +239,7 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
         if state.locations.get(oid) != (AT_ROOM, agent.room_id):
             return ActionResult("rejected", action, f"{action.object} no longer available")
         state.locations[oid] = (HELD, agent.name)
-        state.revealed[agent.name].add(oid)
+        agent.revealed.add(oid)
     elif isinstance(action, Put):
         err, _ = _start(state, agent, action)
         if err:
@@ -256,7 +252,7 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
                 state.locations[inner] = (AT_BED,)
             state.locations[oid] = (AT_BED,)
     else:  # SendMessage: _start refuses any other action
-        for other in state.agents:
+        for other in state.agents.values():
             if other is not agent:
                 other.inbox.append((agent.name, action.text))
     return ActionResult("completed", action)
@@ -276,7 +272,7 @@ def apply(state: WorldState, intents: dict[str, AtomicAction]) -> dict[str, Acti
     state.frame += 1
     results: dict[str, ActionResult] = {}
 
-    for agent in state.agents:
+    for agent in state.agents.values():
         intent = intents.get(agent.name)
         if intent is None:
             if agent.busy is None:
@@ -288,7 +284,7 @@ def apply(state: WorldState, intents: dict[str, AtomicAction]) -> dict[str, Acti
         else:
             agent.busy = (intent, state.frame + cost - 1)
 
-    for agent in state.agents:
+    for agent in state.agents.values():
         if agent.busy is None:
             continue
         action, done = agent.busy
@@ -313,27 +309,26 @@ def skip_quiet_frames(state: WorldState) -> None:
     neither intents nor completions changes nothing but the frame.
     """
     budget = state.registry.scenario.frame_budget
-    done = [a.busy[1] for a in state.agents if a.busy is not None]
+    done = [a.busy[1] for a in state.agents.values() if a.busy is not None]
     state.frame = max(state.frame, min([budget, *done]) - 1)
 
 
 def observe(state: WorldState, agent_name: str) -> VisualObservation:
     """Deterministic per-agent view of the current frame; pure read."""
     reg = state.registry
-    agent = state.agent(agent_name)
+    agent = state.agents[agent_name]
     room = reg.rooms_by_id[agent.room_id]
-    seen = state.revealed[agent_name]
 
     def refs(ids) -> tuple[ObjectRef, ...]:
         return tuple(reg.objects_by_id[oid][0] for oid in ids)
 
-    items = [ref for ref in refs(state.objects_at(AT_ROOM, agent.room_id)) if ref.id in seen]
+    items = [ref for ref in refs(state.objects_at(AT_ROOM, agent.room_id)) if ref.id in agent.revealed]
     at_bed = ()
     if agent.room_id == reg.scenario.bed_room_id:
         items.append(reg.bed)
         at_bed = refs(state.transported_ids())
 
-    here = [a for a in state.agents if a.room_id == agent.room_id]
+    here = [a for a in state.agents.values() if a.room_id == agent.room_id]
     hands = {a.name: refs(state.objects_at(HELD, a.name)) for a in here}
     contents = tuple(
         (held, inner)
@@ -344,7 +339,7 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
 
     return VisualObservation(
         room=room,
-        exploration=state.exploration_of(agent_name, agent.room_id),
+        exploration=agent.explored.get(agent.room_id, NONE),
         items=tuple(items),
         hands=hands[agent_name],
         contents=contents,
@@ -355,7 +350,7 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
 
 def drain_inbox(state: WorldState, agent_name: str) -> list[tuple[str, str]]:
     """Messages delivered since the agent last looked, oldest first."""
-    agent = state.agent(agent_name)
+    agent = state.agents[agent_name]
     inbox, agent.inbox = agent.inbox, []
     return inbox
 
@@ -372,7 +367,7 @@ def is_done(state: WorldState) -> tuple[bool, str]:
 def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
     """Every intent the agent could start this frame, in a fixed order: each
     candidate that :func:`_start` accepts."""
-    agent = state.agent(agent_name)
+    agent = state.agents[agent_name]
     reg = state.registry
     rooms = [reg.rooms_by_id[room_id] for room_id in sorted(reg.rooms_by_id)]
     held = [reg.objects_by_id[oid][0] for oid in state.objects_at(HELD, agent_name)]
@@ -389,7 +384,6 @@ def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
 def _check_invariants(state: WorldState) -> None:
     """Conservation and capacity checks, run after every frame."""
     reg = state.registry
-    names = {agent.name for agent in state.agents}
     for oid, (_, kind) in reg.objects_by_id.items():
         if kind == BED:
             continue
@@ -401,7 +395,7 @@ def _check_invariants(state: WorldState) -> None:
             if loc[1] not in reg.rooms_by_id:
                 raise InvariantViolation(f"object {oid} in unknown room {loc[1]}")
         elif tag == HELD:
-            if loc[1] not in names:
+            if loc[1] not in state.agents:
                 raise InvariantViolation(f"object {oid} held by unknown agent {loc[1]}")
         elif tag == INSIDE:
             if not reg.is_container(loc[1]):
@@ -409,7 +403,7 @@ def _check_invariants(state: WorldState) -> None:
         elif tag != AT_BED:
             raise InvariantViolation(f"object {oid} in unknown location {loc!r}")
 
-    for agent in state.agents:
+    for agent in state.agents.values():
         held = state.objects_at(HELD, agent.name)
         if len(held) > MAX_HANDS:
             raise InvariantViolation(f"{agent.name} holds more than {MAX_HANDS} items")

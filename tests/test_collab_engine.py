@@ -23,6 +23,7 @@ from beliefworld.perceive import (
     CorruptObservation,
     compose_message,
     inbox_batches,
+    note_sent,
     parse_message,
     update_from_messages,
     update_from_visual,
@@ -653,7 +654,7 @@ def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog
     section = "Here is what Alice now believes:\n- Alice BELIEVE <apple>(101) IN <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     with caplog.at_level("WARNING"):
-        facts = perceive._reply_facts(reply, world, None)
+        facts = perceive._reply_facts(reply, world, None, food_registry)
     assert facts == [fact("<apple>(101) IN <kitchen>(2000)")]
     assert "unparseable" not in caplog.text
 
@@ -666,6 +667,36 @@ def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_regis
     declared = fold_inbox(world, [("Bob", text)], food_registry)
     assert declared == {}
     assert world.snapshot() == before
+
+
+def test_a_heard_fact_naming_an_unknown_id_is_dropped(food_registry):
+    # Neither the unknown object nor the unknown room reaches a partition,
+    # and the owner's own sighting of the apple stays where it was.
+    world = make_world(food_registry)
+    seen = fact("<apple>(101) IN <kitchen>(2000)")
+    world.assert_fact(seen)
+    text = "FACTS: <ghost>(66666) IN <kitchen>(2000); <apple>(101) IN <nowhere>(5) | PLAN: None"
+    fold_inbox(world, [("Bob", text)], food_registry)
+    assert world.facts() == [seen]
+    assert world.facts(about="Bob") == []
+
+
+def test_a_replied_fact_naming_an_unknown_entity_is_dropped(food_registry):
+    world = make_world(food_registry)
+    section = "Alice BELIEVE <ghost>(77777) HOLD <apple>(101)\nAlice BELIEVE Zed AT <kitchen>(2000)"
+    reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
+    inbox = [("Bob", "FACTS: | PLAN: None")]
+    update_from_messages(world, inbox_batches(world, inbox), {None: reply}, food_registry)
+    assert world.facts() == []
+
+
+def test_an_own_broadcast_with_a_variable_keeps_the_model_of_its_reader(food_registry):
+    # The fact is no belief: it neither lands nor clears Bob's view of Alice's hands.
+    world = make_world(food_registry)
+    held = fact("Alice HOLD <apple>(101)")
+    world.assert_fact(held, about="Bob")
+    note_sent(world, "FACTS: Alice HOLD ?x | PLAN: None", [], food_registry)
+    assert world.facts(about="Bob") == [held]
 
 
 # Pools for random inboxes: conflicting locations, a third held item, a

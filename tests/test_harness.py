@@ -260,6 +260,8 @@ def test_cli_rejects_one_agent(tmp_path):
         ["--scenario", "{tmp}/fractional.json"],
         # A scenario name the belief language cannot write.
         ["--scenario", "{tmp}/spaced.json"],
+        # A model endpoint the scripted backend would not use.
+        ["--scenario", "food_small", "--base-url", "http://127.0.0.1:9", "--model", "none"],
     ),
 )
 def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):

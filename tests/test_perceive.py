@@ -68,7 +68,7 @@ def episode(setting, seed: int, heard: list[AtomicBelief]):
     """A fresh episode and each agent's beliefs, seeded with ``heard``."""
     state = world_sim.init(SCENARIOS[setting], seed)
     registry = state.registry
-    names = [agent.name for agent in state.agents]
+    names = list(state.agents)
     worlds = {}
     for name in names:
         others = tuple(n for n in names if n != name)

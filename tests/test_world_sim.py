@@ -74,8 +74,8 @@ def test_init_deterministic():
     a = world_sim.init(scn, 42)
     b = world_sim.init(scn, 42)
     assert a.locations == b.locations
-    assert a.revealed == b.revealed
-    assert a.explored == b.explored
+    for x, y in zip(a.agents.values(), b.agents.values()):
+        assert (x.revealed, x.explored) == (y.revealed, y.explored)
     assert a.frame == 0
     assert len(a.locations) == 12  # 10 targets + 2 containers placed
 
@@ -98,7 +98,7 @@ def test_goto_costs_edge_distance_frames():
     result = run_until_idle(state, "Alice", GoTo(OFFICE))
     assert result.status == "completed"
     assert state.frame - start == 100
-    assert state.agent("Alice").room_id == 3000
+    assert state.agents["Alice"].room_id == 3000
 
 
 def test_goto_multi_hop_path_cost():
@@ -115,7 +115,7 @@ def test_explore_reveals_all_and_costs_50():
     result = run_until_idle(state, "Alice", ExploreCurrent(KITCHEN))
     assert result.status == "completed"
     assert state.frame - start == 50
-    assert state.exploration_of("Alice", 2000) == "all"
+    assert state.agents["Alice"].explored[2000] == "all"
     obs = world_sim.observe(state, "Alice")
     assert {ref.id for ref in obs.items} == {1, 3, 4, 5, 9}
 
@@ -133,9 +133,29 @@ def test_entry_reveal_full_fraction():
     assert {ref.id for ref in obs.items} == {1, 3, 4, 5, 9}
 
 
+def test_an_agents_reveals_and_exploration_are_its_own():
+    # Bob's explore and moves draw from his reveal stream alone and raise
+    # his levels alone.  Alice's colocated teammates differ between the
+    # runs, so whole observations are not compared.
+    def alice_tour(bob_explores):
+        state = world_sim.init(tiny_scenario(reveal=0.5), 3)
+        if bob_explores:
+            run_until_idle(state, "Bob", ExploreCurrent(KITCHEN))
+            assert state.agents["Alice"].explored[2000] == "part"
+            run_until_idle(state, "Bob", GoTo(OFFICE))
+        seen = []
+        for room in (OFFICE, BEDROOM, KITCHEN):
+            run_until_idle(state, "Alice", GoTo(room))
+            obs = world_sim.observe(state, "Alice")
+            seen.append((obs.room, obs.exploration, obs.items))
+        return seen
+
+    assert alice_tour(bob_explores=True) == alice_tour(bob_explores=False)
+
+
 def test_entry_reveal_seeded_replay():
     scn = tiny_scenario(reveal=0.5)
-    sets = {frozenset(world_sim.init(scn, 7).revealed["Alice"]) for _ in range(3)}
+    sets = {frozenset(world_sim.init(scn, 7).agents["Alice"].revealed) for _ in range(3)}
     assert len(sets) == 1
 
 
@@ -189,7 +209,7 @@ def test_illegal_intent_is_rejected_with_its_reason(case):
         assert run_until_idle(state, "Alice", GoGrasp(ref)).status == "completed"
     results = world_sim.apply(state, {"Alice": intent})
     assert (results["Alice"].status, results["Alice"].detail) == ("rejected", reason)
-    assert state.agent("Alice").busy is None
+    assert state.agents["Alice"].busy is None
 
 
 # (location changes that corrupt a fresh state, what the violation says);
@@ -371,7 +391,7 @@ def test_trajectory_determinism_bitwise():
         snapshot = []
         for _ in range(300):
             intents = {}
-            for agent in state.agents:
+            for agent in state.agents.values():
                 if agent.busy is None:
                     options = world_sim.legal_intents(state, agent.name)
                     if options:
@@ -404,7 +424,7 @@ def test_fuzz_trajectory_digest(scenario, seed):
     digest = hashlib.sha256()
     while not world_sim.is_done(state)[0]:
         intents = {}
-        for agent in state.agents:
+        for agent in state.agents.values():
             options = world_sim.legal_intents(state, agent.name)
             if options:
                 intents[agent.name] = rng.choice(options)
@@ -417,7 +437,7 @@ def test_fuzz_trajectory_digest(scenario, seed):
 def random_intents(state, rng):
     """Fuzz intents: each idle agent starts a random legal intent 80% of the time."""
     intents = {}
-    for agent in state.agents:
+    for agent in state.agents.values():
         if agent.busy is None and rng.random() < 0.8:
             options = world_sim.legal_intents(state, agent.name)
             if options:
@@ -444,14 +464,15 @@ def observable(state):
     return (
         state.frame,
         sorted(state.locations.items()),
-        [(a.name, a.busy, a.room_id, a.inbox) for a in state.agents],
-        sorted(state.explored.items()),
-        sorted((name, sorted(ids)) for name, ids in state.revealed.items()),
+        [
+            (a.name, a.busy, a.room_id, a.inbox, a.explored, sorted(a.revealed))
+            for a in state.agents.values()
+        ],
     )
 
 
 def frames_left(state):
-    return [a.busy[1] - state.frame for a in state.agents if a.busy is not None]
+    return [a.busy[1] - state.frame for a in state.agents.values() if a.busy is not None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,7 +496,7 @@ def test_skip_quiet_frames_matches_frame_by_frame(
         world_sim.apply(state, random_intents(state, rng))
     if message and not world_sim.is_done(state)[0]:
         # Leave an undrained message in an inbox: the skip must keep it.
-        idle = [a.name for a in state.agents if a.busy is None]
+        idle = [a.name for a in state.agents.values() if a.busy is None]
         if idle:
             world_sim.apply(state, {idle[0]: SendMessage("hello")})
     while to_edge and min(frames_left(state), default=1) > 1 and not world_sim.is_done(state)[0]:

@@ -137,10 +137,10 @@ def scan_snapshot(world) -> str:
     """The snapshot text rebuilt from ``facts()`` and the rules sorted by
     their text, without the world's cached partition text."""
     lines = [f"world: {world.owner}"]
-    lines += [f"collaborator: {c}" for c in sorted(world.first)]
+    lines += [f"collaborator: {c}" for c in sorted(world.collaborators)]
     lines += [f"rule: {r}" for r in sorted(world.rules, key=str)]
     lines += [f"zero: {f}" for f in world.facts()]
-    for c in sorted(world.first):
+    for c in sorted(world.collaborators):
         lines += [f"first[{c}]: {f}" for f in world.facts(about=c)]
     return "\n".join(lines) + "\n"
 
@@ -323,9 +323,9 @@ def reference_update_from_messages(world, inbox, registry):
     their own into the zero partition, then into the sender's."""
     declared = {}
     for sender, text in inbox:
-        if sender not in world.first:
+        if sender not in world.collaborators:
             continue
-        facts, plan = perceive._heard(text, registry)
+        facts, plan = perceive._heard(text, world, registry)
         perceive.ingest_facts(world, facts, None)
         perceive.ingest_facts(world, facts, sender)
         if plan is not None:
