@@ -192,7 +192,8 @@ class AgentMind:
     def decide(
         self, obs: VisualObservation, inbox: list[tuple[str, str]]
     ) -> tuple[SendMessage | PlanStep | None, dict]:
-        """Run one decision tick; returns (intent, log payload).
+        """Run one decision tick; returns (intent, the episode log's
+        ``decision`` record, the decision taken included).
 
         A tick is four steps.  Perceive: fold the observation, then the
         inbox, into the beliefs.  Plan: keep, advance or replace the
@@ -216,6 +217,7 @@ class AgentMind:
         declared = self.hear(inbox)
 
         intent: SendMessage | PlanStep | None = self._advance(declared)
+        decision = {"type": "idle"} if intent is None else {"type": "act", "action": str(intent)}
         comm_allowed = self.last_comm_tick is None or self.tick - self.last_comm_tick > COOLDOWN
         candidates: dict[str, list[Plan]] = {}
         reports: list[MiscoordReport] = []
@@ -243,8 +245,10 @@ class AgentMind:
             note_sent(self.world, text, misaligned, self.registry)
             self.last_comm_tick = self.tick
             intent = SendMessage(text)
+            decision = {"type": "communicate", "message": text}
         payload = {
             "tick": self.tick,
+            "decision": decision,
             "snapshot_hash": beliefs,
             "plan": str(self.plan) if self.plan is not None else None,
             "reports": [r.to_payload() for r in reports],

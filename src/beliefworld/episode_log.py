@@ -4,18 +4,25 @@ One record per frame-with-event, serialized as JSON with sorted keys so a
 log file is byte-stable and hashable.  Record kinds:
 
 ``header``
-    once, frame 0: scenario name, seed, mode, backend, agents, consensus
-    rules and round count, cooldown.
+    once, frame 0: ``scenario``, ``seed``, ``mode``, ``backend``,
+    ``agents``, ``cooldown``, ``frame_budget``, ``reveal_fraction``, the
+    consensus ``rules``, ``consensus_rounds`` and ``consensus_fallbacks``.
 ``decision``
-    one per decision tick: per-agent tick index, belief snapshot hash,
-    current plan, the pairwise miscoordination reports, the decision
-    taken, and the number of reasoner fallbacks that tick.
+    one per decision tick, as :meth:`AgentMind.decide` builds it:
+    ``tick``, ``snapshot_hash`` of the beliefs decided on, the current
+    ``plan``, the pairwise miscoordination ``reports``, the plans the inbox
+    ``declared``, ``comm_allowed`` (the cooldown's verdict), the
+    ``decision`` taken (``idle``, ``act`` with its ``action``, or
+    ``communicate`` with its ``message``) and the tick's reasoner
+    ``fallbacks``.
 ``message_sent``
-    a broadcast with its text and recipients.
-``action_start`` / ``action_done`` / ``action_rejected``
-    simulator lifecycle events for physical actions.
+    a broadcast: ``text`` and ``recipients``.
+``action_start`` / ``action_done``
+    a physical action starting or completing: ``action``.
+``action_rejected``
+    an action the simulator refused: ``action`` and ``detail``.
 ``done``
-    once: completion reason, transported and total target counts.
+    once: completion ``reason``, ``transported`` and ``total_targets``.
 
 All metrics are recomputed from the records alone; there is no hidden
 state to disagree with the persisted file.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import episode_log, rule_consensus, world_sim
-from .actions import PlanStep, SendMessage
+from .actions import SendMessage
 from .belief_store import BeliefWorld
 from .collab_engine import COOLDOWN, MODE_ADAPTIVE, MODE_ALWAYS, MODE_NEVER, AgentMind
 from .episode_log import EpisodeLog, EpisodeMetrics
@@ -168,8 +168,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                 dormant[mind.name] = obs
             else:
                 dormant.pop(mind.name, None)
-            payload = dict(payload)
-            payload["decision"] = _decision_payload(intent)
             log.append(state.frame, mind.name, "decision", payload)
             if intent is None:
                 continue
@@ -226,14 +224,6 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             json.dumps(result_metrics.to_dict(), indent=2, sort_keys=True) + "\n"
         )
     return log, result_metrics
-
-
-def _decision_payload(intent: SendMessage | PlanStep | None) -> dict:
-    if intent is None:
-        return {"type": "idle"}
-    if isinstance(intent, SendMessage):
-        return {"type": "communicate", "message": intent.text}
-    return {"type": "act", "action": str(intent)}
 
 
 @dataclass

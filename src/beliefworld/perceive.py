@@ -37,7 +37,7 @@ from . import belief_store, prompts, sbl
 from .actions import MAX_MESSAGE_CHARS, NO_ANSWER, Plan, parse_plan, plan_text
 from .belief_store import BeliefWorld
 from .planner import PlannerView, names_target
-from .scenario import EntityRegistry
+from .scenario import BED, CONTAINER, TARGET, EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, VisualObservation
 
@@ -235,16 +235,35 @@ def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
     return _known_plan(plan, registry)
 
 
+# The kinds each relation the engine reads may relate, subject to object.
+# A term's kind is its registry kind, "room", "agent" (the owner or a
+# collaborator) or "state"; an unknown id or agent, or a variable, has none.
+_SORTS = {
+    "AT": {("agent", "room"), (TARGET, BED), (CONTAINER, BED)},
+    "IN": {(TARGET, "room"), (CONTAINER, "room"), (BED, "room")},
+    "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
+    "CONTAIN": {(CONTAINER, TARGET)},
+    "EXPLORED": {("room", "state")},
+}
+
+
+def _kind(term: sbl.Term, world: BeliefWorld, registry: EntityRegistry) -> str | None:
+    if isinstance(term, ObjectRef):
+        return "room" if registry.is_room(term.id) else registry.kind_of(term.id)
+    if isinstance(term, AgentName):
+        return "agent" if term.name in (world.owner, *world.collaborators) else None
+    return "state" if isinstance(term, StateAtom) else None
+
+
 def _knowable(fact: AtomicBelief, world: BeliefWorld, registry: EntityRegistry) -> bool:
-    """Whether a reported fact may enter the owner's beliefs: it is ground,
-    the registry knows each object's id (by id alone, as for plans) and
-    each agent is the owner or a collaborator."""
-    agents = (world.owner, *world.collaborators)
-    return fact.is_ground and all(
-        registry.knows(term.id) if isinstance(term, ObjectRef) else term.name in agents
-        for term in (fact.subject, fact.object)
-        if not isinstance(term, StateAtom)
-    )
+    """Whether a reported fact may enter the owner's beliefs: its terms
+    have the kinds :data:`_SORTS` allows its relation.  A relation the
+    table does not name needs only that every term has a kind: it is
+    ground, the registry knows each object's id (by id alone, as for
+    plans) and each agent is the owner or a collaborator."""
+    kinds = (_kind(fact.subject, world, registry), _kind(fact.object, world, registry))
+    sorts = _SORTS.get(fact.relation)
+    return kinds in sorts if sorts is not None else None not in kinds
 
 
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:

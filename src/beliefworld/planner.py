@@ -5,16 +5,20 @@ Pure functions of one belief partition (read through a
 module stores no beliefs, asks no reasoner, runs no simulator and logs
 nothing.
 
+Plan stepping decides, for each step the plan's history has not yet
+accounted for, one of three things: done (its effect already holds in the
+beliefs, so it is skipped), pending (it is the next step) or stale (its
+premise is gone, so :class:`StalePlan` is raised).  A plan with no
+pending step is ``SUBPLAN_DONE``.
+
 Miscoordination has two sources.  Plan conflicts are step pairs that
 explore the same room or grasp the same object or container; a conflict is
 imminent when both steps sit in their plan's opening move (the first step,
 or the second when the first is the travel leg to it).  Belief
 misalignment is everything the agent knows that its model of the
 collaborator lacks; it weighs heavily when it touches a goal target or a
-room becoming fully explored.  Heavy miscoordination triggers a message
-(subject to a per-agent cooldown measured in decision ticks) and a replan
-that steers away from the collaborator's projected activity; anything
-lighter is tolerated and the agent just acts.
+room becoming fully explored.  A report is heavy when it holds an imminent
+conflict or a heavy misalignment.
 """
 
 from __future__ import annotations
@@ -75,9 +79,6 @@ class PlannerView:
         held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
         return sorted((r for r in held if isinstance(r, ObjectRef)), key=lambda r: r.id)
 
-    def held_container(self) -> ObjectRef | None:
-        return next((r for r in self.holdings() if self.registry.is_container(r.id)), None)
-
     def container_load(self, container: ObjectRef) -> list[ObjectRef]:
         inner = [
             f.object
@@ -111,21 +112,9 @@ class PlannerView:
                 out.append((f.subject, f.object.id))
         return sorted(out, key=lambda pair: pair[0].id)
 
-    def believed_room_of_object(self, ref: ObjectRef) -> int | None:
-        f = self.slots.get(belief_store.location_slot(ref))
-        if f is not None and f.relation == "IN" and isinstance(f.object, ObjectRef):
-            if self.registry.is_room(f.object.id):
-                return f.object.id
-        return None
-
-    def believed_transported(self, ref: ObjectRef) -> bool:
-        return self.holds(AtomicBelief(ref, "AT", self.registry.bed))
-
-    def believed_holder(self, ref: ObjectRef) -> str | None:
-        f = self.slots.get(belief_store.location_slot(ref))
-        if f is not None and f.relation == "HOLD" and isinstance(f.subject, AgentName):
-            return f.subject.name
-        return None
+    def location(self, ref: ObjectRef) -> AtomicBelief | None:
+        """The one fact that says where ``ref`` is (IN, HOLD, CONTAIN or AT)."""
+        return self.slots.get(belief_store.location_slot(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +137,7 @@ def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
     reg = view.registry
     here = view.my_room()
     held = view.holdings()
-    container = view.held_container()
+    container = next((r for r in held if reg.is_container(r.id)), None)
     load = view.container_load(container) if container else []
     space = CONTAINER_CAPACITY - len(load) if container else 0
     free_hand = MAX_HANDS - len(held)
@@ -209,45 +198,43 @@ def best_plan(view: PlannerView, avoid: Plan | None = None) -> Plan | None:
 # ---------------------------------------------------------------------------
 
 
-def _effect_holds(view: PlannerView, step: PlanStep) -> bool:
-    if isinstance(step, GoTo):
-        return view.room_of(view.owner) == step.room.id
-    if isinstance(step, ExploreCurrent):
-        return view.explored_level(step.room.id) == ALL
-    if isinstance(step, GoGrasp):
-        return view.holds(AtomicBelief(AgentName(view.owner), "HOLD", step.object))
-    if isinstance(step, Put):
-        return view.holds(AtomicBelief(step.container, "CONTAIN", step.object))
-    return False  # transport progress is tracked through history alone
+def _pending(view: PlannerView, plan: Plan, index: int) -> bool:
+    """Whether step ``index`` of ``plan`` is still to do: False when its
+    effect already holds in the beliefs, True when it is pending.  Raises
+    :class:`StalePlan` when a pending step's premise is gone.
 
-
-def _check_stale(view: PlannerView, plan: Plan, index: int) -> None:
+    A grasp's premise is that the object lies IN the room the plan grasps
+    it in: the room of the plan's last earlier ``go to``, else the agent's
+    own.  A put's is that the agent holds the container and the object, a
+    transport's that it holds anything; a transport's progress is tracked
+    through history alone.
+    """
     step = plan.steps[index]
+    me = AgentName(view.owner)
+    if isinstance(step, GoTo):
+        return view.room_of(view.owner) != step.room.id
+    if isinstance(step, ExploreCurrent):
+        return view.explored_level(step.room.id) != ALL
     if isinstance(step, GoGrasp):
-        obj = step.object
-        if view.believed_transported(obj):
-            raise StalePlan(f"{obj} already transported")
-        holder = view.believed_holder(obj)
-        if holder is not None and holder != view.owner:
-            raise StalePlan(f"{obj} held by {holder}")
-        expected_room = None
-        for earlier in reversed(plan.steps[:index]):
-            if isinstance(earlier, GoTo):
-                expected_room = earlier.room.id
-                break
-        if expected_room is None:
-            expected_room = view.my_room()
-        believed = view.believed_room_of_object(obj)
-        if believed != expected_room:
-            raise StalePlan(f"{obj} no longer believed in the grasp room")
-    elif isinstance(step, Put):
-        if view.believed_holder(step.container) != view.owner:
-            raise StalePlan(f"not holding {step.container}")
-        if view.believed_holder(step.object) != view.owner:
-            raise StalePlan(f"not holding {step.object}")
-    elif isinstance(step, Transport):
-        if not view.holdings():
-            raise StalePlan("nothing held to transport")
+        if view.holds(AtomicBelief(me, "HOLD", step.object)):
+            return False
+        gotos = [earlier.room.id for earlier in plan.steps[:index] if isinstance(earlier, GoTo)]
+        room = gotos[-1] if gotos else view.my_room()
+        fact = view.location(step.object)
+        where = fact.object if fact is not None and fact.relation == "IN" else None
+        if not (isinstance(where, ObjectRef) and where.id == room and view.registry.is_room(room)):
+            raise StalePlan(f"{step.object} not believed in the grasp room: {fact}")
+        return True
+    if isinstance(step, Put):
+        if view.holds(AtomicBelief(step.container, "CONTAIN", step.object)):
+            return False
+        for ref in (step.container, step.object):
+            if not view.holds(AtomicBelief(me, "HOLD", ref)):
+                raise StalePlan(f"not holding {ref}")
+        return True
+    if not view.holdings():
+        raise StalePlan("nothing held to transport")
+    return True
 
 
 def next_step(view: PlannerView, plan: Plan, history: list[PlanStep]) -> PlanStep | str:
@@ -263,10 +250,8 @@ def next_step(view: PlannerView, plan: Plan, history: list[PlanStep]) -> PlanSte
         if h < len(history) and history[h] == step:
             h += 1
             continue
-        if _effect_holds(view, step):
-            continue
-        _check_stale(view, plan, index)
-        return step
+        if _pending(view, plan, index):
+            return step
     return SUBPLAN_DONE
 
 

@@ -30,9 +30,10 @@ must equal that constant.  Ids, room references, edge entries,
 is an error, never rounded or parsed.  Names are JSON strings: each
 entity must render as a ``<name>(id)`` the belief language can write (no
 whitespace, brackets or parentheses in the name, no negative id), and an
-agent name is a capitalized identifier.  Agents beyond the listed ones can
-be added by the harness; extras draw names from a fixed pool and start
-rooms round-robin from the listed starts.
+agent name is a capitalized identifier other than ``BELIEVE``, which no
+belief line could name.  Agents beyond the listed ones can be added by the
+harness; extras draw names from a fixed pool and start rooms round-robin
+from the listed starts.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .sbl import ObjectRef, _AGENT_RE, _OBJECT_RE
+from .sbl import BELIEVE, ObjectRef, _AGENT_RE, _OBJECT_RE
 
 TARGET = "target"
 CONTAINER = "container"
@@ -286,8 +287,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             continue
         name = entry.get("name")
         room = entry.get("room")
-        if not (isinstance(name, str) and _AGENT_RE.match(name)):
-            violations.append(f"agent name must be a capitalized identifier string: {entry!r}")
+        if not (isinstance(name, str) and _AGENT_RE.match(name)) or name == BELIEVE:
+            violations.append(
+                f"agent name must be a capitalized identifier string other than {BELIEVE}: {entry!r}"
+            )
         elif _int(room) not in room_ids:
             violations.append(f"agent start room {room!r} is not a known room")
         else:

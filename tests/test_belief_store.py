@@ -18,12 +18,9 @@ from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Varia
 from universe import (
     misalignment_oracle,
     scan_explored_level,
-    scan_holder,
     scan_holdings,
     scan_room_of,
-    scan_room_of_object,
     scan_snapshot,
-    scan_transported,
 )
 
 KITCHEN = ObjectRef("kitchen", 2000)
@@ -215,12 +212,6 @@ def test_slot_reads_match_reference_scans(food_registry):
             for room_id in food_registry.rooms_by_id:
                 expected = scan_explored_level(facts, food_registry, room_id)
                 assert view.explored_level(room_id) == expected, f"case {case}"
-            for ref in objects:
-                expected_room = scan_room_of_object(facts, food_registry, ref)
-                assert view.believed_room_of_object(ref) == expected_room, f"case {case}"
-                assert view.believed_holder(ref) == scan_holder(facts, ref), f"case {case}"
-                expected_done = scan_transported(facts, food_registry, ref)
-                assert view.believed_transported(ref) == expected_done, f"case {case}"
 
 
 def test_cached_text_follows_every_change():

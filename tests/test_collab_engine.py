@@ -17,7 +17,7 @@ from beliefworld.actions import (
     Transport,
     parse_plan,
 )
-from beliefworld.belief_store import BeliefWorld, RuleViolation
+from beliefworld.belief_store import BeliefWorld, RuleViolation, slot
 from beliefworld.collab_engine import AgentMind
 from beliefworld.perceive import (
     CorruptObservation,
@@ -45,8 +45,10 @@ from beliefworld.scenario import EntityRegistry, load_scenario, scenario_from_di
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom
 from beliefworld.world_sim import VisualObservation
 from universe import (
+    STALE,
     conflict_oracle,
     planner_view,
+    reference_next_step,
     reference_plan_ranking,
     reference_update_from_messages,
 )
@@ -273,7 +275,7 @@ def test_next_step_stale_when_target_transported(food_registry):
         AtomicBelief(apple, "AT", BED),
     }
     view = planner_view("Alice", food_registry, facts)
-    with pytest.raises(StalePlan, match="transported"):
+    with pytest.raises(StalePlan, match="AT <bed>"):
         next_step(view, Plan((GoGrasp(apple),)), [])
 
 
@@ -284,7 +286,7 @@ def test_next_step_stale_when_target_taken(food_registry):
         AtomicBelief(AgentName("Bob"), "HOLD", apple),
     }
     view = planner_view("Alice", food_registry, facts)
-    with pytest.raises(StalePlan, match="held by Bob"):
+    with pytest.raises(StalePlan, match="Bob HOLD"):
         next_step(view, Plan((GoGrasp(apple),)), [])
 
 
@@ -296,6 +298,60 @@ def test_next_step_skips_steps_with_effects_already_true(food_registry):
     view = planner_view("Alice", food_registry, facts)
     plan = Plan((GoTo(OFFICE), ExploreCurrent(OFFICE)))
     assert next_step(view, plan, []) == SUBPLAN_DONE
+
+
+def random_step(rng: random.Random, registry):
+    rooms = list(registry.rooms_by_id.values())
+    targets = [registry.objects_by_id[i][0] for i in sorted(registry.target_ids())]
+    containers = [registry.objects_by_id[i][0] for i in sorted(registry.container_ids())]
+    roll = rng.random()
+    if roll < 0.25:
+        # A remote plan may go to a known id that is not a room.
+        return GoTo(rng.choice(rooms) if rng.random() < 0.8 else BED)
+    if roll < 0.4:
+        return ExploreCurrent(rng.choice(rooms))
+    if roll < 0.75:
+        return GoGrasp(rng.choice(targets + containers))
+    if roll < 0.9:
+        return Put(rng.choice(targets), rng.choice(containers))
+    return Transport()
+
+
+def test_next_step_matches_reference_stepping(food_registry):
+    """Steps, SUBPLAN_DONE and StalePlan as the documented rule has them,
+    over random views, ill-sorted facts, plans and history prefixes."""
+    rng = random.Random(3030)
+    targets = [food_registry.objects_by_id[i][0] for i in sorted(food_registry.target_ids())]
+    bowl = food_registry.objects_by_id[min(food_registry.container_ids())][0]
+    outcomes = set()
+    for case in range(3000):
+        view = random_view(rng, food_registry)
+        plan = Plan(tuple(random_step(rng, food_registry) for _ in range(rng.randint(1, 3))))
+        history = [step for step in plan.steps[: rng.randint(0, len(plan.steps))] if rng.random() < 0.7]
+        grasped = [step.object for step in plan.steps if isinstance(step, GoGrasp)]
+        # Facts the slot reads must see through, often about an object the
+        # plan grasps: an object AT a place other than the bed, an object as
+        # holder, the owner AT a non-room, an object IN a non-room, an
+        # object IN a known room id under another name.
+        for _ in range(rng.randint(0, 3)):
+            ref = rng.choice(grasped if grasped and rng.random() < 0.5 else targets + [bowl])
+            odd = rng.choice((
+                AtomicBelief(ref, "AT", KITCHEN),
+                AtomicBelief(bowl, "HOLD", ref),
+                AtomicBelief(AgentName("Alice"), "AT", BED),
+                AtomicBelief(ref, "IN", BED),
+                AtomicBelief(ref, "IN", ObjectRef("galley", KITCHEN.id)),
+                AtomicBelief(bowl, "CONTAIN", ref),
+            ))
+            view.slots[slot(odd)] = odd
+        try:
+            actual = next_step(view, plan, history)
+        except StalePlan:
+            actual = STALE
+        expected = reference_next_step(view, plan, history)
+        assert actual == expected, f"case {case}: {plan} after {history}"
+        outcomes.add(type(expected).__name__ if expected not in (STALE, SUBPLAN_DONE) else expected)
+    assert outcomes == {"GoTo", "ExploreCurrent", "GoGrasp", "Put", "Transport", STALE, SUBPLAN_DONE}
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +746,42 @@ def test_a_replied_fact_naming_an_unknown_entity_is_dropped(food_registry):
     assert world.facts() == []
 
 
+SEEN = (
+    "Alice AT <livingroom>(1000)",
+    "<kitchen>(2000) EXPLORED all",
+    "<apple>(101) IN <kitchen>(2000)",
+)
+
+
+@pytest.mark.parametrize("wrong", [
+    "Alice AT <apple>(101)",  # an agent AT an object, not a room
+    "<kitchen>(2000) EXPLORED <apple>(101)",  # a level that is an object
+    "<apple>(101) AT <kitchen>(2000)",  # a target AT a room, not the bed
+])
+def test_a_heard_fact_of_the_wrong_sort_displaces_no_seen_belief(food_registry, wrong):
+    world = make_world(food_registry)
+    for line in SEEN:
+        world.assert_fact(fact(line))
+    before = world.facts()
+    fold_inbox(world, [("Bob", f"FACTS: {wrong} | PLAN: None")], food_registry)
+    assert world.facts() == before
+    assert world.facts(about="Bob") == []
+    view = PlannerView("Alice", food_registry, world.partition())
+    assert str(best_plan(view)) == "go to <kitchen>(2000); go grasp <apple>(101)"
+
+
+def test_a_replied_fact_of_the_wrong_sort_is_dropped(food_registry):
+    world = make_world(food_registry)
+    for line in SEEN:
+        world.assert_fact(fact(line))
+    before = world.facts()
+    section = "Alice BELIEVE <apple>(101) AT <kitchen>(2000)"
+    reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
+    inbox = [("Bob", "FACTS: | PLAN: None")]
+    update_from_messages(world, inbox_batches(world, inbox), {None: reply}, food_registry)
+    assert world.facts() == before
+
+
 def test_an_own_broadcast_with_a_variable_keeps_the_model_of_its_reader(food_registry):
     # The fact is no belief: it neither lands nor clears Bob's view of Alice's hands.
     world = make_world(food_registry)
@@ -903,8 +995,8 @@ def test_decide_always_mode_alternates():
     observation = world_sim.observe(state, "Alice")
     kinds = []
     for _ in range(6):
-        intent, _ = alice.decide(observation, [])
-        kinds.append(harness._decision_payload(intent)["type"])
+        _, payload = alice.decide(observation, [])
+        kinds.append(payload["decision"]["type"])
     assert kinds[0] == "communicate"
     assert all(kinds[i] != "communicate" or kinds[i + 1] != "communicate"
                for i in range(len(kinds) - 1))

@@ -157,6 +157,11 @@ MALFORMED = {
         food_small_replacing("agents", 0, {"name": True, "room": 2000}),
         "agent name must be a capitalized identifier string",
     ),
+    # No belief line about an agent named like the operator can be read back.
+    "agent named BELIEVE": (
+        food_small_replacing("agents", 0, {"name": "BELIEVE", "room": 2000}),
+        "agent name must be a capitalized identifier string other than BELIEVE",
+    ),
 }
 
 

@@ -4,12 +4,13 @@ Everything here deliberately avoids the library's own matching and diff
 code paths: the unification oracle enumerates substitutions positionally,
 the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
 that text from the sorted facts, the slot-read oracles scan every fact
-instead of looking up one slot, and the planner oracle is a separate
+instead of looking up one slot, the planner oracle is a separate
 translation of the documented priority rules using networkx for
-distances.  The one exception is the message-update reference, which is
-the engine's former per-message inbox loop with no remote reply, over
-the library's own message reader: the batched fold must leave the same
-beliefs and declare the same plans.
+distances, and the plan-stepping oracle translates the documented
+done/pending/stale rule over the slot-read scans.  The one exception is
+the message-update reference, which is the engine's former per-message
+inbox loop with no remote reply, over the library's own message reader:
+the batched fold must leave the same beliefs and declare the same plans.
 """
 
 from __future__ import annotations
@@ -275,6 +276,79 @@ def reference_plan_ranking(view) -> list[str]:
         entries.append(((4, pref, dist(room_id), room_id), text))
     entries.sort(key=lambda e: e[0])
     return [text for _, text in entries]
+
+
+# ---------------------------------------------------------------------------
+# Reference plan stepping: the documented done/pending/stale rule over the
+# slot-read scans.
+# ---------------------------------------------------------------------------
+
+STALE = "STALE"
+
+
+def reference_next_step(view, plan, history):
+    """The first step of ``plan`` neither in ``history`` (matched in
+    order) nor already in effect; ``"SUBPLAN_DONE"`` when there is none,
+    :data:`STALE` when that step's premise is gone.
+
+    Written against the rule list over a scan of every fact: a go-to is in
+    effect when the owner is in its room; an explore when the room is fully
+    explored; a grasp when the owner holds the object, and its premise is
+    that the object is neither at the bed nor held by anyone and lies IN
+    the room of the plan's last earlier go-to (else the owner's room, else
+    its start room); a put is in effect when the container contains the
+    object, and its premise is that the owner holds both; a transport is
+    never in effect, and its premise is that the owner holds anything.
+    """
+    facts = list(view.slots.values())
+    reg, owner = view.registry, view.owner
+    # History is matched greedily, in order, against the plan's steps.
+    matched, h = [], 0
+    for step in plan.steps:
+        if h < len(history) and history[h] == step:
+            matched.append(True)
+            h += 1
+        else:
+            matched.append(False)
+    for index, step in enumerate(plan.steps):
+        if matched[index]:
+            continue
+        text = str(step)
+        if text.startswith("go to "):
+            if scan_room_of(facts, reg, owner) == step.room.id:
+                continue
+            return step
+        if text.startswith("explore current room "):
+            if scan_explored_level(facts, reg, step.room.id) == "all":
+                continue
+            return step
+        if text.startswith("go grasp "):
+            obj = step.object
+            if scan_holder(facts, obj) == owner:
+                continue
+            if scan_transported(facts, reg, obj) or scan_holder(facts, obj) is not None:
+                return STALE
+            room = None
+            for earlier in plan.steps[:index]:
+                if str(earlier).startswith("go to "):
+                    room = earlier.room.id
+            if room is None:
+                room = scan_room_of(facts, reg, owner)
+            if room is None:
+                room = dict(reg.scenario.agents)[owner]
+            if scan_room_of_object(facts, reg, obj) != room:
+                return STALE
+            return step
+        if text.startswith("put "):
+            if AtomicBelief(step.container, "CONTAIN", step.object) in facts:
+                continue
+            if scan_holder(facts, step.container) != owner or scan_holder(facts, step.object) != owner:
+                return STALE
+            return step
+        if not scan_holdings(facts, owner):
+            return STALE
+        return step
+    return "SUBPLAN_DONE"
 
 
 def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
