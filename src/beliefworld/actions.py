@@ -13,15 +13,21 @@ current room <office>(3000)``, ``transport``).  That one table, ordered
 by :data:`STEP_TYPES`, gives the text in logs and in the structured
 message format, the reader :func:`parse_step`, and :data:`ACTION_LIST`,
 the action list of the ``plan_next`` prompt, whose slots are named after
-the fields (``<object>(id)``).
+the fields (``<object>(id)``).  A class's ``__match_args__`` is its one
+list of field names.
+
+Steps and plans are :class:`~beliefworld.sbl.Interned` values, like the
+terms they name: each distinct step or plan has one shared instance, its
+text is rendered once and a plan's checks run once, when it is first
+built, while equality stays by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
-from .sbl import ObjectRef, ParseError, object_ref
+from .sbl import Interned, ObjectRef, ParseError, object_ref
 
 MAX_MESSAGE_CHARS = 500
 MAX_PLAN_STEPS = 3
@@ -30,42 +36,43 @@ MAX_PLAN_STEPS = 3
 NO_ANSWER = ("", "none", "none.")
 
 
-class _Step:
+class _Step(Interned):
     """A plan step: its verb, then the entities of its fields in order."""
 
+    __slots__ = ()
     verb: ClassVar[str]
 
-    def __str__(self) -> str:
-        return " ".join([self.verb, *map(str, vars(self).values())])
+    def _render(self) -> str:
+        return " ".join([self.verb, *map(str, self._fields)])
 
 
-@dataclass(frozen=True)
 class GoTo(_Step):
+    __slots__ = __match_args__ = ("room",)
     verb = "go to"
     room: ObjectRef
 
 
-@dataclass(frozen=True)
 class ExploreCurrent(_Step):
+    __slots__ = __match_args__ = ("room",)
     verb = "explore current room"
     room: ObjectRef
 
 
-@dataclass(frozen=True)
 class GoGrasp(_Step):
+    __slots__ = __match_args__ = ("object",)
     verb = "go grasp"
     object: ObjectRef
 
 
-@dataclass(frozen=True)
 class Put(_Step):
+    __slots__ = __match_args__ = ("object", "container")
     verb = "put"
     object: ObjectRef
     container: ObjectRef
 
 
-@dataclass(frozen=True)
 class Transport(_Step):
+    __slots__ = ()
     verb = "transport"
 
 
@@ -87,22 +94,24 @@ STEP_TYPES = (GoTo, ExploreCurrent, GoGrasp, Put, Transport)
 
 # The plan_next prompt's action list: every verb with its slots.
 ACTION_LIST = "; ".join(
-    " ".join([cls.verb, *(f"<{f.name}>(id)" for f in fields(cls))]) for cls in STEP_TYPES
+    " ".join([cls.verb, *(f"<{name}>(id)" for name in cls.__match_args__)]) for cls in STEP_TYPES
 )
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Interned):
+    """1..MAX_PLAN_STEPS physical steps; the checks run once per distinct plan."""
+
+    __slots__ = __match_args__ = ("steps",)
     steps: tuple[PlanStep, ...]
 
-    def __post_init__(self):
+    def _settle(self) -> None:
         if not 1 <= len(self.steps) <= MAX_PLAN_STEPS:
             raise ValueError(f"plan must have 1..{MAX_PLAN_STEPS} steps")
         if any(isinstance(s, SendMessage) for s in self.steps):
             raise ValueError("plans may not contain message steps")
 
-    def __str__(self) -> str:
-        return "; ".join(str(s) for s in self.steps)
+    def _render(self) -> str:
+        return "; ".join(map(str, self.steps))
 
 
 def parse_step(text: str) -> PlanStep:
@@ -112,7 +121,7 @@ def parse_step(text: str) -> PlanStep:
     tokens = text.split()
     for cls in STEP_TYPES:
         verb = cls.verb.split()
-        if tokens[: len(verb)] == verb and len(tokens) == len(verb) + len(fields(cls)):
+        if tokens[: len(verb)] == verb and len(tokens) == len(verb) + len(cls.__match_args__):
             return cls(*map(object_ref, tokens[len(verb):]))
     raise ParseError(f"unrecognized plan step {text.strip()!r}", 0)
 

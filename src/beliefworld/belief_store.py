@@ -30,7 +30,11 @@ most ``MAX_HANDS`` held items per agent, at most one of them a container.
 A partition changes only through :meth:`BeliefWorld.assert_fact` and
 :meth:`BeliefWorld.retract_location`; both drop the partition's cached
 sorted text (:meth:`BeliefWorld.lines`), which every prompt and the
-snapshot read.
+snapshot read.  Facts and the terms in slot keys are
+:class:`~beliefworld.sbl.Interned`: each value has one shared instance
+whose hash and text were computed once, so a slot lookup hashes no field
+and meets the stored fact by identity, and sorting by ``str`` renders
+nothing; equality stays by value.
 """
 
 from __future__ import annotations

@@ -270,7 +270,9 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     """The plan itself when every entity it names is known, else None."""
     # Every field of a plan step is an ObjectRef.
     if plan is not None and all(
-        registry.knows(ref.id) for step in plan.steps for ref in vars(step).values()
+        registry.knows(getattr(step, name).id)
+        for step in plan.steps
+        for name in step.__match_args__
     ):
         return plan
     return None

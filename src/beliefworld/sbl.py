@@ -27,12 +27,20 @@ written form has one home too: :func:`believer_chain` writes the
 ``A BELIEVE [B BELIEVE] `` prefix, for ``str`` of a statement and for
 belief text built from stored facts alike, and :func:`object_ref` is the
 one reader of a ``<name>(id)`` token, for statements and plan steps.
+
+Terms and atomic bodies are :class:`Interned` values: each distinct value
+has one shared instance, so its hash and its text are computed once, when
+it is first built, and a dict lookup of the same value meets the same
+object.  Equality, hashing and ordering stay by value, and nothing depends
+on which instance a caller holds.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
+from typing import ClassVar
 
 BELIEVE = "BELIEVE"
 
@@ -42,6 +50,7 @@ _RELATION_RE = re.compile(r"^[A-Z][A-Z_]*$")
 _AGENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
 _STATE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _VARIABLE_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
+_TOKEN_RE = re.compile(r"\S+")
 _OBJECT_RE = re.compile(r"^<([^<>()\s]+)>\((\d+)\)$")
 # Prompts show entities as "<table> (712)"; statements write "<table>(712)".
 _SPACED_REF_RE = re.compile(r"(<[^<>()\s]+>)\s+(?=\(\d+\))")
@@ -55,36 +64,121 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    name: str
+# The most instances one class's table keeps.  A full table is emptied and
+# refills with the values in use; values stay equal across the clear.
+_TABLE_LIMIT = 1 << 14
+
+
+@total_ordering
+class Interned:
+    """A frozen value with one shared instance per distinct field tuple.
+
+    A subclass names its fields, in constructor order, in
+    ``__match_args__`` and ``__slots__``.  Building a value looks its field
+    tuple up in the class's table (hash-consing), so each distinct value
+    has one shared instance, and its field tuple, hash and text are
+    computed once, when it is first built.  Equality, hashing and ordering
+    stay by value, as for a frozen ``order=True`` dataclass, and ``repr`` is
+    the dataclass form: the table only saves work, and an instance built
+    before a full table was emptied equals and hashes like one built after.
+    """
+
+    __slots__ = ("_fields", "_hash", "_text")
+    __match_args__: ClassVar[tuple[str, ...]] = ()
+    _table: ClassVar[dict[tuple, Interned]]
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    def __new__(cls, *values):
+        self = cls._table.get(values)
+        return self if self is not None else cls._build(values)
+
+    @classmethod
+    def _build(cls, values: tuple) -> Interned:
+        names = cls.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} values, got {len(values)}")
+        self = object.__new__(cls)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_fields", values)
+        object.__setattr__(self, "_hash", hash(values))
+        self._settle()
+        object.__setattr__(self, "_text", self._render())
+        if len(cls._table) >= _TABLE_LIMIT:
+            cls._table.clear()
+        cls._table[values] = self
+        return self
+
+    def _settle(self) -> None:
+        """Check a new value and derive what it stores besides its text."""
+
+    def _render(self) -> str:
+        raise NotImplementedError
 
     def __str__(self) -> str:
+        return self._text
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._fields))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields == other._fields
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields < other._fields
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class Variable(Interned):
+    __slots__ = __match_args__ = ("name",)
+    name: str
+
+    def _render(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True, order=True)
-class AgentName:
+class AgentName(Interned):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class ObjectRef:
+class ObjectRef(Interned):
+    __slots__ = __match_args__ = ("name", "id")
     name: str
     id: int
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"<{self.name}>({self.id})"
 
 
-@dataclass(frozen=True, order=True)
-class StateAtom:
+class StateAtom(Interned):
+    __slots__ = __match_args__ = ("value",)
     value: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.value
 
 
@@ -94,20 +188,22 @@ EntityRef = AgentName | ObjectRef | Variable
 Term = EntityRef | StateAtom
 
 
-@dataclass(frozen=True)
-class AtomicBelief:
-    """One ``subject RELATION object`` triple."""
+class AtomicBelief(Interned):
+    """One ``subject RELATION object`` triple; ``is_ground`` is set once."""
 
+    __match_args__ = ("subject", "relation", "object")
+    __slots__ = (*__match_args__, "is_ground")
     subject: EntityRef
     relation: str
     object: Term
+    is_ground: bool
 
-    def __str__(self) -> str:
+    def _settle(self) -> None:
+        ground = not (isinstance(self.subject, Variable) or isinstance(self.object, Variable))
+        object.__setattr__(self, "is_ground", ground)
+
+    def _render(self) -> str:
         return f"{self.subject} {self.relation} {self.object}"
-
-    @property
-    def is_ground(self) -> bool:
-        return not (isinstance(self.subject, Variable) or isinstance(self.object, Variable))
 
 
 @dataclass(frozen=True)
@@ -185,9 +281,14 @@ def _believer(token: str, position: int) -> EntityRef:
     return term
 
 
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """Each whitespace-separated token of ``text`` with its character offset."""
+    return [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+
+
 def parse_atomic(text: str) -> AtomicBelief:
     """Parse a bare ``subject RELATION object`` triple (no believers)."""
-    tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
+    tokens = _tokens(text)
     if len(tokens) != 3:
         pos = tokens[3][1] if len(tokens) > 3 else len(text)
         raise ParseError("expected exactly 'subject RELATION object'", pos)
@@ -217,7 +318,7 @@ def parse(text: str) -> BeliefExpr:
     atoms in believer position, and malformed object references are errors,
     each reported with its character offset.
     """
-    tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
+    tokens = _tokens(text)
     if not tokens:
         raise ParseError("empty input", 0)
 

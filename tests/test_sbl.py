@@ -1,10 +1,16 @@
 """Belief language: parsing, canonical form, body-level matching."""
 
+import copy
+import pickle
 import random
+from dataclasses import make_dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefworld import sbl
+from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, Transport
 from beliefworld.rule_consensus import CANONICAL_FIRST_RULES, CANONICAL_ZERO_RULES
 from beliefworld.sbl import (
     AgentName,
@@ -161,3 +167,121 @@ def test_unify_atomic_body_level():
     assert sbl.unify_atomic(pattern, fact) == {"object": ObjectRef("apple", 123)}
     other = sbl.parse_atomic("<apple>(123) IN <office>(3000)")
     assert sbl.unify_atomic(pattern, other) is None
+
+
+# -- value semantics of the interned terms, facts, steps and plans ---------
+
+NAMES = st.text("abXY_1", min_size=1, max_size=3)
+REFS = st.builds(ObjectRef, NAMES, st.integers(0, 20))
+TERMS = st.one_of(
+    st.builds(Variable, NAMES), st.builds(AgentName, NAMES), REFS, st.builds(StateAtom, NAMES)
+)
+FACTS = st.builds(AtomicBelief, TERMS, st.sampled_from(("IN", "AT", "HOLD")), TERMS)
+STEPS = st.one_of(
+    st.builds(GoTo, REFS),
+    st.builds(ExploreCurrent, REFS),
+    st.builds(GoGrasp, REFS),
+    st.builds(Put, REFS, REFS),
+    st.just(Transport()),
+)
+PLANS = st.lists(STEPS, min_size=1, max_size=3).map(lambda steps: Plan(tuple(steps)))
+VALUES = st.one_of(TERMS, FACTS, STEPS, PLANS)
+
+TERM_TYPES = (Variable, AgentName, ObjectRef, StateAtom)
+VALUE_TYPES = (*TERM_TYPES, AtomicBelief, GoTo, ExploreCurrent, GoGrasp, Put, Transport, Plan)
+# Each value type as the frozen dataclass it was: the reference for repr and hash.
+DATACLASS = {
+    cls: make_dataclass(cls.__name__, cls.__match_args__, frozen=True) for cls in VALUE_TYPES
+}
+# The written form of each value type, from the grammar in the module docstrings.
+TEXT = {
+    Variable: lambda v: f"?{v.name}",
+    AgentName: lambda v: v.name,
+    ObjectRef: lambda v: f"<{v.name}>({v.id})",
+    StateAtom: lambda v: v.value,
+    AtomicBelief: lambda v: f"{text(v.subject)} {v.relation} {text(v.object)}",
+    GoTo: lambda v: f"go to {text(v.room)}",
+    ExploreCurrent: lambda v: f"explore current room {text(v.room)}",
+    GoGrasp: lambda v: f"go grasp {text(v.object)}",
+    Put: lambda v: f"put {text(v.object)} {text(v.container)}",
+    Transport: lambda v: "transport",
+    Plan: lambda v: "; ".join(map(text, v.steps)),
+}
+
+
+def text(value) -> str:
+    return TEXT[type(value)](value)
+
+
+def field_values(value) -> tuple:
+    return tuple(getattr(value, name) for name in value.__match_args__)
+
+
+def rebuild(value, kinds=None):
+    """``value`` built again bottom-up from its plain fields, each value
+    as its class, or as the class ``kinds`` maps that class to."""
+    if isinstance(value, tuple):
+        return tuple(rebuild(v, kinds) for v in value)
+    if isinstance(value, VALUE_TYPES):
+        cls = kinds[type(value)] if kinds else type(value)
+        return cls(*(rebuild(v, kinds) for v in field_values(value)))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=VALUES)
+def test_a_value_built_again_or_copied_is_the_one_shared_instance(value):
+    copies = (rebuild(value), pickle.loads(pickle.dumps(value)), copy.deepcopy(value))
+    for other in copies:
+        assert other == value and not other != value
+        assert hash(other) == hash(value)
+        assert (repr(other), str(other)) == (repr(value), str(value))
+    for other in copies:
+        assert other is value
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=VALUES, b=VALUES)
+def test_values_keep_the_dataclass_repr_hash_text_and_order(a, b):
+    reference = rebuild(a, DATACLASS)
+    assert repr(a) == repr(reference)
+    assert hash(a) == hash(reference)
+    assert str(a) == text(a)
+    assert (a == b) == (reference == rebuild(b, DATACLASS))
+    if type(a) is not type(b):
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015
+    elif isinstance(a, TERM_TYPES):
+        ordered = sorted([a, b])
+        assert ordered == sorted([a, b], key=field_values)
+        assert (a <= b, a > b, a >= b) == (
+            field_values(a) <= field_values(b),
+            field_values(a) > field_values(b),
+            field_values(a) >= field_values(b),
+        )
+    for name in a.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+
+
+def test_equal_text_of_another_kind_is_another_value():
+    room = ObjectRef("kitchen", 2000)
+    assert AgentName("all") != StateAtom("all")
+    assert GoTo(room) != ExploreCurrent(room)
+    assert len({AgentName("all"), StateAtom("all"), GoTo(room), ExploreCurrent(room)}) == 4
+    assert repr(GoTo(room)) == "GoTo(room=ObjectRef(name='kitchen', id=2000))"
+
+
+def test_a_full_table_is_emptied_and_values_stay_equal_across_the_clear(monkeypatch):
+    limit = 8
+    monkeypatch.setattr(sbl, "_TABLE_LIMIT", limit)
+    old = ObjectRef("stray", 123456)
+    keyed = {old: "found"}
+    for i in range(3 * limit):
+        ObjectRef("filler", 10**6 + i)
+        assert len(ObjectRef._table) <= limit
+    new = ObjectRef("stray", 123456)
+    assert new is not old  # the table was emptied since ``old`` was built
+    assert new == old and hash(new) == hash(old)
+    assert keyed[new] == "found"
+    assert AtomicBelief(old, "IN", old) == AtomicBelief(new, "IN", new)
