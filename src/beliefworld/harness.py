@@ -124,7 +124,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
             owner=name,
             rules=rules,
             collaborators=others,
-            container_ids=registry.container_ids(),
+            container_ids=registry.container_ids,
         )
         minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=cfg.mode))
 
@@ -203,7 +203,7 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
                     {"action": str(result.action), "detail": result.detail},
                 )
 
-    total = len(registry.target_ids())
+    total = len(registry.target_ids)
     log.append(
         state.frame,
         None,
@@ -221,7 +221,8 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
         episode_dir.mkdir(parents=True, exist_ok=True)
         log.write(episode_dir / "episode.log")
         (episode_dir / "metrics.json").write_text(
-            json.dumps(result_metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(result_metrics.to_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
     return log, result_metrics
 
@@ -299,6 +300,6 @@ def _write_summary(cfg: RunConfig, summary: BatchSummary) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (out / "summary.txt").write_text(format_summary_table(summary))
+    (out / "summary.txt").write_text(format_summary_table(summary), encoding="utf-8")

@@ -130,7 +130,9 @@ def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
     and either capacity is exhausted or no graspable target is known;
     fetch the nearest known target; otherwise explore the nearest
     not-fully-explored room, unexplored rooms first.  Ties break on
-    ascending room id, then ascending object id.  Options that
+    ascending room id, then ascending object id.  The exploration options
+    are not sorted: they follow the registry's ``rooms_by_distance`` order
+    for the agent's room, which is (distance, id).  Options that
     :func:`plan_conflicts` with ``avoid`` (another agent's projected
     plan) keep that order but move behind every other option.
     """
@@ -168,20 +170,21 @@ def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
                 steps = (GoTo(reg.rooms_by_id[room_id]), GoGrasp(t))
             ranked.append(((3, dist, room_id, t.id), Plan(steps)))
 
-    for room_id in sorted(reg.rooms_by_id):
-        level = view.explored_level(room_id)
+    ranked.sort(key=lambda pair: pair[0])
+    options = [plan for _, plan in ranked]
+
+    # Unexplored rooms first, then partly explored ones.
+    partly_explored = []
+    for room in reg.rooms_by_distance[here]:
+        level = view.explored_level(room.id)
         if level == ALL:
             continue
-        room = reg.rooms_by_id[room_id]
-        dist = reg.distance(here, room_id)
-        if room_id == here:
+        if room.id == here:
             steps = (ExploreCurrent(room),)
         else:
             steps = (GoTo(room), ExploreCurrent(room))
-        ranked.append(((4, 0 if level == NONE else 1, dist, room_id), Plan(steps)))
-
-    ranked.sort(key=lambda pair: pair[0])
-    options = [plan for _, plan in ranked]
+        (options if level == NONE else partly_explored).append(Plan(steps))
+    options += partly_explored
     if avoid is not None:
         options.sort(key=lambda plan: plan_conflicts(plan, avoid, reg))
     return options

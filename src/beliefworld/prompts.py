@@ -72,7 +72,8 @@ class ReasonerResponse:
 
 def _load_catalog(raw: str | None = None) -> dict[str, PromptTemplate]:
     if raw is None:
-        raw = resources.files("beliefworld").joinpath("data/prompt_catalog.json").read_text()
+        source = resources.files("beliefworld").joinpath("data/prompt_catalog.json")
+        raw = source.read_text(encoding="utf-8")
     data = json.loads(raw)
     overall = hashlib.sha256()
     catalog: dict[str, PromptTemplate] = {}

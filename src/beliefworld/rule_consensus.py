@@ -14,10 +14,11 @@ A review without a yes/no verdict is asked for once more
 (:func:`_review`) before the dialogue fails; a :class:`ConsensusFailure`
 carries the last review's suggestions.
 
-:func:`judge` is the one judge of a proposal's text: every rule line must
-parse, no rule may be ground or stated twice, and every canonical rule
-below must be unified with by some rule of its order, since a narrower
-rule would reject observed facts.  The scripted reviewer and
+:func:`judge` is the one judge of a proposal's text, a pure function of
+it that is memoized per process: every rule line must parse, no rule may
+be ground or stated twice, and every canonical rule below must be unified
+with by some rule of its order, since a narrower rule would reject
+observed facts.  The scripted reviewer and
 :func:`agree_rules` both ask it about the same proposal text, so a
 reviewer that falls back to the scripted one rejects during the dialogue
 exactly what :func:`agree_rules` would replace afterwards.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from functools import cache
+from functools import cache, lru_cache
 
 from . import sbl
 from .prompts import ReasonerRequest, yes_no
@@ -42,6 +43,9 @@ from .prompts import ReasonerRequest, yes_no
 log = logging.getLogger(__name__)
 
 MAX_ROUNDS = 3
+
+# Bound of the memo of judged proposal texts.
+_JUDGED_LIMIT = 64
 
 # The canonical rule bodies, stated once for each belief order.
 _RULE_BODIES = (
@@ -89,11 +93,16 @@ def rule_sections(
     )
 
 
+@lru_cache(maxsize=_JUDGED_LIMIT)
 def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
     """The rules a proposal's text states in its rule sections, as
     :func:`rule_sections` writes them, and what makes them unacceptable:
     empty when they are acceptable.  The reasoning above the sections may
     quote a belief; it holds no rule.
+
+    A pure function of the text, memoized: the scripted reviewer and
+    :func:`agree_rules` judge the same proposal in every episode, and the
+    verdict, immutable, is shared.
 
     A rule line does not parse, or a rule is ground, or stated more than
     once, or a canonical rule is unified with by no rule of its order (a

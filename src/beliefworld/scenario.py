@@ -34,10 +34,17 @@ agent name is a capitalized identifier other than ``BELIEVE``, which no
 belief line could name.  Agents beyond the listed ones can be added by the
 harness; extras draw names from a fixed pool and start rooms round-robin
 from the listed starts.
+
+A process parses each bundled scenario once (:func:`load_scenario`; a
+file path is read on every call), and :func:`shared_registry` builds one
+:class:`EntityRegistry` per equal :class:`Scenario` value, which every
+episode of that scenario then shares.  Both caches are bounded by a
+constant.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from collections.abc import Iterable
@@ -55,6 +62,11 @@ CONTAINER_CAPACITY = 3
 MAX_HANDS = 2
 
 EXTRA_AGENT_NAMES = ("Charlie", "David", "Eve", "Frank", "Grace", "Heidi")
+
+# Bounds of the per-process caches: bundled scenarios by name, and
+# registries by scenario value (one per scenario and agent count in use).
+_BUNDLED_LIMIT = 16
+_REGISTRY_LIMIT = 32
 
 
 class ScenarioError(ValueError):
@@ -97,12 +109,23 @@ class EntityRegistry:
     The registry is public knowledge: agents know which rooms, objects,
     and teammates exist (and object kinds), but not where anything is
     until they observe or are told.
+
+    Everything is computed once, in ``__post_init__``, and never written
+    again, so one registry can serve every episode of its scenario (see
+    :func:`shared_registry`): the id maps, the GOAL sentence, ``target_ids``
+    and ``container_ids``, each agent's start room, the shortest frame cost
+    between any two rooms, and ``rooms_by_distance``, each room's list of
+    every room ordered by (distance from it, id).
     """
 
     scenario: Scenario
     rooms_by_id: dict[int, ObjectRef] = field(init=False)
     objects_by_id: dict[int, tuple[ObjectRef, str]] = field(init=False)
     goal: str = field(init=False)  # the GOAL sentence of the planning prompts
+    target_ids: frozenset[int] = field(init=False)
+    container_ids: frozenset[int] = field(init=False)
+    rooms_by_distance: dict[int, tuple[ObjectRef, ...]] = field(init=False)
+    _start_rooms: dict[str, ObjectRef] = field(init=False)
     _dist: dict[int, dict[int, int]] = field(init=False)
 
     def __post_init__(self):
@@ -110,10 +133,19 @@ class EntityRegistry:
         self.rooms_by_id = {r.id: r for r in scn.rooms}
         self.objects_by_id = {ref.id: (ref, kind) for ref, kind, _ in scn.objects}
         self.objects_by_id[scn.bed.id] = (scn.bed, BED)
+        self.target_ids = frozenset(ref.id for ref, kind, _ in scn.objects if kind == TARGET)
+        self.container_ids = frozenset(
+            ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
+        )
+        self._start_rooms = {name: self.rooms_by_id[room] for name, room in scn.agents}
         adj = _adjacency(self.rooms_by_id, scn.edges)
         self._dist = {start: _dijkstra(adj, start) for start in adj}
+        self.rooms_by_distance = {
+            start: tuple(sorted(scn.rooms, key=lambda r: (dist[r.id], r.id)))
+            for start, dist in self._dist.items()
+        }
         self.goal = (
-            f"Transport the {len(self.target_ids())} target objects to the bed "
+            f"Transport the {len(self.target_ids)} target objects to the bed "
             f"{self.bed} in {self.bed_room}."
         )
 
@@ -130,20 +162,10 @@ class EntityRegistry:
         return entry[1] if entry else None
 
     def is_target(self, entity_id: int) -> bool:
-        return self.kind_of(entity_id) == TARGET
+        return entity_id in self.target_ids
 
     def is_container(self, entity_id: int) -> bool:
-        return self.kind_of(entity_id) == CONTAINER
-
-    def container_ids(self) -> frozenset[int]:
-        return frozenset(
-            oid for oid, (_, kind) in self.objects_by_id.items() if kind == CONTAINER
-        )
-
-    def target_ids(self) -> frozenset[int]:
-        return frozenset(
-            oid for oid, (_, kind) in self.objects_by_id.items() if kind == TARGET
-        )
+        return entity_id in self.container_ids
 
     def is_room(self, entity_id: int) -> bool:
         return entity_id in self.rooms_by_id
@@ -156,7 +178,16 @@ class EntityRegistry:
         return self._dist[from_room][to_room]
 
     def start_room(self, agent: str) -> ObjectRef:
-        return self.rooms_by_id[dict(self.scenario.agents)[agent]]
+        return self._start_rooms[agent]
+
+
+@functools.lru_cache(maxsize=_REGISTRY_LIMIT)
+def shared_registry(scenario: Scenario) -> EntityRegistry:
+    """The one registry of each equal scenario value, built on first use.
+
+    Every episode of the scenario shares it, which is sound because a
+    registry is read-only after construction."""
+    return EntityRegistry(scenario)
 
 
 def _adjacency(
@@ -338,17 +369,31 @@ def load_scenario(spec: str | Path) -> Scenario:
     """Load a scenario from a file path, or by bundled name (e.g. food_small).
 
     A bundled name wins over a directory of the same name, such as one an
-    earlier ``--out food_small`` left in the working directory.
+    earlier ``--out food_small`` left in the working directory.  A file is
+    read on every call, while a bundled scenario is parsed once per
+    process; the shared value is frozen.
     """
     source = Path(spec)
     if not source.is_file():
-        bundled = resources.files("beliefworld").joinpath(f"scenarios/{spec}.json")
-        if bundled.is_file():
-            source = bundled
-        elif not source.exists():
+        bundled = _bundled(str(spec))
+        if bundled is not None:
+            return bundled
+        if not source.exists():
             raise ScenarioError(f"scenario not found: {spec}")
+    return _read(source, spec)
+
+
+@functools.lru_cache(maxsize=_BUNDLED_LIMIT)
+def _bundled(name: str) -> Scenario | None:
+    """The bundled scenario of that name, None when there is none."""
+    source = resources.files("beliefworld").joinpath(f"scenarios/{name}.json")
+    return _read(source, name) if source.is_file() else None
+
+
+def _read(source, spec: str | Path) -> Scenario:
+    """Parse and validate one scenario file, which is UTF-8 in any locale."""
     try:
-        data = json.loads(source.read_text())
+        data = json.loads(source.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read scenario {spec}: {exc}") from None
     return scenario_from_dict(data)

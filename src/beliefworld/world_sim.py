@@ -23,7 +23,13 @@ only filters candidates through it.
 ``WorldState.locations`` is the one record of where every object is,
 held ones included: an agent's hands are the objects at ``(HELD, name)``,
 a container's load the objects at ``(INSIDE, id)``.
-:meth:`WorldState.objects_at` is the one scan of it.
+:meth:`WorldState.objects_at` scans it for one location, and
+:meth:`WorldState.grouped` groups it by location in one pass, rebuilt on
+each call, so a reader of many locations (:func:`observe`, the invariant
+check after each frame) scans it once per frame.
+
+Every episode of one scenario shares the scenario's read-only
+:class:`EntityRegistry` (:func:`scenario.shared_registry`).
 
 Frame costs:
 
@@ -66,7 +72,16 @@ from .actions import (
     SendMessage,
     Transport,
 )
-from .scenario import BED, CONTAINER, CONTAINER_CAPACITY, MAX_HANDS, TARGET, EntityRegistry, Scenario
+from .scenario import (
+    BED,
+    CONTAINER,
+    CONTAINER_CAPACITY,
+    MAX_HANDS,
+    TARGET,
+    EntityRegistry,
+    Scenario,
+    shared_registry,
+)
 from .sbl import EXPLORED_STATES, ObjectRef
 
 EXPLORE_COST = 50
@@ -145,13 +160,21 @@ class WorldState:
         """The ids of the objects at one location, ascending."""
         return sorted(oid for oid, loc in self.locations.items() if loc == location)
 
+    def grouped(self) -> dict[Location, list[int]]:
+        """Each occupied location's object ids, ascending: one pass over
+        ``locations``, rebuilt on every call, so it is no second record."""
+        groups: dict[Location, list[int]] = {}
+        for oid in sorted(self.locations):
+            groups.setdefault(self.locations[oid], []).append(oid)
+        return groups
+
     def transported_ids(self) -> list[int]:
         return [oid for oid in self.objects_at(AT_BED) if self.registry.is_target(oid)]
 
 
 def init(scenario: Scenario, seed: int) -> WorldState:
     """Build the deterministic initial state for an episode."""
-    state = WorldState(registry=EntityRegistry(scenario))
+    state = WorldState(registry=shared_registry(scenario))
     for ref, _, home in scenario.objects:
         state.locations[ref.id] = (AT_ROOM, home)
     for index, (name, room_id) in enumerate(scenario.agents):
@@ -319,22 +342,24 @@ def observe(state: WorldState, agent_name: str) -> VisualObservation:
     agent = state.agents[agent_name]
     room = reg.rooms_by_id[agent.room_id]
 
-    def refs(ids) -> tuple[ObjectRef, ...]:
-        return tuple(reg.objects_by_id[oid][0] for oid in ids)
+    groups = state.grouped()
 
-    items = [ref for ref in refs(state.objects_at(AT_ROOM, agent.room_id)) if ref.id in agent.revealed]
+    def refs(*location) -> tuple[ObjectRef, ...]:
+        return tuple(reg.objects_by_id[oid][0] for oid in groups.get(location, ()))
+
+    items = [ref for ref in refs(AT_ROOM, agent.room_id) if ref.id in agent.revealed]
     at_bed = ()
     if agent.room_id == reg.scenario.bed_room_id:
         items.append(reg.bed)
-        at_bed = refs(state.transported_ids())
+        at_bed = tuple(ref for ref in refs(AT_BED) if reg.is_target(ref.id))
 
     here = [a for a in state.agents.values() if a.room_id == agent.room_id]
-    hands = {a.name: refs(state.objects_at(HELD, a.name)) for a in here}
+    hands = {a.name: refs(HELD, a.name) for a in here}
     contents = tuple(
         (held, inner)
         for a in here
         for held in hands[a.name]
-        for inner in refs(state.objects_at(INSIDE, held.id))
+        for inner in refs(INSIDE, held.id)
     )
 
     return VisualObservation(
@@ -356,7 +381,7 @@ def drain_inbox(state: WorldState, agent_name: str) -> list[tuple[str, str]]:
 
 
 def is_done(state: WorldState) -> tuple[bool, str]:
-    targets = state.registry.target_ids()
+    targets = state.registry.target_ids
     if targets and all(state.locations[oid] == (AT_BED,) for oid in targets):
         return True, "complete"
     if state.frame >= state.registry.scenario.frame_budget:
@@ -382,35 +407,33 @@ def legal_intents(state: WorldState, agent_name: str) -> list[AtomicAction]:
 
 
 def _check_invariants(state: WorldState) -> None:
-    """Conservation and capacity checks, run after every frame."""
+    """Conservation and capacity checks, run after every frame.
+
+    Every object has a location; each location, read from one
+    :meth:`WorldState.grouped` pass, is checked once and named by its
+    lowest id: a known room, a known agent's hands (at most
+    ``MAX_HANDS`` items, at most one container), a container's load (at
+    most ``CONTAINER_CAPACITY``) or the bed."""
     reg = state.registry
     for oid, (_, kind) in reg.objects_by_id.items():
-        if kind == BED:
-            continue
-        loc = state.locations.get(oid)
-        if loc is None:
+        if kind != BED and oid not in state.locations:
             raise InvariantViolation(f"object {oid} has no location")
-        tag = loc[0]
+    for loc, ids in state.grouped().items():
+        tag, oid = loc[0], ids[0]
         if tag == AT_ROOM:
             if loc[1] not in reg.rooms_by_id:
                 raise InvariantViolation(f"object {oid} in unknown room {loc[1]}")
         elif tag == HELD:
             if loc[1] not in state.agents:
                 raise InvariantViolation(f"object {oid} held by unknown agent {loc[1]}")
+            if len(ids) > MAX_HANDS:
+                raise InvariantViolation(f"{loc[1]} holds more than {MAX_HANDS} items")
+            if sum(map(reg.is_container, ids)) > 1:
+                raise InvariantViolation(f"{loc[1]} holds more than one container")
         elif tag == INSIDE:
             if not reg.is_container(loc[1]):
                 raise InvariantViolation(f"object {oid} inside non-container {loc[1]}")
+            if len(ids) > CONTAINER_CAPACITY:
+                raise InvariantViolation(f"container {loc[1]} over capacity: {ids}")
         elif tag != AT_BED:
             raise InvariantViolation(f"object {oid} in unknown location {loc!r}")
-
-    for agent in state.agents.values():
-        held = state.objects_at(HELD, agent.name)
-        if len(held) > MAX_HANDS:
-            raise InvariantViolation(f"{agent.name} holds more than {MAX_HANDS} items")
-        if sum(map(reg.is_container, held)) > 1:
-            raise InvariantViolation(f"{agent.name} holds more than one container")
-
-    for cid in reg.container_ids():
-        load = state.objects_at(INSIDE, cid)
-        if len(load) > CONTAINER_CAPACITY:
-            raise InvariantViolation(f"container {cid} over capacity: {load}")

@@ -65,7 +65,7 @@ def fact(text: str) -> AtomicBelief:
 
 
 def make_world(registry, owner="Alice", collaborators=("Bob",)) -> BeliefWorld:
-    return BeliefWorld(owner, canonical_rules(), tuple(collaborators), registry.container_ids())
+    return BeliefWorld(owner, canonical_rules(), tuple(collaborators), registry.container_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +85,13 @@ def random_view(rng: random.Random, registry) -> PlannerView:
             facts.add(AtomicBelief(registry.rooms_by_id[room_id], "EXPLORED", StateAtom(level)))
     hands = 0
     held_container = None
-    containers = sorted(registry.container_ids())
+    containers = sorted(registry.container_ids)
     if containers and rng.random() < 0.45:
         held_container = registry.objects_by_id[containers[0]][0]
         facts.add(AtomicBelief(AgentName(owner), "HOLD", held_container))
         hands += 1
     load = 0
-    for target_id in sorted(registry.target_ids()):
+    for target_id in sorted(registry.target_ids):
         ref = registry.objects_by_id[target_id][0]
         roll = rng.random()
         if roll < 0.25:
@@ -302,8 +302,8 @@ def test_next_step_skips_steps_with_effects_already_true(food_registry):
 
 def random_step(rng: random.Random, registry):
     rooms = list(registry.rooms_by_id.values())
-    targets = [registry.objects_by_id[i][0] for i in sorted(registry.target_ids())]
-    containers = [registry.objects_by_id[i][0] for i in sorted(registry.container_ids())]
+    targets = [registry.objects_by_id[i][0] for i in sorted(registry.target_ids)]
+    containers = [registry.objects_by_id[i][0] for i in sorted(registry.container_ids)]
     roll = rng.random()
     if roll < 0.25:
         # A remote plan may go to a known id that is not a room.
@@ -321,8 +321,8 @@ def test_next_step_matches_reference_stepping(food_registry):
     """Steps, SUBPLAN_DONE and StalePlan as the documented rule has them,
     over random views, ill-sorted facts, plans and history prefixes."""
     rng = random.Random(3030)
-    targets = [food_registry.objects_by_id[i][0] for i in sorted(food_registry.target_ids())]
-    bowl = food_registry.objects_by_id[min(food_registry.container_ids())][0]
+    targets = [food_registry.objects_by_id[i][0] for i in sorted(food_registry.target_ids)]
+    bowl = food_registry.objects_by_id[min(food_registry.container_ids)][0]
     outcomes = set()
     for case in range(3000):
         view = random_view(rng, food_registry)
@@ -397,8 +397,8 @@ def test_conflicts_match_entities_by_id(food_registry):
 
 FOOD = EntityRegistry(load_scenario("food_small"))
 FOOD_ROOMS = st.sampled_from(sorted(FOOD.rooms_by_id.values()))
-FOOD_TARGETS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.target_ids()))
-FOOD_CONTAINERS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.container_ids()))
+FOOD_TARGETS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.target_ids))
+FOOD_CONTAINERS = st.sampled_from(sorted(FOOD.objects_by_id[i][0] for i in FOOD.container_ids))
 FOOD_PLANS = st.lists(
     st.one_of(
         st.builds(GoTo, FOOD_ROOMS),
@@ -417,7 +417,7 @@ BOWL_GRAB = Plan((GoTo(KITCHEN), GoGrasp(ObjectRef("bowl", 201))))
 @given(mine=FOOD_PLANS, theirs=FOOD_PLANS)
 @example(mine=BOWL_GRAB, theirs=BOWL_GRAB)
 def test_conflict_scan_matches_the_exhaustive_oracle(mine, theirs):
-    pairs, heavy = conflict_oracle(mine, theirs, FOOD.container_ids())
+    pairs, heavy = conflict_oracle(mine, theirs, FOOD.container_ids)
     report = detect_miscoordination(mine, [theirs], (), "Bob", FOOD)
     assert plan_conflicts(mine, theirs, FOOD) == bool(pairs)
     assert [(c.my_index, c.their_index, c.kind) for c in report.conflicts] == pairs
@@ -934,7 +934,7 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, 
     names = [n for n, _ in scn.agents]
     for name in names:
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
-                            registry.container_ids())
+                            registry.container_ids)
         minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=mode))
     return state, minds
 
@@ -1012,7 +1012,7 @@ def only_third_heavy(reasoner, third: str):
     scn = load_scenario("food_small").with_agents(3)
     registry = EntityRegistry(scn)
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", third),
-                        registry.container_ids())
+                        registry.container_ids)
     mind = AgentMind(world=world, registry=registry, reasoner=reasoner)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))

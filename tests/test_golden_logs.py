@@ -10,6 +10,7 @@ depend on the interpreter's string-hash seed, and must neither load nor
 need the HTTP client library.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from beliefworld import harness
+from beliefworld import harness, rule_consensus, scenario, world_sim
 from beliefworld.collab_engine import AgentMind
 from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
@@ -129,3 +130,51 @@ def test_a_scripted_replay_runs_where_requests_cannot_be_imported():
     # A None entry in sys.modules makes every `import requests` raise ImportError.
     digest, _ = replay_in_a_fresh_interpreter("import sys\nsys.modules['requests'] = None\n")
     assert digest == GOLDEN[("food_small", 2, "adaptive")]
+
+
+# Settings that share the per-process caches (the parsed bundled
+# scenarios, the registry per scenario value and the judge's verdicts):
+# both scenarios, 2 and 4 agents of each, all three modes.
+CACHE_MIX = (
+    ("stuff_small", 2, "always"),
+    ("food_small", 2, "adaptive"),
+    ("food_small", 4, "never"),
+    ("stuff_small", 4, "adaptive"),
+    ("food_small", 2, "never"),
+    ("stuff_small", 2, "never"),
+    ("food_small", 2, "always"),
+)
+
+
+def shared_caches():
+    return (scenario._bundled, scenario.shared_registry, rule_consensus.judge)
+
+
+def mix_digests(settings) -> dict:
+    """Seed 1 of each setting, in the given order: each log's sha256."""
+    digests = {}
+    for name, agents, mode in settings:
+        # The registry an episode gets serves exactly its scenario value.
+        scn = scenario.load_scenario(name).with_agents(agents)
+        assert world_sim.init(scn, 1).registry.scenario == scn
+        cfg = harness.RunConfig(scenario=name, seeds=(1,), agents=agents, mode=mode)
+        digests[name, agents, mode] = harness.run_episode(cfg, 1)[0].sha256()
+    return digests
+
+
+def test_the_per_process_caches_leak_nothing_between_episodes():
+    for cache in shared_caches():
+        cache.cache_clear()
+    first = mix_digests(CACHE_MIX)
+    assert all(cache.cache_info().hits > 0 for cache in shared_caches())
+    assert {key: first[key] for key in GOLDEN} == GOLDEN
+
+    registry = scenario.shared_registry(scenario.load_scenario("stuff_small").with_agents(4))
+    before = copy.deepcopy(vars(registry))
+    assert mix_digests(reversed(CACHE_MIX)) == first
+    assert vars(registry) == before  # read-only: no episode wrote to it
+
+    for cache in shared_caches():
+        cache.cache_clear()
+    again = ("stuff_small", 4, "adaptive")
+    assert mix_digests([again]) == {again: first[again]}

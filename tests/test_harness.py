@@ -2,8 +2,12 @@
 seed parsing and one batch through the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -290,3 +294,39 @@ def test_cli_first_episode_failure_exits_3_with_a_summary(tmp_path, monkeypatch)
     table = (out / "summary.txt").read_text().splitlines()
     assert table[1].split() == ["seed", *harness._COLUMNS]
     assert len(table) == 2  # no seed finished, so there is no mean row
+
+
+def cli_run(scenario_file: Path, out: Path, **locale: str) -> subprocess.CompletedProcess:
+    """``beliefworld run`` in a fresh interpreter whose locale and UTF-8
+    settings are ``locale`` alone."""
+    unset = ("LANG", "LANGUAGE", "PYTHONUTF8", "PYTHONIOENCODING", "PYTHONCOERCECLOCALE")
+    env = {k: v for k, v in os.environ.items() if k not in unset and not k.startswith("LC_")}
+    env.update(locale, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = ["run", "--scenario", str(scenario_file), "--out", str(out)]
+    return subprocess.run(
+        [sys.executable, "-m", "beliefworld.cli", *command],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_a_non_ascii_scenario_runs_the_same_under_an_ascii_locale(tmp_path):
+    # The belief language writes <cuisine_é>(2000); the files are UTF-8
+    # whatever the locale's encoding.
+    food_small = resources.files("beliefworld").joinpath("scenarios/food_small.json")
+    food = json.loads(food_small.read_text(encoding="utf-8"))
+    food["name"] = "nourriture_é"
+    food["rooms"][1]["name"] = "cuisine_é"
+    scenario_file = tmp_path / "cuisine.json"
+    scenario_file.write_text(json.dumps(food, ensure_ascii=False), encoding="utf-8")
+    ascii_run = cli_run(
+        scenario_file, tmp_path / "ascii", LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
+    )
+    assert ascii_run.returncode == 0, ascii_run.stderr
+    utf8_run = cli_run(scenario_file, tmp_path / "utf8", PYTHONUTF8="1")
+    assert utf8_run.returncode == 0, utf8_run.stderr
+    ascii_log, utf8_log = (
+        (tmp_path / side / "adaptive" / "1" / "episode.log").read_bytes()
+        for side in ("ascii", "utf8")
+    )
+    assert ascii_log == utf8_log
+    assert "<cuisine_é>(2000)".encode() in ascii_log

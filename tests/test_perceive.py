@@ -72,7 +72,7 @@ def episode(setting, seed: int, heard: list[AtomicBelief]):
     worlds = {}
     for name in names:
         others = tuple(n for n in names if n != name)
-        worlds[name] = BeliefWorld(name, canonical_rules(), others, registry.container_ids())
+        worlds[name] = BeliefWorld(name, canonical_rules(), others, registry.container_ids)
         ingest_facts(worlds[name], heard, None)
     return state, worlds
 

@@ -358,7 +358,7 @@ MESSAGE = (
 def seeded_mind(registry, reasoner) -> AgentMind:
     """Alice in the kitchen with the apple in view; her model of Bob has
     him in the office knowing nothing, so the misalignment is heavy."""
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), registry.container_ids())
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), registry.container_ids)
     for text in (
         "Alice AT <kitchen>(2000)",
         "<kitchen>(2000) EXPLORED part",
@@ -485,7 +485,7 @@ def test_an_unchanged_input_is_asked_once(food_registry):
 def test_each_collaborator_is_its_own_slot(food_registry):
     remote = RecordingRemote({"predict_first": PREDICT_FIRST_REPLY})
     world = BeliefWorld(
-        "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids()
+        "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids
     )
     mind = AgentMind(world=world, registry=food_registry, reasoner=remote)
     for collab in ("Bob", "Carol", "Bob", "Carol"):
@@ -532,7 +532,7 @@ BATCH_REPLIES = {
 
 
 def batch_update(registry, replies):
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids())
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids)
     remote = RecordingRemote(replies)
     declared = AgentMind(world=world, registry=registry, reasoner=remote).hear(BATCH_INBOX)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
@@ -598,7 +598,7 @@ class MisnamingRemote(ScriptedReasoner):
 
 
 def test_a_holding_the_model_misnames_gives_way_to_the_hands_seen(food_registry):
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry.container_ids())
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry.container_ids)
     mind = AgentMind(world=world, registry=food_registry, reasoner=MisnamingRemote())
     apple, banana = ObjectRef("apple", 101), ObjectRef("banana", 102)
 

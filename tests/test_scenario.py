@@ -73,14 +73,16 @@ def test_distance_is_zero_in_place_and_symmetric():
             assert registry.distance(a, b) == registry.distance(b, a)
             if a != b:
                 assert registry.distance(a, b) > 0
+        nearest_first = [(registry.distance(a, r.id), r.id) for r in registry.rooms_by_distance[a]]
+        assert nearest_first == sorted((registry.distance(a, b), b) for b in rooms)
 
 
 @pytest.mark.parametrize("name", ("food_small", "stuff_small"))
 def test_kind_id_sets_match_declared_objects(name):
     scn = load_scenario(name)
     registry = EntityRegistry(scn)
-    assert registry.target_ids() == {ref.id for ref, kind, _ in scn.objects if kind == TARGET}
-    assert registry.container_ids() == {
+    assert registry.target_ids == {ref.id for ref, kind, _ in scn.objects if kind == TARGET}
+    assert registry.container_ids == {
         ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
     }
 

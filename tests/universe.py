@@ -7,7 +7,9 @@ that text from the sorted facts, the slot-read oracles scan every fact
 instead of looking up one slot, the planner oracle is a separate
 translation of the documented priority rules using networkx for
 distances, and the plan-stepping oracle translates the documented
-done/pending/stale rule over the slot-read scans.  The one exception is
+done/pending/stale rule over the slot-read scans, and the simulator
+references read every location with its own ``objects_at`` scan instead
+of one grouping pass.  The one exception is
 the message-update reference, which is the engine's former per-message
 inbox loop with no remote reply, over the library's own message reader:
 the batched fold must leave the same beliefs and declare the same plans.
@@ -20,10 +22,10 @@ import random
 
 import networkx as nx
 
-from beliefworld import perceive
+from beliefworld import perceive, world_sim
 from beliefworld.belief_store import slot
 from beliefworld.planner import PlannerView
-from beliefworld.scenario import CONTAINER_CAPACITY
+from beliefworld.scenario import BED, CONTAINER_CAPACITY, MAX_HANDS
 from beliefworld.sbl import (
     AgentName,
     AtomicBelief,
@@ -405,3 +407,74 @@ def reference_update_from_messages(world, inbox, registry):
         if plan is not None:
             declared[sender] = plan
     return declared
+
+
+def reference_observe(state, agent_name: str) -> world_sim.VisualObservation:
+    """An agent's view, with one ``objects_at`` scan per location read."""
+    reg = state.registry
+    agent = state.agents[agent_name]
+
+    def refs(ids) -> tuple[ObjectRef, ...]:
+        return tuple(reg.objects_by_id[oid][0] for oid in ids)
+
+    items = [
+        ref for ref in refs(state.objects_at(world_sim.AT_ROOM, agent.room_id))
+        if ref.id in agent.revealed
+    ]
+    at_bed = ()
+    if agent.room_id == reg.scenario.bed_room_id:
+        items.append(reg.bed)
+        at_bed = refs(state.transported_ids())
+    here = [a for a in state.agents.values() if a.room_id == agent.room_id]
+    hands = {a.name: refs(state.objects_at(world_sim.HELD, a.name)) for a in here}
+    contents = tuple(
+        (held, inner)
+        for a in here
+        for held in hands[a.name]
+        for inner in refs(state.objects_at(world_sim.INSIDE, held.id))
+    )
+    return world_sim.VisualObservation(
+        room=reg.rooms_by_id[agent.room_id],
+        exploration=agent.explored.get(agent.room_id, world_sim.NONE),
+        items=tuple(items),
+        hands=hands[agent_name],
+        contents=contents,
+        at_bed=at_bed,
+        colocated=tuple((a.name, hands[a.name]) for a in here if a is not agent),
+    )
+
+
+def reference_invariant_violation(state) -> str | None:
+    """The first conservation or capacity violation, object by object,
+    then agent by agent and container by container, each with its own
+    ``objects_at`` scan; None when the state is sound."""
+    reg = state.registry
+    for oid, (_, kind) in reg.objects_by_id.items():
+        if kind == BED:
+            continue
+        loc = state.locations.get(oid)
+        if loc is None:
+            return f"object {oid} has no location"
+        tag = loc[0]
+        if tag == world_sim.AT_ROOM:
+            if loc[1] not in reg.rooms_by_id:
+                return f"object {oid} in unknown room {loc[1]}"
+        elif tag == world_sim.HELD:
+            if loc[1] not in state.agents:
+                return f"object {oid} held by unknown agent {loc[1]}"
+        elif tag == world_sim.INSIDE:
+            if not reg.is_container(loc[1]):
+                return f"object {oid} inside non-container {loc[1]}"
+        elif tag != world_sim.AT_BED:
+            return f"object {oid} in unknown location {loc!r}"
+    for agent in state.agents.values():
+        held = state.objects_at(world_sim.HELD, agent.name)
+        if len(held) > MAX_HANDS:
+            return f"{agent.name} holds more than {MAX_HANDS} items"
+        if sum(map(reg.is_container, held)) > 1:
+            return f"{agent.name} holds more than one container"
+    for cid in sorted(oid for oid in reg.objects_by_id if reg.is_container(oid)):
+        load = state.objects_at(world_sim.INSIDE, cid)
+        if len(load) > CONTAINER_CAPACITY:
+            return f"container {cid} over capacity: {load}"
+    return None
