@@ -1,7 +1,9 @@
 """Per-agent belief worlds: own facts, per-collaborator models, shared rules.
 
 A :class:`BeliefWorld` keeps the beliefs of one owning agent, under the
-consensus rule set ``rules`` every stored fact must conform to.  One map,
+consensus rule set ``rules`` every stored fact must conform to, and
+carries the episode's :class:`~beliefworld.scenario.EntityRegistry`, the
+catalog of rooms and object kinds those beliefs are about.  One map,
 ``partitions``, holds each partition under the ``about`` key every method
 takes:
 
@@ -27,6 +29,14 @@ asserting any of them displaces the others for that entity.  A fact of any
 other relation is its own slot.  Holdings are additionally bounded: at
 most ``MAX_HANDS`` held items per agent, at most one of them a container.
 
+Beside conformance and the hand bound sits the kinds check,
+:meth:`BeliefWorld.admits`: whether a fact's subject and object have the
+kinds its relation relates (an agent HOLDs a target or a container, a
+room is EXPLORED to a state, ...), each kind read from the registry or
+the roster.  The readers of reported facts in :mod:`beliefworld.perceive`
+apply it; :meth:`BeliefWorld.assert_fact` does not, so a caller can
+still store an ill-sorted fact directly.
+
 A partition changes only through :meth:`BeliefWorld.assert_fact` and
 :meth:`BeliefWorld.retract_location`; both drop the partition's cached
 sorted text (:meth:`BeliefWorld.lines`), which every prompt and the
@@ -42,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sbl
-from .scenario import MAX_HANDS
-from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef
+from .scenario import BED, CONTAINER, MAX_HANDS, TARGET, EntityRegistry
+from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef, StateAtom
 
 # A partition: slot -> the one fact occupying it.
 Partition = dict[object, AtomicBelief]
@@ -92,6 +102,18 @@ def slot(fact: AtomicBelief) -> object:
     return fact
 
 
+# The kinds each relation the engine reads may relate, subject to object.
+# A term's kind is its registry kind, "room", "agent" (the owner or a
+# collaborator) or "state"; an unknown id or agent, or a variable, has none.
+_SORTS = {
+    "AT": {("agent", "room"), (TARGET, BED), (CONTAINER, BED)},
+    "IN": {(TARGET, "room"), (CONTAINER, "room"), (BED, "room")},
+    "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
+    "CONTAIN": {(CONTAINER, TARGET)},
+    "EXPLORED": {("room", "state")},
+}
+
+
 def held_by(partition: Partition, holder: sbl.Term) -> list[sbl.Term]:
     """What ``holder`` holds in one partition, in partition order."""
     return [f.object for f in partition.values() if f.relation == "HOLD" and f.subject == holder]
@@ -102,7 +124,7 @@ class BeliefWorld:
     owner: str
     rules: tuple[BeliefExpr, ...]
     collaborators: tuple[str, ...]
-    container_ids: frozenset[int] = frozenset()
+    registry: EntityRegistry
     partitions: dict[str | None, Partition] = field(init=False)  # about -> partition
 
     def __post_init__(self):
@@ -154,12 +176,26 @@ class BeliefWorld:
         held = [t for t in held_by(partition, holder) if t != fact.object]
         if len(held) >= MAX_HANDS:
             raise RuleViolation(f"{holder} already holds {MAX_HANDS} items", fact)
-        if self._is_container(fact.object):
-            if any(self._is_container(t) for t in held):
+        if self._kind(fact.object) == CONTAINER:
+            if any(self._kind(t) == CONTAINER for t in held):
                 raise RuleViolation(f"{holder} already holds a container", fact)
 
-    def _is_container(self, term: sbl.Term) -> bool:
-        return isinstance(term, ObjectRef) and term.id in self.container_ids
+    def _kind(self, term: sbl.Term) -> str | None:
+        if isinstance(term, ObjectRef):
+            return "room" if self.registry.is_room(term.id) else self.registry.kind_of(term.id)
+        if isinstance(term, AgentName):
+            return "agent" if term.name in (self.owner, *self.collaborators) else None
+        return "state" if isinstance(term, StateAtom) else None
+
+    def admits(self, fact: AtomicBelief) -> bool:
+        """Whether a reported fact may enter the owner's beliefs: its terms
+        have the kinds :data:`_SORTS` allows its relation.  A relation the
+        table does not name needs only that every term has a kind: it is
+        ground, the registry knows each object's id (by id alone, as for
+        plans) and each agent is the owner or a collaborator."""
+        kinds = (self._kind(fact.subject), self._kind(fact.object))
+        sorts = _SORTS.get(fact.relation)
+        return kinds in sorts if sorts is not None else None not in kinds
 
     # -- operations ----------------------------------------------------
 

@@ -20,8 +20,9 @@ Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in; the backend answers
 with a reply or with None.  The steps of the loop (hear the inbox,
 predict self, predict a collaborator, replan, next action, compose,
-judge) are methods of :class:`AgentMind`, which reads its beliefs,
-registry and backend from itself.
+judge) are methods of :class:`AgentMind`, which reads its beliefs and
+backend from itself, and its name, collaborators and registry from its
+belief world.
 All of them send their request through one path, ``AgentMind._ask``,
 which fills exactly the vars its template names.  A step passes only
 its own inputs: the inbox lines, the plan to steer clear of, the
@@ -149,12 +150,12 @@ def plans_text(plans: list[Plan]) -> str:
 class AgentMind:
     """Decision state for one agent: beliefs, current plan, bookkeeping.
 
-    The caller chooses the beliefs (whose owner is the agent), registry,
-    backend and mode; the plan and the tick counters start empty.
+    The caller chooses the beliefs (whose owner is the agent and whose
+    registry is the episode's), backend and mode; the plan and the tick
+    counters start empty.
     """
 
     world: BeliefWorld
-    registry: EntityRegistry
     reasoner: object
     mode: str = MODE_ADAPTIVE
     plan: Plan | None = field(default=None, init=False)
@@ -171,6 +172,10 @@ class AgentMind:
     @property
     def collaborators(self) -> tuple[str, ...]:
         return self.world.collaborators
+
+    @property
+    def registry(self) -> EntityRegistry:
+        return self.world.registry
 
     @property
     def default_oppo(self) -> str:
@@ -213,7 +218,7 @@ class AgentMind:
         """
         self.tick += 1
         fallbacks_before = self.reasoner.fallback_count
-        update_from_visual(self.world, obs, self.registry)
+        update_from_visual(self.world, obs)
         declared = self.hear(inbox)
 
         intent: SendMessage | PlanStep | None = self._advance(declared)
@@ -242,7 +247,7 @@ class AgentMind:
             if self.mode == MODE_ADAPTIVE:
                 self.adopt(self.replan(next(iter(candidates[oppo]), None), oppo))
             text = self.compose(misaligned, oppo)
-            note_sent(self.world, text, misaligned, self.registry)
+            note_sent(self.world, text, misaligned)
             self.last_comm_tick = self.tick
             intent = SendMessage(text)
             decision = {"type": "communicate", "message": text}
@@ -329,7 +334,7 @@ class AgentMind:
             template, oppo = ("update_zero", senders) if about is None else ("update_first", about)
             message = "\n".join(f"{sender}: {text}" for sender, text in lines)
             replies[about] = self._ask(template, oppo, MESSAGE=message)
-        return update_from_messages(self.world, batches, replies, self.registry)
+        return update_from_messages(self.world, batches, replies)
 
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""

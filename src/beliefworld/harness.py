@@ -120,13 +120,8 @@ def run_episode(cfg: RunConfig, seed: int) -> tuple[EpisodeLog, EpisodeMetrics]:
     minds = []
     for name in names:
         others = tuple(n for n in names if n != name)
-        world = BeliefWorld(
-            owner=name,
-            rules=rules,
-            collaborators=others,
-            container_ids=registry.container_ids,
-        )
-        minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=cfg.mode))
+        world = BeliefWorld(owner=name, rules=rules, collaborators=others, registry=registry)
+        minds.append(AgentMind(world=world, reasoner=reasoner, mode=cfg.mode))
 
     log = EpisodeLog()
     log.append(

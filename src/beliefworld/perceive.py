@@ -4,7 +4,8 @@ The perceive step of a decision tick has two parts.  The agent folds its
 visual observation into its zero partition (:func:`update_from_visual`),
 then its inbox into both belief orders (:func:`update_from_messages`).
 Both keep each fact once.  An observation names entities by reference
-alone (the registry knows their kinds).  The inbox update folds one
+alone: their kinds come from the registry the world carries
+(:attr:`BeliefWorld.registry`).  The inbox update folds one
 tick's inbox as one batch per belief partition (:func:`inbox_batches`):
 all of it for the zero partition, then each sender's own lines, each
 with the remote model's reply to that partition's update request, if
@@ -15,11 +16,13 @@ message grammar (:func:`compose_message`, :func:`parse_message`) is read
 directly, and every batch of heard facts goes through
 :func:`ingest_facts`.  The owner's own broadcast is folded by
 :func:`note_sent`.  A fact read from any of these texts is kept only when
-the agent could know it (:func:`_knowable`): a remote model or a
-teammate may name an entity the scenario does not have.
+the world admits it (:meth:`BeliefWorld.admits`, the kinds check): a
+remote model or a teammate may name an entity the scenario does not
+have, or relate kinds its relation does not relate.
 
-Every function here is a fold over the evidence it is handed: none takes
-a callable or sends a request.  ``AgentMind`` builds and sends every
+Every function here is a fold over the evidence it is handed: a belief
+update takes the world and the evidence alone, and none takes a
+callable or sends a request.  ``AgentMind`` builds and sends every
 engine prompt, the inbox update's included, so this module asks no
 reasoner, runs no simulator and logs no episode.  The readers of a
 remote model's plan answers (:func:`plan_reply`, :func:`safe_plan`) sit
@@ -37,7 +40,7 @@ from . import belief_store, prompts, sbl
 from .actions import MAX_MESSAGE_CHARS, NO_ANSWER, Plan, parse_plan, plan_text
 from .belief_store import BeliefWorld
 from .planner import PlannerView, names_target
-from .scenario import BED, CONTAINER, TARGET, EntityRegistry
+from .scenario import EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, VisualObservation
 
@@ -122,9 +125,7 @@ def parse_message(text: str) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
 # ---------------------------------------------------------------------------
 
 
-def update_from_visual(
-    world: BeliefWorld, obs: VisualObservation, registry: EntityRegistry
-) -> None:
+def update_from_visual(world: BeliefWorld, obs: VisualObservation) -> None:
     """Fold one visual observation into the zero partition.
 
     Purely mechanical: position, exploration level (never downgraded),
@@ -136,7 +137,7 @@ def update_from_visual(
     registry does not know, anywhere in the observation, raises
     :class:`CorruptObservation` before any belief changes.
     """
-    owner = AgentName(world.owner)
+    owner, registry = AgentName(world.owner), world.registry
     refs = itertools.chain(
         obs.items, obs.hands, obs.at_bed, *(hands for _, hands in obs.colocated), *obs.contents
     )
@@ -235,37 +236,6 @@ def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
     return _known_plan(plan, registry)
 
 
-# The kinds each relation the engine reads may relate, subject to object.
-# A term's kind is its registry kind, "room", "agent" (the owner or a
-# collaborator) or "state"; an unknown id or agent, or a variable, has none.
-_SORTS = {
-    "AT": {("agent", "room"), (TARGET, BED), (CONTAINER, BED)},
-    "IN": {(TARGET, "room"), (CONTAINER, "room"), (BED, "room")},
-    "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
-    "CONTAIN": {(CONTAINER, TARGET)},
-    "EXPLORED": {("room", "state")},
-}
-
-
-def _kind(term: sbl.Term, world: BeliefWorld, registry: EntityRegistry) -> str | None:
-    if isinstance(term, ObjectRef):
-        return "room" if registry.is_room(term.id) else registry.kind_of(term.id)
-    if isinstance(term, AgentName):
-        return "agent" if term.name in (world.owner, *world.collaborators) else None
-    return "state" if isinstance(term, StateAtom) else None
-
-
-def _knowable(fact: AtomicBelief, world: BeliefWorld, registry: EntityRegistry) -> bool:
-    """Whether a reported fact may enter the owner's beliefs: its terms
-    have the kinds :data:`_SORTS` allows its relation.  A relation the
-    table does not name needs only that every term has a kind: it is
-    ground, the registry knows each object's id (by id alone, as for
-    plans) and each agent is the owner or a collaborator."""
-    kinds = (_kind(fact.subject, world, registry), _kind(fact.object, world, registry))
-    sorts = _SORTS.get(fact.relation)
-    return kinds in sorts if sorts is not None else None not in kinds
-
-
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     """The plan itself when every entity it names is known, else None."""
     # Every field of a plan step is an ObjectRef.
@@ -279,14 +249,13 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None,
-    registry: EntityRegistry,
+    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists for the zero
     partition, or the one about ``about``, read from the section's
     :func:`sbl.belief_lines`: a line under another believer chain than
     :meth:`BeliefWorld.believers` gives for the partition, or whose fact
-    is not :func:`_knowable`, is skipped.  None when no reply arrived or
+    :meth:`BeliefWorld.admits` refuses, is skipped.  None when no reply arrived or
     the section is missing or holds no readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
@@ -300,7 +269,7 @@ def _reply_facts(
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
-        if expr.believers != believers or not _knowable(expr.body, world, registry):
+        if expr.believers != believers or not world.admits(expr.body):
             log.warning("skipping belief line outside the partition: %r", line)
             continue
         facts.append(expr.body)
@@ -323,17 +292,15 @@ def plan_reply(
     return plan if plan is not None else heuristic()
 
 
-def _heard(
-    text: str, world: BeliefWorld, registry: EntityRegistry
-) -> tuple[list[AtomicBelief], Plan | None]:
-    """The :func:`_knowable` facts and the known-entity plan a structured
-    message carries; nothing when it does not parse."""
+def _heard(text: str, world: BeliefWorld) -> tuple[list[AtomicBelief], Plan | None]:
+    """The facts :meth:`BeliefWorld.admits` and the known-entity plan a
+    structured message carries; nothing when it does not parse."""
     try:
         facts, plan = parse_message(text)
     except ParseError:
         log.warning("ignoring unparseable message: %r", text)
         return [], None
-    return [f for f in facts if _knowable(f, world, registry)], _known_plan(plan, registry)
+    return [f for f in facts if world.admits(f)], _known_plan(plan, world.registry)
 
 
 # One tick's mail per belief partition: None (the zero partition) or a
@@ -358,8 +325,7 @@ def inbox_batches(world: BeliefWorld, inbox: list[tuple[str, str]]) -> Batches:
 
 
 def update_from_messages(
-    world: BeliefWorld, batches: Batches,
-    replies: dict[str | None, prompts.ReasonerResponse | None], registry: EntityRegistry,
+    world: BeliefWorld, batches: Batches, replies: dict[str | None, prompts.ReasonerResponse | None]
 ) -> dict[str, Plan]:
     """Fold one tick's inbox, split by :func:`inbox_batches`, into both
     belief orders, given the reply to each partition's update request.
@@ -371,8 +337,8 @@ def update_from_messages(
     a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
     unparseable messages are ignored with a warning, facts that are not
-    :func:`_knowable` are dropped, and plans naming unknown entities are
-    not declared.
+    the world does not admit (:meth:`BeliefWorld.admits`) are dropped,
+    and plans naming unknown entities are not declared.
     Facts that violate the consensus rules are dropped individually.
 
     Returns the plans the senders declared, keyed in the order of each
@@ -380,9 +346,9 @@ def update_from_messages(
     replaces its earlier one.
     """
     # A message text is parsed only when some reply is not usable.
-    heard = functools.cache(lambda text: _heard(text, world, registry))
+    heard = functools.cache(lambda text: _heard(text, world))
     for about, lines in batches.items():
-        facts = _reply_facts(replies.get(about), world, about, registry)
+        facts = _reply_facts(replies.get(about), world, about)
         if facts is not None:
             ingest_facts(world, facts, about)
         else:
@@ -391,23 +357,21 @@ def update_from_messages(
 
     declared: dict[str, Plan] = {}
     for sender, text in batches.get(None, ()):
-        plan = plan_reply(replies.get(sender), registry, lambda: heard(text)[1])
+        plan = plan_reply(replies.get(sender), world.registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared
 
 
-def note_sent(
-    world: BeliefWorld, text: str, misaligned: list[AtomicBelief], registry: EntityRegistry
-) -> None:
+def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
     """Fold the owner's own broadcast: every collaborator is credited with
-    the :func:`_knowable` facts the message carries (the owner now believes
+    the facts the message carries that the world admits (the owner now believes
     they know what it just said), or with ``misaligned`` when the text does
     not parse."""
     try:
         facts, _ = parse_message(text)
     except ParseError:
         facts = misaligned
-    facts = [f for f in facts if _knowable(f, world, registry)]
+    facts = [f for f in facts if world.admits(f)]
     for collab in world.collaborators:
         ingest_facts(world, facts, collab)

@@ -264,9 +264,8 @@ def _complete(state: WorldState, agent: AgentState, action: AtomicAction) -> Act
         state.locations[oid] = (HELD, agent.name)
         agent.revealed.add(oid)
     elif isinstance(action, Put):
-        err, _ = _start(state, agent, action)
-        if err:
-            return ActionResult("rejected", action, err)
+        # Only the agent's own actions change its hands or fill the container
+        # it holds, and it was busy with this put: what _start accepted holds.
         state.locations[action.object.id] = (INSIDE, action.container.id)
     elif isinstance(action, Transport):
         _enter_room(state, agent, reg.bed_room.id)

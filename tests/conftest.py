@@ -21,5 +21,5 @@ def alice_world(food_registry):
         owner="Alice",
         rules=canonical_rules(),
         collaborators=("Bob",),
-        container_ids=food_registry.container_ids,
+        registry=food_registry,
     )

@@ -14,6 +14,7 @@ from beliefworld.collab_engine import belief_text
 from beliefworld.perceive import ingest_facts
 from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
+from beliefworld.scenario import EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
     misalignment_oracle,
@@ -28,7 +29,20 @@ BOWL = ObjectRef("bowl", 9)
 PLATE = ObjectRef("plate", 11)
 BED = ObjectRef("bed", 9000)
 
-CONTAINERS = frozenset({9, 11})
+# The made-up entities these tests name; bowl and plate are the containers.
+REGISTRY = EntityRegistry(scenario_from_dict({
+    "rooms": [{"name": n, "id": i} for n, i in (("livingroom", 1000), ("kitchen", 2000), ("office", 3000))],
+    "edges": [[1000, 2000, 1], [2000, 3000, 1]],
+    "bed": {"name": "bed", "id": 9000, "room": 3000},
+    "objects": [
+        {"name": n, "id": i, "kind": kind, "room": 2000}
+        for n, i, kind in (
+            ("apple", 1, "target"), ("pen", 7, "target"), ("bowl", 9, "container"),
+            ("plate", 11, "container"), ("banana", 12, "target"), ("apple", 123, "target"),
+        )
+    ],
+    "agents": [{"name": "Alice", "room": 2000}, {"name": "Bob", "room": 3000}],
+}))
 
 
 def fact(text: str) -> AtomicBelief:
@@ -37,7 +51,7 @@ def fact(text: str) -> AtomicBelief:
 
 @pytest.fixture
 def world():
-    return BeliefWorld("Alice", canonical_rules(), ("Bob",), CONTAINERS)
+    return BeliefWorld("Alice", canonical_rules(), ("Bob",), REGISTRY)
 
 
 def test_assert_and_holds(world):
@@ -139,7 +153,7 @@ def _random_fact(rng: random.Random) -> AtomicBelief:
 
 
 def _random_world(rng: random.Random) -> BeliefWorld:
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), CONTAINERS)
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), REGISTRY)
     for _ in range(rng.randint(0, 30)):
         about = rng.choice((None, "Bob"))
         try:

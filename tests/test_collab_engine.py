@@ -65,7 +65,7 @@ def fact(text: str) -> AtomicBelief:
 
 
 def make_world(registry, owner="Alice", collaborators=("Bob",)) -> BeliefWorld:
-    return BeliefWorld(owner, canonical_rules(), tuple(collaborators), registry.container_ids)
+    return BeliefWorld(owner, canonical_rules(), tuple(collaborators), registry)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,7 @@ def obs(room=KITCHEN, exploration="all", items=(), hands=(),
 def test_update_from_visual_basic(food_registry):
     world = make_world(food_registry)
     apple, bowl = ObjectRef("apple", 101), ObjectRef("bowl", 201)
-    update_from_visual(world, obs(items=[apple, bowl]), food_registry)
+    update_from_visual(world, obs(items=[apple, bowl]))
     assert world.holds(fact("Alice AT <kitchen>(2000)"))
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"))
     assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
@@ -550,9 +550,9 @@ def test_update_from_visual_basic(food_registry):
 def test_update_from_visual_idempotent(food_registry):
     world = make_world(food_registry)
     observation = obs(items=[ObjectRef("apple", 101)])
-    update_from_visual(world, observation, food_registry)
+    update_from_visual(world, observation)
     before = world.snapshot()
-    update_from_visual(world, observation, food_registry)
+    update_from_visual(world, observation)
     assert world.snapshot() == before
 
 
@@ -560,7 +560,7 @@ def test_update_from_visual_collaborator_holdings(food_registry):
     world = make_world(food_registry)
     banana = ObjectRef("banana", 102)
     update_from_visual(
-        world, obs(colocated=[("Bob", (banana,))]), food_registry
+        world, obs(colocated=[("Bob", (banana,))])
     )
     assert world.holds(fact("Bob HOLD <banana>(102)"))
     assert world.holds(fact("Bob AT <kitchen>(2000)"))
@@ -569,21 +569,21 @@ def test_update_from_visual_collaborator_holdings(food_registry):
 def test_update_from_visual_retracts_contradicted_room_contents(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
-    update_from_visual(world, obs(exploration="all", items=[]), food_registry)
+    update_from_visual(world, obs(exploration="all", items=[]))
     assert not world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
 
 
 def test_update_from_visual_partial_view_keeps_beliefs(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
-    update_from_visual(world, obs(exploration="part", items=[]), food_registry)
+    update_from_visual(world, obs(exploration="part", items=[]))
     assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
 
 
 def test_update_from_visual_never_downgrades_exploration(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<kitchen>(2000) EXPLORED all"))
-    update_from_visual(world, obs(exploration="part"), food_registry)
+    update_from_visual(world, obs(exploration="part"))
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"))
 
 
@@ -593,7 +593,6 @@ def test_update_from_visual_hand_sync_after_delivery(food_registry):
     update_from_visual(
         world,
         obs(room=BEDROOM, exploration="part", hands=(), at_bed=[ObjectRef("apple", 101)]),
-        food_registry,
     )
     assert not world.holds(fact("Alice HOLD <apple>(101)"))
     assert world.holds(fact("<apple>(101) AT <bed>(9000)"))
@@ -603,7 +602,7 @@ def test_update_from_visual_rejects_unknown_entity(food_registry):
     world = make_world(food_registry)
     with pytest.raises(CorruptObservation):
         update_from_visual(
-            world, obs(items=[ObjectRef("ghost", 66666)]), food_registry
+            world, obs(items=[ObjectRef("ghost", 66666)])
         )
 
 
@@ -620,14 +619,14 @@ def test_update_from_visual_checks_every_reference(food_registry, seen):
     world = make_world(food_registry)
     before = world.snapshot()
     with pytest.raises(CorruptObservation, match="66666"):
-        update_from_visual(world, obs(**seen), food_registry)
+        update_from_visual(world, obs(**seen))
     assert world.snapshot() == before
 
 
 def test_a_full_view_retracts_a_location_believed_under_another_name(food_registry):
     world = make_world(food_registry)
     world.assert_fact(fact("<red_apple>(101) IN <kitchen>(2000)"))
-    update_from_visual(world, obs(exploration="all", items=[APPLE]), food_registry)
+    update_from_visual(world, obs(exploration="all", items=[APPLE]))
     assert not world.holds(fact("<red_apple>(101) IN <kitchen>(2000)"))
     assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"))
 
@@ -637,9 +636,9 @@ def test_a_full_view_retracts_a_location_believed_under_another_name(food_regist
 # ---------------------------------------------------------------------------
 
 
-def fold_inbox(world, inbox, registry):
+def fold_inbox(world, inbox):
     """The pure inbox fold with no remote reply, as on the scripted backend."""
-    return update_from_messages(world, inbox_batches(world, inbox), {}, registry)
+    return update_from_messages(world, inbox_batches(world, inbox), {})
 
 
 def test_inbox_batches_hold_all_mail_then_each_senders_own(food_registry):
@@ -672,7 +671,7 @@ def test_update_from_messages_spec_example(food_registry):
         "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000)"
         " | PLAN: go grasp <apple>(101); transport"
     )
-    declared = fold_inbox(world, [("Bob", text)], food_registry)
+    declared = fold_inbox(world, [("Bob", text)])
     for about in (None, "Bob"):
         assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about=about)
         assert world.holds(fact("<apple>(101) IN <kitchen>(2000)"), about=about)
@@ -682,7 +681,7 @@ def test_update_from_messages_spec_example(food_registry):
 def test_update_from_messages_empty_inbox(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = fold_inbox(world, [], food_registry)
+    declared = fold_inbox(world, [])
     assert declared == {}
     assert world.snapshot() == before
 
@@ -690,7 +689,7 @@ def test_update_from_messages_empty_inbox(food_registry):
 def test_update_from_messages_plan_none(food_registry):
     world = make_world(food_registry)
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
-    declared = fold_inbox(world, [("Bob", text)], food_registry)
+    declared = fold_inbox(world, [("Bob", text)])
     assert declared == {}
     assert world.holds(fact("<kitchen>(2000) EXPLORED all"), about="Bob")
 
@@ -698,7 +697,7 @@ def test_update_from_messages_plan_none(food_registry):
 def test_update_from_messages_unparseable_ignored(food_registry):
     world = make_world(food_registry)
     before = world.snapshot()
-    declared = fold_inbox(world, [("Bob", "utter gibberish !!")], food_registry)
+    declared = fold_inbox(world, [("Bob", "utter gibberish !!")])
     assert declared == {}
     assert world.snapshot() == before
 
@@ -710,7 +709,7 @@ def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog
     section = "Here is what Alice now believes:\n- Alice BELIEVE <apple>(101) IN <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     with caplog.at_level("WARNING"):
-        facts = perceive._reply_facts(reply, world, None, food_registry)
+        facts = perceive._reply_facts(reply, world, None)
     assert facts == [fact("<apple>(101) IN <kitchen>(2000)")]
     assert "unparseable" not in caplog.text
 
@@ -720,7 +719,7 @@ def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_regis
     world = make_world(food_registry)
     before = world.snapshot()
     text = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: transport; transport; transport; transport"
-    declared = fold_inbox(world, [("Bob", text)], food_registry)
+    declared = fold_inbox(world, [("Bob", text)])
     assert declared == {}
     assert world.snapshot() == before
 
@@ -732,7 +731,7 @@ def test_a_heard_fact_naming_an_unknown_id_is_dropped(food_registry):
     seen = fact("<apple>(101) IN <kitchen>(2000)")
     world.assert_fact(seen)
     text = "FACTS: <ghost>(66666) IN <kitchen>(2000); <apple>(101) IN <nowhere>(5) | PLAN: None"
-    fold_inbox(world, [("Bob", text)], food_registry)
+    fold_inbox(world, [("Bob", text)])
     assert world.facts() == [seen]
     assert world.facts(about="Bob") == []
 
@@ -742,7 +741,7 @@ def test_a_replied_fact_naming_an_unknown_entity_is_dropped(food_registry):
     section = "Alice BELIEVE <ghost>(77777) HOLD <apple>(101)\nAlice BELIEVE Zed AT <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     inbox = [("Bob", "FACTS: | PLAN: None")]
-    update_from_messages(world, inbox_batches(world, inbox), {None: reply}, food_registry)
+    update_from_messages(world, inbox_batches(world, inbox), {None: reply})
     assert world.facts() == []
 
 
@@ -763,7 +762,7 @@ def test_a_heard_fact_of_the_wrong_sort_displaces_no_seen_belief(food_registry, 
     for line in SEEN:
         world.assert_fact(fact(line))
     before = world.facts()
-    fold_inbox(world, [("Bob", f"FACTS: {wrong} | PLAN: None")], food_registry)
+    fold_inbox(world, [("Bob", f"FACTS: {wrong} | PLAN: None")])
     assert world.facts() == before
     assert world.facts(about="Bob") == []
     view = PlannerView("Alice", food_registry, world.partition())
@@ -778,7 +777,7 @@ def test_a_replied_fact_of_the_wrong_sort_is_dropped(food_registry):
     section = "Alice BELIEVE <apple>(101) AT <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     inbox = [("Bob", "FACTS: | PLAN: None")]
-    update_from_messages(world, inbox_batches(world, inbox), {None: reply}, food_registry)
+    update_from_messages(world, inbox_batches(world, inbox), {None: reply})
     assert world.facts() == before
 
 
@@ -787,7 +786,7 @@ def test_an_own_broadcast_with_a_variable_keeps_the_model_of_its_reader(food_reg
     world = make_world(food_registry)
     held = fact("Alice HOLD <apple>(101)")
     world.assert_fact(held, about="Bob")
-    note_sent(world, "FACTS: Alice HOLD ?x | PLAN: None", [], food_registry)
+    note_sent(world, "FACTS: Alice HOLD ?x | PLAN: None", [])
     assert world.facts(about="Bob") == [held]
 
 
@@ -851,8 +850,8 @@ def test_batched_scripted_update_matches_the_per_message_loop(food_registry, tex
                 except RuleViolation:  # a third held item
                     pass
         worlds.append(world)
-    expected = reference_update_from_messages(worlds[0], inbox, food_registry)
-    declared = fold_inbox(worlds[1], inbox, food_registry)
+    expected = reference_update_from_messages(worlds[0], inbox)
+    declared = fold_inbox(worlds[1], inbox)
     assert list(declared.items()) == list(expected.items())
     assert worlds[1].snapshot() == worlds[0].snapshot()
     for about in (None, "Bob", "Carol", "Dave"):
@@ -864,7 +863,7 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
     world.assert_fact(fact("Bob HOLD <apple>(101)"), about="Bob")
     world.assert_fact(fact("Bob HOLD <banana>(102)"), about="Bob")
     text = "FACTS: Bob HOLD <orange>(103) | PLAN: None"
-    fold_inbox(world, [("Bob", text)], food_registry)
+    fold_inbox(world, [("Bob", text)])
     assert world.holds(fact("Bob HOLD <orange>(103)"), about="Bob")
     # the stale pair was displaced rather than blocking the fresh report
     held = [f for f in world.facts(about="Bob") if f.relation == "HOLD"]
@@ -876,13 +875,13 @@ def test_stale_holdings_displaced_by_fresh_report(food_registry):
 # ---------------------------------------------------------------------------
 
 
-def make_mind(registry, world) -> AgentMind:
-    return AgentMind(world=world, registry=registry, reasoner=ScriptedReasoner())
+def make_mind(world) -> AgentMind:
+    return AgentMind(world=world, reasoner=ScriptedReasoner())
 
 
 def test_predict_collaborator_reads_first_order_only(food_registry):
     world = make_world(food_registry)
-    mind = make_mind(food_registry, world)
+    mind = make_mind(world)
     world.assert_fact(fact("<livingroom>(1000) EXPLORED none"), about="Bob")
     world.assert_fact(fact("Bob AT <kitchen>(2000)"), about="Bob")
     before = mind.predict_collaborator("Bob")
@@ -896,14 +895,14 @@ def test_predict_collaborator_reads_first_order_only(food_registry):
 
 
 def test_predict_collaborator_empty_first_order_explores(food_registry):
-    plans = make_mind(food_registry, make_world(food_registry)).predict_collaborator("Bob")
+    plans = make_mind(make_world(food_registry)).predict_collaborator("Bob")
     assert len(plans) == 3
     assert all("explore current room" in str(p) for p in plans)
 
 
 def test_predict_matches_self_when_views_coincide(food_registry):
     world = make_world(food_registry)
-    mind = make_mind(food_registry, world)
+    mind = make_mind(world)
     shared = [
         fact("<apple>(101) IN <kitchen>(2000)"),
         fact("<kitchen>(2000) EXPLORED all"),
@@ -934,8 +933,8 @@ def fresh_minds(scenario_name="food_small", mode="adaptive", seed=42, agents=2, 
     names = [n for n, _ in scn.agents]
     for name in names:
         world = BeliefWorld(name, canonical_rules(), tuple(n for n in names if n != name),
-                            registry.container_ids)
-        minds.append(AgentMind(world=world, registry=registry, reasoner=reasoner, mode=mode))
+                            registry)
+        minds.append(AgentMind(world=world, reasoner=reasoner, mode=mode))
     return state, minds
 
 
@@ -1012,8 +1011,8 @@ def only_third_heavy(reasoner, third: str):
     scn = load_scenario("food_small").with_agents(3)
     registry = EntityRegistry(scn)
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", third),
-                        registry.container_ids)
-    mind = AgentMind(world=world, registry=registry, reasoner=reasoner)
+                        registry)
+    mind = AgentMind(world=world, reasoner=reasoner)
     banana, orange = ObjectRef("banana", 102), ObjectRef("orange", 103)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")
@@ -1165,7 +1164,7 @@ def test_stale_replan_names_the_declaring_collaborator(food_registry):
     # and must name Carol as its owner.
     world = make_world(food_registry, collaborators=("Bob", "Carol"))
     reasoner = RecordingScripted()
-    mind = AgentMind(world=world, registry=food_registry, reasoner=reasoner)
+    mind = AgentMind(world=world, reasoner=reasoner)
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"))
     world.assert_fact(fact("Carol AT <office>(3000)"), about="Carol")
     mind.adopt(Plan((GoGrasp(ObjectRef("apple", 101)),)))

@@ -72,7 +72,7 @@ def episode(setting, seed: int, heard: list[AtomicBelief]):
     worlds = {}
     for name in names:
         others = tuple(n for n in names if n != name)
-        worlds[name] = BeliefWorld(name, canonical_rules(), others, registry.container_ids)
+        worlds[name] = BeliefWorld(name, canonical_rules(), others, registry)
         ingest_facts(worlds[name], heard, None)
     return state, worlds
 
@@ -80,9 +80,9 @@ def episode(setting, seed: int, heard: list[AtomicBelief]):
 def check_visual_update(world: BeliefWorld, obs, registry: EntityRegistry) -> None:
     """Fold ``obs`` into ``world`` and check every rule of the visual update."""
     before = levels(world, registry)
-    update_from_visual(world, obs, registry)
+    update_from_visual(world, obs)
     once = list(world.partition().items())
-    update_from_visual(world, obs, registry)
+    update_from_visual(world, obs)
     assert list(world.partition().items()) == once, "a second update changed the beliefs"
     after = levels(world, registry)
     assert all(after[room] >= before[room] for room in before), "an exploration level fell"
@@ -125,7 +125,7 @@ def test_a_heard_fact_never_lowers_a_known_exploration_level(case, seed, frames)
     rng = random.Random(seed)
     for _ in range(frames):
         for name, world in worlds.items():
-            update_from_visual(world, world_sim.observe(state, name), state.registry)
+            update_from_visual(world, world_sim.observe(state, name))
         world_sim.apply(state, random_intents(state, rng))
     for world in worlds.values():
         before = levels(world, state.registry)

@@ -358,7 +358,7 @@ MESSAGE = (
 def seeded_mind(registry, reasoner) -> AgentMind:
     """Alice in the kitchen with the apple in view; her model of Bob has
     him in the office knowing nothing, so the misalignment is heavy."""
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), registry.container_ids)
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), registry)
     for text in (
         "Alice AT <kitchen>(2000)",
         "<kitchen>(2000) EXPLORED part",
@@ -367,7 +367,7 @@ def seeded_mind(registry, reasoner) -> AgentMind:
     ):
         world.assert_fact(parse_atomic(text))
     world.assert_fact(parse_atomic("Bob AT <office>(3000)"), about="Bob")
-    mind = AgentMind(world=world, registry=registry, reasoner=reasoner)
+    mind = AgentMind(world=world, reasoner=reasoner)
     mind.adopt(best_plan(mind.view()))
     return mind
 
@@ -485,9 +485,9 @@ def test_an_unchanged_input_is_asked_once(food_registry):
 def test_each_collaborator_is_its_own_slot(food_registry):
     remote = RecordingRemote({"predict_first": PREDICT_FIRST_REPLY})
     world = BeliefWorld(
-        "Alice", canonical_rules(), ("Bob", "Carol"), food_registry.container_ids
+        "Alice", canonical_rules(), ("Bob", "Carol"), food_registry
     )
-    mind = AgentMind(world=world, registry=food_registry, reasoner=remote)
+    mind = AgentMind(world=world, reasoner=remote)
     for collab in ("Bob", "Carol", "Bob", "Carol"):
         mind.predict_collaborator(collab)
     sent = [(r.vars["OPPO_NAME"], r.vars["FIRST_ORDER_BELIEF"]) for r in remote.requests]
@@ -532,9 +532,9 @@ BATCH_REPLIES = {
 
 
 def batch_update(registry, replies):
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry.container_ids)
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry)
     remote = RecordingRemote(replies)
-    declared = AgentMind(world=world, registry=registry, reasoner=remote).hear(BATCH_INBOX)
+    declared = AgentMind(world=world, reasoner=remote).hear(BATCH_INBOX)
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
 
@@ -598,8 +598,8 @@ class MisnamingRemote(ScriptedReasoner):
 
 
 def test_a_holding_the_model_misnames_gives_way_to_the_hands_seen(food_registry):
-    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry.container_ids)
-    mind = AgentMind(world=world, registry=food_registry, reasoner=MisnamingRemote())
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry)
+    mind = AgentMind(world=world, reasoner=MisnamingRemote())
     apple, banana = ObjectRef("apple", 101), ObjectRef("banana", 102)
 
     def seen(*hands):

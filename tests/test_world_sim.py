@@ -250,8 +250,8 @@ def test_held_container_contents_are_seen_and_believed():
     obs = world_sim.observe(state, "Bob")  # Bob shares Alice's room
     assert obs.contents == ((BOWL, APPLE),)
     registry = state.registry
-    world = BeliefWorld("Bob", canonical_rules(), ("Alice",), registry.container_ids)
-    update_from_visual(world, obs, registry)
+    world = BeliefWorld("Bob", canonical_rules(), ("Alice",), registry)
+    update_from_visual(world, obs)
     assert world.holds(AtomicBelief(BOWL, "CONTAIN", APPLE))
 
 
@@ -453,6 +453,41 @@ def test_grouped_reads_match_per_location_scans(scenario, seed):
             assert world_sim.observe(state, name) == reference_observe(state, name)
         assert reference_invariant_violation(state) is None
     assert frames > 100
+
+
+def test_a_put_still_starts_when_it_completes(monkeypatch):
+    # Completing a put does not check it again: only the agent's own actions
+    # change its hands or fill the container it holds, and the agent is busy
+    # until the put completes.  Random legal intents, biased toward puts and
+    # grasps, over both scenarios and teams of 2 to 4, check that at every
+    # put completion the start rule still accepts the put.
+    complete = world_sim._complete
+    puts = []
+
+    def checked(state, agent, action):
+        if isinstance(action, Put):
+            assert world_sim._start(state, agent, action) == (None, world_sim.PUT_COST)
+            puts.append(action)
+        return complete(state, agent, action)
+
+    monkeypatch.setattr(world_sim, "_complete", checked)
+    rng = random.Random(1529)
+    for _ in range(40):
+        scn = load_scenario(rng.choice(("food_small", "stuff_small"))).with_agents(rng.randint(2, 4))
+        state = world_sim.init(scn, rng.randint(0, 10**6))
+        while not world_sim.is_done(state)[0]:
+            intents = {}
+            for agent in state.agents.values():
+                options = world_sim.legal_intents(state, agent.name) if agent.busy is None else []
+                for kind in (Put, GoGrasp):
+                    preferred = [o for o in options if isinstance(o, kind)]
+                    if preferred and rng.random() < 0.8:
+                        options = preferred
+                        break
+                if options:
+                    intents[agent.name] = rng.choice(options)
+            world_sim.apply(state, intents)
+    assert len(puts) > 80
 
 
 def random_intents(state, rng):

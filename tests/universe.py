@@ -393,7 +393,7 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
 # ---------------------------------------------------------------------------
 
 
-def reference_update_from_messages(world, inbox, registry):
+def reference_update_from_messages(world, inbox):
     """The inbox update with no remote reply, one message at a time, in
     arrival order: each registered message's parsed facts ingested on
     their own into the zero partition, then into the sender's."""
@@ -401,7 +401,7 @@ def reference_update_from_messages(world, inbox, registry):
     for sender, text in inbox:
         if sender not in world.collaborators:
             continue
-        facts, plan = perceive._heard(text, world, registry)
+        facts, plan = perceive._heard(text, world)
         perceive.ingest_facts(world, facts, None)
         perceive.ingest_facts(world, facts, sender)
         if plan is not None:
