@@ -714,6 +714,20 @@ def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog
     assert "unparseable" not in caplog.text
 
 
+def test_an_unparseable_belief_line_is_skipped_and_the_readable_ones_kept(food_registry, caplog):
+    world = make_world(food_registry)
+    section = (
+        "Alice BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+        "Alice BELIEVE <apple>(101) IN\n"
+        "Alice BELIEVE <kitchen>(2000) EXPLORED all"
+    )
+    reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
+    with caplog.at_level("WARNING"):
+        facts = perceive._reply_facts(reply, world, None)
+    assert facts == [fact("<apple>(101) IN <kitchen>(2000)"), fact("<kitchen>(2000) EXPLORED all")]
+    assert "skipping unparseable belief line: 'Alice BELIEVE <apple>(101) IN'" in caplog.text
+
+
 def test_update_from_messages_ignores_a_message_with_an_overlong_plan(food_registry):
     # Plan() rejects a fourth step; the message is unparseable, not fatal.
     world = make_world(food_registry)

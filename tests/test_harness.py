@@ -225,6 +225,34 @@ def test_read_round_trips_a_written_log(tmp_path):
     assert EpisodeLog.read(path).to_text() == done_log(1).to_text()
 
 
+def test_read_skips_blank_lines(tmp_path):
+    path = tmp_path / "episode.log"
+    header, done = done_log(1).to_text().splitlines()
+    path.write_text(f"\n{header}\n  \n{done}\n\n")
+    assert EpisodeLog.read(path).to_text() == done_log(1).to_text()
+
+
+@pytest.mark.parametrize("line", ("[0, null]", '"done"', '{"frame": 5, "payload": {}}'))
+def test_read_names_a_line_that_is_not_an_event_object(line, tmp_path):
+    path = tmp_path / "episode.log"
+    path.write_text(done_log(0).to_text() + line + "\n")
+    with pytest.raises(LogError, match="record is not an event object") as exc:
+        EpisodeLog.read(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("payload, problem", (
+    ({"reason": "x", "transported": 1}, "done record lacks transport counts"),
+    ({"reason": "x", "transported": "one", "total_targets": 2}, "done record lacks transport counts"),
+    ({"reason": "x", "transported": 0, "total_targets": 0}, "done record reports no targets"),
+))
+def test_metrics_reject_a_done_record_without_usable_counts(payload, problem):
+    log = done_log(0)
+    log.append(5, None, "done", payload)
+    with pytest.raises(LogError, match=problem):
+        metrics(log)
+
+
 def test_parse_seeds():
     assert cli.parse_seeds("1..3") == (1, 2, 3)
     assert cli.parse_seeds("1,2,7") == (1, 2, 7)
@@ -266,6 +294,9 @@ def test_cli_rejects_one_agent(tmp_path):
         ["--scenario", "{tmp}/spaced.json"],
         # A model endpoint the scripted backend would not use.
         ["--scenario", "food_small", "--base-url", "http://127.0.0.1:9", "--model", "none"],
+        ["--scenario", "food_small", "--seeds", ""],
+        ["--scenario", "food_small", "--backend", "llm", "--model", "none"],
+        ["--scenario", "food_small", "--backend", "llm", "--base-url", "http://127.0.0.1:9"],
     ),
 )
 def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):
@@ -279,6 +310,18 @@ def test_cli_config_errors_exit_2_before_any_episode(args, tmp_path):
     result = CliRunner().invoke(cli.main, ["run", *args, "--out", str(tmp_path / "out")])
     assert result.exit_code == cli.EXIT_CONFIG, result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, problem", (
+    # API callers, such as the bench, bypass the command line's choices.
+    ({"backend": "remote"}, "backend must be one of"),
+    ({"mode": "sometimes"}, "mode must be one of"),
+    ({"backend": "llm", "model": "none"}, "llm backend requires --base-url and --model"),
+    ({"backend": "llm", "base_url": "http://127.0.0.1:9"}, "llm backend requires --base-url"),
+))
+def test_run_config_rejects_what_the_command_line_would(fields, problem):
+    with pytest.raises(harness.ConfigError, match=problem):
+        harness.RunConfig(scenario="food_small", seeds=(1,), **fields)
 
 
 def test_cli_first_episode_failure_exits_3_with_a_summary(tmp_path, monkeypatch):

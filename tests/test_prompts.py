@@ -141,3 +141,20 @@ def test_catalog_checksum_rejects_tampering():
     with pytest.raises(TemplateError, match="checksum"):
         prompts._load_catalog(json.dumps(data))
 
+
+def test_catalog_checksum_covers_the_order_of_the_templates():
+    import json
+    from importlib import resources
+
+    raw = resources.files("beliefworld").joinpath("data/prompt_catalog.json").read_text()
+    data = json.loads(raw)
+    # Each entry keeps its own checksum; only the overall one can tell.
+    data["templates"][:2] = data["templates"][1::-1]
+    with pytest.raises(TemplateError, match="overall checksum mismatch"):
+        prompts._load_catalog(json.dumps(data))
+
+
+def test_an_unknown_template_id_is_named():
+    with pytest.raises(TemplateError, match="unknown template id 'nope'"):
+        template("nope")
+

@@ -101,6 +101,17 @@ def test_misplaced_believe_reported_at_the_first_believe(text):
     assert err.value.position == text.index("BELIEVE")
 
 
+@pytest.mark.parametrize("text, problem, token", [
+    ("<a>(1) IN <k>(2)", "expected a BELIEVE operator", "<a>(1)"),
+    ("<a>(1) BELIEVE <b>(2) IN <k>(3)", "believer must be an agent or variable", "<a>(1)"),
+    ("Alice BELIEVE <a>(1) IN 42", "unrecognized token '42'", "42"),
+])
+def test_parse_rejects_a_statement_at_its_offending_token(text, problem, token):
+    with pytest.raises(ParseError, match=problem) as err:
+        sbl.parse(text)
+    assert err.value.position == text.index(token)
+
+
 def test_error_positions_point_at_offending_token():
     text = "Alice BELIEVE Bob BELIEVE Carol BELIEVE <a>(1) IN <k>(2)"
     with pytest.raises(ParseError) as err:

@@ -164,6 +164,27 @@ MALFORMED = {
         food_small_replacing("agents", 0, {"name": "BELIEVE", "room": 2000}),
         "agent name must be a capitalized identifier string other than BELIEVE",
     ),
+    "duplicate room id": (
+        food_small_with(rooms=[*food_small_data()["rooms"], {"name": "attic", "id": 2000}]),
+        "duplicate room ids",
+    ),
+    "zero edge cost": (
+        food_small_replacing("edges", 3, [3000, 4000, 0]), r"edge cost must be positive: \[3000"
+    ),
+    "object of another kind": (
+        food_small_replacing("objects", 10, {"name": "bowl", "id": 201, "kind": "tool", "room": 2000}),
+        r"object kind must be target\|container: .*'tool'",
+    ),
+    "duplicate agent name": (
+        food_small_replacing("agents", 1, {"name": "Alice", "room": 3000}), "duplicate agent names"
+    ),
+    "zero frame_budget": (food_small_with(frame_budget=0), "frame_budget must be positive"),
+    "reveal_fraction above 1": (
+        food_small_with(reveal_fraction=1.5), r"reveal_fraction must lie in \[0, 1\]"
+    ),
+    "negative reveal_fraction": (
+        food_small_with(reveal_fraction=-0.1), r"reveal_fraction must lie in \[0, 1\]"
+    ),
 }
 
 
