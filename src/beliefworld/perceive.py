@@ -255,8 +255,9 @@ def _reply_facts(
     partition, or the one about ``about``, read from the section's
     :func:`sbl.belief_lines`: a line under another believer chain than
     :meth:`BeliefWorld.believers` gives for the partition, or whose fact
-    :meth:`BeliefWorld.admits` refuses, is skipped.  None when no reply arrived or
-    the section is missing or holds no readable line."""
+    the world does not admit (:meth:`BeliefWorld.admits`), is skipped.
+    None when no reply arrived or the section is missing or holds no
+    readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
@@ -293,8 +294,9 @@ def plan_reply(
 
 
 def _heard(text: str, world: BeliefWorld) -> tuple[list[AtomicBelief], Plan | None]:
-    """The facts :meth:`BeliefWorld.admits` and the known-entity plan a
-    structured message carries; nothing when it does not parse."""
+    """The facts the world admits (:meth:`BeliefWorld.admits`) and the
+    known-entity plan a structured message carries; nothing when it does
+    not parse."""
     try:
         facts, plan = parse_message(text)
     except ParseError:
@@ -325,7 +327,8 @@ def inbox_batches(world: BeliefWorld, inbox: list[tuple[str, str]]) -> Batches:
 
 
 def update_from_messages(
-    world: BeliefWorld, batches: Batches, replies: dict[str | None, prompts.ReasonerResponse | None]
+    world: BeliefWorld, batches: Batches,
+    replies: dict[str | None, prompts.ReasonerResponse | None],
 ) -> dict[str, Plan]:
     """Fold one tick's inbox, split by :func:`inbox_batches`, into both
     belief orders, given the reply to each partition's update request.
@@ -336,9 +339,9 @@ def update_from_messages(
     ``replies.get(about)``'s facts as one batch when that reply is usable;
     a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
-    unparseable messages are ignored with a warning, facts that are not
-    the world does not admit (:meth:`BeliefWorld.admits`) are dropped,
-    and plans naming unknown entities are not declared.
+    unparseable messages are ignored with a warning, facts the world does
+    not admit (:meth:`BeliefWorld.admits`) are dropped, and plans naming
+    unknown entities are not declared.
     Facts that violate the consensus rules are dropped individually.
 
     Returns the plans the senders declared, keyed in the order of each
@@ -365,9 +368,9 @@ def update_from_messages(
 
 def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
     """Fold the owner's own broadcast: every collaborator is credited with
-    the facts the message carries that the world admits (the owner now believes
-    they know what it just said), or with ``misaligned`` when the text does
-    not parse."""
+    the facts the message carries that the world admits (the owner now
+    believes they know what it just said), or with ``misaligned`` when the
+    text does not parse."""
     try:
         facts, _ = parse_message(text)
     except ParseError:

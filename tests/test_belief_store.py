@@ -31,7 +31,9 @@ BED = ObjectRef("bed", 9000)
 
 # The made-up entities these tests name; bowl and plate are the containers.
 REGISTRY = EntityRegistry(scenario_from_dict({
-    "rooms": [{"name": n, "id": i} for n, i in (("livingroom", 1000), ("kitchen", 2000), ("office", 3000))],
+    "rooms": [
+        {"name": n, "id": i} for n, i in (("livingroom", 1000), ("kitchen", 2000), ("office", 3000))
+    ],
     "edges": [[1000, 2000, 1], [2000, 3000, 1]],
     "bed": {"name": "bed", "id": 9000, "room": 3000},
     "objects": [

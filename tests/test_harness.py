@@ -243,7 +243,7 @@ def test_read_names_a_line_that_is_not_an_event_object(line, tmp_path):
 
 @pytest.mark.parametrize("payload, problem", (
     ({"reason": "x", "transported": 1}, "done record lacks transport counts"),
-    ({"reason": "x", "transported": "one", "total_targets": 2}, "done record lacks transport counts"),
+    ({"reason": "x", "transported": "one", "total_targets": 2}, "done record lacks transport"),
     ({"reason": "x", "transported": 0, "total_targets": 0}, "done record reports no targets"),
 ))
 def test_metrics_reject_a_done_record_without_usable_counts(payload, problem):

@@ -172,7 +172,9 @@ MALFORMED = {
         food_small_replacing("edges", 3, [3000, 4000, 0]), r"edge cost must be positive: \[3000"
     ),
     "object of another kind": (
-        food_small_replacing("objects", 10, {"name": "bowl", "id": 201, "kind": "tool", "room": 2000}),
+        food_small_replacing(
+            "objects", 10, {"name": "bowl", "id": 201, "kind": "tool", "room": 2000}
+        ),
         r"object kind must be target\|container: .*'tool'",
     ),
     "duplicate agent name": (

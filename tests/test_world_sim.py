@@ -473,7 +473,8 @@ def test_a_put_still_starts_when_it_completes(monkeypatch):
     monkeypatch.setattr(world_sim, "_complete", checked)
     rng = random.Random(1529)
     for _ in range(40):
-        scn = load_scenario(rng.choice(("food_small", "stuff_small"))).with_agents(rng.randint(2, 4))
+        scenario = load_scenario(rng.choice(("food_small", "stuff_small")))
+        scn = scenario.with_agents(rng.randint(2, 4))
         state = world_sim.init(scn, rng.randint(0, 10**6))
         while not world_sim.is_done(state)[0]:
             intents = {}
