@@ -33,9 +33,10 @@ Beside conformance and the hand bound sits the kinds check,
 :meth:`BeliefWorld.admits`: whether a fact's subject and object have the
 kinds its relation relates (an agent HOLDs a target or a container, a
 room is EXPLORED to a state, ...), each kind read from the registry or
-the roster.  The readers of reported facts in :mod:`beliefworld.perceive`
-apply it; :meth:`BeliefWorld.assert_fact` does not, so a caller can
-still store an ill-sorted fact directly.
+the roster.  :meth:`BeliefWorld.assert_fact` applies it to every fact it
+stores, so every partition holds only ground, well-sorted facts, and
+their readers (the planner's slot reads, the belief updates) trust the
+sorts they read.
 
 A partition changes only through :meth:`BeliefWorld.assert_fact` and
 :meth:`BeliefWorld.retract_location`; both drop the partition's cached
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sbl
-from .scenario import BED, CONTAINER, MAX_HANDS, TARGET, EntityRegistry
+from .scenario import BED, CONTAINER, MAX_HANDS, ROOM, TARGET, EntityRegistry
 from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef, StateAtom
 
 # A partition: slot -> the one fact occupying it.
@@ -60,7 +61,8 @@ Partition = dict[object, AtomicBelief]
 
 
 class RuleViolation(ValueError):
-    """Raised when a fact conforms to no consensus rule or breaks a bound."""
+    """Raised when a fact is not admitted (ill-sorted or not ground),
+    conforms to no consensus rule or breaks a bound."""
 
     def __init__(self, message: str, fact: AtomicBelief):
         super().__init__(f"{message}: {fact}")
@@ -103,14 +105,14 @@ def slot(fact: AtomicBelief) -> object:
 
 
 # The kinds each relation the engine reads may relate, subject to object.
-# A term's kind is its registry kind, "room", "agent" (the owner or a
+# A term's kind is its registry kind, "agent" (the owner or a
 # collaborator) or "state"; an unknown id or agent, or a variable, has none.
 _SORTS = {
-    "AT": {("agent", "room"), (TARGET, BED), (CONTAINER, BED)},
-    "IN": {(TARGET, "room"), (CONTAINER, "room"), (BED, "room")},
+    "AT": {("agent", ROOM), (TARGET, BED), (CONTAINER, BED)},
+    "IN": {(TARGET, ROOM), (CONTAINER, ROOM), (BED, ROOM)},
     "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
     "CONTAIN": {(CONTAINER, TARGET)},
-    "EXPLORED": {("room", "state")},
+    "EXPLORED": {(ROOM, "state")},
 }
 
 
@@ -182,13 +184,13 @@ class BeliefWorld:
 
     def _kind(self, term: sbl.Term) -> str | None:
         if isinstance(term, ObjectRef):
-            return "room" if self.registry.is_room(term.id) else self.registry.kind_of(term.id)
+            return self.registry.kind_of(term.id)
         if isinstance(term, AgentName):
             return "agent" if term.name in (self.owner, *self.collaborators) else None
         return "state" if isinstance(term, StateAtom) else None
 
     def admits(self, fact: AtomicBelief) -> bool:
-        """Whether a reported fact may enter the owner's beliefs: its terms
+        """Whether a fact may enter the owner's beliefs: its terms
         have the kinds :data:`_SORTS` allows its relation.  A relation the
         table does not name needs only that every term has a kind: it is
         ground, the registry knows each object's id (by id alone, as for
@@ -200,22 +202,24 @@ class BeliefWorld:
     # -- operations ----------------------------------------------------
 
     def assert_fact(self, fact: AtomicBelief, *, about: str | None = None) -> None:
-        """Insert a ground fact, displacing whatever occupied its slot.
+        """Insert a fact, displacing whatever occupied its slot.
 
         ``about=None`` targets the zero partition, a collaborator name its
         first-order partition.  Re-asserting an identical fact is a no-op
-        that skips the conformance scan (the stored fact passed it, and the
-        rules never change), so an unknown ``about`` raises
-        :class:`UnknownCollaborator` before any :class:`RuleViolation` for
-        a fact matching no consensus rule, a third held item, or a second
-        held container.  Storing a fact drops the cached :meth:`lines`.
+        that skips every check (the stored fact passed them, and the
+        rules and the registry never change), so an unknown ``about``
+        raises :class:`UnknownCollaborator` before any
+        :class:`RuleViolation` for a fact the world does not admit
+        (:meth:`admits`: not ground, or ill-sorted), a fact matching no
+        consensus rule, a third held item, or a second held container.
+        Storing a fact drops the cached :meth:`lines`.
         """
-        if not fact.is_ground:
-            raise RuleViolation("only ground facts can be stored", fact)
         partition = self.partition(about)
         key = slot(fact)
         if partition.get(key) == fact:
             return
+        if not self.admits(fact):
+            raise RuleViolation("only ground, well-sorted facts can be stored", fact)
         if not self._conforms(fact, 0 if about is None else 1):
             raise RuleViolation("fact conforms to no consensus rule", fact)
         self._check_bounds(fact, partition)

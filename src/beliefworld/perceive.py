@@ -5,7 +5,10 @@ visual observation into its zero partition (:func:`update_from_visual`),
 then its inbox into both belief orders (:func:`update_from_messages`).
 Both keep each fact once.  An observation names entities by reference
 alone: their kinds come from the registry the world carries
-(:attr:`BeliefWorld.registry`).  The inbox update folds one
+(:attr:`BeliefWorld.registry`), and the store refuses a fact that names
+an unknown entity or one of the wrong kind
+(:meth:`BeliefWorld.assert_fact` applies :meth:`BeliefWorld.admits`), so
+an observation needs no check of its own.  The inbox update folds one
 tick's inbox as one batch per belief partition (:func:`inbox_batches`):
 all of it for the zero partition, then each sender's own lines, each
 with the remote model's reply to that partition's update request, if
@@ -18,7 +21,12 @@ directly, and every batch of heard facts goes through
 :func:`note_sent`.  A fact read from any of these texts is kept only when
 the world admits it (:meth:`BeliefWorld.admits`, the kinds check): a
 remote model or a teammate may name an entity the scenario does not
-have, or relate kinds its relation does not relate.
+have, or relate kinds its relation does not relate.  These readers
+filter before the store would refuse, for two reasons.  A reply whose
+every line is refused must read as no usable reply, so that the message
+grammar is read instead.  And a refused HOLD report that reached
+:func:`ingest_facts` would set off its hand-bound recovery, which clears
+the holder's believed holdings before the report is refused again.
 
 Every function here is a fold over the evidence it is handed: a belief
 update takes the world and the evidence alone, and none takes a
@@ -32,7 +40,6 @@ here too, beside the reader of a declared plan.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import re
 
@@ -40,15 +47,11 @@ from . import belief_store, prompts, sbl
 from .actions import MAX_MESSAGE_CHARS, NO_ANSWER, Plan, parse_plan, plan_text
 from .belief_store import BeliefWorld
 from .planner import PlannerView, names_target
-from .scenario import EntityRegistry
+from .scenario import CONTAINER, ROOM, TARGET, EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, VisualObservation
 
 log = logging.getLogger(__name__)
-
-
-class CorruptObservation(ValueError):
-    """An observation referenced entities outside the scenario registry."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +136,13 @@ def update_from_visual(world: BeliefWorld, obs: VisualObservation) -> None:
     visible, so holdings no longer seen are retracted), container loads,
     and the delivered pile when standing in the goal room.  A fully
     explored room is authoritative about its contents: believed locations
-    contradicted by such an observation are forgotten.  An entity the
-    registry does not know, anywhere in the observation, raises
-    :class:`CorruptObservation` before any belief changes.
+    contradicted by such an observation are forgotten.  A fact the store
+    does not admit (an entity the registry does not know, or one of the
+    wrong kind where the observation names it) raises
+    :class:`~beliefworld.belief_store.RuleViolation`; the beliefs folded
+    before it stay.
     """
     owner, registry = AgentName(world.owner), world.registry
-    refs = itertools.chain(
-        obs.items, obs.hands, obs.at_bed, *(hands for _, hands in obs.colocated), *obs.contents
-    )
-    for ref in refs:
-        if not registry.knows(ref.id):
-            raise CorruptObservation(f"unknown entity {ref} in observation")
-    if not registry.is_room(obs.room.id):
-        raise CorruptObservation(f"unknown room {obs.room} in observation")
-
     world.assert_fact(AtomicBelief(owner, "AT", obs.room))
 
     current = PlannerView(world.owner, registry, world.partition()).explored_level(obs.room.id)
@@ -163,10 +159,7 @@ def update_from_visual(world: BeliefWorld, obs: VisualObservation) -> None:
         stale = [
             f.subject
             for f in world.partition().values()
-            if f.relation == "IN"
-            and f.object == obs.room
-            and isinstance(f.subject, ObjectRef)
-            and f.subject not in visible
+            if f.relation == "IN" and f.object == obs.room and f.subject not in visible
         ]
         for ref in stale:
             world.retract_location(ref)
@@ -210,7 +203,7 @@ def ingest_facts(
         try:
             world.assert_fact(fact, about=about)
         except belief_store.RuleViolation:
-            if fact.relation == "HOLD" and isinstance(fact.subject, AgentName):
+            if fact.relation == "HOLD":
                 fresh = {
                     f.object for f in ordered
                     if f.relation == "HOLD" and f.subject == fact.subject
@@ -228,7 +221,8 @@ def ingest_facts(
 
 
 def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
-    """Parse a plan reply; unknown entities or bad grammar yield None."""
+    """Parse a plan reply; bad grammar, or an entity unknown or of the
+    wrong kind for its step, yields None."""
     try:
         plan = parse_plan(text)
     except (ParseError, ValueError):
@@ -236,11 +230,16 @@ def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
     return _known_plan(plan, registry)
 
 
+# The kinds each plan-step field may name, by field name.
+_FIELD_KINDS = {"room": {ROOM}, "object": {TARGET, CONTAINER}, "container": {CONTAINER}}
+
+
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
-    """The plan itself when every entity it names is known, else None."""
+    """The plan itself when every entity it names is known and of the
+    kind its step field needs, else None."""
     # Every field of a plan step is an ObjectRef.
     if plan is not None and all(
-        registry.knows(getattr(step, name).id)
+        registry.kind_of(getattr(step, name).id) in _FIELD_KINDS[name]
         for step in plan.steps
         for name in step.__match_args__
     ):
@@ -270,6 +269,9 @@ def _reply_facts(
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
+        # The store would refuse an ill-sorted fact too, but a reply whose
+        # every line is refused must read as unusable (None, below), so
+        # that the message grammar is read instead.
         if expr.believers != believers or not world.admits(expr.body):
             log.warning("skipping belief line outside the partition: %r", line)
             continue
@@ -295,13 +297,16 @@ def plan_reply(
 
 def _heard(text: str, world: BeliefWorld) -> tuple[list[AtomicBelief], Plan | None]:
     """The facts the world admits (:meth:`BeliefWorld.admits`) and the
-    known-entity plan a structured message carries; nothing when it does
-    not parse."""
+    well-kinded plan (:func:`_known_plan`) a structured message carries;
+    nothing when it does not parse."""
     try:
         facts, plan = parse_message(text)
     except ParseError:
         log.warning("ignoring unparseable message: %r", text)
         return [], None
+    # The store would refuse these facts too, but only after a wrong-sort
+    # HOLD report set off ingest_facts' recovery, which clears the
+    # holder's believed holdings.
     return [f for f in facts if world.admits(f)], _known_plan(plan, world.registry)
 
 
@@ -341,7 +346,7 @@ def update_from_messages(
     grammar is read directly, message by message in arrival order:
     unparseable messages are ignored with a warning, facts the world does
     not admit (:meth:`BeliefWorld.admits`) are dropped, and plans naming
-    unknown entities are not declared.
+    unknown entities, or entities of the wrong kind, are not declared.
     Facts that violate the consensus rules are dropped individually.
 
     Returns the plans the senders declared, keyed in the order of each
@@ -375,6 +380,8 @@ def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> 
         facts, _ = parse_message(text)
     except ParseError:
         facts = misaligned
+    # As in _heard: a wrong-sort HOLD report must not reach ingest_facts'
+    # recovery, which would clear the holder's believed holdings.
     facts = [f for f in facts if world.admits(f)]
     for collab in world.collaborators:
         ingest_facts(world, facts, collab)

@@ -3,7 +3,10 @@
 Pure functions of one belief partition (read through a
 :class:`PlannerView`), of plans and of facts the caller passes in.  This
 module stores no beliefs, asks no reasoner, runs no simulator and logs
-nothing.
+nothing.  Its reads trust the sorts of the facts they meet: the belief
+store admits only well-sorted facts (:meth:`BeliefWorld.admits`), so an
+agent's position names a room, a holding or a container's load names an
+object, and an exploration level is a state.
 
 Plan stepping decides, for each step the plan's history has not yet
 accounted for, one of three things: done (its effect already holds in the
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from . import belief_store
 from .actions import ExploreCurrent, GoGrasp, GoTo, Plan, PlanStep, Put, Transport
 from .scenario import CONTAINER_CAPACITY, MAX_HANDS, EntityRegistry
-from .sbl import EXPLORED_STATES, AgentName, AtomicBelief, ObjectRef, StateAtom
+from .sbl import EXPLORED_STATES, AgentName, AtomicBelief, ObjectRef
 
 NONE, _PART, ALL = EXPLORED_STATES
 
@@ -67,9 +70,7 @@ class PlannerView:
 
     def room_of(self, agent: str) -> int | None:
         f = self.slots.get(belief_store.position_slot(AgentName(agent)))
-        if f is not None and isinstance(f.object, ObjectRef) and self.registry.is_room(f.object.id):
-            return f.object.id
-        return None
+        return None if f is None else f.object.id
 
     def my_room(self) -> int:
         room = self.room_of(self.owner)
@@ -77,36 +78,27 @@ class PlannerView:
 
     def holdings(self, agent: str | None = None) -> list[ObjectRef]:
         held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
-        return sorted((r for r in held if isinstance(r, ObjectRef)), key=lambda r: r.id)
+        return sorted(held, key=lambda r: r.id)
 
     def container_load(self, container: ObjectRef) -> list[ObjectRef]:
         inner = [
-            f.object
-            for f in self.slots.values()
-            if f.relation == "CONTAIN"
-            and f.subject == container
-            and isinstance(f.object, ObjectRef)
+            f.object for f in self.slots.values()
+            if f.relation == "CONTAIN" and f.subject == container
         ]
         return sorted(inner, key=lambda r: r.id)
 
     def explored_level(self, room_id: int) -> str:
         f = self.slots.get(belief_store.explored_slot(self.registry.rooms_by_id[room_id]))
-        return f.object.value if f is not None and isinstance(f.object, StateAtom) else NONE
+        return NONE if f is None else f.object.value
 
     def located_targets(self) -> list[tuple[ObjectRef, int]]:
         """Known, unheld, untransported targets and the room they sit in."""
         # By id, not by slot: a remote reply may name a known id under
         # another name, which puts its HOLD and IN facts in different slots.
-        held_anywhere = {
-            f.object.id
-            for f in self.slots.values()
-            if f.relation == "HOLD" and isinstance(f.object, ObjectRef)
-        }
+        held_anywhere = {f.object.id for f in self.slots.values() if f.relation == "HOLD"}
         out = []
         for f in self.slots.values():
-            if f.relation != "IN" or not isinstance(f.subject, ObjectRef):
-                continue
-            if not isinstance(f.object, ObjectRef) or not self.registry.is_room(f.object.id):
+            if f.relation != "IN":
                 continue
             if self.registry.is_target(f.subject.id) and f.subject.id not in held_anywhere:
                 out.append((f.subject, f.object.id))
@@ -225,7 +217,7 @@ def _pending(view: PlannerView, plan: Plan, index: int) -> bool:
         room = gotos[-1] if gotos else view.my_room()
         fact = view.location(step.object)
         where = fact.object if fact is not None and fact.relation == "IN" else None
-        if not (isinstance(where, ObjectRef) and where.id == room and view.registry.is_room(room)):
+        if where is None or where.id != room:
             raise StalePlan(f"{step.object} not believed in the grasp room: {fact}")
         return True
     if isinstance(step, Put):
@@ -329,9 +321,7 @@ def fact_is_goal_relevant(fact: AtomicBelief, registry: EntityRegistry) -> bool:
     """A fact about a target object, or a room becoming fully explored."""
     if names_target(fact, registry):
         return True
-    if fact.relation == "EXPLORED" and isinstance(fact.object, StateAtom):
-        return fact.object.value == ALL
-    return False
+    return fact.relation == "EXPLORED" and fact.object.value == ALL
 
 
 def detect_miscoordination(

@@ -29,9 +29,10 @@ must equal that constant.  Ids, room references, edge entries,
 ``reveal_fraction`` is a JSON number: a bool, a fraction or a quoted number
 is an error, never rounded or parsed.  Names are JSON strings: each
 entity must render as a ``<name>(id)`` the belief language can write (no
-whitespace, brackets or parentheses in the name, no negative id), and an
-agent name is a capitalized identifier other than ``BELIEVE``, which no
-belief line could name.  Agents beyond the listed ones can be added by the
+whitespace, brackets or parentheses in the name, no negative id) and a
+message can carry (no ``;``, which separates a message's facts and a
+plan's steps), and an agent name is a capitalized identifier other than
+``BELIEVE``, which no belief line could name.  Agents beyond the listed ones can be added by the
 harness; extras draw names from a fixed pool and start rooms round-robin
 from the listed starts.
 
@@ -54,9 +55,11 @@ from pathlib import Path
 
 from .sbl import BELIEVE, ObjectRef, _AGENT_RE, _OBJECT_RE
 
+# The kinds an entity id may have (:meth:`EntityRegistry.kind_of`).
 TARGET = "target"
 CONTAINER = "container"
 BED = "bed"
+ROOM = "room"
 
 CONTAINER_CAPACITY = 3
 MAX_HANDS = 2
@@ -112,10 +115,11 @@ class EntityRegistry:
 
     Everything is computed once, in ``__post_init__``, and never written
     again, so one registry can serve every episode of its scenario (see
-    :func:`shared_registry`): the id maps, the GOAL sentence, ``target_ids``
-    and ``container_ids``, each agent's start room, the shortest frame cost
-    between any two rooms, and ``rooms_by_distance``, each room's list of
-    every room ordered by (distance from it, id).
+    :func:`shared_registry`): the id maps, each id's kind, the GOAL
+    sentence, ``target_ids`` and ``container_ids``, each agent's start
+    room, the shortest frame cost between any two rooms, and
+    ``rooms_by_distance``, each room's list of every room ordered by
+    (distance from it, id).
     """
 
     scenario: Scenario
@@ -125,6 +129,7 @@ class EntityRegistry:
     target_ids: frozenset[int] = field(init=False)
     container_ids: frozenset[int] = field(init=False)
     rooms_by_distance: dict[int, tuple[ObjectRef, ...]] = field(init=False)
+    _kinds: dict[int, str] = field(init=False)
     _start_rooms: dict[str, ObjectRef] = field(init=False)
     _dist: dict[int, dict[int, int]] = field(init=False)
 
@@ -133,6 +138,8 @@ class EntityRegistry:
         self.rooms_by_id = {r.id: r for r in scn.rooms}
         self.objects_by_id = {ref.id: (ref, kind) for ref, kind, _ in scn.objects}
         self.objects_by_id[scn.bed.id] = (scn.bed, BED)
+        self._kinds = {r.id: ROOM for r in scn.rooms}
+        self._kinds.update((i, kind) for i, (_, kind) in self.objects_by_id.items())
         self.target_ids = frozenset(ref.id for ref, kind, _ in scn.objects if kind == TARGET)
         self.container_ids = frozenset(
             ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
@@ -158,8 +165,8 @@ class EntityRegistry:
         return self.rooms_by_id[self.scenario.bed_room_id]
 
     def kind_of(self, entity_id: int) -> str | None:
-        entry = self.objects_by_id.get(entity_id)
-        return entry[1] if entry else None
+        """``ROOM``, ``TARGET``, ``CONTAINER`` or ``BED``; None for an unknown id."""
+        return self._kinds.get(entity_id)
 
     def is_target(self, entity_id: int) -> bool:
         return entity_id in self.target_ids
@@ -169,9 +176,6 @@ class EntityRegistry:
 
     def is_room(self, entity_id: int) -> bool:
         return entity_id in self.rooms_by_id
-
-    def knows(self, entity_id: int) -> bool:
-        return entity_id in self.rooms_by_id or entity_id in self.objects_by_id
 
     def distance(self, from_room: int, to_room: int) -> int:
         """Shortest frame cost between two rooms (0 for the same room)."""
@@ -227,7 +231,7 @@ def _ref(entry: dict, what: str, violations: list[str]) -> ObjectRef | None:
         violations.append(f"{what} entry needs string 'name' and integer 'id': {entry!r}")
         return None
     ref = ObjectRef(entry["name"], entry["id"])
-    if isinstance(ref.name, str) and _OBJECT_RE.match(str(ref)):
+    if isinstance(ref.name, str) and ";" not in ref.name and _OBJECT_RE.match(str(ref)):
         return ref
     violations.append(f"{what} entry is not a <name>(id) the belief language can write: {entry!r}")
     return None
@@ -288,6 +292,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     objects = []
     seen_ids = set(room_ids)
     if bed:
+        if bed.id in seen_ids:
+            violations.append(f"duplicate entity id {bed.id}")
         seen_ids.add(bed.id)
     target_count = 0
     for entry in _list(data, "objects", violations):

@@ -18,6 +18,7 @@ from beliefworld.scenario import EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
     misalignment_oracle,
+    random_ground,
     scan_explored_level,
     scan_holdings,
     scan_room_of,
@@ -41,6 +42,7 @@ REGISTRY = EntityRegistry(scenario_from_dict({
         for n, i, kind in (
             ("apple", 1, "target"), ("pen", 7, "target"), ("bowl", 9, "container"),
             ("plate", 11, "container"), ("banana", 12, "target"), ("apple", 123, "target"),
+            ("banana", 55, "target"),
         )
     ],
     "agents": [{"name": "Alice", "room": 2000}, {"name": "Bob", "room": 3000}],
@@ -206,18 +208,16 @@ def test_slot_reads_match_reference_scans(food_registry):
     objects = WORLD_OBJECTS
     for case in range(300):
         world = _random_world(rng)
-        # Facts the reads' guards must see through: an object AT a place
-        # other than the bed, an object as holder, an agent AT a non-room.
+        # Ill-sorted facts the store refuses: an object AT a place other
+        # than the bed, an object as holder, an agent AT a non-room.
         for _ in range(rng.randint(0, 3)):
             odd = rng.choice((
                 AtomicBelief(rng.choice(objects), "AT", KITCHEN),
                 AtomicBelief(ObjectRef("bowl", 9), "HOLD", rng.choice(objects[:3])),
                 AtomicBelief(AgentName(rng.choice(("Alice", "Bob"))), "AT", BED),
             ))
-            try:
+            with pytest.raises(RuleViolation):
                 world.assert_fact(odd, about=rng.choice((None, "Bob")))
-            except RuleViolation:
-                pass
         for about in (None, "Bob"):
             view = PlannerView(about or world.owner, food_registry, world.partition(about))
             facts = world.facts(about=about)
@@ -228,6 +228,31 @@ def test_slot_reads_match_reference_scans(food_registry):
             for room_id in food_registry.rooms_by_id:
                 expected = scan_explored_level(facts, food_registry, room_id)
                 assert view.explored_level(room_id) == expected, f"case {case}"
+
+
+def test_the_store_keeps_a_fact_only_when_the_world_admits_it():
+    """Random facts over the shared test universe, which names agents, ids
+    and kinds the registry lacks: a fact is stored only when ``admits``
+    holds, and a refused fact leaves its partition as it was."""
+    rng = random.Random(3535)
+    stored = refused = 0
+    for case in range(200):
+        world = _random_world(rng)
+        for _ in range(20):
+            about = rng.choice((None, "Bob"))
+            f = random_ground(rng).body
+            admitted = world.admits(f)
+            before, lines = dict(world.partition(about)), world.lines(about)
+            try:
+                world.assert_fact(f, about=about)
+            except RuleViolation:
+                assert world.partition(about) == before, f"case {case}: {f}"
+                assert world.lines(about) == lines, f"case {case}: {f}"
+                refused += 1
+            else:
+                assert admitted and world.holds(f, about=about), f"case {case}: {f}"
+                stored += 1
+    assert stored > 50 and refused > 50
 
 
 def test_cached_text_follows_every_change():

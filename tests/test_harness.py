@@ -169,6 +169,34 @@ def test_no_slot_sends_the_same_request_twice_in_a_row(scenario, agents, mode, m
     assert repeats == []
 
 
+CELLS = [
+    (scenario, agents, mode)
+    for scenario, agents in (("food_small", 2), ("stuff_small", 2), ("stuff_small", 4))
+    for mode in ("never", "always", "adaptive")
+]
+
+
+@pytest.mark.parametrize("scenario,agents,mode", CELLS)
+def test_every_partition_holds_only_admitted_facts(scenario, agents, mode, monkeypatch):
+    # Checked at every decision, over every mind that has decided so far.
+    decide, minds = AgentMind.decide, {}
+
+    def checking(mind, obs, inbox):
+        minds[mind.name] = mind
+        result = decide(mind, obs, inbox)
+        for other in minds.values():
+            world = other.world
+            for about, partition in world.partitions.items():
+                wrong = [str(f) for f in partition.values() if not world.admits(f)]
+                assert wrong == [], (other.name, about)
+        return result
+
+    monkeypatch.setattr(AgentMind, "decide", checking)
+    cfg = harness.RunConfig(scenario=scenario, seeds=(1,), agents=agents, mode=mode)
+    harness.run_episode(cfg, 1)
+    assert len(minds) == agents
+
+
 def test_quiet_frames_are_not_stepped_one_by_one(monkeypatch):
     calls = []
     apply = world_sim.apply

@@ -1,5 +1,5 @@
-"""Tooling: no module in ``src/`` or ``tests/`` imports a name it never
-uses, or binds a logger it never reads.
+"""Tooling: no module in ``src/``, ``tests/`` or ``tools/`` imports a name
+it never uses, or binds a logger it never reads.
 
 A stdlib stand-in for a linter's unused-import rule (F401).  A name is
 used when it appears as an identifier anywhere in the module or inside a
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path.relative_to(ROOT).as_posix()
-    for folder in ("src", "tests")
+    for folder in ("src", "tests", "tools")
     for path in (ROOT / folder).rglob("*.py")
 )
 

@@ -1,9 +1,10 @@
 """Tooling: every Python file parses at the ``requires-python`` floor.
 
 The floor is read from ``pyproject.toml`` with a regex (``tomllib`` is
-3.11+), and each file under ``src/``, ``tests/`` and ``bench/`` is parsed
-with ``ast.parse(..., feature_version=floor)``, so syntax newer than the
-floor fails here even when the tests run on a newer interpreter.
+3.11+), and each file under ``src/``, ``tests/``, ``bench/`` and
+``tools/`` is parsed with ``ast.parse(..., feature_version=floor)``, so
+syntax newer than the floor fails here even when the tests run on a newer
+interpreter.
 """
 
 import ast
@@ -21,7 +22,7 @@ FLOOR = tuple(
 )
 MODULES = sorted(
     path.relative_to(ROOT).as_posix()
-    for folder in ("src", "tests", "bench")
+    for folder in ("src", "tests", "bench", "tools")
     for path in (ROOT / folder).rglob("*.py")
 )
 

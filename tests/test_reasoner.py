@@ -348,6 +348,24 @@ MISADDRESSED = RemoteDouble({
     "adaptive": "reasons: x\nanswer: maybe\nmisaligned information: None",
 })
 
+# Replies whose plans name known entities of the wrong kind for their
+# steps: a room field naming a target or the bed, an object field naming
+# a room or the bed, a container field naming a target.
+WRONG_KIND = RemoteDouble({
+    **MALFORMED.replies,
+    "update_first": (
+        "Extracted Information: x\nFirst order beliefs: who knows\n"
+        "Bob's plan: go to <apple>(101)"
+    ),
+    "predict_zero": "reasoning: x\nplan: go to <apple>(101)",
+    "predict_first": (
+        "reasoning: x\nplans:\nplan1: go grasp <kitchen>(2000)\n"
+        "plan2: go grasp <bed>(9000)\nplan3: explore current room <bed>(9000)"
+    ),
+    "replan": "reasoning: x\nplan: put <apple>(101) <banana>(102)",
+    "plan_next": "reasons: x\nanswer: go grasp <bed>(9000)",
+})
+
 MESSAGE = (
     "FACTS: <kitchen>(2000) EXPLORED all; <apple>(101) IN <kitchen>(2000);"
     " ?x IN <office>(3000) | PLAN: go to <livingroom>(1000); explore current room"
@@ -411,6 +429,7 @@ SITES = (
 @pytest.mark.parametrize("site,remote", [
     *(pytest.param(site, MALFORMED, id=site.__name__) for site in SITES),
     *(pytest.param(site, MISADDRESSED, id=f"{site.__name__}-misaddressed") for site in SITES),
+    *(pytest.param(site, WRONG_KIND, id=f"{site.__name__}-wrong-kind") for site in SITES),
 ])
 def test_malformed_remote_reply_falls_back_to_the_heuristic(site, remote, food_registry):
     heuristic = site(seeded_mind(food_registry, ScriptedReasoner()))
@@ -428,6 +447,19 @@ def test_heuristic_message_ingest_drops_facts_with_variables(food_registry):
 def test_heuristic_message_ingest_rejects_unknown_plan_entities(food_registry):
     mind = seeded_mind(food_registry, ScriptedReasoner())
     declared = mind.hear([("Bob", "FACTS: | PLAN: go grasp <ghost>(66666)")])
+    assert declared == {}
+
+
+@pytest.mark.parametrize("plan", [
+    "go to <apple>(101)",
+    "go grasp <kitchen>(2000)",
+    "go grasp <bed>(9000)",
+    "explore current room <bed>(9000)",
+    "put <apple>(101) <banana>(102)",
+])
+def test_heuristic_message_ingest_rejects_wrong_kind_plan_entities(food_registry, plan):
+    mind = seeded_mind(food_registry, ScriptedReasoner())
+    declared = mind.hear([("Bob", f"FACTS: | PLAN: {plan}")])
     assert declared == {}
 
 

@@ -155,6 +155,17 @@ MALFORMED = {
     "integer room name": (
         food_small_replacing("rooms", 1, {"name": 2000, "id": 2000}), "room entry is not a <name>"
     ),
+    # ";" separates a message's facts and a plan's steps.
+    "object name with a semicolon": (
+        food_small_replacing(
+            "objects", 0, {"name": "app;le", "id": 101, "kind": "target", "room": 2000}
+        ),
+        "object entry is not a <name>",
+    ),
+    "room name with a semicolon": (
+        food_small_replacing("rooms", 1, {"name": "kit;chen", "id": 2000}),
+        "room entry is not a <name>",
+    ),
     "bool agent name": (
         food_small_replacing("agents", 0, {"name": True, "room": 2000}),
         "agent name must be a capitalized identifier string",
@@ -163,6 +174,10 @@ MALFORMED = {
     "agent named BELIEVE": (
         food_small_replacing("agents", 0, {"name": "BELIEVE", "room": 2000}),
         "agent name must be a capitalized identifier string other than BELIEVE",
+    ),
+    # A bed that shares a room's id would be read as that room.
+    "bed id of a room": (
+        food_small_with(bed={"name": "bed", "id": 1000, "room": 4000}), "duplicate entity id 1000"
     ),
     "duplicate room id": (
         food_small_with(rooms=[*food_small_data()["rooms"], {"name": "attic", "id": 2000}]),
