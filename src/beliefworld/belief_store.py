@@ -36,7 +36,11 @@ room is EXPLORED to a state, ...), each kind read from the registry or
 the roster.  :meth:`BeliefWorld.assert_fact` applies it to every fact it
 stores, so every partition holds only ground, well-sorted facts, and
 their readers (the planner's slot reads, the belief updates) trust the
-sorts they read.
+sorts they read.  The kinds check and conformance depend only on the
+fact, its belief order, the rules and the registry, none of which
+changes for the world's life, so each fact is judged once per order and
+its verdict remembered; the hand bound, which depends on the partition,
+is checked on every assert.
 
 A partition changes only through :meth:`BeliefWorld.assert_fact` and
 :meth:`BeliefWorld.retract_location`; both drop the partition's cached
@@ -138,6 +142,8 @@ class BeliefWorld:
         for rule in self.rules:
             self._bodies.setdefault((rule.order, rule.body.relation), []).append(rule.body)
         self._lines: dict[str | None, tuple[str, ...]] = {}
+        # Per belief order, fact -> why assert_fact refuses it ("" when admitted).
+        self._refusals: tuple[dict[AtomicBelief, str], ...] = ({}, {})
 
     # -- partitions ---------------------------------------------------
 
@@ -199,6 +205,15 @@ class BeliefWorld:
         sorts = _SORTS.get(fact.relation)
         return kinds in sorts if sorts is not None else None not in kinds
 
+    def _refusal(self, fact: AtomicBelief, order: int) -> str:
+        """Why a fact may not enter a partition of that order, whatever
+        the partition holds; "" when it may."""
+        if not self.admits(fact):
+            return "only ground, well-sorted facts can be stored"
+        if not self._conforms(fact, order):
+            return "fact conforms to no consensus rule"
+        return ""
+
     # -- operations ----------------------------------------------------
 
     def assert_fact(self, fact: AtomicBelief, *, about: str | None = None) -> None:
@@ -212,16 +227,20 @@ class BeliefWorld:
         :class:`RuleViolation` for a fact the world does not admit
         (:meth:`admits`: not ground, or ill-sorted), a fact matching no
         consensus rule, a third held item, or a second held container.
-        Storing a fact drops the cached :meth:`lines`.
+        The first two verdicts are remembered per fact and belief order, so
+        a refused fact is refused again with the same message.  Storing a
+        fact drops the cached :meth:`lines`.
         """
         partition = self.partition(about)
         key = slot(fact)
         if partition.get(key) == fact:
             return
-        if not self.admits(fact):
-            raise RuleViolation("only ground, well-sorted facts can be stored", fact)
-        if not self._conforms(fact, 0 if about is None else 1):
-            raise RuleViolation("fact conforms to no consensus rule", fact)
+        order = 0 if about is None else 1
+        refusal = self._refusals[order].get(fact)
+        if refusal is None:
+            refusal = self._refusals[order][fact] = self._refusal(fact, order)
+        if refusal:
+            raise RuleViolation(refusal, fact)
         self._check_bounds(fact, partition)
         partition[key] = fact
         self._lines.pop(about, None)
@@ -247,7 +266,11 @@ class BeliefWorld:
         facts, displaced by a different value in) the first-order set.
         """
         theirs = self.partition(collaborator)
-        missing = (f for key, f in self.partition().items() if theirs.get(key) != f)
+        # Identity first: a fact both partitions hold is usually one instance.
+        missing = (
+            f for key, f in self.partition().items()
+            if (g := theirs.get(key)) is not f and g != f
+        )
         return tuple(sorted(missing, key=str))
 
     # -- snapshots -----------------------------------------------------

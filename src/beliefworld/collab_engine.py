@@ -13,8 +13,10 @@ Belief revision, the message grammar and the readers of a remote
 model's replies are pure folds in :mod:`beliefworld.perceive`, over the
 evidence and replies they are handed; the rules that rank plans, step
 through them and flag miscoordination are pure functions in
-:mod:`beliefworld.planner`.  This module keeps the agent,
-:class:`AgentMind`, and builds every engine prompt it sends.
+:mod:`beliefworld.planner`, which read a partition through the one
+:class:`PlannerView` the mind keeps for it (:meth:`AgentMind.view`).
+This module keeps the agent, :class:`AgentMind`, and builds every engine
+prompt it sends.
 
 Every reasoning step is a call to a pluggable backend through its
 prompt template, whichever backend is plugged in; the backend answers
@@ -164,6 +166,8 @@ class AgentMind:
     last_comm_tick: int | None = field(default=None, init=False)
     # (template_id, oppo) -> the vars last sent from that slot and the reply.
     _last_reply: dict = field(default_factory=dict, init=False, repr=False)
+    # about -> the planner's view of that partition (see view).
+    _views: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -182,8 +186,16 @@ class AgentMind:
         return self.collaborators[0]
 
     def view(self, about: str | None = None) -> PlannerView:
-        """The planner's view of the zero partition, or of the one about ``about``."""
-        return PlannerView(about or self.name, self.registry, self.world.partition(about))
+        """The planner's view of the zero partition, or of the one about
+        ``about``; one view per partition for the life of the mind.  A
+        partition is one dict that is changed in place and never replaced,
+        so the view always reads its current facts."""
+        view = self._views.get(about)
+        if view is None:
+            view = self._views[about] = PlannerView(
+                about or self.name, self.registry, self.world.partition(about)
+            )
+        return view
 
     def adopt(self, plan: Plan | None) -> None:
         self.plan = plan

@@ -353,6 +353,8 @@ def update_from_messages(
     sender's first message declaring one; a sender's later declaration
     replaces its earlier one.
     """
+    if not batches:
+        return {}
     # A message text is parsed only when some reply is not usable.
     heard = functools.cache(lambda text: _heard(text, world))
     for about, lines in batches.items():

@@ -5,8 +5,14 @@ Pure functions of one belief partition (read through a
 module stores no beliefs, asks no reasoner, runs no simulator and logs
 nothing.  Its reads trust the sorts of the facts they meet: the belief
 store admits only well-sorted facts (:meth:`BeliefWorld.admits`), so an
-agent's position names a room, a holding or a container's load names an
-object, and an exploration level is a state.
+agent's position names a room, a holder is an agent, a holding or a
+container's load names an object, and an exploration level is a state.
+
+Plan ranking runs on every decision tick, for the agent and for each
+collaborator, so :func:`plan_options` reads the partition in one pass
+and takes each room's exploration plan ready-made from the registry
+(``EntityRegistry.explore_plans``); the plans it fetches targets with
+are built per call, since a fact may name a known id under another name.
 
 Plan stepping decides, for each step the plan's history has not yet
 accounted for, one of three things: done (its effect already holds in the
@@ -58,7 +64,8 @@ class PlannerView:
     ``slots`` is the partition itself (slot -> fact, see
     :func:`belief_store.slot`), shared rather than copied, so a question
     about one functional slot (an agent's room, a room's exploration
-    level, where an object is) is a single lookup.
+    level, where an object is) is a single lookup, and a view reads the
+    partition's current facts for as long as it lives.
     """
 
     owner: str
@@ -80,29 +87,9 @@ class PlannerView:
         held = belief_store.held_by(self.slots, AgentName(agent or self.owner))
         return sorted(held, key=lambda r: r.id)
 
-    def container_load(self, container: ObjectRef) -> list[ObjectRef]:
-        inner = [
-            f.object for f in self.slots.values()
-            if f.relation == "CONTAIN" and f.subject == container
-        ]
-        return sorted(inner, key=lambda r: r.id)
-
     def explored_level(self, room_id: int) -> str:
         f = self.slots.get(belief_store.explored_slot(self.registry.rooms_by_id[room_id]))
         return NONE if f is None else f.object.value
-
-    def located_targets(self) -> list[tuple[ObjectRef, int]]:
-        """Known, unheld, untransported targets and the room they sit in."""
-        # By id, not by slot: a remote reply may name a known id under
-        # another name, which puts its HOLD and IN facts in different slots.
-        held_anywhere = {f.object.id for f in self.slots.values() if f.relation == "HOLD"}
-        out = []
-        for f in self.slots.values():
-            if f.relation != "IN":
-                continue
-            if self.registry.is_target(f.subject.id) and f.subject.id not in held_anywhere:
-                out.append((f.subject, f.object.id))
-        return sorted(out, key=lambda pair: pair[0].id)
 
     def location(self, ref: ObjectRef) -> AtomicBelief | None:
         """The one fact that says where ``ref`` is (IN, HOLD, CONTAIN or AT)."""
@@ -123,20 +110,48 @@ def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
     fetch the nearest known target; otherwise explore the nearest
     not-fully-explored room, unexplored rooms first.  Ties break on
     ascending room id, then ascending object id.  The exploration options
-    are not sorted: they follow the registry's ``rooms_by_distance`` order
+    are not sorted: they follow the registry's ``explore_plans`` order
     for the agent's room, which is (distance, id).  Options that
     :func:`plan_conflicts` with ``avoid`` (another agent's projected
     plan) keep that order but move behind every other option.
+
+    The partition is read in one pass: what the agent holds, the ids
+    anyone holds, the IN facts and the CONTAIN facts.  The agent's room
+    (its start room when no position is believed) and each room's
+    exploration level are one slot lookup each.  A known target is an IN
+    fact about a target id that no HOLD fact holds, whatever name either
+    fact gives it: a remote reply may name a known id under another name,
+    which puts the two facts in different slots.
     """
     reg = view.registry
+    owner = view.owner
+    mine = []  # what the agent holds, in partition order
+    held_ids = set()  # the ids anyone holds
+    contained = []  # the container of each CONTAIN fact
+    located = []  # the IN facts
+    for f in view.slots.values():
+        relation = f.relation
+        if relation == "IN":
+            located.append(f)
+        elif relation == "HOLD":
+            held_ids.add(f.object.id)
+            if f.subject.name == owner:  # a holder is an agent
+                mine.append(f.object)
+        elif relation == "CONTAIN":
+            contained.append(f.subject)
     here = view.my_room()
-    held = view.holdings()
+
+    held = sorted(mine, key=lambda r: r.id)
     container = next((r for r in held if reg.is_container(r.id)), None)
-    load = view.container_load(container) if container else []
-    space = CONTAINER_CAPACITY - len(load) if container else 0
+    load = contained.count(container) if container else 0
+    space = CONTAINER_CAPACITY - load if container else 0
     free_hand = MAX_HANDS - len(held)
     held_targets = [r for r in held if reg.is_target(r.id)]
-    known = view.located_targets()
+    known = sorted(
+        ((f.subject, f.object.id) for f in located
+         if reg.is_target(f.subject.id) and f.subject.id not in held_ids),
+        key=lambda pair: pair[0].id,
+    )
 
     ranked: list[tuple[tuple, Plan]] = []
 
@@ -167,15 +182,11 @@ def plan_options(view: PlannerView, avoid: Plan | None = None) -> list[Plan]:
 
     # Unexplored rooms first, then partly explored ones.
     partly_explored = []
-    for room in reg.rooms_by_distance[here]:
-        level = view.explored_level(room.id)
-        if level == ALL:
-            continue
-        if room.id == here:
-            steps = (ExploreCurrent(room),)
-        else:
-            steps = (GoTo(room), ExploreCurrent(room))
-        (options if level == NONE else partly_explored).append(Plan(steps))
+    for room, plan in reg.explore_plans[here]:
+        level = view.slots.get(belief_store.explored_slot(room))
+        level = NONE if level is None else level.object.value
+        if level != ALL:
+            (options if level == NONE else partly_explored).append(plan)
     options += partly_explored
     if avoid is not None:
         options.sort(key=lambda plan: plan_conflicts(plan, avoid, reg))
@@ -311,9 +322,11 @@ def head_indexes(plan: Plan) -> set[int]:
 
 
 def names_target(fact: AtomicBelief, registry: EntityRegistry) -> bool:
-    return any(
-        isinstance(term, ObjectRef) and registry.is_target(term.id)
-        for term in (fact.subject, fact.object)
+    """Whether the subject or the object is a target, by id."""
+    subject, obj = fact.subject, fact.object
+    return (
+        isinstance(subject, ObjectRef) and registry.is_target(subject.id)
+        or isinstance(obj, ObjectRef) and registry.is_target(obj.id)
     )
 
 

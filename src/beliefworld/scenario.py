@@ -53,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
+from .actions import ExploreCurrent, GoTo, Plan
 from .sbl import BELIEVE, ObjectRef, _AGENT_RE, _OBJECT_RE
 
 # The kinds an entity id may have (:meth:`EntityRegistry.kind_of`).
@@ -118,8 +119,10 @@ class EntityRegistry:
     :func:`shared_registry`): the id maps, each id's kind, the GOAL
     sentence, ``target_ids`` and ``container_ids``, each agent's start
     room, the shortest frame cost between any two rooms, and
-    ``rooms_by_distance``, each room's list of every room ordered by
-    (distance from it, id).
+    ``explore_plans``: from each room, every room ordered by (distance
+    from it, id), each with the plan that explores it from there (``go
+    to`` it first unless it is that room), which the planner ranks
+    without building a plan.
     """
 
     scenario: Scenario
@@ -128,7 +131,8 @@ class EntityRegistry:
     goal: str = field(init=False)  # the GOAL sentence of the planning prompts
     target_ids: frozenset[int] = field(init=False)
     container_ids: frozenset[int] = field(init=False)
-    rooms_by_distance: dict[int, tuple[ObjectRef, ...]] = field(init=False)
+    # from room id -> (room, the plan exploring it from there) per room
+    explore_plans: dict[int, tuple[tuple[ObjectRef, Plan], ...]] = field(init=False)
     _kinds: dict[int, str] = field(init=False)
     _start_rooms: dict[str, ObjectRef] = field(init=False)
     _dist: dict[int, dict[int, int]] = field(init=False)
@@ -147,8 +151,14 @@ class EntityRegistry:
         self._start_rooms = {name: self.rooms_by_id[room] for name, room in scn.agents}
         adj = _adjacency(self.rooms_by_id, scn.edges)
         self._dist = {start: _dijkstra(adj, start) for start in adj}
-        self.rooms_by_distance = {
-            start: tuple(sorted(scn.rooms, key=lambda r: (dist[r.id], r.id)))
+        self.explore_plans = {
+            start: tuple(
+                (room, Plan(
+                    (ExploreCurrent(room),) if room.id == start
+                    else (GoTo(room), ExploreCurrent(room))
+                ))
+                for room in sorted(scn.rooms, key=lambda r: (dist[r.id], r.id))
+            )
             for start, dist in self._dist.items()
         }
         self.goal = (
@@ -173,9 +183,6 @@ class EntityRegistry:
 
     def is_container(self, entity_id: int) -> bool:
         return entity_id in self.container_ids
-
-    def is_room(self, entity_id: int) -> bool:
-        return entity_id in self.rooms_by_id
 
     def distance(self, from_room: int, to_room: int) -> int:
         """Shortest frame cost between two rooms (0 for the same room)."""

@@ -133,6 +133,49 @@ def test_observed_collaborator_holdings_conform(world):
     assert world.holds(fact("Bob HOLD <pen>(7)"))
 
 
+@pytest.mark.parametrize("bad, why", [
+    (AtomicBelief(AgentName("Alice"), "LIKES", AgentName("Bob")), "no consensus rule"),
+    (AtomicBelief(KITCHEN, "HOLD", ObjectRef("apple", 123)), "well-sorted"),
+])
+def test_a_refused_fact_is_refused_again_with_the_same_text(world, bad, why):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(RuleViolation, match=why) as refused:
+            world.assert_fact(bad)
+        texts.append(str(refused.value))
+    assert texts[0] == texts[1]
+    assert world.facts() == []
+
+
+def test_a_fact_admitted_before_still_meets_the_hand_bound(world):
+    """The store remembers that these facts were admitted, but the hand
+    bound depends on what the partition holds, so it is checked again."""
+    banana, plate = fact("Alice HOLD <banana>(55)"), fact("Alice HOLD <plate>(11)")
+    for held in (banana, plate):
+        world.assert_fact(held)
+        world.retract_location(held.object)
+    world.assert_fact(fact("Alice HOLD <apple>(123)"))
+    world.assert_fact(fact("Alice HOLD <bowl>(9)"))
+    with pytest.raises(RuleViolation, match="2 items"):
+        world.assert_fact(banana)
+    world.retract_location(ObjectRef("apple", 123))
+    with pytest.raises(RuleViolation, match="container"):
+        world.assert_fact(plate)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_a_verdict_at_one_belief_order_does_not_answer_the_other(order):
+    """The only rule is of one order, so a fact conforms at that order alone."""
+    chain = "?a BELIEVE " * (order + 1)
+    world = BeliefWorld("Alice", (sbl.parse(f"{chain}?x IN ?room"),), ("Bob",), REGISTRY)
+    f = fact("<apple>(123) IN <kitchen>(2000)")
+    conforming, other = (None, "Bob") if order == 0 else ("Bob", None)
+    world.assert_fact(f, about=conforming)
+    with pytest.raises(RuleViolation, match="no consensus rule"):
+        world.assert_fact(f, about=other)
+    assert world.facts(about=conforming) == [f] and world.facts(about=other) == []
+
+
 WORLD_OBJECTS = [
     ObjectRef(n, i) for n, i in (("apple", 1), ("pen", 7), ("banana", 12), ("bowl", 9), ("plate", 11))
 ]

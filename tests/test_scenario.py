@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from beliefworld.actions import ExploreCurrent, GoTo, Plan
 from beliefworld.scenario import (
     CONTAINER,
     CONTAINER_CAPACITY,
@@ -73,8 +74,12 @@ def test_distance_is_zero_in_place_and_symmetric():
             assert registry.distance(a, b) == registry.distance(b, a)
             if a != b:
                 assert registry.distance(a, b) > 0
-        nearest_first = [(registry.distance(a, r.id), r.id) for r in registry.rooms_by_distance[a]]
+        explore = registry.explore_plans[a]
+        nearest_first = [(registry.distance(a, room.id), room.id) for room, _ in explore]
         assert nearest_first == sorted((registry.distance(a, b), b) for b in rooms)
+        for room, plan in explore:
+            go_to = [] if room.id == a else [GoTo(room)]
+            assert plan == Plan((*go_to, ExploreCurrent(room)))
 
 
 @pytest.mark.parametrize("name", ("food_small", "stuff_small"))

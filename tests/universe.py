@@ -25,7 +25,7 @@ import networkx as nx
 from beliefworld import perceive, world_sim
 from beliefworld.belief_store import slot
 from beliefworld.planner import PlannerView
-from beliefworld.scenario import BED, CONTAINER_CAPACITY, MAX_HANDS
+from beliefworld.scenario import BED, CONTAINER_CAPACITY, MAX_HANDS, ROOM
 from beliefworld.sbl import (
     AgentName,
     AtomicBelief,
@@ -160,7 +160,7 @@ def scan_room_of(facts, registry, agent: str):
             f.relation == "AT"
             and f.subject == AgentName(agent)
             and isinstance(f.object, ObjectRef)
-            and registry.is_room(f.object.id)
+            and registry.kind_of(f.object.id) == ROOM
         ):
             return f.object.id
     return None
@@ -177,7 +177,7 @@ def scan_explored_level(facts, registry, room_id: int) -> str:
 def scan_room_of_object(facts, registry, ref: ObjectRef):
     for f in facts:
         if f.relation == "IN" and f.subject == ref and isinstance(f.object, ObjectRef):
-            if registry.is_room(f.object.id):
+            if registry.kind_of(f.object.id) == ROOM:
                 return f.object.id
     return None
 
@@ -196,6 +196,18 @@ def scan_holdings(facts, agent: str) -> list[ObjectRef]:
         if f.relation == "HOLD" and f.subject == who and isinstance(f.object, ObjectRef)
     ]
     return sorted(held, key=lambda r: r.id)
+
+
+def scan_located_targets(facts, registry) -> list[tuple[ObjectRef, int]]:
+    """Each IN fact's target and room, when no HOLD fact holds that id under
+    any name, in ascending target id."""
+    held_ids = {f.object.id for f in facts if f.relation == "HOLD"}
+    located = [
+        (f.subject, f.object.id)
+        for f in facts
+        if f.relation == "IN" and registry.is_target(f.subject.id) and f.subject.id not in held_ids
+    ]
+    return sorted(located, key=lambda pair: pair[0].id)
 
 
 def scan_holder(facts, ref: ObjectRef):
@@ -230,23 +242,26 @@ def reference_plan_ranking(view) -> list[str]:
     from networkx, candidates are collected per rule in explicit loops,
     and ordering uses the documented sort keys.
     """
+    facts = list(view.slots.values())
     reg = view.registry
     graph = _graph(reg)
-    here = view.my_room()
+    here = scan_room_of(facts, reg, view.owner)
+    if here is None:
+        here = dict(reg.scenario.agents)[view.owner]
 
     def dist(room_id: int) -> int:
         return nx.shortest_path_length(graph, here, room_id, weight="weight")
 
-    held = view.holdings()
+    held = scan_holdings(facts, view.owner)
     container = None
     for ref in held:
         if reg.is_container(ref.id):
             container = ref
-    load = view.container_load(container) if container else []
+    load = [f for f in facts if f.relation == "CONTAIN" and f.subject == container]
     space = CONTAINER_CAPACITY - len(load) if container else 0
     free_hand = 2 - len(held)
     held_targets = [r for r in held if reg.is_target(r.id)]
-    known = view.located_targets()
+    known = scan_located_targets(facts, reg)
 
     entries: list[tuple[tuple, str]] = []
     if container is not None and space > 0:
@@ -266,7 +281,7 @@ def reference_plan_ranking(view) -> list[str]:
                 text = f"go to {reg.rooms_by_id[room_id]}; go grasp {t}"
             entries.append(((3, dist(room_id), room_id, t.id), text))
     for room_id in sorted(reg.rooms_by_id):
-        level = view.explored_level(room_id)
+        level = scan_explored_level(facts, reg, room_id)
         if level == "all":
             continue
         room = reg.rooms_by_id[room_id]
