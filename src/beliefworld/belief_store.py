@@ -265,12 +265,9 @@ class BeliefWorld:
         does not: facts in zero that are absent from (or, for functional
         facts, displaced by a different value in) the first-order set.
         """
-        theirs = self.partition(collaborator)
+        zero, theirs = self.partition(), self.partition(collaborator)
         # Identity first: a fact both partitions hold is usually one instance.
-        missing = (
-            f for key, f in self.partition().items()
-            if (g := theirs.get(key)) is not f and g != f
-        )
+        missing = (f for key, f in zero.items() if (g := theirs.get(key)) is not f and g != f)
         return tuple(sorted(missing, key=str))
 
     # -- snapshots -----------------------------------------------------

@@ -5,8 +5,8 @@ code paths: the unification oracle enumerates substitutions positionally,
 the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
 that text from the sorted facts, the slot-read oracles scan every fact
 instead of looking up one slot, the planner oracle is a separate
-translation of the documented priority rules using networkx for
-distances, and the plan-stepping oracle translates the documented
+translation of the documented priority rules over the slot-read scans,
+using networkx for distances, and the plan-stepping oracle translates the documented
 done/pending/stale rule over the slot-read scans, and the simulator
 references read every location with its own ``objects_at`` scan instead
 of one grouping pass.  The one exception is
