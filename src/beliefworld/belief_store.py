@@ -14,11 +14,17 @@ takes:
 
 Facts are bare :class:`~beliefworld.sbl.AtomicBelief` triples; the believer
 chain is implicit in the partition (``owner BELIEVE ...`` for zero,
-``owner BELIEVE c BELIEVE ...`` for first).  Conformance is checked against
-rule bodies of the matching order: several canonical rules repeat the same
-variable across the believer chain and the body, which would reject
-perfectly ordinary facts such as an observed collaborator's holdings, so
-chain variables do not constrain body variables here.
+``owner BELIEVE c BELIEVE ...`` for first).  The rules are the one
+schema of what a partition may hold: a fact is admitted
+(:meth:`BeliefWorld.admits`) when the rules of its partition's belief
+order admit its subject's and object's kinds for its relation
+(:func:`~beliefworld.scenario.kind_pairs`: ``?agent HOLD ?object`` admits
+an agent holding a target or a container).  Each term's kind is read
+from the registry or the roster, so a variable, an unknown id or an
+unknown agent has none, and a stored fact is ground.  The believer chain
+of a rule constrains nothing: ``?agent BELIEVE ?agent HOLD ?object``
+repeats ``?agent`` across the chain and the body, yet the owner must be
+able to store an observed collaborator's holdings.
 
 A partition maps each fact's :func:`slot` to the fact, so it holds at most
 one fact per slot by construction and the newest assertion wins.
@@ -29,18 +35,10 @@ asserting any of them displaces the others for that entity.  A fact of any
 other relation is its own slot.  Holdings are additionally bounded: at
 most ``MAX_HANDS`` held items per agent, at most one of them a container.
 
-Beside conformance and the hand bound sits the kinds check,
-:meth:`BeliefWorld.admits`: whether a fact's subject and object have the
-kinds its relation relates (an agent HOLDs a target or a container, a
-room is EXPLORED to a state, ...), each kind read from the registry or
-the roster.  :meth:`BeliefWorld.assert_fact` applies it to every fact it
-stores, so every partition holds only ground, well-sorted facts, and
-their readers (the planner's slot reads, the belief updates) trust the
-sorts they read.  The kinds check and conformance depend only on the
-fact, its belief order, the rules and the registry, none of which
-changes for the world's life, so each fact is judged once per order and
-its verdict remembered; the hand bound, which depends on the partition,
-is checked on every assert.
+:meth:`BeliefWorld.assert_fact` applies the rules' check and the hand
+bound to every fact it stores, so every partition holds only facts the
+rules admit, and their readers (the planner's slot reads, the belief
+updates) trust the sorts they read.
 
 A partition changes only through :meth:`BeliefWorld.assert_fact` and
 :meth:`BeliefWorld.retract_location`; both drop the partition's cached
@@ -57,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sbl
-from .scenario import BED, CONTAINER, MAX_HANDS, ROOM, TARGET, EntityRegistry
+from .scenario import AGENT, CONTAINER, MAX_HANDS, STATE, EntityRegistry, kind_pairs
 from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef, StateAtom
 
 # A partition: slot -> the one fact occupying it.
@@ -65,8 +63,8 @@ Partition = dict[object, AtomicBelief]
 
 
 class RuleViolation(ValueError):
-    """Raised when a fact is not admitted (ill-sorted or not ground),
-    conforms to no consensus rule or breaks a bound."""
+    """Raised when the rules do not admit a fact (no rule of its order
+    states its relation, or none admits its kinds) or it breaks a bound."""
 
     def __init__(self, message: str, fact: AtomicBelief):
         super().__init__(f"{message}: {fact}")
@@ -108,18 +106,6 @@ def slot(fact: AtomicBelief) -> object:
     return fact
 
 
-# The kinds each relation the engine reads may relate, subject to object.
-# A term's kind is its registry kind, "agent" (the owner or a
-# collaborator) or "state"; an unknown id or agent, or a variable, has none.
-_SORTS = {
-    "AT": {("agent", ROOM), (TARGET, BED), (CONTAINER, BED)},
-    "IN": {(TARGET, ROOM), (CONTAINER, ROOM), (BED, ROOM)},
-    "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
-    "CONTAIN": {(CONTAINER, TARGET)},
-    "EXPLORED": {(ROOM, "state")},
-}
-
-
 def held_by(partition: Partition, holder: sbl.Term) -> list[sbl.Term]:
     """What ``holder`` holds in one partition, in partition order."""
     return [f.object for f in partition.values() if f.relation == "HOLD" and f.subject == holder]
@@ -137,13 +123,9 @@ class BeliefWorld:
         self.partitions = {about: {} for about in (None, *self.collaborators)}
         # The sorted rule strings (the rules never change), and lines() per partition.
         self.rule_lines = tuple(sorted(map(str, self.rules)))
-        # Rule bodies by (order, relation): unify_atomic rejects any other relation.
-        self._bodies: dict[tuple[int, str], list[AtomicBelief]] = {}
-        for rule in self.rules:
-            self._bodies.setdefault((rule.order, rule.body.relation), []).append(rule.body)
         self._lines: dict[str | None, tuple[str, ...]] = {}
-        # Per belief order, fact -> why assert_fact refuses it ("" when admitted).
-        self._refusals: tuple[dict[AtomicBelief, str], ...] = ({}, {})
+        # (belief order, relation) -> the kind pairs the rules admit.
+        self._pairs = kind_pairs(self.rules)
 
     # -- partitions ---------------------------------------------------
 
@@ -169,13 +151,7 @@ class BeliefWorld:
             text = self._lines[about] = tuple(sorted(map(str, self.partition(about).values())))
         return text
 
-    # -- conformance ---------------------------------------------------
-
-    def _conforms(self, fact: AtomicBelief, order: int) -> bool:
-        return any(
-            sbl.unify_atomic(body, fact) is not None
-            for body in self._bodies.get((order, fact.relation), ())
-        )
+    # -- the rules' check and the hand bound ---------------------------
 
     def _check_bounds(self, fact: AtomicBelief, partition: Partition) -> None:
         if fact.relation != "HOLD":
@@ -192,27 +168,15 @@ class BeliefWorld:
         if isinstance(term, ObjectRef):
             return self.registry.kind_of(term.id)
         if isinstance(term, AgentName):
-            return "agent" if term.name in (self.owner, *self.collaborators) else None
-        return "state" if isinstance(term, StateAtom) else None
+            return AGENT if term.name == self.owner or term.name in self.collaborators else None
+        return STATE if isinstance(term, StateAtom) else None
 
-    def admits(self, fact: AtomicBelief) -> bool:
-        """Whether a fact may enter the owner's beliefs: its terms
-        have the kinds :data:`_SORTS` allows its relation.  A relation the
-        table does not name needs only that every term has a kind: it is
-        ground, the registry knows each object's id (by id alone, as for
-        plans) and each agent is the owner or a collaborator."""
+    def admits(self, fact: AtomicBelief, about: str | None = None) -> bool:
+        """Whether a fact may enter the partition about ``about``: the
+        rules of that belief order admit its subject's and object's kinds
+        for its relation (:func:`~beliefworld.scenario.kind_pairs`)."""
         kinds = (self._kind(fact.subject), self._kind(fact.object))
-        sorts = _SORTS.get(fact.relation)
-        return kinds in sorts if sorts is not None else None not in kinds
-
-    def _refusal(self, fact: AtomicBelief, order: int) -> str:
-        """Why a fact may not enter a partition of that order, whatever
-        the partition holds; "" when it may."""
-        if not self.admits(fact):
-            return "only ground, well-sorted facts can be stored"
-        if not self._conforms(fact, order):
-            return "fact conforms to no consensus rule"
-        return ""
+        return kinds in self._pairs.get((0 if about is None else 1, fact.relation), ())
 
     # -- operations ----------------------------------------------------
 
@@ -224,23 +188,20 @@ class BeliefWorld:
         that skips every check (the stored fact passed them, and the
         rules and the registry never change), so an unknown ``about``
         raises :class:`UnknownCollaborator` before any
-        :class:`RuleViolation` for a fact the world does not admit
-        (:meth:`admits`: not ground, or ill-sorted), a fact matching no
-        consensus rule, a third held item, or a second held container.
-        The first two verdicts are remembered per fact and belief order, so
-        a refused fact is refused again with the same message.  Storing a
-        fact drops the cached :meth:`lines`.
+        :class:`RuleViolation` for a fact the rules do not admit
+        (:meth:`admits`: no rule of its order states its relation, or its
+        terms are not ground or of the wrong kinds), a third held item, or
+        a second held container.  Storing a fact drops the cached
+        :meth:`lines`.
         """
         partition = self.partition(about)
         key = slot(fact)
         if partition.get(key) == fact:
             return
-        order = 0 if about is None else 1
-        refusal = self._refusals[order].get(fact)
-        if refusal is None:
-            refusal = self._refusals[order][fact] = self._refusal(fact, order)
-        if refusal:
-            raise RuleViolation(refusal, fact)
+        if not self.admits(fact, about):
+            if (0 if about is None else 1, fact.relation) in self._pairs:
+                raise RuleViolation("only ground, well-sorted facts can be stored", fact)
+            raise RuleViolation("fact conforms to no consensus rule", fact)
         self._check_bounds(fact, partition)
         partition[key] = fact
         self._lines.pop(about, None)

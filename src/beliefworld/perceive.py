@@ -18,15 +18,15 @@ any statement line, are kept only under the partition's believer chain
 message grammar (:func:`compose_message`, :func:`parse_message`) is read
 directly, and every batch of heard facts goes through
 :func:`ingest_facts`.  The owner's own broadcast is folded by
-:func:`note_sent`.  A fact read from any of these texts is kept only when
-the world admits it (:meth:`BeliefWorld.admits`, the kinds check): a
-remote model or a teammate may name an entity the scenario does not
-have, or relate kinds its relation does not relate.  These readers
-filter before the store would refuse, for two reasons.  A reply whose
-every line is refused must read as no usable reply, so that the message
-grammar is read instead.  And a refused HOLD report that reached
-:func:`ingest_facts` would set off its hand-bound recovery, which clears
-the holder's believed holdings before the report is refused again.
+:func:`note_sent`.  A fact read from any of these texts may name an
+entity the scenario does not have, or relate kinds the agreed rules do
+not relate: a remote model or a teammate wrote it.  :func:`ingest_facts`
+skips a fact the world does not admit (:meth:`BeliefWorld.admits`)
+before it stores anything, so a refused HOLD report never sets off its
+hand-bound recovery, which clears the holder's believed holdings.  A
+remote reply's lines are also read against the partition's rules one by
+one, so that a reply whose every line is refused reads as no usable
+reply, and the message grammar is read instead.
 
 Every function here is a fold over the evidence it is handed: a belief
 update takes the world and the evidence alone, and none takes a
@@ -47,7 +47,7 @@ from . import belief_store, prompts, sbl
 from .actions import MAX_MESSAGE_CHARS, NO_ANSWER, Plan, parse_plan, plan_text
 from .belief_store import BeliefWorld
 from .planner import PlannerView, names_target
-from .scenario import CONTAINER, ROOM, TARGET, EntityRegistry
+from .scenario import SORTS, EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
 from .world_sim import ALL, VisualObservation
 
@@ -195,10 +195,12 @@ def ingest_facts(
     items release hands first.  A holding report that would overflow the
     holder's hands displaces that holder's previously believed holdings
     (newest wins: the report is fresher than whatever went unmentioned).
-    Facts that still violate the consensus rules are dropped individually
-    with a warning.
+    Facts the world does not admit (:meth:`BeliefWorld.admits`) are
+    skipped before anything is stored, and facts that still break a bound
+    are dropped individually with a warning.
     """
-    ordered = sorted(facts, key=lambda f: (f.relation == "HOLD", str(f)))
+    admitted = [f for f in facts if world.admits(f, about)]
+    ordered = sorted(admitted, key=lambda f: (f.relation == "HOLD", str(f)))
     for fact in ordered:
         try:
             world.assert_fact(fact, about=about)
@@ -212,7 +214,7 @@ def ingest_facts(
             try:
                 world.assert_fact(fact, about=about)
             except belief_store.RuleViolation as exc:
-                log.warning("dropping non-conforming fact from message: %s", exc)
+                log.warning("dropping a reported fact: %s", exc)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +232,12 @@ def safe_plan(text: str, registry: EntityRegistry) -> Plan | None:
     return _known_plan(plan, registry)
 
 
-# The kinds each plan-step field may name, by field name.
-_FIELD_KINDS = {"room": {ROOM}, "object": {TARGET, CONTAINER}, "container": {CONTAINER}}
-
-
 def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
     """The plan itself when every entity it names is known and of the
     kind its step field needs, else None."""
-    # Every field of a plan step is an ObjectRef.
+    # Every field of a plan step is an ObjectRef, named by its sort.
     if plan is not None and all(
-        registry.kind_of(getattr(step, name).id) in _FIELD_KINDS[name]
+        registry.kind_of(getattr(step, name).id) in SORTS[name]
         for step in plan.steps
         for name in step.__match_args__
     ):
@@ -254,7 +252,8 @@ def _reply_facts(
     partition, or the one about ``about``, read from the section's
     :func:`sbl.belief_lines`: a line under another believer chain than
     :meth:`BeliefWorld.believers` gives for the partition, or whose fact
-    the world does not admit (:meth:`BeliefWorld.admits`), is skipped.
+    the partition's rules do not admit (:meth:`BeliefWorld.admits`), is
+    skipped.
     None when no reply arrived or the section is missing or holds no
     readable line."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
@@ -269,10 +268,10 @@ def _reply_facts(
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
-        # The store would refuse an ill-sorted fact too, but a reply whose
-        # every line is refused must read as unusable (None, below), so
-        # that the message grammar is read instead.
-        if expr.believers != believers or not world.admits(expr.body):
+        # ingest_facts would skip such a fact too, but a reply whose every
+        # line is refused must read as unusable (None, below), so that the
+        # message grammar is read instead.
+        if expr.believers != believers or not world.admits(expr.body, about):
             log.warning("skipping belief line outside the partition: %r", line)
             continue
         facts.append(expr.body)
@@ -295,19 +294,15 @@ def plan_reply(
     return plan if plan is not None else heuristic()
 
 
-def _heard(text: str, world: BeliefWorld) -> tuple[list[AtomicBelief], Plan | None]:
-    """The facts the world admits (:meth:`BeliefWorld.admits`) and the
-    well-kinded plan (:func:`_known_plan`) a structured message carries;
-    nothing when it does not parse."""
+def _heard(text: str, world: BeliefWorld) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
+    """The facts and the well-kinded plan (:func:`_known_plan`) a
+    structured message carries; nothing when it does not parse."""
     try:
         facts, plan = parse_message(text)
     except ParseError:
         log.warning("ignoring unparseable message: %r", text)
-        return [], None
-    # The store would refuse these facts too, but only after a wrong-sort
-    # HOLD report set off ingest_facts' recovery, which clears the
-    # holder's believed holdings.
-    return [f for f in facts if world.admits(f)], _known_plan(plan, world.registry)
+        return (), None
+    return facts, _known_plan(plan, world.registry)
 
 
 # One tick's mail per belief partition: None (the zero partition) or a
@@ -344,10 +339,9 @@ def update_from_messages(
     ``replies.get(about)``'s facts as one batch when that reply is usable;
     a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
-    unparseable messages are ignored with a warning, facts the world does
-    not admit (:meth:`BeliefWorld.admits`) are dropped, and plans naming
+    unparseable messages are ignored with a warning, and plans naming
     unknown entities, or entities of the wrong kind, are not declared.
-    Facts that violate the consensus rules are dropped individually.
+    :func:`ingest_facts` drops the facts the rules do not admit.
 
     Returns the plans the senders declared, keyed in the order of each
     sender's first message declaring one; a sender's later declaration
@@ -375,15 +369,12 @@ def update_from_messages(
 
 def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
     """Fold the owner's own broadcast: every collaborator is credited with
-    the facts the message carries that the world admits (the owner now
+    the facts the message carries that the rules admit (the owner now
     believes they know what it just said), or with ``misaligned`` when the
     text does not parse."""
     try:
         facts, _ = parse_message(text)
     except ParseError:
         facts = misaligned
-    # As in _heard: a wrong-sort HOLD report must not reach ingest_facts'
-    # recovery, which would clear the holder's believed holdings.
-    facts = [f for f in facts if world.admits(f)]
     for collab in world.collaborators:
         ingest_facts(world, facts, collab)

@@ -4,9 +4,12 @@ Pure functions of one belief partition (read through a
 :class:`PlannerView`), of plans and of facts the caller passes in.  This
 module stores no beliefs, asks no reasoner, runs no simulator and logs
 nothing.  Its reads trust the sorts of the facts they meet: the belief
-store admits only well-sorted facts (:meth:`BeliefWorld.admits`), so an
-agent's position names a room, a holder is an agent, a holding or a
-container's load names an object, and an exploration level is a state.
+store admits only facts whose kinds the agreed rules admit
+(:meth:`BeliefWorld.admits`), and no agreed rule admits more for a
+relation the planner reads than the canonical rules
+(:func:`rule_consensus.judge`), so an agent's position names a room, a
+holder is an agent, a holding or a container's load names an object, and
+an exploration level is a state.
 
 Plan ranking runs on every decision tick, for the agent and for each
 collaborator, so :func:`plan_options` reads the partition in one pass

@@ -15,19 +15,23 @@ A review without a yes/no verdict is asked for once more
 carries the last review's suggestions.
 
 :func:`judge` is the one judge of a proposal's text, a pure function of
-it that is memoized per process: every rule line must parse, no rule may
-be ground or stated twice, and every canonical rule below must be unified
-with by some rule of its order, since a narrower rule would reject
-observed facts.  The scripted reviewer and
-:func:`agree_rules` both ask it about the same proposal text, so a
-reviewer that falls back to the scripted one rejects during the dialogue
-exactly what :func:`agree_rules` would replace afterwards.
+it that is memoized per process.  Every rule line must parse, and no rule
+may be stated twice.  A rule body must be two distinct variables, whose
+sorts (:func:`scenario.kind_pairs`) say exactly which facts the rule
+admits.  Per belief order, the rules must admit every kind pair a
+canonical rule below admits, since narrower rules would reject observed
+facts, and no rule of a canonical relation may admit a pair the
+canonical rules do not, since the planner trusts the kinds it reads.
+The scripted reviewer and :func:`agree_rules` both ask it about the same
+proposal text, so a reviewer that falls back to the scripted one rejects
+during the dialogue exactly what :func:`agree_rules` would replace
+afterwards.
 :func:`agree_rules` runs the dialogue and puts the canonical rules in
 place of a failed dialogue or of an accepted proposal the judge rejects;
 the rules it returns go to every agent.
 
 With the deterministic backend on both sides this converges in one round
-to the canonical sixteen-rule set below.
+to the canonical rules below, seven bodies stated for each belief order.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from functools import cache, lru_cache
 
 from . import sbl
 from .prompts import ReasonerRequest, yes_no
+from .scenario import kind_pairs
 
 log = logging.getLogger(__name__)
 
@@ -51,12 +56,11 @@ _JUDGED_LIMIT = 64
 _RULE_BODIES = (
     "?object IN ?room",
     "?bed IN ?room",
-    "?container IN ?room",
     "?agent HOLD ?object",
-    "?agent HOLD ?container",
-    "?container CONTAIN ?object",
+    "?container CONTAIN ?target",
     "?room EXPLORED ?exploration_state",
     "?agent AT ?room",
+    "?object AT ?bed",
 )
 CANONICAL_ZERO_RULES = tuple(f"?agent BELIEVE {body}" for body in _RULE_BODIES)
 CANONICAL_FIRST_RULES = tuple(f"?agentA BELIEVE ?agentB BELIEVE {body}" for body in _RULE_BODIES)
@@ -67,7 +71,8 @@ BELIEF_LANGUAGE_TEXT = (
     " Believers are agent names or ?variables. Concrete non-agent entities"
     " are written <name>(id); relation symbols are uppercase; attribute"
     " values such as exploration states are lowercase (none, part, all)."
-    " Rules carry ?variables in entity and state positions."
+    " A rule ?variable's sort is its stem: agent, room, object, target,"
+    " container, bed or exploration_state."
 )
 
 
@@ -104,27 +109,49 @@ def judge(text: str) -> tuple[tuple[sbl.BeliefExpr, ...], tuple[str, ...]]:
     :func:`agree_rules` judge the same proposal in every episode, and the
     verdict, immutable, is shared.
 
-    A rule line does not parse, or a rule is ground, or stated more than
-    once, or a canonical rule is unified with by no rule of its order (a
-    narrower rule, such as one pinned to a room, would reject facts
-    observed anywhere else)."""
+    A rule line does not parse, or a rule's body is not two distinct
+    variables (a ground statement is no rule), or a rule is stated more
+    than once.  Or, per belief order, the rules admit less than a
+    canonical rule (a narrower rule, such as one pinned to a room, would
+    reject facts observed anywhere else) or, for a canonical relation,
+    more than the canonical rules (``?agent AT ?object`` would let an
+    agent stand at a target)."""
     rules, problems = [], []
     for line in sbl.belief_lines(text.partition("Zero order belief rules:")[2]):
         try:
             rules.append(sbl.parse(line))
         except sbl.ParseError as exc:
             problems.append(f"unparseable rule '{line}' ({exc})")
-    problems += [f"'{r}' is ground, not a rule" for r in rules if r.is_ground]
+    problems += [
+        f"'{r}' is no rule: its body must relate two distinct ?variables"
+        for r in rules
+        if not _two_variables(r.body)
+    ]
     problems += [
         f"duplicate rule '{r}'; deletion advised" for r, n in Counter(rules).items() if n > 1
     ]
-    problems += [
-        f"no rule covers the canonical rule '{c}'"
-        for c in canonical_rules()
-        if not any(r.order == c.order and sbl.unify_atomic(r.body, c.body) is not None
-                   for r in rules)
-    ]
+    agreed, canonical = kind_pairs(rules), kind_pairs(canonical_rules())
+    for c in canonical_rules():
+        key, pairs = _admitted(c)
+        if not pairs <= agreed.get(key, set()):
+            problems.append(f"no rule covers the canonical rule '{c}'")
+    for r in rules:
+        key, pairs = _admitted(r)
+        if key in canonical and (extra := pairs - canonical[key]):
+            s, o = min(extra)
+            problems.append(f"'{r}' admits kinds no canonical rule does, such as {s} {key[1]} {o}")
     return tuple(rules), tuple(problems)
+
+
+def _two_variables(body: sbl.AtomicBelief) -> bool:
+    subject, obj = body.subject, body.object
+    return isinstance(subject, sbl.Variable) and isinstance(obj, sbl.Variable) and subject != obj
+
+
+def _admitted(rule: sbl.BeliefExpr) -> tuple[tuple[int, str], set[tuple[str, str]]]:
+    """A rule's (belief order, relation) and the kind pairs it admits."""
+    (item,) = kind_pairs((rule,)).items()
+    return item
 
 
 def _proposal(sections: dict[str, str]) -> str:

@@ -1,4 +1,4 @@
-"""Symbolic belief language: parsing, canonical form, and body-level matching.
+"""Symbolic belief language: parsing and canonical form.
 
 Belief statements are whitespace-separated token streams of the form
 
@@ -236,10 +236,6 @@ class BeliefExpr:
         return believer_chain(self.believers) + str(self.body)
 
 
-# A binding maps variable names to ground terms.
-Binding = dict[str, Term]
-
-
 def believer_chain(believers: tuple[EntityRef | str, ...]) -> str:
     """The text before a statement's body: ``A BELIEVE [B BELIEVE] ``."""
     return "".join(f"{b} {BELIEVE} " for b in believers)
@@ -349,24 +345,3 @@ def belief_lines(text: str) -> list[str]:
     cleaner of reply lines; :func:`parse` then reads each line."""
     lines = (line.strip().lstrip("-*").strip() for line in text.splitlines())
     return [_SPACED_REF_RE.sub(r"\1", line) for line in lines if BELIEVE in line.split()]
-
-
-def unify_atomic(pattern: AtomicBelief, fact: AtomicBelief) -> Binding | None:
-    """Match the bare triple ``fact`` against ``pattern``; the unique binding.
-
-    The relation symbol must match exactly; a variable repeated in the
-    pattern must take the same value at every occurrence.  Returns None
-    when no substitution makes the pattern equal the fact.
-    """
-    if pattern.relation != fact.relation:
-        return None
-    binding: Binding = {}
-    for pat, val in ((pattern.subject, fact.subject), (pattern.object, fact.object)):
-        if isinstance(pat, Variable):
-            if pat.name in binding and binding[pat.name] != val:
-                return None
-            binding[pat.name] = val
-        elif pat != val:
-            return None
-    return binding
-

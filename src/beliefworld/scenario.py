@@ -47,20 +47,34 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .actions import ExploreCurrent, GoTo, Plan
-from .sbl import BELIEVE, ObjectRef, _AGENT_RE, _OBJECT_RE
+from .sbl import BELIEVE, ObjectRef, Variable, _AGENT_RE, _OBJECT_RE
 
 # The kinds an entity id may have (:meth:`EntityRegistry.kind_of`).
 TARGET = "target"
 CONTAINER = "container"
 BED = "bed"
 ROOM = "room"
+# The kinds of the other terms of a fact: an agent of the roster, a state atom.
+AGENT = "agent"
+STATE = "state"
+
+# Each sort a rule variable or a plan-step field names -> the kinds of
+# term it stands for.  An object is what a hand can hold.
+SORTS = {
+    "agent": {AGENT}, "room": {ROOM}, "object": {TARGET, CONTAINER}, "target": {TARGET},
+    "container": {CONTAINER}, "bed": {BED}, "exploration_state": {STATE},
+}
+# A variable's stem is its name without trailing capitals or digits.
+_STEM_RE = re.compile(r"[A-Z0-9]*$")
 
 CONTAINER_CAPACITY = 3
 MAX_HANDS = 2
@@ -190,6 +204,31 @@ class EntityRegistry:
 
     def start_room(self, agent: str) -> ObjectRef:
         return self._start_rooms[agent]
+
+
+def _term_kinds(term) -> set[str]:
+    if not isinstance(term, Variable):
+        return set()
+    return SORTS.get(_STEM_RE.sub("", term.name), set().union(*SORTS.values()))
+
+
+def kind_pairs(rules: Iterable) -> dict[tuple[int, str], set[tuple[str, str]]]:
+    """The (subject kind, object kind) pairs ``rules`` admit, per (belief
+    order, relation).
+
+    A rule body's variable stands for the kinds of its sort, the stem of
+    its name (``?agentA`` is an agent); a stem :data:`SORTS` does not name
+    stands for every kind, and a constant for none.  The believer chain
+    constrains nothing.  The pairs are exact for a body of two distinct
+    variables, the only body :func:`rule_consensus.judge` accepts.
+    """
+    pairs: dict[tuple[int, str], set[tuple[str, str]]] = {}
+    for rule in rules:
+        body = rule.body
+        pairs.setdefault((rule.order, body.relation), set()).update(
+            itertools.product(_term_kinds(body.subject), _term_kinds(body.object))
+        )
+    return pairs
 
 
 @functools.lru_cache(maxsize=_REGISTRY_LIMIT)

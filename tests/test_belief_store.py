@@ -17,12 +17,17 @@ from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
+    EXPLORED_STATES,
+    OTHER_STATES,
+    RELATION_SORTS,
+    RELATIONS,
     misalignment_oracle,
     random_ground,
     scan_explored_level,
     scan_holdings,
     scan_room_of,
     scan_snapshot,
+    table_admits,
 )
 
 KITCHEN = ObjectRef("kitchen", 2000)
@@ -284,7 +289,7 @@ def test_the_store_keeps_a_fact_only_when_the_world_admits_it():
         for _ in range(20):
             about = rng.choice((None, "Bob"))
             f = random_ground(rng).body
-            admitted = world.admits(f)
+            admitted = world.admits(f, about)
             before, lines = dict(world.partition(about)), world.lines(about)
             try:
                 world.assert_fact(f, about=about)
@@ -296,6 +301,52 @@ def test_the_store_keeps_a_fact_only_when_the_world_admits_it():
                 assert admitted and world.holds(f, about=about), f"case {case}: {f}"
                 stored += 1
     assert stored > 50 and refused > 50
+
+
+def test_the_rules_admit_what_the_former_relation_table_admitted(food_registry):
+    """Under the canonical rules, a fact is admitted at either belief
+    order exactly when the store's former relation table admitted it.
+    The facts are random ground bodies over the shared test universe, or
+    triples over the food registry's rooms, targets, containers and bed,
+    an unknown id, the two agents and an unknown one, variables and
+    states, under the five relations and one the rules do not state; a
+    third of them are a row of the table with one term redrawn half the
+    time, so that both verdicts are well represented."""
+    rng = random.Random(3939)
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), food_registry)
+    by_kind = {
+        "agent": (AgentName("Alice"), AgentName("Bob")),
+        "state": EXPLORED_STATES,
+        "room": tuple(food_registry.rooms_by_id.values()),
+    }
+    for ref, kind in food_registry.objects_by_id.values():
+        by_kind[kind] = (*by_kind.get(kind, ()), ref)
+    entities = (
+        *by_kind["room"], *(ref for ref, _ in food_registry.objects_by_id.values()),
+        ObjectRef("ghost", 77), AgentName("Alice"), AgentName("Bob"), AgentName("Mallory"),
+        Variable("agent"), Variable("x"),
+    )
+    objects = entities + EXPLORED_STATES + OTHER_STATES
+    admitted = 0
+    for case in range(3000):
+        if case % 3 == 0:
+            f = random_ground(rng).body
+        elif case % 3 == 1:
+            f = AtomicBelief(rng.choice(entities), rng.choice(RELATIONS + ("NEAR",)), rng.choice(objects))
+        else:
+            relation = rng.choice(sorted(RELATION_SORTS))
+            s, o = rng.choice(sorted(RELATION_SORTS[relation]))
+            subject, obj = rng.choice(by_kind[s]), rng.choice(by_kind[o])
+            if rng.random() < 0.5:
+                subject = rng.choice(entities)
+            elif rng.random() < 0.5:
+                obj = rng.choice(objects)
+            f = AtomicBelief(subject, relation, obj)
+        expected = table_admits(world, f)
+        for about in (None, "Bob"):
+            assert world.admits(f, about) == expected, f"case {case}: {f} about {about}"
+        admitted += expected
+    assert 300 < admitted < 2700  # both verdicts well represented
 
 
 def test_cached_text_follows_every_change():

@@ -40,7 +40,7 @@ from beliefworld.planner import (
 from beliefworld.prompts import ReasonerResponse, parse_sections
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.scenario import EntityRegistry, load_scenario, scenario_from_dict
+from beliefworld.scenario import MAX_HANDS, EntityRegistry, load_scenario, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom
 from beliefworld.world_sim import VisualObservation
 from universe import (
@@ -77,7 +77,8 @@ def random_view(rng: random.Random, registry) -> PlannerView:
     or the owner's model of a teammate (Bob's), whose position is often
     unknown so that its start room stands in.  Some IN and HOLD facts name
     a known target id under another name, as a remote reply may, which
-    puts them in another slot than the facts about the target's own name."""
+    puts them in another slot than the facts about the target's own name.
+    Each agent holds at most ``MAX_HANDS`` items, as the store allows."""
     facts = set()
     rooms = sorted(registry.rooms_by_id)
     owner, other = ("Alice", "Bob") if rng.random() < 0.7 else ("Bob", "Alice")
@@ -87,13 +88,13 @@ def random_view(rng: random.Random, registry) -> PlannerView:
         level = rng.choice(("none", "none", "part", "all", None))
         if level:
             facts.add(AtomicBelief(registry.rooms_by_id[room_id], "EXPLORED", StateAtom(level)))
-    hands = 0
+    hands = {owner: 0, other: 0}  # HOLD facts per agent, at most MAX_HANDS
     held_container = None
     containers = sorted(registry.container_ids)
     if containers and rng.random() < 0.45:
         held_container = registry.objects_by_id[containers[0]][0]
         facts.add(AtomicBelief(AgentName(owner), "HOLD", held_container))
-        hands += 1
+        hands[owner] += 1
     load = 0
     for target_id in sorted(registry.target_ids):
         ref = registry.objects_by_id[target_id][0]
@@ -104,21 +105,24 @@ def random_view(rng: random.Random, registry) -> PlannerView:
         if roll < 0.60:
             facts.add(AtomicBelief(ref, "IN", registry.rooms_by_id[rng.choice(rooms)]))
             if rng.random() < 0.2:
-                holder = owner if hands < 2 and rng.random() < 0.5 else other
-                hands += holder == owner
-                facts.add(AtomicBelief(AgentName(holder), "HOLD", alias))
+                holder = owner if hands[owner] < MAX_HANDS and rng.random() < 0.5 else other
+                if hands[holder] < MAX_HANDS:
+                    hands[holder] += 1
+                    facts.add(AtomicBelief(AgentName(holder), "HOLD", alias))
         elif roll < 0.72:
             facts.add(AtomicBelief(ref, "AT", BED))
-        elif roll < 0.82 and hands < 2:
+        elif roll < 0.82 and hands[owner] < MAX_HANDS:
             facts.add(AtomicBelief(AgentName(owner), "HOLD", ref))
-            hands += 1
+            hands[owner] += 1
         elif roll < 0.9 and held_container is not None and load < 3:
             facts.add(AtomicBelief(held_container, "CONTAIN", ref))
             load += 1
-        else:
+        elif hands[other] < MAX_HANDS:
             facts.add(AtomicBelief(AgentName(other), "HOLD", ref))
+            hands[other] += 1
             if rng.random() < 0.3:
                 facts.add(AtomicBelief(alias, "IN", registry.rooms_by_id[rng.choice(rooms)]))
+        # else: the other agent's hands are full, and the location is unknown
     return planner_view(owner, registry, facts)
 
 

@@ -26,20 +26,20 @@ from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
 
 GOLDEN = {
-    ("food_small", 2, "adaptive"): "3ade3bf3a9ca1c91470dd835f7bf98112a98f77bdac24911b0bf3cfc3519a39b",
-    ("food_small", 2, "never"): "f6e012514701e984ff3f7e1db7d46753d7a1504c0617c3ae229082aae3f722cf",
-    ("food_small", 2, "always"): "3c37821fd6f21ec5c21d33edb490d9dff0538bfe794f63444d98e401788fd035",
-    ("stuff_small", 2, "always"): "faec0c2d9238e5de989480b7719e01f11662b879f112b0fdd494d20102abfce5",
-    ("stuff_small", 4, "adaptive"): "c0ddd18e603863c6d907a7aa768d9b0eee0f65c815b10c4548dd216d242e3f00",
+    ("food_small", 2, "adaptive"): "1c515f2d2b19aade09f9de446bdbac17f9ef6669f4a85368510b881fd694d6b5",
+    ("food_small", 2, "never"): "1684078e8f4d465668bc4cd1701bcc90104afb164d63b5b9d21aa8a689196098",
+    ("food_small", 2, "always"): "711413c06fe6285d971446987c0cdebc6da86420baa048f243b98a1c60c59cfc",
+    ("stuff_small", 2, "always"): "4fd4045dfc7c6c2a82244dbdebaf1dc0a15d2fb11d504da47aff3a532be7dd3a",
+    ("stuff_small", 4, "adaptive"): "28d7ffa8f7056dd9cf9b32d3fc046873208ef7e7e6020cd2169db881f7a5a8ae",
 }
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (256, "9e3e81466e8d9a8be08f03e6b9b75d5cb902a042d6fe9e33109db7347887b005"),
-    ("food_small", 2, "never"): (54, "edb9a67172f807031675f45cea285fb94065736ad542d10dd70b46741dbde10a"),
-    ("food_small", 2, "always"): (196, "2d7684900c46a4dd534b3d01d2fa68360cdde09bb447b60860748afdfd778448"),
-    ("stuff_small", 2, "always"): (175, "3c8fc8c66813ce4400ed65b3d6a2b87cf9c5921a4c823edc0ee4bb4dd8992383"),
-    ("stuff_small", 4, "adaptive"): (488, "9f6bbffb3efe58be74a23ac7dd3895e9ebe0b4458c1a3fab59c1287ed3b16b54"),
+    ("food_small", 2, "adaptive"): (256, "1e71214911b3167a6b63f87319edf5f591158ac1a63f292a583689d441f218bd"),
+    ("food_small", 2, "never"): (54, "9a29ffb8b7d47c879b232ef85213d797568e4a7ff0729fbf67905a38c8fc6c66"),
+    ("food_small", 2, "always"): (196, "e6156c197674da07c8831846c3c02e2ed40de8e99e042c6c7a053bc512daad56"),
+    ("stuff_small", 2, "always"): (175, "a0550368d6b5eec7965276d0d50c270b7cc5ae0335555096a4e33c2f344c7a09"),
+    ("stuff_small", 4, "adaptive"): (488, "74b41b03764cd3071d222eb3963792cbfd8310a8fcfd0f833ce8f5e3ccdc068e"),
 }
 
 

@@ -187,7 +187,7 @@ def test_every_partition_holds_only_admitted_facts(scenario, agents, mode, monke
         for other in minds.values():
             world = other.world
             for about, partition in world.partitions.items():
-                wrong = [str(f) for f in partition.values() if not world.admits(f)]
+                wrong = [str(f) for f in partition.values() if not world.admits(f, about)]
                 assert wrong == [], (other.name, about)
         return result
 

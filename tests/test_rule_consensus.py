@@ -6,6 +6,7 @@ import json
 import pytest
 
 from beliefworld import rule_consensus, sbl
+from beliefworld.belief_store import BeliefWorld, RuleViolation
 from beliefworld.prompts import ReasonerRequest
 from beliefworld.reasoner import ScriptedReasoner
 from beliefworld.rule_consensus import (
@@ -95,6 +96,60 @@ def test_judge_reads_a_rule_line_in_the_prompts_spaced_entity_form():
     rules, problems = judge(rule_sections(CANONICAL_ZERO_RULES + (spaced,), CANONICAL_FIRST_RULES))
     assert sbl.parse("?agent BELIEVE <bed>(9000) IN ?room") in rules
     assert not any("unparseable" in p for p in problems)
+
+
+@pytest.mark.parametrize("body", [
+    "?x HOLD ?y",  # admits any kind holding any kind
+    "?agent AT ?object",  # admits an agent at a target or a container
+    "?agent AT <kitchen>(2000)",  # a constant
+    "?object NEAR ?object",  # one variable twice
+])
+def test_judge_rejects_a_rule_beyond_the_canonical_kinds_or_not_of_two_variables(body):
+    rule = f"?agent BELIEVE {body}"
+    _, problems = judge(rule_sections(CANONICAL_ZERO_RULES + (rule,), CANONICAL_FIRST_RULES))
+    assert len(problems) == 1 and f"'{rule}'" in problems[0]
+
+
+def _split_hold(rules: tuple[str, ...]) -> tuple[str, ...]:
+    """``rules`` with ``?agent HOLD ?object`` stated as one rule per sort of object."""
+    return tuple(
+        split for r in rules
+        for split in ([r.replace("?object", s) for s in ("?target", "?container")]
+                      if r.endswith("?agent HOLD ?object") else [r])
+    )
+
+
+@pytest.mark.parametrize("zero, first", [
+    (_split_hold(CANONICAL_ZERO_RULES), _split_hold(CANONICAL_FIRST_RULES)),
+    # A relation the canonical rules do not state.
+    (CANONICAL_ZERO_RULES + ("?agent BELIEVE ?agent NEAR ?room",), CANONICAL_FIRST_RULES),
+])
+def test_judge_accepts_the_canonical_kinds_however_stated(zero, first):
+    assert judge(rule_sections(zero, first))[1] == ()
+
+
+class WideAt(ScriptedReasoner):
+    """Proposes the canonical rules plus ``?agent AT ?object`` at zero
+    order, and approves anything."""
+
+    def _answer_rules_propose(self, vars):
+        return super()._answer_rules_propose(vars).replace(
+            "First order", "?agent BELIEVE ?agent AT ?object\nFirst order"
+        )
+
+    def _answer_rules_review(self, vars):
+        return "Reasoning: fine.\nSuggestions: None\nSatisfied: yes\n"
+
+
+def test_a_wide_proposal_gives_way_to_the_canonical_rules(food_registry):
+    wrong_sort = sbl.parse_atomic("Alice AT <apple>(101)")
+    wide, problems = judge(WideAt()._answer_rules_propose({}))
+    assert problems and BeliefWorld("Alice", wide, ("Bob",), food_registry).admits(wrong_sort)
+    rules, rounds, fell_back = agree_rules(WideAt(), TASK)
+    assert (rules, rounds, fell_back) == (canonical_rules(), 1, 1)
+    world = BeliefWorld("Alice", rules, ("Bob",), food_registry)
+    with pytest.raises(RuleViolation, match="well-sorted"):
+        world.assert_fact(wrong_sort)
 
 
 def test_proposal_keeps_duplicates_for_review():
@@ -365,51 +420,51 @@ DIALOGUES = {
 # refactor of the dialogue keeps every request and every decision.
 DIALOGUE_DIGESTS = {
     "duplicate_line": (
-        ["2eeda416926a", "442e77a48c5b", "520d42d5fb5f", "74003e9ffe3d"],
-        ("accepted", 2, "86ce7f5f560f"),
+        ["90a3704cb0fa", "cb215c89753b", "20c44b284ff2", "15d01042e3a3"],
+        ("accepted", 2, "405b9633b60f"),
     ),
     "unparseable_line": (
-        ["2eeda416926a", "57cc2e99f96c", "903d26d351cd", "74003e9ffe3d"],
-        ("accepted", 2, "86ce7f5f560f"),
+        ["90a3704cb0fa", "058ced889345", "cc681656262d", "15d01042e3a3"],
+        ("accepted", 2, "405b9633b60f"),
     ),
     "rounds_exhausted": (
-        ["2eeda416926a", "7151666790e9", "ab7d890e3df1", "74003e9ffe3d", "48a14446e8b8",
-         "74003e9ffe3d"],
+        ["90a3704cb0fa", "32e9d8ed1df3", "ed2c70f28a56", "15d01042e3a3", "e932a9ce173f",
+         "15d01042e3a3"],
         ("failed", "no accepted proposal within 3 rounds", "0f2e02dd66ae"),
     ),
     "verdictless": (
-        ["2eeda416926a", "7151666790e9", "7151666790e9", "1f650f0a8142", "74003e9ffe3d"],
-        ("accepted", 2, "86ce7f5f560f"),
+        ["90a3704cb0fa", "32e9d8ed1df3", "32e9d8ed1df3", "5c28da4eaaf3", "15d01042e3a3"],
+        ("accepted", 2, "405b9633b60f"),
     ),
     "no_position_rules": (
-        ["2eeda416926a", "9179a35865bc", "eac53c96ff55", "74003e9ffe3d"],
-        ("accepted", 2, "86ce7f5f560f"),
+        ["90a3704cb0fa", "be9f284c8627", "239e10a820f4", "15d01042e3a3"],
+        ("accepted", 2, "405b9633b60f"),
     ),
     "no_position_rules_agreed": (
-        ["2eeda416926a", "9179a35865bc"],
-        ("agreed", 1, 1, "6b981468ec07"),
+        ["90a3704cb0fa", "be9f284c8627"],
+        ("agreed", 1, 1, "346b579e9507"),
     ),
     "narrow_in": (
-        ["2eeda416926a", "dd37bb1e48cd", "fa3fd1c6d954", "74003e9ffe3d"],
-        ("accepted", 2, "86ce7f5f560f"),
+        ["90a3704cb0fa", "dc95e839fc45", "675deb33cf70", "15d01042e3a3"],
+        ("accepted", 2, "405b9633b60f"),
     ),
     "narrow_in_agreed": (
-        ["2eeda416926a", "dd37bb1e48cd"],
-        ("agreed", 1, 1, "6b981468ec07"),
+        ["90a3704cb0fa", "dc95e839fc45"],
+        ("agreed", 1, 1, "346b579e9507"),
     ),
     "empty_suggestions": (
-        ["2eeda416926a", "7151666790e9", "67c57f02da68", "74003e9ffe3d", "3a4a5c594918",
-         "74003e9ffe3d"],
+        ["90a3704cb0fa", "32e9d8ed1df3", "9742508c578d", "15d01042e3a3", "dbc928cb0e72",
+         "15d01042e3a3"],
         ("failed", "no accepted proposal within 3 rounds", "396a71750838"),
     ),
     "silent_proposer": (
-        ["2eeda416926a", "b5d7d756cfac", "1f3235ef5d33", "b5d7d756cfac", "1f3235ef5d33",
-         "b5d7d756cfac"],
-        ("failed", "no accepted proposal within 3 rounds", "bfe85842d0d3"),
+        ["90a3704cb0fa", "c8eaf45c9197", "c5c373bf774b", "c8eaf45c9197", "c5c373bf774b",
+         "c8eaf45c9197"],
+        ("failed", "no accepted proposal within 3 rounds", "2f48e01b6617"),
     ),
     "silent_agreed": (
-        ["2eeda416926a", "b5d7d756cfac", "b5d7d756cfac"],
-        ("agreed", 3, 1, "6b981468ec07"),
+        ["90a3704cb0fa", "c8eaf45c9197", "c8eaf45c9197"],
+        ("agreed", 3, 1, "346b579e9507"),
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Belief language: parsing, canonical form, body-level matching."""
+"""Belief language: parsing and canonical form."""
 
 import copy
 import pickle
@@ -21,7 +21,7 @@ from beliefworld.sbl import (
     StateAtom,
     Variable,
 )
-from universe import brute_force_unify, random_ground, random_rule
+from universe import random_ground, random_rule
 
 
 def test_parse_ground_zero_order():
@@ -146,38 +146,11 @@ def test_round_trip_random_expressions():
         assert sbl.parse(str(expr)) == expr
 
 
-def test_unify_matches_brute_force_oracle():
-    rng = random.Random(417)
-    believer = (AgentName("Alice"),)
-    matched = 0
-    for case in range(500):
-        ground = random_ground(rng)
-        if case % 2 == 0:
-            rule = random_rule(rng, ground)
-        else:
-            rule = random_rule(rng)
-        expected = brute_force_unify(
-            BeliefExpr(believer, rule.body), BeliefExpr(believer, ground.body)
-        )
-        actual = sbl.unify_atomic(rule.body, ground.body)
-        assert actual == expected, f"case {case}: {rule.body} vs {ground.body}"
-        matched += expected is not None
-    assert 100 < matched < 450  # both outcomes well represented
-
-
 def test_parse_atomic_triple():
     fact = sbl.parse_atomic("<kitchen>(2000) EXPLORED all")
     assert fact == AtomicBelief(ObjectRef("kitchen", 2000), "EXPLORED", StateAtom("all"))
     with pytest.raises(ParseError):
         sbl.parse_atomic("<kitchen>(2000) EXPLORED")
-
-
-def test_unify_atomic_body_level():
-    pattern = AtomicBelief(Variable("object"), "IN", ObjectRef("kitchen", 2000))
-    fact = sbl.parse_atomic("<apple>(123) IN <kitchen>(2000)")
-    assert sbl.unify_atomic(pattern, fact) == {"object": ObjectRef("apple", 123)}
-    other = sbl.parse_atomic("<apple>(123) IN <office>(3000)")
-    assert sbl.unify_atomic(pattern, other) is None
 
 
 # -- value semantics of the interned terms, facts, steps and plans ---------

@@ -1,8 +1,8 @@
 """Shared test universe: generators and independent brute-force oracles.
 
 Everything here deliberately avoids the library's own matching and diff
-code paths: the unification oracle enumerates substitutions positionally,
-the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
+code paths: the admission oracle is the belief store's former relation
+table, stated apart from the rules, the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
 that text from the sorted facts, the slot-read oracles scan every fact
 instead of looking up one slot, the planner oracle is a separate
 translation of the documented priority rules over the slot-read scans,
@@ -17,7 +17,6 @@ the batched fold must leave the same beliefs and declare the same plans.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import networkx as nx
@@ -25,7 +24,7 @@ import networkx as nx
 from beliefworld import perceive, world_sim
 from beliefworld.belief_store import slot
 from beliefworld.planner import PlannerView
-from beliefworld.scenario import BED, CONTAINER_CAPACITY, MAX_HANDS, ROOM
+from beliefworld.scenario import BED, CONTAINER, CONTAINER_CAPACITY, MAX_HANDS, ROOM, TARGET
 from beliefworld.sbl import (
     AgentName,
     AtomicBelief,
@@ -96,32 +95,30 @@ def random_rule(rng: random.Random, ground: BeliefExpr | None = None) -> BeliefE
     return BeliefExpr(believers, AtomicBelief(subject, base.body.relation, obj))
 
 
-def brute_force_unify(rule: BeliefExpr, ground: BeliefExpr):
-    """Exhaustive substitution search over the ground expression's terms."""
-    if len(rule.believers) != len(ground.believers):
-        return None
-    if rule.body.relation != ground.body.relation:
-        return None
-    rule_positions = [*rule.believers, rule.body.subject, rule.body.object]
-    ground_positions = [*ground.believers, ground.body.subject, ground.body.object]
-    names = []
-    for term in rule_positions:
-        if isinstance(term, Variable) and term.name not in names:
-            names.append(term.name)
-    if not names:
-        return {} if rule_positions == ground_positions else None
-    domain = sorted(set(ground_positions), key=str)
-    for combo in itertools.product(domain, repeat=len(names)):
-        binding = dict(zip(names, combo))
-        ok = True
-        for pattern, value in zip(rule_positions, ground_positions):
-            expected = binding[pattern.name] if isinstance(pattern, Variable) else pattern
-            if expected != value:
-                ok = False
-                break
-        if ok:
-            return binding
-    return None
+# The belief store's former gate: the kinds each relation the engine
+# reads may relate, subject to object, in a table of its own.  A term's
+# kind is its registry kind, "agent" (the owner or a collaborator) or
+# "state"; an unknown id or agent, or a variable, has none.
+RELATION_SORTS = {
+    "AT": {("agent", ROOM), (TARGET, BED), (CONTAINER, BED)},
+    "IN": {(TARGET, ROOM), (CONTAINER, ROOM), (BED, ROOM)},
+    "HOLD": {("agent", TARGET), ("agent", CONTAINER)},
+    "CONTAIN": {(CONTAINER, TARGET)},
+    "EXPLORED": {(ROOM, "state")},
+}
+
+
+def table_admits(world, fact) -> bool:
+    """The former gate's verdict under the canonical rules, which state no
+    relation the table lacks: the fact's kinds are in its relation's row."""
+    def kind(term):
+        if isinstance(term, ObjectRef):
+            return world.registry.kind_of(term.id)
+        if isinstance(term, AgentName):
+            return "agent" if term.name in (world.owner, *world.collaborators) else None
+        return "state" if isinstance(term, StateAtom) else None
+
+    return (kind(fact.subject), kind(fact.object)) in RELATION_SORTS.get(fact.relation, ())
 
 
 def misalignment_oracle(world, collaborator: str) -> list[str]:
