@@ -332,7 +332,8 @@ def test_the_rules_admit_what_the_former_relation_table_admitted(food_registry):
         if case % 3 == 0:
             f = random_ground(rng).body
         elif case % 3 == 1:
-            f = AtomicBelief(rng.choice(entities), rng.choice(RELATIONS + ("NEAR",)), rng.choice(objects))
+            relation = rng.choice(RELATIONS + ("NEAR",))
+            f = AtomicBelief(rng.choice(entities), relation, rng.choice(objects))
         else:
             relation = rng.choice(sorted(RELATION_SORTS))
             s, o = rng.choice(sorted(RELATION_SORTS[relation]))

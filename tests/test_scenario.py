@@ -5,14 +5,17 @@ from importlib import resources
 
 import pytest
 
+from beliefworld import sbl
 from beliefworld.actions import ExploreCurrent, GoTo, Plan
 from beliefworld.scenario import (
     CONTAINER,
     CONTAINER_CAPACITY,
     EXTRA_AGENT_NAMES,
+    SORTS,
     TARGET,
     EntityRegistry,
     ScenarioError,
+    kind_pairs,
     load_scenario,
     scenario_from_dict,
 )
@@ -90,6 +93,20 @@ def test_kind_id_sets_match_declared_objects(name):
     assert registry.container_ids == {
         ref.id for ref, kind, _ in scn.objects if kind == CONTAINER
     }
+
+
+@pytest.mark.parametrize("rule, pairs", [
+    # A stem is the name without trailing capitals or digits; the chain is ignored.
+    ("?agentA BELIEVE ?agentB BELIEVE ?agentC HOLD ?object2",
+     {("agent", "target"), ("agent", "container")}),
+    ("Alice BELIEVE ?container CONTAIN ?target", {("container", "target")}),
+    # A stem SORTS does not name stands for every kind, a constant for none.
+    ("?a BELIEVE ?thing AT ?bed", {(kind, "bed") for kinds in SORTS.values() for kind in kinds}),
+    ("?a BELIEVE ?agent AT <kitchen>(2000)", set()),
+])
+def test_a_rule_admits_the_kinds_of_its_variables_stems(rule, pairs):
+    expr = sbl.parse(rule)
+    assert kind_pairs([expr]) == {(expr.order, expr.body.relation): pairs}
 
 
 def food_small_with(**changes) -> str:

@@ -2,17 +2,18 @@
 
 Everything here deliberately avoids the library's own matching and diff
 code paths: the admission oracle is the belief store's former relation
-table, stated apart from the rules, the misalignment oracle diffs snapshot text, the snapshot oracle rebuilds
-that text from the sorted facts, the slot-read oracles scan every fact
-instead of looking up one slot, the planner oracle is a separate
-translation of the documented priority rules over the slot-read scans,
-using networkx for distances, and the plan-stepping oracle translates the documented
-done/pending/stale rule over the slot-read scans, and the simulator
-references read every location with its own ``objects_at`` scan instead
-of one grouping pass.  The one exception is
-the message-update reference, which is the engine's former per-message
-inbox loop with no remote reply, over the library's own message reader:
-the batched fold must leave the same beliefs and declare the same plans.
+table, stated apart from the rules, the misalignment oracle diffs
+snapshot text, the snapshot oracle rebuilds that text from the sorted
+facts, the slot-read oracles scan every fact instead of looking up one
+slot, the planner oracle is a separate translation of the documented
+priority rules over the slot-read scans, using networkx for distances,
+and the plan-stepping oracle translates the documented done/pending/stale
+rule over the slot-read scans, and the simulator references read every
+location with its own ``objects_at`` scan instead of one grouping pass.
+The one exception is the message-update reference, which is the
+engine's former per-message inbox loop with no remote reply, over the
+library's own message reader: the batched fold must leave the same
+beliefs and declare the same plans.
 """
 
 from __future__ import annotations
