@@ -35,13 +35,21 @@ asserting any of them displaces the others for that entity.  A fact of any
 other relation is its own slot.  Holdings are additionally bounded: at
 most ``MAX_HANDS`` held items per agent, at most one of them a container.
 
-:meth:`BeliefWorld.assert_fact` applies the rules' check and the hand
-bound to every fact it stores, so every partition holds only facts the
+The store has two writers, and both apply the rules' check and the hand
+bound to every fact they store, so every partition holds only facts the
 rules admit, and their readers (the planner's slot reads, the belief
-updates) trust the sorts they read.
+updates) trust the sorts they read.  :meth:`BeliefWorld.assert_fact`
+stores one fact and raises :class:`RuleViolation` for a fact it refuses:
+the visual update writes through it, and a refused observation is a bug.
+:func:`ingest_facts` folds one batch of reported facts, which come from
+outside (a teammate's message or a remote model's reply).  It judges
+each fact once, skips what the rules do not admit, stores locations
+before holdings, and owns the overflow rule: a fresh holding report
+displaces the holder's older holdings, and a report that still breaks
+the bound is dropped with a warning.
 
-A partition changes only through :meth:`BeliefWorld.assert_fact` and
-:meth:`BeliefWorld.retract_location`; both drop the partition's cached
+A partition changes only through these two writers and
+:meth:`BeliefWorld.retract_location`; each drops the partition's cached
 sorted text (:meth:`BeliefWorld.lines`), which every prompt and the
 snapshot read.  Facts and the terms in slot keys are
 :class:`~beliefworld.sbl.Interned`: each value has one shared instance
@@ -52,11 +60,14 @@ nothing; equality stays by value.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from . import sbl
 from .scenario import AGENT, CONTAINER, MAX_HANDS, STATE, EntityRegistry, kind_pairs
 from .sbl import AgentName, AtomicBelief, BeliefExpr, ObjectRef, StateAtom
+
+log = logging.getLogger(__name__)
 
 # A partition: slot -> the one fact occupying it.
 Partition = dict[object, AtomicBelief]
@@ -153,16 +164,17 @@ class BeliefWorld:
 
     # -- the rules' check and the hand bound ---------------------------
 
-    def _check_bounds(self, fact: AtomicBelief, partition: Partition) -> None:
+    def _overflow(self, fact: AtomicBelief, partition: Partition) -> str | None:
+        """Why storing a HOLD fact in ``partition`` would break the hand
+        bound (a third held item, or a second held container), or None."""
         if fact.relation != "HOLD":
-            return
-        holder = fact.subject
-        held = [t for t in held_by(partition, holder) if t != fact.object]
+            return None
+        held = [t for t in held_by(partition, fact.subject) if t != fact.object]
         if len(held) >= MAX_HANDS:
-            raise RuleViolation(f"{holder} already holds {MAX_HANDS} items", fact)
-        if self._kind(fact.object) == CONTAINER:
-            if any(self._kind(t) == CONTAINER for t in held):
-                raise RuleViolation(f"{holder} already holds a container", fact)
+            return f"{fact.subject} already holds {MAX_HANDS} items"
+        if self._kind(fact.object) == CONTAINER and any(self._kind(t) == CONTAINER for t in held):
+            return f"{fact.subject} already holds a container"
+        return None
 
     def _kind(self, term: sbl.Term) -> str | None:
         if isinstance(term, ObjectRef):
@@ -181,7 +193,8 @@ class BeliefWorld:
     # -- operations ----------------------------------------------------
 
     def assert_fact(self, fact: AtomicBelief, *, about: str | None = None) -> None:
-        """Insert a fact, displacing whatever occupied its slot.
+        """Insert one fact, displacing whatever occupied its slot: the
+        gate for a single fact, whose refusal is the caller's bug.
 
         ``about=None`` targets the zero partition, a collaborator name its
         first-order partition.  Re-asserting an identical fact is a no-op
@@ -190,8 +203,10 @@ class BeliefWorld:
         raises :class:`UnknownCollaborator` before any
         :class:`RuleViolation` for a fact the rules do not admit
         (:meth:`admits`: no rule of its order states its relation, or its
-        terms are not ground or of the wrong kinds), a third held item, or
-        a second held container.  Storing a fact drops the cached
+        terms are not ground or of the wrong kinds), or one that would
+        break the hand bound (:meth:`_overflow`).  Nothing is displaced to
+        make room; a batch of reported facts goes through
+        :func:`ingest_facts`, which does.  Storing a fact drops the cached
         :meth:`lines`.
         """
         partition = self.partition(about)
@@ -202,7 +217,8 @@ class BeliefWorld:
             if (0 if about is None else 1, fact.relation) in self._pairs:
                 raise RuleViolation("only ground, well-sorted facts can be stored", fact)
             raise RuleViolation("fact conforms to no consensus rule", fact)
-        self._check_bounds(fact, partition)
+        if reason := self._overflow(fact, partition):
+            raise RuleViolation(reason, fact)
         partition[key] = fact
         self._lines.pop(about, None)
 
@@ -242,3 +258,37 @@ class BeliefWorld:
         for c in sorted(self.collaborators):
             lines += [f"first[{c}]: {f}" for f in self.lines(c)]
         return "\n".join(lines) + "\n"
+
+
+def ingest_facts(
+    world: BeliefWorld,
+    facts: list[AtomicBelief] | tuple[AtomicBelief, ...],
+    about: str | None,
+) -> None:
+    """Fold one coherent batch of reported facts into a partition.
+
+    A reported fact comes from outside the store (a teammate's message or
+    a remote model's reply), so each one is judged once
+    (:meth:`BeliefWorld.admits`) and a fact the rules do not admit is
+    skipped.  Location facts land before holdings so that delivered or
+    contained items release hands first.  A holding report that would
+    overflow the holder's hands displaces the holder's believed holdings
+    that the batch does not report (newest wins: the report is fresher
+    than whatever went unmentioned); a fact that still overflows is
+    dropped with a warning.  An unknown ``about`` raises
+    :class:`UnknownCollaborator`.
+    """
+    partition = world.partition(about)
+    admitted = [f for f in facts if world.admits(f, about)]
+    for fact in sorted(admitted, key=lambda f: (f.relation == "HOLD", str(f))):
+        key = slot(fact)
+        if partition.get(key) == fact:
+            continue
+        if world._overflow(fact, partition):
+            fresh = {f.object for f in admitted if f.relation == "HOLD" and f.subject == fact.subject}
+            world.clear_holdings(fact.subject, keep=fresh, about=about)
+            if reason := world._overflow(fact, partition):
+                log.warning("dropping a reported fact: %s: %s", reason, fact)
+                continue
+        partition[key] = fact
+        world._lines.pop(about, None)

@@ -80,8 +80,9 @@ from .perceive import (
     update_from_visual,
 )
 # Unused here, but bench/layers.py wraps ``collab_engine.ingest_facts`` by
-# name (and with it every module binding it), so the name must stay bound.
-from .perceive import ingest_facts  # noqa: F401
+# name (and with it every module binding it: belief_store, which defines
+# it, and perceive, which calls it), so the name must stay bound.
+from .belief_store import ingest_facts  # noqa: F401
 from .planner import (
     SUBPLAN_DONE,
     MiscoordReport,

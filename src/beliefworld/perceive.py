@@ -16,14 +16,13 @@ any.  A reply's belief lines, read with :func:`sbl.belief_lines` like
 any statement line, are kept only under the partition's believer chain
 (:meth:`BeliefWorld.believers`).  Without a usable reply the structured
 message grammar (:func:`compose_message`, :func:`parse_message`) is read
-directly, and every batch of heard facts goes through
-:func:`ingest_facts`.  The owner's own broadcast is folded by
-:func:`note_sent`.  A fact read from any of these texts may name an
-entity the scenario does not have, or relate kinds the agreed rules do
-not relate: a remote model or a teammate wrote it.  :func:`ingest_facts`
-skips a fact the world does not admit (:meth:`BeliefWorld.admits`)
-before it stores anything, so a refused HOLD report never sets off its
-hand-bound recovery, which clears the holder's believed holdings.  A
+directly.  The owner's own broadcast is folded by :func:`note_sent`.  A
+fact read from any of these texts may name an entity the scenario does
+not have, or relate kinds the agreed rules do not relate: a remote model
+or a teammate wrote it.  So every batch of heard facts goes to the
+store's own fold, :func:`~beliefworld.belief_store.ingest_facts`, which
+judges each fact once, skips what the rules do not admit and applies
+the hand bound's overflow rule; nothing here catches a refusal.  A
 remote reply's lines are also read against the partition's rules one by
 one, so that a reply whose every line is refused reads as no usable
 reply, and the message grammar is read instead.
@@ -43,9 +42,9 @@ import functools
 import logging
 import re
 
-from . import belief_store, prompts, sbl
+from . import prompts, sbl
 from .actions import MAX_MESSAGE_CHARS, NO_ANSWER, Plan, parse_plan, plan_text
-from .belief_store import BeliefWorld
+from .belief_store import BeliefWorld, ingest_facts
 from .planner import PlannerView, names_target
 from .scenario import SORTS, EntityRegistry
 from .sbl import AgentName, AtomicBelief, ObjectRef, ParseError, StateAtom, parse, parse_atomic
@@ -184,39 +183,6 @@ def update_from_visual(world: BeliefWorld, obs: VisualObservation) -> None:
         world.assert_fact(AtomicBelief(ref, "AT", registry.bed))
 
 
-def ingest_facts(
-    world: BeliefWorld,
-    facts: list[AtomicBelief] | tuple[AtomicBelief, ...],
-    about: str | None,
-) -> None:
-    """Fold one coherent batch of reported facts into a partition.
-
-    Location facts land before holdings so that delivered or contained
-    items release hands first.  A holding report that would overflow the
-    holder's hands displaces that holder's previously believed holdings
-    (newest wins: the report is fresher than whatever went unmentioned).
-    Facts the world does not admit (:meth:`BeliefWorld.admits`) are
-    skipped before anything is stored, and facts that still break a bound
-    are dropped individually with a warning.
-    """
-    admitted = [f for f in facts if world.admits(f, about)]
-    ordered = sorted(admitted, key=lambda f: (f.relation == "HOLD", str(f)))
-    for fact in ordered:
-        try:
-            world.assert_fact(fact, about=about)
-        except belief_store.RuleViolation:
-            if fact.relation == "HOLD":
-                fresh = {
-                    f.object for f in ordered
-                    if f.relation == "HOLD" and f.subject == fact.subject
-                }
-                world.clear_holdings(fact.subject, keep=fresh, about=about)
-            try:
-                world.assert_fact(fact, about=about)
-            except belief_store.RuleViolation as exc:
-                log.warning("dropping a reported fact: %s", exc)
-
-
 # ---------------------------------------------------------------------------
 # Reading replies and messages.
 # ---------------------------------------------------------------------------
@@ -268,9 +234,9 @@ def _reply_facts(
         except ParseError:
             log.warning("skipping unparseable belief line: %r", line)
             continue
-        # ingest_facts would skip such a fact too, but a reply whose every
-        # line is refused must read as unusable (None, below), so that the
-        # message grammar is read instead.
+        # The store's fold (ingest_facts) would skip such a fact too, but a
+        # reply whose every line is refused must read as unusable (None,
+        # below), so that the message grammar is read instead.
         if expr.believers != believers or not world.admits(expr.body, about):
             log.warning("skipping belief line outside the partition: %r", line)
             continue
@@ -341,7 +307,8 @@ def update_from_messages(
     grammar is read directly, message by message in arrival order:
     unparseable messages are ignored with a warning, and plans naming
     unknown entities, or entities of the wrong kind, are not declared.
-    :func:`ingest_facts` drops the facts the rules do not admit.
+    The store's fold (:func:`~beliefworld.belief_store.ingest_facts`)
+    skips the facts the rules do not admit and applies the overflow rule.
 
     Returns the plans the senders declared, keyed in the order of each
     sender's first message declaring one; a sender's later declaration

@@ -1,20 +1,25 @@
-"""Belief world: assertion semantics, misalignment, snapshots."""
+"""Belief world: assertion semantics, the batch fold, misalignment, snapshots."""
 
+import logging
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefworld import sbl
 from beliefworld.belief_store import (
     BeliefWorld,
     RuleViolation,
     UnknownCollaborator,
+    held_by,
+    ingest_facts,
 )
 from beliefworld.collab_engine import belief_text
-from beliefworld.perceive import ingest_facts
 from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.scenario import EntityRegistry, scenario_from_dict
+from beliefworld.scenario import MAX_HANDS, EntityRegistry, scenario_from_dict
 from beliefworld.sbl import AgentName, AtomicBelief, ObjectRef, StateAtom, Variable
 from universe import (
     EXPLORED_STATES,
@@ -23,6 +28,7 @@ from universe import (
     RELATIONS,
     misalignment_oracle,
     random_ground,
+    reference_ingest_facts,
     scan_explored_level,
     scan_holdings,
     scan_room_of,
@@ -129,6 +135,8 @@ def test_collaborator_partition_and_unknown(world):
     assert world.facts(about="Bob") == [fact("<pen>(7) IN <office>(3000)")]
     with pytest.raises(UnknownCollaborator):
         world.assert_fact(fact("<pen>(7) IN <office>(3000)"), about="Mallory")
+    with pytest.raises(UnknownCollaborator):  # even with nothing to store
+        ingest_facts(world, [], "Mallory")
 
 
 def test_observed_collaborator_holdings_conform(world):
@@ -213,6 +221,111 @@ def _random_world(rng: random.Random) -> BeliefWorld:
         except RuleViolation:
             pass
     return world
+
+
+# ---------------------------------------------------------------------------
+# The batch fold of reported facts.
+# ---------------------------------------------------------------------------
+
+# Facts a teammate or a remote model might report about the test registry:
+# holdings of three targets and both containers by either agent, so that a
+# batch or a partition can reach a third held item or a second container;
+# locations, loads, positions and levels; and facts the rules refuse (an
+# unknown agent or id, wrong sorts, variables).
+FOLD_FACTS = (
+    [AtomicBelief(AgentName(a), "HOLD", o) for a in ("Alice", "Bob") for o in WORLD_OBJECTS]
+    + [AtomicBelief(o, "IN", room) for o in WORLD_OBJECTS[:4] for room in (KITCHEN, ObjectRef("office", 3000))]
+    + [fact(t) for t in (
+        "<bowl>(9) CONTAIN <apple>(1)", "<plate>(11) CONTAIN <pen>(7)", "<banana>(12) AT <bed>(9000)",
+        "Alice AT <kitchen>(2000)", "Bob AT <office>(3000)",
+        "<kitchen>(2000) EXPLORED all", "<kitchen>(2000) EXPLORED part",
+        "Carol HOLD <apple>(1)", "Alice HOLD <box>(3)", "Alice HOLD <kitchen>(2000)",
+        "Alice IN <kitchen>(2000)", "<apple>(1) EXPLORED all", "?agent HOLD <pen>(7)",
+        "Bob HOLD ?object", "<pen>(7) IN ?room",
+    )]
+)
+ABOUTS = st.sampled_from((None, "Bob"))
+
+
+def _seeded(seed) -> BeliefWorld:
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob",), REGISTRY)
+    for about, f in seed:
+        try:
+            world.assert_fact(f, about=about)
+        except RuleViolation:
+            pass
+    return world
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.lists(st.tuples(ABOUTS, st.sampled_from(FOLD_FACTS)), max_size=16),
+    batch=st.lists(st.sampled_from(FOLD_FACTS), max_size=8),
+    about=ABOUTS,
+)
+# A third holding displaces the holdings the batch does not report.
+@example(seed=[(None, fact("Alice HOLD <apple>(1)")), (None, fact("Alice HOLD <pen>(7)"))],
+         batch=[fact("Alice HOLD <banana>(12)"), fact("Alice HOLD <pen>(7)")], about=None)
+# A second container displaces the first.
+@example(seed=[("Bob", fact("Bob HOLD <bowl>(9)"))], batch=[fact("Bob HOLD <plate>(11)")], about="Bob")
+# Another holder's report of a displaced holding: the holding goes and
+# comes back last in partition order.
+@example(seed=[(None, fact("Alice HOLD <apple>(1)")), (None, fact("Alice HOLD <pen>(7)"))],
+         batch=[fact("Alice HOLD <banana>(12)"), fact("Bob HOLD <pen>(7)")], about=None)
+# Locations land before holdings, whatever their text's order.
+@example(seed=[], batch=[fact("Bob AT <office>(3000)"), fact("Alice HOLD <apple>(1)")], about=None)
+# Three reported holdings: the third is dropped.
+@example(seed=[], batch=[fact(f"Bob HOLD {o}") for o in ("<apple>(1)", "<pen>(7)", "<banana>(12)")],
+         about=None)
+def test_the_fold_matches_the_former_per_fact_loop(seed, batch, about):
+    """The store's one-pass fold leaves every partition as the former loop
+    over ``assert_fact`` did, in the same ``items()`` order."""
+    expected, folded = _seeded(seed), _seeded(seed)
+    reference_ingest_facts(expected, batch, about)
+    ingest_facts(folded, batch, about)
+    for part in (None, "Bob"):
+        assert list(folded.partition(part).items()) == list(expected.partition(part).items())
+        assert folded.lines(part) == expected.lines(part)
+
+
+def test_the_fold_judges_each_fact_once_and_asserts_none(world, monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(BeliefWorld, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return counted
+
+    for name in ("admits", "assert_fact"):
+        monkeypatch.setattr(BeliefWorld, name, counting(name))
+    batch = FOLD_FACTS[:12] + FOLD_FACTS[-8:]
+    for about in (None, "Bob"):
+        ingest_facts(world, batch, about)
+    assert calls == {"admits": 2 * len(batch)}
+
+
+@pytest.mark.parametrize("about", [None, "Bob"])
+def test_a_report_that_still_overflows_is_dropped_with_a_warning(alice_world, caplog, about):
+    """A batch that reports more holdings than the bound allows keeps the
+    first in canonical order, and each dropped fact logs one warning."""
+    cases = [
+        ("Bob", ("<apple>(101)", "<banana>(102)", "<orange>(103)"), MAX_HANDS, f"{MAX_HANDS} items"),
+        ("Alice", ("<bowl>(201)", "<plate>(202)"), 1, "a container"),
+    ]
+    for holder, refs, kept, why in cases:
+        batch = [fact(f"{holder} HOLD {ref}") for ref in refs]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="beliefworld.belief_store"):
+            ingest_facts(alice_world, batch, about)
+        assert held_by(alice_world.partition(about), AgentName(holder)) == [f.object for f in batch[:kept]]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping a reported fact: {holder} already holds {why}: {f}" for f in batch[kept:]
+        ]
+    assert alice_world.partition("Bob" if about is None else None) == {}
 
 
 def test_misalignment_functional_contradiction(world):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from test_world_sim import random_intents
 
 from beliefworld import world_sim
-from beliefworld.belief_store import BeliefWorld, held_by
-from beliefworld.perceive import ingest_facts, update_from_visual
+from beliefworld.belief_store import BeliefWorld, held_by, ingest_facts
+from beliefworld.perceive import update_from_visual
 from beliefworld.planner import PlannerView
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import CONTAINER, EntityRegistry, load_scenario

@@ -10,20 +10,25 @@ priority rules over the slot-read scans, using networkx for distances,
 and the plan-stepping oracle translates the documented done/pending/stale
 rule over the slot-read scans, and the simulator references read every
 location with its own ``objects_at`` scan instead of one grouping pass.
-The one exception is the message-update reference, which is the
-engine's former per-message inbox loop with no remote reply, over the
-library's own message reader: the batched fold must leave the same
-beliefs and declare the same plans.
+The exceptions are the two belief-revision references.  The
+message-update reference is the engine's former per-message inbox loop
+with no remote reply, over the library's own message reader: the
+batched fold must leave the same beliefs and declare the same plans.
+The ingest reference is the former per-fact loop over
+``BeliefWorld.assert_fact``, which recovered from a refused holding
+report by clearing the holder's holdings and asserting once more: the
+store's one-pass fold must leave the same partition.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 
 import networkx as nx
 
 from beliefworld import perceive, world_sim
-from beliefworld.belief_store import slot
+from beliefworld.belief_store import RuleViolation, slot
 from beliefworld.planner import PlannerView
 from beliefworld.scenario import BED, CONTAINER, CONTAINER_CAPACITY, MAX_HANDS, ROOM, TARGET
 from beliefworld.sbl import (
@@ -402,21 +407,45 @@ def conflict_oracle(my_plan, their_plan, container_ids: set[int]):
 
 
 # ---------------------------------------------------------------------------
-# Reference inbox update: one message at a time.
+# Reference inbox update: one message at a time, one fact at a time.
 # ---------------------------------------------------------------------------
+
+
+def reference_ingest_facts(world, facts, about):
+    """The former fold of a batch of heard facts: each admitted fact,
+    locations before holdings, through ``assert_fact``; a refused holding
+    clears the holder's holdings the batch does not report, and a second
+    refusal drops the fact with a warning."""
+    admitted = [f for f in facts if world.admits(f, about)]
+    ordered = sorted(admitted, key=lambda f: (f.relation == "HOLD", str(f)))
+    for fact in ordered:
+        try:
+            world.assert_fact(fact, about=about)
+        except RuleViolation:
+            if fact.relation == "HOLD":
+                fresh = {
+                    f.object for f in ordered
+                    if f.relation == "HOLD" and f.subject == fact.subject
+                }
+                world.clear_holdings(fact.subject, keep=fresh, about=about)
+            try:
+                world.assert_fact(fact, about=about)
+            except RuleViolation as exc:
+                logging.getLogger("universe").warning("dropping a reported fact: %s", exc)
 
 
 def reference_update_from_messages(world, inbox):
     """The inbox update with no remote reply, one message at a time, in
     arrival order: each registered message's parsed facts ingested on
-    their own into the zero partition, then into the sender's."""
+    their own (:func:`reference_ingest_facts`) into the zero partition,
+    then into the sender's."""
     declared = {}
     for sender, text in inbox:
         if sender not in world.collaborators:
             continue
         facts, plan = perceive._heard(text, world)
-        perceive.ingest_facts(world, facts, None)
-        perceive.ingest_facts(world, facts, sender)
+        reference_ingest_facts(world, facts, None)
+        reference_ingest_facts(world, facts, sender)
         if plan is not None:
             declared[sender] = plan
     return declared
