@@ -93,11 +93,12 @@ def main() -> None:
     for path, missed in found.items():
         if not missed:
             continue
-        guards = [(line, text) for line, text in missed if text.startswith("raise")]
-        total, raises = total + len(missed), raises + len(guards)
-        print(f"{path.relative_to(ROOT).as_posix()}: {len(missed)} unrun lines, {len(guards)} raise")
-        for line, text in guards + [m for m in missed if m not in guards]:
-            print(f"  {'raise' if (line, text) in guards else '':5s} {line:5d}  {text}")
+        kinds = ["raise" if text.startswith("raise") else "" for _, text in missed]
+        total, raises = total + len(missed), raises + kinds.count("raise")
+        print(f"{path.relative_to(ROOT).as_posix()}: {len(missed)} unrun lines, {kinds.count('raise')} raise")
+        # Raise lines first, each group in line order (the sort is stable).
+        for kind, (line, text) in sorted(zip(kinds, missed), key=lambda row: not row[0]):
+            print(f"  {kind:5s} {line:5d}  {text}")
     print(f"total: {total} unrun lines, {raises} raise, over {len(CELLS)} cells at seeds 1..{args.seeds}")
 
 
