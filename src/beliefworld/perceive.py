@@ -8,15 +8,26 @@ alone: their kinds come from the registry the world carries
 (:attr:`BeliefWorld.registry`), and the store refuses a fact that names
 an unknown entity or one of the wrong kind
 (:meth:`BeliefWorld.assert_fact` applies :meth:`BeliefWorld.admits`), so
-an observation needs no check of its own.  The inbox update folds one
-tick's inbox as one batch per belief partition (:func:`inbox_batches`):
-all of it for the zero partition, then each sender's own lines, each
-with the remote model's reply to that partition's update request, if
-any.  A reply's belief lines, read with :func:`sbl.belief_lines` like
-any statement line, are kept only under the partition's believer chain
-(:meth:`BeliefWorld.believers`).  Without a usable reply the structured
-message grammar (:func:`compose_message`, :func:`parse_message`) is read
-directly.  The owner's own broadcast is folded by :func:`note_sent`.  A
+an observation needs no check of its own.
+
+A broadcast reaches every other agent, so it is a public announcement
+(Plaza, "Logics of public communications", 1989): whoever hears it
+believes that every other hearer heard it too.  The sender credits each
+collaborator with what it said (:func:`note_sent`), and a hearer credits
+each collaborator but the sender with the facts the message grammar
+reads from it (:func:`update_from_messages`).  That third-party credit
+deviates from the paper, whose belief updates are prompted: here no
+request asks for it, and the per-sender ``update_first`` request still
+reads that sender's lines alone.
+
+The inbox update folds one tick's inbox as one batch per belief
+partition (:func:`inbox_batches`): all of it for the zero partition,
+then each sender's own lines, each with the remote model's reply to
+that partition's update request, if any.  A reply's belief lines, read
+with :func:`sbl.belief_lines` like any statement line, are kept only
+under the partition's believer chain (:meth:`BeliefWorld.believers`).
+Without a usable reply the structured message grammar
+(:func:`compose_message`, :func:`parse_message`) is read directly.  A
 fact read from any of these texts may name an entity the scenario does
 not have, or relate kinds the agreed rules do not relate: a remote model
 or a teammate wrote it.  So every batch of heard facts goes to the
@@ -299,9 +310,17 @@ def update_from_messages(
     """Fold one tick's inbox, split by :func:`inbox_batches`, into both
     belief orders, given the reply to each partition's update request.
 
-    One pass per partition, in batch order: the zero partition first (the
+    First, the broadcast is public: each message's facts, as the message
+    grammar reads them (an unparseable text has none), are ingested into
+    every collaborator's partition but its sender's, in arrival order,
+    then roster order.  This crediting is mechanical, a deviation from
+    the paper's prompted updates: no request asks for it and no reply is
+    read for it.
+
+    Then one pass per partition, in batch order: the zero partition (the
     owner now knows what it was told), then each sender's first-order
-    partition (the sender plainly knows what it said).  A pass ingests
+    partition (the sender plainly knows what it said), so that a
+    sender's own words land last in its own partition.  A pass ingests
     ``replies.get(about)``'s facts as one batch when that reply is usable;
     a missing entry means no usable reply.  Without one, the message
     grammar is read directly, message by message in arrival order:
@@ -316,8 +335,11 @@ def update_from_messages(
     """
     if not batches:
         return {}
-    # A message text is parsed only when some reply is not usable.
     heard = functools.cache(lambda text: _heard(text, world))
+    for sender, text in batches[None]:
+        for collab in world.collaborators:
+            if collab != sender:
+                ingest_facts(world, heard(text)[0], collab)
     for about, lines in batches.items():
         facts = _reply_facts(replies.get(about), world, about)
         if facts is not None:
@@ -335,10 +357,11 @@ def update_from_messages(
 
 
 def note_sent(world: BeliefWorld, text: str, misaligned: list[AtomicBelief]) -> None:
-    """Fold the owner's own broadcast: every collaborator is credited with
-    the facts the message carries that the rules admit (the owner now
-    believes they know what it just said), or with ``misaligned`` when the
-    text does not parse."""
+    """Fold the owner's own broadcast, a public announcement: every
+    collaborator is credited with the facts the message carries that the
+    rules admit (the owner now believes they know what it just said), or
+    with ``misaligned`` when the text does not parse.  The hearers'
+    side of the same rule is :func:`update_from_messages`'s crediting."""
     try:
         facts, _ = parse_message(text)
     except ParseError:

@@ -30,7 +30,7 @@ GOLDEN = {
     ("food_small", 2, "never"): "1684078e8f4d465668bc4cd1701bcc90104afb164d63b5b9d21aa8a689196098",
     ("food_small", 2, "always"): "711413c06fe6285d971446987c0cdebc6da86420baa048f243b98a1c60c59cfc",
     ("stuff_small", 2, "always"): "4fd4045dfc7c6c2a82244dbdebaf1dc0a15d2fb11d504da47aff3a532be7dd3a",
-    ("stuff_small", 4, "adaptive"): "28d7ffa8f7056dd9cf9b32d3fc046873208ef7e7e6020cd2169db881f7a5a8ae",
+    ("stuff_small", 4, "adaptive"): "285b3423961747d1f8eb7e01bf14fbdc4480bffb5d28a21c63e663c72d568305",
 }
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
@@ -39,7 +39,7 @@ GOLDEN_REQUESTS = {
     ("food_small", 2, "never"): (54, "9a29ffb8b7d47c879b232ef85213d797568e4a7ff0729fbf67905a38c8fc6c66"),
     ("food_small", 2, "always"): (196, "e6156c197674da07c8831846c3c02e2ed40de8e99e042c6c7a053bc512daad56"),
     ("stuff_small", 2, "always"): (175, "a0550368d6b5eec7965276d0d50c270b7cc5ae0335555096a4e33c2f344c7a09"),
-    ("stuff_small", 4, "adaptive"): (488, "74b41b03764cd3071d222eb3963792cbfd8310a8fcfd0f833ce8f5e3ccdc068e"),
+    ("stuff_small", 4, "adaptive"): (365, "2f02d36c52678d7794996a4fb25c9f383c9a690698b6312a277d69ae05051b98"),
 }
 
 

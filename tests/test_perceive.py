@@ -1,9 +1,12 @@
-"""Belief revision's rules, stated as properties over real observations.
+"""Belief revision's rules, stated as properties over real observations
+and heard messages.
 
-Each example starts a simulator episode, seeds every agent's beliefs with
-random heard facts through ``ingest_facts``, then lets random legal
-intents (``test_world_sim.random_intents``) play for some frames, folding
-every agent's observation into its beliefs each frame.
+Each visual example starts a simulator episode, seeds every agent's
+beliefs with random heard facts through ``ingest_facts``, then lets
+random legal intents (``test_world_sim.random_intents``) play for some
+frames, folding every agent's observation into its beliefs each frame.
+Each inbox example folds one tick's random inbox of grammar messages,
+some unparseable, into a fresh world of 2 to 4 agents.
 """
 
 import random
@@ -14,15 +17,21 @@ from hypothesis import strategies as st
 from test_world_sim import random_intents
 
 from beliefworld import world_sim
-from beliefworld.belief_store import BeliefWorld, held_by, ingest_facts
-from beliefworld.perceive import update_from_visual
+from beliefworld.belief_store import BeliefWorld, held_by, ingest_facts, slot
+from beliefworld.perceive import inbox_batches, update_from_messages, update_from_visual
 from beliefworld.planner import PlannerView
+from beliefworld.prompts import ReasonerResponse
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.scenario import CONTAINER, EntityRegistry, load_scenario
-from beliefworld.sbl import EXPLORED_STATES, AgentName, AtomicBelief, ObjectRef, StateAtom
+from beliefworld.scenario import CONTAINER, EntityRegistry, load_scenario, shared_registry
+from beliefworld.sbl import (
+    EXPLORED_STATES, AgentName, AtomicBelief, ObjectRef, StateAtom, parse_atomic,
+)
 
 SETTINGS = [(name, agents) for name in ("food_small", "stuff_small") for agents in (2, 4)]
-SCENARIOS = {(name, agents): load_scenario(name).with_agents(agents) for name, agents in SETTINGS}
+INBOX_SETTINGS = [(name, agents) for name in ("food_small", "stuff_small") for agents in (2, 3, 4)]
+SCENARIOS = {
+    (name, agents): load_scenario(name).with_agents(agents) for name, agents in INBOX_SETTINGS
+}
 KITCHEN_UNEXPLORED = AtomicBelief(ObjectRef("kitchen", 2000), "EXPLORED", StateAtom("none"))
 # A report that every object lies in the office; food_small/2 from seed 0
 # explores the office fully at frame 51 and finds most of them elsewhere.
@@ -132,3 +141,137 @@ def test_a_heard_fact_never_lowers_a_known_exploration_level(case, seed, frames)
         ingest_facts(world, heard, None)
         after = levels(world, state.registry)
         assert all(after[room] >= before[room] for room in before)
+
+
+# ---------------------------------------------------------------------------
+# A broadcast is a public announcement.
+# ---------------------------------------------------------------------------
+
+GIBBERISH = "utter gibberish !!"
+
+
+def grammar_text(facts: list[AtomicBelief] | None) -> str:
+    """A message in the structured grammar; None gives unparseable text."""
+    if facts is None:
+        return GIBBERISH
+    return f"FACTS: {'; '.join(map(str, facts))} | PLAN: None"
+
+
+def inbox_case(setting):
+    """One tick's mail: ``(sender, facts)`` messages, where None facts is
+    unparseable text and ``Zed`` is not on the roster, and the facts some
+    collaborators' update replies list."""
+    names = [name for name, _ in SCENARIOS[setting].agents]
+    facts = heard_facts(setting)
+    message = st.tuples(st.sampled_from([*names[1:], "Zed"]), st.one_of(st.none(), facts, facts, facts))
+    answers = st.dictionaries(st.sampled_from(names[1:]), facts, max_size=2)
+    return st.tuples(st.just(setting), st.lists(message, max_size=6), answers)
+
+
+INBOXES = st.sampled_from(INBOX_SETTINGS).flatmap(inbox_case)
+
+
+def fresh_world(setting) -> BeliefWorld:
+    names = [name for name, _ in SCENARIOS[setting].agents]
+    return BeliefWorld(names[0], canonical_rules(), tuple(names[1:]), shared_registry(SCENARIOS[setting]))
+
+
+def usable_replies(world: BeliefWorld, answers) -> dict[str, list[AtomicBelief]]:
+    """Per collaborator, the reply facts its partition admits, where there is one."""
+    admitted = {c: [f for f in facts if world.admits(f, c)] for c, facts in answers.items()}
+    return {c: facts for c, facts in admitted.items() if facts}
+
+
+def first_order_reply(world: BeliefWorld, about: str, facts) -> ReasonerResponse:
+    text = "\n".join(f"{world.owner} BELIEVE {about} BELIEVE {f}" for f in facts)
+    return ReasonerResponse(sections={"First order beliefs": text}, raw=text)
+
+
+def displaces(later: AtomicBelief, fact: AtomicBelief) -> bool:
+    """Whether folding ``later`` after ``fact`` may leave ``fact`` out: it
+    takes the slot, or it reports the same holder's hands, whose bound
+    may displace or drop ``fact``."""
+    if later == fact:
+        return False
+    same_hands = later.relation == fact.relation == "HOLD" and later.subject == fact.subject
+    return slot(later) == slot(fact) or same_hands
+
+
+def check_public_announcement(world: BeliefWorld, messages, replies) -> None:
+    """Each collaborator's partition, after the fold, holds every admitted
+    fact of each message it did not send, unless a fact folded into it
+    later in the tick displaces that fact: a later message's, or one of
+    its own pass (its reply, or else its own messages).  It holds nothing
+    that none of those folds carried."""
+    registered = [(s, facts) for s, facts in messages if s in world.collaborators and facts]
+    for collab in world.collaborators:
+        credited = [facts for s, facts in registered if s != collab]
+        if collab in replies:
+            own = [replies[collab]]
+        else:
+            own = [facts for s, facts in registered if s == collab]
+        folded = [[f for f in batch if world.admits(f, collab)] for batch in credited + own]
+        partition = world.partition(collab)
+        for i, batch in enumerate(folded[: len(credited)]):
+            later = [g for b in folded[i:] for g in b]
+            for fact in batch:
+                assert partition.get(slot(fact)) == fact or any(displaces(g, fact) for g in later), (
+                    f"{collab} lacks {fact}"
+                )
+        carried = {f for batch in folded for f in batch}
+        assert set(partition.values()) <= carried, f"{collab} holds a fact no fold carried"
+
+
+def parent_fold(world: BeliefWorld, messages, replies) -> None:
+    """The inbox fold that credits no third party: every registered
+    message into the zero partition, then each sender's reply facts, or
+    else its own messages, into its partition alone."""
+    registered = [(s, facts or ()) for s, facts in messages if s in world.collaborators]
+    for _, facts in registered:
+        ingest_facts(world, facts, None)
+    for sender in dict.fromkeys(s for s, _ in registered):
+        if sender in replies:
+            ingest_facts(world, replies[sender], sender)
+        else:
+            for s, facts in registered:
+                if s == sender:
+                    ingest_facts(world, facts, sender)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=INBOXES)
+def test_a_heard_broadcast_is_credited_to_every_collaborator_but_its_sender(case):
+    setting, messages, answers = case
+    world = fresh_world(setting)
+    replies = usable_replies(world, answers)
+    inbox = [(sender, grammar_text(facts)) for sender, facts in messages]
+    update_from_messages(
+        world, inbox_batches(world, inbox),
+        {c: first_order_reply(world, c, facts) for c, facts in replies.items()},
+    )
+    check_public_announcement(world, messages, replies)
+    if len(world.collaborators) == 1:
+        # Its only other collaborator is the sender: nothing to credit.
+        before = fresh_world(setting)
+        parent_fold(before, messages, replies)
+        for about in (None, *world.collaborators):
+            assert list(world.partition(about).items()) == list(before.partition(about).items())
+
+
+BOB_SAYS = "FACTS: <apple>(101) IN <kitchen>(2000) | PLAN: None"
+
+
+def test_a_hearer_credits_the_third_collaborator_with_a_broadcast(food_registry):
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), food_registry)
+    update_from_messages(world, inbox_batches(world, [("Bob", BOB_SAYS)]), {})
+    apple = parse_atomic("<apple>(101) IN <kitchen>(2000)")
+    assert world.facts(about="Carol") == [apple]
+    assert world.facts(about="Bob") == [apple]
+    assert world.facts() == [apple]
+
+
+def test_an_unparseable_broadcast_credits_no_third_party(food_registry):
+    world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), food_registry)
+    update_from_messages(world, inbox_batches(world, [("Bob", GIBBERISH)]), {})
+    assert world.facts(about="Carol") == []
+    assert world.facts(about="Bob") == []

@@ -563,6 +563,17 @@ BATCH_REPLIES = {
 }
 
 
+# A broadcast is public: each message's facts, read off the message
+# grammar, are credited to every collaborator but its sender.
+BOB_SAID = [parse_atomic("<kitchen>(2000) EXPLORED all"), parse_atomic("<banana>(102) IN <kitchen>(2000)")]
+CAROL_SAID = [parse_atomic("<orange>(103) IN <office>(3000)")]
+
+
+def canonical(*facts):
+    """Facts in :meth:`BeliefWorld.facts` order."""
+    return sorted(facts, key=str)
+
+
 def batch_update(registry, replies):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), registry)
     remote = RecordingRemote(replies)
@@ -579,18 +590,29 @@ def test_one_update_zero_and_one_update_first_per_sender(food_registry):
     assert zero == f"Bob: {BOB_FIRST}\nCarol: {CAROL_ONLY}\nBob: {BOB_SECOND}"
     assert bob == f"Bob: {BOB_FIRST}\nBob: {BOB_SECOND}"
     assert carol == f"Carol: {CAROL_ONLY}"
-    # The remote facts, each in its own partition; nothing read off the messages.
+    # The remote facts, each in its own partition; read off the messages,
+    # only the facts credited to the collaborator that did not send them.
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
-    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
-    assert world.facts(about="Carol") == [parse_atomic("<bread>(104) IN <office>(3000)")]
+    assert world.facts(about="Bob") == canonical(
+        parse_atomic("<apple>(101) IN <kitchen>(2000)"), *CAROL_SAID
+    )
+    assert world.facts(about="Carol") == canonical(
+        parse_atomic("<bread>(104) IN <office>(3000)"), *BOB_SAID
+    )
     assert declared == {"Bob": "go grasp <apple>(101)"}
 
 
 def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_registry):
     replies = {**BATCH_REPLIES, ("update_first", "Carol"): MALFORMED.replies["update_first"]}
     world, _, declared = batch_update(food_registry, replies)
-    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
-    assert world.facts(about="Carol") == [parse_atomic("<orange>(103) IN <office>(3000)")]
+    # Carol's partition holds Carol's own message and Bob's credited facts,
+    # not Bob's remote reply; Bob's holds Carol's credited facts.
+    assert world.facts(about="Bob") == canonical(
+        parse_atomic("<apple>(101) IN <kitchen>(2000)"), *CAROL_SAID
+    )
+    assert world.facts(about="Carol") == canonical(
+        parse_atomic("<orange>(103) IN <office>(3000)"), *BOB_SAID
+    )
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
     assert declared == {"Bob": "go grasp <apple>(101)", "Carol": "go grasp <orange>(103)"}
 
@@ -611,7 +633,12 @@ def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry
     }
     world, _, declared = batch_update(food_registry, spaced)
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
-    assert world.facts(about="Bob") == [parse_atomic("<apple>(101) IN <kitchen>(2000)")]
+    assert world.facts(about="Bob") == canonical(
+        parse_atomic("<apple>(101) IN <kitchen>(2000)"), *CAROL_SAID
+    )
+    assert world.facts(about="Carol") == canonical(
+        parse_atomic("<bread>(104) IN <office>(3000)"), *BOB_SAID
+    )
     assert declared == {"Bob": "go grasp <apple>(101)"}
 
 

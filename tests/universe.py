@@ -436,9 +436,17 @@ def reference_ingest_facts(world, facts, about):
 
 def reference_update_from_messages(world, inbox):
     """The inbox update with no remote reply, one message at a time, in
-    arrival order: each registered message's parsed facts ingested on
-    their own (:func:`reference_ingest_facts`) into the zero partition,
-    then into the sender's."""
+    arrival order.  First each registered message's parsed facts are
+    credited, on their own (:func:`reference_ingest_facts`), to every
+    collaborator but the sender, in roster order (a broadcast is public);
+    then each message's facts are ingested into the zero partition, then
+    into the sender's."""
+    for sender, text in inbox:
+        if sender in world.collaborators:
+            facts, _ = perceive._heard(text, world)
+            for collab in world.collaborators:
+                if collab != sender:
+                    reference_ingest_facts(world, facts, collab)
     declared = {}
     for sender, text in inbox:
         if sender not in world.collaborators:
