@@ -91,7 +91,7 @@ def run_table(seeds: list[int], workers: int) -> list[dict]:
     tasks = [(*cell, seed) for cell in CELLS for seed in seeds]
     if workers <= 1:
         return [run_one(task) for task in tasks]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
         return pool.map(run_one, tasks, chunksize=8)
 
 
