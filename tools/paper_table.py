@@ -152,9 +152,10 @@ def mode_intervals(rows: list[dict]) -> dict[str, dict]:
 
 
 def compare(rows: list[dict], before: dict) -> dict[str, dict]:
-    """Per cell of ``before`` (a ``--json`` record): whether the digests
-    agree and, where they do not, this minus that revision's frames and
-    message tokens as paired intervals."""
+    """Per cell, against ``before`` (another revision's ``--json``
+    record on the same seeds): whether the digests agree and, where they
+    do not, this minus that revision's frames and message tokens as
+    paired intervals."""
     mine, theirs = by_cell(rows), by_cell(before["rows"])
     out = {}
     for name, cell in mine.items():
