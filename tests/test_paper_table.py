@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import paper_table  # noqa: E402
-from beliefworld.reasoner import ScriptedReasoner  # noqa: E402
 from test_golden_logs import GOLDEN, GOLDEN_REQUESTS  # noqa: E402
 
 
@@ -36,7 +35,7 @@ def test_a_row_carries_the_golden_log_and_request_count(rows):
 
 
 def test_counting_leaves_the_reasoner_unwrapped(rows):
-    assert ScriptedReasoner.complete.__qualname__ == "ScriptedReasoner.complete"
+    assert paper_table.layers.leftover_wrappers() == []
 
 
 def test_the_combined_digest_hashes_the_log_digests_in_order(rows):

@@ -38,10 +38,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from beliefworld import harness, prompts  # noqa: E402
-from beliefworld.reasoner import ScriptedReasoner  # noqa: E402
+import layers  # noqa: E402
+from beliefworld import harness  # noqa: E402
 
 SETTINGS = (("food_small", 2), ("stuff_small", 2), ("stuff_small", 4))
 MODES = ("never", "adaptive", "always")
@@ -60,29 +60,20 @@ def cell_name(cell: tuple[str, int, str]) -> str:
 
 def run_one(task: tuple[str, int, str, int]) -> dict:
     """One episode of one cell: its log's sha256 and its columns.  The
-    reasoner calls and rendered prompt characters are counted around
-    ``ScriptedReasoner.complete``, which is restored afterwards."""
+    reasoner calls and rendered prompt characters are counted by the
+    benchmark's own tally (``bench/layers.py``), which is removed
+    afterwards."""
     scenario, agents, mode, seed = task
-    calls = chars = 0
-    complete = ScriptedReasoner.complete
-
-    def counting(reasoner, request):
-        nonlocal calls, chars
-        calls += 1
-        chars += len(prompts.render(request.template_id, request.vars))
-        return complete(reasoner, request)
-
     cfg = harness.RunConfig(scenario=scenario, seeds=(seed,), agents=agents, mode=mode)
-    ScriptedReasoner.complete = counting
-    try:
+    with layers.ReasonerTally() as tally:
         log, metrics = harness.run_episode(cfg, seed)
-    finally:
-        ScriptedReasoner.complete = complete
     return {
         "cell": cell_name((scenario, agents, mode)), "seed": seed, "sha256": log.sha256(),
         "frames": metrics.frames_used, "transport": metrics.transport_rate,
         "tokens": metrics.comm_tokens, "messages": metrics.messages_sent,
-        "reasoner_calls": calls, "prompt_chars": chars, "rejected": metrics.rejected_actions,
+        "reasoner_calls": sum(tally.calls.values()),
+        "prompt_chars": sum(tally.prompt_chars.values()),
+        "rejected": metrics.rejected_actions,
     }
 
 
