@@ -82,6 +82,33 @@ def test_a_compared_cell_with_other_logs_gets_paired_intervals(rows):
     assert [n for n, c in compared.items() if not c["same_digest"]] == ["stuff_small/4/always"]
     assert compared["stuff_small/4/always"]["frames"] == (-10.0, -10.0, -10.0)
     assert compared["stuff_small/4/always"]["tokens"] == (0.0, 0.0, 0.0)
+    assert all("frames" not in c for n, c in compared.items() if c["same_digest"])
+
+
+def test_every_compared_cell_gets_its_change_in_the_bill(rows):
+    # Fewer requests with the same logs: the digest agrees, and only the
+    # bill columns show the change.
+    before = {"cells": paper_table.summarize(rows), "rows": json.loads(json.dumps(rows))}
+    after = [dict(r) for r in rows]
+    cell = "food_small/2/never"
+    for r in after:
+        if r["cell"] == cell:
+            r["reasoner_calls"] -= 5
+            r["prompt_chars"] /= 2
+    compared = paper_table.compare(after, before)
+    assert all(c["same_digest"] for c in compared.values())
+    calls = before["cells"][cell]["reasoner_calls"]
+    assert compared[cell]["reasoner_calls"] == {"change": -5, "percent": pytest.approx(-500 / calls)}
+    chars = compared[cell]["prompt_chars"]
+    assert chars["change"] == pytest.approx(-before["cells"][cell]["prompt_chars"] / 2)
+    assert chars["percent"] == pytest.approx(-50)
+    for name, c in compared.items():
+        if name != cell:
+            assert c["reasoner_calls"] == c["prompt_chars"] == {"change": 0, "percent": 0}
+    lines = paper_table.report({}, {}, compared, "0").splitlines()
+    [line] = [line for line in lines if line.startswith(cell)]
+    assert f"calls    -5.0 ({-500 / calls:+5.1f}%)" in line
+    assert "(-50.0%)" in line and line.endswith("same digest")
 
 
 def test_the_json_record_holds_one_row_a_line_and_reads_back(tmp_path, capsys):
@@ -97,3 +124,4 @@ def test_the_json_record_holds_one_row_a_line_and_reads_back(tmp_path, capsys):
     ) == 0
     compared = json.loads(out.read_text())["compared"]
     assert all(c["same_digest"] for c in compared.values())
+    assert all(c[col]["change"] == 0 for c in compared.values() for col in paper_table.BILL)

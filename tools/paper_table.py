@@ -20,10 +20,12 @@ hex string, concatenated in cell order, then seed order.
 
 ``--json PATH`` writes the table, each cell's digest and the per-seed
 rows.  ``--compare PATH`` reads such a file, written by another
-revision on the same seeds, and prints, per cell, whether the digests
-agree and, where they do not, the paired intervals of this revision
-minus that one for frames and message tokens; ``--json`` then records
-the comparison too.
+revision on the same seeds, and prints, per cell, the change in mean
+reasoner calls and prompt characters, absolute and as a percent of that
+revision's mean, whether the digests agree and, where they do not, the
+paired intervals of this revision minus that one for frames and message
+tokens; ``--json`` then records the comparison too.  A change to the
+request stream alone keeps every digest and shows in the first two.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ CELLS = tuple((scenario, agents, mode) for scenario, agents in SETTINGS for mode
 COLUMNS = (
     "frames", "transport", "tokens", "messages", "reasoner_calls", "prompt_chars", "rejected",
 )
+# The columns that stand in for the LLM bill, compared in every cell.
+BILL = ("reasoner_calls", "prompt_chars")
 RESAMPLES = 2000
 
 
@@ -144,14 +148,19 @@ def mode_intervals(rows: list[dict]) -> dict[str, dict]:
 
 def compare(rows: list[dict], before: dict) -> dict[str, dict]:
     """Per cell, against ``before`` (another revision's ``--json``
-    record on the same seeds): whether the digests agree and, where they
-    do not, this minus that revision's frames and message tokens as
-    paired intervals."""
+    record on the same seeds): the change in mean reasoner calls and
+    prompt characters, absolute and as a percent of that revision's
+    mean; whether the digests agree and, where they do not, this minus
+    that revision's frames and message tokens as paired intervals."""
     mine, theirs = by_cell(rows), by_cell(before["rows"])
     out = {}
     for name, cell in mine.items():
         same = digest(cell) == before["cells"][name]["digest"]
         out[name] = {"same_digest": same}
+        for col in BILL:
+            change = statistics.fmean(differences(cell, theirs[name], col))
+            base = statistics.fmean(r[col] for r in theirs[name])
+            out[name][col] = {"change": change, "percent": 100 * change / base}
         if not same:
             for col in ("frames", "tokens"):
                 out[name][col] = paired_interval(differences(cell, theirs[name], col))
@@ -184,13 +193,14 @@ def report(summary: dict, intervals: dict, compared: dict | None, combined: str)
     if compared is not None:
         lines += ["", "this revision - the compared one, per cell"]
         for name, cmp in compared.items():
-            if cmp["same_digest"]:
-                lines.append(f"{name:<24}same digest")
-            else:
-                lines.append(
-                    f"{name:<24}frames {fmt_interval(cmp['frames'])}"
-                    f"   tokens {fmt_interval(cmp['tokens'])}"
-                )
+            calls, chars = (cmp[col] for col in BILL)
+            logs = "same digest" if cmp["same_digest"] else (
+                f"frames {fmt_interval(cmp['frames'])}   tokens {fmt_interval(cmp['tokens'])}"
+            )
+            lines.append(
+                f"{name:<24}calls {calls['change']:+7.1f} ({calls['percent']:+5.1f}%)"
+                f"   prompt_chars {chars['change']:+10.1f} ({chars['percent']:+5.1f}%)   {logs}"
+            )
     lines += ["", f"combined digest: {combined}"]
     return "\n".join(lines)
 
