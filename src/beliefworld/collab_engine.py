@@ -56,7 +56,14 @@ mechanical ``heavy``, on the HTTP path too.  A plan adopted on the tick
 takes its first pending step from :func:`planner.next_step` without a
 ``plan_next`` request, which would read the zero-order beliefs the plan
 was just chosen from; a plan carried over from an earlier tick is
-stepped through ``plan_next``.
+stepped through ``plan_next`` while the beliefs leave one of its steps
+pending.  A carried plan the beliefs find done, like one they find
+stale, is replaced without a ``plan_next`` request, and the
+``predict_zero`` request that chooses the next plan asks the model what
+to do next on the same beliefs.  This deviates from the paper, whose
+model says when a subplan is done: here the beliefs say it first, and
+the model can still end a plan early by answering SUBPLAN DONE to a
+pending step.
 
 This module alone decides: a remote model's answer is taken when one
 arrives and parses, and whenever no reply arrives the step asks the
@@ -279,7 +286,13 @@ class AgentMind:
     def _advance(self, declared: dict[str, Plan]) -> PlanStep | None:
         """Adopt a plan when there is none, then resolve the next step,
         replanning through staleness and completed subplans; None when
-        the goal side is exhausted."""
+        the goal side is exhausted.
+
+        Only a carried plan with a pending step is sent to ``plan_next``
+        (:meth:`next_action`).  A stale or done one is replaced, through
+        ``replan`` or ``predict_self``, without that request: the beliefs,
+        not the model, say that the subplan is done (the module's ask rule).
+        """
         carried = self.plan is not None
         if not carried:
             self.adopt(self.predict_self())
@@ -387,14 +400,16 @@ class AgentMind:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.
 
         The mechanical completion/staleness check runs first (raising
-        :class:`StalePlan` deterministically); when ``ask`` is set, a remote
-        model may then pick a different legal next step.  Without ``ask`` no
-        ``plan_next`` request is sent and its memo slot stays as it was.
+        :class:`StalePlan` deterministically); when ``ask`` is set and it
+        leaves a step pending, a remote model may then pick a different
+        legal next step or answer SUBPLAN DONE.  Without ``ask``, or when
+        the beliefs already hold every step's effect, no ``plan_next``
+        request is sent and its memo slot stays as it was.
         """
         assert self.plan is not None
         history = self.plan_history
         mechanical = next_step(self.view(), self.plan, history)
-        if not ask:
+        if not ask or mechanical == SUBPLAN_DONE:
             return mechanical
         previous = "; ".join(str(s) for s in history) if history else "None"
         resp = self._ask("plan_next", self.default_oppo, PREVIOUS_ACTIONS=previous)

@@ -1237,6 +1237,25 @@ def test_only_a_plan_carried_over_asks_for_its_next_step():
     assert intent == parse_plan(remote).steps[0]
 
 
+def test_a_carried_plan_the_beliefs_find_done_asks_for_the_next_plan_instead():
+    # Alice carries a plan to go where she already stands: the beliefs hold
+    # its one step's effect, so the model is asked for the next plan, not
+    # for a next step of the done one, and the new plan's first step is the
+    # intent, not the remote model's step.
+    remote = "go to <office>(3000)"
+    reasoner = Remote(plan_next=f"reasons: x\nanswer: {remote}")
+    state, minds = fresh_minds(mode="never", reasoner=reasoner)
+    alice = minds[0]
+    observation = world_sim.observe(state, "Alice")
+    done = Plan((GoTo(observation.room),))
+    alice.adopt(done)
+    intent, _ = alice.decide(observation, [])
+    assert asked_about(reasoner, "plan_next") == []
+    assert asked_about(reasoner, "predict_zero") == ["Bob"]
+    assert alice.plan not in (None, done)
+    assert intent == alice.plan.steps[0] != parse_plan(remote).steps[0]
+
+
 def test_a_model_that_calls_every_plan_done_does_not_stall_the_agents(monkeypatch):
     # Each tick's "SUBPLAN DONE" replaces the carried plan with a fresh one,
     # whose first step the planner takes without asking again.

@@ -22,6 +22,7 @@ import pytest
 
 from beliefworld import harness, rule_consensus, scenario, world_sim
 from beliefworld.collab_engine import AgentMind
+from beliefworld.planner import SUBPLAN_DONE
 from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
 
@@ -35,11 +36,11 @@ GOLDEN = {
 
 # (request count, sha256 of the JSON list of [template_id, vars] per request)
 GOLDEN_REQUESTS = {
-    ("food_small", 2, "adaptive"): (256, "1e71214911b3167a6b63f87319edf5f591158ac1a63f292a583689d441f218bd"),
-    ("food_small", 2, "never"): (54, "9a29ffb8b7d47c879b232ef85213d797568e4a7ff0729fbf67905a38c8fc6c66"),
-    ("food_small", 2, "always"): (196, "e6156c197674da07c8831846c3c02e2ed40de8e99e042c6c7a053bc512daad56"),
-    ("stuff_small", 2, "always"): (175, "a0550368d6b5eec7965276d0d50c270b7cc5ae0335555096a4e33c2f344c7a09"),
-    ("stuff_small", 4, "adaptive"): (365, "2f02d36c52678d7794996a4fb25c9f383c9a690698b6312a277d69ae05051b98"),
+    ("food_small", 2, "adaptive"): (235, "2dca61d57c14a2eb0ab1d9a9b89717cf0192d5428c6cf44efca9eba54447de27"),
+    ("food_small", 2, "never"): (32, "103e1f045eff07fd4cc833c4daa121ba6d9145e1cb303d108b4314b4934caf7d"),
+    ("food_small", 2, "always"): (172, "17664781534aff27564a9149662d56c2cea9e745aa9321989c945bcc0ffa23e7"),
+    ("stuff_small", 2, "always"): (154, "c74033b967e0b026979ee3a239e556c61c0eafb392f4882fecdb961af4991955"),
+    ("stuff_small", 4, "adaptive"): (341, "03c36037e04fdd4cf8083492e73563a3ab1f717d8fb9b86b09c7766b3219b26e"),
 }
 
 
@@ -90,6 +91,27 @@ def test_asking_every_next_step_leaves_the_log_unchanged(scenario, agents, mode,
     # tick takes the planner's first pending step whether or not it is asked.
     next_action = AgentMind.next_action
     monkeypatch.setattr(AgentMind, "next_action", lambda mind, ask=True: next_action(mind))
+    episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
+    assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
+    assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
+
+
+@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
+def test_asking_the_next_step_of_a_done_plan_leaves_the_log_unchanged(
+    scenario, agents, mode, monkeypatch
+):
+    # The scripted backend answers no next step, so a carried plan that the
+    # beliefs find done is replaced whether or not plan_next is asked about it.
+    next_action = AgentMind.next_action
+
+    def asking_when_done(mind, ask=True):
+        step = next_action(mind, ask)
+        if ask and step == SUBPLAN_DONE:
+            previous = "; ".join(map(str, mind.plan_history)) or "None"
+            mind._ask("plan_next", mind.default_oppo, PREVIOUS_ACTIONS=previous)
+        return step
+
+    monkeypatch.setattr(AgentMind, "next_action", asking_when_done)
     episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
