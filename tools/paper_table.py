@@ -159,8 +159,7 @@ def compare(rows: list[dict], before: dict) -> dict[str, dict]:
         out[name] = {"same_digest": same}
         for col in BILL:
             change = statistics.fmean(differences(cell, theirs[name], col))
-            base = statistics.fmean(r[col] for r in theirs[name])
-            out[name][col] = {"change": change, "percent": 100 * change / base}
+            out[name][col] = {"change": change, "percent": 100 * change / before["cells"][name][col]}
         if not same:
             for col in ("frames", "tokens"):
                 out[name][col] = paired_interval(differences(cell, theirs[name], col))
