@@ -33,7 +33,14 @@ other input is standard and is built by the one table
 :data:`STANDARD_VARS` from the mind and the collaborator: the two
 names, the goal (``EntityRegistry.goal``), either belief order
 (:func:`belief_text`), the agent's plan (:func:`actions.plan_text`), the
-agreed rule lines and the step grammar (``actions.ACTION_LIST``).  Each
+agreed rule lines and the step grammar (``actions.ACTION_LIST``).  The
+inbox update is batched: one ``update_zero`` and one ``update_first``
+request carry the tick's whole inbox and name every sender, where the
+paper sends ``update_first`` about each collaborator on its own.  The
+template text is the paper's, so a request with one sender is what the
+paper's would be; with several, the model is not told to label each
+sender's plan, and a sender whose reply line is missing falls back to
+its message grammar (:func:`perceive.update_from_messages`).  Each
 mind sends a request once per distinct input, the inbox update
 included: per slot, a template and a collaborator, it keeps the last
 vars it sent and the outcome, and an unchanged input gets that outcome
@@ -346,20 +353,22 @@ class AgentMind:
         """Fold one tick's inbox into both belief orders; returns the plans
         the senders declared (:func:`perceive.update_from_messages`).
 
-        One ``update_zero`` request carries every ``sender: text`` line in
-        arrival order, then one ``update_first`` request per sender, in
-        order of first arrival, carries that sender's lines alone.  No
-        request reads the beliefs, so every request goes out before the
-        first fold, and each request is what it would be after the folds
-        before it.
+        A tick with mail sends two requests, each carrying every ``sender:
+        text`` line in arrival order and naming the senders, in order of
+        first arrival, as one ``", "``-joined ``OPPO_NAME``: ``update_zero``,
+        then ``update_first``, whose one reply is read for every sender's
+        first-order partition (the module's batching deviation).  No
+        request reads the beliefs, so both go out before the first fold.
         """
         batches = inbox_batches(self.world, inbox)
-        senders = ", ".join(about for about in batches if about is not None)
         replies = {}
-        for about, lines in batches.items():
-            template, oppo = ("update_zero", senders) if about is None else ("update_first", about)
-            message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-            replies[about] = self._ask(template, oppo, MESSAGE=message)
+        if batches:
+            senders = [about for about in batches if about is not None]
+            oppo = ", ".join(senders)
+            message = "\n".join(f"{sender}: {text}" for sender, text in batches[None])
+            replies[None] = self._ask("update_zero", oppo, MESSAGE=message)
+            first = self._ask("update_first", oppo, MESSAGE=message)
+            replies.update(dict.fromkeys(senders, first))
         return update_from_messages(self.world, batches, replies)
 
     def predict_self(self) -> Plan | None:

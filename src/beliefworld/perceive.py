@@ -17,15 +17,20 @@ collaborator with what it said (:func:`note_sent`), and a hearer credits
 each collaborator but the sender with the facts the message grammar
 reads from it (:func:`update_from_messages`).  That third-party credit
 deviates from the paper, whose belief updates are prompted: here no
-request asks for it, and the per-sender ``update_first`` request still
-reads that sender's lines alone.
+request asks for it, although the one ``update_first`` request of a
+tick carries every sender's lines.
 
 The inbox update folds one tick's inbox as one batch per belief
 partition (:func:`inbox_batches`): all of it for the zero partition,
 then each sender's own lines, each with the remote model's reply to
-that partition's update request, if any.  A reply's belief lines, read
-with :func:`sbl.belief_lines` like any statement line, are kept only
-under the partition's believer chain (:meth:`BeliefWorld.believers`).
+that partition's update request, if any.  The senders' partitions share
+one reply: the paper asks about each collaborator in a prompt of its
+own, while here one ``update_first`` request covers every sender of the
+tick, and each sender's pass reads its own lines and plan off the one
+reply.  A reply's belief lines, read with :func:`sbl.belief_lines` like
+any statement line, are kept only under the partition's believer chain
+(:meth:`BeliefWorld.believers`); a sender's declared plan is its
+``<sender>: <plan>`` line when the tick has several senders.
 Without a usable reply the structured message grammar
 (:func:`compose_message`, :func:`parse_message`) is read directly.  A
 fact read from any of these texts may name an entity the scenario does
@@ -223,7 +228,8 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None
+    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None,
+    batch: tuple[str, ...] = (),
 ) -> list[AtomicBelief] | None:
     """The facts a remote model's belief section lists for the zero
     partition, or the one about ``about``, read from the section's
@@ -232,24 +238,34 @@ def _reply_facts(
     the partition's rules do not admit (:meth:`BeliefWorld.admits`), is
     skipped.
     None when no reply arrived or the section is missing or holds no
-    readable line."""
+    readable line.
+
+    ``batch`` names the senders that share a batched ``update_first``
+    reply, ``about`` among them.  A line under another batch sender's
+    chain is that sender's, so it is skipped here without a warning, and
+    a line that is no sender's is warned about in the first sender's
+    pass alone."""
     label = "Zero order beliefs" if about is None else "First order beliefs"
     if resp is None or label not in resp.sections:
         return None
     section = resp.sections[label]
     believers = tuple(map(AgentName, world.believers(about)))
+    others = {tuple(map(AgentName, world.believers(s))) for s in batch if s != about}
+    warn = not batch or batch[0] == about
     facts = []
     for line in sbl.belief_lines(section):
         try:
             expr = parse(line)
         except ParseError:
-            log.warning("skipping unparseable belief line: %r", line)
+            if warn:
+                log.warning("skipping unparseable belief line: %r", line)
             continue
         # The store's fold (ingest_facts) would skip such a fact too, but a
         # reply whose every line is refused must read as unusable (None,
         # below), so that the message grammar is read instead.
         if expr.believers != believers or not world.admits(expr.body, about):
-            log.warning("skipping belief line outside the partition: %r", line)
+            if expr.believers == believers or (warn and expr.believers not in others):
+                log.warning("skipping belief line outside the partition: %r", line)
             continue
         facts.append(expr.body)
     if facts or section.strip().lower() in NO_ANSWER:
@@ -269,6 +285,22 @@ def plan_reply(
         return None
     plan = safe_plan(section, registry)
     return plan if plan is not None else heuristic()
+
+
+def _sender_plan(
+    resp: prompts.ReasonerResponse | None, sender: str, batch: tuple[str, ...]
+) -> prompts.ReasonerResponse | None:
+    """The reply whose ``plan`` section is the plan ``sender`` declared:
+    the whole reply when ``sender`` is the batch's one sender, else one
+    holding the text of the section's first ``<sender>: <plan>`` line
+    (bullet stripped); None when there is no such line."""
+    if resp is None or len(batch) <= 1:
+        return resp
+    for line in resp.section("plan").splitlines():
+        name, colon, plan = line.strip().lstrip("-*").partition(":")
+        if colon and name.strip() == sender:
+            return prompts.ReasonerResponse(sections={"plan": plan.strip()}, raw=line)
+    return None
 
 
 def _heard(text: str, world: BeliefWorld) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
@@ -308,7 +340,9 @@ def update_from_messages(
     replies: dict[str | None, prompts.ReasonerResponse | None],
 ) -> dict[str, Plan]:
     """Fold one tick's inbox, split by :func:`inbox_batches`, into both
-    belief orders, given the reply to each partition's update request.
+    belief orders, given the reply to each partition's update request;
+    the senders' first-order partitions share one request, so each of
+    them is given the same reply.
 
     First, the broadcast is public: each message's facts, as the message
     grammar reads them (an unparseable text has none), are ingested into
@@ -321,17 +355,23 @@ def update_from_messages(
     owner now knows what it was told), then each sender's first-order
     partition (the sender plainly knows what it said), so that a
     sender's own words land last in its own partition.  A pass ingests
-    ``replies.get(about)``'s facts as one batch when that reply is usable;
-    a missing entry means no usable reply.  Without one, the message
-    grammar is read directly, message by message in arrival order:
-    unparseable messages are ignored with a warning, and plans naming
-    unknown entities, or entities of the wrong kind, are not declared.
-    The store's fold (:func:`~beliefworld.belief_store.ingest_facts`)
-    skips the facts the rules do not admit and applies the overflow rule.
+    the facts ``replies.get(about)`` lists for its partition as one batch
+    when that reply is usable for it (:func:`_reply_facts`: the lines
+    under the partition's believer chain); a missing entry means no
+    usable reply.  Without one, the message grammar is read directly,
+    message by message in arrival order: unparseable messages are
+    ignored with a warning, and plans naming unknown entities, or
+    entities of the wrong kind, are not declared.  The store's fold
+    (:func:`~beliefworld.belief_store.ingest_facts`) skips the facts the
+    rules do not admit and applies the overflow rule.
 
-    Returns the plans the senders declared, keyed in the order of each
-    sender's first message declaring one; a sender's later declaration
-    replaces its earlier one.
+    A sender's declared plan is its reply's ``plan`` section: all of it
+    when the sender is the tick's one sender, else the section's
+    ``<sender>: <plan>`` line (:func:`_sender_plan`).  A sender whose
+    reply gives no readable plan declares the plan its message grammar
+    reads.  Returns the plans the senders declared, keyed in the order
+    of each sender's first message declaring one; a sender's later
+    declaration replaces its earlier one.
     """
     if not batches:
         return {}
@@ -340,8 +380,10 @@ def update_from_messages(
         for collab in world.collaborators:
             if collab != sender:
                 ingest_facts(world, heard(text)[0], collab)
+    senders = tuple(about for about in batches if about is not None)
     for about, lines in batches.items():
-        facts = _reply_facts(replies.get(about), world, about)
+        batch = senders if about is not None else ()
+        facts = _reply_facts(replies.get(about), world, about, batch)
         if facts is not None:
             ingest_facts(world, facts, about)
         else:
@@ -350,7 +392,8 @@ def update_from_messages(
 
     declared: dict[str, Plan] = {}
     for sender, text in batches.get(None, ()):
-        plan = plan_reply(replies.get(sender), world.registry, lambda: heard(text)[1])
+        reply = _sender_plan(replies.get(sender), sender, senders)
+        plan = plan_reply(reply, world.registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared

@@ -38,11 +38,21 @@ never posts.  So ``POST_ERRORS`` names ``OSError``, which
 ``requests.RequestException`` derives from, and a missing ``requests``
 raises ``ImportError`` on the first post rather than falling back.
 
-``AgentMind.hear`` sends a whole tick's messages in one request (all of
-them to ``update_zero``, each sender's to its ``update_first``), so a
-batched reply shares the one ``max_tokens`` budget: after a long inbox
+``AgentMind.hear`` sends a whole tick's messages in one ``update_zero``
+and one ``update_first`` request, the latter for every sender at once
+where the paper asks about each collaborator in a prompt of its own.  So
+a batched reply shares the one ``max_tokens`` budget: after a long inbox
 the belief list can be cut short, and a line cut mid-way does not parse
-and is skipped, like any other unparseable belief line.
+and is skipped, like any other unparseable belief line; a sender left
+without a line or a plan falls back to its own messages' grammar.  On
+stuff_small with 4 agents, adaptive, seeds 1..100, the first-order and
+plan sections of a perfect ``update_first`` reply, one belief line per
+heard fact, measure 351 characters at the median, 1,227 at the 99th
+percentile and 1,782 at most over the 4,023 ticks with mail (496, 1,266
+and 1,782 over the 2,559 ticks with two or three senders): at 3 to 4
+characters a token, the largest need 450 to 600 tokens before the
+extracted-information section, so the budget can cut the longest
+replies.
 """
 
 from __future__ import annotations

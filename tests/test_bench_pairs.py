@@ -1,4 +1,5 @@
-"""Tooling: the summary of ``tools/bench_pairs.py`` over canned result lines."""
+"""Tooling: the summary of ``tools/bench_pairs.py`` over canned result
+lines, and the CPU time it records per run."""
 
 import argparse
 import json
@@ -10,16 +11,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import directions, parse_runs, summarize  # noqa: E402
+from bench_pairs import cpu_summary, directions, parse_runs, run_bench, summarize  # noqa: E402
 
 
-def run(workload, trace, pair, side, **metrics):
+def run(workload, trace, pair, side, cpu_s=1.0, **metrics):
     """One run record whose result is a canned last line of bench/run.py."""
     result = {
         "correct": True, "attempted": 10, "failed": 0,
         "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()},
     }
-    return {"workload": workload, "trace": trace, "pair": pair, "side": side, "result": result}
+    return {
+        "workload": workload, "trace": trace, "pair": pair, "side": side, "result": result,
+        "cpu_s": cpu_s,
+    }
 
 
 BETTER = {"episodes_per_s": "higher", "episode_s_p50": "lower", "collab_engine.plan_options.self_s": "lower"}
@@ -74,3 +78,35 @@ def test_a_run_list_names_a_workload_a_trace_flag_and_a_seed_range():
     for bad in ("team-adaptive:2:1-3", "team-adaptive:0:5-1", "team-adaptive:0", "x:1:a-b"):
         with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD"):
             parse_runs(bad)
+
+
+def test_cpu_seconds_get_per_side_quartiles_outside_the_metric_summary():
+    runs = []
+    for pair, (parent, change) in enumerate([(4.0, 3.0), (5.0, 3.5), (6.0, 4.0), (7.0, 4.5)]):
+        runs.append(run("team-adaptive", 0, pair, "parent", cpu_s=parent, episodes_per_s=30.0))
+        runs.append(run("team-adaptive", 0, pair, "change", cpu_s=change, episodes_per_s=31.0))
+    runs.append(run("team-adaptive", 1, 0, "parent", cpu_s=2.0))
+    runs.append(run("team-adaptive", 1, 0, "change", cpu_s=2.5))
+    cpu = cpu_summary(runs)
+    assert list(cpu) == ["team-adaptive", "team-adaptive (traced)"]
+    assert cpu["team-adaptive"]["parent"] == {"q1": 4.25, "median": 5.5, "q3": 6.75}
+    assert cpu["team-adaptive"]["change"]["median"] == 3.75
+    assert cpu["team-adaptive (traced)"]["change"] == dict.fromkeys(("q1", "median", "q3"), 2.5)
+    # CPU time is no BENCHMARK.json metric: the metric summary leaves it out.
+    assert "cpu_s" not in summarize(runs, {**BETTER, "cpu_s": "lower"})["team-adaptive"]
+
+
+def test_a_run_records_the_cpu_seconds_of_its_process(tmp_path):
+    # A stand-in bench/run.py that spins for about 0.2 CPU seconds.
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, time\n"
+        "end = time.process_time() + 0.2\n"
+        "while time.process_time() < end:\n"
+        "    pass\n"
+        "print('warm-up line')\n"
+        "print(json.dumps({'metrics': {}}))\n"
+    )
+    result, cpu = run_bench(tmp_path, "pair-silent", 1, 0.0, 0)
+    assert result == {"metrics": {}}
+    assert 0.2 <= cpu < 5.0

@@ -22,6 +22,7 @@ import pytest
 
 from beliefworld import harness, rule_consensus, scenario, world_sim
 from beliefworld.collab_engine import AgentMind
+from beliefworld.perceive import inbox_batches, update_from_messages
 from beliefworld.planner import SUBPLAN_DONE
 from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
@@ -40,6 +41,14 @@ GOLDEN_REQUESTS = {
     ("food_small", 2, "never"): (32, "103e1f045eff07fd4cc833c4daa121ba6d9145e1cb303d108b4314b4934caf7d"),
     ("food_small", 2, "always"): (172, "17664781534aff27564a9149662d56c2cea9e745aa9321989c945bcc0ffa23e7"),
     ("stuff_small", 2, "always"): (154, "c74033b967e0b026979ee3a239e556c61c0eafb392f4882fecdb961af4991955"),
+    ("stuff_small", 4, "adaptive"): (303, "0964578eea4ef78c8268fb8fda3d4e07d0f21f8de87f25ab3d3a135bd77ef00d"),
+}
+
+# The request streams of the settings with several senders in a tick when
+# each sender gets its own update_first request; every other setting's
+# stream is the same either way.
+PER_SENDER_REQUESTS = {
+    **GOLDEN_REQUESTS,
     ("stuff_small", 4, "adaptive"): (341, "03c36037e04fdd4cf8083492e73563a3ab1f717d8fb9b86b09c7766b3219b26e"),
 }
 
@@ -115,6 +124,30 @@ def test_asking_the_next_step_of_a_done_plan_leaves_the_log_unchanged(
     episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
     assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
     assert len(calls) > GOLDEN_REQUESTS[(scenario, agents, mode)][0]
+
+
+def hear_per_sender(mind, inbox):
+    """``AgentMind.hear`` with one ``update_first`` request per sender,
+    carrying that sender's lines alone."""
+    batches = inbox_batches(mind.world, inbox)
+    senders = ", ".join(about for about in batches if about is not None)
+    replies = {}
+    for about, lines in batches.items():
+        template_id, oppo = ("update_zero", senders) if about is None else ("update_first", about)
+        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
+        replies[about] = mind._ask(template_id, oppo, MESSAGE=message)
+    return update_from_messages(mind.world, batches, replies)
+
+
+@pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))
+def test_one_update_first_per_sender_leaves_the_log_unchanged(scenario, agents, mode, monkeypatch):
+    # The scripted backend answers no belief update, so batching the
+    # senders' update_first requests changes the request stream alone.
+    monkeypatch.setattr(AgentMind, "hear", hear_per_sender)
+    episode, calls = recorded_run(scenario, agents, mode, monkeypatch)
+    assert episode.sha256() == GOLDEN[(scenario, agents, mode)]
+    digest = hashlib.sha256(json.dumps(calls, sort_keys=True).encode()).hexdigest()
+    assert (len(calls), digest) == PER_SENDER_REQUESTS[(scenario, agents, mode)]
 
 
 def replay_in_a_fresh_interpreter(prelude: str = "", **env: str) -> list[str]:

@@ -6,7 +6,8 @@ beliefs with random heard facts through ``ingest_facts``, then lets
 random legal intents (``test_world_sim.random_intents``) play for some
 frames, folding every agent's observation into its beliefs each frame.
 Each inbox example folds one tick's random inbox of grammar messages,
-some unparseable, into a fresh world of 2 to 4 agents.
+some unparseable, into a fresh world of 2 to 4 agents, with replies to
+the update requests or with none.
 """
 
 import random
@@ -16,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_world_sim import random_intents
 
-from beliefworld import world_sim
+from beliefworld import perceive, world_sim
+from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, Transport, plan_text
 from beliefworld.belief_store import BeliefWorld, held_by, ingest_facts, slot
 from beliefworld.perceive import inbox_batches, update_from_messages, update_from_visual
 from beliefworld.planner import PlannerView
-from beliefworld.prompts import ReasonerResponse
+from beliefworld.prompts import ReasonerResponse, parse_sections
 from beliefworld.rule_consensus import canonical_rules
 from beliefworld.scenario import CONTAINER, EntityRegistry, load_scenario, shared_registry
 from beliefworld.sbl import (
@@ -275,3 +277,114 @@ def test_an_unparseable_broadcast_credits_no_third_party(food_registry):
     update_from_messages(world, inbox_batches(world, [("Bob", GIBBERISH)]), {})
     assert world.facts(about="Carol") == []
     assert world.facts(about="Bob") == []
+
+
+# ---------------------------------------------------------------------------
+# One batched update_first reply for every sender.
+# ---------------------------------------------------------------------------
+
+
+def plans(setting) -> st.SearchStrategy[Plan]:
+    """1-3 step plans over the scenario's entities, some of the wrong
+    kind for their steps (a grasped room, a put into a target)."""
+    scenario = SCENARIOS[setting]
+    entities = st.sampled_from([*scenario.rooms, *(ref for ref, _, _ in scenario.objects)])
+    step = st.one_of(
+        st.builds(GoTo, entities), st.builds(ExploreCurrent, entities),
+        st.builds(GoGrasp, entities), st.builds(Put, entities, entities), st.just(Transport()),
+    )
+    return st.lists(step, min_size=1, max_size=3).map(lambda steps: Plan(tuple(steps)))
+
+
+def mail_case(setting, unique: bool):
+    """One tick's mail: ``(sender, facts, plan)`` messages, where None
+    facts is unparseable text and ``Zed`` is not on the roster; with
+    ``unique``, each sender sends one message at most."""
+    names = [name for name, _ in SCENARIOS[setting].agents]
+    message = st.tuples(
+        st.sampled_from([*names[1:], "Zed"]),
+        st.one_of(st.none(), heard_facts(setting), heard_facts(setting)),
+        st.one_of(st.none(), plans(setting)),
+    )
+    mail = st.lists(message, max_size=6, unique_by=(lambda m: m[0]) if unique else None)
+    return st.tuples(st.just(setting), mail)
+
+
+def mail_text(facts: list[AtomicBelief] | None, plan: Plan | None) -> str:
+    if facts is None:
+        return GIBBERISH
+    return f"FACTS: {'; '.join(map(str, facts))} | PLAN: {plan_text(plan)}"
+
+
+def perfect_update_first(world: BeliefWorld, messages, declared) -> ReasonerResponse:
+    """The batched update_first reply a perfect model gives: each parseable
+    message's facts under its sender's believer chain, in arrival order,
+    then the plan the message grammar declares for each sender: one
+    ``<sender>: <plan>`` line each, or the bare plan for a lone sender."""
+    senders = list(dict.fromkeys(s for s, _, _ in messages if s in world.collaborators))
+    lines = [
+        f"{world.owner} BELIEVE {sender} BELIEVE {fact}"
+        for sender, facts, _ in messages if sender in world.collaborators
+        for fact in facts or ()
+    ]
+    plans = [f"{s}: {plan_text(declared.get(s))}" for s in senders]
+    if len(senders) == 1:
+        plans = [plan_text(declared.get(senders[0]))]
+    text = (
+        "Extracted Information: the messages\n"
+        f"First order beliefs:\n{chr(10).join(lines) or 'None'}\n"
+        f"{', '.join(senders)}'s plan:\n" + "\n".join(plans)
+    )
+    return ReasonerResponse(sections=parse_sections("update_first", text), raw=text)
+
+
+def check_perfect_batched_reply(setting, messages) -> None:
+    """A perfect batched ``update_first`` reply, given to every sender's
+    pass, folds into the partitions and declared plans that the message
+    grammar alone (no reply) gives."""
+    inbox = [(sender, mail_text(facts, plan)) for sender, facts, plan in messages]
+    grammar = fresh_world(setting)
+    declared = update_from_messages(grammar, inbox_batches(grammar, inbox), {})
+    world = fresh_world(setting)
+    batches = inbox_batches(world, inbox)
+    senders = tuple(about for about in batches if about is not None)
+    reply = perfect_update_first(world, messages, declared)
+    for sender in senders:  # each plan is read off the reply, not the grammar
+        fallback = lambda: pytest.fail(f"{sender}'s plan line was not read")  # noqa: E731
+        perceive.plan_reply(perceive._sender_plan(reply, sender, senders), world.registry, fallback)
+    replied = update_from_messages(world, batches, dict.fromkeys(senders, reply))
+    assert list(replied.items()) == list(declared.items())
+    # The same fact in each slot; a reply's facts fold as one batch, the
+    # messages' one message at a time, so the slots' insertion order may
+    # differ, and every reader of a partition sorts it.
+    for about in (None, *world.collaborators):
+        assert world.partition(about) == grammar.partition(about)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(INBOX_SETTINGS).flatmap(lambda s: mail_case(s, unique=True)))
+def test_a_perfect_batched_reply_folds_as_the_message_grammar_does(case):
+    check_perfect_batched_reply(*case)
+
+
+def apple_in(room: str, room_id: int) -> AtomicBelief:
+    return AtomicBelief(ObjectRef("apple", 101), "IN", ObjectRef(room, room_id))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "a reply's facts fold as one batch, ordered by text with holdings last, "
+        "while a sender's messages fold one at a time in arrival order"
+    ),
+)
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(INBOX_SETTINGS).flatmap(lambda s: mail_case(s, unique=False)))
+# Bob puts the apple in the living room, then in the kitchen: the grammar
+# keeps the later report, the batch the one whose text sorts last.
+@example(case=(("food_small", 2), [
+    ("Bob", [apple_in("livingroom", 1000)], None), ("Bob", [apple_in("kitchen", 2000)], None),
+]))
+def test_a_perfect_batched_reply_folds_several_messages_of_a_sender_as_the_grammar_does(case):
+    check_perfect_batched_reply(*case)

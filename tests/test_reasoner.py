@@ -550,15 +550,14 @@ BATCH_REPLIES = {
         "Extracted Information: x\n"
         "Zero order beliefs: Alice BELIEVE <apple>(101) IN <livingroom>(1000)"
     ),
-    ("update_first", "Bob"): (
+    # One reply for both senders: each one's lines under its own chain,
+    # and one "<sender>: <plan>" line each.
+    ("update_first", "Bob, Carol"): (
         "Extracted Information: x\n"
-        "First order beliefs: Alice BELIEVE Bob BELIEVE <apple>(101) IN <kitchen>(2000)\n"
-        "Bob's plan: go grasp <apple>(101)"
-    ),
-    ("update_first", "Carol"): (
-        "Extracted Information: x\n"
-        "First order beliefs: Alice BELIEVE Carol BELIEVE <bread>(104) IN <office>(3000)\n"
-        "Carol's plan: None"
+        "First order beliefs:\n"
+        "Alice BELIEVE Bob BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+        "Alice BELIEVE Carol BELIEVE <bread>(104) IN <office>(3000)\n"
+        "Bob, Carol's plan:\nBob: go grasp <apple>(101)\nCarol: None"
     ),
 }
 
@@ -581,15 +580,13 @@ def batch_update(registry, replies):
     return world, remote.requests, {k: str(v) for k, v in declared.items()}
 
 
-def test_one_update_zero_and_one_update_first_per_sender(food_registry):
+def test_one_update_zero_and_one_update_first_per_tick(food_registry):
     world, requests, declared = batch_update(food_registry, BATCH_REPLIES)
     assert [(r.template_id, r.vars["OPPO_NAME"]) for r in requests] == [
-        ("update_zero", "Bob, Carol"), ("update_first", "Bob"), ("update_first", "Carol"),
+        ("update_zero", "Bob, Carol"), ("update_first", "Bob, Carol"),
     ]
-    zero, bob, carol = (r.vars["MESSAGE"] for r in requests)
-    assert zero == f"Bob: {BOB_FIRST}\nCarol: {CAROL_ONLY}\nBob: {BOB_SECOND}"
-    assert bob == f"Bob: {BOB_FIRST}\nBob: {BOB_SECOND}"
-    assert carol == f"Carol: {CAROL_ONLY}"
+    zero, first = (r.vars["MESSAGE"] for r in requests)
+    assert zero == first == f"Bob: {BOB_FIRST}\nCarol: {CAROL_ONLY}\nBob: {BOB_SECOND}"
     # The remote facts, each in its own partition; read off the messages,
     # only the facts credited to the collaborator that did not send them.
     assert world.facts() == [parse_atomic("<apple>(101) IN <livingroom>(1000)")]
@@ -603,7 +600,12 @@ def test_one_update_zero_and_one_update_first_per_sender(food_registry):
 
 
 def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_registry):
-    replies = {**BATCH_REPLIES, ("update_first", "Carol"): MALFORMED.replies["update_first"]}
+    # The batched reply has Bob's line and plan but neither of Carol's.
+    replies = {**BATCH_REPLIES, ("update_first", "Bob, Carol"): (
+        "Extracted Information: x\n"
+        "First order beliefs: Alice BELIEVE Bob BELIEVE <apple>(101) IN <kitchen>(2000)\n"
+        "Bob, Carol's plan:\nBob: go grasp <apple>(101)"
+    )}
     world, _, declared = batch_update(food_registry, replies)
     # Carol's partition holds Carol's own message and Bob's credited facts,
     # not Bob's remote reply; Bob's holds Carol's credited facts.
@@ -617,6 +619,22 @@ def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_re
     assert declared == {"Bob": "go grasp <apple>(101)", "Carol": "go grasp <orange>(103)"}
 
 
+def test_a_line_under_carols_chain_never_lands_in_bobs_partition(food_registry, caplog):
+    # Carol's line names a fact Bob's partition would admit; it is Carol's
+    # alone, and skipping it in Bob's pass is no warning.  A line under no
+    # sender's chain is warned about once, not once per sender.
+    key = ("update_first", "Bob, Carol")
+    stray = "Alice BELIEVE Zed BELIEVE <bread>(104) IN <office>(3000)"
+    reply = BATCH_REPLIES[key].replace("\nBob, Carol's plan:", f"\n{stray}\nBob, Carol's plan:")
+    with caplog.at_level("WARNING"):
+        world, _, _ = batch_update(food_registry, {**BATCH_REPLIES, key: reply})
+    bread = parse_atomic("<bread>(104) IN <office>(3000)")
+    assert world.holds(bread, about="Carol")
+    assert not world.holds(bread, about="Bob")
+    assert caplog.text.count("outside the partition") == 1
+    assert f"outside the partition: {stray!r}" in caplog.text
+
+
 def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry):
     # The update prompts' own example writes "<table> (712)".
     spaced = {
@@ -625,10 +643,12 @@ def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry
             "Extracted Information: x\n"
             "Zero order beliefs: Alice BELIEVE <apple> (101) IN <livingroom> (1000)"
         ),
-        ("update_first", "Bob"): (
+        ("update_first", "Bob, Carol"): (
             "Extracted Information: x\n"
-            "First order beliefs: Alice BELIEVE Bob BELIEVE <apple> (101) IN <kitchen>  (2000)\n"
-            "Bob's plan: go grasp <apple>(101)"
+            "First order beliefs:\n"
+            "Alice BELIEVE Bob BELIEVE <apple> (101) IN <kitchen>  (2000)\n"
+            "- Alice BELIEVE Carol BELIEVE <bread> (104) IN <office> (3000)\n"
+            "Bob, Carol's plan: Bob: go grasp <apple>(101)\nCarol: None"
         ),
     }
     world, _, declared = batch_update(food_registry, spaced)

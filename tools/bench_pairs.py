@@ -14,11 +14,16 @@ line a run prints is its JSON result.
 
 The output file holds the two revisions (``git rev-parse HEAD`` in each
 checkout), the cpu count, the Python version, the command, the method,
-a summary and every run's result.  The summary gives, per workload
-("<workload> (traced)" for traced runs) and per metric that
-``BENCHMARK.json`` names, each side's quartiles and the number of pairs
-in which the change is better.  A metric's direction is its ``better``
-entry in ``BENCHMARK.json``, and a tie counts for neither side.
+a summary, the CPU time summary and every run's result and CPU time.
+The summary gives, per workload ("<workload> (traced)" for traced runs)
+and per metric that ``BENCHMARK.json`` names, each side's quartiles and
+the number of pairs in which the change is better.  A metric's direction
+is its ``better`` entry in ``BENCHMARK.json``, and a tie counts for
+neither side.  A run's CPU time is the user plus system seconds of the
+``bench/run.py`` process (``resource.getrusage(RUSAGE_CHILDREN)`` before
+and after it); less exposed to a busy host than wall time, it is no
+``BENCHMARK.json`` metric, so ``cpu_s`` gives each side's quartiles per
+workload in a field of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,7 +45,8 @@ METHOD = (
     "alternating pairs: pair k of a run list runs parent first when k is even, change first "
     "when k is odd; each side runs from its own checkout of its revision; seeds {seeds} were "
     "not used while writing the change; quartiles are statistics.quantiles(n=4); "
-    "'result' is the run's last line of output; a tie counts for neither side"
+    "'result' is the run's last line of output; 'cpu_s' is the run's user plus system CPU "
+    "seconds (RUSAGE_CHILDREN); a tie counts for neither side"
 )
 
 
@@ -53,6 +60,19 @@ def quartiles(values: list[float]) -> dict[str, float]:
         return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def cpu_summary(runs: list[dict]) -> dict:
+    """Per workload ("<workload> (traced)" for traced runs), each side's
+    quartiles of the runs' ``cpu_s``."""
+    values: dict[str, dict[str, list[float]]] = {}
+    for run in runs:
+        name = f"{run['workload']} (traced)" if run["trace"] else run["workload"]
+        values.setdefault(name, {side: [] for side in SIDES})[run["side"]].append(run["cpu_s"])
+    return {
+        name: {side: quartiles(cpu) for side, cpu in sides.items()}
+        for name, sides in values.items()
+    }
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -93,14 +113,24 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run of a checkout's ``bench/run.py``; its parsed last line."""
+def cpu_seconds() -> float:
+    """User plus system CPU seconds of this process's waited-for children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_bench(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int
+) -> tuple[dict, float]:
+    """One run of a checkout's ``bench/run.py``: its parsed last line and
+    the run's CPU seconds."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
+    before = cpu_seconds()
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1]), cpu_seconds() - before
 
 
 def revision(checkout: Path) -> str:
@@ -136,10 +166,10 @@ def main(argv: list[str] | None = None) -> int:
         for pair, seed in enumerate(seeds):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_bench(checkouts[side], workload, seed, args.seconds, trace)
+                result, cpu = run_bench(checkouts[side], workload, seed, args.seconds, trace)
                 runs.append({
                     "workload": workload, "trace": trace, "pair": pair, "seed": seed,
-                    "side": side, "ran_first": side == order[0], "result": result,
+                    "side": side, "ran_first": side == order[0], "result": result, "cpu_s": cpu,
                 })
                 value = result["metrics"].get("episodes_per_s", {}).get("value")
                 print(f"{workload} trace={trace} seed={seed} {side}: episodes_per_s={value}", flush=True)
@@ -154,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": COMMAND.format(seconds=args.seconds),
         "method": METHOD.format(seeds=f"{seeds[0]}-{seeds[-1]}"),
         "summary": summarize(runs, better),
+        "cpu_s": cpu_summary(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
