@@ -37,14 +37,16 @@ agreed rule lines and the step grammar (``actions.ACTION_LIST``).  The
 inbox update is batched: one ``update_zero`` and one ``update_first``
 request carry the tick's whole inbox and name every sender, where the
 paper sends ``update_first`` about each collaborator on its own.  The
+fold reads each of the two replies once and routes every belief line to
+the partition its believer chain names, and every ``<sender>: <plan>``
+line to its sender (:func:`perceive.update_from_messages`).  The
 template text is the paper's, so a request with one sender is what the
 paper's would be; with several, the model is not told to label each
 sender's plan, and a sender whose reply line is missing falls back to
-its message grammar (:func:`perceive.update_from_messages`).  Each
-mind sends a request once per distinct input, the inbox update
-included: per slot, a template and a collaborator, it keeps the last
-vars it sent and the outcome, and an unchanged input gets that outcome
-back without a call.  A call that fell back is not remembered, so the
+its message grammar.  Each mind sends a request once per distinct
+input, the inbox update included: per slot, a template and a
+collaborator, it keeps the last vars it sent and the outcome, and an
+unchanged input gets that outcome back without a call.  A call that fell back is not remembered, so the
 same input goes to the remote model again.
 
 The ask rule: a step is sent only where its answer can change the
@@ -90,7 +92,7 @@ from . import prompts
 from .actions import ACTION_LIST, MAX_MESSAGE_CHARS, Plan, PlanStep, SendMessage, plan_text
 from .belief_store import BeliefWorld
 from .perceive import (
-    compose_message, inbox_batches, note_sent, plan_reply, safe_plan, update_from_messages,
+    compose_message, note_sent, plan_reply, registered_mail, safe_plan, update_from_messages,
     update_from_visual,
 )
 # Unused here, but bench/layers.py wraps ``collab_engine.ingest_facts`` by
@@ -353,28 +355,28 @@ class AgentMind:
         """Fold one tick's inbox into both belief orders; returns the plans
         the senders declared (:func:`perceive.update_from_messages`).
 
-        A tick with mail sends two requests, each carrying every ``sender:
-        text`` line in arrival order and naming the senders, in order of
-        first arrival, as one ``", "``-joined ``OPPO_NAME``: ``update_zero``,
-        then ``update_first``, whose one reply is read for every sender's
-        first-order partition (the module's batching deviation).  No
-        request reads the beliefs, so both go out before the first fold.
+        A tick with registered mail sends two requests, each carrying every
+        ``sender: text`` line in arrival order and naming the senders, in
+        order of first arrival, as one ``", "``-joined ``OPPO_NAME``:
+        ``update_zero``, then ``update_first``, whose one reply holds every
+        sender's first-order lines and plan (the module's batching
+        deviation).  No request reads the beliefs, so both go out before
+        the fold, which reads each reply once.
         """
-        batches = inbox_batches(self.world, inbox)
-        replies = {}
-        if batches:
-            senders = [about for about in batches if about is not None]
-            oppo = ", ".join(senders)
-            message = "\n".join(f"{sender}: {text}" for sender, text in batches[None])
-            replies[None] = self._ask("update_zero", oppo, MESSAGE=message)
+        mail = registered_mail(self.world, inbox)
+        zero = first = None
+        if mail:
+            oppo = ", ".join(dict.fromkeys(sender for sender, _ in mail))
+            message = "\n".join(f"{sender}: {text}" for sender, text in mail)
+            zero = self._ask("update_zero", oppo, MESSAGE=message)
             first = self._ask("update_first", oppo, MESSAGE=message)
-            replies.update(dict.fromkeys(senders, first))
-        return update_from_messages(self.world, batches, replies)
+        return update_from_messages(self.world, mail, zero, first)
 
     def predict_self(self) -> Plan | None:
         """Best next 1-3 step plan from the zero partition; None when done."""
         resp = self._ask("predict_zero", self.default_oppo)
-        return plan_reply(resp, self.registry, lambda: best_plan(self.view()))
+        text = resp.section("plan") if resp is not None else None
+        return plan_reply(text, self.registry, lambda: best_plan(self.view()))
 
     def predict_collaborator(
         self, collab: str, declared: Plan | None = None, ask: bool = True
@@ -403,7 +405,8 @@ class AgentMind:
         """Like predict_self, but steering clear of ``avoid``, the plan
         projected for collaborator ``oppo``."""
         resp = self._ask("replan", oppo, OPPO_PLAN=plan_text(avoid))
-        return plan_reply(resp, self.registry, lambda: best_plan(self.view(), avoid))
+        text = resp.section("plan") if resp is not None else None
+        return plan_reply(text, self.registry, lambda: best_plan(self.view(), avoid))
 
     def next_action(self, ask: bool = True) -> PlanStep | str:
         """The first incomplete step of the current plan, or SUBPLAN_DONE.

@@ -20,28 +20,27 @@ deviates from the paper, whose belief updates are prompted: here no
 request asks for it, although the one ``update_first`` request of a
 tick carries every sender's lines.
 
-The inbox update folds one tick's inbox as one batch per belief
-partition (:func:`inbox_batches`): all of it for the zero partition,
-then each sender's own lines, each with the remote model's reply to
-that partition's update request, if any.  The senders' partitions share
-one reply: the paper asks about each collaborator in a prompt of its
-own, while here one ``update_first`` request covers every sender of the
-tick, and each sender's pass reads its own lines and plan off the one
-reply.  A reply's belief lines, read with :func:`sbl.belief_lines` like
-any statement line, are kept only under the partition's believer chain
-(:meth:`BeliefWorld.believers`); a sender's declared plan is its
-``<sender>: <plan>`` line when the tick has several senders.
-Without a usable reply the structured message grammar
+The inbox update (:func:`update_from_messages`) reads each of the tick's
+two replies once: ``update_zero``'s for the zero partition and
+``update_first``'s for every sender's first-order partition.  The paper
+asks about each collaborator in a prompt of its own, while here one
+``update_first`` request covers every sender of the tick.  A reply's
+belief lines, read with :func:`sbl.belief_lines` like any statement
+line, are each parsed once and routed to the partition their believer
+chain names (:func:`_reply_facts`, :meth:`BeliefWorld.believers`), and a
+sender's declared plan is its ``<sender>: <plan>`` line when the tick
+has several senders (:func:`_reply_plans`).  For a partition the reply
+gives no usable line, the structured message grammar
 (:func:`compose_message`, :func:`parse_message`) is read directly.  A
 fact read from any of these texts may name an entity the scenario does
 not have, or relate kinds the agreed rules do not relate: a remote model
 or a teammate wrote it.  So every batch of heard facts goes to the
 store's own fold, :func:`~beliefworld.belief_store.ingest_facts`, which
-judges each fact once, skips what the rules do not admit and applies
-the hand bound's overflow rule; nothing here catches a refusal.  A
-remote reply's lines are also read against the partition's rules one by
-one, so that a reply whose every line is refused reads as no usable
-reply, and the message grammar is read instead.
+judges each fact once, skips what the rules do not admit and applies the
+hand bound's overflow rule; nothing here catches a refusal.  A remote
+reply's lines are also read against their partition's rules one by one,
+so that a partition whose every line is refused reads as unanswered, and
+the message grammar is read for it instead.
 
 Every function here is a fold over the evidence it is handed: a belief
 update takes the world and the evidence alone, and none takes a
@@ -228,79 +227,70 @@ def _known_plan(plan: Plan | None, registry: EntityRegistry) -> Plan | None:
 
 
 def _reply_facts(
-    resp: prompts.ReasonerResponse | None, world: BeliefWorld, about: str | None,
-    batch: tuple[str, ...] = (),
-) -> list[AtomicBelief] | None:
-    """The facts a remote model's belief section lists for the zero
-    partition, or the one about ``about``, read from the section's
-    :func:`sbl.belief_lines`: a line under another believer chain than
-    :meth:`BeliefWorld.believers` gives for the partition, or whose fact
-    the partition's rules do not admit (:meth:`BeliefWorld.admits`), is
-    skipped.
-    None when no reply arrived or the section is missing or holds no
-    readable line.
+    resp: prompts.ReasonerResponse | None, world: BeliefWorld, label: str,
+    partitions: tuple[str | None, ...],
+) -> dict[str | None, list[AtomicBelief]]:
+    """The facts a remote model's ``label`` section lists for each of
+    ``partitions`` (None the zero partition, a name a first-order one).
 
-    ``batch`` names the senders that share a batched ``update_first``
-    reply, ``about`` among them.  A line under another batch sender's
-    chain is that sender's, so it is skipped here without a warning, and
-    a line that is no sender's is warned about in the first sender's
-    pass alone."""
-    label = "Zero order beliefs" if about is None else "First order beliefs"
+    Each of the section's :func:`sbl.belief_lines` is parsed once and goes
+    to the partition whose believer chain (:meth:`BeliefWorld.believers`)
+    it names, when that partition's rules admit its fact
+    (:meth:`BeliefWorld.admits`); any other line is skipped with a
+    warning.  A partition no line reaches is missing from the result, as
+    is every partition when no reply arrived or the section is missing;
+    a section that says None gives every partition an empty list."""
     if resp is None or label not in resp.sections:
-        return None
+        return {}
     section = resp.sections[label]
-    believers = tuple(map(AgentName, world.believers(about)))
-    others = {tuple(map(AgentName, world.believers(s))) for s in batch if s != about}
-    warn = not batch or batch[0] == about
-    facts = []
+    if section.strip().lower() in NO_ANSWER:
+        return {about: [] for about in partitions}
+    chains = {tuple(map(AgentName, world.believers(about))): about for about in partitions}
+    facts: dict[str | None, list[AtomicBelief]] = {}
     for line in sbl.belief_lines(section):
         try:
             expr = parse(line)
         except ParseError:
-            if warn:
-                log.warning("skipping unparseable belief line: %r", line)
+            log.warning("skipping unparseable belief line: %r", line)
             continue
         # The store's fold (ingest_facts) would skip such a fact too, but a
-        # reply whose every line is refused must read as unusable (None,
-        # below), so that the message grammar is read instead.
-        if expr.believers != believers or not world.admits(expr.body, about):
-            if expr.believers == believers or (warn and expr.believers not in others):
-                log.warning("skipping belief line outside the partition: %r", line)
+        # partition whose every line is refused must read as unanswered
+        # (missing, above), so that the message grammar is read instead.
+        if expr.believers not in chains or not world.admits(expr.body, chains[expr.believers]):
+            log.warning("skipping belief line outside the partition: %r", line)
             continue
-        facts.append(expr.body)
-    if facts or section.strip().lower() in NO_ANSWER:
-        return facts
-    return None
+        facts.setdefault(chains[expr.believers], []).append(expr.body)
+    return facts
 
 
-def plan_reply(
-    resp: prompts.ReasonerResponse | None, registry: EntityRegistry, heuristic
-) -> Plan | None:
-    """A remote model's single-plan answer ("None" means done); the
-    heuristic decides when no reply arrived or the plan is bad."""
+def _reply_plans(resp: prompts.ReasonerResponse | None, senders: tuple[str, ...]) -> dict[str, str]:
+    """The plan text each sender declared in a remote model's ``plan``
+    section: all of it for a lone sender, else each sender's first
+    ``<sender>: <plan>`` line (bullet stripped).  A sender without one is
+    missing from the result, as is every sender when no reply arrived."""
     if resp is None:
-        return heuristic()
+        return {}
     section = resp.section("plan")
-    if section.strip().lower() in NO_ANSWER:
-        return None
-    plan = safe_plan(section, registry)
-    return plan if plan is not None else heuristic()
-
-
-def _sender_plan(
-    resp: prompts.ReasonerResponse | None, sender: str, batch: tuple[str, ...]
-) -> prompts.ReasonerResponse | None:
-    """The reply whose ``plan`` section is the plan ``sender`` declared:
-    the whole reply when ``sender`` is the batch's one sender, else one
-    holding the text of the section's first ``<sender>: <plan>`` line
-    (bullet stripped); None when there is no such line."""
-    if resp is None or len(batch) <= 1:
-        return resp
-    for line in resp.section("plan").splitlines():
+    if len(senders) == 1:
+        return {senders[0]: section}
+    plans: dict[str, str] = {}
+    for line in section.splitlines():
         name, colon, plan = line.strip().lstrip("-*").partition(":")
-        if colon and name.strip() == sender:
-            return prompts.ReasonerResponse(sections={"plan": plan.strip()}, raw=line)
-    return None
+        if colon and name.strip() in senders:
+            plans.setdefault(name.strip(), plan.strip())
+    return plans
+
+
+def plan_reply(text: str | None, registry: EntityRegistry, heuristic) -> Plan | None:
+    """A remote model's single-plan answer ("None" means done); the
+    heuristic decides when no answer arrived (``text`` is None) or the
+    plan is bad."""
+    if text is None:
+        return heuristic()
+    if text.strip().lower() in NO_ANSWER:
+        return None
+    plan = safe_plan(text, registry)
+    return plan if plan is not None else heuristic()
 
 
 def _heard(text: str, world: BeliefWorld) -> tuple[tuple[AtomicBelief, ...], Plan | None]:
@@ -314,35 +304,26 @@ def _heard(text: str, world: BeliefWorld) -> tuple[tuple[AtomicBelief, ...], Pla
     return facts, _known_plan(plan, world.registry)
 
 
-# One tick's mail per belief partition: None (the zero partition) or a
-# sender, to its ``(sender, text)`` lines.
-Batches = dict[str | None, list[tuple[str, str]]]
-
-
-def inbox_batches(world: BeliefWorld, inbox: list[tuple[str, str]]) -> Batches:
-    """One tick's registered mail per belief partition: the zero partition
-    (``None``) holds every ``(sender, text)`` line, then each sender, in
-    order of first arrival, holds its own lines, in arrival order.  Mail
-    from an unregistered sender is ignored with a warning; no registered
-    mail gives ``{}``."""
-    batches: Batches = {}
+def registered_mail(world: BeliefWorld, inbox: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """One tick's ``(sender, text)`` lines from registered senders, in
+    arrival order; mail from an unregistered sender is ignored with a
+    warning."""
+    mail = []
     for sender, text in inbox:
-        if sender not in world.collaborators:
+        if sender in world.collaborators:
+            mail.append((sender, text))
+        else:
             log.warning("message from unregistered sender %r ignored", sender)
-            continue
-        batches.setdefault(None, []).append((sender, text))
-        batches.setdefault(sender, []).append((sender, text))
-    return batches
+    return mail
 
 
 def update_from_messages(
-    world: BeliefWorld, batches: Batches,
-    replies: dict[str | None, prompts.ReasonerResponse | None],
+    world: BeliefWorld, mail: list[tuple[str, str]],
+    zero_reply: prompts.ReasonerResponse | None, first_reply: prompts.ReasonerResponse | None,
 ) -> dict[str, Plan]:
-    """Fold one tick's inbox, split by :func:`inbox_batches`, into both
-    belief orders, given the reply to each partition's update request;
-    the senders' first-order partitions share one request, so each of
-    them is given the same reply.
+    """Fold one tick's registered mail (:func:`registered_mail`) into both
+    belief orders, given the replies to the tick's ``update_zero`` and
+    ``update_first`` requests, or None where no reply arrived.
 
     First, the broadcast is public: each message's facts, as the message
     grammar reads them (an unparseable text has none), are ingested into
@@ -351,49 +332,51 @@ def update_from_messages(
     the paper's prompted updates: no request asks for it and no reply is
     read for it.
 
-    Then one pass per partition, in batch order: the zero partition (the
-    owner now knows what it was told), then each sender's first-order
-    partition (the sender plainly knows what it said), so that a
-    sender's own words land last in its own partition.  A pass ingests
-    the facts ``replies.get(about)`` lists for its partition as one batch
-    when that reply is usable for it (:func:`_reply_facts`: the lines
-    under the partition's believer chain); a missing entry means no
-    usable reply.  Without one, the message grammar is read directly,
-    message by message in arrival order: unparseable messages are
-    ignored with a warning, and plans naming unknown entities, or
-    entities of the wrong kind, are not declared.  The store's fold
+    Then one fold per partition: the zero partition (the owner now knows
+    what it was told), then each sender's first-order partition in order
+    of first arrival (the sender plainly knows what it said), so that a
+    sender's own words land last in its own partition.  Each reply is read
+    once (:func:`_reply_facts`): the zero partition's facts from
+    ``zero_reply``, every sender's from ``first_reply``, by believer
+    chain.  A partition the reply gives facts for ingests them as one
+    batch; for any other, the message grammar is read directly, message
+    by message in arrival order (all the mail for the zero partition, the
+    sender's own for a sender's): unparseable messages are ignored with a
+    warning, and plans naming unknown entities, or entities of the wrong
+    kind, are not declared.  The store's fold
     (:func:`~beliefworld.belief_store.ingest_facts`) skips the facts the
     rules do not admit and applies the overflow rule.
 
-    A sender's declared plan is its reply's ``plan`` section: all of it
-    when the sender is the tick's one sender, else the section's
-    ``<sender>: <plan>`` line (:func:`_sender_plan`).  A sender whose
-    reply gives no readable plan declares the plan its message grammar
-    reads.  Returns the plans the senders declared, keyed in the order
-    of each sender's first message declaring one; a sender's later
-    declaration replaces its earlier one.
+    A sender's declared plan is its text in ``first_reply``'s ``plan``
+    section (:func:`_reply_plans`); a sender without a readable one
+    declares the plan its message grammar reads.  Returns the plans the
+    senders declared, keyed in the order of each sender's first message
+    declaring one; a sender's later declaration replaces its earlier one.
     """
-    if not batches:
+    if not mail:
         return {}
     heard = functools.cache(lambda text: _heard(text, world))
-    for sender, text in batches[None]:
+    for sender, text in mail:
         for collab in world.collaborators:
             if collab != sender:
                 ingest_facts(world, heard(text)[0], collab)
-    senders = tuple(about for about in batches if about is not None)
-    for about, lines in batches.items():
-        batch = senders if about is not None else ()
-        facts = _reply_facts(replies.get(about), world, about, batch)
-        if facts is not None:
-            ingest_facts(world, facts, about)
+    senders = tuple(dict.fromkeys(sender for sender, _ in mail))
+    replied = {
+        **_reply_facts(zero_reply, world, "Zero order beliefs", (None,)),
+        **_reply_facts(first_reply, world, "First order beliefs", senders),
+    }
+    for about in (None, *senders):
+        if about in replied:
+            ingest_facts(world, replied[about], about)
         else:
-            for _, text in lines:
-                ingest_facts(world, heard(text)[0], about)
+            for sender, text in mail:
+                if about is None or sender == about:
+                    ingest_facts(world, heard(text)[0], about)
 
+    plans = _reply_plans(first_reply, senders)
     declared: dict[str, Plan] = {}
-    for sender, text in batches.get(None, ()):
-        reply = _sender_plan(replies.get(sender), sender, senders)
-        plan = plan_reply(reply, world.registry, lambda: heard(text)[1])
+    for sender, text in mail:
+        plan = plan_reply(plans.get(sender), world.registry, lambda: heard(text)[1])
         if plan is not None:
             declared[sender] = plan
     return declared

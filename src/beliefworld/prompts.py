@@ -66,8 +66,8 @@ class ReasonerResponse:
     sections: dict[str, str]
     raw: str
 
-    def section(self, label: str, default: str = "") -> str:
-        return self.sections.get(label, default)
+    def section(self, label: str) -> str:
+        return self.sections.get(label, "")
 
 
 def _load_catalog(raw: str | None = None) -> dict[str, PromptTemplate]:

@@ -40,10 +40,12 @@ raises ``ImportError`` on the first post rather than falling back.
 
 ``AgentMind.hear`` sends a whole tick's messages in one ``update_zero``
 and one ``update_first`` request, the latter for every sender at once
-where the paper asks about each collaborator in a prompt of its own.  So
-a batched reply shares the one ``max_tokens`` budget: after a long inbox
-the belief list can be cut short, and a line cut mid-way does not parse
-and is skipped, like any other unparseable belief line; a sender left
+where the paper asks about each collaborator in a prompt of its own, and
+``perceive.update_from_messages`` reads each reply once, routing each
+belief line and plan line to its sender.  So a batched reply shares the
+one ``max_tokens`` budget: after a long inbox the belief list can be cut
+short, and a line cut mid-way does not parse and is skipped with one
+warning, like any other unparseable belief line; a sender left
 without a line or a plan falls back to its own messages' grammar.  On
 stuff_small with 4 agents, adaptive, seeds 1..100, the first-order and
 plan sections of a perfect ``update_first`` reply, one belief line per

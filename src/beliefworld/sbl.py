@@ -9,8 +9,9 @@ A statement names one or two believers (agents or ``?variables``), then an
 atomic body ``subject RELATION object``.  One believer makes an order-0
 statement, two make an order-1 statement; deeper BELIEVE nesting is a parse
 error by design.  Any statement containing a variable is a rule; fully
-ground statements are plain belief expressions.  ``is_ground`` is the one
-test of which is which.
+ground statements are plain belief expressions.  Nothing here tells them
+apart: a belief store admits a fact only when its rules know the kind of
+each term (``BeliefWorld.admits``), and a variable has no kind.
 
 Entities come in three sorts: bare capitalized identifiers are agent names,
 ``<name>(id)`` tokens refer to concrete objects and rooms, and bare
@@ -189,18 +190,13 @@ Term = EntityRef | StateAtom
 
 
 class AtomicBelief(Interned):
-    """One ``subject RELATION object`` triple; ``is_ground`` is set once."""
+    """One ``subject RELATION object`` triple."""
 
     __match_args__ = ("subject", "relation", "object")
-    __slots__ = (*__match_args__, "is_ground")
+    __slots__ = __match_args__
     subject: EntityRef
     relation: str
     object: Term
-    is_ground: bool
-
-    def _settle(self) -> None:
-        ground = not (isinstance(self.subject, Variable) or isinstance(self.object, Variable))
-        object.__setattr__(self, "is_ground", ground)
 
     def _render(self) -> str:
         return f"{self.subject} {self.relation} {self.object}"
@@ -227,10 +223,6 @@ class BeliefExpr:
     @property
     def order(self) -> int:
         return len(self.believers) - 1
-
-    @property
-    def is_ground(self) -> bool:
-        return self.body.is_ground and not any(isinstance(b, Variable) for b in self.believers)
 
     def __str__(self) -> str:
         return believer_chain(self.believers) + str(self.body)

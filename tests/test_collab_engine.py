@@ -21,9 +21,9 @@ from beliefworld.belief_store import BeliefWorld, RuleViolation, slot
 from beliefworld.collab_engine import AgentMind
 from beliefworld.perceive import (
     compose_message,
-    inbox_batches,
     note_sent,
     parse_message,
+    registered_mail,
     update_from_messages,
     update_from_visual,
 )
@@ -646,31 +646,20 @@ def test_a_full_view_retracts_a_location_believed_under_another_name(food_regist
 
 def fold_inbox(world, inbox):
     """The pure inbox fold with no remote reply, as on the scripted backend."""
-    return update_from_messages(world, inbox_batches(world, inbox), {})
+    return update_from_messages(world, registered_mail(world, inbox), None, None)
 
 
-def test_inbox_batches_hold_all_mail_then_each_senders_own(food_registry):
+def test_registered_mail_keeps_arrival_order_and_ignores_an_unregistered_sender(
+    food_registry, caplog
+):
     world = make_world(food_registry, collaborators=("Bob", "Carol"))
-    inbox = [("Carol", "c1"), ("Bob", "b1"), ("Carol", "c2"), ("Bob", "b2")]
-    batches = inbox_batches(world, inbox)
-    assert list(batches) == [None, "Carol", "Bob"]
-    assert batches[None] == inbox
-    assert batches["Carol"] == [("Carol", "c1"), ("Carol", "c2")]
-    assert batches["Bob"] == [("Bob", "b1"), ("Bob", "b2")]
-
-
-def test_inbox_batches_ignore_an_unregistered_sender_with_a_warning(food_registry, caplog):
-    world = make_world(food_registry)
+    inbox = [("Carol", "c1"), ("Mallory", "m1"), ("Bob", "b1"), ("Carol", "c2"), ("Mallory", "m2")]
     with caplog.at_level("WARNING"):
-        batches = inbox_batches(world, [("Mallory", "m1"), ("Bob", "b1"), ("Mallory", "m2")])
-    assert batches == {None: [("Bob", "b1")], "Bob": [("Bob", "b1")]}
+        mail = registered_mail(world, inbox)
+    assert mail == [("Carol", "c1"), ("Bob", "b1"), ("Carol", "c2")]
     assert caplog.text.count("unregistered sender 'Mallory' ignored") == 2
-
-
-def test_inbox_batches_of_no_registered_mail_are_empty(food_registry):
-    world = make_world(food_registry)
-    assert inbox_batches(world, []) == {}
-    assert inbox_batches(world, [("Mallory", "m1")]) == {}
+    assert registered_mail(world, []) == []
+    assert registered_mail(world, [("Mallory", "m1")]) == []
 
 
 def test_update_from_messages_spec_example(food_registry):
@@ -692,7 +681,10 @@ def test_update_from_messages_empty_inbox(food_registry):
     world.assert_fact(fact("<apple>(101) IN <kitchen>(2000)"), about="Bob")
     before = {about: dict(partition) for about, partition in world.partitions.items()}
     assert fold_inbox(world, []) == {}
-    assert update_from_messages(world, {}, {}) == {}
+    # No mail, no fold: a reply is not read without mail.
+    section = "Alice BELIEVE <kitchen>(2000) EXPLORED all"
+    reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
+    assert update_from_messages(world, [], reply, None) == {}
     assert world.partitions == before
 
 
@@ -719,8 +711,8 @@ def test_a_reply_section_is_read_for_its_belief_lines_only(food_registry, caplog
     section = "Here is what Alice now believes:\n- Alice BELIEVE <apple>(101) IN <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     with caplog.at_level("WARNING"):
-        facts = perceive._reply_facts(reply, world, None)
-    assert facts == [fact("<apple>(101) IN <kitchen>(2000)")]
+        facts = perceive._reply_facts(reply, world, "Zero order beliefs", (None,))
+    assert facts == {None: [fact("<apple>(101) IN <kitchen>(2000)")]}
     assert "unparseable" not in caplog.text
 
 
@@ -733,8 +725,8 @@ def test_an_unparseable_belief_line_is_skipped_and_the_readable_ones_kept(food_r
     )
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     with caplog.at_level("WARNING"):
-        facts = perceive._reply_facts(reply, world, None)
-    assert facts == [fact("<apple>(101) IN <kitchen>(2000)"), fact("<kitchen>(2000) EXPLORED all")]
+        facts = perceive._reply_facts(reply, world, "Zero order beliefs", (None,))
+    assert facts == {None: [fact("<apple>(101) IN <kitchen>(2000)"), fact("<kitchen>(2000) EXPLORED all")]}
     assert "skipping unparseable belief line: 'Alice BELIEVE <apple>(101) IN'" in caplog.text
 
 
@@ -765,7 +757,7 @@ def test_a_replied_fact_naming_an_unknown_entity_is_dropped(food_registry):
     section = "Alice BELIEVE <ghost>(77777) HOLD <apple>(101)\nAlice BELIEVE Zed AT <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     inbox = [("Bob", "FACTS: | PLAN: None")]
-    update_from_messages(world, inbox_batches(world, inbox), {None: reply})
+    update_from_messages(world, registered_mail(world, inbox), reply, None)
     assert world.facts() == []
 
 
@@ -801,7 +793,7 @@ def test_a_replied_fact_of_the_wrong_sort_is_dropped(food_registry):
     section = "Alice BELIEVE <apple>(101) AT <kitchen>(2000)"
     reply = ReasonerResponse(sections={"Zero order beliefs": section}, raw=section)
     inbox = [("Bob", "FACTS: | PLAN: None")]
-    update_from_messages(world, inbox_batches(world, inbox), {None: reply})
+    update_from_messages(world, registered_mail(world, inbox), reply, None)
     assert world.facts() == before
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from beliefworld import harness, rule_consensus, scenario, world_sim
 from beliefworld.collab_engine import AgentMind
-from beliefworld.perceive import inbox_batches, update_from_messages
+from beliefworld.perceive import registered_mail, update_from_messages
 from beliefworld.planner import SUBPLAN_DONE
 from beliefworld.prompts import template
 from beliefworld.reasoner import ScriptedReasoner
@@ -128,15 +128,21 @@ def test_asking_the_next_step_of_a_done_plan_leaves_the_log_unchanged(
 
 def hear_per_sender(mind, inbox):
     """``AgentMind.hear`` with one ``update_first`` request per sender,
-    carrying that sender's lines alone."""
-    batches = inbox_batches(mind.world, inbox)
-    senders = ", ".join(about for about in batches if about is not None)
-    replies = {}
-    for about, lines in batches.items():
-        template_id, oppo = ("update_zero", senders) if about is None else ("update_first", about)
-        message = "\n".join(f"{sender}: {text}" for sender, text in lines)
-        replies[about] = mind._ask(template_id, oppo, MESSAGE=message)
-    return update_from_messages(mind.world, batches, replies)
+    carrying that sender's lines alone.  The scripted backend answers none
+    of them, so the fold is given no first-order reply."""
+    mail = registered_mail(mind.world, inbox)
+    if not mail:
+        return update_from_messages(mind.world, mail, None, None)
+    senders = list(dict.fromkeys(sender for sender, _ in mail))
+
+    def message(lines):
+        return "\n".join(f"{sender}: {text}" for sender, text in lines)
+
+    zero = mind._ask("update_zero", ", ".join(senders), MESSAGE=message(mail))
+    for about in senders:
+        reply = mind._ask("update_first", about, MESSAGE=message(m for m in mail if m[0] == about))
+        assert reply is None
+    return update_from_messages(mind.world, mail, zero, None)
 
 
 @pytest.mark.parametrize("scenario,agents,mode", sorted(GOLDEN))

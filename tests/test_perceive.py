@@ -20,7 +20,7 @@ from test_world_sim import random_intents
 from beliefworld import perceive, world_sim
 from beliefworld.actions import ExploreCurrent, GoGrasp, GoTo, Plan, Put, Transport, plan_text
 from beliefworld.belief_store import BeliefWorld, held_by, ingest_facts, slot
-from beliefworld.perceive import inbox_batches, update_from_messages, update_from_visual
+from beliefworld.perceive import registered_mail, update_from_messages, update_from_visual
 from beliefworld.planner import PlannerView
 from beliefworld.prompts import ReasonerResponse, parse_sections
 from beliefworld.rule_consensus import canonical_rules
@@ -184,8 +184,14 @@ def usable_replies(world: BeliefWorld, answers) -> dict[str, list[AtomicBelief]]
     return {c: facts for c, facts in admitted.items() if facts}
 
 
-def first_order_reply(world: BeliefWorld, about: str, facts) -> ReasonerResponse:
-    text = "\n".join(f"{world.owner} BELIEVE {about} BELIEVE {f}" for f in facts)
+def first_order_reply(world: BeliefWorld, replies) -> ReasonerResponse | None:
+    """One combined first-order reply listing each collaborator's reply
+    facts under its chain; None when no collaborator has any."""
+    if not replies:
+        return None
+    text = "\n".join(
+        f"{world.owner} BELIEVE {about} BELIEVE {f}" for about, facts in replies.items() for f in facts
+    )
     return ReasonerResponse(sections={"First order beliefs": text}, raw=text)
 
 
@@ -248,8 +254,7 @@ def test_a_heard_broadcast_is_credited_to_every_collaborator_but_its_sender(case
     replies = usable_replies(world, answers)
     inbox = [(sender, grammar_text(facts)) for sender, facts in messages]
     update_from_messages(
-        world, inbox_batches(world, inbox),
-        {c: first_order_reply(world, c, facts) for c, facts in replies.items()},
+        world, registered_mail(world, inbox), None, first_order_reply(world, replies)
     )
     check_public_announcement(world, messages, replies)
     if len(world.collaborators) == 1:
@@ -265,7 +270,7 @@ BOB_SAYS = "FACTS: <apple>(101) IN <kitchen>(2000) | PLAN: None"
 
 def test_a_hearer_credits_the_third_collaborator_with_a_broadcast(food_registry):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), food_registry)
-    update_from_messages(world, inbox_batches(world, [("Bob", BOB_SAYS)]), {})
+    update_from_messages(world, registered_mail(world, [("Bob", BOB_SAYS)]), None, None)
     apple = parse_atomic("<apple>(101) IN <kitchen>(2000)")
     assert world.facts(about="Carol") == [apple]
     assert world.facts(about="Bob") == [apple]
@@ -274,7 +279,7 @@ def test_a_hearer_credits_the_third_collaborator_with_a_broadcast(food_registry)
 
 def test_an_unparseable_broadcast_credits_no_third_party(food_registry):
     world = BeliefWorld("Alice", canonical_rules(), ("Bob", "Carol"), food_registry)
-    update_from_messages(world, inbox_batches(world, [("Bob", GIBBERISH)]), {})
+    update_from_messages(world, registered_mail(world, [("Bob", GIBBERISH)]), None, None)
     assert world.facts(about="Carol") == []
     assert world.facts(about="Bob") == []
 
@@ -339,20 +344,21 @@ def perfect_update_first(world: BeliefWorld, messages, declared) -> ReasonerResp
 
 
 def check_perfect_batched_reply(setting, messages) -> None:
-    """A perfect batched ``update_first`` reply, given to every sender's
-    pass, folds into the partitions and declared plans that the message
-    grammar alone (no reply) gives."""
+    """A perfect batched ``update_first`` reply folds into the partitions
+    and declared plans that the message grammar alone (no reply) gives."""
     inbox = [(sender, mail_text(facts, plan)) for sender, facts, plan in messages]
     grammar = fresh_world(setting)
-    declared = update_from_messages(grammar, inbox_batches(grammar, inbox), {})
+    declared = update_from_messages(grammar, registered_mail(grammar, inbox), None, None)
     world = fresh_world(setting)
-    batches = inbox_batches(world, inbox)
-    senders = tuple(about for about in batches if about is not None)
+    mail = registered_mail(world, inbox)
+    senders = tuple(dict.fromkeys(sender for sender, _ in mail))
     reply = perfect_update_first(world, messages, declared)
+    plans = perceive._reply_plans(reply, senders)
+    assert list(plans) == list(senders)
     for sender in senders:  # each plan is read off the reply, not the grammar
         fallback = lambda: pytest.fail(f"{sender}'s plan line was not read")  # noqa: E731
-        perceive.plan_reply(perceive._sender_plan(reply, sender, senders), world.registry, fallback)
-    replied = update_from_messages(world, batches, dict.fromkeys(senders, reply))
+        perceive.plan_reply(plans[sender], world.registry, fallback)
+    replied = update_from_messages(world, mail, None, reply)
     assert list(replied.items()) == list(declared.items())
     # The same fact in each slot; a reply's facts fold as one batch, the
     # messages' one message at a time, so the slots' insertion order may

@@ -8,7 +8,7 @@ the HTTP client runs.
 import pytest
 import requests
 
-from beliefworld import collab_engine, harness, prompts
+from beliefworld import collab_engine, harness, perceive, prompts
 from beliefworld import reasoner as reasoner_mod
 from beliefworld.actions import parse_plan
 from beliefworld.belief_store import BeliefWorld
@@ -17,7 +17,7 @@ from beliefworld.planner import best_plan, plan_options
 from beliefworld.prompts import ReasonerRequest, ReasonerResponse, TemplateError, parse_sections
 from beliefworld.reasoner import HttpReasoner, ScriptedReasoner
 from beliefworld.rule_consensus import canonical_rules
-from beliefworld.sbl import ObjectRef, parse_atomic
+from beliefworld.sbl import ObjectRef, parse, parse_atomic
 from beliefworld.world_sim import VisualObservation
 
 from test_prompts import SAMPLE_VARS
@@ -621,7 +621,7 @@ def test_malformed_update_first_falls_back_to_that_senders_messages_only(food_re
 
 def test_a_line_under_carols_chain_never_lands_in_bobs_partition(food_registry, caplog):
     # Carol's line names a fact Bob's partition would admit; it is Carol's
-    # alone, and skipping it in Bob's pass is no warning.  A line under no
+    # alone, and routing it to Carol is no warning.  A line under no
     # sender's chain is warned about once, not once per sender.
     key = ("update_first", "Bob, Carol")
     stray = "Alice BELIEVE Zed BELIEVE <bread>(104) IN <office>(3000)"
@@ -633,6 +633,24 @@ def test_a_line_under_carols_chain_never_lands_in_bobs_partition(food_registry, 
     assert not world.holds(bread, about="Bob")
     assert caplog.text.count("outside the partition") == 1
     assert f"outside the partition: {stray!r}" in caplog.text
+
+
+def test_each_line_of_a_batched_update_first_reply_is_parsed_once(food_registry, monkeypatch):
+    # Two senders share the one update_first reply: it is read once, not
+    # once per sender.
+    parsed = []
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(perceive, "parse", counting_parse)
+    batch_update(food_registry, BATCH_REPLIES)
+    first = BATCH_REPLIES[("update_first", "Bob, Carol")]
+    lines = [line for line in first.splitlines() if "BELIEVE" in line]
+    assert len(lines) == 2
+    assert all(parsed.count(line) == 1 for line in lines)
+    assert len(parsed) == len(set(parsed)) == 3  # the update_zero line too
 
 
 def test_update_replies_in_the_prompts_spaced_entity_form_are_read(food_registry):

@@ -27,7 +27,6 @@ from universe import random_ground, random_rule
 def test_parse_ground_zero_order():
     expr = sbl.parse("Alice BELIEVE <apple>(123) IN <kitchen>(2000)")
     assert expr.order == 0
-    assert expr.is_ground
     assert expr.believers == (AgentName("Alice"),)
     assert expr.body == AtomicBelief(
         ObjectRef("apple", 123), "IN", ObjectRef("kitchen", 2000)
@@ -37,12 +36,12 @@ def test_parse_ground_zero_order():
 def test_parse_first_order_rule():
     expr = sbl.parse("?agentA BELIEVE ?agentB BELIEVE ?room EXPLORED ?exploration_state")
     assert expr.order == 1
-    assert not expr.is_ground
+    assert expr.believers == (Variable("agentA"), Variable("agentB"))
 
 
 def test_classification_rule_iff_variable():
-    assert not sbl.parse("?agent BELIEVE <pen>(7) IN <office>(3000)").is_ground
-    assert sbl.parse("Bob BELIEVE <pen>(7) IN <office>(3000)").is_ground
+    assert sbl.parse("?agent BELIEVE <pen>(7) IN <office>(3000)").believers == (Variable("agent"),)
+    assert sbl.parse("Bob BELIEVE <pen>(7) IN <office>(3000)").believers == (AgentName("Bob"),)
 
 
 def test_parse_empty_input_position_zero():
@@ -142,7 +141,6 @@ def test_round_trip_random_expressions():
     for _ in range(500):
         is_rule = rng.random() < 0.5
         expr = random_rule(rng) if is_rule else random_ground(rng)
-        assert expr.is_ground != is_rule
         assert sbl.parse(str(expr)) == expr
 
 

@@ -2,9 +2,12 @@
 
 The workload is nine cells: {food_small with 2 agents, stuff_small with 2
 and with 4 agents} × {never, adaptive, always} messaging, each at seeds
-1..20, every episode through ``harness.run_episode`` with the scripted
-reasoner and no output directory.  The standard library's ``trace``
-module counts the lines they run.  The package, its command line
+1..20, each cell one ``harness.run_batch`` with the scripted reasoner and
+no output directory.  Then one more batch, food_small with 2 agents,
+adaptive, at seed 1, writes its episode log, metrics and summaries into
+a temporary directory, as the command line's ``run`` does, so that the
+writers count as run too.  The standard library's ``trace`` module
+counts the lines they run.  The package, its command line
 included, is imported inside the trace, so its module-level lines
 (``def`` and ``class`` lines, constants) count as run.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dis
 import sys
+import tempfile
 import trace
 import types
 from pathlib import Path
@@ -49,9 +53,9 @@ def run_cells(seeds: tuple[int, ...]) -> None:
     from beliefworld import cli, harness  # noqa: F401
 
     for scenario, agents, mode in CELLS:
-        cfg = harness.RunConfig(scenario, seeds, agents=agents, mode=mode)
-        for seed in seeds:
-            harness.run_episode(cfg, seed)
+        harness.run_batch(harness.RunConfig(scenario, seeds, agents=agents, mode=mode))
+    with tempfile.TemporaryDirectory() as out:
+        harness.run_batch(harness.RunConfig("food_small", (1,), out_dir=Path(out)))
 
 
 def code_lines(code: types.CodeType) -> set[int]:
