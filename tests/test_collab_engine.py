@@ -649,15 +649,41 @@ def fold_inbox(world, inbox):
     return update_from_messages(world, registered_mail(world, inbox), None, None)
 
 
-def test_registered_mail_keeps_arrival_order_and_ignores_an_unregistered_sender(
-    food_registry, caplog
-):
+def test_inbox_batches_hold_all_mail_then_each_senders_own(food_registry, monkeypatch):
+    """The registered mail keeps arrival order, and with no reply the fold
+    reads all of it for the zero partition, then each sender's own for
+    that sender's partition, senders in order of first arrival."""
     world = make_world(food_registry, collaborators=("Bob", "Carol"))
-    inbox = [("Carol", "c1"), ("Mallory", "m1"), ("Bob", "b1"), ("Carol", "c2"), ("Mallory", "m2")]
+    c1 = "FACTS: <kitchen>(2000) EXPLORED all | PLAN: None"
+    b1 = "FACTS: <apple>(101) IN <kitchen>(2000) | PLAN: None"
+    c2 = "FACTS: Carol AT <kitchen>(2000) | PLAN: None"
+    inbox = [("Carol", c1), ("Bob", b1), ("Carol", c2)]
+    mail = registered_mail(world, inbox)
+    assert mail == inbox
+    folds = []
+    real_ingest = perceive.ingest_facts
+    monkeypatch.setattr(
+        perceive, "ingest_facts",
+        lambda w, facts, about: folds.append((about, list(facts))) or real_ingest(w, facts, about),
+    )
+    update_from_messages(world, mail, None, None)
+    said = {text: list(parse_message(text)[0]) for _, text in inbox}
+    credit = [("Bob", said[c1]), ("Carol", said[b1]), ("Bob", said[c2])]
+    own = [(None, said[c1]), (None, said[b1]), (None, said[c2]),
+           ("Carol", said[c1]), ("Carol", said[c2]), ("Bob", said[b1])]
+    assert folds == credit + own
+
+
+def test_inbox_batches_ignore_an_unregistered_sender_with_a_warning(food_registry, caplog):
+    world = make_world(food_registry)
     with caplog.at_level("WARNING"):
-        mail = registered_mail(world, inbox)
-    assert mail == [("Carol", "c1"), ("Bob", "b1"), ("Carol", "c2")]
+        mail = registered_mail(world, [("Mallory", "m1"), ("Bob", "b1"), ("Mallory", "m2")])
+    assert mail == [("Bob", "b1")]
     assert caplog.text.count("unregistered sender 'Mallory' ignored") == 2
+
+
+def test_inbox_batches_of_no_registered_mail_are_empty(food_registry):
+    world = make_world(food_registry)
     assert registered_mail(world, []) == []
     assert registered_mail(world, [("Mallory", "m1")]) == []
 
